@@ -29,6 +29,7 @@ extrapolation against small event-driven runs before it is trusted.
 
 from repro.analytic.calibration import (
     CrossValidationReport,
+    IncompleteReferenceGridError,
     SurrogateAccuracyError,
     cross_validate_scenario,
 )
@@ -65,5 +66,6 @@ __all__ = [
     "transmission_coins",
     "CrossValidationReport",
     "SurrogateAccuracyError",
+    "IncompleteReferenceGridError",
     "cross_validate_scenario",
 ]

@@ -29,12 +29,15 @@ inspection, but they do not decide the gate.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Any
 
+from repro.core.executors import CellFailure
 from repro.core.results import RunResult, Series, SweepResult
+from repro.mobility.contact import ContactTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenarios.spec import ScenarioSpec
@@ -60,6 +63,31 @@ _RUN_VALUES: dict[str, Callable[[RunResult], float | None]] = {
 
 class SurrogateAccuracyError(ValueError):
     """The surrogate missed the event simulator beyond the tolerance."""
+
+
+class IncompleteReferenceGridError(RuntimeError):
+    """Cells of the gate's reference grid failed, so it cannot be judged.
+
+    A scenario with ``on_error="keep-going"`` lets failed cells drop out
+    of a sweep; pooling what is left would compare the engines on
+    different grids. The gate refuses instead.
+
+    Attributes:
+        engine: The pass that failed, ``"des"`` or ``"ode"``.
+        failures: One :class:`~repro.core.executors.CellFailure` per failed
+            cell, with its ``(protocol, load, rep)`` coordinates.
+    """
+
+    def __init__(self, engine: str, failures: Sequence[CellFailure]) -> None:
+        cells = "; ".join(
+            f"{f.coordinates} [{f.kind}] {f.message}" for f in failures
+        )
+        super().__init__(
+            f"cross-validation reference grid incomplete: {len(failures)} "
+            f"{engine} cell(s) failed: {cells}"
+        )
+        self.engine = engine
+        self.failures = tuple(failures)
 
 
 @dataclass(frozen=True)
@@ -299,6 +327,31 @@ def pool_sweeps(
     return pooled
 
 
+def _run_reference_grid(
+    grid: ScenarioSpec,
+    traces: Callable[[int], ContactTrace],
+    progress: Callable[[str], None] | None,
+) -> SweepResult:
+    """One engine's pass over the reference grid, on the shared traces.
+
+    Raises:
+        IncompleteReferenceGridError: when any cell failed — possible under
+            the scenario's ``on_error="keep-going"``.
+    """
+    from repro.core.sweep import run_sweep
+
+    result = run_sweep(
+        traces,
+        grid.build_protocols(),
+        grid.sweep_config(),
+        progress=progress,
+        policy=grid.failure_policy(),
+    )
+    if result.failures:
+        raise IncompleteReferenceGridError(grid.engine, result.failures)
+    return result
+
+
 def cross_validate_scenario(
     spec: ScenarioSpec,
     *,
@@ -319,6 +372,8 @@ def cross_validate_scenario(
 
     Raises:
         ValueError: when no DES-able reference mobility is available.
+        IncompleteReferenceGridError: when a reference cell failed on
+            either engine.
     """
     from repro.scenarios.spec import WorkloadSpec
 
@@ -341,7 +396,10 @@ def cross_validate_scenario(
         surrogate_check=False,
         record_occupancy=False,
     )
-    if len(base.build_trace(0)) == 0:
+    # Each reference trace is built once: the emptiness probe and both
+    # engines' passes share it.
+    reference_trace = functools.cache(base.build_trace)
+    if len(reference_trace(0)) == 0:
         raise ValueError(
             "cross-validation needs a contact-bearing reference mobility; "
             "the scenario's mobility has no contacts to simulate — pin a "
@@ -349,10 +407,12 @@ def cross_validate_scenario(
         )
     if progress is not None:
         progress(f"cross-validation: DES reference grid {list(gate_loads)} × {reps}")
-    des_result = base.run(progress=progress)
+    des_result = _run_reference_grid(base, reference_trace, progress)
     if progress is not None:
         progress("cross-validation: surrogate on the same grid")
-    ode_result = dataclasses.replace(base, engine="ode").run(progress=progress)
+    ode_result = _run_reference_grid(
+        dataclasses.replace(base, engine="ode"), reference_trace, progress
+    )
     return CrossValidationReport(
         residuals=compare_sweeps(des_result, ode_result),
         pooled=pool_sweeps(des_result, ode_result),

@@ -7,6 +7,8 @@ meeting rate the fluid/Markov formulas need, estimated here from the same
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.mobility.contact import ContactTrace
 
 
@@ -26,7 +28,11 @@ def estimate_meeting_rate(trace: ContactTrace, *, min_capacity: float | None = N
         min_capacity: If given, only contacts of at least this duration
             count (e.g. pass the simulator's ``bundle_tx_time`` so β counts
             only meetings that can actually carry a bundle — the rate the
-            delivery-delay formulas need).
+            delivery-delay formulas need). Durations come from the trace's
+            cached :meth:`~repro.mobility.contact.ContactTrace.contact_arrays`
+            columns: ``ends - starts`` is the float64 subtraction
+            :attr:`Contact.duration <repro.mobility.contact.Contact.duration>`
+            makes, so the count is exact.
 
     Returns:
         Average meetings per second per pair, over *all* pairs (pairs that
@@ -39,5 +45,6 @@ def estimate_meeting_rate(trace: ContactTrace, *, min_capacity: float | None = N
     if min_capacity is None:
         meetings = len(trace)
     else:
-        meetings = sum(1 for c in trace if c.duration >= min_capacity)
+        starts, ends, _a, _b = trace.contact_arrays()
+        meetings = int(np.count_nonzero(ends - starts >= min_capacity))
     return meetings / (trace.horizon * total_pairs)

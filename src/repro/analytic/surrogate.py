@@ -37,6 +37,7 @@ extrapolation is trusted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
@@ -57,11 +58,26 @@ EXACT_LIMIT = 512
 #: Protocol registry names the surrogate has a mean-field model for.
 SUPPORTED_PROTOCOLS: tuple[str, ...] = ("pure", "pq")
 
-#: Points kept per returned curve (the integrator decimates to this).
+#: Curve resolution. The fluid regime samples exactly this many points
+#: (plus the horizon when it saturates first). The exact regime sizes its
+#: record stride so the chain's expected absorption window holds about
+#: this many records, but integrates on until absorption, so its curves
+#: are longer (about 2.9k points for a 36-node pure chain).
 _CURVE_POINTS = 2048
 
 #: Hard cap on integration steps of the exact regime.
 _MAX_STEPS = 500_000
+
+#: Recorded steps the exact integrator buffers before reducing them to
+#: curve statistics in one batch; bounds its scratch memory to this × N.
+_RECORD_BLOCK = 256
+
+#: Distinct exact-regime chains (and rank averages) kept solved. A
+#: cross-validation gate visits its chains cyclically — protocol × load ×
+#: replication, one chain per reference trace — so this must exceed the
+#: gate's replication count, or least-recently-used eviction would drop
+#: every chain just before its next use.
+_SOLVE_CACHE_SIZE = 64
 
 
 class UnsupportedProtocolError(ValueError):
@@ -152,18 +168,51 @@ def _flat_curves(horizon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ts, np.ones(2), np.ones(2)
 
 
-def _conditional_mean(prob: np.ndarray, idx: np.ndarray, n: int) -> float:
-    """E[I | destination susceptible] from the holder-count distribution.
+class _CurveRecords:
+    """The exact integrator's curve records, reduced a block at a time.
 
-    Given I = i holders, the destination (a fixed non-source node) is
-    still susceptible with probability (n − i)/(n − 1) by exchangeability;
-    the (n − 1) cancels between numerator and denominator.
+    Each recorded step copies the holder-count distribution into a
+    fixed ``_RECORD_BLOCK × N`` buffer; a full block is reduced to its
+    mean and conditional-mean rows at once. Per row the products and
+    sums are the ones a one-vector-at-a-time reduction would make, so
+    the statistics are bit-identical to it.
     """
-    weights = prob * (n - idx)
-    denom = float(weights.sum())
-    if denom <= 1e-15:  # delivery is (numerically) certain by now
-        return float(n)
-    return float((weights * idx).sum() / denom)
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.idx = np.arange(1, n + 1, dtype=np.float64)
+        self.susceptible = n - self.idx
+        self.block = np.empty((_RECORD_BLOCK, n), dtype=np.float64)
+        self.filled = 0
+        self.ts = [0.0]
+        self.mean = [1.0]
+        self.cond = [1.0]
+
+    def record(self, t: float, prob: np.ndarray) -> None:
+        self.ts.append(t)
+        self.block[self.filled] = prob
+        self.filled += 1
+        if self.filled == _RECORD_BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Reduce the buffered rows into ``mean`` and ``cond``.
+
+        ``cond`` is E[I | destination susceptible]: given I = i holders,
+        the destination (a fixed non-source node) is still susceptible
+        with probability (n − i)/(n − 1) by exchangeability; the (n − 1)
+        cancels between numerator and denominator.
+        """
+        rows = self.block[: self.filled]
+        self.mean.extend((rows * self.idx).sum(axis=1).tolist())
+        weights = rows * self.susceptible
+        denom = weights.sum(axis=1)
+        num = (weights * self.idx).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # delivery is (numerically) certain once denom vanishes
+            cond = np.where(denom <= 1e-15, float(self.n), num / denom)
+        self.cond.extend(cond.tolist())
+        self.filled = 0
 
 
 def _holder_curves_exact(
@@ -174,6 +223,17 @@ def _holder_curves_exact(
     Returns ``(ts, mean, cond)`` with ``ts[0] == 0`` and
     ``ts[-1] == horizon``; ``mean`` is E[I(t)] and ``cond`` is
     E[I(t) | destination still susceptible].
+
+    Every ``stride``-th step is recorded, the stride sized so that the
+    chain's expected absorption window 4·Σ1/λ_i holds about
+    :data:`_CURVE_POINTS` records. The loop itself runs on until
+    absorption, the horizon or :data:`_MAX_STEPS`, so a curve can hold
+    more points than that (about 2.9k for a 36-node pure chain).
+
+    The step works in preallocated buffers; it makes the same floating-
+    point operations in the same order as a loop that allocates every
+    intermediate (``tests/oracles/holder_chain.py``), so its curves are
+    bit-identical to that loop's.
     """
     rates = _birth_rates(n, beta, p, q)
     if rates[0] <= 0.0:  # the lone source never transmits
@@ -195,44 +255,61 @@ def _holder_curves_exact(
         est_steps = _MAX_STEPS
     stride = max(1, est_steps // _CURVE_POINTS)
 
-    idx = np.arange(1, n + 1, dtype=np.float64)
     prob = np.zeros(n, dtype=np.float64)
     prob[0] = 1.0
-    ts = [0.0]
-    mean = [1.0]
-    cond = [1.0]
+    flow = np.empty(n, dtype=np.float64)  # probability flux i → i + 1
+    slope = np.empty(n, dtype=np.float64)  # dP/dt: inflow − outflow
+    mid = np.empty(n, dtype=np.float64)
+    scaled = np.empty(n, dtype=np.float64)
+    inflow, slope_in = flow[:-1], slope[1:]
+    records = _CurveRecords(n)
     t = 0.0
     step = 0
     while t < horizon and prob[-1] < 1.0 - 1e-9 and step < _MAX_STEPS:
         h = min(dt, horizon - t)
-        flow = rates * prob
-        k1 = -flow
-        k1[1:] += flow[:-1]
-        mid = prob + (0.5 * h) * k1
-        flow = rates * mid
-        k2 = -flow
-        k2[1:] += flow[:-1]
-        prob = prob + h * k2
-        np.clip(prob, 0.0, None, out=prob)
+        np.multiply(rates, prob, out=flow)
+        np.negative(flow, out=slope)
+        np.add(slope_in, inflow, out=slope_in)
+        np.multiply(0.5 * h, slope, out=scaled)
+        np.add(prob, scaled, out=mid)
+        np.multiply(rates, mid, out=flow)
+        np.negative(flow, out=slope)
+        np.add(slope_in, inflow, out=slope_in)
+        np.multiply(h, slope, out=scaled)
+        np.add(prob, scaled, out=prob)
+        np.maximum(prob, 0.0, out=prob)  # what np.clip(prob, 0.0, None) calls
         s = float(prob.sum())
         if s > 0.0:
-            prob /= s
+            np.divide(prob, s, out=prob)
         t += h
         step += 1
         if step % stride == 0:
-            ts.append(t)
-            mean.append(float((prob * idx).sum()))
-            cond.append(_conditional_mean(prob, idx, n))
-    if ts[-1] < t:
-        ts.append(t)
-        mean.append(float((prob * idx).sum()))
-        cond.append(_conditional_mean(prob, idx, n))
+            records.record(t, prob)
+    if records.ts[-1] < t:
+        records.record(t, prob)
+    records.flush()
+    ts, mean, cond = records.ts, records.mean, records.cond
     if ts[-1] < horizon:
         # absorbed (or step-capped) before the horizon: extend flat
         ts.append(horizon)
         mean.append(mean[-1])
         cond.append(cond[-1])
     return np.asarray(ts), np.asarray(mean), np.asarray(cond)
+
+
+@functools.lru_cache(maxsize=_SOLVE_CACHE_SIZE)
+def _solve_exact(
+    n: int, beta: float, p: float, q: float, horizon: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Memoized :func:`_holder_curves_exact`.
+
+    The cached arrays are read-only, so no caller can corrupt a solve
+    another cell reuses.
+    """
+    curves = _holder_curves_exact(n, beta, p, q, horizon)
+    for curve in curves:
+        curve.setflags(write=False)
+    return curves
 
 
 def _holder_curves_fluid(
@@ -288,6 +365,10 @@ def holder_curves(
     ``mean`` is the unconditional E[I(t)]; ``cond`` is
     E[I(t) | destination still susceptible] — identical in the fluid
     regime, distinct (and load-bearing for occupancy) at small N.
+
+    Exact-regime chains are solved once per distinct
+    ``(n, beta, p, q, horizon)`` and memoized; every call returns fresh
+    copies of the cached curves.
     """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
@@ -299,7 +380,8 @@ def holder_curves(
         if not (0.0 <= v <= 1.0):
             raise ValueError(f"{label} must be a probability, got {v}")
     if n <= exact_limit:
-        return _holder_curves_exact(n, beta, p, q, horizon)
+        ts, mean, cond = _solve_exact(n, beta, p, q, horizon)
+        return ts.copy(), mean.copy(), cond.copy()
     return _holder_curves_fluid(n, beta, p, q, horizon)
 
 
@@ -354,6 +436,14 @@ def _rank_time_averages(rates: np.ndarray, m: int) -> tuple[float, float]:
         return float(np.sum(0.5 * (fu[1:] + fu[:-1]) * dln)) / lam.size
 
     return integral(g * h_holders), integral(g * h_relays)
+
+
+@functools.lru_cache(maxsize=_SOLVE_CACHE_SIZE)
+def _exact_rank_averages(
+    n: int, beta: float, p: float, q: float, m: int
+) -> tuple[float, float]:
+    """Memoized :func:`_rank_time_averages` of the (n, beta, p, q) chain."""
+    return _rank_time_averages(_birth_rates(n, beta, p, q)[:-1], m)
 
 
 def _delivery_weighted_average(
@@ -527,8 +617,7 @@ def surrogate_run(
     mean_rank = 0.5 * (m + 1)
     if f_h > 0.0:
         if n <= EXACT_LIMIT:
-            transient = _birth_rates(n, beta, p, q)[:-1]
-            avg_holders, avg_relays = _rank_time_averages(transient, m)
+            avg_holders, avg_relays = _exact_rank_averages(n, beta, p, q, m)
         else:
             avg_holders = _delivery_weighted_average(ts, mean_i, frac)
             avg_relays = max(avg_holders - 1.0, 0.0)

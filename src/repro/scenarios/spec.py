@@ -555,6 +555,9 @@ class ScenarioSpec:
                 engine is ``"ode"``, the gate is enabled, and the
                 surrogate misses the event simulator beyond
                 ``surrogate_tolerance`` on the reference grid.
+            repro.analytic.calibration.IncompleteReferenceGridError: when
+                a cell of the gate's reference grid failed (possible under
+                ``on_error="keep-going"``).
             repro.core.checkpoint.CheckpointError: when ``checkpoint``
                 holds a different campaign, is corrupt, or already holds
                 results and ``resume`` is False.

@@ -1,11 +1,16 @@
 """The surrogate cross-validation gate: pooling, noise floor, refusal."""
 
+import dataclasses
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from repro.analytic.calibration import (
     CrossValidationReport,
+    IncompleteReferenceGridError,
     PooledResidual,
     SurrogateAccuracyError,
     compare_sweeps,
@@ -131,31 +136,33 @@ class TestCompareSweeps:
         assert by_load[10].rel_error == pytest.approx(0.10)
 
 
-class TestCrossValidateScenario:
-    def spec(self, **overrides):
-        kwargs = dict(
-            name="gate",
-            seed=11,
-            mobility=MobilitySpec(
-                "poisson",
-                {
-                    "num_nodes": 12,
-                    "beta": 5e-4,
-                    "horizon": 20_000.0,
-                    "duration": 40.0,
-                },
-            ),
-            protocols=(ProtocolSpec("pure"),),
-            workload=WorkloadSpec(loads=(2, 4, 8), replications=2),
-            engine="ode",
-            bundle_tx_time=1.0,
-            buffer_capacity=64,
-        )
-        kwargs.update(overrides)
-        return ScenarioSpec(**kwargs)
+def gate_spec(**overrides):
+    """A small poisson-mobility ODE scenario the gate can cross-validate."""
+    kwargs = dict(
+        name="gate",
+        seed=11,
+        mobility=MobilitySpec(
+            "poisson",
+            {
+                "num_nodes": 12,
+                "beta": 5e-4,
+                "horizon": 20_000.0,
+                "duration": 40.0,
+            },
+        ),
+        protocols=(ProtocolSpec("pure"),),
+        workload=WorkloadSpec(loads=(2, 4, 8), replications=2),
+        engine="ode",
+        bundle_tx_time=1.0,
+        buffer_capacity=64,
+    )
+    kwargs.update(overrides)
+    return ScenarioSpec(**kwargs)
 
+
+class TestCrossValidateScenario:
     def test_reference_grid_runs_both_engines(self):
-        report = cross_validate_scenario(self.spec(), loads=(2, 4), replications=2)
+        report = cross_validate_scenario(gate_spec(), loads=(2, 4), replications=2)
         assert report.loads == (2, 4)
         assert report.replications == 2
         assert report.reference["kind"] == "poisson"
@@ -164,7 +171,7 @@ class TestCrossValidateScenario:
         assert len(report.residuals) == 6
 
     def test_analytic_mobility_requires_reference(self):
-        spec = self.spec(
+        spec = gate_spec(
             mobility=MobilitySpec(
                 "analytic", {"num_nodes": 1000, "beta": 1e-7, "horizon": 1e6}
             )
@@ -173,13 +180,13 @@ class TestCrossValidateScenario:
             cross_validate_scenario(spec, replications=2)
 
     def test_spec_run_attaches_report(self):
-        result = self.spec(workload=WorkloadSpec(loads=(2, 4), replications=2)).run()
+        result = gate_spec(workload=WorkloadSpec(loads=(2, 4), replications=2)).run()
         assert result.surrogate_report is not None
         assert result.surrogate_report["loads"] == [2, 4]
         assert result.surrogate_report["replications"] >= 2
 
     def test_spec_run_honours_no_check(self):
-        spec = self.spec(
+        spec = gate_spec(
             workload=WorkloadSpec(loads=(2,), replications=1), surrogate_check=False
         )
         assert spec.run().surrogate_report is None
@@ -208,4 +215,94 @@ class TestCrossValidateScenario:
             calibration, "cross_validate_scenario", lambda spec, progress=None: bad_report
         )
         with pytest.raises(SurrogateAccuracyError, match="refusing to extrapolate"):
-            self.spec().run()
+            gate_spec().run()
+
+
+class TestGateTraces:
+    @pytest.mark.parametrize("shared,builds", [(False, 3), (True, 1)])
+    def test_each_reference_trace_is_built_once(self, monkeypatch, shared, builds):
+        """The emptiness probe and both engines' passes share one trace
+        per replication index."""
+        calls = []
+        real = ScenarioSpec.build_trace
+
+        def counting(self, rep=0):
+            calls.append(rep)
+            return real(self, rep)
+
+        monkeypatch.setattr(ScenarioSpec, "build_trace", counting)
+        cross_validate_scenario(
+            gate_spec(shared_trace=shared), loads=(2, 4), replications=3
+        )
+        assert len(calls) == builds
+        assert sorted(calls) == list(range(builds))
+
+
+class TestIncompleteReferenceGrid:
+    @pytest.mark.parametrize("engine", ["des", "ode"])
+    def test_failed_reference_cell_is_named(self, monkeypatch, engine):
+        """Under keep-going a failed reference cell must stop the gate, not
+        silently shrink the grid it pools."""
+        import repro.core.sweep as sweep_module
+
+        real = sweep_module.run_single
+
+        def flaky(trace, protocol, load, rep, sweep):
+            if sweep.sim.engine == engine and load == 4 and rep == 1:
+                raise RuntimeError("injected reference failure")
+            return real(trace, protocol, load, rep, sweep)
+
+        monkeypatch.setattr(sweep_module, "run_single", flaky)
+        spec = gate_spec(on_error="keep-going")
+        with pytest.raises(IncompleteReferenceGridError) as info:
+            cross_validate_scenario(spec, loads=(2, 4), replications=2)
+        err = info.value
+        assert err.engine == engine
+        assert [(f.protocol, f.load, f.rep) for f in err.failures] == [("pure", 4, 1)]
+        assert "(protocol='pure', load=4, rep=1)" in str(err)
+        assert "injected reference failure" in str(err)
+
+    def test_spec_run_refuses_too(self, monkeypatch):
+        import repro.core.sweep as sweep_module
+
+        real = sweep_module.run_single
+
+        def flaky(trace, protocol, load, rep, sweep):
+            if load == 2 and rep == 0:
+                raise RuntimeError("injected")
+            return real(trace, protocol, load, rep, sweep)
+
+        monkeypatch.setattr(sweep_module, "run_single", flaky)
+        spec = gate_spec(
+            workload=WorkloadSpec(loads=(2, 4), replications=2), on_error="keep-going"
+        )
+        with pytest.raises(IncompleteReferenceGridError, match="load=2, rep=0"):
+            spec.run()
+
+
+#: sha256 of the gate report of ``examples/scenarios/surrogate_smoke.json``
+#: plus the ``repr`` of every reference-grid ODE RunResult, as computed
+#: before the exact integrator was rewritten and memoized.
+SURROGATE_SMOKE_GATE_DIGEST = (
+    "fdb9ac4cb687f9992c22cdf1aed031c2b63e437d1503e0f32551865da305fabf"
+)
+
+
+class TestGatePin:
+    def test_surrogate_smoke_gate_is_byte_identical(self):
+        spec = ScenarioSpec.load(
+            Path(__file__).resolve().parents[2]
+            / "examples"
+            / "scenarios"
+            / "surrogate_smoke.json"
+        )
+        report = cross_validate_scenario(spec)
+        reference_grid = dataclasses.replace(
+            spec,
+            workload=WorkloadSpec(loads=report.loads, replications=report.replications),
+            surrogate_check=False,
+        )
+        runs = reference_grid.run().runs
+        text = json.dumps(report.to_dict(), sort_keys=True)
+        text += "\n" + "\n".join(repr(r) for r in runs)
+        assert hashlib.sha256(text.encode()).hexdigest() == SURROGATE_SMOKE_GATE_DIGEST
