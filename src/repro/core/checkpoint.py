@@ -2,21 +2,22 @@
 
 A multi-hour replication campaign used to be all-or-nothing: kill the
 process at cell 199 of 200 and every completed :class:`RunResult` was
-gone. The :class:`CheckpointJournal` fixes that with two files in a
-*campaign directory*:
+gone. The :class:`CheckpointJournal` fixes that with a *campaign
+directory*:
 
 ``manifest.json``
     Written atomically once, up front. Carries the journal schema
     version and the **campaign fingerprint** — master seed, loads,
-    replications, protocol labels, trace names, engine — so a resume
-    against the wrong campaign (different seed, different grid) is
-    refused instead of silently mixing results.
+    replications, protocol labels, the content digest of every trace,
+    engine — so a resume against the wrong campaign (different seed,
+    different grid, different mobility) is refused instead of silently
+    mixing results.
 
 ``journal.jsonl``
     Append-only; one JSON record per *completed* cell, flushed and
     fsynced before the cell counts as done::
 
-        {"v": 1, "key": {"protocol": "<label>", "load": 5, "rep": 0},
+        {"v": 2, "key": {"protocol": "<label>", "load": 5, "rep": 0},
          "result": {...RunResult.to_dict()...}}
 
     A crash can only tear the final record (a partial line with no
@@ -24,6 +25,16 @@ gone. The :class:`CheckpointJournal` fixes that with two files in a
     away so later appends start clean — and the torn cell simply
     re-runs. A *terminated* record that fails to parse cannot come from
     a torn append, so it is treated as a poisoned journal and refused.
+
+``traces/<key>.npz``
+    The campaign's trace store (:meth:`CheckpointJournal.trace`): each
+    trace the cells run on, as four columns plus its population,
+    horizon, name and the JSON *recipe* that built it; ``<key>`` is the
+    first 16 hex digits of the recipe's sha256. Each file is written
+    atomically once and never rewritten, so a resume loads its traces
+    instead of regenerating them. A stored trace that cannot be read, or
+    whose recipe differs from the requested one, is refused — never
+    silently rebuilt.
 
 Resume is **exact**, not approximate: every cell's randomness derives
 from its own ``(master_seed, protocol, load, rep)`` coordinates (see
@@ -35,20 +46,28 @@ bit-identical to an uninterrupted run.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
+import zipfile
 from pathlib import Path
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from typing import TYPE_CHECKING, TextIO
 
+import numpy as np
+
 from repro.core.results import RunResult
-from repro.ioutil import atomic_write
+from repro.ioutil import atomic_write, atomic_write_bytes
+from repro.mobility.contact import ContactTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executors import Cell
 
 __all__ = [
     "SCHEMA_VERSION",
+    "TRACE_COLUMNS",
+    "TRACE_FORMAT",
     "CellKey",
     "CheckpointError",
     "CheckpointJournal",
@@ -56,7 +75,14 @@ __all__ = [
 ]
 
 #: Journal/manifest schema version; bumped on incompatible layout changes.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+#: Layout version of a stored trace file; part of every trace recipe.
+TRACE_FORMAT = 1
+
+#: Trace columns and their fixed dtypes, in ``contact_arrays`` order: the
+#: layout of a stored trace and of a trace's fingerprint digest.
+TRACE_COLUMNS = (("starts", "<f8"), ("ends", "<f8"), ("a", "<i8"), ("b", "<i8"))
 
 #: ``(protocol label, load, rep)`` — a cell's coordinates in the journal.
 #: The *label* (not the registry name) keys the record so two parameter
@@ -80,7 +106,9 @@ class CheckpointJournal:
     Usage (``run_sweep`` does all of this for you)::
 
         journal = CheckpointJournal(directory, resume=True)
+        trace = journal.trace(recipe, build)  # stored trace, or build()
         journal.begin(fingerprint)          # create/validate + load records
+                                            # + store newly built traces
         cached = journal.get(key)           # skip journaled cells
         journal.record(key, result)         # as each new cell completes
         journal.close()
@@ -95,6 +123,7 @@ class CheckpointJournal:
 
     MANIFEST_NAME = "manifest.json"
     JOURNAL_NAME = "journal.jsonl"
+    TRACES_NAME = "traces"
 
     def __init__(self, directory: str | Path, *, resume: bool = False) -> None:
         self.directory = Path(directory)
@@ -103,6 +132,9 @@ class CheckpointJournal:
         self.dropped_partial = False
         self._records: dict[CellKey, RunResult] = {}
         self._stream: TextIO | None = None
+        #: Traces built through :meth:`trace`, by store path, with their
+        #: recipe text; written by :meth:`begin` once the campaign is accepted.
+        self._unsaved: dict[Path, tuple[str, ContactTrace]] = {}
 
     # ------------------------------------------------------------ lifecycle
 
@@ -114,8 +146,15 @@ class CheckpointJournal:
     def journal_path(self) -> Path:
         return self.directory / self.JOURNAL_NAME
 
+    @property
+    def traces_dir(self) -> Path:
+        return self.directory / self.TRACES_NAME
+
     def begin(self, fingerprint: Mapping[str, object]) -> None:
         """Create or validate the campaign directory and load its records.
+
+        Traces built through :meth:`trace` before this call are stored
+        once the directory is accepted.
 
         Args:
             fingerprint: JSON-safe identity of the campaign (see
@@ -154,6 +193,7 @@ class CheckpointJournal:
                 "continue the campaign, or point the checkpoint at a "
                 "fresh directory"
             )
+        self._save_traces()
         self._stream = open(self.journal_path, "a", encoding="utf-8")
 
     def close(self) -> None:
@@ -261,6 +301,88 @@ class CheckpointJournal:
         self._stream.flush()
         os.fsync(self._stream.fileno())
         self._records[key] = result
+
+    # ---------------------------------------------------------- trace store
+
+    def trace(
+        self, recipe: Mapping[str, object], build: Callable[[], ContactTrace]
+    ) -> ContactTrace:
+        """The trace ``recipe`` describes, loaded from the store or built.
+
+        A stored trace comes back columnar (see
+        :meth:`~repro.mobility.contact.ContactTrace.from_arrays`), with
+        no per-contact objects. Otherwise ``build()`` runs, and
+        :meth:`begin` stores its result once the campaign is accepted, so
+        a refused resume writes nothing into another campaign's
+        directory.
+
+        Args:
+            recipe: JSON-safe description that determines the trace
+                completely (for a scenario: mobility spec and effective
+                seed); the store adds :data:`TRACE_FORMAT` to it.
+            build: Builds the trace when the store has none.
+
+        Raises:
+            CheckpointError: naming the file, when a stored trace cannot
+                be read or records a different recipe.
+        """
+        text = json.dumps(
+            {**recipe, "format": TRACE_FORMAT}, sort_keys=True, separators=(",", ":")
+        )
+        key = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        path = self.traces_dir / f"{key}.npz"
+        if path.exists():
+            return self._load_trace(path, text)
+        trace = build()
+        self._unsaved[path] = (text, trace)
+        return trace
+
+    def _load_trace(self, path: Path, recipe: str) -> ContactTrace:
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                stored = str(data["recipe"].item())
+                columns = [data[name] for name, _ in TRACE_COLUMNS]
+                num_nodes = int(data["num_nodes"])
+                horizon = float(data["horizon"])
+                name = str(data["name"].item())
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise CheckpointError(f"{path}: unreadable stored trace: {exc}") from exc
+        if stored != recipe:
+            raise CheckpointError(
+                f"{path}: stored trace was built from {stored}, not the "
+                f"requested {recipe} — the trace store is corrupt; use a "
+                "fresh campaign directory"
+            )
+        dtypes = [column.dtype.str for column in columns]
+        if dtypes != [dtype for _, dtype in TRACE_COLUMNS]:
+            raise CheckpointError(f"{path}: stored trace columns have dtypes {dtypes}")
+        try:
+            return ContactTrace.from_arrays(
+                *columns, num_nodes=num_nodes, horizon=horizon, name=name
+            )
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: invalid stored trace: {exc}") from exc
+
+    def _save_traces(self) -> None:
+        if self._unsaved:
+            self.traces_dir.mkdir(exist_ok=True)
+        for path, (recipe, trace) in self._unsaved.items():
+            columns = {
+                name: column.astype(dtype, copy=False)
+                for (name, dtype), column in zip(
+                    TRACE_COLUMNS, trace.contact_arrays(), strict=True
+                )
+            }
+            write = functools.partial(
+                np.savez,
+                **columns,
+                num_nodes=np.int64(trace.num_nodes),
+                horizon=np.float64(trace.horizon),
+                name=np.str_(trace.name),
+                recipe=np.str_(recipe),
+            )
+            atomic_write_bytes(path, write)
+        self._unsaved.clear()
 
     # -------------------------------------------------------------- access
 

@@ -10,6 +10,7 @@ paper gets implicitly by replaying the same trace.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from pathlib import Path
 
-from repro.core.checkpoint import CheckpointJournal, cell_key
+from repro.core.checkpoint import TRACE_COLUMNS, CheckpointJournal, cell_key
 from repro.core.executors import (
     Cell,
     CellFailure,
@@ -163,6 +164,13 @@ def campaign_fingerprint(
     against the wrong campaign directory is refused instead of silently
     mixing results (e.g. faulted and unfaulted cells).
 
+    Traces are pinned by content (see :func:`_trace_fingerprint`), not by
+    name: a trace name such as ``rwp-subscriber(seed=…)`` does not carry
+    the mobility parameters, and a resume must not accept a different
+    population under the same seed. Content pinning is also what makes a
+    trace loaded from the campaign's trace store provably the one the
+    journaled cells ran on.
+
     The execution ``kernel`` is deliberately **excluded**: the sweep
     kernel is byte-identical to the event engine, so a campaign may be
     resumed under a different kernel setting without changing a single
@@ -170,10 +178,11 @@ def campaign_fingerprint(
     fast.
     """
     protocols: dict[str, None] = {}
-    traces: dict[str, None] = {}
+    traces: dict[int, dict[str, object]] = {}
     for cell in cells:
         protocols.setdefault(cell.protocol.label, None)
-        traces.setdefault(cell.trace.name, None)
+        if id(cell.trace) not in traces:
+            traces[id(cell.trace)] = _trace_fingerprint(cell.trace)
     active = sweep.sim.active_faults
     return {
         "master_seed": sweep.master_seed,
@@ -182,9 +191,33 @@ def campaign_fingerprint(
         "shared_trace": sweep.shared_trace,
         "engine": sweep.sim.engine,
         "protocols": list(protocols),
-        "traces": list(traces),
+        "traces": list(traces.values()),
         # a trivial spec normalises to None: it runs the identical grid
         "faults": None if active is None else active.to_dict(),
+    }
+
+
+def _trace_fingerprint(trace: ContactTrace) -> dict[str, object]:
+    """One trace's entry in the campaign fingerprint.
+
+    Name, population, horizon, contact count, and a sha256 over the
+    ``(starts, ends, a, b)`` columns as little-endian float64, float64,
+    int64, int64. An analytic contact model has no contacts to digest and
+    keeps a name-only entry.
+    """
+    from repro.analytic.surrogate import AnalyticContactModel
+
+    if isinstance(trace, AnalyticContactModel):
+        return {"name": trace.name}
+    digest = hashlib.sha256()
+    for (_, dtype), column in zip(TRACE_COLUMNS, trace.contact_arrays(), strict=True):
+        digest.update(column.astype(dtype, copy=False).tobytes())
+    return {
+        "name": trace.name,
+        "num_nodes": int(trace.num_nodes),
+        "horizon": float(trace.horizon),
+        "contacts": len(trace),
+        "sha256": digest.hexdigest(),
     }
 
 

@@ -4,11 +4,12 @@ A plain ``open(path, "w")`` destroys the previous contents the moment it
 runs; a crash (or ``SIGKILL``, or a full disk) mid-write leaves a
 truncated, unparseable file where a good one used to be. Every on-disk
 artefact the framework produces — trace files, CSV/JSON exports, the
-sweep checkpoint manifest — is written through :func:`atomic_write`
-instead: the content goes to a temporary file in the *same directory*
-(same filesystem, so the final rename cannot cross devices) and is moved
-into place with :func:`os.replace`, which POSIX guarantees to be atomic.
-Readers therefore only ever observe the old complete file or the new
+sweep checkpoint manifest and its stored ``.npz`` traces — is written
+through :func:`atomic_write` (or its binary sibling
+:func:`atomic_write_bytes`) instead: the content goes to a temporary
+file in the *same directory* (same filesystem, so the final rename
+cannot cross devices) and is moved into place with :func:`os.replace`,
+which POSIX guarantees to be atomic. Readers therefore only ever observe the old complete file or the new
 complete file, never a half-written one.
 
 The checkpoint *journal* (:mod:`repro.core.checkpoint`) is the one
@@ -23,9 +24,9 @@ import os
 import tempfile
 from pathlib import Path
 from collections.abc import Callable
-from typing import TextIO
+from typing import Any, BinaryIO, TextIO
 
-__all__ = ["atomic_write", "atomic_write_text"]
+__all__ = ["atomic_write", "atomic_write_bytes", "atomic_write_text"]
 
 
 def atomic_write(
@@ -49,13 +50,29 @@ def atomic_write(
         encoding: Text encoding (default UTF-8).
         newline: Forwarded to :func:`open` (pass ``""`` for ``csv``).
     """
+    _replace_atomically(path, writer, "w", encoding=encoding, newline=newline)
+
+
+def atomic_write_bytes(path: str | Path, writer: Callable[[BinaryIO], None]) -> None:
+    """Binary sibling of :func:`atomic_write`: ``writer`` gets a binary stream.
+
+    Same guarantees — temp file in ``path``'s directory, flush + fsync,
+    then one atomic :func:`os.replace`; a raising ``writer`` leaves
+    ``path`` untouched and no temp file behind.
+    """
+    _replace_atomically(path, writer, "wb")
+
+
+def _replace_atomically(
+    path: str | Path, writer: Callable[[Any], None], mode: str, **open_kwargs: Any
+) -> None:
     target = Path(path)
     directory = target.parent if str(target.parent) else Path(".")
     fd, tmp_name = tempfile.mkstemp(
         dir=directory, prefix=target.name + ".", suffix=".tmp"
     )
     try:
-        with open(fd, "w", encoding=encoding, newline=newline) as stream:
+        with open(fd, mode, **open_kwargs) as stream:
             writer(stream)
             stream.flush()
             os.fsync(stream.fileno())

@@ -9,13 +9,13 @@ simulation core consumes one.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
+    from numpy.typing import ArrayLike
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -92,13 +92,17 @@ class ContactTrace:
             simulation run that exceeds the horizon is marked *failed* (the
             paper's rule for its 524,162 s campus trace).
         name: Optional label used in reports.
+
+    A trace assembled by :meth:`from_arrays` holds only its columns until
+    something reads :attr:`contacts`, iterates or indexes it; ``len()``,
+    :meth:`contact_arrays` and :meth:`encounter_streams` never create the
+    per-contact objects.
     """
 
     contacts: list[Contact]
     num_nodes: int
     horizon: float | None = None
     name: str = ""
-    _starts: list[float] = field(init=False, repr=False, default_factory=list)
     _by_node: dict[int, list[Contact]] | None = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -128,11 +132,26 @@ class ContactTrace:
             raise ValueError(
                 f"horizon {self.horizon} precedes last contact end {last_end}"
             )
-        self._starts = [c.start for c in self.contacts]
+
+    def __getattr__(self, name: str) -> list[Contact]:
+        # Reached only for attributes the instance lacks: the contact list
+        # of a columnar trace (see from_arrays) until its first read.
+        arrays = self.__dict__.get("_arrays")
+        if name != "contacts" or arrays is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        starts, ends, a, b = (column.tolist() for column in arrays)
+        self.contacts = [
+            Contact(s, e, i, j) for s, e, i, j in zip(starts, ends, a, b, strict=True)
+        ]
+        return self.contacts
 
     # ----------------------------------------------------------- container API
 
     def __len__(self) -> int:
+        if self._arrays is not None:
+            return len(self._arrays[0])
         return len(self.contacts)
 
     def __iter__(self) -> Iterator[Contact]:
@@ -196,6 +215,10 @@ class ContactTrace:
         node columns are intp, so bulk consumers (the simulation's
         degenerate-encounter pre-classification, trace statistics) can
         vectorize without touching :class:`Contact` objects.
+
+        The columns are read-only: the one cached copy is shared by every
+        cell of a sweep (and by forked pool workers), so an in-place write
+        would corrupt every later run.
         """
         if self._arrays is None:
             import numpy as np
@@ -210,7 +233,7 @@ class ContactTrace:
                 ends[i] = c.end
                 a[i] = c.a
                 b[i] = c.b
-            self._arrays = (starts, ends, a, b)
+            self._arrays = _frozen((starts, ends, a, b))
         return self._arrays
 
     def encounter_streams(
@@ -226,8 +249,9 @@ class ContactTrace:
         ``nid_tail``, ``same`` and ``dts`` are the companion difference
         columns (``nid_sorted[1:]``, the same-node mask and
         ``ts[1:] - ts[:-1]``) that per-run consumers combine with their
-        own gap thresholds. Built lazily once per trace and cached; a run
-        truncated at ``end_time`` selects each node's prefix with
+        own gap thresholds. Built lazily once per trace and cached
+        (read-only, like :meth:`contact_arrays`); a run truncated at
+        ``end_time`` selects each node's prefix with
         ``searchsorted(ts[lo:hi], end_time, "right")``.
         """
         if self._streams is None:
@@ -249,13 +273,15 @@ class ContactTrace:
             nid_tail = nid_sorted[1:]
             same = nid_tail == nid_sorted[:-1]
             dts = ts[1:] - ts[:-1]
-            self._streams = (offsets, ts, nid_tail, same, dts)
+            self._streams = _frozen((offsets, ts, nid_tail, same, dts))
         return self._streams
 
     def first_contact_at_or_after(self, t: float) -> Contact | None:
         """Earliest contact with ``start >= t``, or None."""
-        i = bisect.bisect_left(self._starts, t)
-        return self.contacts[i] if i < len(self.contacts) else None
+        import numpy as np
+
+        i = int(np.searchsorted(self.contact_arrays()[0], t, side="left"))
+        return self.contacts[i] if i < len(self) else None
 
     def window(self, t0: float, t1: float, *, clip: bool = False) -> ContactTrace:
         """Sub-trace over ``[t0, t1)``, re-based to start at 0.
@@ -312,6 +338,65 @@ class ContactTrace:
             name=name,
         )
 
+    @classmethod
+    def from_arrays(
+        cls,
+        starts: ArrayLike,
+        ends: ArrayLike,
+        a: ArrayLike,
+        b: ArrayLike,
+        *,
+        num_nodes: int,
+        horizon: float,
+        name: str = "",
+    ) -> ContactTrace:
+        """Build a trace from its columns, without per-contact objects.
+
+        The columns are copied into the trace's :meth:`contact_arrays`
+        cache and checked vectorially for what ``__post_init__`` checks
+        per contact: ``0 <= start < end``, ``a < b`` with both ids in
+        ``[0, num_nodes)``, ``(start, end, a, b)`` order, and a horizon
+        that does not precede the last contact end. :class:`Contact`
+        objects are created only when something first reads
+        :attr:`contacts`, iterates or indexes the trace.
+
+        Raises:
+            ValueError: when a column or invariant is broken.
+        """
+        import numpy as np
+
+        cols = (
+            np.array(starts, dtype=np.float64),
+            np.array(ends, dtype=np.float64),
+            np.array(a, dtype=np.intp),
+            np.array(b, dtype=np.intp),
+        )
+        s, e, lo, hi = cols
+        if any(c.ndim != 1 or len(c) != len(s) for c in cols):
+            raise ValueError("contact columns must be 1-D and of equal length")
+        if not np.all((s >= 0.0) & (e > s)):
+            raise ValueError("every contact requires 0 <= start < end")
+        if not np.all(lo < hi):
+            raise ValueError("node columns must satisfy a < b")
+        if len(s) and (lo.min() < 0 or hi.max() >= num_nodes):
+            raise ValueError(f"contacts reference nodes outside [0, {num_nodes})")
+        # (start, end, a, b) non-decreasing: each adjacent pair must be
+        # ordered on its first differing key
+        s0, s1, e0, e1 = s[:-1], s[1:], e[:-1], e[1:]
+        a0, a1, b0, b1 = lo[:-1], lo[1:], hi[:-1], hi[1:]
+        ordered = (s0 < s1) | (
+            (s0 == s1)
+            & ((e0 < e1) | ((e0 == e1) & ((a0 < a1) | ((a0 == a1) & (b0 <= b1)))))
+        )
+        if not np.all(ordered):
+            raise ValueError("contacts are not in (start, end, a, b) order")
+        if len(e) and horizon < e.max():
+            raise ValueError(f"horizon {horizon} precedes last contact end {e.max()}")
+        trace = cls([], int(num_nodes), horizon=float(horizon), name=str(name))
+        del trace.contacts  # rebuilt from the columns on first read
+        trace._arrays = _frozen(cols)
+        return trace
+
     def merged_with(self, other: ContactTrace) -> ContactTrace:
         """Union of two traces over the same population."""
         if other.num_nodes != self.num_nodes:
@@ -360,6 +445,16 @@ class ContactTrace:
                     raise ValueError(
                         f"pair {pair} has overlapping contacts {prev} and {nxt}"
                     )
+
+
+_Columns = TypeVar("_Columns", bound=tuple[Any, ...])
+
+
+def _frozen(columns: _Columns) -> _Columns:
+    """``columns`` with every array marked read-only."""
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 def zero_transfer_mask(

@@ -31,6 +31,7 @@ from pathlib import Path
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any, TextIO
 
+from repro.core.checkpoint import CheckpointJournal
 from repro.core.executors import Executor, FailurePolicy
 from repro.core.protocols.registry import ProtocolConfig, make_protocol_config
 from repro.core.results import SweepResult
@@ -192,6 +193,11 @@ def _register_builtins() -> None:
 
 
 _register_builtins()
+
+
+#: Mobility kinds a campaign directory does not store traces for: reading
+#: a trace file already is a load, and the analytic model has no contacts.
+UNSTORED_MOBILITY_KINDS = frozenset({"trace_file", "analytic"})
 
 
 # --------------------------------------------------------------------------
@@ -474,8 +480,8 @@ class ScenarioSpec:
 
     # ------------------------------------------------------------- building
 
-    def build_trace(self, rep: int = 0) -> ContactTrace:
-        """The mobility input for replication ``rep``.
+    def trace_seed(self, rep: int = 0) -> int:
+        """The generation seed of replication ``rep``'s trace.
 
         The mobility's pinned seed (when set) — otherwise the scenario
         seed — is the *base*; with ``shared_trace=False`` the effective
@@ -485,11 +491,29 @@ class ScenarioSpec:
         base = self.mobility.seed if self.mobility.seed is not None else self.seed
         if not self.shared_trace:
             base = int(derive_seed(base, "mobility", rep).generate_state(1)[0])
-        return build_mobility(self.mobility.kind, seed=base, **self.mobility.params)
+        return base
+
+    def build_trace(self, rep: int = 0) -> ContactTrace:
+        """The mobility input for replication ``rep`` (seeded by :meth:`trace_seed`)."""
+        return build_mobility(
+            self.mobility.kind, seed=self.trace_seed(rep), **self.mobility.params
+        )
 
     def trace_factory(self) -> TraceFactory:
         """Replication-index → trace callable for :func:`run_sweep`."""
         return self.build_trace
+
+    def _stored_trace_factory(self, journal: CheckpointJournal) -> TraceFactory:
+        """:meth:`build_trace` through the campaign's trace store, except
+        for the :data:`UNSTORED_MOBILITY_KINDS`."""
+        if self.mobility.kind in UNSTORED_MOBILITY_KINDS:
+            return self.trace_factory()
+
+        def stored(rep: int) -> ContactTrace:
+            recipe = {"mobility": self.mobility.to_dict(), "seed": self.trace_seed(rep)}
+            return journal.trace(recipe, lambda: self.build_trace(rep))
+
+        return stored
 
     def build_protocols(self) -> list[ProtocolConfig]:
         """Instantiate every protocol configuration."""
@@ -545,6 +569,8 @@ class ScenarioSpec:
                 journaling (see :mod:`repro.core.checkpoint`); as each
                 cell completes its result is durably appended, and a
                 killed campaign can be continued with ``resume=True``.
+                The directory also stores every trace the cells run on,
+                so a resume loads them instead of regenerating them.
             resume: Continue the campaign journaled in ``checkpoint``:
                 journaled cells are restored from disk (bit-identical —
                 cell randomness derives from cell coordinates alone) and
@@ -564,7 +590,6 @@ class ScenarioSpec:
             repro.core.executors.CellExecutionError: when a cell fails
                 permanently and ``on_error`` is ``"abort"``.
         """
-        from repro.core.checkpoint import CheckpointJournal
         from repro.core.executors import make_executor
         from repro.core.sweep import run_sweep
 
@@ -581,13 +606,13 @@ class ScenarioSpec:
             report = cross_validate_scenario(self, progress=progress)
             report.ensure(self.surrogate_tolerance)
             report_data = report.to_dict()
-        journal = (
-            CheckpointJournal(checkpoint, resume=resume)
-            if checkpoint is not None
-            else None
-        )
+        journal = None
+        factory = self.trace_factory()
+        if checkpoint is not None:
+            journal = CheckpointJournal(checkpoint, resume=resume)
+            factory = self._stored_trace_factory(journal)
         result = run_sweep(
-            self.trace_factory(),
+            factory,
             self.build_protocols(),
             self.sweep_config(),
             executor=executor,

@@ -13,7 +13,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.protocols import make_protocol_config
 from repro.core.sweep import SweepConfig, build_cells, campaign_fingerprint
-from repro.ioutil import atomic_write, atomic_write_text
+from repro.ioutil import atomic_write, atomic_write_bytes, atomic_write_text
 from tests.helpers import CHAIN_ROWS, micro_trace, run_micro
 
 FINGERPRINT = {
@@ -284,6 +284,56 @@ class TestCampaignFingerprint:
         with pytest.raises(CheckpointError, match="fingerprint mismatch"):
             j2.begin(campaign_fingerprint(faulted_cells, faulted_cfg))
 
+    def test_traces_pinned_by_content(self):
+        cells, cfg = self._grid()
+        (entry,) = campaign_fingerprint(cells, cfg)["traces"]
+        assert entry["name"] == "micro"
+        assert entry["num_nodes"] == 4
+        assert entry["contacts"] == len(CHAIN_ROWS)
+        assert len(entry["sha256"]) == 64
+        shifted = [(s + 1.0, e + 1.0, a, b) for s, e, a, b in CHAIN_ROWS]
+        other = build_cells(micro_trace(shifted, 4), [cells[0].protocol], cfg)
+        assert campaign_fingerprint(other, cfg)["traces"] != [entry]
+
+    def test_one_entry_per_distinct_trace(self):
+        traces = [micro_trace(CHAIN_ROWS, 4), micro_trace(CHAIN_ROWS[:2], 4)]
+        cfg = SweepConfig(loads=(2,), replications=2, shared_trace=False)
+        cells = build_cells(traces.__getitem__, [make_protocol_config("pure")], cfg)
+        entries = campaign_fingerprint(cells, cfg)["traces"]
+        assert [e["contacts"] for e in entries] == [3, 2]
+
+    def test_analytic_model_keeps_name_only_entry(self):
+        from repro.analytic.surrogate import make_analytic_model
+
+        model = make_analytic_model(num_nodes=1000, beta=1e-5, horizon=100.0)
+        cells = build_cells(model, [make_protocol_config("pure")], SweepConfig())
+        (entry,) = campaign_fingerprint(cells, SweepConfig())["traces"]
+        assert entry == {"name": model.name}
+
+    def test_resume_with_different_mobility_params_refused(self, tmp_path):
+        """Regression: trace names carry only the seed, so a resume with a
+        different population used to return the journaled results."""
+        from repro.scenarios.spec import (
+            MobilitySpec,
+            ProtocolSpec,
+            ScenarioSpec,
+            WorkloadSpec,
+        )
+
+        def scenario(num_nodes):
+            return ScenarioSpec(
+                mobility=MobilitySpec(
+                    "rwp", {"num_nodes": num_nodes, "horizon": 4000.0}
+                ),
+                protocols=(ProtocolSpec("pure"),),
+                workload=WorkloadSpec(loads=(2, 4), replications=3),
+                seed=9,
+            )
+
+        scenario(20).run(checkpoint=tmp_path / "camp")
+        with pytest.raises(CheckpointError, match="fingerprint mismatch"):
+            scenario(30).run(checkpoint=tmp_path / "camp", resume=True)
+
 
 class TestAtomicWrite:
     def test_writes_content(self, tmp_path):
@@ -314,3 +364,29 @@ class TestAtomicWrite:
         target = tmp_path / "rows.csv"
         atomic_write(target, lambda fh: fh.write("a\r\n"), newline="")
         assert target.read_bytes() == b"a\r\n"
+
+
+class TestAtomicWriteBytes:
+    def test_writes_content(self, tmp_path):
+        target = tmp_path / "out.bin"
+        atomic_write_bytes(target, lambda fh: fh.write(b"\x00\xffdata"))
+        assert target.read_bytes() == b"\x00\xffdata"
+
+    def test_overwrites_atomically(self, tmp_path):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old")
+        atomic_write_bytes(target, lambda fh: fh.write(b"new"))
+        assert target.read_bytes() == b"new"
+
+    def test_failure_preserves_original_and_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"precious")
+
+        def _boom(stream):
+            stream.write(b"partial")
+            raise RuntimeError("disk gremlin")
+
+        with pytest.raises(RuntimeError, match="disk gremlin"):
+            atomic_write_bytes(target, _boom)
+        assert target.read_bytes() == b"precious"
+        assert os.listdir(tmp_path) == ["out.bin"]  # no .tmp litter

@@ -10,9 +10,14 @@ uninterrupted run. This harness drives the real CLI in subprocesses:
    scenario, poll the journal, and SIGKILL the process once a few cells
    are durably recorded (no graceful shutdown — a real crash);
 2. re-run the same command with ``--resume --out``, which restores the
-   journaled cells and executes only the missing ones;
-3. run an uninterrupted reference with ``--out`` into a separate
-   directory and byte-compare the exported runs CSV.
+   journaled cells and executes only the missing ones, then check that
+   the campaign's ``traces/`` store holds exactly one file per distinct
+   trace;
+3. resume the now complete campaign once more into a second ``--out``
+   directory — every cell comes from the journal and every trace from
+   the store;
+4. run an uninterrupted reference with ``--out`` into a separate
+   directory and byte-compare both resumed exports against it.
 
 If the campaign finishes before the kill lands, the check degrades
 gracefully: the resume pass then restores *every* cell from the journal,
@@ -99,6 +104,31 @@ def _run_checked(argv: list[str]) -> None:
         raise SystemExit(f"command failed (rc={result.returncode}): {argv}")
 
 
+def _expected_trace_files(scenario: Path) -> int:
+    """Distinct traces the scenario's campaign directory must store."""
+    from repro.scenarios.spec import UNSTORED_MOBILITY_KINDS, ScenarioSpec
+
+    spec = ScenarioSpec.load(scenario)
+    if spec.mobility.kind in UNSTORED_MOBILITY_KINDS:
+        return 0
+    return len({spec.trace_seed(rep) for rep in range(spec.workload.replications)})
+
+
+def _mismatches(reference: Path, resumed: Path) -> tuple[int, list[str]]:
+    """Artefacts compared, and how ``resumed`` differs from ``reference``."""
+    mismatches = []
+    compared = 0
+    for ref_file in sorted(reference.iterdir()):
+        res_file = resumed / ref_file.name
+        if not res_file.exists():
+            mismatches.append(f"{resumed.name}/{ref_file.name}: missing")
+            continue
+        compared += 1
+        if ref_file.read_bytes() != res_file.read_bytes():
+            mismatches.append(f"{resumed.name}/{ref_file.name}: differs from reference")
+    return compared, mismatches
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -129,6 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         work = Path(tmp)
         campaign = work / "campaign"
         resumed_out = work / "resumed"
+        reopened_out = work / "reopened"
         reference_out = work / "reference"
 
         _kill_mid_flight(
@@ -138,19 +169,26 @@ def main(argv: list[str] | None = None) -> int:
             timeout=args.timeout,
         )
 
-        _run_checked(
-            _cli(
-                "run-scenario",
-                str(args.scenario),
-                "--checkpoint",
-                str(campaign),
-                "--resume",
-                "--jobs",
-                "2",
-                "--out",
-                str(resumed_out),
-            )
+        resume = _cli(
+            "run-scenario",
+            str(args.scenario),
+            "--checkpoint",
+            str(campaign),
+            "--resume",
+            "--jobs",
+            "2",
+            "--out",
         )
+        _run_checked([*resume, str(resumed_out)])
+        mismatches = []
+        stored = sorted(p.name for p in (campaign / "traces").glob("*"))
+        expected = _expected_trace_files(args.scenario)
+        if len(stored) != expected:
+            mismatches.append(
+                f"traces/ holds {len(stored)} file(s) for {expected} distinct "
+                f"trace(s): {stored}"
+            )
+        _run_checked([*resume, str(reopened_out)])
         _run_checked(
             _cli(
                 "run-scenario",
@@ -160,16 +198,11 @@ def main(argv: list[str] | None = None) -> int:
             )
         )
 
-        mismatches = []
         compared = 0
-        for ref_file in sorted(reference_out.iterdir()):
-            res_file = resumed_out / ref_file.name
-            if not res_file.exists():
-                mismatches.append(f"{ref_file.name}: missing from resumed run")
-                continue
-            compared += 1
-            if ref_file.read_bytes() != res_file.read_bytes():
-                mismatches.append(f"{ref_file.name}: differs from reference")
+        for out in (resumed_out, reopened_out):
+            count, problems = _mismatches(reference_out, out)
+            compared += count
+            mismatches += problems
         if not compared:
             mismatches.append(f"no artefacts exported for scenario {stem!r}")
         if mismatches:
@@ -179,7 +212,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(
             f"resume equivalence OK: {compared} artefact(s) byte-identical "
-            "after kill + --resume"
+            f"after kill + --resume and a second --resume; {len(stored)} "
+            "stored trace(s)"
         )
         return 0
 
