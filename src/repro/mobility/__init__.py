@@ -45,6 +45,7 @@ from repro.mobility.trace_file import (
 from repro.mobility.trajectory import (
     CONTACT_ENGINES,
     Segment,
+    SegmentColumns,
     Trajectory,
     contacts_from_trajectories,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "ContactTrace",
     "CONTACT_ENGINES",
     "Segment",
+    "SegmentColumns",
     "Trajectory",
     "contacts_from_trajectories",
     "extract_contacts_fast",

@@ -3,42 +3,58 @@
 :func:`repro.mobility.trajectory.contacts_from_trajectories` historically
 solved the below-range quadratic once per overlapping segment pair in pure
 Python — an O(n²·segments) sweep that caps populations at a few dozen nodes.
-This module is the scalable engine behind its default ``engine="fast"`` path:
+This module is the scalable engine behind its default ``engine="fast"`` path.
+It works on :class:`~repro.mobility.trajectory.SegmentColumns` (every segment
+of every node as flat NumPy columns) from start to finish:
 
-1. **Packing** — every segment of every trajectory goes into flat NumPy
-   arrays (times, endpoints, owner node), so all later stages are
-   array-at-a-time.
-2. **Broad phase** — segments are split into *pieces* of bounded
+1. **Broad phase** — segments are split into *pieces* of bounded
    displacement and hashed into a uniform spatial grid keyed on the
-   piece's midpoint. Within each cell (and its forward half-neighbourhood)
-   a vectorized time-interval sweep joins only the pieces that genuinely
-   coexist in time, so far-apart or non-contemporaneous nodes never reach
-   the quadratic solver. The join is conservative: two nodes within
-   ``comm_range`` at time *t* always occupy pieces in cells at most one
-   apart whose (quantized) time intervals overlap (see
-   :func:`_candidate_segment_pairs`), so no contact can be lost.
-3. **Narrow phase** — the below-range quadratic is evaluated for all
+   piece's midpoint. Pieces of one cell are joined by a time-interval
+   sweep, and pieces of two adjacent cells by a bipartite ``searchsorted``
+   join that emits only cross-cell pairs, so far-apart or
+   non-contemporaneous nodes never reach the quadratic solver. The join is
+   conservative: two nodes within ``comm_range`` at time *t* always occupy
+   pieces in cells at most one apart whose (quantized) time intervals
+   overlap (see :func:`_candidate_segment_pairs`), so no contact can be
+   lost.
+2. **Narrow phase** — the below-range quadratic is evaluated for all
    surviving segment pairs in batched NumPy, replicating the scalar
    arithmetic of :func:`~repro.mobility.trajectory._window_below_range`
    operation-for-operation. Because IEEE-754 addition, multiplication,
    division and square root are correctly rounded in both scalar Python
    and NumPy float64, the produced windows are *bit-identical* to the
    ``engine="exact"`` reference, not merely close.
-
-Per-pair window merging, the encounter cap and the minimum-duration filter
-mirror the scalar fold in
-:func:`~repro.mobility.trajectory._merge_windows`, so the resulting
-:class:`ContactTrace` is exactly the one the reference path builds — only
-faster.
+3. **Fold** — each pair's windows are merged, capped and filtered by an
+   array fold (:func:`_fold_windows`) that makes the same comparisons and
+   float operations as the scalar
+   :func:`~repro.mobility.trajectory._merge_windows` path, and the columns
+   go straight into :meth:`ContactTrace.from_arrays
+   <repro.mobility.contact.ContactTrace.from_arrays>`. No
+   :class:`~repro.mobility.contact.Contact` object is created until
+   something reads the trace's contact list.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.mobility.contact import Contact, ContactTrace
+from repro.mobility.contact import ContactTrace
+from repro.mobility.trajectory import SegmentColumns
 
-#: Time-axis quantization of the broad-phase interval sweep. Piece times are
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from collections.abc import Sequence
+    from typing import Any
+
+    from numpy.typing import NDArray
+
+    from repro.mobility.trajectory import Trajectory
+
+    _Ints = NDArray[np.signedinteger[Any]]
+    _Floats = NDArray[np.float64]
+
+#: Time-axis quantization of the broad-phase interval joins. Piece times are
 #: ranked on a 2³¹-step grid over the trace span; the floor quantization is
 #: applied to both interval ends, so an overlap can only be *over*-reported
 #: (extra candidates, discarded exactly by the narrow phase), never missed.
@@ -49,66 +65,29 @@ _TIME_QUANTS = np.int64(1) << 31
 _FORWARD_OFFSETS = ((0, 1), (1, -1), (1, 0), (1, 1))
 
 
-def _pack_segments(trajectories):
-    """Flatten all trajectories' segments into parallel float64/int64 arrays."""
-    counts = [len(t.segments) for t in trajectories]
-    node = np.repeat(
-        np.asarray([t.node for t in trajectories], dtype=np.int64), counts
-    )
-    flat = [s for t in trajectories for s in t.segments]
-    t0 = np.asarray([s.t0 for s in flat], dtype=np.float64)
-    t1 = np.asarray([s.t1 for s in flat], dtype=np.float64)
-    x0 = np.asarray([s.x0 for s in flat], dtype=np.float64)
-    y0 = np.asarray([s.y0 for s in flat], dtype=np.float64)
-    x1 = np.asarray([s.x1 for s in flat], dtype=np.float64)
-    y1 = np.asarray([s.y1 for s in flat], dtype=np.float64)
-    return node, t0, t1, x0, y0, x1, y1
-
-
-def _segmented_arange(counts: np.ndarray) -> np.ndarray:
+def _segmented_arange(counts: _Ints) -> _Ints:
     """``[0..counts[0]), [0..counts[1]), ...`` concatenated (vectorized)."""
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
     offsets = np.cumsum(counts) - counts
-    return np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
+    out: _Ints = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
+    return out
 
 
-def _sweep_join(
-    group_id: np.ndarray, qlo: np.ndarray, qhi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All position pairs ``(i, j)``, ``i < j``, in the same group with
-    overlapping quantized time intervals.
-
-    Requires the arrays sorted by ``(group_id, qlo)``. Within a group the
-    intervals starting no later than ``qhi[i]`` form a contiguous run after
-    ``i`` (their ``qlo >= qlo[i]`` guarantees the symmetric condition), so
-    each element's partners are read off one ``searchsorted`` bound.
-    """
-    comp_lo = group_id * _TIME_QUANTS + qlo
-    comp_hi = group_id * _TIME_QUANTS + qhi
-    pos = np.arange(group_id.size, dtype=np.int64)
-    cnt = np.searchsorted(comp_lo, comp_hi, side="right") - pos - 1
-    total = int(cnt.sum())
-    if total == 0:
-        return (np.empty(0, dtype=np.int64),) * 2
-    first = np.repeat(pos, cnt)
-    second = np.repeat(pos + 1, cnt) + _segmented_arange(cnt)
-    return first, second
+def _range_pairs(rows: _Ints, lo: _Ints, hi: _Ints) -> tuple[_Ints, _Ints]:
+    """Position pairs ``(rows[k], p)`` for every ``p`` in ``[lo[k], hi[k])``."""
+    counts = hi - lo
+    firsts: _Ints = np.repeat(rows, counts)
+    # p = lo[k] + (running index - pairs emitted before row k)
+    shift = lo - (np.cumsum(counts) - counts)
+    seconds: _Ints = np.arange(firsts.size, dtype=np.int64) + np.repeat(shift, counts)
+    return firsts, seconds
 
 
 def _candidate_segment_pairs(
-    node: np.ndarray,
-    t0: np.ndarray,
-    t1: np.ndarray,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    x1: np.ndarray,
-    y1: np.ndarray,
-    comm_range: float,
-    *,
-    cell_size: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    segments: SegmentColumns, comm_range: float, *, cell_size: float | None = None
+) -> tuple[_Ints, _Ints]:
     """Broad phase: segment index pairs that *might* come within range.
 
     Conservative by construction. Every piece has displacement at most
@@ -116,14 +95,26 @@ def _candidate_segment_pairs(
     midpoint. If nodes A and B are within ``comm_range`` at time ``t``,
     the pieces containing ``t`` have midpoints at most
     ``L/2 + comm_range + L/2 = L + comm_range`` apart — which is the grid
-    pitch — so their anchor cells differ by at most one per axis, their
-    time intervals share ``t`` (floor quantization preserves interval
-    overlap), and the within-cell or half-neighbourhood sweep emits the
-    pair. No in-range pair is ever pruned.
+    pitch — so their anchor cells differ by at most one per axis, and
+    their time intervals share ``t`` (floor quantization preserves
+    interval overlap).
+
+    Pieces are sorted by ``(cell, qlo)``, so one ``searchsorted`` key
+    ``group * 2³¹ + qlo`` locates every time-overlapping partner. Within a
+    cell, the partners of piece ``i`` are the run after it that starts no
+    later than ``qhi[i]``. Across a cell ``g`` and its forward neighbour
+    ``h``, overlapping pairs split into two disjoint cases, each one run
+    of the other cell: ``qlo_j`` in ``[qlo_i, qhi_i]`` for ``i`` in ``g``,
+    and ``qlo_i`` in ``(qlo_j, qhi_j]`` for ``j`` in ``h``. Together they
+    are exactly the time-overlapping cross pairs, each emitted once, so no
+    in-range pair is ever pruned and no same-cell pair is swept only to be
+    discarded.
     """
+    node, t0, t1, x0, y0, x1, y1 = segments
     nseg = t0.size
     if nseg < 2:
-        return (np.empty(0, dtype=np.int64),) * 2
+        none = np.empty(0, dtype=np.int64)
+        return none, none
 
     tmin = float(t0.min())
     tmax = float(t1.max())
@@ -172,59 +163,44 @@ def _candidate_segment_pairs(
     qh = qhi[order]
     pseg = piece_seg[order]
 
-    new_group = np.empty(ck.size, dtype=bool)
+    new_group = np.empty(ck.size, dtype=np.bool_)
     new_group[0] = True
     np.not_equal(ck[1:], ck[:-1], out=new_group[1:])
-    group_id = np.cumsum(new_group) - 1
-    starts = np.flatnonzero(new_group)
-    counts = np.diff(np.append(starts, ck.size))
-    uniq = ck[starts]
+    group = np.cumsum(new_group) - 1
+    cells = ck[new_group]
+    key = group * _TIME_QUANTS + ql  # sorted: the join's search key
 
-    pair_parts_a: list[np.ndarray] = []
-    pair_parts_b: list[np.ndarray] = []
-
-    # within-cell: exact interval sweep
-    f_pos, s_pos = _sweep_join(group_id, ql, qh)
-    if f_pos.size:
-        pair_parts_a.append(pseg[f_pos])
-        pair_parts_b.append(pseg[s_pos])
-
-    # forward-neighbour cells: interval sweep over the two groups' union
+    # within a cell: the run after each piece starting by its qhi
+    pos = np.arange(ck.size, dtype=np.int64)
+    parts = [
+        _range_pairs(pos, pos + 1, np.searchsorted(key, key - ql + qh, side="right"))
+    ]
+    # across a cell and its forward neighbour: the two disjoint cases
     for ox, oy in _FORWARD_OFFSETS:
-        target = uniq + ox * nyp + oy
-        idx = np.searchsorted(uniq, target)
-        idx_c = np.minimum(idx, uniq.size - 1)
-        valid = uniq[idx_c] == target
-        if not valid.any():
+        target = cells + (ox * nyp + oy)
+        nbr = np.minimum(np.searchsorted(cells, target), cells.size - 1)
+        has = cells[nbr] == target
+        if not has.any():
             continue
-        ga = np.flatnonzero(valid)
-        gb = idx_c[ga]
-        ca, cb = counts[ga], counts[gb]
-        usz = ca + cb
-        join_id = np.repeat(np.arange(ga.size, dtype=np.int64), usz)
-        loc = _segmented_arange(usz)
-        ca_rep = np.repeat(ca, usz)
-        from_a = loc < ca_rep
-        pos = np.where(
-            from_a,
-            np.repeat(starts[ga], usz) + loc,
-            np.repeat(starts[gb], usz) + loc - ca_rep,
-        )
-        sub = np.lexsort((ql[pos], join_id))
-        pos = pos[sub]
-        side = from_a[sub]
-        f_pos, s_pos = _sweep_join(join_id, ql[pos], qh[pos])
-        if f_pos.size == 0:
-            continue
-        cross = side[f_pos] != side[s_pos]
-        if cross.any():
-            pair_parts_a.append(pseg[pos[f_pos[cross]]])
-            pair_parts_b.append(pseg[pos[s_pos[cross]]])
+        forward = np.full(cells.size, -1, dtype=np.int64)
+        forward[has] = nbr[has]
+        backward = np.full(cells.size, -1, dtype=np.int64)
+        backward[nbr[has]] = np.flatnonzero(has)
+        # qlo_j in [qlo_i, qhi_i]: i in this cell, j in the forward one
+        rows = np.flatnonzero(forward[group] >= 0)
+        base = forward[group[rows]] * _TIME_QUANTS
+        lo = np.searchsorted(key, base + ql[rows], side="left")
+        hi = np.searchsorted(key, base + qh[rows], side="right")
+        parts.append(_range_pairs(rows, lo, hi))
+        # qlo_i in (qlo_j, qhi_j]: j in this cell, i in the backward one
+        rows = np.flatnonzero(backward[group] >= 0)
+        base = backward[group[rows]] * _TIME_QUANTS
+        lo = np.searchsorted(key, base + ql[rows], side="right")
+        hi = np.searchsorted(key, base + qh[rows], side="right")
+        parts.append(_range_pairs(rows, lo, hi))
 
-    if not pair_parts_a:
-        return (np.empty(0, dtype=np.int64),) * 2
-    a_seg = np.concatenate(pair_parts_a)
-    b_seg = np.concatenate(pair_parts_b)
+    a_seg = pseg[np.concatenate([first for first, _ in parts])]
+    b_seg = pseg[np.concatenate([second for _, second in parts])]
 
     # Drop same-node pairs, canonicalise, and de-duplicate across cells.
     keep = node[a_seg] != node[b_seg]
@@ -232,25 +208,18 @@ def _candidate_segment_pairs(
     pair_code = np.minimum(a_seg, b_seg) * np.int64(nseg) + np.maximum(a_seg, b_seg)
     pair_code.sort()
     if pair_code.size:
-        first_seen = np.empty(pair_code.size, dtype=bool)
+        first_seen = np.empty(pair_code.size, dtype=np.bool_)
         first_seen[0] = True
         np.not_equal(pair_code[1:], pair_code[:-1], out=first_seen[1:])
         pair_code = pair_code[first_seen]
-    return pair_code // nseg, pair_code % nseg
+    seg_a: _Ints = pair_code // nseg
+    seg_b: _Ints = pair_code % nseg
+    return seg_a, seg_b
 
 
 def _batched_windows(
-    A: np.ndarray,
-    B: np.ndarray,
-    node: np.ndarray,
-    t0: np.ndarray,
-    t1: np.ndarray,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    x1: np.ndarray,
-    y1: np.ndarray,
-    range_sq: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    A: _Ints, B: _Ints, segments: SegmentColumns, range_sq: float
+) -> tuple[_Floats, _Floats, _Ints, _Ints]:
     """Narrow phase: below-range windows for candidate segment pairs.
 
     Replicates :func:`repro.mobility.trajectory._window_below_range`
@@ -258,6 +227,7 @@ def _batched_windows(
     scalar reference. Returns ``(start, end, node_a, node_b)`` arrays with
     ``node_a < node_b``.
     """
+    node, t0, t1, x0, y0, x1, y1 = segments
     empty = (
         np.empty(0, dtype=np.float64),
         np.empty(0, dtype=np.float64),
@@ -290,10 +260,10 @@ def _batched_windows(
     span = ov1 - ov0
 
     const = a < 1e-15  # no relative motion: distance constant
-    starts_parts: list[np.ndarray] = []
-    ends_parts: list[np.ndarray] = []
-    na_parts: list[np.ndarray] = []
-    nb_parts: list[np.ndarray] = []
+    starts_parts: list[_Floats] = []
+    ends_parts: list[_Floats] = []
+    na_parts: list[_Ints] = []
+    nb_parts: list[_Ints] = []
 
     mc = const & (c <= 0.0)
     if mc.any():
@@ -327,74 +297,66 @@ def _batched_windows(
     starts = np.concatenate(starts_parts)
     ends = np.concatenate(ends_parts)
     na = np.concatenate(na_parts)
-    nb_ = np.concatenate(nb_parts)
-    swap = na > nb_
-    na, nb_ = np.where(swap, nb_, na), np.where(swap, na, nb_)
-    return starts, ends, na, nb_
+    nb = np.concatenate(nb_parts)
+    swap = na > nb
+    lo_node: _Ints = np.where(swap, nb, na)
+    hi_node: _Ints = np.where(swap, na, nb)
+    return starts, ends, lo_node, hi_node
 
 
-def _fold_contacts(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    na: np.ndarray,
-    nb_: np.ndarray,
+def _fold_windows(
+    starts: _Floats,
+    ends: _Floats,
+    na: _Ints,
+    nb: _Ints,
     *,
     contact_cap: float | None,
     min_duration: float,
-) -> list[Contact]:
-    """Merge per-pair windows and emit contacts in (start, end, a, b) order.
+) -> tuple[_Floats, _Floats, _Ints, _Ints]:
+    """Merge each pair's windows into contacts, as ``(start, end, a, b)`` columns.
 
-    One pass over the windows sorted by (pair, start, end) — the same
-    order and fold as :func:`~repro.mobility.trajectory._merge_windows`
-    (gap 1e-9), followed by the scalar path's cap and minimum-duration
-    filter, so the emitted contacts are identical to the reference. The
-    final numeric pre-sort means :class:`ContactTrace`'s own ``sorted()``
-    sees already-ordered data instead of comparing dataclasses pairwise.
+    The array form of the scalar fold: windows sorted by
+    ``(a, b, start, end)``, fused while ``start <= cur_e + 1e-9`` (the gap
+    of :func:`~repro.mobility.trajectory._merge_windows`), then each
+    contact's end capped at ``start + contact_cap`` and contacts shorter
+    than ``min_duration`` dropped.
+
+    The scalar fold's ``cur_e`` — the largest end of the contact being
+    built — equals the running maximum end over *all* earlier windows of
+    the pair: every earlier contact of the pair ended more than 1e-9
+    before the current one's first start. So a window starts a new
+    contact exactly when ``start > running_max + 1e-9``. The running max
+    is exact: the ends are ranked densely and offset by pair, so one
+    ``maximum.accumulate`` never crosses a pair boundary and compares
+    only ranks. Every float operation (``+ 1e-9``, the cap's addition,
+    the duration's subtraction) is the scalar fold's, so the columns are
+    bit-identical to it. Returned in ``(start, end, a, b)`` order.
     """
     if starts.size == 0:
-        return []
-    order = np.lexsort((ends, starts, nb_, na))
-    s_l = starts[order].tolist()
-    e_l = ends[order].tolist()
-    a_l = na[order].tolist()
-    b_l = nb_[order].tolist()
-
-    out_s: list[float] = []
-    out_e: list[float] = []
-    out_a: list[int] = []
-    out_b: list[int] = []
-
-    def emit(i: int, j: int, s: float, e: float) -> None:
-        if contact_cap is not None:
-            e = min(e, s + contact_cap)
-        if e - s >= min_duration:
-            out_s.append(s)
-            out_e.append(e)
-            out_a.append(i)
-            out_b.append(j)
-
-    cur_a, cur_b = a_l[0], b_l[0]
-    cur_s, cur_e = s_l[0], e_l[0]
-    for s, e, i, j in zip(s_l[1:], e_l[1:], a_l[1:], b_l[1:], strict=True):
-        if i == cur_a and j == cur_b and s <= cur_e + 1e-9:
-            if e > cur_e:
-                cur_e = e
-        else:
-            emit(cur_a, cur_b, cur_s, cur_e)
-            cur_a, cur_b, cur_s, cur_e = i, j, s, e
-    emit(cur_a, cur_b, cur_s, cur_e)
-
-    final = np.lexsort(
-        (np.asarray(out_b), np.asarray(out_a), np.asarray(out_e), np.asarray(out_s))
-    )
-    return [
-        Contact(start=out_s[k], end=out_e[k], a=out_a[k], b=out_b[k])
-        for k in final.tolist()
-    ]
+        return starts, ends, na, nb
+    order = np.lexsort((ends, starts, nb, na))
+    ws, we, wa, wb = starts[order], ends[order], na[order], nb[order]
+    pair_start = np.empty(ws.size, dtype=np.bool_)
+    pair_start[0] = True
+    pair_start[1:] = (wa[1:] != wa[:-1]) | (wb[1:] != wb[:-1])
+    end_values, end_rank = np.unique(we, return_inverse=True)
+    offset = (np.cumsum(pair_start) - 1) * end_values.size
+    running_max = end_values[np.maximum.accumulate(offset + end_rank) - offset]
+    contact_start = pair_start.copy()
+    contact_start[1:] |= ws[1:] > running_max[:-1] + 1e-9
+    first = np.flatnonzero(contact_start)
+    cs, ca, cb = ws[first], wa[first], wb[first]
+    ce: _Floats = np.maximum.reduceat(we, first)
+    if contact_cap is not None:
+        ce = np.minimum(ce, cs + contact_cap)
+    keep = ce - cs >= min_duration
+    cs, ce, ca, cb = cs[keep], ce[keep], ca[keep], cb[keep]
+    final = np.lexsort((cb, ca, ce, cs))
+    return cs[final], ce[final], ca[final], cb[final]
 
 
 def extract_contacts_fast(
-    trajectories,
+    segments: SegmentColumns | Sequence[Trajectory],
     comm_range: float,
     *,
     contact_cap: float | None = 500.0,
@@ -408,27 +370,38 @@ def extract_contacts_fast(
     Prefer calling
     :func:`repro.mobility.trajectory.contacts_from_trajectories` (which
     validates inputs and dispatches here by default); this entry point
-    exposes the broad-phase tuning knob for benchmarks.
+    exposes the broad-phase tuning knob for benchmarks. The trace is
+    built from columns (:meth:`ContactTrace.from_arrays
+    <repro.mobility.contact.ContactTrace.from_arrays>`), so its
+    :class:`~repro.mobility.contact.Contact` objects exist only once
+    something reads them.
 
     Args:
+        segments: The population as segment columns, or one trajectory
+            per node.
         cell_size: Override the broad-phase piece displacement cap in
             metres (grid pitch is ``cell_size + comm_range``; default
             ``max(2 * comm_range, extent / 256)``). Any positive value
             yields the same contacts — the knob trades hash table size
             against candidate pair count, never correctness.
     """
-    n = len(trajectories)
-    node, t0, t1, x0, y0, x1, y1 = _pack_segments(trajectories)
-    A, B = _candidate_segment_pairs(
-        node, t0, t1, x0, y0, x1, y1, comm_range, cell_size=cell_size
-    )
-    starts, ends, na, nb_ = _batched_windows(
-        A, B, node, t0, t1, x0, y0, x1, y1, comm_range * comm_range
-    )
-    contacts = _fold_contacts(
-        starts, ends, na, nb_, contact_cap=contact_cap, min_duration=min_duration
+    if not isinstance(segments, SegmentColumns):
+        segments = SegmentColumns.from_trajectories(segments)
+    seg_a, seg_b = _candidate_segment_pairs(segments, comm_range, cell_size=cell_size)
+    starts, ends, na, nb = _fold_windows(
+        *_batched_windows(seg_a, seg_b, segments, comm_range * comm_range),
+        contact_cap=contact_cap,
+        min_duration=min_duration,
     )
     if horizon is None:
-        horizon = max(t.end_time for t in trajectories)
-    horizon = max(horizon, max((c.end for c in contacts), default=0.0))
-    return ContactTrace(contacts, n, horizon=horizon, name=name)
+        horizon = segments.end_time
+    horizon = max(horizon, float(ends.max()) if ends.size else 0.0)
+    return ContactTrace.from_arrays(
+        starts,
+        ends,
+        na,
+        nb,
+        num_nodes=segments.num_nodes,
+        horizon=horizon,
+        name=name,
+    )

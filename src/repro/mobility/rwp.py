@@ -29,9 +29,35 @@ from repro.mobility.contact import ContactTrace
 from repro.mobility.trajectory import (
     CONTACT_ENGINES,
     Segment,
+    SegmentColumns,
     Trajectory,
     contacts_from_trajectories,
 )
+
+
+def _check_shared(config: RWPConfig | ClassicRWPConfig) -> None:
+    """The checks both RWP configurations share; each error names its field.
+
+    Written as ``not (valid)`` so NaN fails every check.
+    """
+    c = config
+    if c.engine not in CONTACT_ENGINES:
+        raise ValueError(
+            f"unknown contact engine {c.engine!r}; "
+            f"available: {', '.join(CONTACT_ENGINES)}"
+        )
+    if not c.num_nodes >= 2:
+        raise ValueError(f"num_nodes must be >= 2, got {c.num_nodes}")
+    if not c.horizon > 0:
+        raise ValueError(f"horizon must be positive, got {c.horizon}")
+    if not c.area_side > 0:
+        raise ValueError(f"area_side must be positive, got {c.area_side}")
+    if not c.comm_range > 0:
+        raise ValueError(f"comm_range must be positive, got {c.comm_range}")
+    if c.contact_cap is not None and not c.contact_cap > 0:
+        raise ValueError(f"contact_cap must be positive or None, got {c.contact_cap}")
+    if not c.max_pause >= 0:
+        raise ValueError(f"max_pause must be >= 0, got {c.max_pause}")
 
 
 @dataclass(frozen=True)
@@ -47,7 +73,8 @@ class RWPConfig:
             — not direct source→destination transfer — carries delivery,
             the regime all of the paper's RWP separations live in).
         contact_cap: Maximum encounter duration (paper: 500 s); None = off.
-        num_subscriber_points: Fixed rendezvous points (< 100 per km²).
+        num_subscriber_points: Fixed rendezvous points (< 100 per km²);
+            at least 2, so every point has somewhere to go.
         max_pause: Maximum pause at a waypoint (paper: < 1000 s).
         min_travel_time: Minimum point-to-point travel time (paper: 100 s).
         max_travel_time: Maximum draw for the travel-time; the effective
@@ -74,23 +101,23 @@ class RWPConfig:
     engine: str = "fast"
 
     def __post_init__(self) -> None:
-        if self.engine not in CONTACT_ENGINES:
+        _check_shared(self)
+        if not (2 <= self.num_subscriber_points <= 100):
             raise ValueError(
-                f"unknown contact engine {self.engine!r}; "
-                f"available: {', '.join(CONTACT_ENGINES)}"
+                "num_subscriber_points must be in [2, 100] per km², "
+                f"got {self.num_subscriber_points}"
             )
-        if self.num_nodes < 2:
-            raise ValueError("num_nodes must be >= 2")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if not (0 < self.num_subscriber_points <= 100):
-            raise ValueError("subscriber points must be in (0, 100] per km²")
-        if self.min_travel_time <= 0 or self.max_travel_time < self.min_travel_time:
-            raise ValueError("need 0 < min_travel_time <= max_travel_time")
-        if self.max_speed <= 0:
-            raise ValueError("max_speed must be positive")
-        if self.comm_range <= 0:
-            raise ValueError("comm_range must be positive")
+        if not (0 < self.min_travel_time <= self.max_travel_time):
+            raise ValueError(
+                "need 0 < min_travel_time <= max_travel_time, got "
+                f"{self.min_travel_time} and {self.max_travel_time}"
+            )
+        if not self.max_speed > 0:
+            raise ValueError(f"max_speed must be positive, got {self.max_speed}")
+        if not self.max_hop_distance > 0:
+            raise ValueError(
+                f"max_hop_distance must be positive, got {self.max_hop_distance}"
+            )
 
 
 class SubscriberPointRWP:
@@ -105,77 +132,90 @@ class SubscriberPointRWP:
         c = self.config
         return rng.uniform(0.0, c.area_side, size=(c.num_subscriber_points, 2))
 
-    def _neighbour_lists(self, points: np.ndarray) -> list[np.ndarray]:
-        """For each point, the candidate next-hop points within max distance."""
+    def _neighbour_lists(
+        self, points: np.ndarray
+    ) -> tuple[list[list[int]], np.ndarray]:
+        """For each point, the candidate next-hop points within max distance,
+        and the point-to-point distance matrix."""
         c = self.config
         diff = points[:, None, :] - points[None, :, :]
         dist = np.hypot(diff[..., 0], diff[..., 1])
-        out: list[np.ndarray] = []
-        for i in range(len(points)):
-            mask = (dist[i] <= c.max_hop_distance) & (dist[i] > 0.0)
-            cand = np.flatnonzero(mask)
-            if cand.size == 0:  # isolated point: allow any other point
-                cand = np.array([j for j in range(len(points)) if j != i])
+        reachable = (dist <= c.max_hop_distance) & (dist > 0.0)
+        out: list[list[int]] = []
+        for i, row in enumerate(reachable):
+            cand = np.flatnonzero(row).tolist()
+            if not cand:  # isolated point: allow any other point
+                cand = [j for j in range(len(points)) if j != i]
             out.append(cand)
-        return out
+        return out, dist
 
-    def _node_trajectory(
-        self,
-        node: int,
-        points: np.ndarray,
-        neighbours: list[np.ndarray],
-        rng: np.random.Generator,
-    ) -> Trajectory:
-        c = self.config
-        segments: list[Segment] = []
-        t = 0.0
-        here = int(rng.integers(len(points)))
-        while t < c.horizon:
-            # pause at the current subscriber point
-            pause = float(rng.uniform(0.0, c.max_pause))
-            if pause > 0.0:
-                end = min(t + pause, c.horizon)
-                if end > t:
-                    x, y = points[here]
-                    segments.append(Segment(t, end, x, y, x, y))
-                    t = end
-                if t >= c.horizon:
-                    break
-            # travel to a random neighbouring subscriber point
-            nxt = int(rng.choice(neighbours[here]))
-            dist = float(np.hypot(*(points[nxt] - points[here])))
-            travel = float(rng.uniform(c.min_travel_time, c.max_travel_time))
-            travel = max(travel, dist / c.max_speed)  # speed <= max_speed
-            end = min(t + travel, c.horizon)
-            if end > t:
-                x0, y0 = points[here]
-                x1, y1 = points[nxt]
-                if end < t + travel:  # clipped at horizon: interpolate endpoint
-                    frac = (end - t) / travel
-                    x1 = x0 + frac * (x1 - x0)
-                    y1 = y0 + frac * (y1 - y0)
-                segments.append(Segment(t, end, x0, y0, float(x1), float(y1)))
-                t = end
-            here = nxt
-        if not segments:  # degenerate horizon: stand still
-            x, y = points[here]
-            segments.append(Segment(0.0, c.horizon, x, y, x, y))
-        return Trajectory(node, segments)
+    def generate_segments(self) -> SegmentColumns:
+        """Every node's trajectory as segment columns, built in one loop.
 
-    def generate(self) -> ContactTrace:
-        """Produce the full contact trace for this configuration."""
+        Per node: a random start point, then alternately a pause there and
+        a move to a random neighbouring point, until the horizon clips the
+        last segment. Each pause or move is appended as one row of
+        ``t0, t1, x0, y0, x1, y1`` — no :class:`Segment` or
+        :class:`Trajectory` is built. The draws and their order are those
+        of the per-object reference loop in
+        ``tests/oracles/rwp_trajectory.py`` (``nbrs[rng.integers(len(nbrs))]``
+        is the draw ``rng.choice(nbrs)`` makes, and each move's length is
+        read off the distance matrix), so the rows equal its segments bit
+        for bit.
+        """
         c = self.config
         rng = np.random.default_rng(
             np.random.SeedSequence([self.seed & 0xFFFFFFFF, 0x5297])
         )
         points = self._place_points(rng)
-        neighbours = self._neighbour_lists(points)
-        trajectories = [
-            self._node_trajectory(i, points, neighbours, rng)
-            for i in range(c.num_nodes)
-        ]
+        neighbours, dist = self._neighbour_lists(points)
+        hop = dist.tolist()
+        px, py = points[:, 0].tolist(), points[:, 1].tolist()
+        horizon, max_pause, max_speed = c.horizon, c.max_pause, c.max_speed
+        uniform, integers = rng.uniform, rng.integers
+        rows: list[float] = []  # t0, t1, x0, y0, x1, y1 per segment
+        counts: list[int] = []
+        for _ in range(c.num_nodes):
+            first = len(rows)
+            t = 0.0
+            here = int(integers(len(px)))
+            while t < horizon:
+                # pause at the current subscriber point
+                pause = uniform(0.0, max_pause)
+                if pause > 0.0:
+                    end = min(t + pause, horizon)
+                    if end > t:
+                        rows += (t, end, px[here], py[here], px[here], py[here])
+                        t = end
+                    if t >= horizon:
+                        break
+                # travel to a random neighbouring subscriber point
+                nbrs = neighbours[here]
+                nxt = nbrs[integers(len(nbrs))]
+                travel = uniform(c.min_travel_time, c.max_travel_time)
+                travel = max(travel, hop[nxt][here] / max_speed)  # speed <= max_speed
+                end = min(t + travel, horizon)
+                if end > t:
+                    x0, y0, x1, y1 = px[here], py[here], px[nxt], py[nxt]
+                    if end < t + travel:  # clipped at horizon: interpolate endpoint
+                        frac = (end - t) / travel
+                        x1 = x0 + frac * (x1 - x0)
+                        y1 = y0 + frac * (y1 - y0)
+                    rows += (t, end, x0, y0, x1, y1)
+                    t = end
+                here = nxt
+            if len(rows) == first:  # degenerate horizon: stand still
+                rows += (0.0, horizon, px[here], py[here], px[here], py[here])
+            counts.append((len(rows) - first) // 6)
+        table = np.array(rows, dtype=np.float64).reshape(-1, 6).T
+        node = np.repeat(np.arange(c.num_nodes, dtype=np.int64), counts)
+        return SegmentColumns(node, *np.ascontiguousarray(table))
+
+    def generate(self) -> ContactTrace:
+        """Produce the full contact trace for this configuration."""
+        c = self.config
         return contacts_from_trajectories(
-            trajectories,
+            self.generate_segments(),
             c.comm_range,
             contact_cap=c.contact_cap,
             horizon=c.horizon,
@@ -185,16 +225,7 @@ class SubscriberPointRWP:
 
     def generate_trajectories(self) -> list[Trajectory]:
         """Expose raw trajectories (used by tests and visual inspection)."""
-        c = self.config
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed & 0xFFFFFFFF, 0x5297])
-        )
-        points = self._place_points(rng)
-        neighbours = self._neighbour_lists(points)
-        return [
-            self._node_trajectory(i, points, neighbours, rng)
-            for i in range(c.num_nodes)
-        ]
+        return self.generate_segments().to_trajectories()
 
 
 @dataclass(frozen=True)
@@ -216,16 +247,12 @@ class ClassicRWPConfig:
     engine: str = "fast"
 
     def __post_init__(self) -> None:
-        if self.engine not in CONTACT_ENGINES:
-            raise ValueError(
-                f"unknown contact engine {self.engine!r}; "
-                f"available: {', '.join(CONTACT_ENGINES)}"
-            )
-        if self.min_speed <= 0:
+        _check_shared(self)
+        if not self.min_speed > 0:
             # min_speed == 0 reproduces the Resta & Santi decay pathology the
             # paper warns about; forbid it instead of silently degrading.
             raise ValueError("min_speed must be > 0 (zero speed stalls the model)")
-        if self.max_speed < self.min_speed:
+        if not self.max_speed >= self.min_speed:
             raise ValueError("max_speed must be >= min_speed")
 
 

@@ -14,9 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
 
 from repro.mobility.contact import Contact, ContactTrace
-from repro.mobility.fastcontact import extract_contacts_fast
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from numpy.typing import NDArray
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,6 +107,120 @@ class Trajectory:
         return max(s.speed for s in self.segments)
 
 
+class SegmentColumns(NamedTuple):
+    """Every segment of a population as parallel columns.
+
+    Row ``k`` is one segment of node ``node[k]``. Each node's segments are
+    consecutive rows in time order, and the nodes come in blocks
+    ``0, 1, ..., n-1``. This is the form the vectorized extraction engine
+    consumes, and the form :meth:`SubscriberPointRWP.generate_segments
+    <repro.mobility.rwp.SubscriberPointRWP.generate_segments>` produces
+    without building a :class:`Segment` or :class:`Trajectory` per row.
+    """
+
+    node: NDArray[np.int64]
+    t0: NDArray[np.float64]
+    t1: NDArray[np.float64]
+    x0: NDArray[np.float64]
+    y0: NDArray[np.float64]
+    x1: NDArray[np.float64]
+    y1: NDArray[np.float64]
+
+    @classmethod
+    def from_trajectories(cls, trajectories: Sequence[Trajectory]) -> SegmentColumns:
+        """Pack trajectories' segments into columns, in node-id order."""
+        trajectories = sorted(trajectories, key=lambda t: t.node)
+        counts = [len(t.segments) for t in trajectories]
+        node = np.repeat(
+            np.asarray([t.node for t in trajectories], dtype=np.int64), counts
+        )
+        flat = [s for t in trajectories for s in t.segments]
+        return cls(
+            node,
+            np.asarray([s.t0 for s in flat], dtype=np.float64),
+            np.asarray([s.t1 for s in flat], dtype=np.float64),
+            np.asarray([s.x0 for s in flat], dtype=np.float64),
+            np.asarray([s.y0 for s in flat], dtype=np.float64),
+            np.asarray([s.x1 for s in flat], dtype=np.float64),
+            np.asarray([s.y1 for s in flat], dtype=np.float64),
+        )
+
+    def to_trajectories(self) -> list[Trajectory]:
+        """One :class:`Trajectory` per node block (validating every segment)."""
+        per_node: dict[int, list[Segment]] = {}
+        for node, *row in zip(*(column.tolist() for column in self), strict=True):
+            per_node.setdefault(node, []).append(Segment(*row))
+        return [Trajectory(node, segments) for node, segments in per_node.items()]
+
+    @property
+    def num_nodes(self) -> int:
+        """Number of node blocks."""
+        if len(self.node) == 0:
+            return 0
+        return int(np.count_nonzero(np.diff(self.node))) + 1
+
+    @property
+    def end_time(self) -> float:
+        """Latest end of any node's trajectory (its last segment's ``t1``)."""
+        last = np.append(self.node[1:] != self.node[:-1], True)
+        return float(self.t1[last].max())
+
+    def validated(self) -> SegmentColumns:
+        """The columns as int64/float64 arrays, checked like the objects.
+
+        Checks vectorially what :class:`Segment` and :class:`Trajectory`
+        check per object, at the same tolerances: ``t1 > t0`` on every
+        row, node ids ``0..n-1`` in consecutive blocks, and each node's
+        segments contiguous in time (1e-9 s) and space (1e-6 m).
+
+        Raises:
+            ValueError: naming the first broken invariant.
+        """
+        node = np.asarray(self.node)
+        if node.ndim != 1 or not np.issubdtype(node.dtype, np.integer):
+            raise ValueError("segment node column must be 1-D integers")
+        cols = SegmentColumns(
+            node.astype(np.int64, copy=False),
+            *(np.asarray(column, dtype=np.float64) for column in self[1:]),
+        )
+        node, t0, t1, x0, y0, x1, y1 = cols
+        if any(c.ndim != 1 or len(c) != len(node) for c in cols):
+            raise ValueError("segment columns must be 1-D and of equal length")
+        if len(node) == 0:
+            raise ValueError("segment columns hold no segments")
+        bad = np.flatnonzero(~(t1 > t0))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"segment requires t1 > t0, got [{t0[k]}, {t1[k]}]")
+        step = np.diff(node)
+        if node[0] != 0 or not np.all((step == 0) | (step == 1)):
+            raise ValueError("segment node ids must be 0..n-1 in consecutive blocks")
+        same = step == 0
+        gap = np.flatnonzero(
+            same & ~_isclose(t1[:-1], t0[1:], rel_tol=0.0, abs_tol=1e-9)
+        )
+        if gap.size:
+            k = gap[0]
+            raise ValueError(f"segments not contiguous: {t1[k]} -> {t0[k + 1]}")
+        jump = same & ~(
+            _isclose(x1[:-1], x0[1:], rel_tol=1e-9, abs_tol=1e-6)
+            & _isclose(y1[:-1], y0[1:], rel_tol=1e-9, abs_tol=1e-6)
+        )
+        if jump.any():
+            raise ValueError("segments not spatially contiguous")
+        return cols
+
+
+def _isclose(
+    a: NDArray[np.float64], b: NDArray[np.float64], *, rel_tol: float, abs_tol: float
+) -> NDArray[np.bool_]:
+    """Element-wise :func:`math.isclose` (same tolerance rule, same infinities)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = np.abs(a - b)
+        tol = np.maximum(rel_tol * np.maximum(np.abs(a), np.abs(b)), abs_tol)
+        return (a == b) | (np.isfinite(diff) & (diff <= tol))
+
+
 def _window_below_range(
     sa: Segment, sb: Segment, t0: float, t1: float, range_sq: float
 ) -> tuple[float, float] | None:
@@ -181,7 +300,7 @@ CONTACT_ENGINES = ("fast", "exact")
 
 
 def contacts_from_trajectories(
-    trajectories: Sequence[Trajectory],
+    trajectories: Sequence[Trajectory] | SegmentColumns,
     comm_range: float,
     *,
     contact_cap: float | None = 500.0,
@@ -193,20 +312,24 @@ def contacts_from_trajectories(
     """Extract the full contact trace from a set of trajectories.
 
     Args:
+        trajectories: One :class:`Trajectory` per node, or the whole
+            population as :class:`SegmentColumns` (checked vectorially by
+            :meth:`SegmentColumns.validated`).
         comm_range: Radio range in metres.
         contact_cap: Truncate each encounter to at most this many seconds
             (the paper caps encounters at 500 s); None disables.
         min_duration: Discard encounters shorter than this.
         horizon: Trace horizon; defaults to the latest trajectory end.
         engine: ``"fast"`` (default) uses the vectorized broad/narrow-phase
-            detector in :mod:`repro.mobility.fastcontact`; ``"exact"`` is
+            detector in :mod:`repro.mobility.fastcontact`, which builds the
+            trace from columns without per-contact objects; ``"exact"`` is
             the scalar per-pair reference sweep. Both produce bit-identical
             traces — ``"exact"`` exists as the independent oracle the fast
             path is validated against.
 
     Returns:
-        A validated :class:`ContactTrace` over ``len(trajectories)`` nodes
-        (node ids must be 0..n-1).
+        A validated :class:`ContactTrace` over the population (node ids
+        must be 0..n-1).
     """
     if comm_range <= 0:
         raise ValueError("comm_range must be positive")
@@ -214,19 +337,30 @@ def contacts_from_trajectories(
         raise ValueError(
             f"unknown contact engine {engine!r}; available: {', '.join(CONTACT_ENGINES)}"
         )
-    n = len(trajectories)
-    ids = sorted(t.node for t in trajectories)
-    if ids != list(range(n)):
-        raise ValueError(f"trajectory node ids must be 0..{n - 1}, got {ids}")
+    if isinstance(trajectories, SegmentColumns):
+        columns = trajectories.validated()
+        if engine == "exact":
+            trajectories = columns.to_trajectories()
+    else:
+        n = len(trajectories)
+        ids = sorted(t.node for t in trajectories)
+        if ids != list(range(n)):
+            raise ValueError(f"trajectory node ids must be 0..{n - 1}, got {ids}")
+        if engine == "fast":
+            columns = SegmentColumns.from_trajectories(trajectories)
     if engine == "fast":
+        # imported here: fastcontact imports SegmentColumns from this module
+        from repro.mobility.fastcontact import extract_contacts_fast
+
         return extract_contacts_fast(
-            trajectories,
+            columns,
             comm_range,
             contact_cap=contact_cap,
             min_duration=min_duration,
             horizon=horizon,
             name=name,
         )
+    n = len(trajectories)
     by_id = {t.node: t for t in trajectories}
     contacts: list[Contact] = []
     for i in range(n):

@@ -26,6 +26,10 @@ SCOPED_PATH = {
 }
 
 
+#: The contact fold, HOT003's second scope.
+FOLD_PATH = "src/repro/mobility/fastcontact.py"
+
+
 def run_rule(rule_id: str, source: str, path: str | None = None):
     rules = [r for r in default_rules() if r.rule_id == rule_id]
     assert rules, f"unknown rule {rule_id}"
@@ -391,6 +395,43 @@ class TestKernelContactLoop:
             "def drive(starts_l) -> None:\n"
             "    for t in starts_l:  # lint: disable=HOT003\n"
             "        print(t)\n",
+        )
+
+    def test_fires_on_per_window_fold_loop(self):
+        assert_fires(
+            "HOT003",
+            "def fold(s_l, e_l, a_l, b_l) -> None:\n"
+            "    for s, e, i, j in zip(s_l[1:], e_l[1:], a_l[1:], b_l[1:]):\n"
+            "        print(s, e, i, j)\n",
+            path=FOLD_PATH,
+        )
+
+    def test_fires_on_comprehension_over_contact_columns(self):
+        assert_fires(
+            "HOT003",
+            "def emit(cs, ce, ca, cb) -> list:\n"
+            "    return [Contact(s, e, i, j) for s, e, i, j in zip(cs, ce, ca, cb)]\n",
+            path=FOLD_PATH,
+        )
+
+    def test_fires_on_window_index_loop(self):
+        assert_fires(
+            "HOT003",
+            "def merge(ws, we) -> None:\n"
+            "    for k in range(len(ws)):\n"
+            "        print(ws[k], we[k])\n",
+            path=FOLD_PATH,
+        )
+
+    def test_passes_on_the_folds_array_code(self):
+        assert_clean(
+            "HOT003",
+            "def join(parts, offsets) -> None:\n"
+            "    for ox, oy in offsets:\n"
+            "        print(ox, oy)\n"
+            "    firsts = [first for first, _ in parts]\n"
+            "    keep = ce - cs >= 1.0\n",
+            path=FOLD_PATH,
         )
 
 

@@ -2,13 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.protocols.registry import make_protocol_config
 from repro.core.simulation import Simulation
 from repro.core.workload import Flow
-from repro.mobility.fastcontact import extract_contacts_fast
+from repro.mobility.fastcontact import _fold_windows, extract_contacts_fast
 from repro.mobility.rwp import (
     ClassicRWP,
     ClassicRWPConfig,
@@ -19,6 +20,7 @@ from repro.mobility.trajectory import (
     CONTACT_ENGINES,
     Segment,
     Trajectory,
+    _merge_windows,
     contacts_from_trajectories,
 )
 from repro.scenarios import MobilitySpec
@@ -278,3 +280,107 @@ def test_divergence_helper_detects_structural_mismatch():
     assert bench.trace_divergence(a, b) == 0.0
     shifted = contacts_from_trajectories(t, 5.0, engine="fast", min_duration=600.0)
     assert bench.trace_divergence(a, shifted) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# the array window fold against the scalar merge + cap + min-duration path
+
+
+def scalar_fold(windows, *, contact_cap, min_duration):
+    """Per pair: ``_merge_windows``, then the cap and the minimum duration
+    exactly as the ``engine="exact"`` path applies them; sorted rows."""
+    by_pair = {}
+    for s, e, a, b in windows:
+        by_pair.setdefault((a, b), []).append((s, e))
+    rows = []
+    for (a, b), spans in by_pair.items():
+        for s, e in _merge_windows(spans):
+            if contact_cap is not None:
+                e = min(e, s + contact_cap)
+            if e - s >= min_duration:
+                rows.append((s, e, a, b))
+    return sorted(rows)
+
+
+def array_fold(windows, *, contact_cap, min_duration):
+    s, e, a, b = (list(col) for col in zip(*windows, strict=True)) if windows else ([],) * 4
+    cols = _fold_windows(
+        np.asarray(s, dtype=np.float64),
+        np.asarray(e, dtype=np.float64),
+        np.asarray(a, dtype=np.int64),
+        np.asarray(b, dtype=np.int64),
+        contact_cap=contact_cap,
+        min_duration=min_duration,
+    )
+    return list(zip(*(col.tolist() for col in cols), strict=True))
+
+
+#: Start times on a coarse grid, so equal starts and duplicates are common.
+_BASES = [0.0, 1.0, 2.5, 10.0, 499.0, 500.0, 1000.0]
+#: Window lengths around the minimum duration (1 s) and the cap (500 s).
+_LENGTHS = [0.0, 1e-9, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 3.0, 499.999, 500.0, 500.5, 1200.0]
+
+
+@st.composite
+def window_lists(draw):
+    """Adversarial per-pair windows: duplicates, nested windows, equal
+    starts, and chains touching at exactly the 1e-9 merge gap or just
+    beyond it."""
+    windows = []
+    for _ in range(draw(st.integers(0, 14))):
+        a, b = sorted(draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True)))
+        kind = draw(st.sampled_from(["fresh", "duplicate", "nested", "touch", "beyond", "same-start"]))
+        same_pair = [w for w in windows if (w[2], w[3]) == (a, b)]
+        if kind == "fresh" or not same_pair:
+            s = draw(st.sampled_from(_BASES)) + draw(st.sampled_from([0.0, 0.25, 1e-9]))
+            windows.append((s, s + draw(st.sampled_from(_LENGTHS)), a, b))
+            continue
+        ps, pe, _, _ = draw(st.sampled_from(same_pair))
+        if kind == "duplicate":
+            windows.append((ps, pe, a, b))
+        elif kind == "nested":
+            windows.append((ps + (pe - ps) / 4, ps + (pe - ps) / 2, a, b))
+        elif kind == "same-start":
+            windows.append((ps, ps + draw(st.sampled_from(_LENGTHS)), a, b))
+        else:
+            s = pe + 1e-9  # the largest start the scalar fold still merges
+            if kind == "beyond":
+                s = float(np.nextafter(s, math.inf))
+            windows.append((s, s + draw(st.sampled_from(_LENGTHS)), a, b))
+    return windows
+
+
+class TestWindowFold:
+    @given(
+        window_lists(),
+        st.sampled_from([None, 1.0, 499.999, 500.0]),
+        st.sampled_from([0.0, 1.0, 500.0]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_array_fold_equals_scalar_fold(self, windows, contact_cap, min_duration):
+        kwargs = dict(contact_cap=contact_cap, min_duration=min_duration)
+        assert array_fold(windows, **kwargs) == scalar_fold(windows, **kwargs)
+
+    def test_touching_windows_merge_and_beyond_splits(self):
+        e = 10.0
+        touch = e + 1e-9
+        beyond = float(np.nextafter(touch, math.inf))
+        kwargs = dict(contact_cap=None, min_duration=0.0)
+        assert array_fold([(0.0, e, 0, 1), (touch, 20.0, 0, 1)], **kwargs) == [
+            (0.0, 20.0, 0, 1)
+        ]
+        assert array_fold([(0.0, e, 0, 1), (beyond, 20.0, 0, 1)], **kwargs) == [
+            (0.0, e, 0, 1),
+            (beyond, 20.0, 0, 1),
+        ]
+
+    def test_earlier_long_window_keeps_absorbing(self):
+        # the running max spans nested windows: the third window merges
+        # with the first even though it starts after the second ends
+        windows = [(0.0, 100.0, 0, 1), (10.0, 20.0, 0, 1), (50.0, 60.0, 0, 1)]
+        kwargs = dict(contact_cap=None, min_duration=0.0)
+        assert array_fold(windows, **kwargs) == [(0.0, 100.0, 0, 1)]
+        assert scalar_fold(windows, **kwargs) == [(0.0, 100.0, 0, 1)]
+
+    def test_empty(self):
+        assert array_fold([], contact_cap=500.0, min_duration=1.0) == []

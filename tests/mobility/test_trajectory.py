@@ -2,11 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mobility.trajectory import (
+    CONTACT_ENGINES,
     Segment,
+    SegmentColumns,
     Trajectory,
     contacts_from_trajectories,
     pair_contact_windows,
@@ -176,3 +179,87 @@ class TestContactsFromTrajectories:
             self._three(), comm_range=20.0, contact_cap=None, horizon=5000.0
         )
         assert trace.horizon == 5000.0
+
+
+def _columns(rows):
+    """SegmentColumns from ``(node, t0, t1, x0, y0, x1, y1)`` rows."""
+    node, *coords = zip(*rows, strict=True)
+    return SegmentColumns(
+        np.asarray(node, dtype=np.int64), *(np.asarray(c, dtype=np.float64) for c in coords)
+    )
+
+
+#: Two nodes: node 0 walks past node 1, which pauses then moves.
+TWO_NODES = [
+    (0, 0.0, 100.0, 0.0, 0.0, 100.0, 0.0),
+    (0, 100.0, 250.0, 100.0, 0.0, 100.0, 0.0),
+    (1, 0.0, 60.0, 50.0, 5.0, 50.0, 5.0),
+    (1, 60.0, 250.0, 50.0, 5.0, 120.0, 5.0),
+]
+
+
+class TestSegmentColumns:
+    def test_round_trip_through_trajectories(self):
+        cols = _columns(TWO_NODES)
+        trajectories = cols.to_trajectories()
+        assert [t.node for t in trajectories] == [0, 1]
+        back = SegmentColumns.from_trajectories(trajectories)
+        assert all(np.array_equal(a, b) for a, b in zip(cols, back, strict=True))
+        assert cols.num_nodes == 2
+        assert cols.end_time == 250.0
+
+    def test_from_trajectories_orders_nodes_in_blocks(self):
+        trajectories = _columns(TWO_NODES).to_trajectories()
+        back = SegmentColumns.from_trajectories(trajectories[::-1])
+        assert back.node.tolist() == [0, 0, 1, 1]
+        assert back.validated().node.tolist() == [0, 0, 1, 1]
+
+    @pytest.mark.parametrize("engine", CONTACT_ENGINES)
+    def test_columns_extract_like_trajectories(self, engine):
+        cols = _columns(TWO_NODES)
+        from_cols = contacts_from_trajectories(cols, 10.0, min_duration=0.0, engine=engine)
+        from_objs = contacts_from_trajectories(
+            cols.to_trajectories(), 10.0, min_duration=0.0, engine=engine
+        )
+        assert len(from_cols) > 0
+        assert from_cols.contact_arrays()[0].tolist() == from_objs.contact_arrays()[0].tolist()
+        assert [(c.start, c.end, c.a, c.b) for c in from_cols] == [
+            (c.start, c.end, c.a, c.b) for c in from_objs
+        ]
+        assert from_cols.horizon == from_objs.horizon == 250.0
+
+    @pytest.mark.parametrize(
+        ("edit", "match"),
+        [
+            ({1: (0, 100.0, 100.0, 100.0, 0.0, 100.0, 0.0)}, "t1 > t0"),
+            ({1: (0, 100.0, math.nan, 100.0, 0.0, 100.0, 0.0)}, "t1 > t0"),
+            ({1: (0, 100.0 + 2e-9, 250.0, 100.0, 0.0, 100.0, 0.0)}, "not contiguous"),
+            ({1: (0, 100.0, 250.0, 100.0 + 2e-6, 0.0, 100.0, 0.0)}, "spatially"),
+            ({1: (0, 100.0, 250.0, 100.0, math.inf, 100.0, 0.0)}, "spatially"),
+            ({0: (1, 0.0, 100.0, 0.0, 0.0, 100.0, 0.0)}, "blocks"),
+            ({2: (2, 0.0, 60.0, 50.0, 5.0, 50.0, 5.0), 3: (2, 60.0, 250.0, 50.0, 5.0, 120.0, 5.0)}, "blocks"),
+            ({2: (0, 0.0, 60.0, 50.0, 5.0, 50.0, 5.0)}, "contiguous"),
+        ],
+    )
+    def test_validation_mirrors_the_objects(self, edit, match):
+        rows = [edit.get(k, row) for k, row in enumerate(TWO_NODES)]
+        with pytest.raises(ValueError, match=match):
+            _columns(rows).validated()
+        with pytest.raises(ValueError, match=match):
+            contacts_from_trajectories(_columns(rows), 10.0)
+
+    def test_tolerances_match_the_objects(self):
+        # within the per-object tolerances: 1e-9 s in time, 1e-6 m in space
+        rows = list(TWO_NODES)
+        rows[1] = (0, 100.0 + 5e-10, 250.0, 100.0 + 5e-7, 0.0, 100.0, 0.0)
+        _columns(rows).validated()
+        _columns(rows).to_trajectories()
+
+    def test_rejects_malformed_columns(self):
+        cols = _columns(TWO_NODES)
+        with pytest.raises(ValueError, match="equal length"):
+            cols._replace(t1=cols.t1[:-1]).validated()
+        with pytest.raises(ValueError, match="integers"):
+            cols._replace(node=cols.node.astype(np.float64)).validated()
+        with pytest.raises(ValueError, match="no segments"):
+            SegmentColumns(*(c[:0] for c in cols)).validated()

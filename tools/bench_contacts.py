@@ -6,6 +6,9 @@ sizes, times :func:`repro.mobility.trajectory.contacts_from_trajectories`
 with the vectorized ``fast`` engine and (up to a per-scale node cap) the
 scalar ``exact`` reference, verifies the two traces agree, and writes the
 wall-times to a JSON report — the perf trajectory CI tracks over time.
+Each population also records ``generate_s``: the whole cold build,
+:meth:`SubscriberPointRWP.generate` from the first waypoint draw to the
+columnar trace.
 
 Usage:
     PYTHONPATH=src python tools/bench_contacts.py --scale smoke
@@ -15,7 +18,8 @@ Usage:
 ``--verify`` turns the run into an equivalence gate: every population is
 extracted with both engines and the process exits non-zero if any contact
 window diverges by more than ``--tolerance`` seconds (or the traces differ
-structurally).
+structurally), or if ``generate()`` differs in any column from the exact
+engine's trace of ``generate_trajectories()``.
 """
 
 from __future__ import annotations
@@ -90,12 +94,25 @@ def trace_divergence(a: ContactTrace, b: ContactTrace) -> float:
     return worst
 
 
+def same_columns(a: ContactTrace, b: ContactTrace) -> bool:
+    """True when both traces hold the same contact columns, bit for bit."""
+    return (a.num_nodes, a.horizon) == (b.num_nodes, b.horizon) and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in zip(a.contact_arrays(), b.contact_arrays(), strict=True)
+    )
+
+
 def bench_population(
     num_nodes: int, horizon: float, seed: int, *, run_exact: bool
 ) -> dict[str, object]:
-    """Extract one population's contacts with both engines and time them."""
+    """Extract one population's contacts with both engines and time them,
+    and time the whole cold build of the same trace."""
     cfg = RWPConfig(num_nodes=num_nodes, horizon=horizon)
-    trajectories = SubscriberPointRWP(cfg, seed=seed).generate_trajectories()
+    generator = SubscriberPointRWP(cfg, seed=seed)
+    t0 = time.perf_counter()
+    generated = generator.generate()
+    generate_s = time.perf_counter() - t0
+    trajectories = generator.generate_trajectories()
     segments = sum(len(t.segments) for t in trajectories)
 
     def run(engine: str) -> tuple[ContactTrace, float]:
@@ -114,16 +131,19 @@ def bench_population(
         "nodes": num_nodes,
         "segments": segments,
         "contacts": len(fast_trace),
+        "generate_s": round(generate_s, 4),
         "fast_s": round(fast_s, 4),
         "exact_s": None,
         "speedup": None,
         "max_divergence_s": None,
+        "generate_matches_exact": None,
     }
     if run_exact:
         exact_trace, exact_s = run("exact")
         row["exact_s"] = round(exact_s, 4)
         row["speedup"] = round(exact_s / fast_s, 2) if fast_s > 0 else math.inf
         row["max_divergence_s"] = trace_divergence(exact_trace, fast_trace)
+        row["generate_matches_exact"] = same_columns(generated, exact_trace)
     return row
 
 
@@ -162,13 +182,17 @@ def main(argv: list[str] | None = None) -> int:
         div = row["max_divergence_s"]
         if run_exact and (div is None or not div <= args.tolerance):
             failed = True
+        if run_exact and not row["generate_matches_exact"]:
+            failed = True
         exact_s = f"{row['exact_s']:8.2f}s" if row["exact_s"] is not None else "       —"
         speedup = f"×{row['speedup']:.1f}" if row["speedup"] is not None else "—"
         div_txt = f"{div:.2e}s" if div is not None else "—"
+        match_txt = {None: "—", True: "yes", False: "NO"}[row["generate_matches_exact"]]
         print(
             f"  n={n:>5}  segments={row['segments']:>7}  contacts={row['contacts']:>8}  "
+            f"generate {row['generate_s']:6.2f}s  "
             f"fast {row['fast_s']:8.2f}s  exact {exact_s}  speedup {speedup:>6}  "
-            f"divergence {div_txt}"
+            f"divergence {div_txt}  generate==exact {match_txt}"
         )
 
     report = report_envelope(
@@ -185,13 +209,17 @@ def main(argv: list[str] | None = None) -> int:
 
     if failed:
         print(
-            f"ERROR: engines diverge beyond {args.tolerance:g}s "
-            "(see max_divergence_s above)",
+            f"ERROR: engines diverge beyond {args.tolerance:g}s, or generate() "
+            "differs from the exact engine's trace "
+            "(see max_divergence_s and generate==exact above)",
             file=sys.stderr,
         )
         return 1
     if args.verify:
-        print(f"equivalence check: all windows within {args.tolerance:g}s ✓")
+        print(
+            f"equivalence check: all windows within {args.tolerance:g}s, "
+            "generate() equal to the exact engine column for column ✓"
+        )
     return 0
 
 

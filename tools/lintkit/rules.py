@@ -27,8 +27,10 @@ HOT002    no per-event closure allocation: lambdas /
           ``at`` / ``after`` / ``push``
 HOT003    no Python-level per-contact ``for`` loops (incl.
           comprehensions) over the contact columns inside the SoA
-          sweep kernel — contact streams are swept with ``while`` +
-          vectorized chunk scans, never element-wise Python iteration
+          sweep kernel, or over the window columns of the contact
+          fold — contact streams are swept with ``while`` + vectorized
+          chunk scans and windows are folded by array operations,
+          never element-wise Python iteration
 SPEC001   every serialisable spec/config dataclass field must appear
           in its JSON round-trip (``to_dict`` *and* ``from_dict``),
           and every ``SimulationConfig`` knob must be mirrored by
@@ -552,33 +554,38 @@ class ScheduleClosureRule(Rule):
 
 
 class KernelContactLoopRule(Rule):
-    """The sweep kernel must never iterate contact columns element-wise.
+    """The sweep kernel and the contact fold never iterate columns element-wise.
 
     ``repro.core.sweepkernel`` exists to replace per-contact Python work
     with integer-mask probes and chunked NumPy scans; its hot loops are
     deliberately ``while``-based so the skip scan can jump the cursor in
-    bulk. A ``for`` loop (or comprehension) whose iterable names one of
-    the contact-stream columns reintroduces exactly the per-element
-    interpreter cost the kernel was built to elide — and tends to sneak
-    in via innocent-looking bookkeeping patches.
+    bulk. ``repro.mobility.fastcontact`` folds tens of thousands of
+    contact windows per trace with array operations straight into a
+    columnar trace. A ``for`` loop (or comprehension) whose iterable
+    names one of these columns reintroduces exactly the per-element
+    interpreter cost both were built to elide — and tends to sneak in
+    via innocent-looking bookkeeping patches.
     """
 
     rule_id = "HOT003"
     severity = SEVERITY_ERROR
     description = (
-        "Python-level for loop over a contact column inside the sweep "
-        "kernel (use while + vectorized chunk scans)"
+        "Python-level for loop over a contact or window column inside the "
+        "sweep kernel or the contact fold (use vectorized array operations)"
     )
-    paths = ("src/repro/core/sweepkernel.py",)
+    paths = ("src/repro/core/sweepkernel.py", "src/repro/mobility/fastcontact.py")
 
-    #: identifiers that name the contact-stream columns (module locals,
-    #: attributes, and the columnar-arrays tuple elements)
+    #: identifiers that name the contact-stream columns of the kernel
+    #: (module locals, attributes, and the columnar-arrays tuple elements)
+    #: and the window and contact columns of the fold
     _CONTACT_NAMES = frozenset(
         {
             "contacts", "starts", "ends", "a_ids", "b_ids",
             "live", "live_starts", "live_ends", "live_a", "live_b",
             "_live_a", "_live_b", "starts_l", "ends_l", "a_l", "b_l",
             "zero_mask", "n_fire",
+            "windows", "na", "nb", "ws", "we", "wa", "wb",
+            "cs", "ce", "ca", "cb", "s_l", "e_l",
         }
     )
 
@@ -605,7 +612,8 @@ class KernelContactLoopRule(Rule):
                         it,
                         f"per-contact Python iteration over {hits[0]!r}: the "
                         "kernel sweeps contact columns with while-loops and "
-                        "chunked NumPy scans, never element-wise for loops",
+                        "chunked NumPy scans, and the fold merges windows with "
+                        "array operations, never element-wise for loops",
                     )
 
 
