@@ -9,7 +9,7 @@ paper's four metrics lives here:
 * policy plane: :mod:`~repro.core.protocols` (the 5 baselines and 3
   enhancements)
 * mechanism: :mod:`~repro.core.session` (encounter semantics),
-  :mod:`~repro.core.planner` (transfer selection: incremental + reference),
+  :mod:`~repro.core.planner` (transfer selection),
   :mod:`~repro.core.simulation` (the DES driver)
 * measurement: :mod:`~repro.core.metrics` (exact time-weighted integrals),
   :mod:`~repro.core.results`
@@ -45,9 +45,9 @@ from repro.core.policies import (
     make_drop_policy,
     register_drop_policy,
 )
-from repro.core.planner import IncrementalPlanner, ReferencePlanner, planner_names
+from repro.core.planner import IncrementalPlanner
 from repro.core.results import RunResult, Series, SeriesPoint, SweepResult
-from repro.core.session import ContactSession, begin_contact
+from repro.core.session import ContactSession
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.core.sweep import (
     SweepConfig,
@@ -83,13 +83,10 @@ __all__ = [
     "MetricsCollector",
     "TimeWeightedAccumulator",
     "ContactSession",
-    "begin_contact",
     "KnowledgeStore",
     "CumulativeKnowledgeStore",
     "exchange_control",
     "IncrementalPlanner",
-    "ReferencePlanner",
-    "planner_names",
     "Simulation",
     "SimulationConfig",
     "RunResult",

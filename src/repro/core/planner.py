@@ -8,32 +8,26 @@ if it is unexpired, the receiver lacks it, neither side knows it was
 delivered, the receiver can take it, and its P-Q coin has not failed this
 contact.
 
-Two interchangeable implementations:
+The production :class:`IncrementalPlanner` caches, per direction, the
+sender's copies in candidate order and invalidates the cache by *store
+epoch* (a counter every buffer mutation bumps — see
+:attr:`repro.core.node.Node.store_epoch`). Per slot it walks the cached
+order and applies the volatile predicates (expiry, peer/knowledge state,
+receiver capacity — all functions of current node state, none consuming
+randomness) lazily until the first acceptable bundle, instead of
+re-filtering and re-sorting both buffers. Knowledge changes (anti-packets,
+immunity tables) never reorder candidates — they only veto them — so they
+are handled entirely by the lazy predicates.
 
-* :class:`ReferencePlanner` — the specification: rebuild the full candidate
-  list from both buffers every slot, filter, sort, take the head. O(k log k)
-  per slot; trivially correct. Retained as the property-testing oracle.
-* :class:`IncrementalPlanner` — the production planner: per direction it
-  caches the sender's copies in candidate order and invalidates the cache by
-  *store epoch* (a counter every buffer mutation bumps — see
-  :attr:`repro.core.node.Node.store_epoch`). Per slot it walks the cached
-  order and applies the volatile predicates (expiry, peer/knowledge state,
-  receiver capacity — all functions of current node state, none consuming
-  randomness) lazily until the first acceptable bundle, instead of
-  re-filtering and re-sorting both buffers. Knowledge changes
-  (anti-packets, immunity tables) never reorder candidates — they only veto
-  them — so they are handled entirely by the lazy predicates.
-
-Both planners call ``should_offer`` on the same bundles in the same order,
-so probabilistic protocols (P-Q coins) consume their RNG stream
-identically: the planners are bit-for-bit interchangeable, which
-``tools/bench_sim.py --verify`` and the hypothesis equivalence suite
-enforce.
+It calls ``should_offer`` on the same bundles in the same order as the
+rebuild-filter-sort specification, so probabilistic protocols (P-Q coins)
+consume their RNG stream identically. That specification lives in the
+test suite (``tests/oracles/reference_sim.py``), whose differential
+ladder compares the two pick for pick.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.core.bundle import StoredBundle
@@ -50,54 +44,6 @@ def candidate_key(sb: StoredBundle, receiver_id: int) -> tuple[int, float, objec
         sb.stored_at,
         sb.bid,
     )
-
-
-class ReferencePlanner:
-    """The slow, obviously-correct planner (the property-test oracle)."""
-
-    __slots__ = ("session",)
-
-    def __init__(self, session: ContactSession) -> None:
-        self.session = session
-
-    def _candidates(
-        self, sender: Node, receiver: Node, now: float
-    ) -> list[StoredBundle]:
-        session = self.session
-        coin_rejected = session._coin_rejected or ()
-        out: list[StoredBundle] = []
-        for sb in sender.sendable():
-            bid = sb.bid
-            if sb.is_expired(now):
-                continue  # expiry event fires at the same instant; skip now
-            if (sender.id, bid) in coin_rejected:
-                continue
-            if receiver.has_copy(bid):
-                continue
-            if receiver.protocol.knows_delivered(bid) or sender.protocol.knows_delivered(bid):
-                continue
-            if not receiver.protocol.can_accept(sb.bundle, now):
-                continue
-            out.append(sb)
-        rid = receiver.id
-        out.sort(key=lambda sb: candidate_key(sb, rid))
-        return out
-
-    def plan(self, now: float) -> tuple[Node, Node, StoredBundle] | None:
-        """Next transfer: lower-ID sender preferred, coin flips cached."""
-        session = self.session
-        for sender, receiver in (
-            (session.node_a, session.node_b),
-            (session.node_b, session.node_a),
-        ):
-            for sb in self._candidates(sender, receiver, now):
-                if sender.protocol.should_offer(sb, receiver, now):
-                    return sender, receiver, sb
-                rejected = session._coin_rejected
-                if rejected is None:
-                    rejected = session._coin_rejected = set()
-                rejected.add((sender.id, sb.bid))
-        return None
 
 
 class IncrementalPlanner:
@@ -157,10 +103,9 @@ class IncrementalPlanner:
     ) -> StoredBundle | None:
         """First bundle in ``order`` passing all predicates and its coin.
 
-        The predicates mirror :meth:`ReferencePlanner._candidates` exactly
-        and none of them consumes randomness, so evaluating them lazily
-        (interleaved with ``should_offer`` calls) visits the same bundles
-        in the same order as filter-everything-then-sort.
+        None of the predicates consumes randomness, so evaluating them
+        lazily (interleaved with ``should_offer`` calls) visits the same
+        bundles in the same order as filter-everything-then-sort.
         """
         session = self.session
         coin_rejected = session._coin_rejected or ()
@@ -203,14 +148,3 @@ class IncrementalPlanner:
             return node_b, node_a, sb
         return None
 
-
-#: Planner registry: name → factory taking the owning session.
-PLANNERS: dict[str, Callable[[ContactSession], object]] = {
-    "incremental": IncrementalPlanner,
-    "reference": ReferencePlanner,
-}
-
-
-def planner_names() -> tuple[str, ...]:
-    """Registered planner names (for config validation and CLI help)."""
-    return tuple(sorted(PLANNERS))

@@ -50,8 +50,8 @@ def contact_bookkeeping(sim: Simulation, node_a: Node, node_b: Node, now: float)
     (:func:`repro.core.knowledge.exchange_control`). Plus the summary
     vector each way that every protocol pays regardless of control state.
 
-    This is everything a zero-transfer contact does; the simulation calls
-    it directly for pre-classified degenerate encounters. When the
+    This is everything a zero-transfer contact does; the simulation's
+    contact-start handlers call it for every contact they process. When the
     protocol population is encounter-inert the encounter/knowledge layers
     are deferred wholesale (``sim._defer_history``): the simulation
     replays history in one batched pass at end of run and the knowledge
@@ -70,41 +70,15 @@ def contact_bookkeeping(sim: Simulation, node_a: Node, node_b: Node, now: float)
     node_b.counters.control_units_sent += 1
 
 
-def begin_contact(
-    sim: Simulation, contact: Contact, session: ContactSession | None = None
-) -> ContactSession | None:
-    """Contact-start orchestration: bookkeeping layers, then the first slot.
-
-    The encounter/knowledge bookkeeping (:func:`contact_bookkeeping`) runs
-    for *every* contact; a :class:`ContactSession` — the slot state
-    machine — is only built when the encounter can carry at least one
-    bundle. Sub-``tx_time`` contacts are the majority of encounters in
-    dense traces, and they end here (when the simulation pre-classified
-    the trace they never reach this function at all).
-
-    Returns:
-        The session driving the exchange, or None for zero-budget contacts.
-    """
-    now = contact.start
-    nodes = sim.nodes
-    contact_bookkeeping(sim, nodes[contact.a], nodes[contact.b], now)
-    if session is None:
-        tx_time, budget = ContactSession.link_budget(sim, contact)
-        if not budget:
-            return None
-        session = ContactSession(sim, contact, tx_time=tx_time, budget=budget)
-    session._schedule_next(now)
-    return session
-
-
 class ContactSession:
     """One encounter's exchange state machine.
 
     Transfer *selection* lives in the session's planner (see
     :mod:`repro.core.planner`); the session owns the slot clock, the
-    per-contact coin cache, and completion-time re-validation. Encounter
-    bookkeeping that precedes slot scheduling lives in
-    :func:`begin_contact`.
+    per-contact coin cache, and completion-time re-validation. The
+    simulation's contact-start handler runs the encounter bookkeeping
+    (:func:`contact_bookkeeping`) and builds a session only for contacts
+    whose link budget is non-zero.
     """
 
     @staticmethod
@@ -114,25 +88,19 @@ class ContactSession:
         The transfer time is the slower of the two radios when
         ``bundle_tx_time`` is per-node (heterogeneous devices); the budget
         is ``floor(duration / tx_time)`` (int() truncation == floor for a
-        non-negative quotient). The one formula both
-        :func:`begin_contact`'s zero-budget gate and the session itself use.
+        non-negative quotient). The simulation's zero-budget gate and the
+        session it then builds both use this one formula.
         """
         tx_time = sim.link_tx_time(contact.a, contact.b)
         return tx_time, int((contact.end - contact.start) / tx_time)
 
     def __init__(
-        self,
-        sim: Simulation,
-        contact: Contact,
-        tx_time: float | None = None,
-        budget: int | None = None,
+        self, sim: Simulation, contact: Contact, tx_time: float, budget: int
     ) -> None:
         self.sim = sim
         self.contact = contact
         self.node_a = sim.nodes[contact.a]  # lower id — transmits first
         self.node_b = sim.nodes[contact.b]
-        if tx_time is None or budget is None:
-            tx_time, budget = self.link_budget(sim, contact)
         self.tx_time = tx_time
         self.budget = budget
         self.t_cursor = contact.start
@@ -144,7 +112,7 @@ class ContactSession:
         self.severed = False
         #: the pair's ``(crash_count_a, crash_count_b)`` at session start;
         #: any endpoint crash afterwards permanently tears the session down
-        #: (set by the simulation's faulted contact-start path)
+        #: (stamped by the simulation's contact-start handler under faults)
         self.crash_epoch: tuple[int, int] | None = None
         #: (sender_id, bid) pairs whose P-Q coin failed this contact;
         #: allocated by the planner on the first failed flip
@@ -153,12 +121,6 @@ class ContactSession:
         #: created on first use — sub-``tx_time`` contacts (budget 0)
         #: never plan, and at scale they are the majority of encounters
         self.planner = None
-
-    # --------------------------------------------------------------- lifecycle
-
-    def start(self) -> None:
-        """Contact-start processing: history, control exchange, first slot."""
-        begin_contact(self.sim, self.contact, session=self)
 
     # ------------------------------------------------------------- disruption
 
@@ -192,15 +154,12 @@ class ContactSession:
             return
         planner = self.planner
         if planner is None:
-            planner = self.planner = self.sim._planner_factory(self)
+            planner = self.planner = self.sim._planner_class(self)
         pick = planner.plan(now)
         if pick is None:
             self.idle = True
             return
         sender, receiver, sb = pick
-        hook = self.sim.on_transfer_planned
-        if hook is not None:
-            hook(now, sender.id, receiver.id, sb.bid)
         self.t_cursor = slot_end
         self.sim.engine.at(
             slot_end, self._on_transfer_complete, sender, receiver, sb

@@ -20,13 +20,13 @@ import numpy as np
 from repro.core.bundle import NO_EXPIRY, Bundle, BundleId, StoredBundle
 from repro.core.metrics import MetricsCollector
 from repro.core.node import Node
-from repro.core.planner import PLANNERS, planner_names
+from repro.core.planner import IncrementalPlanner
 from repro.core.policies import make_drop_policy
 from repro.core.protocols.antipacket import AntiPacketProtocol
 from repro.core.protocols.base import Protocol
 from repro.core.protocols.registry import ProtocolConfig
 from repro.core.results import RunResult
-from repro.core.session import ContactSession, begin_contact, contact_bookkeeping
+from repro.core.session import ContactSession, contact_bookkeeping
 from repro.core.workload import Flow, total_offered
 from repro.des.engine import Engine
 from repro.des.event import PRIORITY_EARLY
@@ -207,6 +207,11 @@ class SimulationConfig:
 class Simulation:
     """A single, deterministic simulation run."""
 
+    #: the class each contact session plans its transfers with — a test
+    #: seam: the differential oracle in the test suite subclasses
+    #: Simulation and swaps in its reference planner here
+    _planner_class = IncrementalPlanner
+
     def __init__(
         self,
         trace: ContactTrace,
@@ -215,9 +220,6 @@ class Simulation:
         *,
         config: SimulationConfig | None = None,
         seed: int = 0,
-        planner: str = "incremental",
-        record_occupancy: bool = False,
-        batch_degenerate: bool = True,
         fault_seed: int | None = None,
     ) -> None:
         if not flows:
@@ -225,10 +227,6 @@ class Simulation:
         for f in flows:
             if not (0 <= f.source < trace.num_nodes and 0 <= f.destination < trace.num_nodes):
                 raise ValueError(f"flow {f} references nodes outside the trace population")
-        if planner not in PLANNERS:
-            raise ValueError(
-                f"unknown planner {planner!r}; available: {', '.join(planner_names())}"
-            )
         self.trace = trace
         self.protocol_config = protocol_config
         self.flows = flows
@@ -236,13 +234,6 @@ class Simulation:
         self.config.validate_population(trace.num_nodes)
         self.seed = seed
         self.engine = Engine()
-        #: session-planner factory — ``incremental`` (production) and
-        #: ``reference`` (the slow oracle) are bit-identical by contract
-        self._planner_factory = PLANNERS[planner]
-        #: optional observer called as ``hook(now, sender_id, receiver_id,
-        #: bid)`` whenever a session plans a transfer (planner-equivalence
-        #: tests record the pick sequence through this)
-        self.on_transfer_planned = None
         #: copy-population observer installed by the SoA sweep kernel for
         #: the duration of a kernel run (``copy_added``/``copy_removed``/
         #: ``delivered`` hooks); None on the event path, costing one
@@ -258,22 +249,18 @@ class Simulation:
         self.metrics = MetricsCollector(
             trace.num_nodes,
             self.config.capacities(trace.num_nodes),
-            record_occupancy=record_occupancy or self.config.record_occupancy,
+            record_occupancy=self.config.record_occupancy,
         )
         #: per-pair ``(epoch_a, epoch_b)`` memo of the knowledge layer —
         #: the epochs at the end of each pair's last control swap (see
         #: :func:`repro.core.knowledge.exchange_control`)
         self.pair_knowledge: dict[tuple[int, int], tuple[int, int]] = {}
-        #: trace-layer degenerate-encounter batching (see :meth:`run`);
-        #: the knob exists so equivalence tests can force the per-event
-        #: reference path
-        self._batch_degenerate = batch_degenerate
         #: True while encounter bookkeeping is deferred to the end-of-run
         #: batched flush (encounter-inert protocol populations only)
         self._defer_history = False
         #: degenerate encounters processed without their own event (chunked
         #: or flushed); ``engine.events_fired + batched_encounters`` equals
-        #: the event count of the unbatched reference schedule exactly
+        #: the event count of a one-event-per-contact schedule exactly
         self.batched_encounters = 0
         self._chunk_horizon = math.inf
         self._chunk_control_kind = ""
@@ -451,12 +438,46 @@ class Simulation:
             return
         self.remove_copy(node, sb.bid, reason="expired")
 
-    def _begin_contact(self, contact) -> None:
-        begin_contact(self, contact)
+    def _begin_contact(self, idx: int) -> None:
+        """Contact start: bookkeeping layers, then the first transfer slot.
 
-    def _degenerate_contact(self, contact) -> None:
+        The encounter/knowledge bookkeeping runs for every contact the
+        disruption model lets through; a :class:`ContactSession` — the
+        slot state machine — is built only when the encounter can carry at
+        least one bundle. Under faults the session also carries the pair's
+        crash epochs and its pre-drawn mid-contact severance event.
+        """
+        contact = self.trace.contacts[idx]
+        faulted = self.faults is not None
+        if faulted and self._contact_lost(idx, contact):
+            return
+        now = contact.start
+        nodes = self.nodes
+        contact_bookkeeping(self, nodes[contact.a], nodes[contact.b], now)
+        tx_time, budget = ContactSession.link_budget(self, contact)
+        if not budget:
+            return
+        session = ContactSession(self, contact, tx_time, budget)
+        if faulted:
+            session.crash_epoch = (
+                self._crash_count[contact.a],
+                self._crash_count[contact.b],
+            )
+            severed_at = self._contact_severed_at
+            if severed_at is not None:
+                t = float(severed_at[idx])
+                if t < contact.end:
+                    # Scheduled before the first transfer completion, so at
+                    # an equal timestamp the severance wins deterministically.
+                    self.engine.at(t, session._on_severed)
+        session._schedule_next(now)
+
+    def _degenerate_contact(self, idx: int) -> None:
         # Pre-classified zero-transfer encounter: bookkeeping layers only,
         # no link-budget recomputation and no session machinery.
+        contact = self.trace.contacts[idx]
+        if self.faults is not None and self._contact_lost(idx, contact):
+            return
         nodes = self.nodes
         contact_bookkeeping(self, nodes[contact.a], nodes[contact.b], contact.start)
 
@@ -586,9 +607,7 @@ class Simulation:
         if processed > 1:
             self.batched_encounters += processed - 1
 
-    def _flush_deferred_bookkeeping(
-        self, zero_mask, end_time: float, *, arrays=None
-    ) -> None:
+    def _flush_deferred_bookkeeping(self, zero_mask, end_time: float, arrays) -> None:
         """Batched bookkeeping for an encounter-inert protocol population.
 
         Replays, in one pass, everything the per-event path would have
@@ -603,9 +622,7 @@ class Simulation:
         transfer-completion event, which by bulk-load seq ordering fires
         *after* every contact event of the same timestamp.
         """
-        starts, _ends, a_ids, b_ids = (
-            arrays if arrays is not None else self.trace.contact_arrays()
-        )
+        starts, _ends, a_ids, b_ids = arrays
         fired = int(np.searchsorted(starts, end_time, side="right"))
         nodes = self.nodes
         if fired:
@@ -776,7 +793,7 @@ class Simulation:
                 if up_at < horizon:
                     self.engine.at(up_at, self._on_recover, node_id)
 
-    def _draw_link_faults(self, arrays=None) -> None:
+    def _draw_link_faults(self, arrays) -> None:
         """Pre-draw per-contact link faults in trace order (one pass each).
 
         Drawing against the trace index — not the executed schedule —
@@ -792,9 +809,7 @@ class Simulation:
             rng = self._fault_hub.stream("link-interrupt")
             flags = rng.random(n) < spec.interrupt_prob
             fracs = rng.random(n)
-            starts, ends, _a, _b = (
-                arrays if arrays is not None else self.trace.contact_arrays()
-            )
+            starts, ends, _a, _b = arrays
             self._contact_severed_at = np.where(
                 flags, starts + fracs * (ends - starts), np.inf
             )
@@ -826,42 +841,20 @@ class Simulation:
         self._node_down[node_id] = False
         self.metrics.on_node_up(self.now)
 
-    def _begin_contact_faulted(self, idx: int) -> None:
-        """Contact start under the disruption model (reference schedule).
+    def _contact_lost(self, idx: int, contact) -> bool:
+        """The disruption model's contact-start gates.
 
         The drop coin erases the contact outright; a down endpoint misses
-        it (no bookkeeping — the radios never met). Surviving contacts run
-        the normal layers, plus a pre-drawn mid-contact severance event and
-        the crash-epoch stamp that tears the session down if an endpoint
-        crashes mid-encounter.
+        it (no bookkeeping — the radios never met).
         """
-        contact = self.trace.contacts[idx]
         dropped = self._contact_dropped
         if dropped is not None and dropped[idx]:
             self.metrics.churn.dropped_contacts += 1
-            return
+            return True
         if self._node_down[contact.a] or self._node_down[contact.b]:
             self.metrics.churn.missed_contacts += 1
-            return
-        now = contact.start
-        nodes = self.nodes
-        contact_bookkeeping(self, nodes[contact.a], nodes[contact.b], now)
-        tx_time, budget = ContactSession.link_budget(self, contact)
-        if not budget:
-            return
-        session = ContactSession(self, contact, tx_time=tx_time, budget=budget)
-        session.crash_epoch = (
-            self._crash_count[contact.a],
-            self._crash_count[contact.b],
-        )
-        severed_at = self._contact_severed_at
-        if severed_at is not None:
-            t = float(severed_at[idx])
-            if t < contact.end:
-                # Scheduled before the first transfer completion, so at an
-                # equal timestamp the severance wins deterministically.
-                self.engine.at(t, session._on_severed)
-        session._schedule_next(now)
+            return True
+        return False
 
     def _inject_flow(self, flow: Flow) -> None:
         now = self.engine.now
@@ -933,50 +926,37 @@ class Simulation:
         # contacts behind the stop point. Degenerate encounters — contacts
         # whose duration admits zero transfers, the majority in dense
         # traces — are pre-classified in one vectorized pass at the trace
-        # layer: control-bearing protocols get a slimmer bookkeeping-only
-        # event (no link-budget recomputation, no session gate), and an
-        # encounter-inert population skips their events entirely in favour
-        # of one batched flush after the run.
+        # layer: they get a slimmer bookkeeping-only event (no link-budget
+        # recomputation, no session gate), an encounter-inert population
+        # skips their events entirely in favour of one batched flush after
+        # the run, and the native anti-packet substrate processes runs of
+        # them in chunk events.
         contacts = self.trace.contacts
         # one columnar materialization per run, shared by the degenerate
         # pre-classification, the link-fault draw, and the deferred flush
-        arrays = self.trace.contact_arrays() if contacts else None
-        if self.faults is not None:
+        arrays = self.trace.contact_arrays()
+        zero_mask = zero_transfer_mask(self.trace, self.config.bundle_tx_time, arrays=arrays)
+        zero_list = zero_mask.tolist()
+        begin = self._begin_contact
+        unfaulted = self.faults is None
+        if not unfaulted:
             # Disruption model: crash/recover events first (so a crash at a
-            # contact's start time fires before the contact), pre-drawn
-            # link faults, and the per-event reference schedule — faulted
-            # populations are ineligible for degenerate-encounter batching
-            # (a "degenerate" contact can still be missed or dropped, and
-            # chunk bookkeeping cannot see downtime).
+            # contact's start time fires before the contact), then pre-drawn
+            # link faults. The contact handlers apply the drop and downtime
+            # gates, so every contact keeps its own event: deferred history
+            # and chunk bookkeeping cannot see downtime.
             self._schedule_faults(horizon)
             self._draw_link_faults(arrays)
-            self.engine.schedule_sorted(
-                (contact.start, self._begin_contact_faulted, (i,))
-                for i, contact in enumerate(contacts)
-            )
-            self.engine.run(until=horizon)
-            return self._build_result()
-        zero_mask = None
-        if self._batch_degenerate and contacts:
-            zero_mask = zero_transfer_mask(
-                self.trace, self.config.bundle_tx_time, arrays=arrays
-            )
-            if not zero_mask.any():
-                zero_mask = None
-        if zero_mask is None:
-            self.engine.schedule_sorted(
-                (contact.start, self._begin_contact, (contact,))
-                for contact in contacts
-            )
-        elif all(node.protocol.encounter_inert for node in self.nodes):
+        if unfaulted and all(node.protocol.encounter_inert for node in self.nodes):
             self._defer_history = True
-            zero_list = zero_mask.tolist()
             self.engine.schedule_sorted(
-                (contact.start, self._begin_contact, (contact,))
-                for contact, degenerate in zip(contacts, zero_list, strict=True)
+                (contact.start, begin, (i,))
+                for i, (contact, degenerate) in enumerate(
+                    zip(contacts, zero_list, strict=True)
+                )
                 if not degenerate
             )
-        elif self._antipacket_native():
+        elif unfaulted and self._antipacket_native():
             # Native anti-packet substrate: maximal runs of consecutive
             # degenerate contacts become one chunk event each, processed
             # in-order between the surrounding events (the chunk re-parks
@@ -986,8 +966,6 @@ class Simulation:
             # identical to the one-event-per-contact schedule.
             self._chunk_horizon = horizon
             self._chunk_control_kind = self.nodes[0].protocol.control_kind
-            zero_list = zero_mask.tolist()
-            begin = self._begin_contact
             chunk = self._degenerate_chunk
             items: list[tuple[float, object, tuple]] = []
             i = 0
@@ -1000,20 +978,20 @@ class Simulation:
                     items.append((contacts[i].start, chunk, (i, j)))
                     i = j + 1
                 else:
-                    items.append((contacts[i].start, begin, (contacts[i],)))
+                    items.append((contacts[i].start, begin, (i,)))
                     i += 1
             self.engine.schedule_sorted(items)
         else:
-            begin = self._begin_contact
             degen = self._degenerate_contact
-            zero_list = zero_mask.tolist()
             self.engine.schedule_sorted(
-                (contact.start, degen if degenerate else begin, (contact,))
-                for contact, degenerate in zip(contacts, zero_list, strict=True)
+                (contact.start, degen if degenerate else begin, (i,))
+                for i, (contact, degenerate) in enumerate(
+                    zip(contacts, zero_list, strict=True)
+                )
             )
         self.engine.run(until=horizon)
         if self._defer_history:
-            self._flush_deferred_bookkeeping(zero_mask, self.engine.now, arrays=arrays)
+            self._flush_deferred_bookkeeping(zero_mask, self.engine.now, arrays)
         return self._build_result()
 
     def _build_result(self) -> RunResult:

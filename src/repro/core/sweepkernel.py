@@ -32,13 +32,14 @@ at the expiry or receiver-has-copy check, both of which precede the P-Q
 coin). Everything else — metrics, counters, protocol hooks, buffer
 policies — is the same service-layer code the event engine runs, invoked
 in the same order with the same arguments. ``tools/bench_sim.py
---verify`` and ``tests/core/test_sweepkernel.py`` enforce the contract.
+--verify`` and the differential ladder (``tests/test_ladder.py``) enforce
+the contract.
 
 Eligibility (:func:`kernel_unsupported_reason`): a homogeneous
 encounter-inert population with the base (constant-false)
-``knows_delivered``, no active fault injection, and trace-layer batching
-enabled. ``kernel="auto"`` silently falls back to the event engine
-otherwise; ``kernel="soa"`` fails fast with the reason.
+``knows_delivered`` and no active fault injection. ``kernel="auto"``
+silently falls back to the event engine otherwise; ``kernel="soa"`` fails
+fast with the reason.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ def kernel_unsupported_reason(sim: Simulation) -> str | None:
         return "fault injection is active (the kernel has no crash/link machinery)"
     if sim.config.engine != "des":
         return f"engine={sim.config.engine!r} does not execute discrete events"
-    if not sim._batch_degenerate:
-        return (
-            "batch_degenerate=False pins the per-event reference schedule "
-            "(equivalence-test knob)"
-        )
     if not sim.nodes:
         return "empty population"
     proto_cls = type(sim.nodes[0].protocol)
@@ -243,8 +239,6 @@ class SweepKernel:
         self._origins: list[dict[BundleId, StoredBundle]] = [
             node.origin for node in nodes
         ]
-        # snapshot of sim.on_transfer_planned, taken at run() start
-        self._planned_hook: Callable[[float, int, int, BundleId], None] | None = None
         # live-contact columns (filled by _drive)
         self._live_a: NDArray[np.intp] = np.empty(0, dtype=np.intp)
         self._live_b: NDArray[np.intp] = np.empty(0, dtype=np.intp)
@@ -457,9 +451,6 @@ class SweepKernel:
             if sb is None:
                 return
             sender, receiver = node_b, node_a
-        hook = self._planned_hook
-        if hook is not None:
-            hook(now, sender.id, receiver.id, sb.bundle.bid)
         rec.t_cursor = slot_end
         # _Calendar.at, inlined (hot: once per planned transfer)
         cal = self.cal
@@ -630,7 +621,6 @@ class SweepKernel:
         arrays = sim.trace.contact_arrays()
         zero_mask = zero_transfer_mask(sim.trace, sim.config.bundle_tx_time, arrays=arrays)
         real_engine = sim.engine
-        self._planned_hook = sim.on_transfer_planned
         sim.engine = cal  # type: ignore[assignment]
         sim._state_observer = self
         sim._defer_history = True
@@ -647,7 +637,7 @@ class SweepKernel:
         for node, units in zip(self._nodes, self._ctrl_np.tolist(), strict=True):
             if units:
                 node.counters.control_units_sent += units
-        sim._flush_deferred_bookkeeping(zero_mask, end_time, arrays=arrays)
+        sim._flush_deferred_bookkeeping(zero_mask, end_time, arrays)
         return sim._build_result()
 
     def _drive(

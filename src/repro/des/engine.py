@@ -7,10 +7,9 @@ the clock monotonically. Callback arguments are passed positionally
 (``engine.at(t, fn, a, b)``) so hot schedulers never allocate a closure per
 event.
 
-Stop conditions: an explicit time horizon, a predicate evaluated after every
-event, an event budget (runaway protection), or queue exhaustion — whichever
-comes first. The reason the loop ended is reported as a
-:class:`StopCondition`.
+Stop conditions: an explicit time horizon, a client :meth:`Engine.halt`
+from inside an event, or queue exhaustion — whichever comes first. The
+reason the loop ended is reported as a :class:`StopCondition`.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ class StopCondition(enum.Enum):
 
     EXHAUSTED = "exhausted"  #: no more events
     HORIZON = "horizon"  #: next event lies beyond the time horizon
-    PREDICATE = "predicate"  #: user stop-predicate returned True
-    BUDGET = "budget"  #: event budget exceeded
     HALTED = "halted"  #: client called :meth:`Engine.halt`
 
 
@@ -180,27 +177,18 @@ class Engine:
 
     # -------------------------------------------------------------- run loop
 
-    def run(
-        self,
-        *,
-        until: float = math.inf,
-        stop_when: Callable[[], bool] | None = None,
-        max_events: int | None = None,
-    ) -> StopCondition:
+    def run(self, *, until: float = math.inf) -> StopCondition:
         """Fire events in order until a stop condition triggers.
 
         Args:
             until: Inclusive time horizon; events scheduled strictly after it
                 remain pending and the clock is advanced to ``until`` (when
                 finite) so a subsequent ``run`` resumes correctly.
-            stop_when: Predicate checked after each event.
-            max_events: Maximum number of events to fire in this call.
 
         Returns:
             The :class:`StopCondition` that ended the loop.
         """
         self._halted = False
-        fired_this_call = 0
         # Fused peek+pop over the queue's heap: one dead-entry skim and one
         # heap access per fired event, no per-event method-call pairs. The
         # entry layout (time, priority, seq, handle) is the queue's
@@ -211,10 +199,6 @@ class Engine:
         while True:
             if self._halted:
                 return StopCondition.HALTED
-            if stop_when is not None and stop_when():
-                return StopCondition.PREDICATE
-            if max_events is not None and fired_this_call >= max_events:
-                return StopCondition.BUDGET
             while heap and heap[0][3].cancelled:  # skim, inlined
                 heappop(heap)
                 if queue._dead:
@@ -228,7 +212,6 @@ class Engine:
             ev = handle.event
             self._now = ev.time
             self._events_fired += 1
-            fired_this_call += 1
             # action is Optional only so Event() can construct empty; every
             # queue-created event carries one
             ev.action(*ev.args)  # type: ignore[misc]

@@ -1,21 +1,13 @@
 """The epoch-versioned knowledge subsystem and degenerate-encounter batching.
 
-Two kinds of guarantees:
-
-* unit behaviour of the stores (epoch monotonicity, snapshot/message
-  caching, merge semantics);
-* **batching equivalence** — a simulation with trace-layer degenerate
-  batching must be indistinguishable (RunResult, per-node counters,
-  encounter histories, signaling) from the per-event reference schedule
-  (``batch_degenerate=False``), for every control-plane family and
-  across early-halt/horizon boundaries.
+Unit behaviour of the stores (epoch monotonicity, snapshot/message
+caching, merge semantics), the trace-layer classification of degenerate
+contacts, and the invisibility of the unchanged-epoch swap elision. The
+batched schedules themselves are checked against the per-event reference
+schedule by the differential ladder (``tests/test_ladder.py``).
 """
 
 from __future__ import annotations
-
-import dataclasses
-
-import pytest
 
 from repro.core.bundle import BundleId
 from repro.core.knowledge import CumulativeKnowledgeStore, KnowledgeStore
@@ -26,6 +18,7 @@ from repro.core.simulation import Simulation, SimulationConfig
 from repro.core.workload import Flow
 from repro.mobility.contact import zero_transfer_mask
 from tests.helpers import make_node, micro_trace
+from tests.oracles.reference_sim import ReferenceSimulation
 
 
 def bid(seq: int, flow: int = 0) -> BundleId:
@@ -165,103 +158,21 @@ MIXED_ROWS: list[tuple[float, float, int, int]] = [
     (2_500.0, 2_560.0, 1, 3),  # degenerate beyond the halt
 ]
 
-PROTOCOL_MATRIX = [
-    ("pure", {}),
-    ("ttl", {"ttl": 300.0}),
-    ("ec", {}),
-    ("pq", {"p": 0.5, "q": 0.5}),
-    ("pq", {"p": 1.0, "q": 1.0, "anti_packets": True}),
-    ("immunity", {}),
-    ("cumulative_immunity", {}),
-    ("dynamic_ttl", {}),
-    ("spray_wait", {}),
-    ("prophet", {}),
-]
-
-
-def _run(rows, *, protocol, kwargs, batch, load=3, num_nodes=4, seed=3):
-    trace = micro_trace(rows, num_nodes, horizon=5_000.0)
-    flows = [Flow(flow_id=0, source=0, destination=num_nodes - 1, num_bundles=load)]
-    sim = Simulation(
-        trace,
-        make_protocol_config(protocol, **kwargs),
-        flows,
-        seed=seed,
-        batch_degenerate=batch,
-    )
-    return sim, sim.run()
-
-
-def _node_state(sim: Simulation) -> list[tuple]:
-    return [
-        (
-            dataclasses.astuple(n.counters),
-            dataclasses.astuple(n.history),
-            n.control_storage,
-            sorted(n.relay.id_view()),
-            sorted(n.delivered),
-        )
-        for n in sim.nodes
-    ]
-
 
 class TestDegenerateBatchingEquivalence:
-    @pytest.mark.parametrize(
-        "protocol,kwargs", PROTOCOL_MATRIX, ids=lambda p: str(p)
-    )
-    def test_batched_equals_reference_schedule(self, protocol, kwargs):
-        ref_sim, ref = _run(
-            MIXED_ROWS, protocol=protocol, kwargs=kwargs, batch=False
-        )
-        fast_sim, fast = _run(
-            MIXED_ROWS, protocol=protocol, kwargs=kwargs, batch=True
-        )
-        assert fast == ref
-        assert _node_state(fast_sim) == _node_state(ref_sim)
-        # fired + batched encounters reproduce the reference event count
-        assert (
-            fast_sim.engine.events_fired + fast_sim.batched_encounters
-            == ref_sim.engine.events_fired
-        )
-
-    @pytest.mark.parametrize("protocol,kwargs", PROTOCOL_MATRIX, ids=lambda p: str(p))
-    def test_early_halt_excludes_unreached_contacts(self, protocol, kwargs):
-        # One bundle delivered in the first carrying contact; everything
-        # after the halt instant must stay unprocessed in both schedules.
-        rows = [
-            (0.0, 250.0, 0, 1),
-            (300.0, 350.0, 0, 1),      # degenerate before delivery
-            (400.0, 650.0, 1, 2),      # delivery happens here
-            (650.0, 700.0, 0, 1),      # degenerate at/after the halt
-            (800.0, 850.0, 1, 2),      # degenerate beyond the halt
-        ]
-        ref_sim, ref = _run(
-            rows, protocol=protocol, kwargs=kwargs, batch=False, load=1, num_nodes=3
-        )
-        fast_sim, fast = _run(
-            rows, protocol=protocol, kwargs=kwargs, batch=True, load=1, num_nodes=3
-        )
-        assert fast == ref
-        assert _node_state(fast_sim) == _node_state(ref_sim)
-
     def test_epoch_elision_is_invisible(self, monkeypatch):
         """Disabling the unchanged-epoch swap elision changes nothing."""
         from repro.core.protocols.pq import PQAntiPacketEpidemic
 
-        _, with_elision = _run(
-            MIXED_ROWS,
-            protocol="pq",
-            kwargs={"p": 1.0, "q": 1.0, "anti_packets": True},
-            batch=False,
-        )
+        def run():
+            trace = micro_trace(MIXED_ROWS, 4, horizon=5_000.0)
+            flows = [Flow(flow_id=0, source=0, destination=3, num_bundles=3)]
+            protocol = make_protocol_config("pq", p=1.0, q=1.0, anti_packets=True)
+            return ReferenceSimulation(trace, protocol, flows, seed=3).run()
+
+        with_elision = run()
         monkeypatch.setattr(PQAntiPacketEpidemic, "epoch_gated_control", False)
-        _, without = _run(
-            MIXED_ROWS,
-            protocol="pq",
-            kwargs={"p": 1.0, "q": 1.0, "anti_packets": True},
-            batch=False,
-        )
-        assert with_elision == without
+        assert run() == with_elision
 
     def test_heterogeneous_tx_times_classify_per_pair(self):
         # pair (0,1): fast radios, 150 s contact carries a bundle; the
@@ -272,21 +183,14 @@ class TestDegenerateBatchingEquivalence:
             (400.0, 900.0, 1, 2),  # long enough for the slow link
         ]
         trace = micro_trace(rows, 3, horizon=2_000.0)
-        config = SimulationConfig(bundle_tx_time=(100.0, 100.0, 400.0))
+        config = SimulationConfig(bundle_tx_time=(100.0, 100.0, 400.0), kernel="event")
         mask = zero_transfer_mask(trace, config.bundle_tx_time)
         assert mask.tolist() == [False, True, False]
         flows = [Flow(flow_id=0, source=0, destination=2, num_bundles=1)]
-        results = []
-        for batch in (False, True):
-            sim = Simulation(
-                trace,
-                make_protocol_config("pure"),
-                flows,
-                config=config,
-                seed=0,
-                batch_degenerate=batch,
-            )
-            results.append(sim.run())
+        results = [
+            cls(trace, make_protocol_config("pure"), flows, config=config, seed=0).run()
+            for cls in (ReferenceSimulation, Simulation)
+        ]
         assert results[0] == results[1]
         assert results[0].delivered == 1
 

@@ -173,9 +173,10 @@ def _contention_run(policy: str, *, capacity=2, seed=0):
         trace,
         make_protocol_config("pure"),
         flows,
-        config=SimulationConfig(buffer_capacity=capacity, drop_policy=policy),
+        config=SimulationConfig(
+            buffer_capacity=capacity, drop_policy=policy, record_occupancy=True
+        ),
         seed=seed,
-        record_occupancy=True,
     )
     return sim, sim.run()
 
@@ -196,9 +197,9 @@ class TestEndToEnd:
             trace,
             make_protocol_config("pure"),
             flows,
-            config=SimulationConfig(buffer_capacity=2),
+            # record_occupancy matches _contention_run's recording
+            config=SimulationConfig(buffer_capacity=2, record_occupancy=True),
             seed=0,
-            record_occupancy=True,  # match _contention_run's recording
         ).run()
         assert explicit == default
         assert explicit.drops == {}

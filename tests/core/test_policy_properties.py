@@ -80,9 +80,10 @@ class TestPolicyInvariants:
             trace,
             make_protocol_config(name, **kwargs),
             flows,
-            config=SimulationConfig(buffer_capacity=capacity, drop_policy=policy),
+            config=SimulationConfig(
+                buffer_capacity=capacity, drop_policy=policy, record_occupancy=True
+            ),
             seed=seed,
-            record_occupancy=True,
         )
         result = sim.run()
 

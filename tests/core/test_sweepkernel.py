@@ -8,18 +8,15 @@ golden-pin protocol set on campus and RWP traces, plus the structural edge
 cases the kernel handles specially (heterogeneous radios, buffer-pressure
 drops under every policy, early halt at the delivery boundary) and the
 fail-fast rejection surface (faults, encounter-reactive protocols, the ODE
-engine). Hypothesis drives randomized mini-scenarios through both kernels
-and checks physical invariants on the SoA side directly.
+engine). Randomized scenarios climb both kernels on the differential
+ladder (``tests/test_ladder.py``).
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from repro.core.bundle import BundleId
 from repro.core.policies import drop_policy_names
 from repro.core.protocols import make_protocol_config
 from repro.core.simulation import KERNELS, Simulation, SimulationConfig
@@ -242,102 +239,3 @@ def test_auto_uses_kernel_for_inert_population(campus_trace):
 def test_soa_rejects_ode_engine():
     with pytest.raises(ValueError, match="engine"):
         SimulationConfig(engine="ode", kernel="soa")
-
-
-# ------------------------------------------------------- hypothesis invariants
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
-
-
-@st.composite
-def mini_scenario(draw):
-    """A random small trace with integer-grid times so contact starts can
-    land exactly on TTL-expiry boundaries (the `<=` vs `<` edge)."""
-    num_nodes = draw(st.integers(3, 6))
-    n_contacts = draw(st.integers(2, 20))
-    contacts = []
-    t = 0.0
-    for _ in range(n_contacts):
-        t += draw(st.integers(10, 400))
-        dur = draw(st.integers(50, 500))
-        a = draw(st.integers(0, num_nodes - 1))
-        b = draw(st.integers(0, num_nodes - 1).filter(lambda x, a=a: x != a))
-        contacts.append(Contact(start=t, end=t + dur, a=a, b=b))
-        t += dur
-    trace = ContactTrace(contacts, num_nodes, horizon=t + 2_000.0)
-    source = draw(st.integers(0, num_nodes - 1))
-    dest = draw(st.integers(0, num_nodes - 1).filter(lambda x: x != source))
-    load = draw(st.integers(1, 8))
-    capacity = draw(st.integers(1, 4))
-    return trace, source, dest, load, capacity
-
-
-PROTO_STRATEGY = st.sampled_from(
-    [
-        ("pure", {}),
-        # integer TTLs matching the integer time grid: expiries collide
-        # with contact starts, pinning the boundary semantics
-        ("ttl", {"ttl": 200.0}),
-        ("ttl", {"ttl": 450.0}),
-        ("ec", {}),
-        ("pq", {"p": 0.7, "q": 0.5, "anti_packets": False}),
-    ]
-)
-
-
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    scenario=mini_scenario(),
-    proto=PROTO_STRATEGY,
-    policy=st.sampled_from(sorted(drop_policy_names())),
-    seed=st.integers(0, 3),
-)
-def test_soa_invariants_and_equivalence(scenario, proto, policy, seed):
-    trace, source, dest, load, capacity = scenario
-    name, kwargs = proto
-    flows = [Flow(flow_id=0, source=source, destination=dest, num_bundles=load)]
-
-    def build(kernel):
-        return Simulation(
-            trace,
-            make_protocol_config(name, **kwargs),
-            flows,
-            config=SimulationConfig(
-                kernel=kernel, buffer_capacity=capacity, drop_policy=policy
-            ),
-            seed=seed,
-        )
-
-    ev_result = build("event").run()
-    soa_sim = build("soa")
-    soa_result = soa_sim.run()
-
-    # --- equivalence: the kernel is exact, not approximately right
-    assert repr(soa_result) == repr(ev_result)
-
-    # --- copy conservation on the SoA side: metric copy counts equal the
-    # live copies actually held plus the destination's consumed copy
-    dest_node = soa_sim.nodes[dest]
-    for seq in range(1, load + 1):
-        bid = BundleId(0, seq)
-        live = sum(1 for n in soa_sim.nodes if n.get_copy(bid) is not None)
-        expected = live + (1 if bid in dest_node.delivered else 0)
-        assert soa_sim.metrics.copy_count(bid) == expected
-
-    # --- delivered-stays-delivered: every counted delivery is terminal
-    # (the destination consumed it; it never reappears as a live copy)
-    assert soa_result.delivered == len(dest_node.delivered)
-    for bid in dest_node.delivered:
-        assert dest_node.get_copy(bid) is None
-
-    # --- TTL boundary: every surviving relay copy's expiry deadline lies
-    # at or beyond the stop time — a copy whose deadline passed before the
-    # run ended must have been expired by the kernel (deadlines exactly on
-    # the stop time are the `<=` vs `<` edge the integer grid provokes:
-    # either the expiry fired first and the copy is gone, or the halt beat
-    # it and the deadline equals end_time)
-    if kwargs.get("ttl") is not None:
-        for node in soa_sim.nodes:
-            for sb in node.relay.entries_view().values():
-                assert sb.expiry is None or sb.expiry >= soa_result.end_time

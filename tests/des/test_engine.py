@@ -93,29 +93,6 @@ class TestStopConditions:
         assert eng.run(until=10.0) is StopCondition.EXHAUSTED
         assert eng.now == 10.0
 
-    def test_predicate_stops_after_event(self):
-        eng = Engine()
-        log = []
-        eng.at(1.0, lambda: log.append(1))
-        eng.at(2.0, lambda: log.append(2))
-        cond = eng.run(stop_when=lambda: len(log) >= 1)
-        assert cond is StopCondition.PREDICATE
-        assert log == [1]
-
-    def test_predicate_checked_before_first_event(self):
-        eng = Engine()
-        log = []
-        eng.at(1.0, lambda: log.append(1))
-        assert eng.run(stop_when=lambda: True) is StopCondition.PREDICATE
-        assert log == []
-
-    def test_budget(self):
-        eng = Engine()
-        for t in range(10):
-            eng.at(float(t), lambda: None)
-        assert eng.run(max_events=3) is StopCondition.BUDGET
-        assert eng.events_fired == 3
-
     def test_halt_from_within_event(self):
         eng = Engine()
         log = []

@@ -1,197 +1,79 @@
 """Cross-protocol invariants, checked property-based over random scenarios.
 
-These are the safety net of the whole simulator: for random mini-traces,
-workloads and protocols, the physical invariants of the system must hold —
-no buffer over-capacity, no negative copies, delivery bookkeeping
-consistent, determinism in the seed.
+These are the safety net of the whole simulator: for cells drawn by the
+ladder's scenario generator (:mod:`tests.strategies`), run on whichever
+tier ``kernel="auto"`` picks, the physical invariants of the system must
+hold — no buffer over-capacity, no negative copies, delivery bookkeeping
+consistent, expired copies gone, determinism in the seed.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.protocols import make_protocol_config
-from repro.core.simulation import Simulation, SimulationConfig
-from repro.core.workload import Flow
+from repro.core.bundle import BundleId
 from repro.faults import FaultSpec
-from repro.mobility.contact import Contact, ContactTrace
+from tests.strategies import cells, fault_specs
 
-PROTOCOL_STRATEGY = st.sampled_from(
-    [
-        ("pure", {}),
-        ("pq", {"p": 0.5, "q": 0.5}),
-        ("pq", {"p": 1.0, "q": 1.0, "anti_packets": True}),
-        ("ttl", {"ttl": 400.0}),
-        ("dynamic_ttl", {}),
-        ("ec", {}),
-        ("ec_ttl", {"ec_threshold": 2, "min_ec_evict": 1}),
-        ("immunity", {}),
-        ("cumulative_immunity", {}),
-    ]
-)
+SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
-@st.composite
-def random_scenario(draw):
-    """A random mini contact trace plus a workload."""
-    num_nodes = draw(st.integers(3, 6))
-    n_contacts = draw(st.integers(1, 25))
-    contacts = []
-    t = 0.0
-    for _ in range(n_contacts):
-        t += draw(st.floats(10.0, 2_000.0))
-        dur = draw(st.floats(50.0, 450.0))
-        a = draw(st.integers(0, num_nodes - 1))
-        b = draw(st.integers(0, num_nodes - 1).filter(lambda x, a=a: x != a))
-        contacts.append(Contact(start=t, end=t + dur, a=a, b=b))
-        t += dur
-    trace = ContactTrace(contacts, num_nodes, horizon=t + 5_000.0)
-    source = draw(st.integers(0, num_nodes - 1))
-    dest = draw(st.integers(0, num_nodes - 1).filter(lambda x: x != source))
-    load = draw(st.integers(1, 12))
-    capacity = draw(st.integers(1, 6))
-    return trace, source, dest, load, capacity
+def assert_invariants(cell, sim, result) -> None:
+    offered = sum(f.num_bundles for f in cell.flows)
+    # delivery bookkeeping survives crashes, wipes and severed links
+    assert 0.0 <= result.delivery_ratio <= 1.0
+    assert result.delivered == len(sim.metrics.deliveries) <= offered
+    assert result.success == (result.delivered == offered)
+    assert (result.delay is None) == (not result.success)
+    if result.delay is not None:
+        assert 0.0 <= result.delay <= cell.trace.horizon
+    # delivered stays delivered: every counted delivery is terminal
+    delivered = set().union(*(sim.nodes[f.destination].delivered for f in cell.flows))
+    assert set(sim.metrics.deliveries) == delivered
+    # copy conservation: every copy is live, delivered, or accounted as
+    # removed — never duplicated, never negative
+    for node in sim.nodes:
+        assert len(node.relay) <= cell.config.capacity_for(node.id)
+        # a copy whose deadline passed before the run ended has expired
+        # (deadlines on the stop time are the halt-vs-expiry tie)
+        for sb in node.relay.entries_view().values():
+            assert sb.expiry >= result.end_time
+    for flow in cell.flows:
+        dest = sim.nodes[flow.destination]
+        for seq in range(1, flow.num_bundles + 1):
+            bid = BundleId(flow.flow_id, seq)
+            live = sum(1 for n in sim.nodes if n.get_copy(bid) is not None)
+            assert sim.metrics.copy_count(bid) == live + (bid in dest.delivered)
+            assert dest.get_copy(bid) is None or bid not in dest.delivered
+    # metric ranges
+    assert 0.0 <= result.buffer_occupancy <= 1.0 + 1e-9
+    assert 0.0 <= result.duplication_rate <= 1.0 + 1e-9
+    assert result.transmissions >= result.delivered
+    assert result.end_time <= cell.trace.horizon + 1e-9
 
 
 class TestSystemInvariants:
-    @settings(
-        max_examples=60,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(scenario=random_scenario(), proto=PROTOCOL_STRATEGY, seed=st.integers(0, 3))
-    def test_invariants_hold(self, scenario, proto, seed):
-        trace, source, dest, load, capacity = scenario
-        name, kwargs = proto
-        flows = [Flow(flow_id=0, source=source, destination=dest, num_bundles=load)]
-        sim = Simulation(
-            trace,
-            make_protocol_config(name, **kwargs),
-            flows,
-            config=SimulationConfig(buffer_capacity=capacity),
-            seed=seed,
-        )
-        result = sim.run()
+    @settings(max_examples=60, **SETTINGS)
+    @given(cell=cells(faults=st.none()))
+    def test_invariants_hold(self, cell):
+        sim = cell.simulation()
+        assert_invariants(cell, sim, sim.run())
 
-        # delivery bookkeeping
-        assert 0.0 <= result.delivery_ratio <= 1.0
-        assert result.delivered == len(sim.metrics.deliveries)
-        assert result.delivered <= load
-        assert result.success == (result.delivered == load)
-        assert (result.delay is None) == (not result.success)
-        if result.delay is not None:
-            assert 0.0 <= result.delay <= trace.horizon
+    @settings(max_examples=20, **SETTINGS)
+    @given(cell=cells(faults=st.none()))
+    def test_deterministic_in_seed(self, cell):
+        assert repr(cell.simulation().run()) == repr(cell.simulation().run())
 
-        # destination state consistent
-        dest_node = sim.nodes[dest]
-        assert set(sim.metrics.deliveries) == set(dest_node.delivered)
-
-        # buffers never exceed capacity; copies non-negative and consistent
-        total_relay = 0
-        for node in sim.nodes:
-            assert len(node.relay) <= capacity
-            total_relay += len(node.relay)
-        for flow in flows:
-            for seq in range(1, flow.num_bundles + 1):
-                from repro.core.bundle import BundleId
-
-                bid = BundleId(flow.flow_id, seq)
-                live = sum(1 for n in sim.nodes if n.get_copy(bid) is not None)
-                expected = live + (1 if bid in dest_node.delivered else 0)
-                assert sim.metrics.copy_count(bid) == expected
-
-        # metric ranges
-        assert 0.0 <= result.buffer_occupancy <= 1.0 + 1e-9
-        assert 0.0 <= result.duplication_rate <= 1.0 + 1e-9
-        assert result.transmissions >= result.delivered
-        assert result.end_time <= trace.horizon + 1e-9
-
-    @settings(
-        max_examples=20,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(scenario=random_scenario(), proto=PROTOCOL_STRATEGY)
-    def test_deterministic_in_seed(self, scenario, proto):
-        trace, source, dest, load, capacity = scenario
-        name, kwargs = proto
-        flows = [Flow(flow_id=0, source=source, destination=dest, num_bundles=load)]
-
-        def run():
-            return Simulation(
-                trace,
-                make_protocol_config(name, **kwargs),
-                flows,
-                config=SimulationConfig(buffer_capacity=capacity),
-                seed=17,
-            ).run()
-
-        a, b = run(), run()
-        assert a.delivery_ratio == b.delivery_ratio
-        assert a.delay == b.delay
-        assert a.transmissions == b.transmissions
-        assert a.buffer_occupancy == b.buffer_occupancy
-        assert a.duplication_rate == b.duplication_rate
-        assert a.signaling == b.signaling
-
-    @settings(
-        max_examples=25,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(scenario=random_scenario(), seed=st.integers(0, 3))
-    def test_pq11_identical_to_pure(self, scenario, seed):
-        """P-Q with P=Q=1 (no anti-packets) IS pure epidemic."""
-        trace, source, dest, load, capacity = scenario
-        flows = [Flow(flow_id=0, source=source, destination=dest, num_bundles=load)]
-
-        def run(name):
-            return Simulation(
-                trace,
-                make_protocol_config(name),
-                flows,
-                config=SimulationConfig(buffer_capacity=capacity),
-                seed=seed,
-            ).run()
-
-        a, b = run("pq"), run("pure")
-        assert a.delivery_ratio == b.delivery_ratio
-        assert a.delay == b.delay
-        assert a.transmissions == b.transmissions
-
-    @settings(
-        max_examples=25,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(scenario=random_scenario(), seed=st.integers(0, 3))
-    def test_immunity_never_hurts_delivery_vs_pure(self, scenario, seed):
+    @settings(max_examples=25, **SETTINGS)
+    @given(cell=cells(("pure",), faults=st.none(), policies=("reject",)))
+    def test_immunity_never_hurts_delivery_vs_pure(self, cell):
         """Purging only removes *delivered* bundles, so immunity delivers at
         least as much as pure epidemic on identical inputs."""
-        trace, source, dest, load, capacity = scenario
-        flows = [Flow(flow_id=0, source=source, destination=dest, num_bundles=load)]
-
-        def run(name):
-            return Simulation(
-                trace,
-                make_protocol_config(name),
-                flows,
-                config=SimulationConfig(buffer_capacity=capacity),
-                seed=seed,
-            ).run()
-
-        assert run("immunity").delivery_ratio >= run("pure").delivery_ratio - 1e-12
-
-
-RANDOM_FAULTS = st.builds(
-    FaultSpec,
-    churn_rate=st.floats(1e-5, 2e-3),
-    mean_downtime=st.floats(50.0, 3_000.0),
-    state_loss=st.sampled_from(["none", "buffer", "knowledge", "all"]),
-    contact_drop_prob=st.floats(0.0, 0.5),
-    interrupt_prob=st.floats(0.0, 0.5),
-    transfer_failure_prob=st.floats(0.0, 0.5),
-)
+        immunity = dataclasses.replace(cell, protocol=("immunity", {}))
+        pure_ratio = cell.simulation().run().delivery_ratio
+        assert immunity.simulation().run().delivery_ratio >= pure_ratio - 1e-12
 
 
 class TestFaultInvariants:
@@ -199,118 +81,32 @@ class TestFaultInvariants:
     conserved, delivered stays delivered, and a fault spec that injects
     nothing must be invisible down to the last bit."""
 
-    @settings(
-        max_examples=50,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        scenario=random_scenario(),
-        proto=PROTOCOL_STRATEGY,
-        faults=RANDOM_FAULTS,
-        seed=st.integers(0, 3),
-    )
-    def test_invariants_hold_under_random_churn(self, scenario, proto, faults, seed):
-        from repro.core.bundle import BundleId
-        from repro.core.simulation import SimulationConfig as Config
-
-        trace, source, dest, load, capacity = scenario
-        name, kwargs = proto
-        flows = [Flow(flow_id=0, source=source, destination=dest, num_bundles=load)]
-        sim = Simulation(
-            trace,
-            make_protocol_config(name, **kwargs),
-            flows,
-            config=Config(buffer_capacity=capacity, faults=faults),
-            seed=seed,
-            fault_seed=seed + 100,
-        )
+    @settings(max_examples=50, **SETTINGS)
+    @given(cell=cells(faults=fault_specs(trivial=False)))
+    def test_invariants_hold_under_random_churn(self, cell):
+        sim = cell.simulation()
         result = sim.run()
-
-        # delivery bookkeeping survives crashes, wipes and severed links
-        assert 0.0 <= result.delivery_ratio <= 1.0
-        assert result.delivered == len(sim.metrics.deliveries)
-        assert result.delivered <= load
-
-        # delivered stays delivered: the destination's log is never wiped
-        dest_node = sim.nodes[dest]
-        assert set(sim.metrics.deliveries) == set(dest_node.delivered)
-
-        # copy conservation: every copy is live, delivered, or accounted
-        # as removed — never duplicated, never negative
-        for node in sim.nodes:
-            assert len(node.relay) <= capacity
-        for flow in flows:
-            for seq in range(1, flow.num_bundles + 1):
-                bid = BundleId(flow.flow_id, seq)
-                live = sum(1 for n in sim.nodes if n.get_copy(bid) is not None)
-                expected = live + (1 if bid in dest_node.delivered else 0)
-                assert sim.metrics.copy_count(bid) == expected
-
+        assert_invariants(cell, sim, result)
         # churn counters are coherent
         churn = result.churn
         assert churn["recoveries"] <= churn["crashes"]
         assert churn["downtime"] >= 0.0
-        assert result.removals.get("crashed", 0) >= 0
-        if not faults.wipes_knowledge:
+        assert result.removals["crashed"] >= 0
+        if not cell.config.faults.wipes_knowledge:
             # re-infection is only possible after a knowledge wipe
             assert churn["reinfections"] == 0
 
-    @settings(
-        max_examples=20,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        scenario=random_scenario(),
-        proto=PROTOCOL_STRATEGY,
-        faults=RANDOM_FAULTS,
-    )
-    def test_faulted_runs_deterministic(self, scenario, proto, faults):
-        from repro.core.simulation import SimulationConfig as Config
+    @settings(max_examples=20, **SETTINGS)
+    @given(cell=cells(faults=fault_specs(trivial=False)))
+    def test_faulted_runs_deterministic(self, cell):
+        assert repr(cell.simulation().run()) == repr(cell.simulation().run())
 
-        trace, source, dest, load, capacity = scenario
-        name, kwargs = proto
-        flows = [Flow(flow_id=0, source=source, destination=dest, num_bundles=load)]
-
-        def run():
-            return Simulation(
-                trace,
-                make_protocol_config(name, **kwargs),
-                flows,
-                config=Config(buffer_capacity=capacity, faults=faults),
-                seed=17,
-                fault_seed=23,
-            ).run()
-
-        assert run() == run()
-
-    @settings(
-        max_examples=30,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(scenario=random_scenario(), proto=PROTOCOL_STRATEGY, seed=st.integers(0, 3))
-    def test_zero_fault_spec_is_bit_identical_to_no_faults(
-        self, scenario, proto, seed
-    ):
+    @settings(max_examples=30, **SETTINGS)
+    @given(cell=cells(faults=st.none()))
+    def test_zero_fault_spec_is_bit_identical_to_no_faults(self, cell):
         """Acceptance: an all-zero FaultSpec must not perturb one bit of
         any run — same RunResult, same serialised record."""
-        from repro.core.simulation import SimulationConfig as Config
-
-        trace, source, dest, load, capacity = scenario
-        name, kwargs = proto
-        flows = [Flow(flow_id=0, source=source, destination=dest, num_bundles=load)]
-
-        def run(faults):
-            return Simulation(
-                trace,
-                make_protocol_config(name, **kwargs),
-                flows,
-                config=Config(buffer_capacity=capacity, faults=faults),
-                seed=seed,
-            ).run()
-
-        plain, zeroed = run(None), run(FaultSpec())
+        plain = cell.simulation().run()
+        zeroed = cell.simulation(faults=FaultSpec()).run()
         assert plain == zeroed
         assert plain.to_dict() == zeroed.to_dict()

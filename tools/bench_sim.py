@@ -24,10 +24,9 @@ Usage:
 ``--verify`` turns the run into an equivalence gate: the golden seed
 scenarios (campus trace, seed 7 — the same pins as
 ``tests/core/test_golden_runs.py``) are re-run and every metric must match
-bit-for-bit, each benchmark cell is re-run with the slow reference
-session planner and must produce an identical ``RunResult``, and every
-sweep-kernel row with an event twin in the grid — plus the eligible
-golden cells — must be byte-identical (``repr``) across kernels.
+bit-for-bit, and every sweep-kernel row with an event twin in the grid —
+plus the eligible golden cells — must be byte-identical (``repr``) across
+kernels.
 
 ``--baseline`` compares fresh events/sec against a committed report and
 exits non-zero on regressions beyond ``--max-regression`` (matched rows
@@ -299,7 +298,6 @@ def build_sim(
     master_seed: int,
     *,
     rep: int = 0,
-    planner: str = "incremental",
     kernel: str = "event",
 ) -> Simulation:
     """One sweep cell's simulation, seeded exactly like ``run_single``."""
@@ -319,7 +317,6 @@ def build_sim(
         flows,
         config=replace(SweepConfig().sim, kernel=kernel),
         seed=run_seed,
-        planner=planner,
     )
 
 
@@ -336,7 +333,7 @@ def bench_cell(
     ``events`` counts simulation work, not raw heap traffic:
     ``engine.events_fired`` plus the degenerate encounters the trace-layer
     batching processed without an event round-trip. The sum equals the
-    event count of the unbatched reference schedule exactly, so
+    event count of a one-event-per-contact schedule exactly, so
     ``events_per_s`` stays comparable across baselines that predate the
     batching (the raw split is reported alongside).
     """
@@ -372,7 +369,7 @@ def bench_cell(
 
 #: The seed the GOLDEN pins were measured at. verify_golden always uses
 #: it — the pins are meaningless under any other seed, so ``--seed`` only
-#: affects the benchmark cells and the planner-parity check.
+#: affects the benchmark cells and the kernel-identity check.
 GOLDEN_SEED = 7
 
 
@@ -390,22 +387,6 @@ def verify_golden() -> list[str]:
                     f"{got!r} != pinned {expected[fld]!r}"
                 )
     return failures
-
-
-def verify_planner(
-    trace: ContactTrace, protocol_name: str, load: int, master_seed: int
-) -> list[str]:
-    """Incremental vs reference planner on one cell; return mismatches."""
-    fast = build_sim(trace, protocol_name, load, master_seed).run()
-    slow = build_sim(
-        trace, protocol_name, load, master_seed, planner="reference"
-    ).run()
-    if fast != slow:
-        return [
-            f"planner divergence: {protocol_name} n={trace.num_nodes} "
-            f"load={load}: incremental {fast!r} != reference {slow!r}"
-        ]
-    return []
 
 
 def verify_kernel(
@@ -453,9 +434,8 @@ def main(argv: list[str] | None = None) -> int:
         "--verify",
         action="store_true",
         help="equivalence gate: golden seed-scenario pins must match "
-        "bit-for-bit, the incremental planner must equal the reference "
-        "planner on every benchmark cell, and every sweep-kernel row "
-        "must be byte-identical to its event-engine twin",
+        "bit-for-bit, and every sweep-kernel row must be byte-identical "
+        "to its event-engine twin",
     )
     parser.add_argument(
         "--baseline",
@@ -515,9 +495,7 @@ def main(argv: list[str] | None = None) -> int:
             trace, protocol_name, load, args.seed, args.repeats, kernel=kernel
         )
         rows.append(row)
-        if args.verify and kernel == "event":
-            failures.extend(verify_planner(trace, protocol_name, load, args.seed))
-        elif args.verify and (protocol_name, n, load, "event") in cells:
+        if args.verify and kernel == "soa" and (protocol_name, n, load, "event") in cells:
             failures.extend(verify_kernel(trace, protocol_name, load, args.seed))
         speedup = row["speedup_vs_pre_opt"]
         speedup_txt = f"×{speedup:.2f}" if speedup is not None else "—"
@@ -621,7 +599,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"ERROR: {msg}", file=sys.stderr)
         return 1
     if args.verify:
-        print("equivalence check: golden pins + planner parity + kernel identity ✓")
+        print("equivalence check: golden pins + kernel identity ✓")
     return 0
 
 

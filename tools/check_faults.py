@@ -6,10 +6,9 @@ scenario's real sweep grid:
 
 1. **Zero-cost-when-off** — a scenario whose fault spec is *trivial*
    (all rates and probabilities zero) must produce byte-identical
-   results to (a) the same scenario with no fault spec at all, on the
-   default batched fast path, and (b) the per-event reference schedule
-   (``batch_degenerate=False``). Turning the subsystem on but injecting
-   nothing may not perturb a single byte of any run record.
+   results to the same scenario with no fault spec at all. Turning the
+   subsystem on but injecting nothing may not perturb a single byte of
+   any run record.
 
 2. **Faulted determinism** — the scenario's real (non-trivial) fault
    spec must produce byte-identical results under the serial and the
@@ -23,7 +22,9 @@ scenario's real sweep grid:
 
 Each comparison serialises every :meth:`RunResult.to_dict` to canonical
 JSON and byte-compares, so any drift — a float ulp, a new counter, a
-reordered record — fails loudly.
+reordered record — fails loudly. Faulted and unfaulted cells are checked
+against the per-event reference schedule by the differential ladder
+(``tests/test_ladder.py``).
 
 Usage:
     PYTHONPATH=src python tools/check_faults.py
@@ -62,47 +63,13 @@ def _diff(label: str, ref: list[bytes], got: list[bytes]) -> list[str]:
 
 
 def check_zero_fault(spec, jobs: int) -> list[str]:
-    """Trivial spec ≡ no spec ≡ per-event reference schedule."""
-    from repro.core.sweep import run_single
-    from repro.core.simulation import Simulation, SimulationConfig
-    from repro.core.workload import single_flow
-    from repro.des.rng import derive_seed
+    """Trivial spec ≡ no spec."""
     from repro.faults import FaultSpec
-
-    import numpy as np
 
     plain = dataclasses.replace(spec, faults=None)
     trivial = dataclasses.replace(spec, faults=FaultSpec())
     ref = _encode(plain.run(jobs=jobs).runs)
-    problems = _diff("trivial-vs-none", ref, _encode(trivial.run(jobs=jobs).runs))
-
-    # Reference schedule: re-run every cell unbatched, in grid order.
-    sweep = plain.sweep_config()
-    trace = plain.build_trace()
-    unbatched: list[object] = []
-    for protocol in plain.build_protocols():
-        for load in sweep.loads:
-            for rep in range(sweep.replications):
-                endpoint_rng = np.random.default_rng(
-                    derive_seed(sweep.master_seed, "workload", load, rep)
-                )
-                flows = single_flow(trace.num_nodes, load, endpoint_rng)
-                run_seed = int(
-                    derive_seed(
-                        sweep.master_seed, "run", protocol.protocol_name, load, rep
-                    ).generate_state(1)[0]
-                )
-                sim = Simulation(
-                    trace,
-                    protocol,
-                    flows,
-                    config=sweep.sim,
-                    seed=run_seed,
-                    batch_degenerate=False,
-                )
-                unbatched.append(sim.run())
-    problems += _diff("batched-vs-reference", ref, _encode(unbatched))
-    return problems
+    return _diff("trivial-vs-none", ref, _encode(trivial.run(jobs=jobs).runs))
 
 
 def check_faulted_parallel(spec, jobs: int) -> list[str]:
@@ -171,9 +138,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {line}", file=sys.stderr)
         return 1
     print(
-        "fault equivalence OK: trivial spec byte-identical to the unfaulted "
-        "batched and reference schedules; faulted sweep byte-identical "
-        'serial vs parallel; kernel="soa" refused at spec-load time'
+        "fault equivalence OK: trivial spec byte-identical to no spec; "
+        "faulted sweep byte-identical serial vs parallel; "
+        'kernel="soa" refused at spec-load time'
     )
     return 0
 

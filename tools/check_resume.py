@@ -7,8 +7,9 @@ with ``--resume`` must export **byte-identical** artefacts to an
 uninterrupted run. This harness drives the real CLI in subprocesses:
 
 1. start ``run-scenario --checkpoint CAMP --jobs 2`` on the smoke
-   scenario, poll the journal, and SIGKILL the process once a few cells
-   are durably recorded (no graceful shutdown — a real crash);
+   scenario in its own process group, poll the journal, and SIGKILL the
+   whole group — the CLI and its pool workers — once a few cells are
+   durably recorded (no graceful shutdown — a real crash);
 2. re-run the same command with ``--resume --out``, which restores the
    journaled cells and executes only the missing ones, then check that
    the campaign's ``traces/`` store holds exactly one file per distinct
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -55,11 +57,28 @@ def _journal_records(campaign: Path) -> int:
     return journal.read_bytes().count(b"\n")
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL ``proc``'s process group; return once none of it is left."""
+    deadline = time.monotonic() + 60.0
+    while True:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            return
+        proc.poll()  # reap the leader; init reaps the orphaned pool workers
+        if time.monotonic() > deadline:
+            raise SystemExit(f"process group {proc.pid} survived SIGKILL for 60s")
+        time.sleep(0.05)
+
+
 def _kill_mid_flight(
     scenario: Path, campaign: Path, *, kill_after: int, timeout: float
-) -> bool:
-    """Start a checkpointed campaign and SIGKILL it once the journal holds
-    ``kill_after`` records. Returns True if the kill landed mid-flight."""
+) -> int:
+    """Start a checkpointed campaign in its own process group and SIGKILL
+    the group once the journal holds ``kill_after`` records.
+
+    Returns the group id; on return no process of the group is left.
+    """
     proc = subprocess.Popen(
         _cli(
             "run-scenario",
@@ -72,6 +91,7 @@ def _kill_mid_flight(
         cwd=REPO_ROOT,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
     deadline = time.monotonic() + timeout
     try:
@@ -81,20 +101,17 @@ def _kill_mid_flight(
                     f"note: campaign finished (rc={proc.returncode}) before "
                     f"the kill; resume will restore all cells from the journal"
                 )
-                return False
+                return proc.pid
             if _journal_records(campaign) >= kill_after:
-                proc.send_signal(signal.SIGKILL)
-                proc.wait(timeout=30)
+                _kill_group(proc)
                 print(
                     f"killed campaign with {_journal_records(campaign)} "
                     f"journaled cell(s)"
                 )
-                return True
+                return proc.pid
             time.sleep(0.05)
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=30)
+        _kill_group(proc)
     raise SystemExit(f"campaign did not journal {kill_after} cells in {timeout}s")
 
 
