@@ -116,10 +116,13 @@ class FailurePolicy:
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.backoff < 0:
-            raise ValueError("backoff must be >= 0")
-        if self.cell_timeout is not None and self.cell_timeout <= 0:
-            raise ValueError("cell_timeout must be positive (or None)")
+        # written as not (valid) so NaN fails too
+        if not self.backoff >= 0:
+            raise ValueError(f"backoff must be >= 0, got {self.backoff!r}")
+        if self.cell_timeout is not None and not self.cell_timeout > 0:
+            raise ValueError(
+                f"cell_timeout must be positive (or None), got {self.cell_timeout!r}"
+            )
         if self.on_error not in ON_ERROR_MODES:
             raise ValueError(
                 f"on_error must be one of {', '.join(ON_ERROR_MODES)}, "

@@ -211,11 +211,15 @@ def exchange_control(sim: Simulation, node_a: Node, node_b: Node, now: float) ->
     msg_a = proto_a.control_payload(now)
     msg_b = proto_b.control_payload(now)
     units_a = proto_a.control_units(msg_a)
-    if units_a:
-        sim.count_control_units(node_a, proto_a.control_kind, units_a)
     units_b = proto_b.control_units(msg_b)
-    if units_b:
-        sim.count_control_units(node_b, proto_b.control_kind, units_b)
+    if units_a or units_b:
+        signaling = sim.metrics.signaling
+        if units_a:
+            signaling.add(proto_a.control_kind, units_a)
+            node_a.counters.control_units_sent += units_a
+        if units_b:
+            signaling.add(proto_b.control_kind, units_b)
+            node_b.counters.control_units_sent += units_b
     if elide:
         # Elided swap: accounting only (see docstring).
         return

@@ -168,8 +168,11 @@ class ECTTLConfig:
     def __post_init__(self) -> None:
         if self.ec_threshold < 0:
             raise ValueError("ec_threshold must be >= 0")
-        if self.ttl_base <= 0 or self.ttl_step < 0:
-            raise ValueError("need ttl_base > 0 and ttl_step >= 0")
+        # written as not (valid) so NaN fails too
+        if not self.ttl_base > 0:
+            raise ValueError(f"ttl_base must be positive, got {self.ttl_base!r}")
+        if not self.ttl_step >= 0:
+            raise ValueError(f"ttl_step must be >= 0, got {self.ttl_step!r}")
         if self.min_ec_evict < 0:
             raise ValueError("min_ec_evict must be >= 0")
 

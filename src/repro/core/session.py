@@ -51,7 +51,7 @@ def contact_bookkeeping(sim: Simulation, node_a: Node, node_b: Node, now: float)
     vector each way that every protocol pays regardless of control state.
 
     This is everything a zero-transfer contact does; the simulation's
-    contact-start handlers call it for every contact they process. When the
+    contact handler calls it for every contact it processes. When the
     protocol population is encounter-inert the encounter/knowledge layers
     are deferred wholesale (``sim._defer_history``): the simulation
     replays history in one batched pass at end of run and the knowledge
@@ -88,8 +88,9 @@ class ContactSession:
         The transfer time is the slower of the two radios when
         ``bundle_tx_time`` is per-node (heterogeneous devices); the budget
         is ``floor(duration / tx_time)`` (int() truncation == floor for a
-        non-negative quotient). The simulation's zero-budget gate and the
-        session it then builds both use this one formula.
+        non-negative quotient). The simulation's zero-budget gate reads
+        :func:`~repro.mobility.contact.zero_transfer_mask`, which is
+        bit-identical to ``budget == 0`` under this formula.
         """
         tx_time = sim.link_tx_time(contact.a, contact.b)
         return tx_time, int((contact.end - contact.start) / tx_time)

@@ -1,7 +1,8 @@
 """The simulation driver: one run = one protocol × one trace × one workload.
 
-Wiring: contacts become contact-start events on the DES engine; each spawns
-a :class:`~repro.core.session.ContactSession` which schedules per-bundle
+Wiring: the trace's contact starts stream through the DES engine's run loop
+(:mod:`repro.des.engine`); each contact that can carry a bundle spawns a
+:class:`~repro.core.session.ContactSession` which schedules per-bundle
 transfer completions. TTL expiries are first-class events so occupancy and
 duplication integrals change at the *right* instant even when a node sits
 idle. The run ends when every offered bundle is delivered (success — the
@@ -22,14 +23,11 @@ from repro.core.metrics import MetricsCollector
 from repro.core.node import Node
 from repro.core.planner import IncrementalPlanner
 from repro.core.policies import make_drop_policy
-from repro.core.protocols.antipacket import AntiPacketProtocol
-from repro.core.protocols.base import Protocol
 from repro.core.protocols.registry import ProtocolConfig
 from repro.core.results import RunResult
 from repro.core.session import ContactSession, contact_bookkeeping
 from repro.core.workload import Flow, total_offered
 from repro.des.engine import Engine
-from repro.des.event import PRIORITY_EARLY
 from repro.des.rng import RngHub
 from repro.faults import FaultSpec
 from repro.mobility.contact import ContactTrace, zero_transfer_mask
@@ -106,17 +104,18 @@ class SimulationConfig:
             object.__setattr__(self, "buffer_capacity", caps)
             if any(c < 1 for c in caps):
                 raise ValueError("every buffer_capacity must be >= 1")
-        elif self.buffer_capacity < 1:
-            raise ValueError("buffer_capacity must be >= 1")
+        # the scalar checks are written as not (valid) so NaN fails too
+        elif not self.buffer_capacity >= 1:
+            raise ValueError(f"buffer_capacity must be >= 1, got {self.buffer_capacity!r}")
         if isinstance(self.bundle_tx_time, (list, tuple)):
             times = tuple(float(t) for t in self.bundle_tx_time)
             if not times:
                 raise ValueError("per-node bundle_tx_time must be non-empty")
             object.__setattr__(self, "bundle_tx_time", times)
-            if any(t <= 0 for t in times):
+            if not all(t > 0 for t in times):
                 raise ValueError("every bundle_tx_time must be positive")
-        elif self.bundle_tx_time <= 0:
-            raise ValueError("bundle_tx_time must be positive")
+        elif not self.bundle_tx_time > 0:
+            raise ValueError(f"bundle_tx_time must be positive, got {self.bundle_tx_time!r}")
         from repro.core.policies import drop_policy_names
 
         if self.drop_policy not in drop_policy_names():
@@ -258,12 +257,12 @@ class Simulation:
         #: True while encounter bookkeeping is deferred to the end-of-run
         #: batched flush (encounter-inert protocol populations only)
         self._defer_history = False
-        #: degenerate encounters processed without their own event (chunked
-        #: or flushed); ``engine.events_fired + batched_encounters`` equals
-        #: the event count of a one-event-per-contact schedule exactly
+        #: degenerate encounters processed without their own event (the
+        #: deferred flush); ``engine.events_fired + batched_encounters``
+        #: equals the event count of a one-event-per-contact schedule
         self.batched_encounters = 0
-        self._chunk_horizon = math.inf
-        self._chunk_control_kind = ""
+        #: per-contact "the link carries zero bundles" flags, set by run()
+        self._zero_transfer: list[bool] = []
         hub = RngHub(seed)
         self.nodes: list[Node] = []
         for i in range(trace.num_nodes):
@@ -438,14 +437,16 @@ class Simulation:
             return
         self.remove_copy(node, sb.bid, reason="expired")
 
-    def _begin_contact(self, idx: int) -> None:
-        """Contact start: bookkeeping layers, then the first transfer slot.
+    def _on_contact(self, idx: int) -> None:
+        """One contact start, for every protocol, faulted or not.
 
-        The encounter/knowledge bookkeeping runs for every contact the
-        disruption model lets through; a :class:`ContactSession` — the
-        slot state machine — is built only when the encounter can carry at
-        least one bundle. Under faults the session also carries the pair's
-        crash epochs and its pre-drawn mid-contact severance event.
+        The fault gates come first: a dropped contact or a down endpoint
+        means the radios never met. Then the encounter/knowledge
+        bookkeeping (:func:`contact_bookkeeping`), and a
+        :class:`ContactSession` — the slot state machine — only when the
+        run's zero-transfer mask says the link can carry at least one
+        bundle. Under faults the session also carries the pair's crash
+        epochs and its pre-drawn mid-contact severance event.
         """
         contact = self.trace.contacts[idx]
         faulted = self.faults is not None
@@ -454,9 +455,9 @@ class Simulation:
         now = contact.start
         nodes = self.nodes
         contact_bookkeeping(self, nodes[contact.a], nodes[contact.b], now)
-        tx_time, budget = ContactSession.link_budget(self, contact)
-        if not budget:
+        if self._zero_transfer[idx]:
             return
+        tx_time, budget = ContactSession.link_budget(self, contact)
         session = ContactSession(self, contact, tx_time, budget)
         if faulted:
             session.crash_epoch = (
@@ -472,141 +473,6 @@ class Simulation:
                     self.engine.at(t, session._on_severed)
         session._schedule_next(now)
 
-    def _degenerate_contact(self, idx: int) -> None:
-        # Pre-classified zero-transfer encounter: bookkeeping layers only,
-        # no link-budget recomputation and no session machinery.
-        contact = self.trace.contacts[idx]
-        if self.faults is not None and self._contact_lost(idx, contact):
-            return
-        nodes = self.nodes
-        contact_bookkeeping(self, nodes[contact.a], nodes[contact.b], contact.start)
-
-    def _antipacket_native(self) -> bool:
-        """True when every node runs the unmodified anti-packet substrate.
-
-        The degenerate-chunk fast path inlines the substrate's control
-        hooks, so it is only safe when none of them is overridden —
-        checked by method identity, which any subclass customisation
-        (different payloads, unit costs, or merge semantics) breaks.
-        """
-        if not self.nodes:
-            return False
-        proto_cls = type(self.nodes[0].protocol)
-        return (
-            issubclass(proto_cls, AntiPacketProtocol)
-            and proto_cls.control_payload is AntiPacketProtocol.control_payload
-            and proto_cls.receive_control is AntiPacketProtocol.receive_control
-            and proto_cls.control_units is AntiPacketProtocol.control_units
-            and proto_cls.learn_delivered is AntiPacketProtocol.learn_delivered
-            and proto_cls.on_encounter_started is Protocol.on_encounter_started
-            and all(type(node.protocol) is proto_cls for node in self.nodes)
-        )
-
-    def _degenerate_chunk(self, lo: int, hi: int) -> None:
-        """Process a run of consecutive degenerate contacts in one event.
-
-        Selected by :meth:`run` only for homogeneous populations of the
-        *native* anti-packet substrate (method-identity-checked), whose
-        zero-transfer contact processing is exactly: history, i-list
-        accounting, and an epoch-gated i-list swap. The chunk walks the
-        contacts ``lo..hi`` in trace order, advancing the engine clock to
-        each contact's start so purge-time metric integrals stay exact,
-        and stops at the first contact that would fire *after* the next
-        pending event (or the horizon) — it then re-parks itself at that
-        contact's start with ``PRIORITY_EARLY``, preserving the original
-        contact-before-completion ordering at equal timestamps. Everything
-        in between needs no event round-trip: by construction no other
-        event fires inside the processed span, so the per-contact
-        bookkeeping sequence (and therefore every metric) is bit-identical
-        to one event per contact.
-        """
-        contacts = self.trace.contacts
-        engine = self.engine
-        nodes = self.nodes
-        memo = self.pair_knowledge
-        signaling = self.metrics.signaling
-        kind = self._chunk_control_kind
-        # The bound is loop-invariant: chunk processing never schedules new
-        # events, and the native substrate arms no expiries so its purges
-        # never cancel one — the pending-event horizon cannot move.
-        bound = engine.next_event_time()
-        if bound > self._chunk_horizon:
-            bound = self._chunk_horizon
-        kind_units = 0
-        processed = 0
-        i = lo
-        while i <= hi:
-            contact = contacts[i]
-            start = contact.start
-            if start > bound:
-                engine.at(
-                    start, self._degenerate_chunk, i, hi, priority=PRIORITY_EARLY
-                )
-                break
-            engine.advance_clock(start)
-            node_a = nodes[contact.a]
-            node_b = nodes[contact.b]
-            # encounter layer, note_encounter inlined (EncounterHistory
-            # semantics: bursts within the rendezvous gap keep measuring
-            # from the burst start)
-            history = node_a.history
-            history.encounter_count += 1
-            last = history.last_encounter_time
-            if last is None:
-                history.last_encounter_time = start
-            else:
-                gap = start - last
-                if gap > history.min_rendezvous_gap:
-                    history.last_interval = gap
-                    history.last_encounter_time = start
-            history = node_b.history
-            history.encounter_count += 1
-            last = history.last_encounter_time
-            if last is None:
-                history.last_encounter_time = start
-            else:
-                gap = start - last
-                if gap > history.min_rendezvous_gap:
-                    history.last_interval = gap
-                    history.last_encounter_time = start
-            store_a = node_a.protocol.knowledge
-            store_b = node_b.protocol.knowledge
-            known_a = store_a._known
-            known_b = store_b._known
-            # pre-exchange unit charges (the full i-list travels each way)
-            units_a = len(known_a)
-            if units_a:
-                kind_units += units_a
-                node_a.counters.control_units_sent += units_a
-            units_b = len(known_b)
-            if units_b:
-                kind_units += units_b
-                node_b.counters.control_units_sent += units_b
-            # epoch-gated swap; passing the live sets is equivalent to the
-            # pre-exchange snapshots: the first merge only adds ids the
-            # second direction's receiver already holds. The subset probe
-            # (merge's no-op fast path) is inlined so the steady state —
-            # both sides already converged — costs no Python call.
-            epochs = (store_a.epoch, store_b.epoch)
-            pair = (contact.a, contact.b)
-            if memo.get(pair) != epochs:
-                if units_a and not (units_a <= units_b and known_a <= known_b):
-                    node_b.protocol.learn_delivered(known_a, start)
-                if units_b and not (len(known_a) >= units_b and known_b <= known_a):
-                    node_a.protocol.learn_delivered(known_b, start)
-                memo[pair] = (store_a.epoch, store_b.epoch)
-            node_a.counters.control_units_sent += 1
-            node_b.counters.control_units_sent += 1
-            processed += 1
-            i += 1
-        if kind_units:
-            signaling.add(kind, kind_units)
-        signaling.summary_vector += 2 * processed
-        # every invocation is itself one fired event standing in for one
-        # contact; the rest were spared an event round-trip
-        if processed > 1:
-            self.batched_encounters += processed - 1
-
     def _flush_deferred_bookkeeping(self, zero_mask, end_time: float, arrays) -> None:
         """Batched bookkeeping for an encounter-inert protocol population.
 
@@ -619,8 +485,8 @@ class Simulation:
         degenerate contacts that were never scheduled. Contacts past
         ``end_time`` are excluded exactly as the event loop would have
         left them unfired: an early-delivery halt happens in a
-        transfer-completion event, which by bulk-load seq ordering fires
-        *after* every contact event of the same timestamp.
+        transfer-completion event, which by the engine's stream rule fires
+        *after* every contact of the same timestamp.
         """
         starts, _ends, a_ids, b_ids = arrays
         fired = int(np.searchsorted(starts, end_time, side="right"))
@@ -753,8 +619,8 @@ class Simulation:
         Per node, the sampled exponential up/down process and the explicit
         ``downtime_schedule`` entries are merged into a union of down
         intervals, then scheduled as first-class events. Scheduling happens
-        *before* the contact bulk-load, so at equal timestamps a crash
-        fires before the contact it should kill — deterministically.
+        *before* the run, so by the engine's stream rule a crash fires
+        before a contact at the same timestamp — deterministically.
         """
         spec = self.faults
         intervals: dict[int, list[list[float]]] = {}
@@ -919,77 +785,38 @@ class Simulation:
                 self._inject_flow(flow)
             else:
                 self.engine.at(flow.created_at, self._inject_flow, flow)
-        # The trace is time-sorted (ContactTrace sorts on construction), so
-        # the whole contact schedule bulk-loads in O(n) — no per-contact
-        # heap push before t=0. Sessions are constructed when their contact
-        # actually begins: a run that delivers early never pays for the
-        # contacts behind the stop point. Degenerate encounters — contacts
-        # whose duration admits zero transfers, the majority in dense
-        # traces — are pre-classified in one vectorized pass at the trace
-        # layer: they get a slimmer bookkeeping-only event (no link-budget
-        # recomputation, no session gate), an encounter-inert population
-        # skips their events entirely in favour of one batched flush after
-        # the run, and the native anti-packet substrate processes runs of
-        # them in chunk events.
-        contacts = self.trace.contacts
-        # one columnar materialization per run, shared by the degenerate
-        # pre-classification, the link-fault draw, and the deferred flush
+        # One columnar materialization per run, shared by the zero-transfer
+        # classification, the link-fault draw, the contact stream and the
+        # deferred flush. Degenerate encounters — contacts whose duration
+        # admits zero transfers, the majority in dense traces — are
+        # classified in one vectorized pass: the contact handler skips the
+        # session machinery for them.
         arrays = self.trace.contact_arrays()
         zero_mask = zero_transfer_mask(self.trace, self.config.bundle_tx_time, arrays=arrays)
-        zero_list = zero_mask.tolist()
-        begin = self._begin_contact
-        unfaulted = self.faults is None
-        if not unfaulted:
-            # Disruption model: crash/recover events first (so a crash at a
-            # contact's start time fires before the contact), then pre-drawn
-            # link faults. The contact handlers apply the drop and downtime
-            # gates, so every contact keeps its own event: deferred history
-            # and chunk bookkeeping cannot see downtime.
+        self._zero_transfer = zero_mask.tolist()
+        if self.faults is not None:
+            # Crash/recover events are pushed before the run, so a crash at
+            # a contact's start fires before the contact (the stream rule
+            # in repro.des.engine); link faults are pre-drawn per contact.
             self._schedule_faults(horizon)
             self._draw_link_faults(arrays)
-        if unfaulted and all(node.protocol.encounter_inert for node in self.nodes):
+        elif all(node.protocol.encounter_inert for node in self.nodes):
+            # Encounter-inert population: history and the degenerate
+            # contacts' accounting settle in one batched flush after the
+            # run, so only the contacts that can carry a bundle stream in.
+            # The flush cannot see downtime, hence unfaulted runs only.
             self._defer_history = True
-            self.engine.schedule_sorted(
-                (contact.start, begin, (i,))
-                for i, (contact, degenerate) in enumerate(
-                    zip(contacts, zero_list, strict=True)
-                )
-                if not degenerate
-            )
-        elif unfaulted and self._antipacket_native():
-            # Native anti-packet substrate: maximal runs of consecutive
-            # degenerate contacts become one chunk event each, processed
-            # in-order between the surrounding events (the chunk re-parks
-            # itself whenever another event intervenes). Scheduling the
-            # chunk at the run's head position keeps the bulk-load seq
-            # ordering — and with it every equal-timestamp tie-break —
-            # identical to the one-event-per-contact schedule.
-            self._chunk_horizon = horizon
-            self._chunk_control_kind = self.nodes[0].protocol.control_kind
-            chunk = self._degenerate_chunk
-            items: list[tuple[float, object, tuple]] = []
-            i = 0
-            total = len(contacts)
-            while i < total:
-                if zero_list[i]:
-                    j = i
-                    while j + 1 < total and zero_list[j + 1]:
-                        j += 1
-                    items.append((contacts[i].start, chunk, (i, j)))
-                    i = j + 1
-                else:
-                    items.append((contacts[i].start, begin, (i,)))
-                    i += 1
-            self.engine.schedule_sorted(items)
-        else:
-            degen = self._degenerate_contact
-            self.engine.schedule_sorted(
-                (contact.start, degen if degenerate else begin, (i,))
-                for i, (contact, degenerate) in enumerate(
-                    zip(contacts, zero_list, strict=True)
-                )
-            )
-        self.engine.run(until=horizon)
+        # The trace is time-sorted (ContactTrace sorts on construction), so
+        # its contact starts stream through the engine without a heap push
+        # each; sessions are built when their contact begins, so a run that
+        # delivers early never pays for the contacts behind the stop point.
+        starts = arrays[0]
+        ids = None
+        if self._defer_history:
+            live = np.flatnonzero(~zero_mask)
+            starts = starts[live]
+            ids = live.tolist()
+        self.engine.run(horizon, starts.tolist(), self._on_contact, ids)
         if self._defer_history:
             self._flush_deferred_bookkeeping(zero_mask, self.engine.now, arrays)
         return self._build_result()

@@ -13,19 +13,21 @@ rows (vectorized classification of long futile spans, one row test per
 per-contact signaling in one counter update, per-node control units in
 one ``bincount`` — while the rare *possible* contacts run the exact
 per-slot exchange machinery (same predicates, same RNG draws, same
-service-layer calls) against a tiny binary calendar that carries only
-dynamic events: transfer completions, TTL expiries, deferred flow
-injections. Because every copy-state change happens inside a calendar
-event, the masks are constant across each contact span between events —
-no invalidation machinery, no rescans.
+service-layer calls) against the simulation's own event calendar
+(:class:`~repro.des.engine.Engine`), whose heap then carries only dynamic
+events: transfer completions, TTL expiries, deferred flow injections.
+Because every copy-state change happens inside a calendar event, the
+masks are constant across each contact span between events — no
+invalidation machinery, no rescans.
 
 Exactness contract: a kernel run produces a byte-identical
-:class:`~repro.core.results.RunResult` to the event engine. The calendar
-mirrors the engine's ``(time, seq)`` tie-break order exactly — the live
-contacts occupy the contiguous seq range the engine's bulk-load would
-have assigned them, so every equal-timestamp ordering the event schedule
-guarantees (origin expiry before contact, contact before completion) is
-preserved — and the span skip test is *conservative*: a skipped contact
+:class:`~repro.core.results.RunResult` to the event engine. The sweep
+loop merges the live contacts with the calendar by the engine's stream
+rule (stated in :mod:`repro.des.engine`): the live contacts take the
+contiguous seq block the engine's run would have reserved for them, so
+every equal-timestamp ordering the event tier guarantees (origin expiry
+before contact, contact before completion) is preserved — and the span
+skip test is *conservative*: a skipped contact
 is one whose session would provably plan nothing, mutate nothing, and
 draw no randomness (every candidate exits the planner's predicate chain
 at the expiry or receiver-has-copy check, both of which precede the P-Q
@@ -56,7 +58,7 @@ from repro.core.protocols.base import Protocol
 from repro.mobility.contact import zero_transfer_mask
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from collections.abc import Callable, Container
+    from collections.abc import Container
 
     from numpy.typing import NDArray
 
@@ -107,42 +109,6 @@ def kernel_unsupported_reason(sim: Simulation) -> str | None:
     return None
 
 
-class _Calendar:
-    """The engine facade simulation services see during a kernel run.
-
-    Exposes exactly the :class:`~repro.des.engine.Engine` surface the
-    service layer touches mid-run — ``now``, ``at``/``cancel`` (TTL
-    expiries, deferred flow injections), ``halt`` (early delivery) — over
-    a plain binary heap of ``[time, seq, action, args, alive]`` lists.
-    ``seq`` continues the exact counter the event queue would have used
-    (pre-run pushes, then one seq per live contact, then dynamic events),
-    so every equal-time tie-break matches the event engine bit-for-bit.
-    """
-
-    __slots__ = ("now", "heap", "seq", "events_fired", "halted")
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self.heap: list[list[Any]] = []
-        self.seq = 0
-        self.events_fired = 0
-        self.halted = False
-
-    def at(self, time: float, action: Callable[..., Any], *args: Any) -> list[Any]:
-        entry: list[Any] = [time, self.seq, action, args, True]
-        self.seq += 1
-        heapq.heappush(self.heap, entry)
-        return entry
-
-    def cancel(self, entry: list[Any]) -> bool:
-        alive = bool(entry[4])
-        entry[4] = False
-        return alive
-
-    def halt(self) -> None:
-        self.halted = True
-
-
 class _Session:
     """One live contact's exchange state (the SoA ContactSession twin)."""
 
@@ -165,7 +131,7 @@ class SweepKernel:
 
     def __init__(self, sim: Simulation) -> None:
         self.sim = sim
-        self.cal = _Calendar()
+        self._engine = sim.engine
         nodes = sim.nodes
         self._nodes = nodes
         self._n = len(nodes)
@@ -452,16 +418,19 @@ class SweepKernel:
                 return
             sender, receiver = node_b, node_a
         rec.t_cursor = slot_end
-        # _Calendar.at, inlined (hot: once per planned transfer)
-        cal = self.cal
-        entry: list[Any] = [slot_end, cal.seq, self._complete, (rec, sender, receiver, sb), True]
-        cal.seq += 1
-        heapq.heappush(cal.heap, entry)
+        # Engine.at, inlined (hot: once per planned transfer; slot_end is
+        # always ahead of the clock)
+        engine = self._engine
+        entry: list[Any] = [
+            slot_end, engine.seq, self._complete, (rec, sender, receiver, sb), True
+        ]
+        engine.seq += 1
+        heapq.heappush(engine.heap, entry)
 
     def _complete(self, rec: _Session, sender: Node, receiver: Node, sb: StoredBundle) -> None:
         sim = self.sim
         metrics = sim.metrics
-        now = self.cal.now
+        now = self._engine.now
         rec.budget -= 1
         bid = sb.bundle.bid
         rid = receiver.id
@@ -609,29 +578,26 @@ class SweepKernel:
     def run(self, horizon: float) -> RunResult:
         """Execute the swept run and build its result.
 
-        Swaps the calendar in as ``sim.engine`` for the duration (every
-        service-layer ``engine.at``/``cancel``/``halt``/``now`` lands on
-        it), then restores the real engine, credits it the executed event
-        count, advances its clock to the end time, and runs the standard
-        deferred-bookkeeping flush — so result construction is the exact
-        code path of an event run.
+        Every service-layer ``engine.at``/``cancel``/``halt``/``now``
+        lands on the simulation's engine, which the sweep loop drives
+        directly. Afterwards the skipped contacts count as fired events,
+        the clock moves to the end time, and the standard
+        deferred-bookkeeping flush runs — so result construction is the
+        exact code path of an event run.
         """
         sim = self.sim
-        cal = self.cal
+        engine = self._engine
         arrays = sim.trace.contact_arrays()
         zero_mask = zero_transfer_mask(sim.trace, sim.config.bundle_tx_time, arrays=arrays)
-        real_engine = sim.engine
-        sim.engine = cal  # type: ignore[assignment]
         sim._state_observer = self
         sim._defer_history = True
         try:
             halted = self._drive(horizon, arrays, zero_mask)
         finally:
-            sim.engine = real_engine
             sim._state_observer = None
-        end_time = cal.now if halted else horizon
-        real_engine.credit_events(cal.events_fired + self._skipped)
-        real_engine.advance_clock(end_time)
+        end_time = engine.now if halted else horizon
+        engine.events_fired += self._skipped
+        engine.now = end_time
         if self._skipped:
             sim.metrics.on_batched_contacts(self._skipped)
         for node, units in zip(self._nodes, self._ctrl_np.tolist(), strict=True):
@@ -650,16 +616,16 @@ class SweepKernel:
     ) -> bool:
         """The sweep loop; returns True when the run halted early."""
         sim = self.sim
-        cal = self.cal
+        engine = self._engine
         nodes = self._nodes
-        # flow injection, in the engine's pre-load order: t=0 flows run now
-        # (their expiry pushes take the first seqs), later flows park on
-        # the calendar — seq assignment matches the event queue's exactly
+        # flow injection, in the event tier's pre-run order: t=0 flows run
+        # now (their expiry pushes take the first seqs), later flows park
+        # on the calendar — seq assignment matches the event tier's exactly
         for flow in sim.flows:
             if flow.created_at == 0.0:
                 sim._inject_flow(flow)
             else:
-                cal.at(flow.created_at, sim._inject_flow, flow)
+                engine.at(flow.created_at, sim._inject_flow, flow)
         starts, ends, a_ids, b_ids = arrays
         live = np.flatnonzero(~zero_mask)
         live_starts = starts[live]
@@ -669,8 +635,10 @@ class SweepKernel:
         ends_l: list[float] = ends[live].tolist()
         a_l: list[int] = self._live_a.tolist()
         b_l: list[int] = self._live_b.tolist()
-        contact_base = cal.seq
-        cal.seq = contact_base + len(starts_l)
+        # the live contacts' seq block, reserved as Engine.run reserves a
+        # stream's: the tie-break below is the engine's stream rule
+        contact_base = engine.seq
+        engine.seq = contact_base + len(starts_l)
         n_fire = int(np.searchsorted(live_starts, horizon, side="right"))
         signaling = sim.metrics.signaling
         link_tx_time = sim.link_tx_time
@@ -678,7 +646,7 @@ class SweepKernel:
         schedule_next = self._schedule_next
         snd = self._snd_bits
         hasb = self._has_bits
-        heap = cal.heap
+        heap = engine.heap
         heappop = heapq.heappop
         inf = math.inf
         ci = 0
@@ -690,6 +658,7 @@ class SweepKernel:
         while True:
             while heap and not heap[0][4]:
                 heappop(heap)
+                engine.dead -= 1
             if heap:
                 head = heap[0]
                 h_time = head[0]
@@ -704,14 +673,15 @@ class SweepKernel:
             probe = _PROBE
             while ci < n_fire:
                 t = starts_l[ci]
+                # the engine's stream rule: contact ci is seq contact_base + ci
                 if t > h_time or (t == h_time and contact_base + ci >= h_seq):
                     break
                 a = a_l[ci]
                 b = b_l[ci]
                 if (snd[a] & ~hasb[b]) or (snd[b] & ~hasb[a]):
                     # possible: run the exchange machinery for contact ci
-                    cal.now = t
-                    cal.events_fired += 1
+                    engine.now = t
+                    engine.events_fired += 1
                     node_a = nodes[a]
                     node_b = nodes[b]
                     signaling.summary_vector += 2
@@ -755,9 +725,10 @@ class SweepKernel:
                 self._settle_futile(ci, fired_idx)
                 return False
             entry = heappop(heap)
-            cal.now = h_time
-            cal.events_fired += 1
+            entry[4] = False
+            engine.now = h_time
+            engine.events_fired += 1
             entry[2](*entry[3])
-            if cal.halted:
+            if engine.halted:
                 self._settle_futile(ci, fired_idx)
                 return True

@@ -3,32 +3,27 @@
 This package provides the minimal, dependency-free machinery every simulation
 in :mod:`repro` is built on:
 
-* :class:`~repro.des.event.Event` — an immutable scheduled occurrence with a
-  stable total order (time, priority, sequence number).
-* :class:`~repro.des.queue.EventQueue` — a binary-heap pending-event set with
-  O(log n) scheduling and lazy cancellation.
-* :class:`~repro.des.engine.Engine` — the event loop: schedule callbacks,
-  advance the clock monotonically, stop on predicate/horizon/exhaustion.
+* :class:`~repro.des.engine.Engine` — the one event calendar: a clock and a
+  binary heap of ``[time, seq, action, args, alive]`` entries with lazy
+  cancellation, whose run loop merges a time-sorted stream (the contact
+  starts) with the heap by the stream rule stated in
+  :mod:`repro.des.engine`. Both DES tiers drive it: the event tier through
+  :meth:`~repro.des.engine.Engine.run`, the SoA sweep kernel through its own
+  loop over the same heap.
 * :mod:`~repro.des.rng` — reproducible, independently-seeded random streams
   derived from a single master seed via ``numpy.random.SeedSequence``.
 
 The engine is deliberately small: the DTN simulation in :mod:`repro.core`
-drives almost everything from contact events, so the substrate only needs
+drives almost everything from contact starts, so the substrate only needs
 correct ordering, cancellation and determinism — all of which are covered by
 property-based tests in ``tests/des``.
 """
 
-from repro.des.engine import Engine, StopCondition
-from repro.des.event import Event, EventHandle
-from repro.des.queue import EventQueue
+from repro.des.engine import Engine
 from repro.des.rng import RngHub, derive_seed, spawn_streams
 
 __all__ = [
     "Engine",
-    "StopCondition",
-    "Event",
-    "EventHandle",
-    "EventQueue",
     "RngHub",
     "derive_seed",
     "spawn_streams",

@@ -1,227 +1,180 @@
-"""The discrete-event simulation engine.
+"""The discrete-event calendar: one clock, one heap, one merge rule.
 
-An :class:`Engine` owns a clock and an :class:`~repro.des.queue.EventQueue`.
-Client code schedules callbacks at absolute times (``at``) or relative
-delays (``after``); :meth:`Engine.run` fires them in order while advancing
-the clock monotonically. Callback arguments are passed positionally
-(``engine.at(t, fn, a, b)``) so hot schedulers never allocate a closure per
-event.
+An :class:`Engine` owns the clock and a binary heap of
+``[time, seq, action, args, alive]`` entries. :meth:`Engine.at` pushes
+``action(*args)`` at an absolute time and returns the entry, which is
+also the cancellation handle; callback arguments travel positionally so
+hot schedulers never allocate a closure per event. Entries fire in
+``(time, seq)`` order — ``seq`` is a monotonic counter, so two entries at
+the same instant fire in the order they were scheduled.
 
-Stop conditions: an explicit time horizon, a client :meth:`Engine.halt`
-from inside an event, or queue exhaustion — whichever comes first. The
-reason the loop ended is reported as a :class:`StopCondition`.
+Cancellation is lazy: :meth:`Engine.cancel` clears the entry's ``alive``
+flag and the run loop skips it when it reaches the top. An entry is also
+marked dead when it fires, so cancelling an entry that already fired —
+including the one firing right now — returns False and counts nothing.
+Dead entries are compacted away whenever they exceed half the heap; the
+heap list is rewritten in place, never rebound, because the run loops
+hold a reference to it across events.
+
+**The stream rule.** :meth:`Engine.run` optionally merges a time-sorted
+*stream* of occurrences (the simulation's contact starts) with the heap,
+without pushing them. Stream item ``k`` takes seq ``base + k``, where
+``base`` is the seq counter when the run starts; the run reserves that
+block, so entries pushed during the run get seqs after every stream item.
+An item fires before the heap's head exactly when
+``(time_k, base + k) < (head_time, head_seq)``. At one instant, then:
+
+* an entry pushed *before* the run (a flow created at t > 0, a crash or
+  recovery, an origin copy's expiry) fires before the stream item;
+* an entry pushed *during* the run (a transfer completion, a link
+  severance, an expiry re-arm) fires after it.
+
+That is the order pushing every item with :meth:`Engine.at`, in stream
+order, just before the run would produce. The SoA sweep kernel
+(:mod:`repro.core.sweepkernel`) drives this same heap with its own loop
+and applies the same rule to its live contacts.
 """
 
 from __future__ import annotations
 
-import enum
 import heapq
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Sequence
 from typing import Any
 
-from repro.des.event import EventHandle, PRIORITY_NORMAL
-from repro.des.queue import EventQueue
-
-
-class StopCondition(enum.Enum):
-    """Why :meth:`Engine.run` returned."""
-
-    EXHAUSTED = "exhausted"  #: no more events
-    HORIZON = "horizon"  #: next event lies beyond the time horizon
-    HALTED = "halted"  #: client called :meth:`Engine.halt`
+#: A calendar entry: ``[time, seq, action, args, alive]``.
+Entry = list[Any]
 
 
 class Engine:
-    """Sequential discrete-event engine with a monotonic clock."""
+    """Sequential discrete-event engine with a monotonic clock.
 
-    __slots__ = ("_now", "_queue", "_halted", "_events_fired")
+    Attributes:
+        now: Current simulation time.
+        events_fired: Heap entries and stream items executed so far.
+        halted: True once :meth:`halt` stopped the current (or last) run.
+        heap: The pending entries, a binary heap ordered by ``(time, seq)``.
+        seq: The seq the next pushed entry receives.
+        dead: Cancelled entries still sitting in :attr:`heap`.
+    """
 
-    def __init__(self, *, start_time: float = 0.0) -> None:
-        if not math.isfinite(start_time) or start_time < 0:
-            raise ValueError("start_time must be finite and >= 0")
-        self._now = start_time
-        self._queue = EventQueue()
-        self._halted = False
-        self._events_fired = 0
+    __slots__ = ("now", "events_fired", "halted", "heap", "seq", "dead")
 
-    # ------------------------------------------------------------------ clock
+    #: Compact the heap when dead entries exceed this fraction of it ...
+    _COMPACT_RATIO = 0.5
+    #: ... but never bother compacting tiny heaps.
+    _COMPACT_MIN = 64
 
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.events_fired = 0
+        self.halted = False
+        self.heap: list[Entry] = []
+        self.seq = 0
+        self.dead = 0
 
-    @property
-    def events_fired(self) -> int:
-        """Total number of events executed so far."""
-        return self._events_fired
-
-    @property
-    def pending(self) -> int:
-        """Number of live scheduled events."""
-        return len(self._queue)
-
-    def next_event_time(self) -> float:
-        """Earliest pending live event time, or +inf when idle."""
-        t = self._queue.peek_time()
-        return math.inf if t is None else t
-
-    def credit_events(self, count: int) -> None:
-        """Add externally-executed events to the fired-event counter.
-
-        For clients that execute work equivalent to scheduled events
-        outside the engine loop (the simulation's SoA sweep kernel):
-        :attr:`events_fired` keeps meaning "events of the reference
-        schedule executed", so throughput accounting stays comparable
-        across execution modes.
+    def at(self, time: float, action: Callable[..., object], *args: Any) -> Entry:
+        """Schedule ``action(*args)`` at absolute ``time``; return its entry.
 
         Raises:
-            ValueError: if ``count`` is negative.
+            ValueError: if ``time`` is NaN or before :attr:`now`.
         """
-        if count < 0:
-            raise ValueError(f"cannot credit a negative event count: {count}")
-        self._events_fired += count
-
-    def advance_clock(self, time: float) -> None:
-        """Advance the clock without firing an event.
-
-        For clients that process batched work *between* events (the
-        simulation's degenerate-encounter chunks): time-weighted metric
-        integrals must see the clock at each virtual occurrence time.
-        Callers must not advance past :meth:`next_event_time` — the next
-        fired event would otherwise appear to go back in time.
-
-        Raises:
-            ValueError: if ``time`` precedes the current clock.
-        """
-        if time < self._now:
+        if not (time >= self.now):  # also rejects NaN
             raise ValueError(
-                f"cannot advance clock to t={time} before current time t={self._now}"
+                f"event time must be a number >= the current time "
+                f"t={self.now}, got {time!r}"
             )
-        self._now = time
+        entry: Entry = [time, self.seq, action, args, True]
+        self.seq += 1
+        heapq.heappush(self.heap, entry)
+        return entry
 
-    # -------------------------------------------------------------- scheduling
-
-    def at(
-        self,
-        time: float,
-        action: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_NORMAL,
-        tag: str | Callable[[], str] = "",
-    ) -> EventHandle:
-        """Schedule ``action(*args)`` at absolute ``time``.
-
-        Raises:
-            ValueError: if ``time`` is in the past (strictly before ``now``).
-        """
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule at t={time} before current time t={self._now}"
-            )
-        return self._queue.push(time, action, *args, priority=priority, tag=tag)
-
-    def after(
-        self,
-        delay: float,
-        action: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_NORMAL,
-        tag: str | Callable[[], str] = "",
-    ) -> EventHandle:
-        """Schedule ``action(*args)`` ``delay`` time units from now (>= 0)."""
-        if delay < 0:
-            raise ValueError(f"delay must be >= 0, got {delay}")
-        return self._queue.push(
-            self._now + delay, action, *args, priority=priority, tag=tag
-        )
-
-    def schedule_sorted(
-        self, items: Iterable[tuple[float, Callable[..., Any], tuple[Any, ...]]]
-    ) -> int:
-        """Bulk-load time-ordered ``(time, action, args)`` triples (see queue docs).
-
-        The simulation driver uses this to load a whole contact trace — a
-        list already sorted by start time — in O(n) instead of n heap pushes.
-
-        Raises:
-            ValueError: if the first time lies in the past.
-        """
-        it = iter(items)
-        try:
-            first = next(it)
-        except StopIteration:
-            return 0
-        if first[0] < self._now:
-            raise ValueError(
-                f"cannot schedule at t={first[0]} before current time t={self._now}"
-            )
-
-        def _chained() -> Iterator[tuple[float, Callable[..., Any], tuple[Any, ...]]]:
-            yield first
-            yield from it
-
-        return self._queue.schedule_sorted(_chained())
-
-    def cancel(self, handle: EventHandle) -> bool:
-        """Cancel a pending event. Returns True if it was still pending."""
-        if handle.cancel():
-            self._queue.notify_cancelled()
-            return True
-        return False
+    def cancel(self, entry: Entry) -> bool:
+        """Cancel a pending entry. Returns False if it fired or was cancelled."""
+        if not entry[4]:
+            return False
+        entry[4] = False
+        self.dead += 1
+        heap = self.heap
+        size = len(heap)
+        if size >= self._COMPACT_MIN and self.dead > size * self._COMPACT_RATIO:
+            live = [e for e in heap if e[4]]
+            heapq.heapify(live)
+            heap[:] = live
+            self.dead = 0
+        return True
 
     def halt(self) -> None:
-        """Request the run loop to stop after the current event."""
-        self._halted = True
+        """Stop the run loop after the current event."""
+        self.halted = True
 
-    # -------------------------------------------------------------- run loop
+    def run(
+        self,
+        until: float = math.inf,
+        times: Sequence[float] = (),
+        action: Callable[[Any], object] | None = None,
+        args: Sequence[Any] | None = None,
+    ) -> None:
+        """Fire heap entries, merged with an optional stream, in order.
 
-    def run(self, *, until: float = math.inf) -> StopCondition:
-        """Fire events in order until a stop condition triggers.
+        The stream is ``times`` (sorted ascending) with one ``action``:
+        item ``k`` fires ``action(args[k])``, or ``action(k)`` when
+        ``args`` is None, at ``times[k]`` — ordered against the heap by
+        the stream rule in the module docstring. Each stream item counts
+        as one fired event.
 
         Args:
-            until: Inclusive time horizon; events scheduled strictly after it
-                remain pending and the clock is advanced to ``until`` (when
-                finite) so a subsequent ``run`` resumes correctly.
+            until: Inclusive time horizon. Entries and items after it do
+                not fire; the clock ends at ``until`` when it is finite,
+                or at the halting event's time after :meth:`halt`.
 
-        Returns:
-            The :class:`StopCondition` that ended the loop.
+        Raises:
+            ValueError: if the stream's times are NaN or go backwards.
         """
-        self._halted = False
-        # Fused peek+pop over the queue's heap: one dead-entry skim and one
-        # heap access per fired event, no per-event method-call pairs. The
-        # entry layout (time, priority, seq, handle) is the queue's
-        # documented internal representation.
-        queue = self._queue
-        heap = queue._heap
+        self.halted = False
+        heap = self.heap
         heappop = heapq.heappop
+        n = len(times)
+        if args is None:
+            args = range(n)
+        base = self.seq
+        self.seq = base + n
+        k = 0
+        t = times[0] if n else math.inf
         while True:
-            if self._halted:
-                return StopCondition.HALTED
-            while heap and heap[0][3].cancelled:  # skim, inlined
-                heappop(heap)
-                if queue._dead:
-                    queue._dead -= 1
-            if not heap or heap[0][0] > until:
-                if math.isfinite(until) and until > self._now:
-                    self._now = until
-                return StopCondition.EXHAUSTED if not heap else StopCondition.HORIZON
-            handle = heappop(heap)[3]
-            handle.fired = True
-            ev = handle.event
-            self._now = ev.time
-            self._events_fired += 1
-            # action is Optional only so Event() can construct empty; every
-            # queue-created event carries one
-            ev.action(*ev.args)  # type: ignore[misc]
-
-    def step(self) -> bool:
-        """Fire exactly one event. Returns False if the queue was empty."""
-        ev = self._queue.pop()
-        if ev is None:
-            return False
-        self._now = ev.time
-        self._events_fired += 1
-        ev.action(*ev.args)  # type: ignore[misc]
-        return True
+            if heap:
+                head = heap[0]
+                if not head[4]:
+                    heappop(heap)
+                    self.dead -= 1
+                    continue
+                h_time = head[0]
+                if k == n or h_time < t or (h_time == t and head[1] < base + k):
+                    if h_time > until:
+                        break
+                    heappop(heap)
+                    head[4] = False
+                    self.now = h_time
+                    self.events_fired += 1
+                    head[2](*head[3])
+                    if self.halted:
+                        return
+                    continue
+            elif k == n:
+                break
+            if t > until:
+                break
+            if not (t >= self.now):
+                raise ValueError(
+                    f"stream item {k} at t={t!r} is out of order (clock t={self.now})"
+                )
+            self.now = t
+            self.events_fired += 1
+            action(args[k])  # type: ignore[misc]
+            k += 1
+            if k < n:
+                t = times[k]
+            if self.halted:
+                return
+        if until > self.now and until != math.inf:
+            self.now = until

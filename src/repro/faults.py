@@ -38,7 +38,7 @@ def _require_prob(name: str, value: float) -> None:
 
 
 def _require_nonneg(name: str, value: float) -> None:
-    if value < 0.0:
+    if not value >= 0.0:  # also rejects NaN
         raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 

@@ -43,11 +43,12 @@ class PoissonContactConfig:
     def __post_init__(self) -> None:
         if self.num_nodes < 2:
             raise ValueError(f"need at least 2 nodes, got {self.num_nodes}")
-        if self.beta <= 0:
-            raise ValueError(f"meeting rate must be positive, got {self.beta}")
-        if self.horizon <= 0:
+        # written as not (valid) so NaN fails too
+        if not self.beta > 0:
+            raise ValueError(f"beta (meeting rate) must be positive, got {self.beta}")
+        if not self.horizon > 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
 
 

@@ -11,7 +11,7 @@ converge to the true β as the observation window grows.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analytic.epidemic_ode import mean_delivery_delay
@@ -78,12 +78,15 @@ class TestGoldenValues:
 class TestMeetingRateConvergence:
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+    @example(seed=8863)  # the short window lands exactly on β
     def test_estimate_converges_with_trace_length(self, seed):
         """β̂ from a Poisson trace approaches the generating β as the
-        window grows, and the error shrinks (up to sampling noise) —
-        halving is not guaranteed per draw, so assert a generous decay
-        plus a tight bound on the longest window."""
+        window grows: at every window the relative error stays within 5
+        Poisson standard errors, 1 / sqrt(expected meetings), a bound
+        that shrinks with the horizon. (Comparing against the shortest
+        window's error instead fails whenever that one draw is lucky.)"""
         beta, n = 3e-4, 16
+        pairs = n * (n - 1) // 2
         errors = []
         for horizon in (5_000.0, 40_000.0, 320_000.0):
             trace = generate_poisson_trace(
@@ -93,9 +96,10 @@ class TestMeetingRateConvergence:
                 seed=seed,
             )
             est = estimate_meeting_rate(trace)
-            errors.append(abs(est - beta) / beta)
+            error = abs(est - beta) / beta
+            assert error <= 5.0 / math.sqrt(beta * pairs * horizon)
+            errors.append(error)
         assert errors[-1] < 0.05
-        assert errors[-1] <= errors[0] + 0.02
 
     def test_min_capacity_filters_short_contacts(self):
         trace = generate_poisson_trace(

@@ -1,140 +1,125 @@
-"""EventQueue: ordering, stability, cancellation, compaction."""
+"""The calendar's heap: ordering, FIFO ties, cancellation, compaction."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.des.event import PRIORITY_EARLY, PRIORITY_LATE
-from repro.des.queue import EventQueue
+from repro.des.engine import Engine
 
 
 def _noop():
     return None
 
 
+class _Logged(Engine):
+    """An engine carrying the log its test events append to."""
+
+    __slots__ = ("log",)
+
+
+def _logged():
+    eng = _Logged()
+    eng.log = []
+    return eng
+
+
 class TestPushPop:
     def test_pops_in_time_order(self):
-        q = EventQueue()
+        eng = _logged()
         for t in [5.0, 1.0, 3.0]:
-            q.push(t, _noop)
-        assert [q.pop().time for _ in range(3)] == [1.0, 3.0, 5.0]
+            eng.at(t, eng.log.append, t)
+        eng.run()
+        assert eng.log == [1.0, 3.0, 5.0]
 
     def test_same_time_pops_in_insertion_order(self):
-        q = EventQueue()
-        handles = [q.push(2.0, _noop, tag=str(i)) for i in range(5)]
-        tags = [q.pop().tag for _ in range(5)]
-        assert tags == ["0", "1", "2", "3", "4"]
-        assert all(h.fired for h in handles)
-
-    def test_priority_beats_insertion_order(self):
-        q = EventQueue()
-        q.push(1.0, _noop, priority=PRIORITY_LATE, tag="late")
-        q.push(1.0, _noop, priority=PRIORITY_EARLY, tag="early")
-        q.push(1.0, _noop, tag="normal")
-        assert [q.pop().tag for _ in range(3)] == ["early", "normal", "late"]
+        eng = _logged()
+        entries = [eng.at(2.0, eng.log.append, i) for i in range(5)]
+        eng.run()
+        assert eng.log == [0, 1, 2, 3, 4]
+        assert not any(e[4] for e in entries)
 
     def test_pop_empty_returns_none(self):
-        assert EventQueue().pop() is None
-
-    def test_peek_does_not_remove(self):
-        q = EventQueue()
-        q.push(1.0, _noop, tag="x")
-        assert q.peek().tag == "x"
-        assert len(q) == 1
-        assert q.pop().tag == "x"
-
-    def test_peek_empty_returns_none(self):
-        assert EventQueue().peek() is None
-
-    def test_len_and_bool(self):
-        q = EventQueue()
-        assert not q
-        q.push(0.0, _noop)
-        assert q and len(q) == 1
+        eng = Engine()
+        assert eng.run() is None
+        assert eng.events_fired == 0
+        assert eng.now == 0.0  # an infinite horizon leaves the clock alone
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("-inf")])
     def test_rejects_bad_times(self, bad):
-        with pytest.raises(ValueError):
-            EventQueue().push(bad, _noop)
+        with pytest.raises(ValueError, match="event time"):
+            Engine().at(bad, _noop)
 
     def test_seq_monotonic(self):
-        q = EventQueue()
-        s0 = q.next_seq
-        q.push(0.0, _noop)
-        assert q.next_seq == s0 + 1
+        eng = Engine()
+        s0 = eng.seq
+        eng.at(0.0, _noop)
+        assert eng.seq == s0 + 1
 
 
 class TestCancellation:
     def test_cancelled_event_skipped_on_pop(self):
-        q = EventQueue()
-        h = q.push(1.0, _noop, tag="dead")
-        q.push(2.0, _noop, tag="live")
-        h.cancel()
-        q.notify_cancelled()
-        assert q.pop().tag == "live"
+        eng = _logged()
+        dead = eng.at(1.0, eng.log.append, "dead")
+        eng.at(2.0, eng.log.append, "live")
+        eng.cancel(dead)
+        eng.run()
+        assert eng.log == ["live"]
+        assert eng.events_fired == 1
+        assert eng.dead == 0
 
     def test_cancelled_event_skipped_on_peek(self):
-        q = EventQueue()
-        h = q.push(1.0, _noop)
-        q.push(2.0, _noop, tag="live")
-        h.cancel()
-        assert q.peek().tag == "live"
-
-    def test_len_excludes_cancelled(self):
-        q = EventQueue()
-        h = q.push(1.0, _noop)
-        q.push(2.0, _noop)
-        h.cancel()
-        q.notify_cancelled()
-        assert len(q) == 1
-
-    def test_clear_cancels_everything(self):
-        q = EventQueue()
-        handles = [q.push(float(i), _noop) for i in range(4)]
-        q.clear()
-        assert len(q) == 0
-        assert all(h.cancelled for h in handles)
-        assert q.pop() is None
-
-    def test_iter_pending_skips_cancelled(self):
-        q = EventQueue()
-        h = q.push(1.0, _noop, tag="dead")
-        q.push(2.0, _noop, tag="live")
-        h.cancel()
-        assert [e.tag for e in q.iter_pending()] == ["live"]
+        # a cancelled pre-run head at the stream item's instant is skimmed,
+        # not fired, and does not hold the item back
+        eng = _logged()
+        dead = eng.at(1.0, eng.log.append, "dead")
+        eng.cancel(dead)
+        eng.run(times=[1.0], action=eng.log.append, args=["item"])
+        assert eng.log == ["item"]
+        assert eng.dead == 0 and eng.heap == []
 
     def test_compaction_keeps_live_events(self):
-        q = EventQueue()
-        live = [q.push(float(1000 + i), _noop, tag=f"live{i}") for i in range(10)]
-        dead = [q.push(float(i), _noop) for i in range(200)]
-        for h in dead:
-            h.cancel()
-            q.notify_cancelled()
-        # compaction has occurred (heap shrunk); all live events still pop
-        assert len(q) == 10
-        tags = [q.pop().tag for _ in range(10)]
-        assert tags == [f"live{i}" for i in range(10)]
-        assert all(h.fired for h in live)
+        eng = _logged()
+        for i in range(10):
+            eng.at(float(1000 + i), eng.log.append, f"live{i}")
+        dead = [eng.at(float(i), _noop) for i in range(200)]
+        heap = eng.heap
+        for entry in dead:
+            eng.cancel(entry)
+        assert len(eng.heap) < 210  # compaction ran ...
+        assert eng.heap is heap  # ... in place
+        eng.run()
+        assert eng.log == [f"live{i}" for i in range(10)]
+
+    def test_compaction_in_place_during_a_run(self):
+        # an event cancels most of the heap: the run loop, which holds the
+        # heap list across events, sees the compacted entries
+        eng = _logged()
+        doomed = [eng.at(float(10 + i), eng.log.append, "dead") for i in range(100)]
+        for i in range(5):
+            eng.at(float(500 + i), eng.log.append, i)
+
+        def purge():
+            for entry in doomed:
+                eng.cancel(entry)
+            assert len(eng.heap) < 60
+
+        eng.at(1.0, purge)
+        heap = eng.heap
+        eng.run()
+        assert eng.heap is heap
+        assert eng.log == [0, 1, 2, 3, 4]
+        assert eng.events_fired == 6
 
 
 class TestQueueProperties:
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0, max_value=1e6, allow_nan=False),
-                st.integers(min_value=-10, max_value=10),
-            ),
-            max_size=200,
-        )
-    )
-    def test_pops_sorted_by_key(self, items):
-        q = EventQueue()
-        for t, p in items:
-            q.push(t, _noop, priority=p)
-        popped = []
-        while q:
-            popped.append(q.pop().sort_key())
-        assert popped == sorted(popped)
-        assert len(popped) == len(items)
+    @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), max_size=200))
+    def test_pops_sorted_by_key(self, times):
+        eng = _logged()
+        for t in times:
+            # eng.seq is the seq this push receives
+            eng.at(t, eng.log.append, (t, eng.seq))
+        eng.run()
+        assert eng.log == sorted(eng.log)
+        assert len(eng.log) == len(times)
 
     @given(
         st.lists(
@@ -146,166 +131,90 @@ class TestQueueProperties:
         )
     )
     def test_cancellation_subset(self, items):
-        q = EventQueue()
+        eng = _logged()
         expected = []
         for idx, (t, keep) in enumerate(items):
-            h = q.push(t, _noop, tag=str(idx))
+            entry = eng.at(t, eng.log.append, (t, idx))
             if keep:
                 expected.append((t, idx))
             else:
-                h.cancel()
-                q.notify_cancelled()
-        expected.sort()
-        got = []
-        while q:
-            ev = q.pop()
-            got.append((ev.time, int(ev.tag)))
-        assert got == expected
+                eng.cancel(entry)
+        eng.run()
+        assert eng.log == sorted(expected)
 
 
 class TestQueueInvariants:
-    """Lifecycle invariants: clear → push → pop, dead-count consistency."""
-
-    def test_clear_routes_through_handle_cancel(self):
-        q = EventQueue()
-        handles = [q.push(float(i), _noop) for i in range(5)]
-        fired = q.pop()
-        assert fired is not None and handles[0].fired
-        q.clear()
-        # fired handles stay fired (cancel() is a no-op on them) …
-        assert handles[0].fired and not handles[0].cancelled
-        # … pending ones are cancelled through the one cancellation path
-        assert all(h.cancelled and not h.fired for h in handles[1:])
-
-    def test_clear_then_push_then_pop(self):
-        q = EventQueue()
-        for i in range(10):
-            q.push(float(i), _noop)
-        q.clear()
-        assert len(q) == 0 and not q
-        h = q.push(3.0, _noop, tag="fresh")
-        assert len(q) == 1
-        ev = q.pop()
-        assert ev.tag == "fresh" and h.fired
-        assert q.pop() is None and len(q) == 0
-
-    def test_seq_monotonic_across_clear(self):
-        q = EventQueue()
-        q.push(0.0, _noop)
-        before = q.next_seq
-        q.clear()
-        q.push(0.0, _noop)
-        assert q.next_seq == before + 1
+    """Dead-count consistency across cancellation and compaction."""
 
     def test_dead_count_consistent_after_compaction(self):
-        q = EventQueue()
-        live = [q.push(float(2_000 + i), _noop) for i in range(8)]
-        dead = [q.push(float(i), _noop) for i in range(300)]
-        for h in dead:
-            if h.cancel():
-                q.notify_cancelled()
+        eng = Engine()
+        live = [eng.at(float(2_000 + i), _noop) for i in range(8)]
+        dead = [eng.at(float(i), _noop) for i in range(300)]
+        for entry in dead:
+            eng.cancel(entry)
         # compaction ran at least once (the heap shrank well below the 308
         # entries pushed); whatever dead weight re-accumulated afterwards,
         # the dead count must exactly match the dead entries in the heap
-        assert len(q._heap) < 100
-        actually_dead = sum(1 for e in q._heap if not e[3].alive)
-        assert q._dead == actually_dead
-        assert len(q) == 8
-        q.clear()
-        assert q._dead == 0 and len(q) == 0 and len(q._heap) == 0
-        assert all(h.cancelled for h in live)
+        assert len(eng.heap) < 100
+        assert eng.dead == sum(1 for e in eng.heap if not e[4])
+        assert sum(1 for e in eng.heap if e[4]) == 8
+        eng.run()
+        assert eng.dead == 0 and eng.heap == []
+        assert eng.events_fired == 8
+        assert not any(e[4] for e in live)
 
     def test_double_cancel_does_not_corrupt_dead_count(self):
-        q = EventQueue()
-        h = q.push(1.0, _noop)
-        q.push(2.0, _noop)
-        assert h.cancel() is True
-        q.notify_cancelled()
-        assert h.cancel() is False  # second cancel is refused by the handle
-        assert len(q) == 1
-        assert q.pop().time == 2.0
+        eng = _logged()
+        entry = eng.at(1.0, _noop)
+        eng.at(2.0, eng.log.append, 2.0)
+        assert eng.cancel(entry) is True
+        assert eng.cancel(entry) is False  # second cancel is refused
+        assert eng.dead == 1
+        eng.run()
+        assert eng.log == [2.0]
+        assert eng.dead == 0
 
 
 class TestScheduleSorted:
+    """The stream: a sorted run of occurrences merged without heap pushes."""
+
     def test_bulk_load_empty_queue_pops_in_order(self):
-        q = EventQueue()
-        n = q.schedule_sorted((float(i), _noop, ()) for i in range(50))
-        assert n == 50 and len(q) == 50
-        times = [q.pop().time for _ in range(50)]
-        assert times == [float(i) for i in range(50)]
+        eng = _logged()
+        times = [float(i) for i in range(50)]
+        eng.run(times=times, action=eng.log.append)
+        assert eng.log == list(range(50))
+        assert eng.events_fired == 50
+        assert eng.heap == []
 
     def test_bulk_load_merges_with_existing_events(self):
-        q = EventQueue()
-        q.push(2.5, _noop, tag="mid")
-        q.push(0.5, _noop, tag="early")
-        q.schedule_sorted([(1.0, _noop, ()), (2.0, _noop, ()), (3.0, _noop, ())])
-        popped = [q.pop().time for _ in range(5)]
-        assert popped == [0.5, 1.0, 2.0, 2.5, 3.0]
+        eng = _logged()
+        eng.at(2.5, eng.log.append, 2.5)
+        eng.at(0.5, eng.log.append, 0.5)
+        eng.run(times=[1.0, 2.0, 3.0], action=eng.log.append, args=[1.0, 2.0, 3.0])
+        assert eng.log == [0.5, 1.0, 2.0, 2.5, 3.0]
 
     def test_equal_times_keep_insertion_order(self):
-        q = EventQueue()
-
-        def mk(i):
-            return lambda: i
-
-        q.schedule_sorted([(1.0, mk(i), ()) for i in range(5)])
-        assert [q.pop().action() for _ in range(5)] == [0, 1, 2, 3, 4]
+        eng = _logged()
+        eng.run(times=[1.0] * 5, action=eng.log.append)
+        assert eng.log == [0, 1, 2, 3, 4]
 
     def test_rejects_decreasing_times(self):
-        q = EventQueue()
-        with pytest.raises(ValueError, match="non-decreasing"):
-            q.schedule_sorted([(2.0, _noop, ()), (1.0, _noop, ())])
+        eng = Engine()
+        with pytest.raises(ValueError, match="out of order"):
+            eng.run(times=[2.0, 1.0], action=lambda k: None)
 
     def test_rejects_negative_and_nan_times(self):
-        q = EventQueue()
-        with pytest.raises(ValueError):
-            q.schedule_sorted([(-1.0, _noop, ())])
-        with pytest.raises(ValueError):
-            q.schedule_sorted([(float("nan"), _noop, ())])
+        with pytest.raises(ValueError, match="out of order"):
+            Engine().run(times=[-1.0], action=lambda k: None)
+        with pytest.raises(ValueError, match="out of order"):
+            Engine().run(times=[float("nan")], action=lambda k: None)
 
     def test_bulk_events_carry_args(self):
-        q = EventQueue()
-        seen = []
-        q.schedule_sorted([(0.0, seen.append, ("x",))])
-        ev = q.pop()
-        ev.action(*ev.args)
-        assert seen == ["x"]
+        eng = _logged()
+        eng.run(times=[0.0, 1.0], action=eng.log.append, args=["x", "y"])
+        assert eng.log == ["x", "y"]
 
     def test_empty_iterable_is_noop(self):
-        q = EventQueue()
-        assert q.schedule_sorted([]) == 0
-        assert len(q) == 0
-
-
-class TestFusedPeekPop:
-    def test_peek_time_then_pop_next(self):
-        q = EventQueue()
-        q.push(4.0, _noop, tag="b")
-        q.push(1.0, _noop, tag="a")
-        assert q.peek_time() == 1.0
-        assert q.pop_next().tag == "a"
-        assert q.peek_time() == 4.0
-
-    def test_peek_time_skims_cancelled(self):
-        q = EventQueue()
-        h = q.push(1.0, _noop)
-        q.push(2.0, _noop, tag="live")
-        h.cancel()
-        assert q.peek_time() == 2.0
-        assert q.pop_next().tag == "live"
-        assert q.peek_time() is None
-
-    def test_lazy_tag_resolved_on_access(self):
-        q = EventQueue()
-        built = []
-
-        def render():
-            built.append(True)
-            return "lazy:1"
-
-        q.push(1.0, _noop, tag=render)
-        assert built == []  # nothing built at schedule time
-        ev = q.pop()
-        assert ev.tag == "lazy:1"
-        assert ev.tag == "lazy:1"  # cached
-        assert built == [True]
+        eng = Engine()
+        eng.run(times=[], action=lambda k: None)
+        assert eng.events_fired == 0 and eng.seq == 0

@@ -1,9 +1,10 @@
 """Reference schedule and planner for the simulation's differential ladder.
 
 :class:`ReferenceSimulation` runs the original per-event schedule of
-``repro.core.simulation.Simulation``: one contact-start event per contact,
-no deferred encounter history, no degenerate-contact chunks, never the SoA
-kernel, and — under faults — the original faults-only contact handler.
+``repro.core.simulation.Simulation``: one contact-start heap event per
+contact (never the engine's contact stream), no deferred encounter
+history, no zero-transfer shortcut, never the SoA kernel, and — under
+faults — the original faults-only contact handler.
 Its sessions plan with :class:`ReferencePlanner`, the rebuild-filter-sort
 specification of the candidate rule. Production must reproduce this
 schedule's :class:`~repro.core.results.RunResult`, node state, event count
@@ -122,20 +123,18 @@ class ReferenceSimulation(RecordingSimulation):
                 self._inject_flow(flow)
             else:
                 self.engine.at(flow.created_at, self._inject_flow, flow)
-        contacts = self.trace.contacts
+        # one heap event per contact, pushed in trace order after the
+        # pre-run events: the seqs the production stream reserves
+        at = self.engine.at
         if self.faults is not None:
             self._schedule_faults(horizon)
             self._draw_link_faults(self.trace.contact_arrays())
-            self.engine.schedule_sorted(
-                (contact.start, self._begin_contact_faulted, (i,))
-                for i, contact in enumerate(contacts)
-            )
+            for i, contact in enumerate(self.trace.contacts):
+                at(contact.start, self._begin_contact_faulted, i)
         else:
-            self.engine.schedule_sorted(
-                (contact.start, self._begin_contact_reference, (contact,))
-                for contact in contacts
-            )
-        self.engine.run(until=horizon)
+            for contact in self.trace.contacts:
+                at(contact.start, self._begin_contact_reference, contact)
+        self.engine.run(horizon)
         return self._build_result()
 
     def _begin_contact_reference(self, contact) -> None:

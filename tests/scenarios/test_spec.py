@@ -1,6 +1,7 @@
 """Scenario specs: JSON round-trips, validation, mobility registry."""
 
 import json
+import math
 
 import pytest
 
@@ -493,3 +494,44 @@ class TestFaultSpecKeys:
         assert len(result) == 8
         assert all(r.churn for r in result.runs)
         assert all("crashed" in r.removals for r in result.runs)
+
+
+
+NAN = math.nan
+_POISSON = {"kind": "poisson", "params": {"num_nodes": 6, "horizon": 5_000.0}}
+
+#: field → top-level scenario-JSON keys that plant a NaN in it
+NAN_CASES = {
+    "ttl_base": {"protocols": [{"name": "ec_ttl", "params": {"ttl_base": NAN}}]},
+    "ttl_step": {"protocols": [{"name": "ec_ttl", "params": {"ttl_step": NAN}}]},
+    "buffer_capacity": {"buffer_capacity": NAN},
+    "bundle_tx_time": {"bundle_tx_time": NAN},
+    "backoff": {"retry_backoff": NAN},
+    "cell_timeout": {"cell_timeout": NAN},
+    "churn_rate": {"faults": {"churn_rate": NAN, "mean_downtime": 100.0}},
+    "beta": {"mobility": {**_POISSON, "params": {**_POISSON["params"], "beta": NAN}}},
+    "duration": {
+        "mobility": {**_POISSON, "params": {**_POISSON["params"], "duration": NAN}}
+    },
+}
+
+
+@pytest.mark.parametrize("field", sorted(NAN_CASES))
+def test_nan_parameter_is_refused_before_any_cell_runs(field, monkeypatch):
+    from repro.core.simulation import Simulation
+    from repro.core.sweepkernel import SweepKernel
+
+    ran = []
+    monkeypatch.setattr(Simulation, "run", lambda sim: ran.append("event"))
+    monkeypatch.setattr(SweepKernel, "run", lambda kern, horizon: ran.append("soa"))
+    for kernel in ("auto", "event"):
+        data = {**tiny_scenario(kernel=kernel).to_dict(), **NAN_CASES[field]}
+        # json accepts a NaN literal, so a NaN can reach every numeric field
+        text = json.dumps(data)
+        assert "NaN" in text
+        with pytest.raises(ValueError, match=field):
+            spec = ScenarioSpec.from_json(text)
+            spec.build_protocols()
+            spec.build_trace()
+            spec.run()
+    assert ran == []

@@ -93,6 +93,21 @@ BOUNDARY_TRACE = ContactTrace.from_tuples(
 )
 
 
+#: The stream rule's two ties (``repro.des.engine``), one run each: a flow
+#: created at a contact's start is offered to that contact (an event pushed
+#: before the run fires first) ...
+FLOW_TIE = (
+    ContactTrace.from_tuples([(100.0, 300.0, 0, 1)], 3, horizon=1_000.0),
+    (Flow(0, 0, 1, 1, created_at=100.0),),
+)
+#: ... and a transfer completing as the next contact starts is not (the
+#: contact fires first, so its session finds nothing to send and idles).
+COMPLETION_TIE = (
+    ContactTrace.from_tuples([(0.0, 100.0, 0, 1), (100.0, 200.0, 1, 2)], 3, horizon=1_000.0),
+    (Flow(0, 0, 2, 1),),
+)
+
+
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_cell_ladder(protocol):
     calls = 0
@@ -100,11 +115,17 @@ def test_cell_ladder(protocol):
     boundary = Cell(BOUNDARY_TRACE, PROTOCOLS[protocol], flows, SimulationConfig(), 0, 0)
     # node 3 is down when its 300 s contact with node 1 starts
     outage = SimulationConfig(faults=FaultSpec(downtime_schedule=((3, 250.0, 350.0),)))
+    flow_tie, completion_tie = (
+        Cell(trace, PROTOCOLS[protocol], tie_flows, SimulationConfig(), 0, 0)
+        for trace, tie_flows in (FLOW_TIE, COMPLETION_TIE)
+    )
 
     @settings(max_examples=30, **SETTINGS)
     @given(cell=cells((protocol,)))
     @example(cell=boundary)
     @example(cell=dataclasses.replace(boundary, config=outage))
+    @example(cell=flow_tie)
+    @example(cell=completion_tie)
     def climb_drawn(cell):
         nonlocal calls
         calls += climb(cell)

@@ -106,7 +106,7 @@ SOA_GOLDEN_PROTOCOLS = ("pure", "ttl", "ec")
 SCALES: dict[str, dict[str, tuple]] = {
     # CI perf job: small populations, quick; the extra 200-node
     # anti-packet cell covers the per-contact control-plane path (the
-    # degenerate-encounter chunking + knowledge-epoch caching) at the
+    # contact stream's one handler + knowledge-epoch caching) at the
     # population size where it dominates
     "smoke": {
         "nodes": (25, 50),
@@ -331,11 +331,13 @@ def bench_cell(
     """Best-of-``repeats`` wall time for one (protocol, nodes, load) cell.
 
     ``events`` counts simulation work, not raw heap traffic:
-    ``engine.events_fired`` plus the degenerate encounters the trace-layer
-    batching processed without an event round-trip. The sum equals the
-    event count of a one-event-per-contact schedule exactly, so
-    ``events_per_s`` stays comparable across baselines that predate the
-    batching (the raw split is reported alongside).
+    ``engine.events_fired`` (heap entries fired plus contact-stream items
+    processed, and on the SoA tier the futile contacts it skipped) plus
+    the degenerate encounters the deferred end-of-run flush settled
+    without reaching the contact handler. The sum equals the event count
+    of a one-event-per-contact schedule exactly, so ``events_per_s``
+    stays comparable across baselines that predate the batching (the raw
+    split is reported alongside).
     """
     best = float("inf")
     events = fired = batched = 0
