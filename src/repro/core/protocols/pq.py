@@ -97,6 +97,10 @@ class PQEpidemicConfig:
         for label, v in (("p", self.p), ("q", self.q)):
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{label} must be a probability, got {v}")
+        # the flag picks the protocol class (and the execution tier), so a
+        # truthy string such as "no" must not switch anti-packets on
+        if not isinstance(self.anti_packets, bool):
+            raise ValueError(f"anti_packets must be a bool, got {self.anti_packets!r}")
 
     @property
     def label(self) -> str:

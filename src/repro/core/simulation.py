@@ -14,6 +14,7 @@ duplication still count).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,10 @@ class SimulationConfig:
         kernel: Which DES execution kernel carries the run: ``"event"``
             (the event heap, always available), ``"soa"`` (the
             array-resident contact-sweep kernel,
-            :mod:`repro.core.sweepkernel` — encounter-inert protocol
-            populations without faults only, byte-identical results), or
+            :mod:`repro.core.sweepkernel` — unfaulted populations of an
+            encounter-inert protocol or of a stock knowledge-store one:
+            anti-packet P-Q, immunity, cumulative immunity;
+            byte-identical results), or
             ``"auto"`` (default: the kernel when eligible, the event loop
             otherwise). ``"soa"`` fails fast — at config construction for
             statically-known conflicts (ODE engine, active faults), at
@@ -97,25 +100,34 @@ class SimulationConfig:
     faults: FaultSpec | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.buffer_capacity, (list, tuple)):
-            caps = tuple(int(c) for c in self.buffer_capacity)
-            if not caps:
-                raise ValueError("per-node buffer_capacity must be non-empty")
-            object.__setattr__(self, "buffer_capacity", caps)
-            if any(c < 1 for c in caps):
-                raise ValueError("every buffer_capacity must be >= 1")
-        # the scalar checks are written as not (valid) so NaN fails too
-        elif not self.buffer_capacity >= 1:
-            raise ValueError(f"buffer_capacity must be >= 1, got {self.buffer_capacity!r}")
-        if isinstance(self.bundle_tx_time, (list, tuple)):
-            times = tuple(float(t) for t in self.bundle_tx_time)
-            if not times:
-                raise ValueError("per-node bundle_tx_time must be non-empty")
-            object.__setattr__(self, "bundle_tx_time", times)
-            if not all(t > 0 for t in times):
-                raise ValueError("every bundle_tx_time must be positive")
-        elif not self.bundle_tx_time > 0:
-            raise ValueError(f"bundle_tx_time must be positive, got {self.bundle_tx_time!r}")
+        # Type checks first, so a NaN, a bool or a string fails with the
+        # field's name instead of coercing into a plausible run.
+        per_node = isinstance(self.buffer_capacity, (list, tuple))
+        caps = tuple(self.buffer_capacity) if per_node else (self.buffer_capacity,)
+        if not caps:
+            raise ValueError("per-node buffer_capacity must be non-empty")
+        for c in caps:
+            if isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 1:
+                raise ValueError(f"buffer_capacity must be an integer >= 1, got {c!r}")
+        if per_node:
+            object.__setattr__(self, "buffer_capacity", tuple(int(c) for c in caps))
+        per_node = isinstance(self.bundle_tx_time, (list, tuple))
+        times = tuple(self.bundle_tx_time) if per_node else (self.bundle_tx_time,)
+        if not times:
+            raise ValueError("per-node bundle_tx_time must be non-empty")
+        for t in times:
+            if (
+                isinstance(t, bool)
+                or not isinstance(t, numbers.Real)
+                or not 0 < t < math.inf
+            ):
+                raise ValueError(f"bundle_tx_time must be finite and positive, got {t!r}")
+        if per_node:
+            object.__setattr__(self, "bundle_tx_time", tuple(float(t) for t in times))
+        if not isinstance(self.record_occupancy, bool):
+            raise ValueError(
+                f"record_occupancy must be a bool, got {self.record_occupancy!r}"
+            )
         from repro.core.policies import drop_policy_names
 
         if self.drop_policy not in drop_policy_names():
@@ -255,7 +267,8 @@ class Simulation:
         #: :func:`repro.core.knowledge.exchange_control`)
         self.pair_knowledge: dict[tuple[int, int], tuple[int, int]] = {}
         #: True while encounter bookkeeping is deferred to the end-of-run
-        #: batched flush (encounter-inert protocol populations only)
+        #: batched flush (unfaulted encounter-inert populations, and every
+        #: SoA kernel run)
         self._defer_history = False
         #: degenerate encounters processed without their own event (the
         #: deferred flush); ``engine.events_fired + batched_encounters``
@@ -473,16 +486,18 @@ class Simulation:
                     self.engine.at(t, session._on_severed)
         session._schedule_next(now)
 
-    def _flush_deferred_bookkeeping(self, zero_mask, end_time: float, arrays) -> None:
-        """Batched bookkeeping for an encounter-inert protocol population.
+    def _flush_deferred_bookkeeping(self, left_out, end_time: float, arrays) -> None:
+        """Batched bookkeeping for a run whose encounter history was deferred.
 
         Replays, in one pass, everything the per-event path would have
         done for contacts that started by ``end_time``: encounter history
         for *every* fired contact (identical mutation sequence — the trace
         is processed in the same ``(start, end, a, b)`` order the event
         queue fires it, and ``note_encounter`` depends only on the passed
-        times), and the per-contact signaling accounting for the
-        degenerate contacts that were never scheduled. Contacts past
+        times), and the per-contact signaling accounting for the contacts
+        flagged in ``left_out`` — the degenerate contacts an encounter-inert
+        population never schedules (none when the SoA kernel swept every
+        contact, its knowledge plane's case). Contacts past
         ``end_time`` are excluded exactly as the event loop would have
         left them unfired: an early-delivery halt happens in a
         transfer-completion event, which by the engine's stream rule fires
@@ -493,7 +508,7 @@ class Simulation:
         nodes = self.nodes
         if fired:
             self._replay_encounter_history(a_ids[:fired], b_ids[:fired])
-        zmask = zero_mask[:fired]
+        zmask = left_out[:fired]
         batched = int(zmask.sum())
         if batched:
             self.batched_encounters += batched

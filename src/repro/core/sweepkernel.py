@@ -16,32 +16,49 @@ per-slot exchange machinery (same predicates, same RNG draws, same
 service-layer calls) against the simulation's own event calendar
 (:class:`~repro.des.engine.Engine`), whose heap then carries only dynamic
 events: transfer completions, TTL expiries, deferred flow injections.
-Because every copy-state change happens inside a calendar event, the
-masks are constant across each contact span between events — no
-invalidation machinery, no rescans.
+
+Populations that keep delivery knowledge in a stock store (anti-packet
+P-Q, immunity, cumulative immunity) add a per-node **knowledge plane**:
+the bundle bits the node's store covers (the i-list's ids, or each
+cumulative table's prefix). The plane joins the has mask — it is the
+planner's knows-delivered veto — and every contact enters the sweep,
+zero-transfer ones included, because each one carries the stores. A
+contact is futile when the two planes are equal (the swap is a no-op)
+and no copy can cross it; a contact whose planes differ runs
+:func:`~repro.core.knowledge.exchange_control` and ends its contact
+block. Knowledge only grows on this tier, so a futile contact's control
+units (the store size, each way) settle in bulk from a per-node log of
+store sizes.
+
+Masks change only inside calendar events and knowledge-changing
+contacts, and each of those ends the contact block, so the masks are
+constant across the span being classified — no invalidation machinery,
+no rescans.
 
 Exactness contract: a kernel run produces a byte-identical
 :class:`~repro.core.results.RunResult` to the event engine. The sweep
-loop merges the live contacts with the calendar by the engine's stream
-rule (stated in :mod:`repro.des.engine`): the live contacts take the
+loop merges the swept contacts with the calendar by the engine's stream
+rule (stated in :mod:`repro.des.engine`): the swept contacts take the
 contiguous seq block the engine's run would have reserved for them, so
 every equal-timestamp ordering the event tier guarantees (origin expiry
 before contact, contact before completion) is preserved — and the span
 skip test is *conservative*: a skipped contact
 is one whose session would provably plan nothing, mutate nothing, and
 draw no randomness (every candidate exits the planner's predicate chain
-at the expiry or receiver-has-copy check, both of which precede the P-Q
-coin). Everything else — metrics, counters, protocol hooks, buffer
+at the expiry, receiver-has-copy or receiver-knows-delivered check, all
+of which precede the P-Q coin). Everything else — metrics, counters, protocol hooks, buffer
 policies — is the same service-layer code the event engine runs, invoked
 in the same order with the same arguments. ``tools/bench_sim.py
 --verify`` and the differential ladder (``tests/test_ladder.py``) enforce
 the contract.
 
-Eligibility (:func:`kernel_unsupported_reason`): a homogeneous
-encounter-inert population with the base (constant-false)
-``knows_delivered`` and no active fault injection. ``kernel="auto"``
-silently falls back to the event engine otherwise; ``kernel="soa"`` fails
-fast with the reason.
+Eligibility (:func:`kernel_unsupported_reason`): a homogeneous population
+without active fault injection whose class is either encounter-inert
+with the base (constant-false) ``knows_delivered``, or one of the stock
+knowledge-store classes (:data:`_KNOWLEDGE_HOOKS`) with every knowledge
+hook, ``on_encounter_started`` and ``epoch_gated_control`` as stock.
+``kernel="auto"`` silently falls back to the event engine otherwise;
+``kernel="soa"`` fails fast with the reason.
 """
 
 from __future__ import annotations
@@ -54,7 +71,10 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.core.bundle import BundleId, StoredBundle
+from repro.core.knowledge import CumulativeKnowledgeStore, exchange_control
+from repro.core.protocols.antipacket import AntiPacketProtocol
 from repro.core.protocols.base import Protocol
+from repro.core.protocols.immunity import CumulativeImmunityEpidemic
 from repro.mobility.contact import zero_transfer_mask
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,15 +95,38 @@ _SKIP_CHUNK = 2048
 #: completions) never pay array-call overhead.
 _PROBE = 48
 
+#: The stock delivery-knowledge classes the kernel runs with a knowledge
+#: plane, each with the hooks whose stock behaviour the plane mirrors: the
+#: store's swap, its purge-on-learn and its size as the signaling bill.
+_KNOWLEDGE_HOOKS: dict[type[Protocol], tuple[str, ...]] = {
+    AntiPacketProtocol: (
+        "control_payload",
+        "receive_control",
+        "control_units",
+        "learn_delivered",
+        "knows_delivered",
+        "on_delivered",
+    ),
+    CumulativeImmunityEpidemic: (
+        "control_payload",
+        "receive_control",
+        "control_units",
+        "_absorb_table",
+        "knows_delivered",
+        "on_delivered",
+    ),
+}
+
 
 def kernel_unsupported_reason(sim: Simulation) -> str | None:
     """Why the SoA kernel cannot execute ``sim``, or None when it can.
 
     ``kernel="auto"`` routes a run to the event engine when this returns a
     reason; ``kernel="soa"`` surfaces it in a ``ValueError`` instead. The
-    conditions mirror what the kernel structurally elides: per-contact
-    control exchange (non-inert protocols), delivery-knowledge probes
-    (``knows_delivered`` overrides), and the disruption machinery.
+    conditions mirror what the kernel structurally elides: control
+    exchange other than a stock knowledge store's, delivery-knowledge
+    probes outside such a store (``knows_delivered`` overrides), and the
+    disruption machinery.
     """
     if sim.faults is not None:
         return "fault injection is active (the kernel has no crash/link machinery)"
@@ -91,21 +134,35 @@ def kernel_unsupported_reason(sim: Simulation) -> str | None:
         return f"engine={sim.config.engine!r} does not execute discrete events"
     if not sim.nodes:
         return "empty population"
-    proto_cls = type(sim.nodes[0].protocol)
+    cls = type(sim.nodes[0].protocol)
     for node in sim.nodes:
-        cls = type(node.protocol)
-        if cls is not proto_cls:
+        if type(node.protocol) is not cls:
             return "heterogeneous protocol classes in one population"
-        if not cls.encounter_inert:
-            return (
-                f"protocol {cls.name!r} is not encounter-inert (it exchanges "
-                "control state or hooks contact starts)"
-            )
+    if cls.encounter_inert:
         if cls.knows_delivered is not Protocol.knows_delivered:
             return (
                 f"protocol {cls.name!r} overrides knows_delivered; the kernel "
                 "elides delivery-knowledge probes"
             )
+        return None
+    stock = next((base for base in _KNOWLEDGE_HOOKS if issubclass(cls, base)), None)
+    if stock is None:
+        return (
+            f"protocol {cls.name!r} is not encounter-inert (it exchanges "
+            "control state or hooks contact starts) and keeps no stock "
+            "delivery-knowledge store"
+        )
+    for hook in (*_KNOWLEDGE_HOOKS[stock], "on_encounter_started"):
+        if getattr(cls, hook) is not getattr(stock, hook):
+            return (
+                f"protocol {cls.name!r} overrides {hook}; the kernel mirrors "
+                f"the stock {stock.__name__} knowledge hooks"
+            )
+    if not cls.epoch_gated_control:
+        return (
+            f"protocol {cls.name!r} withdraws epoch_gated_control; the kernel "
+            "needs a swap that equal stores make a no-op"
+        )
     return None
 
 
@@ -129,6 +186,20 @@ class _Session:
 class SweepKernel:
     """One run's array-resident sweep state; single-use like Simulation."""
 
+    # Slots keep every ``self._x`` load on the hot paths a fixed-offset
+    # read: past 30 attributes CPython stops sharing instance-dict keys,
+    # and the specialized attribute loads fall back to a slower path.
+    __slots__ = (
+        "sim", "_engine", "_nodes", "_n", "_col", "_snd_bits", "_has_bits",
+        "_b", "_mask_bytes", "_sendable", "_has", "_masks_dirty",
+        "_cand_keys", "_cand_sbs", "_cand_bits", "_dest_counts", "_ctrl_np",
+        "_skipped", "_trivial_offer", "_trivial_confirm", "_trivial_accept",
+        "_trivial_store", "_pure_offer", "_rentries", "_rcaps", "_relays",
+        "_origins", "_live_starts", "_live_a", "_live_b", "_know_bits",
+        "_know", "_know_size", "_size_keys", "_size_vals", "_stride",
+        "_cursor", "_know_units", "_carry",
+    )
+
     def __init__(self, sim: Simulation) -> None:
         self.sim = sim
         self._engine = sim.engine
@@ -148,8 +219,9 @@ class SweepKernel:
         #: node holds a live (origin or relay) copy — possibly expired at
         #: the current instant, which the planner's own predicate rejects
         self._snd_bits: list[int] = [0] * n
-        #: node holds a copy *or* is the (delivered-to) destination — the
-        #: planner's receiver-has-it veto
+        #: node holds a copy, is the (delivered-to) destination, or knows
+        #: the bundle was delivered (its knowledge plane) — the planner's
+        #: receiver-has-it and receiver-knows-delivered vetoes
         self._has_bits: list[int] = [0] * n
         self._b = b
         self._mask_bytes = max(1, (b + 7) >> 3)
@@ -205,15 +277,40 @@ class SweepKernel:
         self._origins: list[dict[BundleId, StoredBundle]] = [
             node.origin for node in nodes
         ]
-        # live-contact columns (filled by _drive)
+        # swept-contact columns (filled by _drive)
+        self._live_starts: NDArray[np.float64] = np.empty(0, dtype=np.float64)
         self._live_a: NDArray[np.intp] = np.empty(0, dtype=np.intp)
         self._live_b: NDArray[np.intp] = np.empty(0, dtype=np.intp)
+        # ---- the delivery-knowledge plane (stock knowledge-store
+        # populations only; None selects the inert sweep)
+        #: per-node bundle bits the node's knowledge store covers
+        self._know_bits: list[int] | None = None
+        self._know: NDArray[np.bool_] = np.zeros((n, b), dtype=np.bool_)
+        #: per-node len(store) — one contact's control units each way
+        self._know_size: list[int] = [0] * n
+        #: store-size log: key ``node * stride + pos`` says the node's size
+        #: is the parallel value from swept contact ``pos`` on
+        self._size_keys: list[int] = []
+        self._size_vals: list[int] = []
+        self._stride = 1
+        #: the sweep position a calendar event's knowledge change is
+        #: first seen at (the next contact to be swept)
+        self._cursor = 0
+        #: protocol control units owed at equal-store contacts, settled
+        #: into the signaling counter on return
+        self._know_units = 0
+        #: per swept contact: the link carries at least one bundle
+        self._carry: NDArray[np.bool_] = np.empty(0, dtype=np.bool_)
+        if not proto_cls.encounter_inert:
+            self._know_bits = [self._plane_of(node) for node in nodes]
+            self._know_size = [self._store_size(node) for node in nodes]
 
     # ----------------------------------------------------- state observation
     # (Simulation calls these on every copy-population change; they keep the
     # masks and candidate orders exact without polling node buffers. Every
-    # call site sits inside a calendar event, so masks never change while a
-    # contact span is being classified.)
+    # call site sits inside a calendar event or a knowledge-changing
+    # contact, each of which ends the contact block, so masks never change
+    # while a contact span is being classified.)
 
     def copy_added(self, node: Node, sb: StoredBundle) -> None:
         bid = sb.bundle.bid
@@ -262,6 +359,53 @@ class SweepKernel:
         self._has_bits[node.id] |= 1 << self._col[bid]
         self._masks_dirty = True
 
+    # ---------------------------------------------------- knowledge plane
+
+    def _plane_of(self, node: Node) -> int:
+        """The bundle bits ``node``'s knowledge store covers."""
+        store = node.protocol.knowledge
+        col = self._col
+        bits = 0
+        if isinstance(store, CumulativeKnowledgeStore):
+            for flow, seq in sorted(store.tables.items()):
+                # a flow's bundles hold consecutive bits, seq 1 lowest
+                bits |= ((1 << seq) - 1) << col[BundleId(flow=flow, seq=1)]
+        elif store is not None:
+            for bid in sorted(store.snapshot):
+                bits |= 1 << col[bid]
+        return bits
+
+    @staticmethod
+    def _store_size(node: Node) -> int:
+        """``len`` of ``node``'s knowledge store: its control units per contact."""
+        store = node.protocol.knowledge
+        return 0 if store is None else len(store)
+
+    def _learned(self, nid: int, plane: int, pos: int) -> None:
+        """Node ``nid`` now knows ``plane``; swept contact ``pos`` on sees it."""
+        know = self._know_bits
+        if know is None or know[nid] == plane:
+            return
+        know[nid] = plane
+        # the plane is the receiver-has veto; a purge that taught it just
+        # cleared its copy's has bit, so OR the whole plane back in
+        self._has_bits[nid] |= plane
+        self._masks_dirty = True
+        size = self._store_size(self._nodes[nid])
+        if size != self._know_size[nid]:
+            self._know_size[nid] = size
+            self._size_keys.append(nid * self._stride + pos)
+            self._size_vals.append(size)
+
+    def _sizes_at(self, ids: NDArray[np.intp]) -> NDArray[np.float64]:
+        """Store size of node ``ids[j]`` as swept contact ``j`` saw it."""
+        keys = np.asarray(self._size_keys, dtype=np.int64)
+        # appended in sweep order; a stable sort groups them per node
+        order = np.argsort(keys, kind="stable")
+        queries = ids.astype(np.int64) * self._stride + np.arange(len(ids))
+        at = np.searchsorted(keys[order], queries, side="right") - 1
+        return np.asarray(self._size_vals, dtype=np.float64)[order[at]]
+
     # -------------------------------------------------------------- planning
     # (op-for-op mirrors of IncrementalPlanner / ContactSession — see
     # repro.core.planner and repro.core.session for the semantics prose)
@@ -271,7 +415,8 @@ class SweepKernel:
     ) -> StoredBundle | None:
         # ``want`` = sender's sendable bits the receiver lacks — candidates
         # outside it exit the reference predicate chain at the receiver-
-        # has-copy check (no side effects, no RNG), so filtering by bit
+        # has-copy or receiver-knows-delivered check (no side effects, no
+        # RNG), so filtering by bit
         # visits exactly the candidates the planner would inspect further,
         # in the planner's exact (tier, stored_at, bid) order.
         sender_id = sender.id
@@ -301,10 +446,12 @@ class SweepKernel:
                 bid = sb.bundle.bid
                 if (sender_id, bid) in coin_rejected:
                     continue
-                # knows_delivered is the base constant-false hook for every
-                # kernel-eligible protocol — both probes elided; base
-                # can_accept is constant-true here (candidate is destined
-                # for the receiver)
+                # both knows_delivered probes are elided: the receiver's
+                # knowledge plane is in its has mask, so ``want`` already
+                # excludes it, and a sender never holds a copy it knows
+                # was delivered (learning purges it); base can_accept is
+                # constant-true here (candidate is destined for the
+                # receiver)
                 if not trivial_accept and not receiver_protocol.can_accept(
                     sb.bundle, now
                 ):
@@ -491,11 +638,23 @@ class SweepKernel:
             sender.protocol.on_transmitted(sb, receiver, now)
             ec_for_receiver = sb.ec
         else:
+            # a sender that learned mid-flight that the bundle arrived
+            # aborts the transmission; learning purged its copy, so only a
+            # vanished copy can hide that knowledge
+            know = self._know_bits
+            if know is not None and know[sender.id] & bit:
+                metrics.on_wasted_slot()
+                self._schedule_next(rec, now)
+                return
             ec_for_receiver = sb.ec + 1
         sender.counters.bundles_sent += 1
         metrics.on_transmission()
         if sb.bundle.destination == receiver.id:
             sim.deliver(receiver, sb.bundle, now, via=sender.id)
+            if self._know_bits is not None:
+                # the destination's store took the delivery (a cumulative
+                # table only over its contiguous prefix)
+                self._learned(rid, self._plane_of(receiver), self._cursor)
         else:
             stored = sim.store_received_copy(
                 receiver, sb.bundle, ec_for_receiver, now, sender_copy=sb
@@ -514,7 +673,9 @@ class SweepKernel:
         :data:`_SKIP_CHUNK` contacts per row operation against the NumPy
         mask mirrors. Called only after the integer probe has burned its
         budget on an unbroken futile run — i.e. for the long spans where
-        array overhead amortizes.
+        array overhead amortizes. With a knowledge plane a contact is also
+        possible when its two planes differ, and a copy can cross it only
+        when its link carries a bundle.
         """
         if self._masks_dirty:
             self._rebuild_masks()
@@ -522,6 +683,7 @@ class SweepKernel:
         has = self._has
         live_a = self._live_a
         live_b = self._live_b
+        knowledge = self._know_bits is not None
         while lo < hi:
             nhi = lo + _SKIP_CHUNK
             if nhi > hi:
@@ -530,19 +692,35 @@ class SweepKernel:
             b = live_b[lo:nhi]
             possible = (sendable[a] & ~has[b]).any(axis=1)
             possible |= (sendable[b] & ~has[a]).any(axis=1)
+            if knowledge:
+                possible &= self._carry[lo:nhi]
+                possible |= (self._know[a] != self._know[b]).any(axis=1)
             if possible.any():
                 return lo + int(possible.argmax())
             lo = nhi
+        return hi
+
+    def _block_end(self, n_fire: int, h_time: float, h_seq: int, contact_base: int) -> int:
+        """One past the last swept contact that precedes the calendar head."""
+        if h_time == math.inf:
+            return n_fire
+        starts = self._live_starts
+        hi = int(np.searchsorted(starts, h_time, side="left"))
+        if hi > n_fire:
+            hi = n_fire
+        # the engine's stream rule: a tie goes to the lower seq
+        while hi < n_fire and starts[hi] == h_time and contact_base + hi < h_seq:
+            hi += 1
         return hi
 
     def _rebuild_masks(self) -> None:
         """Refresh the NumPy mask mirrors from the integer bitmasks."""
         nbytes = self._mask_bytes
         b = self._b
-        for name, bits_list in (
-            ("_sendable", self._snd_bits),
-            ("_has", self._has_bits),
-        ):
+        mirrors = [("_sendable", self._snd_bits), ("_has", self._has_bits)]
+        if self._know_bits is not None:
+            mirrors.append(("_know", self._know_bits))
+        for name, bits_list in mirrors:
             raw = b"".join(bits.to_bytes(nbytes, "little") for bits in bits_list)
             packed = np.frombuffer(raw, dtype=np.uint8).reshape(self._n, nbytes)
             rows = np.unpackbits(packed, axis=1, bitorder="little")[:, :b]
@@ -552,12 +730,14 @@ class SweepKernel:
     def _settle_futile(self, ci: int, fired_idx: list[int]) -> None:
         """One-shot accounting for every futile contact in ``[0, ci)``.
 
-        The sweep loop only records which contacts opened a session
-        (``fired_idx``); everything else it advanced past is futile, so
-        the skip count and per-endpoint control units settle here as two
-        whole-prefix bincounts minus the fired contacts' contribution —
-        order-independent sums, exactly as the per-event path tallies
-        them one encounter at a time.
+        The sweep loop only records which contacts it ran (``fired_idx``);
+        everything else it advanced past is futile, so the skip count and
+        per-endpoint control units settle here as two whole-prefix
+        bincounts minus the run contacts' contribution — order-independent
+        sums, exactly as the per-event path tallies them one encounter at
+        a time. With a knowledge plane each futile contact also carried
+        both (equal) stores: ``len(store)`` units each way, at the size
+        that contact saw.
         """
         n_sessions = len(fired_idx)
         futile = ci - n_sessions
@@ -565,12 +745,21 @@ class SweepKernel:
             return
         self._skipped += futile
         minlength = self._n
-        units = np.bincount(self._live_a[:ci], minlength=minlength)
-        units += np.bincount(self._live_b[:ci], minlength=minlength)
+        live_a = self._live_a[:ci]
+        live_b = self._live_b[:ci]
+        units = np.bincount(live_a, minlength=minlength)
+        units += np.bincount(live_b, minlength=minlength)
+        fi = np.asarray(fired_idx, dtype=np.intp)
         if n_sessions:
-            fi = np.asarray(fired_idx, dtype=np.intp)
             units -= np.bincount(self._live_a[fi], minlength=minlength)
             units -= np.bincount(self._live_b[fi], minlength=minlength)
+        if self._know_bits is not None:
+            # equal planes are equal stores, so endpoint a's size is both's
+            sizes = self._sizes_at(live_a)
+            sizes[fi] = 0.0
+            units += np.bincount(live_a, weights=sizes, minlength=minlength).astype(np.int64)
+            units += np.bincount(live_b, weights=sizes, minlength=minlength).astype(np.int64)
+            self._know_units += 2 * int(sizes.sum())
         self._ctrl_np += units
 
     # ------------------------------------------------------------------ run
@@ -600,10 +789,15 @@ class SweepKernel:
         engine.now = end_time
         if self._skipped:
             sim.metrics.on_batched_contacts(self._skipped)
+        if self._know_units:
+            sim.metrics.signaling.add(self._nodes[0].protocol.control_kind, self._know_units)
         for node, units in zip(self._nodes, self._ctrl_np.tolist(), strict=True):
             if units:
                 node.counters.control_units_sent += units
-        sim._flush_deferred_bookkeeping(zero_mask, end_time, arrays)
+        # the flush accounts the contacts the sweep left out: the
+        # zero-transfer ones of an inert population, none with a plane
+        left_out = zero_mask if self._know_bits is None else np.zeros_like(zero_mask)
+        sim._flush_deferred_bookkeeping(left_out, end_time, arrays)
         return sim._build_result()
 
     def _drive(
@@ -614,10 +808,12 @@ class SweepKernel:
         ],
         zero_mask: NDArray[np.bool_],
     ) -> bool:
-        """The sweep loop; returns True when the run halted early."""
+        """Set up the swept columns and run the population's sweep loop.
+
+        Returns True when the run halted early.
+        """
         sim = self.sim
         engine = self._engine
-        nodes = self._nodes
         # flow injection, in the event tier's pre-run order: t=0 flows run
         # now (their expiry pushes take the first seqs), later flows park
         # on the calendar — seq assignment matches the event tier's exactly
@@ -627,19 +823,50 @@ class SweepKernel:
             else:
                 engine.at(flow.created_at, sim._inject_flow, flow)
         starts, ends, a_ids, b_ids = arrays
-        live = np.flatnonzero(~zero_mask)
-        live_starts = starts[live]
-        self._live_a = a_ids[live]
-        self._live_b = b_ids[live]
-        starts_l: list[float] = live_starts.tolist()
-        ends_l: list[float] = ends[live].tolist()
-        a_l: list[int] = self._live_a.tolist()
-        b_l: list[int] = self._live_b.tolist()
-        # the live contacts' seq block, reserved as Engine.run reserves a
-        # stream's: the tie-break below is the engine's stream rule
+        know = self._know_bits
+        if know is None:
+            # inert: a zero-transfer contact changes nothing, so only the
+            # contacts that can carry a bundle are swept
+            live = np.flatnonzero(~zero_mask)
+            starts, ends, a_ids, b_ids = starts[live], ends[live], a_ids[live], b_ids[live]
+        else:
+            # every contact carries the stores
+            self._carry = ~zero_mask
+            self._stride = len(starts) + 1
+            for nid, size in enumerate(self._know_size):
+                self._size_keys.append(nid * self._stride)
+                self._size_vals.append(size)
+                self._has_bits[nid] |= know[nid]
+        self._live_starts = starts
+        self._live_a = a_ids
+        self._live_b = b_ids
+        # the swept contacts' seq block, reserved as Engine.run reserves a
+        # stream's: the tie-break in the sweep loops is the engine's stream
+        # rule
         contact_base = engine.seq
-        engine.seq = contact_base + len(starts_l)
-        n_fire = int(np.searchsorted(live_starts, horizon, side="right"))
+        engine.seq = contact_base + len(starts)
+        n_fire = int(np.searchsorted(starts, horizon, side="right"))
+        columns = (starts.tolist(), ends.tolist(), a_ids.tolist(), b_ids.tolist())
+        if know is None:
+            return self._sweep(horizon, contact_base, n_fire, *columns)
+        return self._sweep_knowledge(
+            horizon, contact_base, n_fire, *columns, self._carry.tolist()
+        )
+
+    def _sweep(
+        self,
+        horizon: float,
+        contact_base: int,
+        n_fire: int,
+        starts_l: list[float],
+        ends_l: list[float],
+        a_l: list[int],
+        b_l: list[int],
+    ) -> bool:
+        """The sweep loop of an inert population; True when the run halted."""
+        sim = self.sim
+        engine = self._engine
+        nodes = self._nodes
         signaling = sim.metrics.signaling
         link_tx_time = sim.link_tx_time
         uniform_tx = sim._uniform_tx_time
@@ -705,19 +932,9 @@ class SweepKernel:
                 if probe == 0:
                     # unbroken futile run: hand the rest of the block to
                     # the chunked vectorized scan
-                    if h_time == inf:
-                        hi = n_fire
-                    else:
-                        hi = int(np.searchsorted(live_starts, h_time, side="left"))
-                        if hi > n_fire:
-                            hi = n_fire
-                        while (
-                            hi < n_fire
-                            and starts_l[hi] == h_time
-                            and contact_base + hi < h_seq
-                        ):
-                            hi += 1
-                    ci = self._scan_chunks(ci, hi)
+                    ci = self._scan_chunks(
+                        ci, self._block_end(n_fire, h_time, h_seq, contact_base)
+                    )
                     probe = _PROBE
             if progressed:
                 continue
@@ -728,6 +945,128 @@ class SweepKernel:
             entry[4] = False
             engine.now = h_time
             engine.events_fired += 1
+            entry[2](*entry[3])
+            if engine.halted:
+                self._settle_futile(ci, fired_idx)
+                return True
+
+    def _sweep_knowledge(
+        self,
+        horizon: float,
+        contact_base: int,
+        n_fire: int,
+        starts_l: list[float],
+        ends_l: list[float],
+        a_l: list[int],
+        b_l: list[int],
+        carry_l: list[bool],
+    ) -> bool:
+        """The sweep loop of a knowledge-store population (:meth:`_sweep`'s
+        twin over every contact); True when the run halted.
+
+        A contact whose two knowledge planes differ runs the stock swap
+        (:func:`~repro.core.knowledge.exchange_control`); both endpoints
+        then know the union, and the contact block ends. A contact with
+        equal planes that a copy can cross owes the swap's accounting
+        only. Either opens a session when its link carries a bundle.
+        """
+        sim = self.sim
+        engine = self._engine
+        nodes = self._nodes
+        signaling = sim.metrics.signaling
+        link_tx_time = sim.link_tx_time
+        uniform_tx = sim._uniform_tx_time
+        schedule_next = self._schedule_next
+        learned = self._learned
+        snd = self._snd_bits
+        hasb = self._has_bits
+        know = self._know_bits
+        assert know is not None
+        know_size = self._know_size
+        heap = engine.heap
+        heappop = heapq.heappop
+        inf = math.inf
+        ci = 0
+        fired_idx: list[int] = []
+        fired_append = fired_idx.append
+        while True:
+            while heap and not heap[0][4]:
+                heappop(heap)
+                engine.dead -= 1
+            if heap:
+                head = heap[0]
+                h_time = head[0]
+                h_seq = head[1]
+            else:
+                h_time = inf
+                h_seq = 0
+            # ---- contact block (see _sweep); a knowledge-changing
+            # contact ends it like a session-opening one
+            progressed = False
+            probe = _PROBE
+            while ci < n_fire:
+                t = starts_l[ci]
+                if t > h_time or (t == h_time and contact_base + ci >= h_seq):
+                    break
+                a = a_l[ci]
+                b = b_l[ci]
+                plane_a = know[a]
+                plane_b = know[b]
+                if plane_a == plane_b and not (
+                    carry_l[ci] and ((snd[a] & ~hasb[b]) or (snd[b] & ~hasb[a]))
+                ):
+                    # futile: retire inline (accounting settles on return)
+                    ci += 1
+                    probe -= 1
+                    if probe == 0:
+                        ci = self._scan_chunks(
+                            ci, self._block_end(n_fire, h_time, h_seq, contact_base)
+                        )
+                        probe = _PROBE
+                    continue
+                engine.now = t
+                engine.events_fired += 1
+                node_a = nodes[a]
+                node_b = nodes[b]
+                if plane_a != plane_b:
+                    exchange_control(sim, node_a, node_b, t)
+                    union = plane_a | plane_b
+                    learned(a, union, ci + 1)
+                    learned(b, union, ci + 1)
+                else:
+                    # equal stores: the swap is a no-op, its bill is not
+                    units = know_size[a]
+                    if units:
+                        self._know_units += 2 * units
+                        node_a.counters.control_units_sent += units
+                        node_b.counters.control_units_sent += units
+                signaling.summary_vector += 2
+                node_a.counters.control_units_sent += 1
+                node_b.counters.control_units_sent += 1
+                if carry_l[ci]:
+                    tx_time = (
+                        uniform_tx if uniform_tx is not None else link_tx_time(a, b)
+                    )
+                    end = ends_l[ci]
+                    rec = _Session(
+                        node_a, node_b, t, end, tx_time, int((end - t) / tx_time)
+                    )
+                    schedule_next(rec, t)
+                fired_append(ci)
+                ci += 1
+                progressed = True
+                break
+            if progressed:
+                continue
+            if h_time > horizon:
+                self._settle_futile(ci, fired_idx)
+                return False
+            entry = heappop(heap)
+            entry[4] = False
+            engine.now = h_time
+            engine.events_fired += 1
+            # a delivery in this event is first seen by contact ci
+            self._cursor = ci
             entry[2](*entry[3])
             if engine.halted:
                 self._settle_futile(ci, fired_idx)

@@ -16,7 +16,7 @@ between a node's successive encounters is uniform in
 
 from __future__ import annotations
 
-
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +48,16 @@ class IntervalScenarioConfig:
     max_duration: float = 350.0
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 2:
-            raise ValueError("num_nodes must be >= 2")
-        if self.max_encounters_per_node < 1:
-            raise ValueError("max_encounters_per_node must be >= 1")
+        for label, count, least in (
+            ("num_nodes", self.num_nodes, 2),
+            ("max_encounters_per_node", self.max_encounters_per_node, 1),
+        ):
+            if (
+                isinstance(count, bool)
+                or not isinstance(count, numbers.Integral)
+                or count < least
+            ):
+                raise ValueError(f"{label} must be an integer >= {least}, got {count!r}")
         if not (0 <= self.min_interval <= self.max_interval):
             raise ValueError("need 0 <= min_interval <= max_interval")
         if not (0 < self.min_duration <= self.max_duration):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Callable, Mapping, Sequence
@@ -318,7 +319,11 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         for x in self.loads:
-            if float(x) != int(x):
+            # an integral float (5.0) is a load; a bool, a string, a
+            # fraction or a NaN is not
+            if isinstance(x, bool) or not (
+                isinstance(x, numbers.Integral) or (isinstance(x, float) and x.is_integer())
+            ):
                 raise ValueError(f"loads must be integers, got {x!r}")
         loads = tuple(int(x) for x in self.loads)
         object.__setattr__(self, "loads", loads)
@@ -326,8 +331,9 @@ class WorkloadSpec:
             raise ValueError("loads must be non-empty")
         if any(load < 1 for load in loads):
             raise ValueError("loads must be >= 1")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        r = self.replications
+        if isinstance(r, bool) or not isinstance(r, numbers.Integral) or r < 1:
+            raise ValueError(f"replications must be an integer >= 1, got {r!r}")
 
     def to_dict(self) -> dict[str, Any]:
         return {"loads": list(self.loads), "replications": self.replications}
@@ -446,6 +452,10 @@ class ScenarioSpec:
         object.__setattr__(self, "protocols", protocols)
         if not protocols:
             raise ValueError("scenario needs at least one protocol")
+        for flag in ("shared_trace", "surrogate_check"):
+            value = getattr(self, flag)
+            if not isinstance(value, bool):
+                raise ValueError(f"{flag} must be a bool, got {value!r}")
         # Fail fast on bad mechanism constants; SimulationConfig also
         # normalises per-node lists, so adopt its tuple forms.
         sim = SimulationConfig(

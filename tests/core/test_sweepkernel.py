@@ -6,20 +6,27 @@ speed tier, not an approximation. These tests pin that promise the way the
 planner and batching refactors were pinned: ``repr`` equality over the
 golden-pin protocol set on campus and RWP traces, plus the structural edge
 cases the kernel handles specially (heterogeneous radios, buffer-pressure
-drops under every policy, early halt at the delivery boundary) and the
-fail-fast rejection surface (faults, encounter-reactive protocols, the ODE
-engine). Randomized scenarios climb both kernels on the differential
-ladder (``tests/test_ladder.py``).
+drops under every policy, early halt at the delivery boundary), the
+knowledge-store protocols ``kernel="auto"`` runs on the kernel, and the
+fail-fast rejection surface (faults, encounter-reactive protocols,
+subclasses that override a stock knowledge hook, the ODE engine).
+Randomized scenarios climb both kernels on the differential ladder
+(``tests/test_ladder.py``).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.core.policies import drop_policy_names
 from repro.core.protocols import make_protocol_config
+from repro.core.protocols.immunity import CumulativeImmunityEpidemic, ImmunityEpidemic
+from repro.core.protocols.pq import PQAntiPacketEpidemic
 from repro.core.simulation import KERNELS, Simulation, SimulationConfig
+from repro.core.sweepkernel import _KNOWLEDGE_HOOKS, SweepKernel, kernel_unsupported_reason
 from repro.core.workload import Flow, single_flow
 from repro.des.rng import derive_seed
 from repro.faults import FaultSpec
@@ -40,10 +47,18 @@ INERT_PROTOCOLS = [
     ("spray_wait", {}),
 ]
 
+#: The knowledge-store protocols the kernel runs with its
+#: delivery-knowledge plane: id → (registry name, constructor kwargs).
+KNOWLEDGE_PROTOCOLS = {
+    "pq_antipacket": ("pq", {"p": 0.8, "q": 0.4, "anti_packets": True}),
+    "immunity": ("immunity", {}),
+    "cumulative_immunity": ("cumulative_immunity", {}),
+}
+
 #: Encounter-reactive configurations the kernel must refuse.
 REACTIVE_PROTOCOLS = [
-    ("pq", {"p": 1.0, "q": 1.0, "anti_packets": True}),
-    ("immunity", {}),
+    ("dynamic_ttl", {}),
+    ("prophet", {}),
 ]
 
 
@@ -224,6 +239,90 @@ def test_auto_falls_back_to_event_identically(campus_trace, name, kwargs):
     _, auto_result = run_cell(campus_trace, name, kwargs, "auto")
     _, ev_result = run_cell(campus_trace, name, kwargs, "event")
     assert repr(auto_result) == repr(ev_result)
+
+
+@pytest.mark.parametrize("trace_name", ["campus", "rwp"])
+@pytest.mark.parametrize("protocol", sorted(KNOWLEDGE_PROTOCOLS))
+def test_auto_runs_knowledge_protocols_on_kernel(request, monkeypatch, protocol, trace_name):
+    """auto takes the SoA tier for every stock knowledge-store protocol and
+    matches the forced-event run byte for byte, event count included."""
+    trace = request.getfixturevalue(f"{trace_name}_trace")
+    name, kwargs = KNOWLEDGE_PROTOCOLS[protocol]
+    kernel_runs = []
+    run = SweepKernel.run
+
+    def counted(kernel, horizon):
+        kernel_runs.append(horizon)
+        return run(kernel, horizon)
+
+    monkeypatch.setattr(SweepKernel, "run", counted)
+    auto_sim, auto_result = run_cell(trace, name, kwargs, "auto", load=30)
+    assert len(kernel_runs) == 1
+    ev_sim, ev_result = run_cell(trace, name, kwargs, "event", load=30)
+    assert len(kernel_runs) == 1
+    assert repr(auto_result) == repr(ev_result)
+    # every contact carries the stores, so none is batched on either tier
+    assert auto_sim.batched_encounters == ev_sim.batched_encounters == 0
+    assert auto_sim.engine.events_fired == ev_sim.engine.events_fired
+
+
+@dataclass(frozen=True)
+class _SubclassConfig:
+    """Builds one protocol subclass per node (a custom protocol's config)."""
+
+    cls: type
+    kwargs: tuple = ()
+    protocol_name = "custom"
+    label = "custom"
+
+    def build(self, node, sim, rng):
+        return self.cls(node, sim, rng, **dict(self.kwargs))
+
+
+_STOCK_CLASSES = {
+    "pq_antipacket": (PQAntiPacketEpidemic, (("p", 1.0), ("q", 1.0))),
+    "immunity": (ImmunityEpidemic, ()),
+    "cumulative_immunity": (CumulativeImmunityEpidemic, ()),
+}
+
+
+def _overrides(stock: type) -> list[str]:
+    base = next(b for b in _KNOWLEDGE_HOOKS if issubclass(stock, b))
+    return [*_KNOWLEDGE_HOOKS[base], "on_encounter_started", "epoch_gated_control"]
+
+
+@pytest.mark.parametrize(
+    ("protocol", "hook"),
+    [(p, hook) for p, (cls, _) in _STOCK_CLASSES.items() for hook in _overrides(cls)],
+)
+def test_soa_refuses_subclass_overriding_a_knowledge_hook(campus_trace, protocol, hook):
+    """Behaviour-preserving overrides still leave the stock hooks the
+    knowledge plane mirrors, so the kernel refuses them by name, and auto
+    falls back to the event tier with the stock result."""
+    stock, kwargs = _STOCK_CLASSES[protocol]
+    if hook == "epoch_gated_control":
+        body = {hook: False}
+    else:
+        stock_hook = getattr(stock, hook)
+        body = {hook: lambda self, *args: stock_hook(self, *args)}
+    custom = type(f"Custom{stock.__name__}", (stock,), body)
+    flows = [Flow(flow_id=0, source=0, destination=5, num_bundles=3)]
+
+    def simulation(cls, kernel):
+        return Simulation(
+            campus_trace,
+            _SubclassConfig(cls, kwargs),
+            flows,
+            config=SimulationConfig(kernel=kernel),
+            seed=5,
+        )
+
+    reason = kernel_unsupported_reason(simulation(custom, "auto"))
+    assert reason is not None and hook in reason
+    with pytest.raises(ValueError, match=hook):
+        simulation(custom, "soa").run()
+    assert kernel_unsupported_reason(simulation(stock, "auto")) is None
+    assert repr(simulation(custom, "auto").run()) == repr(simulation(stock, "soa").run())
 
 
 def test_auto_uses_kernel_for_inert_population(campus_trace):

@@ -499,36 +499,64 @@ class TestFaultSpecKeys:
 
 NAN = math.nan
 _POISSON = {"kind": "poisson", "params": {"num_nodes": 6, "horizon": 5_000.0}}
+_INTERVAL = tiny_scenario().mobility.to_dict()
 
-#: field → top-level scenario-JSON keys that plant a NaN in it
-NAN_CASES = {
-    "ttl_base": {"protocols": [{"name": "ec_ttl", "params": {"ttl_base": NAN}}]},
-    "ttl_step": {"protocols": [{"name": "ec_ttl", "params": {"ttl_step": NAN}}]},
-    "buffer_capacity": {"buffer_capacity": NAN},
-    "bundle_tx_time": {"bundle_tx_time": NAN},
-    "backoff": {"retry_backoff": NAN},
-    "cell_timeout": {"cell_timeout": NAN},
-    "churn_rate": {"faults": {"churn_rate": NAN, "mean_downtime": 100.0}},
-    "beta": {"mobility": {**_POISSON, "params": {**_POISSON["params"], "beta": NAN}}},
-    "duration": {
-        "mobility": {**_POISSON, "params": {**_POISSON["params"], "duration": NAN}}
-    },
+#: case → (the field its error must name, top-level scenario-JSON keys that
+#: plant a hostile value in it): NaNs, which JSON accepts as a literal, and
+#: wrong-typed or non-finite values that used to run as plausible nonsense
+HOSTILE_VALUES = {
+    "ttl_base": ("ttl_base", {"protocols": [{"name": "ec_ttl", "params": {"ttl_base": NAN}}]}),
+    "ttl_step": ("ttl_step", {"protocols": [{"name": "ec_ttl", "params": {"ttl_step": NAN}}]}),
+    "buffer_capacity": ("buffer_capacity", {"buffer_capacity": NAN}),
+    "bundle_tx_time": ("bundle_tx_time", {"bundle_tx_time": NAN}),
+    "backoff": ("backoff", {"retry_backoff": NAN}),
+    "cell_timeout": ("cell_timeout", {"cell_timeout": NAN}),
+    "churn_rate": ("churn_rate", {"faults": {"churn_rate": NAN, "mean_downtime": 100.0}}),
+    "beta": (
+        "beta",
+        {"mobility": {**_POISSON, "params": {**_POISSON["params"], "beta": NAN}}},
+    ),
+    "duration": (
+        "duration",
+        {"mobility": {**_POISSON, "params": {**_POISSON["params"], "duration": NAN}}},
+    ),
+    # a truthy string switched anti-packets on (and the label with them)
+    "anti_packets_string": (
+        "anti_packets",
+        {"protocols": [{"name": "pq", "params": {"anti_packets": "no"}}]},
+    ),
+    "shared_trace_string": ("shared_trace", {"shared_trace": "false"}),
+    # fractional buffers ran between their neighbours' occupancies, and a
+    # per-node fraction or bool was truncated by int()
+    "buffer_capacity_fraction": ("buffer_capacity", {"buffer_capacity": 2.5}),
+    "buffer_capacity_per_node_fraction": ("buffer_capacity", {"buffer_capacity": [2.7] * 8}),
+    "buffer_capacity_per_node_bool": ("buffer_capacity", {"buffer_capacity": [True] * 8}),
+    # every contact became zero-transfer: 0 delivered, no error
+    "bundle_tx_time_infinite": ("bundle_tx_time", {"bundle_tx_time": math.inf}),
+    "loads_bool": ("loads", {"workload": {"loads": [True]}}),
+    "replications_string": ("replications", {"workload": {"loads": [2], "replications": "2"}}),
+    "num_nodes_fraction": (
+        "num_nodes",
+        {"mobility": {**_INTERVAL, "params": {**_INTERVAL["params"], "num_nodes": 8.5}}},
+    ),
 }
 
 
-@pytest.mark.parametrize("field", sorted(NAN_CASES))
-def test_nan_parameter_is_refused_before_any_cell_runs(field, monkeypatch):
+@pytest.mark.parametrize("case", sorted(HOSTILE_VALUES))
+def test_nan_parameter_is_refused_before_any_cell_runs(case, monkeypatch):
+    """A NaN or another hostile value fails with the field's name before
+    any cell runs, on either DES tier."""
     from repro.core.simulation import Simulation
     from repro.core.sweepkernel import SweepKernel
 
+    field, planted = HOSTILE_VALUES[case]
     ran = []
     monkeypatch.setattr(Simulation, "run", lambda sim: ran.append("event"))
     monkeypatch.setattr(SweepKernel, "run", lambda kern, horizon: ran.append("soa"))
     for kernel in ("auto", "event"):
-        data = {**tiny_scenario(kernel=kernel).to_dict(), **NAN_CASES[field]}
-        # json accepts a NaN literal, so a NaN can reach every numeric field
+        data = {**tiny_scenario(kernel=kernel).to_dict(), **planted}
+        # json accepts NaN and Infinity literals, so they reach every numeric field
         text = json.dumps(data)
-        assert "NaN" in text
         with pytest.raises(ValueError, match=field):
             spec = ScenarioSpec.from_json(text)
             spec.build_protocols()

@@ -10,7 +10,8 @@ cover every axis a tier or executor could get wrong:
   overlapping contacts, horizons flush with the last contact end; or a
   registered mobility kind (``interval``, ``poisson``);
 * every registry protocol, P-Q with and without anti-packets;
-* every drop policy, scalar and per-node buffers and radios;
+* every drop policy, scalar and per-node buffers and radios, with and
+  without the occupancy series;
 * no fault spec, a trivial one, or an active one: churn under each
   ``state_loss`` mode, an explicit outage, contact drops, interruptions,
   transfer failures;
@@ -118,6 +119,32 @@ def explicit_traces(draw) -> ContactTrace:
 
 
 @st.composite
+def serial_traces(draw) -> ContactTrace:
+    """A contact list in which no node is ever in two contacts at once.
+
+    Each contact starts strictly after both endpoints' previous contacts
+    end; contacts of disjoint pairs still overlap and tie.
+    """
+    num_nodes = draw(st.integers(3, 7))
+    if draw(st.booleans()):
+        gaps = st.integers(1, 4).map(lambda k: 50.0 * k)
+        durations = st.just(50.0) | st.integers(2, 12).map(lambda k: 50.0 * k)
+    else:
+        gaps = st.floats(1.0, 900.0)
+        durations = st.floats(20.0, 99.0) | st.floats(100.0, 900.0)
+    free = [0.0] * num_nodes
+    contacts: list[Contact] = []
+    for _ in range(draw(st.integers(1, 30))):
+        a = draw(st.integers(0, num_nodes - 1))
+        b = (a + draw(st.integers(1, num_nodes - 1))) % num_nodes
+        start = max(free[a], free[b]) + draw(gaps)
+        free[a] = free[b] = start + draw(durations)
+        contacts.append(Contact(start=start, end=free[a], a=a, b=b))
+    horizon = max(free) + draw(st.sampled_from((0.0, 1.0, 3_000.0)))
+    return ContactTrace(contacts, num_nodes, horizon=horizon)
+
+
+@st.composite
 def mobility_traces(draw) -> ContactTrace:
     """A trace from a registered mobility kind."""
     seed = draw(st.integers(0, 50))
@@ -181,9 +208,17 @@ def cells(
     *,
     faults: st.SearchStrategy[FaultSpec | None] | None = None,
     policies: tuple[str, ...] = DROP_POLICIES,
+    traces: st.SearchStrategy[ContactTrace] | None = None,
+    capacities: st.SearchStrategy[int | tuple[int, ...]] | None = None,
 ) -> Cell:
-    """One simulation run: trace, protocol, flows, config and seeds."""
-    trace = draw(st.one_of(explicit_traces(), mobility_traces()))
+    """One simulation run: trace, protocol, flows, config and seeds.
+
+    ``traces`` and ``capacities`` replace the default trace and (scalar or
+    per-node) buffer-capacity draws.
+    """
+    if traces is None:
+        traces = st.one_of(explicit_traces(), mobility_traces())
+    trace = draw(traces)
     n = trace.num_nodes
     flows = []
     for flow_id in range(draw(st.integers(1, 3))):
@@ -199,9 +234,11 @@ def cells(
                 created_at=draw(st.just(0.0) | st.floats(0.0, trace.horizon / 2)),
             )
         )
-    capacity = draw(
-        st.integers(1, 6) | st.lists(st.integers(1, 6), min_size=n, max_size=n).map(tuple)
-    )
+    if capacities is None:
+        capacities = st.integers(1, 6) | st.lists(
+            st.integers(1, 6), min_size=n, max_size=n
+        ).map(tuple)
+    capacity = draw(capacities)
     tx_time = draw(
         st.just(100.0) | st.lists(st.sampled_from(TX_TIMES), min_size=n, max_size=n).map(tuple)
     )
@@ -211,6 +248,7 @@ def cells(
         buffer_capacity=capacity,
         bundle_tx_time=tx_time,
         drop_policy=draw(st.sampled_from(policies)),
+        record_occupancy=draw(st.booleans()),
         faults=draw(faults),
     )
     return Cell(

@@ -52,8 +52,11 @@ def node_state(sim) -> list[tuple]:
     ]
 
 
-def climb(cell: Cell) -> int:
-    """Run ``cell`` on every eligible tier; return the reference's planner calls."""
+def climb(cell: Cell) -> tuple[int, bool]:
+    """Run ``cell`` on every eligible tier.
+
+    Returns the reference's planner calls and whether the SoA rung ran.
+    """
     ref = cell.simulation(ReferenceSimulation)
     expected = repr(ref.run())
     state = node_state(ref)
@@ -65,13 +68,15 @@ def climb(cell: Cell) -> int:
     assert event.engine.events_fired + event.batched_encounters == events
     assert event.picks == ref.picks
 
+    soa_ran = False
     if cell.config.active_faults is None:
         soa = cell.simulation(kernel="soa")
         if kernel_unsupported_reason(soa) is None:
             assert repr(soa.run()) == expected
             assert node_state(soa) == state
             assert soa.engine.events_fired + soa.batched_encounters == events
-    return ref.planner_calls
+            soa_ran = True
+    return ref.planner_calls, soa_ran
 
 
 #: A run the generator draws only rarely: a peer-destined bundle newer
@@ -107,17 +112,35 @@ COMPLETION_TIE = (
     (Flow(0, 0, 2, 1),),
 )
 
+#: A sender that learns mid-flight that its bundle arrived wastes the slot:
+#: node 1 starts sending 0's bundle to 2 at 250, learns of its delivery
+#: from 3 over a zero-transfer contact at 300 (purging its copy), and the
+#: transfer completes at 350. Flow 1 never arrives, so the run goes on.
+SENDER_LEARNS = (
+    ContactTrace.from_tuples(
+        [
+            (0.0, 100.0, 0, 1),  # 1 takes a copy of bundle (0, 1)
+            (100.0, 200.0, 0, 3),  # ... which is delivered at 200
+            (250.0, 400.0, 1, 2),  # 1 starts sending its copy to 2
+            (300.0, 320.0, 1, 3),  # and learns mid-flight it arrived
+        ],
+        5,
+        horizon=1_000.0,
+    ),
+    (Flow(0, 0, 3, 1), Flow(1, 2, 4, 1)),
+)
+
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_cell_ladder(protocol):
-    calls = 0
+    calls = soa_rungs = 0
     flows = (Flow(0, 0, 3, 2), Flow(1, 0, 1, 1))
     boundary = Cell(BOUNDARY_TRACE, PROTOCOLS[protocol], flows, SimulationConfig(), 0, 0)
     # node 3 is down when its 300 s contact with node 1 starts
     outage = SimulationConfig(faults=FaultSpec(downtime_schedule=((3, 250.0, 350.0),)))
-    flow_tie, completion_tie = (
+    flow_tie, completion_tie, sender_learns = (
         Cell(trace, PROTOCOLS[protocol], tie_flows, SimulationConfig(), 0, 0)
-        for trace, tie_flows in (FLOW_TIE, COMPLETION_TIE)
+        for trace, tie_flows in (FLOW_TIE, COMPLETION_TIE, SENDER_LEARNS)
     )
 
     @settings(max_examples=30, **SETTINGS)
@@ -126,13 +149,19 @@ def test_cell_ladder(protocol):
     @example(cell=dataclasses.replace(boundary, config=outage))
     @example(cell=flow_tie)
     @example(cell=completion_tie)
+    @example(cell=sender_learns)
     def climb_drawn(cell):
-        nonlocal calls
-        calls += climb(cell)
+        nonlocal calls, soa_rungs
+        planned, soa_ran = climb(cell)
+        calls += planned
+        soa_rungs += soa_ran
 
     climb_drawn()
     # the reference planner really planned this protocol's sessions
     assert calls > 0
+    # and a protocol the kernel accepts really climbed the SoA rung
+    if kernel_unsupported_reason(boundary.simulation()) is None:
+        assert soa_rungs > 0
 
 
 @settings(max_examples=5, **SETTINGS)

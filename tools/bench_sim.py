@@ -9,10 +9,11 @@ writes the table to a JSON report — the perf trajectory CI tracks next to
 ``BENCH_contacts.json``.
 
 The grid carries a ``kernel`` dimension: every cell runs on the classic
-event engine, and encounter-inert cells (:data:`SOA_PROTOCOLS`) run a
-second time on the array-resident contact-sweep kernel
-(:mod:`repro.core.sweepkernel`). The full scale adds a 1000-node epidemic
-cell only the sweep kernel can run interactively.
+event engine, and the cells the kernel accepts (:data:`SOA_PROTOCOLS`:
+encounter-inert protocols, and anti-packet pq through the kernel's
+delivery-knowledge plane) run a second time on the array-resident
+contact-sweep kernel (:mod:`repro.core.sweepkernel`). The full scale adds
+a 1000-node epidemic cell only the sweep kernel can run interactively.
 
 Usage:
     PYTHONPATH=src python tools/bench_sim.py --scale smoke
@@ -94,20 +95,21 @@ GOLDEN_PROTOCOLS: dict[str, dict[str, object]] = {
     "immunity": {},
 }
 
-#: Bench-grid protocols the sweep kernel accepts (encounter-inert). The
-#: anti-packet pq cell mutates knowledge on encounters, so it stays
-#: event-only — exactly the mixed-grid situation per-cell dispatch covers.
-SOA_PROTOCOLS = ("pure", "ttl")
+#: Bench-grid protocols the sweep kernel accepts: the encounter-inert
+#: pair, and anti-packet pq, whose i-lists the kernel carries in its
+#: delivery-knowledge plane.
+SOA_PROTOCOLS = ("pure", "ttl", "pq")
 
-#: Golden-pinned protocols covered by the kernel byte-identity check
-#: (immunity and anti-packet pq are encounter-reactive → event-only).
-SOA_GOLDEN_PROTOCOLS = ("pure", "ttl", "ec")
+#: Golden-pinned protocols covered by the kernel byte-identity check:
+#: the inert ones, and the knowledge-store ones (anti-packet pq, immunity).
+SOA_GOLDEN_PROTOCOLS = ("pure", "ttl", "ec", "pq", "immunity")
 
 SCALES: dict[str, dict[str, tuple]] = {
     # CI perf job: small populations, quick; the extra 200-node
-    # anti-packet cell covers the per-contact control-plane path (the
-    # contact stream's one handler + knowledge-epoch caching) at the
-    # population size where it dominates
+    # anti-packet cell covers the per-contact control-plane path at the
+    # population size where it dominates: on the event engine (the
+    # contact stream's one handler + knowledge-epoch caching) and on the
+    # sweep kernel (the delivery-knowledge plane)
     "smoke": {
         "nodes": (25, 50),
         "loads": (10,),
