@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING
 from repro.core.bundle import StoredBundle
 from repro.core.protocols.antipacket import AntiPacketProtocol
 from repro.core.protocols.base import Protocol
+from repro.validation import require_bool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -99,8 +100,7 @@ class PQEpidemicConfig:
                 raise ValueError(f"{label} must be a probability, got {v}")
         # the flag picks the protocol class (and the execution tier), so a
         # truthy string such as "no" must not switch anti-packets on
-        if not isinstance(self.anti_packets, bool):
-            raise ValueError(f"anti_packets must be a bool, got {self.anti_packets!r}")
+        require_bool("anti_packets", self.anti_packets)
 
     @property
     def label(self) -> str:

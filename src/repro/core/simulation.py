@@ -32,6 +32,7 @@ from repro.des.engine import Engine
 from repro.des.rng import RngHub
 from repro.faults import FaultSpec
 from repro.mobility.contact import ContactTrace, zero_transfer_mask
+from repro.validation import require_bool, require_int
 
 #: Sweep-cell execution engines: the event simulator and the mean-field
 #: surrogate (:mod:`repro.analytic.surrogate`).
@@ -107,8 +108,7 @@ class SimulationConfig:
         if not caps:
             raise ValueError("per-node buffer_capacity must be non-empty")
         for c in caps:
-            if isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 1:
-                raise ValueError(f"buffer_capacity must be an integer >= 1, got {c!r}")
+            require_int("buffer_capacity", c, 1)
         if per_node:
             object.__setattr__(self, "buffer_capacity", tuple(int(c) for c in caps))
         per_node = isinstance(self.bundle_tx_time, (list, tuple))
@@ -124,10 +124,7 @@ class SimulationConfig:
                 raise ValueError(f"bundle_tx_time must be finite and positive, got {t!r}")
         if per_node:
             object.__setattr__(self, "bundle_tx_time", tuple(float(t) for t in times))
-        if not isinstance(self.record_occupancy, bool):
-            raise ValueError(
-                f"record_occupancy must be a bool, got {self.record_occupancy!r}"
-            )
+        require_bool("record_occupancy", self.record_occupancy)
         from repro.core.policies import drop_policy_names
 
         if self.drop_policy not in drop_policy_names():
@@ -496,8 +493,8 @@ class Simulation:
         queue fires it, and ``note_encounter`` depends only on the passed
         times), and the per-contact signaling accounting for the contacts
         flagged in ``left_out`` — the degenerate contacts an encounter-inert
-        population never schedules (none when the SoA kernel swept every
-        contact, its knowledge plane's case). Contacts past
+        population never schedules (None when every contact was processed,
+        as a knowledge-plane sweep does). Contacts past
         ``end_time`` are excluded exactly as the event loop would have
         left them unfired: an early-delivery halt happens in a
         transfer-completion event, which by the engine's stream rule fires
@@ -508,16 +505,17 @@ class Simulation:
         nodes = self.nodes
         if fired:
             self._replay_encounter_history(a_ids[:fired], b_ids[:fired])
-        zmask = left_out[:fired]
-        batched = int(zmask.sum())
-        if batched:
-            self.batched_encounters += batched
-            self.metrics.on_batched_contacts(batched)
-            counts = np.bincount(a_ids[:fired][zmask], minlength=len(nodes))
-            counts += np.bincount(b_ids[:fired][zmask], minlength=len(nodes))
-            for node, encounters in zip(nodes, counts.tolist(), strict=True):
-                if encounters:
-                    node.counters.control_units_sent += encounters
+        if left_out is not None:
+            zmask = left_out[:fired]
+            batched = int(zmask.sum())
+            if batched:
+                self.batched_encounters += batched
+                self.metrics.on_batched_contacts(batched)
+                counts = np.bincount(a_ids[:fired][zmask], minlength=len(nodes))
+                counts += np.bincount(b_ids[:fired][zmask], minlength=len(nodes))
+                for node, encounters in zip(nodes, counts.tolist(), strict=True):
+                    if encounters:
+                        node.counters.control_units_sent += encounters
         self._defer_history = False
 
     def _replay_encounter_history(self, a_ids, b_ids) -> None:

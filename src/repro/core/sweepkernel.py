@@ -195,9 +195,9 @@ class SweepKernel:
         "_cand_keys", "_cand_sbs", "_cand_bits", "_dest_counts", "_ctrl_np",
         "_skipped", "_trivial_offer", "_trivial_confirm", "_trivial_accept",
         "_trivial_store", "_pure_offer", "_rentries", "_rcaps", "_relays",
-        "_origins", "_live_starts", "_live_a", "_live_b", "_know_bits",
-        "_know", "_know_size", "_size_keys", "_size_vals", "_stride",
-        "_cursor", "_know_units", "_carry",
+        "_origins", "_live_starts", "_live_a", "_live_b", "_knowledge",
+        "_know_bits", "_know", "_know_size", "_size_keys", "_size_vals",
+        "_stride", "_know_units", "_carry",
     )
 
     def __init__(self, sim: Simulation) -> None:
@@ -281,29 +281,32 @@ class SweepKernel:
         self._live_starts: NDArray[np.float64] = np.empty(0, dtype=np.float64)
         self._live_a: NDArray[np.intp] = np.empty(0, dtype=np.intp)
         self._live_b: NDArray[np.intp] = np.empty(0, dtype=np.intp)
-        # ---- the delivery-knowledge plane (stock knowledge-store
-        # populations only; None selects the inert sweep)
+        # ---- the delivery-knowledge plane: all zero for an inert
+        # population, whose sweep then reduces to the copy-mask test
+        #: the population keeps delivery knowledge in a stock store
+        #: (eligibility admits no other non-inert class)
+        self._knowledge = not proto_cls.encounter_inert
         #: per-node bundle bits the node's knowledge store covers
-        self._know_bits: list[int] | None = None
-        self._know: NDArray[np.bool_] = np.zeros((n, b), dtype=np.bool_)
+        self._know_bits: list[int] = [0] * n
         #: per-node len(store) — one contact's control units each way
         self._know_size: list[int] = [0] * n
-        #: store-size log: key ``node * stride + pos`` says the node's size
-        #: is the parallel value from swept contact ``pos`` on
-        self._size_keys: list[int] = []
-        self._size_vals: list[int] = []
-        self._stride = 1
-        #: the sweep position a calendar event's knowledge change is
-        #: first seen at (the next contact to be swept)
-        self._cursor = 0
         #: protocol control units owed at equal-store contacts, settled
         #: into the signaling counter on return
         self._know_units = 0
-        #: per swept contact: the link carries at least one bundle
-        self._carry: NDArray[np.bool_] = np.empty(0, dtype=np.bool_)
-        if not proto_cls.encounter_inert:
+        if self._knowledge:
             self._know_bits = [self._plane_of(node) for node in nodes]
-            self._know_size = [self._store_size(node) for node in nodes]
+            self._know_size = [len(node.protocol.knowledge) for node in nodes]
+            #: NumPy mirror of the planes, for the chunked scan
+            self._know: NDArray[np.bool_] = np.zeros((n, b), dtype=np.bool_)
+            #: store-size log: key ``node * stride + pos`` says the node's
+            #: size is the parallel value from swept contact ``pos`` on
+            #: (_drive seeds it once the contact count is known)
+            self._size_keys: list[int] = []
+            self._size_vals: list[int] = []
+            self._stride = 1
+            #: per swept contact: the link carries at least one bundle
+            #: (the chunked scan's copy-test gate; set by _drive)
+            self._carry: NDArray[np.bool_] = np.empty(0, dtype=np.bool_)
 
     # ----------------------------------------------------- state observation
     # (Simulation calls these on every copy-population change; they keep the
@@ -370,28 +373,22 @@ class SweepKernel:
             for flow, seq in sorted(store.tables.items()):
                 # a flow's bundles hold consecutive bits, seq 1 lowest
                 bits |= ((1 << seq) - 1) << col[BundleId(flow=flow, seq=1)]
-        elif store is not None:
+        else:
             for bid in sorted(store.snapshot):
                 bits |= 1 << col[bid]
         return bits
 
-    @staticmethod
-    def _store_size(node: Node) -> int:
-        """``len`` of ``node``'s knowledge store: its control units per contact."""
-        store = node.protocol.knowledge
-        return 0 if store is None else len(store)
-
     def _learned(self, nid: int, plane: int, pos: int) -> None:
         """Node ``nid`` now knows ``plane``; swept contact ``pos`` on sees it."""
         know = self._know_bits
-        if know is None or know[nid] == plane:
+        if know[nid] == plane:
             return
         know[nid] = plane
         # the plane is the receiver-has veto; a purge that taught it just
         # cleared its copy's has bit, so OR the whole plane back in
         self._has_bits[nid] |= plane
         self._masks_dirty = True
-        size = self._store_size(self._nodes[nid])
+        size = len(self._nodes[nid].protocol.knowledge)
         if size != self._know_size[nid]:
             self._know_size[nid] = size
             self._size_keys.append(nid * self._stride + pos)
@@ -641,8 +638,7 @@ class SweepKernel:
             # a sender that learned mid-flight that the bundle arrived
             # aborts the transmission; learning purged its copy, so only a
             # vanished copy can hide that knowledge
-            know = self._know_bits
-            if know is not None and know[sender.id] & bit:
+            if self._know_bits[sender.id] & bit:
                 metrics.on_wasted_slot()
                 self._schedule_next(rec, now)
                 return
@@ -651,10 +647,14 @@ class SweepKernel:
         metrics.on_transmission()
         if sb.bundle.destination == receiver.id:
             sim.deliver(receiver, sb.bundle, now, via=sender.id)
-            if self._know_bits is not None:
+            if self._knowledge:
                 # the destination's store took the delivery (a cumulative
-                # table only over its contiguous prefix)
-                self._learned(rid, self._plane_of(receiver), self._cursor)
+                # table only over its contiguous prefix). A completion's
+                # seq is above the whole swept block, reserved before any
+                # completion was scheduled, so every contact starting by
+                # now was swept first and the next one sees the change.
+                pos = int(np.searchsorted(self._live_starts, now, side="right"))
+                self._learned(rid, self._plane_of(receiver), pos)
         else:
             stored = sim.store_received_copy(
                 receiver, sb.bundle, ec_for_receiver, now, sender_copy=sb
@@ -683,7 +683,7 @@ class SweepKernel:
         has = self._has
         live_a = self._live_a
         live_b = self._live_b
-        knowledge = self._know_bits is not None
+        knowledge = self._knowledge
         while lo < hi:
             nhi = lo + _SKIP_CHUNK
             if nhi > hi:
@@ -718,7 +718,7 @@ class SweepKernel:
         nbytes = self._mask_bytes
         b = self._b
         mirrors = [("_sendable", self._snd_bits), ("_has", self._has_bits)]
-        if self._know_bits is not None:
+        if self._knowledge:
             mirrors.append(("_know", self._know_bits))
         for name, bits_list in mirrors:
             raw = b"".join(bits.to_bytes(nbytes, "little") for bits in bits_list)
@@ -753,7 +753,7 @@ class SweepKernel:
         if n_sessions:
             units -= np.bincount(self._live_a[fi], minlength=minlength)
             units -= np.bincount(self._live_b[fi], minlength=minlength)
-        if self._know_bits is not None:
+        if self._knowledge:
             # equal planes are equal stores, so endpoint a's size is both's
             sizes = self._sizes_at(live_a)
             sizes[fi] = 0.0
@@ -794,10 +794,11 @@ class SweepKernel:
         for node, units in zip(self._nodes, self._ctrl_np.tolist(), strict=True):
             if units:
                 node.counters.control_units_sent += units
-        # the flush accounts the contacts the sweep left out: the
-        # zero-transfer ones of an inert population, none with a plane
-        left_out = zero_mask if self._know_bits is None else np.zeros_like(zero_mask)
-        sim._flush_deferred_bookkeeping(left_out, end_time, arrays)
+        # the flush accounts the zero-transfer contacts an inert sweep left
+        # out; a knowledge sweep left none out
+        sim._flush_deferred_bookkeeping(
+            None if self._knowledge else zero_mask, end_time, arrays
+        )
         return sim._build_result()
 
     def _drive(
@@ -808,7 +809,7 @@ class SweepKernel:
         ],
         zero_mask: NDArray[np.bool_],
     ) -> bool:
-        """Set up the swept columns and run the population's sweep loop.
+        """Set up the swept columns and run the sweep loop.
 
         Returns True when the run halted early.
         """
@@ -823,34 +824,41 @@ class SweepKernel:
             else:
                 engine.at(flow.created_at, sim._inject_flow, flow)
         starts, ends, a_ids, b_ids = arrays
-        know = self._know_bits
-        if know is None:
+        if self._knowledge:
+            # every contact carries the stores; a copy crosses only the
+            # ones whose link carries a bundle
+            self._carry = ~zero_mask
+            self._stride = stride = len(starts) + 1
+            self._size_keys = [nid * stride for nid in range(self._n)]
+            self._size_vals = list(self._know_size)
+            for nid, plane in enumerate(self._know_bits):
+                self._has_bits[nid] |= plane
+            self._masks_dirty = True
+            carry_l: list[bool] = self._carry.tolist()
+        else:
             # inert: a zero-transfer contact changes nothing, so only the
             # contacts that can carry a bundle are swept
             live = np.flatnonzero(~zero_mask)
             starts, ends, a_ids, b_ids = starts[live], ends[live], a_ids[live], b_ids[live]
-        else:
-            # every contact carries the stores
-            self._carry = ~zero_mask
-            self._stride = len(starts) + 1
-            for nid, size in enumerate(self._know_size):
-                self._size_keys.append(nid * self._stride)
-                self._size_vals.append(size)
-                self._has_bits[nid] |= know[nid]
+            carry_l = [True] * len(live)
         self._live_starts = starts
         self._live_a = a_ids
         self._live_b = b_ids
         # the swept contacts' seq block, reserved as Engine.run reserves a
-        # stream's: the tie-break in the sweep loops is the engine's stream
+        # stream's: the tie-break in the sweep loop is the engine's stream
         # rule
         contact_base = engine.seq
         engine.seq = contact_base + len(starts)
         n_fire = int(np.searchsorted(starts, horizon, side="right"))
-        columns = (starts.tolist(), ends.tolist(), a_ids.tolist(), b_ids.tolist())
-        if know is None:
-            return self._sweep(horizon, contact_base, n_fire, *columns)
-        return self._sweep_knowledge(
-            horizon, contact_base, n_fire, *columns, self._carry.tolist()
+        return self._sweep(
+            horizon,
+            contact_base,
+            n_fire,
+            starts.tolist(),
+            ends.tolist(),
+            a_ids.tolist(),
+            b_ids.tolist(),
+            carry_l,
         )
 
     def _sweep(
@@ -862,8 +870,19 @@ class SweepKernel:
         ends_l: list[float],
         a_l: list[int],
         b_l: list[int],
+        carry_l: list[bool],
     ) -> bool:
-        """The sweep loop of an inert population; True when the run halted."""
+        """The sweep loop; True when the run halted early.
+
+        A contact is futile when its two knowledge planes are equal and no
+        copy can cross it. A contact whose planes differ runs the stock
+        swap (:func:`~repro.core.knowledge.exchange_control`); both
+        endpoints then know the union, and the contact block ends. A
+        contact with equal planes that a copy can cross owes the swap's
+        accounting only. Either opens a session when its link carries a
+        bundle. An inert population's planes are all zero and every
+        contact it sweeps carries, so only the copy-mask test is live.
+        """
         sim = self.sim
         engine = self._engine
         nodes = self._nodes
@@ -871,15 +890,19 @@ class SweepKernel:
         link_tx_time = sim.link_tx_time
         uniform_tx = sim._uniform_tx_time
         schedule_next = self._schedule_next
+        learned = self._learned
         snd = self._snd_bits
         hasb = self._has_bits
+        knowledge = self._knowledge
+        know = self._know_bits
+        know_size = self._know_size
         heap = engine.heap
         heappop = heapq.heappop
         inf = math.inf
         ci = 0
-        # indexes of contacts that opened a session; every other contact in
-        # [0, ci) is futile, and all futile accounting (skip counts +
-        # control units) settles in one vectorized pass on return
+        # indexes of contacts that fired; every other contact in [0, ci) is
+        # futile, and all futile accounting (skip counts + control units)
+        # settles in one vectorized pass on return
         fired_idx: list[int] = []
         fired_append = fired_idx.append
         while True:
@@ -894,8 +917,8 @@ class SweepKernel:
                 h_time = inf
                 h_seq = 0
             # ---- contact block: every contact strictly before the next
-            # dynamic event in (time, seq) order. Masks cannot change in
-            # here — only calendar events mutate copy state.
+            # dynamic event in (time, seq) order. Masks change in here only
+            # at a knowledge-changing contact, which ends the block.
             progressed = False
             probe = _PROBE
             while ci < n_fire:
@@ -905,120 +928,19 @@ class SweepKernel:
                     break
                 a = a_l[ci]
                 b = b_l[ci]
-                if (snd[a] & ~hasb[b]) or (snd[b] & ~hasb[a]):
-                    # possible: run the exchange machinery for contact ci
-                    engine.now = t
-                    engine.events_fired += 1
-                    node_a = nodes[a]
-                    node_b = nodes[b]
-                    signaling.summary_vector += 2
-                    node_a.counters.control_units_sent += 1
-                    node_b.counters.control_units_sent += 1
-                    tx_time = (
-                        uniform_tx if uniform_tx is not None else link_tx_time(a, b)
-                    )
-                    end = ends_l[ci]
-                    rec = _Session(
-                        node_a, node_b, t, end, tx_time, int((end - t) / tx_time)
-                    )
-                    schedule_next(rec, t)
-                    fired_append(ci)
-                    ci += 1
-                    progressed = True
-                    break
-                # futile: retire inline (accounting settles on return)
-                ci += 1
-                probe -= 1
-                if probe == 0:
-                    # unbroken futile run: hand the rest of the block to
-                    # the chunked vectorized scan
-                    ci = self._scan_chunks(
-                        ci, self._block_end(n_fire, h_time, h_seq, contact_base)
-                    )
-                    probe = _PROBE
-            if progressed:
-                continue
-            if h_time > horizon:
-                self._settle_futile(ci, fired_idx)
-                return False
-            entry = heappop(heap)
-            entry[4] = False
-            engine.now = h_time
-            engine.events_fired += 1
-            entry[2](*entry[3])
-            if engine.halted:
-                self._settle_futile(ci, fired_idx)
-                return True
-
-    def _sweep_knowledge(
-        self,
-        horizon: float,
-        contact_base: int,
-        n_fire: int,
-        starts_l: list[float],
-        ends_l: list[float],
-        a_l: list[int],
-        b_l: list[int],
-        carry_l: list[bool],
-    ) -> bool:
-        """The sweep loop of a knowledge-store population (:meth:`_sweep`'s
-        twin over every contact); True when the run halted.
-
-        A contact whose two knowledge planes differ runs the stock swap
-        (:func:`~repro.core.knowledge.exchange_control`); both endpoints
-        then know the union, and the contact block ends. A contact with
-        equal planes that a copy can cross owes the swap's accounting
-        only. Either opens a session when its link carries a bundle.
-        """
-        sim = self.sim
-        engine = self._engine
-        nodes = self._nodes
-        signaling = sim.metrics.signaling
-        link_tx_time = sim.link_tx_time
-        uniform_tx = sim._uniform_tx_time
-        schedule_next = self._schedule_next
-        learned = self._learned
-        snd = self._snd_bits
-        hasb = self._has_bits
-        know = self._know_bits
-        assert know is not None
-        know_size = self._know_size
-        heap = engine.heap
-        heappop = heapq.heappop
-        inf = math.inf
-        ci = 0
-        fired_idx: list[int] = []
-        fired_append = fired_idx.append
-        while True:
-            while heap and not heap[0][4]:
-                heappop(heap)
-                engine.dead -= 1
-            if heap:
-                head = heap[0]
-                h_time = head[0]
-                h_seq = head[1]
-            else:
-                h_time = inf
-                h_seq = 0
-            # ---- contact block (see _sweep); a knowledge-changing
-            # contact ends it like a session-opening one
-            progressed = False
-            probe = _PROBE
-            while ci < n_fire:
-                t = starts_l[ci]
-                if t > h_time or (t == h_time and contact_base + ci >= h_seq):
-                    break
-                a = a_l[ci]
-                b = b_l[ci]
-                plane_a = know[a]
-                plane_b = know[b]
-                if plane_a == plane_b and not (
-                    carry_l[ci] and ((snd[a] & ~hasb[b]) or (snd[b] & ~hasb[a]))
+                # the copy test first, and the plane test behind the run's
+                # flag: an inert sweep (planes all zero, every contact
+                # carrying) then pays one local test per futile contact
+                if not (
+                    ((snd[a] & ~hasb[b]) or (snd[b] & ~hasb[a])) and carry_l[ci]
+                    or knowledge and know[a] != know[b]
                 ):
                     # futile: retire inline (accounting settles on return)
                     ci += 1
                     probe -= 1
                     if probe == 0:
+                        # unbroken futile run: hand the rest of the block
+                        # to the chunked vectorized scan
                         ci = self._scan_chunks(
                             ci, self._block_end(n_fire, h_time, h_seq, contact_base)
                         )
@@ -1028,15 +950,17 @@ class SweepKernel:
                 engine.events_fired += 1
                 node_a = nodes[a]
                 node_b = nodes[b]
-                if plane_a != plane_b:
-                    exchange_control(sim, node_a, node_b, t)
-                    union = plane_a | plane_b
-                    learned(a, union, ci + 1)
-                    learned(b, union, ci + 1)
-                else:
-                    # equal stores: the swap is a no-op, its bill is not
-                    units = know_size[a]
-                    if units:
+                if knowledge:
+                    plane_a = know[a]
+                    plane_b = know[b]
+                    if plane_a != plane_b:
+                        exchange_control(sim, node_a, node_b, t)
+                        union = plane_a | plane_b
+                        learned(a, union, ci + 1)
+                        learned(b, union, ci + 1)
+                    elif know_size[a]:
+                        # equal stores: the swap is a no-op, its bill is not
+                        units = know_size[a]
                         self._know_units += 2 * units
                         node_a.counters.control_units_sent += units
                         node_b.counters.control_units_sent += units
@@ -1065,8 +989,6 @@ class SweepKernel:
             entry[4] = False
             engine.now = h_time
             engine.events_fired += 1
-            # a delivery in this event is first seen by contact ci
-            self._cursor = ci
             entry[2](*entry[3])
             if engine.halted:
                 self._settle_futile(ci, fired_idx)

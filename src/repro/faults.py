@@ -28,18 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any
 
+from repro.validation import require_nonneg, require_prob
+
 #: Accepted ``state_loss`` modes, in increasing order of amnesia.
 STATE_LOSS_MODES = ("none", "buffer", "knowledge", "all")
-
-
-def _require_prob(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
-
-
-def _require_nonneg(name: str, value: float) -> None:
-    if not value >= 0.0:  # also rejects NaN
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,11 +59,11 @@ class FaultSpec:
     transfer_failure_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_nonneg("churn_rate", self.churn_rate)
-        _require_nonneg("mean_downtime", self.mean_downtime)
-        _require_prob("contact_drop_prob", self.contact_drop_prob)
-        _require_prob("interrupt_prob", self.interrupt_prob)
-        _require_prob("transfer_failure_prob", self.transfer_failure_prob)
+        require_nonneg("churn_rate", self.churn_rate)
+        require_nonneg("mean_downtime", self.mean_downtime)
+        require_prob("contact_drop_prob", self.contact_drop_prob)
+        require_prob("interrupt_prob", self.interrupt_prob)
+        require_prob("transfer_failure_prob", self.transfer_failure_prob)
         if self.state_loss not in STATE_LOSS_MODES:
             raise ValueError(
                 f"state_loss must be one of {STATE_LOSS_MODES}, "

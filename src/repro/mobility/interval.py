@@ -16,12 +16,12 @@ between a node's successive encounters is uniform in
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.mobility.contact import Contact, ContactTrace
+from repro.validation import require_int
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,8 @@ class IntervalScenarioConfig:
     max_duration: float = 350.0
 
     def __post_init__(self) -> None:
-        for label, count, least in (
-            ("num_nodes", self.num_nodes, 2),
-            ("max_encounters_per_node", self.max_encounters_per_node, 1),
-        ):
-            if (
-                isinstance(count, bool)
-                or not isinstance(count, numbers.Integral)
-                or count < least
-            ):
-                raise ValueError(f"{label} must be an integer >= {least}, got {count!r}")
+        require_int("num_nodes", self.num_nodes, 2)
+        require_int("max_encounters_per_node", self.max_encounters_per_node, 1)
         if not (0 <= self.min_interval <= self.max_interval):
             raise ValueError("need 0 <= min_interval <= max_interval")
         if not (0 < self.min_duration <= self.max_duration):

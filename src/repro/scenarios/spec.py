@@ -42,6 +42,7 @@ from repro.core.workload import PAPER_LOADS, PAPER_REPLICATIONS
 from repro.des.rng import derive_seed
 from repro.faults import FaultSpec
 from repro.mobility.contact import ContactTrace
+from repro.validation import require_bool, require_int
 
 # --------------------------------------------------------------------------
 # mobility registry
@@ -331,9 +332,7 @@ class WorkloadSpec:
             raise ValueError("loads must be non-empty")
         if any(load < 1 for load in loads):
             raise ValueError("loads must be >= 1")
-        r = self.replications
-        if isinstance(r, bool) or not isinstance(r, numbers.Integral) or r < 1:
-            raise ValueError(f"replications must be an integer >= 1, got {r!r}")
+        require_int("replications", self.replications, 1)
 
     def to_dict(self) -> dict[str, Any]:
         return {"loads": list(self.loads), "replications": self.replications}
@@ -452,10 +451,8 @@ class ScenarioSpec:
         object.__setattr__(self, "protocols", protocols)
         if not protocols:
             raise ValueError("scenario needs at least one protocol")
-        for flag in ("shared_trace", "surrogate_check"):
-            value = getattr(self, flag)
-            if not isinstance(value, bool):
-                raise ValueError(f"{flag} must be a bool, got {value!r}")
+        require_bool("shared_trace", self.shared_trace)
+        require_bool("surrogate_check", self.surrogate_check)
         # Fail fast on bad mechanism constants; SimulationConfig also
         # normalises per-node lists, so adopt its tuple forms.
         sim = SimulationConfig(
