@@ -50,6 +50,8 @@ from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, NamedTuple, Protocol as TypingProtocol
 
+from repro.validation import require_int, require_nonneg, require_real
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.protocols.registry import ProtocolConfig
     from repro.core.results import RunResult
@@ -114,15 +116,15 @@ class FailurePolicy:
     on_error: str = "abort"
 
     def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        # written as not (valid) so NaN fails too
-        if not self.backoff >= 0:
-            raise ValueError(f"backoff must be >= 0, got {self.backoff!r}")
-        if self.cell_timeout is not None and not self.cell_timeout > 0:
-            raise ValueError(
-                f"cell_timeout must be positive (or None), got {self.cell_timeout!r}"
-            )
+        require_int("retries", self.retries, 0)
+        require_nonneg("backoff", self.backoff)
+        if self.cell_timeout is not None:
+            require_real("cell_timeout", self.cell_timeout)
+            # written as not (valid) so NaN fails too
+            if not self.cell_timeout > 0:
+                raise ValueError(
+                    f"cell_timeout must be positive (or None), got {self.cell_timeout!r}"
+                )
         if self.on_error not in ON_ERROR_MODES:
             raise ValueError(
                 f"on_error must be one of {', '.join(ON_ERROR_MODES)}, "

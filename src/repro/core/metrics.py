@@ -417,9 +417,9 @@ class MetricsCollector:
         """Account the per-contact signaling of ``contacts`` bulk-processed
         encounters: two summary vectors (one each way) per contact.
 
-        Array-resident consumers — the deferred-bookkeeping flush and the
-        SoA sweep kernel — ingest whole skipped spans through this instead
-        of one :meth:`on_control_units` call per contact; the resulting
+        The SoA sweep kernel ingests whole skipped spans, and the
+        zero-transfer contacts its end-of-run flush settles, through this
+        instead of one :meth:`on_control_units` call per contact; the resulting
         counter is identical because the summary-vector count is a plain
         order-independent sum.
         """

@@ -137,10 +137,10 @@ class Protocol:
     #: coins-only P-Q protocols.
     exchanges_control = False
     #: True when contact start is pure bookkeeping for this class: no
-    #: control exchange and no ``on_encounter_started`` override. The
-    #: simulation then never schedules zero-transfer contacts as events —
-    #: their bookkeeping is batched in one vectorized pass (see
-    #: ``Simulation.run``). Maintained automatically by
+    #: control exchange and no ``on_encounter_started`` override. The SoA
+    #: kernel then leaves zero-transfer contacts out of its sweep and
+    #: settles their bookkeeping in one vectorized pass at end of run
+    #: (see :mod:`repro.core.sweepkernel`). Maintained automatically by
     #: ``__init_subclass__``.
     encounter_inert = True
     #: True when ``receive_control`` consumes *only* state covered by the

@@ -24,9 +24,9 @@ under pressure, producing the high occupancy and long delays of Figs 7–12.
 
 Both EC variants are policy over the *buffer*, not the control plane: they
 keep no delivery knowledge, so they are *encounter-inert*
-(``Protocol.encounter_inert``) and the simulation batches their
-zero-transfer contacts at the trace layer instead of dispatching one event
-each (see ``Simulation.run``).
+(``Protocol.encounter_inert``) and the SoA kernel settles their
+zero-transfer contacts in one batched pass at end of run instead of
+sweeping them one by one (see :mod:`repro.core.sweepkernel`).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.bundle import Bundle, StoredBundle
 from repro.core.protocols.base import Protocol
+from repro.validation import require_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -166,15 +167,15 @@ class ECTTLConfig:
     protocol_name = "ec_ttl"
 
     def __post_init__(self) -> None:
-        if self.ec_threshold < 0:
-            raise ValueError("ec_threshold must be >= 0")
+        # an integral EC count: a fraction would shift every TTL off the
+        # ttl_step grid
+        require_int("ec_threshold", self.ec_threshold, 0)
         # written as not (valid) so NaN fails too
         if not self.ttl_base > 0:
             raise ValueError(f"ttl_base must be positive, got {self.ttl_base!r}")
         if not self.ttl_step >= 0:
             raise ValueError(f"ttl_step must be >= 0, got {self.ttl_step!r}")
-        if self.min_ec_evict < 0:
-            raise ValueError("min_ec_evict must be >= 0")
+        require_int("min_ec_evict", self.min_ec_evict, 0)
 
     @property
     def label(self) -> str:

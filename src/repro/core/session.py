@@ -50,19 +50,16 @@ def contact_bookkeeping(sim: Simulation, node_a: Node, node_b: Node, now: float)
     (:func:`repro.core.knowledge.exchange_control`). Plus the summary
     vector each way that every protocol pays regardless of control state.
 
-    This is everything a zero-transfer contact does; the simulation's
-    contact handler calls it for every contact it processes. When the
-    protocol population is encounter-inert the encounter/knowledge layers
-    are deferred wholesale (``sim._defer_history``): the simulation
-    replays history in one batched pass at end of run and the knowledge
-    swap is statically known to be inert.
+    This is everything a zero-transfer contact does; the event tier's
+    contact handler calls it for every contact it processes. (The SoA
+    kernel never calls it: it replays history and settles the futile
+    contacts' accounting in bulk at end of run.)
     """
-    if not sim._defer_history:
-        node_a.history.note_encounter(now)
-        node_a.protocol.on_encounter_started(node_b, now)
-        node_b.history.note_encounter(now)
-        node_b.protocol.on_encounter_started(node_a, now)
-        exchange_control(sim, node_a, node_b, now)
+    node_a.history.note_encounter(now)
+    node_a.protocol.on_encounter_started(node_b, now)
+    node_b.history.note_encounter(now)
+    node_b.protocol.on_encounter_started(node_a, now)
+    exchange_control(sim, node_a, node_b, now)
     # One summary vector each way, every protocol — accounted inline
     # (this runs for every contact, exchange or not)
     sim.metrics.signaling.summary_vector += 2

@@ -263,13 +263,11 @@ class Simulation:
         #: the epochs at the end of each pair's last control swap (see
         #: :func:`repro.core.knowledge.exchange_control`)
         self.pair_knowledge: dict[tuple[int, int], tuple[int, int]] = {}
-        #: True while encounter bookkeeping is deferred to the end-of-run
-        #: batched flush (unfaulted encounter-inert populations, and every
-        #: SoA kernel run)
-        self._defer_history = False
-        #: degenerate encounters processed without their own event (the
-        #: deferred flush); ``engine.events_fired + batched_encounters``
-        #: equals the event count of a one-event-per-contact schedule
+        #: zero-transfer contacts an SoA kernel run left out of its sweep
+        #: and settled in its end-of-run flush (always 0 on the event
+        #: tier, which fires every contact);
+        #: ``engine.events_fired + batched_encounters`` equals the event
+        #: count of a one-event-per-contact schedule
         self.batched_encounters = 0
         #: per-contact "the link carries zero bundles" flags, set by run()
         self._zero_transfer: list[bool] = []
@@ -483,141 +481,6 @@ class Simulation:
                     self.engine.at(t, session._on_severed)
         session._schedule_next(now)
 
-    def _flush_deferred_bookkeeping(self, left_out, end_time: float, arrays) -> None:
-        """Batched bookkeeping for a run whose encounter history was deferred.
-
-        Replays, in one pass, everything the per-event path would have
-        done for contacts that started by ``end_time``: encounter history
-        for *every* fired contact (identical mutation sequence — the trace
-        is processed in the same ``(start, end, a, b)`` order the event
-        queue fires it, and ``note_encounter`` depends only on the passed
-        times), and the per-contact signaling accounting for the contacts
-        flagged in ``left_out`` — the degenerate contacts an encounter-inert
-        population never schedules (None when every contact was processed,
-        as a knowledge-plane sweep does). Contacts past
-        ``end_time`` are excluded exactly as the event loop would have
-        left them unfired: an early-delivery halt happens in a
-        transfer-completion event, which by the engine's stream rule fires
-        *after* every contact of the same timestamp.
-        """
-        starts, _ends, a_ids, b_ids = arrays
-        fired = int(np.searchsorted(starts, end_time, side="right"))
-        nodes = self.nodes
-        if fired:
-            self._replay_encounter_history(a_ids[:fired], b_ids[:fired])
-        if left_out is not None:
-            zmask = left_out[:fired]
-            batched = int(zmask.sum())
-            if batched:
-                self.batched_encounters += batched
-                self.metrics.on_batched_contacts(batched)
-                counts = np.bincount(a_ids[:fired][zmask], minlength=len(nodes))
-                counts += np.bincount(b_ids[:fired][zmask], minlength=len(nodes))
-                for node, encounters in zip(nodes, counts.tolist(), strict=True):
-                    if encounters:
-                        node.counters.control_units_sent += encounters
-        self._defer_history = False
-
-    def _replay_encounter_history(self, a_ids, b_ids) -> None:
-        """Bulk-replay ``note_encounter`` for every fired contact endpoint.
-
-        Bit-exact replacement for calling ``note_encounter(c.start)`` on
-        both endpoints of each fired contact in trace order. Each node's
-        chronological encounter stream comes from the trace's cached
-        :meth:`~repro.mobility.contact.ContactTrace.encounter_streams`
-        (stable sort of the interleaved endpoint columns, a then b at
-        equal contact rank — built once per immutable trace, not per
-        run); a run that halts early consumes each node's prefix of that
-        stream, whose length is exactly the node's endpoint count among
-        the fired contacts because times ascend within a node's stream.
-        Encounters of *different* nodes commute, so the global
-        interleaving is irrelevant.
-
-        The per-encounter recurrence ("advance the rendezvous anchor when
-        the gap from it exceeds the debounce threshold") collapses: at any
-        encounter whose gap from the *previous encounter* already exceeds
-        the threshold, the anchor provably resets to that encounter —
-        whatever the earlier anchor was, it is at most the previous
-        encounter time, so the advance fires and lands exactly there. The
-        final state therefore depends only on the (typically short) run
-        after the node's last such reset, plus — when that run never
-        advances — one preceding inter-reset chunk to recover the anchor
-        the reset measured its interval from. Both walks execute the
-        recurrence's own float subtractions, so results are bit-identical
-        to calling ``note_encounter`` per contact. Nodes carrying
-        pre-existing history state fall back to the full recurrence.
-        """
-        nodes = self.nodes
-        n = len(nodes)
-        offsets, ts, nid_tail, same, dts = self.trace.encounter_streams()
-        counts = np.bincount(a_ids, minlength=n)
-        counts += np.bincount(b_ids, minlength=n)
-        thresholds = np.array(
-            [node.history.min_rendezvous_gap for node in nodes], dtype=np.float64
-        )
-        # reset flags are valid for the fired prefixes even though they are
-        # computed over the full stream: a flag at position p < hi compares
-        # ts[p] to ts[p-1], both inside the prefix (times ascend per node)
-        reset = same & (dts > thresholds[nid_tail])
-        reset_pos = np.flatnonzero(reset) + 1
-        resets_below_hi = np.searchsorted(reset_pos, offsets[:-1] + counts).tolist()
-        reset_pos_l = reset_pos.tolist()
-        counts_l = counts.tolist()
-        offsets_l = offsets.tolist()
-        # only the short post-reset tails are walked in Python, so convert
-        # slices on demand instead of materializing all 2·fired floats
-        ts_item = ts.item
-        for nid, node in enumerate(nodes):
-            k = counts_l[nid]
-            if not k:
-                continue
-            history = node.history
-            history.encounter_count += k
-            lo = offsets_l[nid]
-            gap_min = history.min_rendezvous_gap
-            last = history.last_encounter_time
-            if last is not None:
-                # resumed history: full recurrence (no fresh-start reset)
-                interval = history.last_interval
-                for t in ts[lo : lo + k].tolist():
-                    gap = t - last
-                    if gap > gap_min:
-                        interval = gap
-                        last = t
-                history.last_encounter_time = last
-                history.last_interval = interval
-                continue
-            hi = lo + k
-            j = resets_below_hi[nid]
-            r = reset_pos_l[j - 1] if j else 0
-            if r <= lo:
-                r = r_prev = lo
-            else:
-                r_prev = reset_pos_l[j - 2] if j > 1 else 0
-                if r_prev < lo:
-                    r_prev = lo
-            # recurrence over the post-reset tail, anchored exactly at t_r
-            last = ts_item(r)
-            interval = None
-            for t in ts[r + 1 : hi].tolist():
-                gap = t - last
-                if gap > gap_min:
-                    interval = gap
-                    last = t
-            history.last_encounter_time = last
-            if interval is not None:
-                history.last_interval = interval
-            elif r > lo:
-                # tail never advanced, so the final interval is the one the
-                # reset at r set: t_r minus the anchor the preceding chunk
-                # ended on
-                anchor = ts_item(r_prev)
-                for t in ts[r_prev + 1 : r].tolist():
-                    gap = t - anchor
-                    if gap > gap_min:
-                        anchor = t
-                history.last_interval = ts_item(r) - anchor
-
     # ----------------------------------------------------------------- faults
     # (active only when self.faults is not None; see repro.faults)
 
@@ -799,11 +662,11 @@ class Simulation:
             else:
                 self.engine.at(flow.created_at, self._inject_flow, flow)
         # One columnar materialization per run, shared by the zero-transfer
-        # classification, the link-fault draw, the contact stream and the
-        # deferred flush. Degenerate encounters — contacts whose duration
-        # admits zero transfers, the majority in dense traces — are
-        # classified in one vectorized pass: the contact handler skips the
-        # session machinery for them.
+        # classification, the link-fault draw and the contact stream.
+        # Degenerate encounters — contacts whose duration admits zero
+        # transfers, the majority in dense traces — are classified in one
+        # vectorized pass: the contact handler skips the session machinery
+        # for them.
         arrays = self.trace.contact_arrays()
         zero_mask = zero_transfer_mask(self.trace, self.config.bundle_tx_time, arrays=arrays)
         self._zero_transfer = zero_mask.tolist()
@@ -813,25 +676,11 @@ class Simulation:
             # in repro.des.engine); link faults are pre-drawn per contact.
             self._schedule_faults(horizon)
             self._draw_link_faults(arrays)
-        elif all(node.protocol.encounter_inert for node in self.nodes):
-            # Encounter-inert population: history and the degenerate
-            # contacts' accounting settle in one batched flush after the
-            # run, so only the contacts that can carry a bundle stream in.
-            # The flush cannot see downtime, hence unfaulted runs only.
-            self._defer_history = True
         # The trace is time-sorted (ContactTrace sorts on construction), so
         # its contact starts stream through the engine without a heap push
         # each; sessions are built when their contact begins, so a run that
         # delivers early never pays for the contacts behind the stop point.
-        starts = arrays[0]
-        ids = None
-        if self._defer_history:
-            live = np.flatnonzero(~zero_mask)
-            starts = starts[live]
-            ids = live.tolist()
-        self.engine.run(horizon, starts.tolist(), self._on_contact, ids)
-        if self._defer_history:
-            self._flush_deferred_bookkeeping(zero_mask, self.engine.now, arrays)
+        self.engine.run(horizon, arrays[0].tolist(), self._on_contact)
         return self._build_result()
 
     def _build_result(self) -> RunResult:

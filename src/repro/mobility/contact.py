@@ -468,9 +468,9 @@ def zero_transfer_mask(
     A contact carries ``floor(duration / tx_time)`` bundles, with the
     per-pair transfer time being the slower of the two radios when
     ``bundle_tx_time`` is per-node. This classifies the whole trace in one
-    vectorized pass — the simulation uses it to route *degenerate*
+    vectorized pass — the event tier uses it to route *degenerate*
     encounters (zero transfer budget) around the session machinery, and
-    out of the contact stream when their bookkeeping is deferred. The
+    the SoA kernel to leave them out of an inert population's sweep. The
     comparison reproduces the scalar
     ``int(duration / tx_time) == 0`` bit-for-bit: both are IEEE-754
     float64 divisions and truncation toward zero of a non-negative

@@ -42,7 +42,7 @@ from repro.core.workload import PAPER_LOADS, PAPER_REPLICATIONS
 from repro.des.rng import derive_seed
 from repro.faults import FaultSpec
 from repro.mobility.contact import ContactTrace
-from repro.validation import require_bool, require_int
+from repro.validation import require_bool, require_int, require_real
 
 # --------------------------------------------------------------------------
 # mobility registry
@@ -250,6 +250,8 @@ class MobilitySpec:
         if not self.kind:
             raise ValueError("mobility kind must be non-empty")
         object.__setattr__(self, "params", _check_params("MobilitySpec", self.params))
+        if self.seed is not None:
+            require_int("MobilitySpec.seed", self.seed, 0)
 
     def build(self, *, seed: int = 0) -> ContactTrace:
         """Build the trace (``self.seed``, when set, wins over ``seed``)."""
@@ -269,11 +271,7 @@ class MobilitySpec:
         _check_keys("MobilitySpec", data, ["kind", "params", "seed"])
         if "kind" not in data:
             raise ValueError("MobilitySpec requires a 'kind' key")
-        return cls(
-            kind=data["kind"],
-            params=dict(data.get("params", {})),
-            seed=data.get("seed"),
-        )
+        return cls(kind=data["kind"], params=data.get("params", {}), seed=data.get("seed"))
 
 
 @dataclass(frozen=True)
@@ -308,7 +306,7 @@ class ProtocolSpec:
         _check_keys("ProtocolSpec", data, ["name", "params"])
         if "name" not in data:
             raise ValueError("ProtocolSpec requires a 'name' key")
-        return cls(name=data["name"], params=dict(data.get("params", {})))
+        return cls(name=data["name"], params=data.get("params", {}))
 
 
 @dataclass(frozen=True)
@@ -451,6 +449,7 @@ class ScenarioSpec:
         object.__setattr__(self, "protocols", protocols)
         if not protocols:
             raise ValueError("scenario needs at least one protocol")
+        require_int("seed", self.seed, 0)
         require_bool("shared_trace", self.shared_trace)
         require_bool("surrogate_check", self.surrogate_check)
         # Fail fast on bad mechanism constants; SimulationConfig also
@@ -473,6 +472,7 @@ class ScenarioSpec:
                 "node identity to crash or link to sever — run faulted "
                 'cells with engine="des", or clear the fault spec'
             )
+        require_real("surrogate_tolerance", self.surrogate_tolerance)
         if not (0.0 < self.surrogate_tolerance <= 1.0):
             raise ValueError(
                 f"surrogate_tolerance must be in (0, 1], got {self.surrogate_tolerance}"

@@ -11,12 +11,20 @@ from __future__ import annotations
 import numbers
 
 
+def require_real(name: str, value: object) -> None:
+    """``value`` must be a real number: not a bool, not a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def require_prob(name: str, value: float) -> None:
+    require_real(name, value)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
 
 
 def require_nonneg(name: str, value: float) -> None:
+    require_real(name, value)
     if not value >= 0.0:  # also rejects NaN
         raise ValueError(f"{name} must be >= 0, got {value!r}")
 

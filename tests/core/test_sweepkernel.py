@@ -62,17 +62,42 @@ REACTIVE_PROTOCOLS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def rwp_trace() -> ContactTrace:
-    """A 30-node subscriber-point RWP trace (bench-style mobility)."""
-    cfg = RWPConfig(num_nodes=30, horizon=20_000.0)
-    trajectories = SubscriberPointRWP(cfg, seed=3).generate_trajectories()
+def _rwp(num_nodes: int, seed: int) -> ContactTrace:
+    """A subscriber-point RWP trace over 20,000 s."""
+    cfg = RWPConfig(num_nodes=num_nodes, horizon=20_000.0)
+    trajectories = SubscriberPointRWP(cfg, seed=seed).generate_trajectories()
     return contacts_from_trajectories(
         trajectories,
         cfg.comm_range,
         contact_cap=cfg.contact_cap,
         horizon=cfg.horizon,
     )
+
+
+@pytest.fixture(scope="module")
+def rwp_trace() -> ContactTrace:
+    """A 30-node subscriber-point RWP trace (bench-style mobility)."""
+    return _rwp(30, seed=3)
+
+
+@pytest.fixture(scope="module")
+def rwp200_trace() -> ContactTrace:
+    """A 200-node trace, where the per-contact control plane dominates."""
+    return _rwp(200, seed=7)
+
+
+#: RWP equivalence cells: (trace fixture, protocol, kwargs, load). Every
+#: inert protocol on the 30-node trace, plus the 200-node anti-packet cell
+#: at load 30 (p = q = 1), whose 25,000 contacts each carry an i-list.
+RWP_CELLS = {
+    **{name: ("rwp_trace", name, kwargs, 10) for name, kwargs in INERT_PROTOCOLS},
+    "pq_antipacket-n200-l30": (
+        "rwp200_trace",
+        "pq",
+        {"p": 1.0, "q": 1.0, "anti_packets": True},
+        30,
+    ),
+}
 
 
 def run_cell(
@@ -110,10 +135,11 @@ def assert_identical(trace, name, kwargs, **config_kwargs) -> None:
     soa_sim, soa_result = run_cell(trace, name, kwargs, "soa", **config_kwargs)
     assert repr(ev_result) == repr(soa_result)
     assert ev_result == soa_result
-    # the kernel's event accounting must mirror the reference schedule too
-    assert (
-        ev_sim.engine.events_fired + ev_sim.batched_encounters
-        == soa_sim.engine.events_fired + soa_sim.batched_encounters
+    # the kernel's event accounting must mirror the event tier's, which
+    # fires every contact
+    assert ev_sim.batched_encounters == 0
+    assert ev_sim.engine.events_fired == (
+        soa_sim.engine.events_fired + soa_sim.batched_encounters
     )
 
 
@@ -127,11 +153,10 @@ def test_kernel_matches_event_on_campus(campus_trace, name, kwargs):
     assert_identical(campus_trace, name, kwargs)
 
 
-@pytest.mark.parametrize(
-    ("name", "kwargs"), INERT_PROTOCOLS, ids=[p[0] for p in INERT_PROTOCOLS]
-)
-def test_kernel_matches_event_on_rwp(rwp_trace, name, kwargs):
-    assert_identical(rwp_trace, name, kwargs)
+@pytest.mark.parametrize("cell", sorted(RWP_CELLS))
+def test_kernel_matches_event_on_rwp(request, cell):
+    trace_name, name, kwargs, load = RWP_CELLS[cell]
+    assert_identical(request.getfixturevalue(trace_name), name, kwargs, load=load)
 
 
 def test_kernel_matches_event_heterogeneous_radios(campus_trace):

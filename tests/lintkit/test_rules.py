@@ -222,7 +222,7 @@ class TestWallClock:
 
     def test_out_of_scope_outside_src_repro(self):
         assert_clean(
-            "DET003", "import time\nt = time.time()\n", path="tools/bench_sim.py"
+            "DET003", "import time\nt = time.time()\n", path="tools/calibrate.py"
         )
 
     def test_pragma_suppresses(self):

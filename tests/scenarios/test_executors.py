@@ -10,6 +10,7 @@ from repro.core.executors import (
 )
 from repro.core.protocols import make_protocol_config
 from repro.core.sweep import SweepConfig, build_cells, run_sweep
+from repro.experiments.runner import SWEEP_FAMILIES, ExperimentRunner
 from tests.helpers import micro_trace
 
 ROWS = [
@@ -89,10 +90,29 @@ class TestParallelExecutor:
         assert all(t == 8 for _, t in seen)
 
 
+def _micro_sweep():
+    trace = micro_trace(ROWS, 4, horizon=20_000.0)
+    cfg = SweepConfig(loads=(2, 3), replications=2, master_seed=5)
+    return trace, [make_protocol_config("pq", p=0.5, q=0.5)], cfg
+
+
+def _family_sweep():
+    """The paper's four baselines (P-Q, TTL, EC, immunity) on the campus
+    trace at smoke scale."""
+    runner = ExperimentRunner(scale="smoke", seed=7)
+    spec = runner.scenario("baselines_trace")
+    trace = runner.trace(SWEEP_FAMILIES["baselines_trace"][0])
+    return trace, spec.build_protocols(), spec.sweep_config()
+
+
+#: Sweep inputs whose serial and parallel runs must agree.
+SWEEPS = {"micro": _micro_sweep, "baselines_trace": _family_sweep}
+
+
 class TestRunSweepWithExecutor:
-    def test_sweep_results_identical_across_backends(self, trace):
-        cfg = SweepConfig(loads=(2, 3), replications=2, master_seed=5)
-        protos = [make_protocol_config("pq", p=0.5, q=0.5)]
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_sweep_results_identical_across_backends(self, sweep):
+        trace, protos, cfg = SWEEPS[sweep]()
         serial = run_sweep(trace, protos, cfg)
         parallel = run_sweep(trace, protos, cfg, executor=ParallelExecutor(jobs=2))
         assert serial.runs == parallel.runs

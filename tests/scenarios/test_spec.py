@@ -539,6 +539,29 @@ HOSTILE_VALUES = {
         "num_nodes",
         {"mobility": {**_INTERVAL, "params": {**_INTERVAL["params"], "num_nodes": 8.5}}},
     ),
+    # a bool or a fraction ran as a seed or a retry count, and a string or
+    # NaN seed failed at trace build with an error that blamed the mobility
+    "seed_bool": ("seed", {"seed": True}),
+    "seed_string": ("seed", {"seed": "7"}),
+    "seed_fraction": ("seed", {"seed": 7.5}),
+    "seed_nan": ("seed", {"seed": NAN}),
+    "mobility_seed_string": ("MobilitySpec.seed", {"mobility": {**_INTERVAL, "seed": "7"}}),
+    "retries_bool": ("retries", {"retries": True}),
+    "retries_fraction": ("retries", {"retries": 1.5}),
+    # a fractional EC threshold put every TTL off the ttl_step grid
+    "ec_threshold_fraction": (
+        "ec_threshold",
+        {"protocols": [{"name": "ec_ttl", "params": {"ec_threshold": 2.5}}]},
+    ),
+    "min_ec_evict_fraction": (
+        "min_ec_evict",
+        {"protocols": [{"name": "ec_ttl", "params": {"min_ec_evict": 0.5}}]},
+    ),
+    # these failed with a bare TypeError that named no field
+    "surrogate_tolerance_string": ("surrogate_tolerance", {"surrogate_tolerance": "0.1"}),
+    "backoff_string": ("backoff", {"retry_backoff": "1"}),
+    "cell_timeout_string": ("cell_timeout", {"cell_timeout": "5"}),
+    "params_list": ("params", {"protocols": [{"name": "pure", "params": [1]}]}),
 }
 
 

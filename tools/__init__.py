@@ -1,6 +1,7 @@
-"""Developer tooling for the repo: benchmarks and the ``reprolint`` suite.
+"""Developer tooling for the repo: calibration, gates and ``reprolint``.
 
-The benchmark scripts (``bench_*.py``, ``calibrate.py``) are plain
-scripts; :mod:`tools.lintkit` is an importable package so the static
-analyzer can run as ``python -m tools.lintkit`` and be unit-tested.
+The scripts (``calibrate.py``, ``check_*.py``, ``gen_protocol_docs.py``)
+are plain scripts; :mod:`tools.lintkit` is an importable package so the
+static analyzer can run as ``python -m tools.lintkit`` and be
+unit-tested.
 """

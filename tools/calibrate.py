@@ -7,9 +7,9 @@ rely on (see DESIGN.md §5 "expected shape results"). Used during
 development to pick the defaults in ``repro.mobility.synthetic`` /
 ``repro.mobility.rwp``; kept in-tree so the calibration is reproducible.
 
-Emits the shared ``tools/bench_common.py`` report envelope — one result row
-per (config, protocol, load) — like every other bench tool, so calibration
-sweeps can be diffed, archived, and post-processed with the same plumbing.
+Writes a JSON report: a header (substrate, seed, grid, a ``generated_at``
+stamp) and one result row per (config, protocol, load), so calibration
+sweeps can be diffed, archived, and post-processed.
 
 Usage:
     PYTHONPATH=src python tools/calibrate.py campus
@@ -19,16 +19,9 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import json
 import time
-
-try:
-    from bench_common import report_envelope, summary_table, write_report
-except ImportError:  # loaded by file path (tests) rather than from tools/
-    import sys as _sys
-    from pathlib import Path as _Path
-
-    _sys.path.insert(0, str(_Path(__file__).resolve().parent))
-    from bench_common import report_envelope, summary_table, write_report
+from collections.abc import Mapping, Sequence
 
 from repro import (
     CampusTraceConfig,
@@ -48,6 +41,36 @@ from repro.analytic.surrogate import (
     resolve_meeting_rate,
     transmission_coins,
 )
+
+def report_envelope(benchmark: str, **params: object) -> dict[str, object]:
+    """The report header: name, parameters and a ``generated_at`` stamp."""
+    payload: dict[str, object] = {"benchmark": benchmark}
+    payload.update(params)
+    payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    return payload
+
+
+def write_report(path: str, payload: Mapping[str, object]) -> None:
+    """Write a report as pretty-printed JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def summary_table(rows: Sequence[Mapping[str, object]], columns: Sequence[str]) -> str:
+    """Fixed-width text table of selected report columns."""
+    widths = [
+        max(len(c), *(len(str(r.get(c, ""))) for r in rows)) if rows else len(c)
+        for c in columns
+    ]
+    header = "  ".join(c.ljust(w) for c, w in zip(columns, widths, strict=True))
+    lines = [header, "  ".join("-" * w for w in widths)]
+    for r in rows:
+        lines.append(
+            "  ".join(str(r.get(c, "")).ljust(w) for c, w in zip(columns, widths, strict=True))
+        )
+    return "\n".join(lines)
+
 
 PROTOS = [
     make_protocol_config("pq", p=1.0, q=1.0),
@@ -219,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--out",
         default="CALIBRATION.json",
-        help="JSON report path (bench_common envelope; default CALIBRATION.json)",
+        help="JSON report path (default CALIBRATION.json)",
     )
     args = parser.parse_args(argv)
     sections = {"campus": campus, "rwp": rwp}[args.which]()
