@@ -88,7 +88,7 @@ def rwp200_trace() -> ContactTrace:
 
 #: RWP equivalence cells: (trace fixture, protocol, kwargs, load). Every
 #: inert protocol on the 30-node trace, plus the 200-node anti-packet cell
-#: at load 30 (p = q = 1), whose 25,000 contacts each carry an i-list.
+#: at load 30 (p = q = 1), whose 24,990 contacts each carry an i-list.
 RWP_CELLS = {
     **{name: ("rwp_trace", name, kwargs, 10) for name, kwargs in INERT_PROTOCOLS},
     "pq_antipacket-n200-l30": (
