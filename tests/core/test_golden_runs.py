@@ -1,13 +1,16 @@
-"""Golden regression pins for the seed scenario, on both DES tiers.
+"""Golden regression pins for the seed scenario, on every DES tier that runs it.
 
 These values were produced by the seed configuration (campus trace,
 ``seed=7``, 10-slot buffers, ``reject`` drop policy) and verified
 bit-identical before and after the buffer-policy refactor. A kernel change
 that shifts any simulation path — event ordering, RNG stream derivation,
-metric integration, buffer admission — shows up here immediately. Every
-case runs on the event engine (``kernel="event"``) and on the SoA sweep
-kernel (``kernel="soa"``): each must match the pins, and the two results
-must be byte-identical (``repr``).
+metric integration, buffer admission — shows up here immediately. Each
+case runs on the tiers :data:`GOLDEN_TIERS` lists for its protocol: the
+event engine (``kernel="event"``) always, and the SoA sweep kernel
+(``kernel="soa"``) for every protocol the kernel accepts. Each run must
+match the pins, and the two tiers' results must be byte-identical
+(``repr``). ``dynamic_ttl`` runs on the event engine only; its cases
+assert that the kernel still refuses it.
 
 If a change *intentionally* alters simulation semantics, regenerate with::
 
@@ -31,13 +34,30 @@ from repro.core.simulation import SimulationConfig
 from repro.core.sweep import SweepConfig, run_single
 
 #: Constructor kwargs for every pinned protocol: flooding, TTL and
-#: anti-packets, plus the control-bearing ec and immunity.
+#: anti-packets, the control-bearing ec and immunity, and the paper's three
+#: enhancements at their Algorithm 1/2 defaults.
 GOLDEN_PROTOCOLS: dict[str, dict[str, object]] = {
     "pure": {},
     "ttl": {"ttl": 300.0},
     "pq": {"p": 1.0, "q": 1.0, "anti_packets": True},
     "ec": {},
     "immunity": {},
+    "dynamic_ttl": {},
+    "ec_ttl": {},
+    "cumulative_immunity": {},
+}
+
+#: The DES tiers each protocol's pins run on. The SoA kernel refuses
+#: ``dynamic_ttl``, which re-arms every buffered copy at each encounter.
+GOLDEN_TIERS: dict[str, tuple[str, ...]] = {
+    "pure": ("event", "soa"),
+    "ttl": ("event", "soa"),
+    "pq": ("event", "soa"),
+    "ec": ("event", "soa"),
+    "immunity": ("event", "soa"),
+    "dynamic_ttl": ("event",),
+    "ec_ttl": ("event", "soa"),
+    "cumulative_immunity": ("event", "soa"),
 }
 
 #: (protocol name, load, replication) → exact seed-scenario metrics.
@@ -135,6 +155,61 @@ GOLDEN: dict[tuple[str, int, int], dict[str, object]] = {
         duplication_rate=0.13439470267943393,
         end_time=46062.10360502355,
     ),
+    ("dynamic_ttl", 10, 0): dict(
+        delivered=10,
+        delay=9504.79563371244,
+        transmissions=37,
+        buffer_occupancy=0.03097717533356332,
+        peak_occupancy=0.11666666666666667,
+        duplication_rate=0.09377596756485004,
+        end_time=9504.79563371244,
+    ),
+    ("dynamic_ttl", 30, 1): dict(
+        delivered=30,
+        delay=206207.78529773545,
+        transmissions=876,
+        buffer_occupancy=0.07623712544656663,
+        peak_occupancy=0.2916666666666667,
+        duplication_rate=0.09130175919944265,
+        end_time=206207.78529773545,
+    ),
+    ("ec_ttl", 10, 0): dict(
+        delivered=10,
+        delay=9504.79563371244,
+        transmissions=41,
+        buffer_occupancy=0.09645330709440073,
+        peak_occupancy=0.25833333333333336,
+        duplication_rate=0.0946318698294398,
+        end_time=9504.79563371244,
+    ),
+    ("ec_ttl", 30, 1): dict(
+        delivered=30,
+        delay=116907.04275526725,
+        transmissions=758,
+        buffer_occupancy=0.7132603794934993,
+        peak_occupancy=0.8333333333333334,
+        duplication_rate=0.1274268936658606,
+        end_time=116907.04275526725,
+        drops={"max-ec": 542},
+    ),
+    ("cumulative_immunity", 10, 0): dict(
+        delivered=10,
+        delay=9504.79563371244,
+        transmissions=30,
+        buffer_occupancy=0.0265976083065743,
+        peak_occupancy=0.0875,
+        duplication_rate=0.09587998441010431,
+        end_time=9504.79563371244,
+    ),
+    ("cumulative_immunity", 30, 1): dict(
+        delivered=30,
+        delay=46062.10360502355,
+        transmissions=232,
+        buffer_occupancy=0.1165097521004226,
+        peak_occupancy=0.35333333333333333,
+        duplication_rate=0.13439470267943393,
+        end_time=46062.10360502355,
+    ),
 }
 
 #: Every pin's drop table defaults to empty (reject policy, no evictions);
@@ -159,15 +234,19 @@ GOLDEN_FIELDS = (
 def test_seed_scenario_metrics_pinned(campus_trace, key):
     name, load, rep = key
     expected = GOLDEN[key]
-    results = {}
-    for kernel in ("event", "soa"):
-        result = run_single(
+
+    def run(kernel):
+        return run_single(
             campus_trace,
             make_protocol_config(name, **GOLDEN_PROTOCOLS[name]),
             load,
             rep,
             SweepConfig(master_seed=7, sim=SimulationConfig(kernel=kernel)),
         )
+
+    results = {}
+    for kernel in GOLDEN_TIERS[name]:
+        result = run(kernel)
         assert result.delivery_ratio == 1.0, kernel
         # exact float equality: the golden values are this code's own
         # output, so any drift means the simulation kernel changed
@@ -178,5 +257,11 @@ def test_seed_scenario_metrics_pinned(campus_trace, key):
             expected["buffer_occupancy"] * expected["end_time"], rel=1e-12
         ), kernel
         results[kernel] = result
-    # the SoA tier is a speed tier: byte-identical to the event engine
-    assert repr(results["soa"]) == repr(results["event"])
+    if "soa" in results:
+        # the SoA tier is a speed tier: byte-identical to the event engine
+        assert repr(results["soa"]) == repr(results["event"])
+    else:
+        # an event-only pin: the kernel must still refuse the protocol, so
+        # a kernel that starts running it has to add its tier above
+        with pytest.raises(ValueError, match="kernel='soa' cannot execute"):
+            run("soa")
