@@ -16,7 +16,7 @@ import math
 from pathlib import Path
 from typing import TextIO
 
-from repro.core.results import RunResult, Series, SeriesPoint, SweepResult
+from repro.core.results import Series, SeriesPoint, SweepResult
 from repro.ioutil import atomic_write
 
 
@@ -108,9 +108,3 @@ def summarize_runs(sweep: SweepResult) -> dict[str, dict[str, float]]:
     """Per-protocol whole-sweep means (convenience for reports)."""
     return {label: sweep.protocol_means(label) for label in sweep.protocols()}
 
-
-def runresult_fields() -> list[str]:
-    """The stable leading columns of the runs CSV (testing helper)."""
-    import dataclasses
-
-    return [f.name for f in dataclasses.fields(RunResult)]

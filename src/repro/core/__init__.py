@@ -38,7 +38,7 @@ from repro.core.knowledge import (
     exchange_control,
 )
 from repro.core.metrics import MetricsCollector, TimeWeightedAccumulator
-from repro.core.node import EncounterHistory, Node
+from repro.core.node import Node
 from repro.core.policies import (
     DropPolicy,
     drop_policy_names,
@@ -46,6 +46,7 @@ from repro.core.policies import (
     register_drop_policy,
 )
 from repro.core.planner import IncrementalPlanner
+from repro.core.protocols.ttl import EncounterHistory
 from repro.core.results import RunResult, Series, SeriesPoint, SweepResult
 from repro.core.session import ContactSession
 from repro.core.simulation import Simulation, SimulationConfig

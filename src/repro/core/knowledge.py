@@ -3,7 +3,7 @@
 The framework's contact-start processing is layered::
 
     trace  →  encounter  →  knowledge  →  transfer planner
-    (who meets whom)  (history)  (what is already delivered)  (what moves)
+    (who meets whom)  (protocol hook)  (what is already delivered)  (what moves)
 
 This module owns the *knowledge* layer. Every protocol that tracks
 delivery knowledge (anti-packets, per-bundle immunity tables, cumulative

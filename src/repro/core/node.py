@@ -1,10 +1,11 @@
 """The DTN node model.
 
 A :class:`Node` owns its stores (relay buffer + origin queue + delivered
-log), its encounter history (which the dynamic-TTL enhancement reads), and a
-protocol instance that encodes all policy. Everything that mutates copy
-counts or buffer fill goes through the simulation services so metrics stay
-exact; the node itself is bookkeeping only.
+log), its counters, and a protocol instance that encodes all policy —
+including any state the policy keeps about past encounters (dynamic TTL's
+:class:`~repro.core.protocols.ttl.EncounterHistory`). Everything that
+mutates copy counts or buffer fill goes through the simulation services so
+metrics stay exact; the node itself is bookkeeping only.
 """
 
 from __future__ import annotations
@@ -22,41 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 
 @dataclass(slots=True)
-class EncounterHistory:
-    """Per-node encounter timing, feeding the dynamic-TTL rule (Algo 1).
-
-    ``last_interval`` is the gap between the node's last two *rendezvous*
-    — encounters closer together than ``min_rendezvous_gap`` (e.g. several
-    devices gathered at one spot, or an iMote sighting the same crowd on
-    consecutive scans) count as a single rendezvous. Without this
-    debouncing, a burst of encounters seconds apart would collapse the
-    interval estimate to ~0 and the dynamic-TTL rule (TTL = 2 × interval)
-    would discard every buffered bundle on the spot. The 120 s default
-    matches the scan granularity of the iMote hardware behind the paper's
-    trace.
-    """
-
-    #: Encounters closer than this are one rendezvous for interval purposes.
-    min_rendezvous_gap: float = 120.0
-    last_encounter_time: float | None = None
-    last_interval: float | None = None
-    encounter_count: int = 0
-
-    def note_encounter(self, now: float) -> None:
-        """Record an encounter start at ``now``."""
-        self.encounter_count += 1
-        if self.last_encounter_time is None:
-            self.last_encounter_time = now
-            return
-        gap = now - self.last_encounter_time
-        if gap <= self.min_rendezvous_gap:
-            # Same rendezvous burst: keep measuring from the burst start.
-            return
-        self.last_interval = gap
-        self.last_encounter_time = now
-
-
-@dataclass(slots=True)
 class NodeCounters:
     """Per-node event counters (diagnostics and signaling metrics)."""
 
@@ -71,7 +37,7 @@ class NodeCounters:
 
 
 class Node:
-    """One DTN device: stores, history, counters, and a protocol."""
+    """One DTN device: stores, counters, and a protocol."""
 
     def __init__(
         self,
@@ -90,7 +56,6 @@ class Node:
         self.drop_policy: DropPolicy = drop_policy or RejectPolicy()
         self.origin: dict[BundleId, StoredBundle] = {}
         self.delivered: dict[BundleId, float] = {}
-        self.history = EncounterHistory()
         self.counters = NodeCounters()
         #: buffer slots (fractional) consumed by stored control state
         #: (immunity tables / anti-packets); maintained via the simulation's

@@ -139,9 +139,9 @@ class Protocol:
     #: True when contact start is pure bookkeeping for this class: no
     #: control exchange and no ``on_encounter_started`` override. The SoA
     #: kernel then leaves zero-transfer contacts out of its sweep and
-    #: settles their bookkeeping in one vectorized pass at end of run
-    #: (see :mod:`repro.core.sweepkernel`). Maintained automatically by
-    #: ``__init_subclass__``.
+    #: settles their accounting in one vectorized pass at end of run
+    #: (see :mod:`repro.core.sweepkernel`): no protocol code sees those
+    #: contacts. Maintained automatically by ``__init_subclass__``.
     encounter_inert = True
     #: True when ``receive_control`` consumes *only* state covered by the
     #: protocol's :attr:`knowledge` store epoch, so an exchange between
@@ -195,7 +195,15 @@ class Protocol:
         """Called when this node originates ``sb`` (sets initial TTL etc.)."""
 
     def on_encounter_started(self, peer: Node, now: float) -> None:
-        """Called at contact start, after encounter history is updated."""
+        """Called at every contact start, node a's hook before node b's.
+
+        The one place a protocol sees every encounter. A protocol that
+        uses encounter timing keeps that state itself and updates it here,
+        as dynamic TTL does with its
+        :class:`~repro.core.protocols.ttl.EncounterHistory`. Overriding
+        the hook makes the class non-inert, so ``kernel="auto"`` runs it
+        on the event tier.
+        """
 
     # ---------------------------------------------------------- control plane
 

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 from repro.core.bundle import StoredBundle
 from repro.core.protocols.antipacket import AntiPacketProtocol
 from repro.core.protocols.base import Protocol
-from repro.validation import require_bool
+from repro.validation import require_bool, require_prob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -95,9 +95,8 @@ class PQEpidemicConfig:
     protocol_name = "pq"
 
     def __post_init__(self) -> None:
-        for label, v in (("p", self.p), ("q", self.q)):
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{label} must be a probability, got {v}")
+        require_prob("p", self.p)
+        require_prob("q", self.q)
         # the flag picks the protocol class (and the execution tier), so a
         # truthy string such as "no" must not switch anti-packets on
         require_bool("anti_packets", self.anti_packets)

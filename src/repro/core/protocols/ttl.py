@@ -25,7 +25,9 @@ describes. Sparse neighbourhoods (long intervals) buffer bundles longer;
 dense ones recycle buffer space quickly; diurnal gaps purge overnight.
 Until a node has observed two encounters it has no interval estimate and
 the copy gets ``default_ttl`` (infinite by default — nothing is discarded
-on a cold start).
+on a cold start). The protocol is the only reader of encounter timing, so
+it keeps the node's :class:`EncounterHistory` itself and notes each
+encounter in ``on_encounter_started`` before re-arming.
 """
 
 from __future__ import annotations
@@ -36,12 +38,48 @@ from typing import TYPE_CHECKING
 
 from repro.core.bundle import NO_EXPIRY, StoredBundle
 from repro.core.protocols.base import Protocol
+from repro.validation import require_bool, require_real
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.core.node import Node
     from repro.core.protocols.base import SimulationServices
+
+
+@dataclass(slots=True)
+class EncounterHistory:
+    """Per-node encounter timing, feeding the dynamic-TTL rule (Algo 1).
+
+    ``last_interval`` is the gap between the node's last two *rendezvous*
+    — encounters closer together than ``min_rendezvous_gap`` (e.g. several
+    devices gathered at one spot, or an iMote sighting the same crowd on
+    consecutive scans) count as a single rendezvous. Without this
+    debouncing, a burst of encounters seconds apart would collapse the
+    interval estimate to ~0 and the dynamic-TTL rule (TTL = 2 × interval)
+    would discard every buffered bundle on the spot. The 120 s default
+    matches the scan granularity of the iMote hardware behind the paper's
+    trace.
+    """
+
+    #: Encounters closer than this are one rendezvous for interval purposes.
+    min_rendezvous_gap: float = 120.0
+    last_encounter_time: float | None = None
+    last_interval: float | None = None
+    encounter_count: int = 0
+
+    def note_encounter(self, now: float) -> None:
+        """Record an encounter start at ``now``."""
+        self.encounter_count += 1
+        if self.last_encounter_time is None:
+            self.last_encounter_time = now
+            return
+        gap = now - self.last_encounter_time
+        if gap <= self.min_rendezvous_gap:
+            # Same rendezvous burst: keep measuring from the burst start.
+            return
+        self.last_interval = gap
+        self.last_encounter_time = now
 
 
 class FixedTTLEpidemic(Protocol):
@@ -92,6 +130,8 @@ class FixedTTLConfig:
     protocol_name = "ttl"
 
     def __post_init__(self) -> None:
+        require_real("ttl", self.ttl)
+        require_bool("expire_origin", self.expire_origin)
         if not (self.ttl > 0):
             raise ValueError(f"ttl must be positive, got {self.ttl}")
 
@@ -121,9 +161,10 @@ class DynamicTTLEpidemic(Protocol):
         self.multiplier = multiplier
         self.default_ttl = default_ttl
         self.expire_origin = expire_origin
+        self.history = EncounterHistory()
 
     def _current_ttl(self) -> float:
-        interval = self.node.history.last_interval
+        interval = self.history.last_interval
         if interval is None:
             return self.default_ttl
         return self.multiplier * interval
@@ -149,6 +190,7 @@ class DynamicTTLEpidemic(Protocol):
         self._arm(sb, now)
 
     def on_encounter_started(self, peer: Node, now: float) -> None:
+        self.history.note_encounter(now)
         # SetDynamicTTL re-runs for every buffered copy whenever the node's
         # interval estimate updates — the adaptive dry-spell collector.
         for sb in self.node.relay:
@@ -175,6 +217,9 @@ class DynamicTTLConfig:
     protocol_name = "dynamic_ttl"
 
     def __post_init__(self) -> None:
+        require_real("multiplier", self.multiplier)
+        require_real("default_ttl", self.default_ttl)
+        require_bool("expire_origin", self.expire_origin)
         if not (self.multiplier > 0):
             raise ValueError(f"multiplier must be positive, got {self.multiplier}")
         if not (self.default_ttl > 0):

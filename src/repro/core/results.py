@@ -258,10 +258,6 @@ class SweepResult:
         """Average buffer occupancy level vs load — Figs 11–12, 17–18."""
         return self.series(lambda r: r.buffer_occupancy)
 
-    def peak_occupancy_series(self) -> list[Series]:
-        """Average peak occupancy vs load (the contention-pressure curve)."""
-        return self.series(lambda r: r.peak_occupancy)
-
     def duplication_series(self) -> list[Series]:
         """Average bundle duplication rate vs load — Figs 9–10, 19–20."""
         return self.series(lambda r: r.duplication_rate)

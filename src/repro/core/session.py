@@ -45,19 +45,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def contact_bookkeeping(sim: Simulation, node_a: Node, node_b: Node, now: float) -> None:
     """The transfer-free layers of contact start: encounter → knowledge.
 
-    Encounter layer: history + the ``on_encounter_started`` hook.
-    Knowledge layer: the control-plane swap with its signaling accounting
-    (:func:`repro.core.knowledge.exchange_control`). Plus the summary
-    vector each way that every protocol pays regardless of control state.
+    Encounter layer: the ``on_encounter_started`` hook, node a's then node
+    b's; a protocol that keeps encounter timing (dynamic TTL) notes the
+    encounter there. Knowledge layer: the control-plane swap with its
+    signaling accounting (:func:`repro.core.knowledge.exchange_control`).
+    Plus the summary vector each way that every protocol pays regardless
+    of control state.
 
     This is everything a zero-transfer contact does; the event tier's
     contact handler calls it for every contact it processes. (The SoA
-    kernel never calls it: it replays history and settles the futile
-    contacts' accounting in bulk at end of run.)
+    kernel never calls it: it settles the futile contacts' accounting in
+    bulk at end of run.)
     """
-    node_a.history.note_encounter(now)
     node_a.protocol.on_encounter_started(node_b, now)
-    node_b.history.note_encounter(now)
     node_b.protocol.on_encounter_started(node_a, now)
     exchange_control(sim, node_a, node_b, now)
     # One summary vector each way, every protocol — accounted inline

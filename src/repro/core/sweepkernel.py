@@ -15,7 +15,10 @@ one ``bincount`` — while the rare *possible* contacts run the exact
 per-slot exchange machinery (same predicates, same RNG draws, same
 service-layer calls) against the simulation's own event calendar
 (:class:`~repro.des.engine.Engine`), whose heap then carries only dynamic
-events: transfer completions, TTL expiries, deferred flow injections.
+events: transfer completions, TTL expiries, deferred flow injections. An
+inert population's zero-transfer contacts never enter the sweep: they run
+no hook and move nothing, so an end-of-run flush settles their accounting
+in one pass.
 
 Populations that keep delivery knowledge in a stock store (anti-packet
 P-Q, immunity, cumulative immunity) add a per-node **knowledge plane**:
@@ -776,9 +779,9 @@ class SweepKernel:
         Every service-layer ``engine.at``/``cancel``/``halt``/``now``
         lands on the simulation's engine, which the sweep loop drives
         directly. Afterwards the skipped contacts count as fired events,
-        the clock moves to the end time, and the end-of-run flush replays
-        encounter history and settles the left-out contacts — so result
-        construction is the exact code path of an event run.
+        the clock moves to the end time, and for an inert population the
+        end-of-run flush settles the contacts the sweep left out — so
+        result construction is the exact code path of an event run.
         """
         sim = self.sim
         engine = self._engine
@@ -799,151 +802,43 @@ class SweepKernel:
         for node, units in zip(self._nodes, self._ctrl_np.tolist(), strict=True):
             if units:
                 node.counters.control_units_sent += units
-        # the flush accounts the zero-transfer contacts an inert sweep left
-        # out; a knowledge sweep left none out
-        self._flush_deferred_bookkeeping(
-            None if self._knowledge else zero_mask, end_time, arrays
-        )
+        if not self._knowledge:
+            # an inert sweep left the zero-transfer contacts out; a
+            # knowledge sweep left none out
+            self._flush_deferred_bookkeeping(zero_mask, end_time, arrays)
         return sim._build_result()
 
     def _flush_deferred_bookkeeping(
-        self, left_out: NDArray[np.bool_] | None, end_time: float, arrays: _Columns
+        self, left_out: NDArray[np.bool_], end_time: float, arrays: _Columns
     ) -> None:
-        """Batched bookkeeping for the swept run, which defers history.
+        """Settle the accounting of the contacts an inert sweep left out.
 
-        Replays, in one pass, everything the event tier's contact handler
-        would have done for contacts that started by ``end_time`` and the
-        sweep did not: encounter history for *every* fired contact
-        (identical mutation sequence — the trace is processed in the same
-        ``(start, end, a, b)`` order the event tier fires it, and
-        ``note_encounter`` depends only on the passed times), and the
-        per-contact signaling accounting for the contacts flagged in
-        ``left_out`` — the zero-transfer contacts an inert sweep leaves
-        out (None when every contact was swept, as a knowledge-plane sweep
-        does). Contacts past ``end_time`` are excluded exactly as the
-        event loop would have left them unfired: an early-delivery halt
-        happens in a transfer-completion event, which by the engine's
-        stream rule fires *after* every contact of the same timestamp.
+        ``left_out`` flags the zero-transfer contacts, which an inert sweep
+        never visits. Each one that started by ``end_time`` owes what the
+        event tier's contact handler charges it: the summary vector each
+        way and one control unit per endpoint. They count as batched
+        encounters, which with the fired events make the event tier's
+        event count. Contacts past ``end_time`` are excluded exactly as
+        the event loop would have left them unfired: an early-delivery
+        halt happens in a transfer-completion event, which by the
+        engine's stream rule fires *after* every contact of the same
+        timestamp.
         """
         sim = self.sim
         starts, _ends, a_ids, b_ids = arrays
         fired = int(np.searchsorted(starts, end_time, side="right"))
+        zmask = left_out[:fired]
+        batched = int(zmask.sum())
+        if not batched:
+            return
         nodes = self._nodes
-        if fired:
-            self._replay_encounter_history(a_ids[:fired], b_ids[:fired])
-        if left_out is not None:
-            zmask = left_out[:fired]
-            batched = int(zmask.sum())
-            if batched:
-                sim.batched_encounters += batched
-                sim.metrics.on_batched_contacts(batched)
-                counts = np.bincount(a_ids[:fired][zmask], minlength=len(nodes))
-                counts += np.bincount(b_ids[:fired][zmask], minlength=len(nodes))
-                for node, encounters in zip(nodes, counts.tolist(), strict=True):
-                    if encounters:
-                        node.counters.control_units_sent += encounters
-
-    def _replay_encounter_history(
-        self, a_ids: NDArray[np.intp], b_ids: NDArray[np.intp]
-    ) -> None:
-        """Bulk-replay ``note_encounter`` for every fired contact endpoint.
-
-        Bit-exact replacement for calling ``note_encounter(c.start)`` on
-        both endpoints of each fired contact in trace order. Each node's
-        chronological encounter stream comes from the trace's cached
-        :meth:`~repro.mobility.contact.ContactTrace.encounter_streams`
-        (stable sort of the interleaved endpoint columns, a then b at
-        equal contact rank — built once per immutable trace, not per
-        run); a run that halts early consumes each node's prefix of that
-        stream, whose length is exactly the node's endpoint count among
-        the fired contacts because times ascend within a node's stream.
-        Encounters of *different* nodes commute, so the global
-        interleaving is irrelevant.
-
-        The per-encounter recurrence ("advance the rendezvous anchor when
-        the gap from it exceeds the debounce threshold") collapses: at any
-        encounter whose gap from the *previous encounter* already exceeds
-        the threshold, the anchor provably resets to that encounter —
-        whatever the earlier anchor was, it is at most the previous
-        encounter time, so the advance fires and lands exactly there. The
-        final state therefore depends only on the (typically short) run
-        after the node's last such reset, plus — when that run never
-        advances — one preceding inter-reset chunk to recover the anchor
-        the reset measured its interval from. Both walks execute the
-        recurrence's own float subtractions, so results are bit-identical
-        to calling ``note_encounter`` per contact. Nodes carrying
-        pre-existing history state fall back to the full recurrence.
-        """
-        nodes = self._nodes
-        n = len(nodes)
-        offsets, ts, nid_tail, same, dts = self.sim.trace.encounter_streams()
-        counts = np.bincount(a_ids, minlength=n)
-        counts += np.bincount(b_ids, minlength=n)
-        thresholds = np.array(
-            [node.history.min_rendezvous_gap for node in nodes], dtype=np.float64
-        )
-        # reset flags are valid for the fired prefixes even though they are
-        # computed over the full stream: a flag at position p < hi compares
-        # ts[p] to ts[p-1], both inside the prefix (times ascend per node)
-        reset = same & (dts > thresholds[nid_tail])
-        reset_pos = np.flatnonzero(reset) + 1
-        resets_below_hi = np.searchsorted(reset_pos, offsets[:-1] + counts).tolist()
-        reset_pos_l = reset_pos.tolist()
-        counts_l = counts.tolist()
-        offsets_l = offsets.tolist()
-        # only the short post-reset tails are walked in Python, so convert
-        # slices on demand instead of materializing all 2·fired floats
-        ts_item = ts.item
-        for nid, node in enumerate(nodes):
-            k = counts_l[nid]
-            if not k:
-                continue
-            history = node.history
-            history.encounter_count += k
-            lo = offsets_l[nid]
-            gap_min = history.min_rendezvous_gap
-            last = history.last_encounter_time
-            if last is not None:
-                # resumed history: full recurrence (no fresh-start reset)
-                interval = history.last_interval
-                for t in ts[lo : lo + k].tolist():
-                    gap = t - last
-                    if gap > gap_min:
-                        interval = gap
-                        last = t
-                history.last_encounter_time = last
-                history.last_interval = interval
-                continue
-            hi = lo + k
-            j = resets_below_hi[nid]
-            r = reset_pos_l[j - 1] if j else 0
-            if r <= lo:
-                r = r_prev = lo
-            else:
-                r_prev = reset_pos_l[j - 2] if j > 1 else 0
-                if r_prev < lo:
-                    r_prev = lo
-            # recurrence over the post-reset tail, anchored exactly at t_r
-            last = ts_item(r)
-            interval = None
-            for t in ts[r + 1 : hi].tolist():
-                gap = t - last
-                if gap > gap_min:
-                    interval = gap
-                    last = t
-            history.last_encounter_time = last
-            if interval is not None:
-                history.last_interval = interval
-            elif r > lo:
-                # tail never advanced, so the final interval is the one the
-                # reset at r set: t_r minus the anchor the preceding chunk
-                # ended on
-                anchor = ts_item(r_prev)
-                for t in ts[r_prev + 1 : r].tolist():
-                    gap = t - anchor
-                    if gap > gap_min:
-                        anchor = t
-                history.last_interval = ts_item(r) - anchor
+        sim.batched_encounters += batched
+        sim.metrics.on_batched_contacts(batched)
+        counts = np.bincount(a_ids[:fired][zmask], minlength=len(nodes))
+        counts += np.bincount(b_ids[:fired][zmask], minlength=len(nodes))
+        for node, encounters in zip(nodes, counts.tolist(), strict=True):
+            if encounters:
+                node.counters.control_units_sent += encounters
 
     def _drive(
         self, horizon: float, arrays: _Columns, zero_mask: NDArray[np.bool_]

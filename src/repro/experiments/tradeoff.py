@@ -95,11 +95,11 @@ class TradeoffConfig:
         if not self.protocols:
             raise ValueError("protocols must be non-empty")
         caps = tuple(
-            tuple(c) if isinstance(c, (list, tuple)) else int(c)
-            for c in self.capacities
+            tuple(c) if isinstance(c, (list, tuple)) else c for c in self.capacities
         )
         object.__setattr__(self, "capacities", caps)
-        # Validate every (capacity, policy) combination up front.
+        # Validate every (capacity, policy) combination up front; a
+        # fractional or bool capacity fails here with the field's name.
         for capacity in caps:
             for policy in self.policies:
                 SimulationConfig(

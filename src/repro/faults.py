@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any
 
-from repro.validation import require_nonneg, require_prob
+from repro.validation import require_int, require_nonneg, require_prob, require_real
 
 #: Accepted ``state_loss`` modes, in increasing order of amnesia.
 STATE_LOSS_MODES = ("none", "buffer", "knowledge", "all")
@@ -79,11 +79,14 @@ class FaultSpec:
                     f"got {entry!r}"
                 )
             node, down_at, up_at = entry
+            # type checks before the conversions: int() would crash node 2
+            # for a node of 2.7 and node 1 for true, float() parse "5"
+            require_int("downtime_schedule node", node, 0)
+            require_real("downtime_schedule down_at", down_at)
+            require_real("downtime_schedule up_at", up_at)
             node = int(node)
             down_at = float(down_at)
             up_at = float(up_at)
-            if node < 0:
-                raise ValueError(f"downtime_schedule node must be >= 0, got {node}")
             if not 0.0 <= down_at < up_at:
                 raise ValueError(
                     f"downtime_schedule requires 0 <= down_at < up_at, "

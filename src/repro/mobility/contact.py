@@ -94,9 +94,8 @@ class ContactTrace:
         name: Optional label used in reports.
 
     A trace assembled by :meth:`from_arrays` holds only its columns until
-    something reads :attr:`contacts`, iterates or indexes it; ``len()``,
-    :meth:`contact_arrays` and :meth:`encounter_streams` never create the
-    per-contact objects.
+    something reads :attr:`contacts`, iterates or indexes it; ``len()``
+    and :meth:`contact_arrays` never create the per-contact objects.
     """
 
     contacts: list[Contact]
@@ -112,9 +111,6 @@ class ContactTrace:
     _arrays: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = field(
         init=False, repr=False, compare=False, default=None
     )
-    _streams: (
-        tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
-    ) = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.num_nodes < 2:
@@ -235,46 +231,6 @@ class ContactTrace:
                 b[i] = c.b
             self._arrays = _frozen((starts, ends, a, b))
         return self._arrays
-
-    def encounter_streams(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-node encounter-time streams ``(offsets, ts, nid_tail, same, dts)``.
-
-        ``ts[offsets[i] : offsets[i + 1]]`` is node ``i``'s chronological
-        sequence of contact start times: both endpoints of every contact
-        contribute one entry, endpoint ``a`` ranked before ``b`` at equal
-        contact index — the event loop's own per-node visitation order,
-        recovered by a stable sort of the interleaved endpoint columns.
-        ``nid_tail``, ``same`` and ``dts`` are the companion difference
-        columns (``nid_sorted[1:]``, the same-node mask and
-        ``ts[1:] - ts[:-1]``) that per-run consumers combine with their
-        own gap thresholds. Built lazily once per trace and cached
-        (read-only, like :meth:`contact_arrays`); a run truncated at
-        ``end_time`` selects each node's prefix with
-        ``searchsorted(ts[lo:hi], end_time, "right")``.
-        """
-        if self._streams is None:
-            import numpy as np
-
-            starts, _ends, a, b = self.contact_arrays()
-            m = len(starts)
-            nids = np.empty(2 * m, dtype=np.intp)
-            nids[0::2] = a
-            nids[1::2] = b
-            times = np.empty(2 * m, dtype=np.float64)
-            times[0::2] = starts
-            times[1::2] = starts
-            order = np.argsort(nids, kind="stable")
-            nid_sorted = nids[order]
-            ts = times[order]
-            offsets = np.zeros(self.num_nodes + 1, dtype=np.intp)
-            np.cumsum(np.bincount(nids, minlength=self.num_nodes), out=offsets[1:])
-            nid_tail = nid_sorted[1:]
-            same = nid_tail == nid_sorted[:-1]
-            dts = ts[1:] - ts[:-1]
-            self._streams = _frozen((offsets, ts, nid_tail, same, dts))
-        return self._streams
 
     def first_contact_at_or_after(self, t: float) -> Contact | None:
         """Earliest contact with ``start >= t``, or None."""

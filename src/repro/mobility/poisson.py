@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mobility.contact import Contact, ContactTrace
+from repro.validation import require_int, require_real
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,9 @@ class PoissonContactConfig:
     duration: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 2:
-            raise ValueError(f"need at least 2 nodes, got {self.num_nodes}")
+        require_int("num_nodes", self.num_nodes, 2)
+        for name in ("beta", "horizon", "duration"):
+            require_real(name, getattr(self, name))
         # written as not (valid) so NaN fails too
         if not self.beta > 0:
             raise ValueError(f"beta (meeting rate) must be positive, got {self.beta}")

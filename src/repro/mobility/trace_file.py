@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
-from collections.abc import Iterable
 from typing import TextIO
 
 from repro.ioutil import atomic_write
@@ -236,8 +235,3 @@ def write_haggle_trace(
         return
     _write(dest)
 
-
-def iter_contact_rows(trace: ContactTrace) -> Iterable[tuple[int, int, float, float]]:
-    """Yield ``(a, b, start, end)`` rows (convenience for exporters)."""
-    for c in trace.contacts:
-        yield (c.a, c.b, c.start, c.end)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.node import EncounterHistory, Node
+from repro.core.node import Node
+from repro.core.protocols.ttl import EncounterHistory
 from tests.helpers import bundle
 
 

@@ -86,8 +86,8 @@ class TestDynamicTTLHooks:
 
     def test_ttl_is_twice_last_interval(self):
         node, _ = make_node(1, protocol="dynamic_ttl")
-        node.history.note_encounter(1_000.0)
-        node.history.note_encounter(1_500.0)  # interval 500 (> debounce gap)
+        node.protocol.history.note_encounter(1_000.0)
+        node.protocol.history.note_encounter(1_500.0)  # interval 500 (> debounce gap)
         sb = node.protocol.accept(stored(1).bundle, ec=0, now=1_500.0)
         assert sb.expiry == 1_500.0 + 2 * 500.0
 
@@ -99,11 +99,11 @@ class TestDynamicTTLHooks:
     def test_encounter_rearms_buffered_copies(self):
         node, _ = make_node(1, protocol="dynamic_ttl")
         peer, _ = make_node(2)
-        node.history.note_encounter(0.0)
-        node.history.note_encounter(400.0)  # interval 400
+        node.protocol.history.note_encounter(0.0)
+        node.protocol.history.note_encounter(400.0)  # interval 400
         sb = node.protocol.accept(stored(1).bundle, ec=0, now=400.0)
         assert sb.expiry == 400.0 + 800.0
-        node.history.note_encounter(1_000.0)  # interval 600
+        # the hook notes the encounter (interval 600) before re-arming
         node.protocol.on_encounter_started(peer, now=1_000.0)
         assert sb.expiry == 1_000.0 + 1_200.0
 
@@ -112,24 +112,23 @@ class TestDynamicTTLHooks:
         peer, _ = make_node(2)
         sb = node.add_origin(stored(1, source=0).bundle, now=0.0)
         node.protocol.on_bundle_created(sb, now=0.0)
-        node.history.note_encounter(0.0)
-        node.history.note_encounter(500.0)
+        node.protocol.history.note_encounter(0.0)
         node.protocol.on_encounter_started(peer, now=500.0)
         assert sb.expiry == 500.0 + 1_000.0
 
     def test_multiplier_respected(self):
         node, _ = make_node(1, protocol="dynamic_ttl", multiplier=3.0)
-        node.history.note_encounter(0.0)
-        node.history.note_encounter(500.0)
+        node.protocol.history.note_encounter(0.0)
+        node.protocol.history.note_encounter(500.0)
         sb = node.protocol.accept(stored(1).bundle, ec=0, now=500.0)
         assert sb.expiry == 500.0 + 3 * 500.0
 
     def test_burst_encounters_do_not_collapse_ttl(self):
         """The rendezvous debounce keeps bursts from nuking the estimate."""
         node, _ = make_node(1, protocol="dynamic_ttl")
-        node.history.note_encounter(0.0)
-        node.history.note_encounter(1_000.0)  # interval 1000
-        node.history.note_encounter(1_005.0)  # burst at the same spot
+        node.protocol.history.note_encounter(0.0)
+        node.protocol.history.note_encounter(1_000.0)  # interval 1000
+        node.protocol.history.note_encounter(1_005.0)  # burst at the same spot
         sb = node.protocol.accept(stored(1).bundle, ec=0, now=1_005.0)
         assert sb.expiry == 1_005.0 + 2_000.0
 

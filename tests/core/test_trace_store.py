@@ -70,7 +70,6 @@ class TestFromArrays:
         )
         assert len(back) == 3
         back.contact_arrays()
-        back.encounter_streams()
         assert "contacts" not in vars(back)
         assert back[1] == trace[1]  # indexing materialises them
         assert "contacts" in vars(back)
@@ -135,7 +134,7 @@ class TestReadOnlyColumns:
             trace = ContactTrace.from_arrays(
                 *trace.contact_arrays(), num_nodes=4, horizon=trace.horizon
             )
-        for column in trace.contact_arrays() + trace.encounter_streams():
+        for column in trace.contact_arrays():
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[0]
 

@@ -127,3 +127,7 @@ class TestRegistry:
             TradeoffConfig(policies=("fifo",))
         with pytest.raises(ValueError):
             TradeoffConfig(capacities=(0,))
+        # a fraction or a bool is refused, not truncated into another run
+        for capacity in (2.5, True):
+            with pytest.raises(ValueError, match="buffer_capacity"):
+                TradeoffConfig(capacities=(capacity,))

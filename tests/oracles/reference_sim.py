@@ -2,9 +2,9 @@
 
 :class:`ReferenceSimulation` runs the original per-event schedule of
 ``repro.core.simulation.Simulation``: one contact-start heap event per
-contact (never the engine's contact stream), no deferred encounter
-history, no zero-transfer shortcut, never the SoA kernel, and — under
-faults — the original faults-only contact handler.
+contact (never the engine's contact stream), no zero-transfer shortcut,
+never the SoA kernel, and — under faults — the original faults-only
+contact handler.
 Its sessions plan with :class:`ReferencePlanner`, the rebuild-filter-sort
 specification of the candidate rule. Production must reproduce this
 schedule's :class:`~repro.core.results.RunResult`, node state, event count

@@ -562,6 +562,39 @@ HOSTILE_VALUES = {
     "backoff_string": ("backoff", {"retry_backoff": "1"}),
     "cell_timeout_string": ("cell_timeout", {"cell_timeout": "5"}),
     "params_list": ("params", {"protocols": [{"name": "pure", "params": [1]}]}),
+    # these failed only at build, with a message that named no field
+    "ttl_string": ("ttl must be", {"protocols": [{"name": "ttl", "params": {"ttl": "300"}}]}),
+    "p_string": ("p must be", {"protocols": [{"name": "pq", "params": {"p": "1"}}]}),
+    "max_interval_string": (
+        "max_interval must be",
+        {"mobility": {**_INTERVAL, "params": {**_INTERVAL["params"], "max_interval": "400"}}},
+    ),
+    "beta_string": (
+        "beta must be",
+        {"mobility": {**_POISSON, "params": {**_POISSON["params"], "beta": "0.001"}}},
+    ),
+    "horizon_string": (
+        "horizon must be",
+        {"mobility": {"kind": "rwp", "params": {"num_nodes": 8, "horizon": "2000"}}},
+    ),
+    # a truthy string switched origin expiry on
+    "expire_origin_string": (
+        "expire_origin must be",
+        {"protocols": [{"name": "ttl", "params": {"expire_origin": "no"}}]},
+    ),
+    # int() and float() turned these into a crash of another node
+    "downtime_node_fraction": (
+        "downtime_schedule node",
+        {"faults": {"downtime_schedule": [[2.7, 0, 100]]}},
+    ),
+    "downtime_node_bool": (
+        "downtime_schedule node",
+        {"faults": {"downtime_schedule": [[True, 0, 100]]}},
+    ),
+    "downtime_time_string": (
+        "downtime_schedule down_at",
+        {"faults": {"downtime_schedule": [[1, "5", "300"]]}},
+    ),
 }
 
 

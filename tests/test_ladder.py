@@ -7,9 +7,10 @@ One scenario generator (:mod:`tests.strategies`) drives every rung:
   per contact, the rebuild-filter-sort planner, the original faults-only
   contact handler) ≡ ``kernel="event"`` ≡ ``kernel="soa"`` when the run is
   eligible. The tiers must agree on the ``RunResult`` repr, on every
-  node's counters, encounter history, control storage, relay ids and
-  delivered set, and on the reference's event count; the event tier must
-  also plan the reference's transfers in the reference's order.
+  node's counters, control storage, relay ids and delivered set, on the
+  encounter history of a protocol that keeps one (dynamic TTL), and on
+  the reference's event count; the event tier must also plan the
+  reference's transfers in the reference's order.
 * **grid rung**, per drawn small sweep: serial ≡ ``ParallelExecutor(2)`` ≡
   a checkpointed campaign resumed from a truncated journal.
 * **metamorphic rung**: every enhancement at its degenerate parameters is
@@ -43,13 +44,19 @@ def node_state(sim) -> list[tuple]:
     return [
         (
             dataclasses.astuple(n.counters),
-            dataclasses.astuple(n.history),
+            encounter_history(n.protocol),
             n.control_storage,
             sorted(n.relay.id_view()),
             sorted(n.delivered),
         )
         for n in sim.nodes
     ]
+
+
+def encounter_history(protocol) -> tuple | None:
+    """The encounter timing the protocol keeps, if it keeps any."""
+    history = getattr(protocol, "history", None)
+    return None if history is None else dataclasses.astuple(history)
 
 
 def climb(cell: Cell) -> tuple[int, bool]:
