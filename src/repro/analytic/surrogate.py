@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -69,15 +70,24 @@ _CURVE_POINTS = 2048
 _MAX_STEPS = 500_000
 
 #: Recorded steps the exact integrator buffers before reducing them to
-#: curve statistics in one batch; bounds its scratch memory to this × N.
+#: curve statistics in one batch; bounds its scratch memory to this × N
+#: (or one row per chain, when a batch integrates more chains).
 _RECORD_BLOCK = 256
 
-#: Distinct exact-regime chains (and rank averages) kept solved. A
-#: cross-validation gate visits its chains cyclically — protocol × load ×
-#: replication, one chain per reference trace — so this must exceed the
-#: gate's replication count, or least-recently-used eviction would drop
-#: every chain just before its next use.
+#: Distinct exact-regime chains (and rank averages) kept solved, least
+#: recently used evicted first. A cross-validation gate solves every chain
+#: its surrogate pass reads in one batch before the pass
+#: (:func:`solve_exact_chains`), at most this many, and its cells then
+#: visit them cyclically — protocol × load × replication, one chain per
+#: reference trace — so this must exceed the gate's replication count, or
+#: the chains would be evicted before their cells read them.
 _SOLVE_CACHE_SIZE = 64
+
+#: Solved exact-regime chains: ``(n, beta, p, q, horizon)`` → read-only
+#: ``(ts, mean, cond)``, in least-recently-used order.
+_SOLVED: OrderedDict[
+    tuple[int, float, float, float, float], tuple[np.ndarray, np.ndarray, np.ndarray]
+] = OrderedDict()
 
 
 class UnsupportedProtocolError(ValueError):
@@ -171,32 +181,40 @@ def _flat_curves(horizon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _CurveRecords:
     """The exact integrator's curve records, reduced a block at a time.
 
-    Each recorded step copies the holder-count distribution into a
-    fixed ``_RECORD_BLOCK × N`` buffer; a full block is reduced to its
-    mean and conditional-mean rows at once. Per row the products and
-    sums are the ones a one-vector-at-a-time reduction would make, so
-    the statistics are bit-identical to it.
+    Each recorded step copies the holder-count distributions of the
+    chains it records into a fixed ``_RECORD_BLOCK × N`` buffer, noting
+    each row's chain and time; a full block is reduced to its mean and
+    conditional-mean rows at once. Per row the products and sums are the
+    ones a one-vector-at-a-time reduction would make, so the statistics
+    are bit-identical to it.
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, chains: int) -> None:
         self.n = n
+        self.chains = chains
         self.idx = np.arange(1, n + 1, dtype=np.float64)
         self.susceptible = n - self.idx
-        self.block = np.empty((_RECORD_BLOCK, n), dtype=np.float64)
+        rows = max(_RECORD_BLOCK, chains)
+        self.block = np.empty((rows, n), dtype=np.float64)
+        self.owner = np.empty(rows, dtype=np.intp)
+        self.times = np.empty(rows, dtype=np.float64)
         self.filled = 0
-        self.ts = [0.0]
-        self.mean = [1.0]
-        self.cond = [1.0]
+        #: reduced blocks: (chain, time, mean, cond) columns
+        self.reduced: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def record(self, t: float, prob: np.ndarray) -> None:
-        self.ts.append(t)
-        self.block[self.filled] = prob
-        self.filled += 1
-        if self.filled == _RECORD_BLOCK:
+    def record(self, chains: np.ndarray, t: np.ndarray, prob: np.ndarray) -> None:
+        """Buffer row ``k`` of ``prob`` as chain ``chains[k]``'s state at ``t[k]``."""
+        end = self.filled + len(chains)
+        if end > len(self.block):
             self.flush()
+            end = len(chains)
+        self.block[self.filled : end] = prob
+        self.owner[self.filled : end] = chains
+        self.times[self.filled : end] = t
+        self.filled = end
 
     def flush(self) -> None:
-        """Reduce the buffered rows into ``mean`` and ``cond``.
+        """Reduce the buffered rows to their ``mean`` and ``cond`` values.
 
         ``cond`` is E[I | destination susceptible]: given I = i holders,
         the destination (a fixed non-source node) is still susceptible
@@ -204,69 +222,142 @@ class _CurveRecords:
         cancels between numerator and denominator.
         """
         rows = self.block[: self.filled]
-        self.mean.extend((rows * self.idx).sum(axis=1).tolist())
+        mean = (rows * self.idx).sum(axis=1)
         weights = rows * self.susceptible
         denom = weights.sum(axis=1)
         num = (weights * self.idx).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             # delivery is (numerically) certain once denom vanishes
             cond = np.where(denom <= 1e-15, float(self.n), num / denom)
-        self.cond.extend(cond.tolist())
+        owner = self.owner[: self.filled].copy()
+        self.reduced.append((owner, self.times[: self.filled].copy(), mean, cond))
         self.filled = 0
+
+    def curves(self, horizon: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each chain's ``(ts, mean, cond)``, from one holder at t = 0 to
+        its last record, extended flat to the horizon."""
+        self.flush()
+        owner, ts, mean, cond = (np.concatenate(c) for c in zip(*self.reduced, strict=True))
+        order = np.argsort(owner, kind="stable")  # per chain, in time order
+        bounds = np.cumsum(np.bincount(owner, minlength=self.chains))[:-1]
+        out = []
+        for chain_ts, chain_mean, chain_cond in zip(
+            *(np.split(column[order], bounds) for column in (ts, mean, cond)), strict=True
+        ):
+            chain_ts = np.concatenate(([0.0], chain_ts))
+            chain_mean = np.concatenate(([1.0], chain_mean))
+            chain_cond = np.concatenate(([1.0], chain_cond))
+            if chain_ts[-1] < horizon:
+                # absorbed (or step-capped) before the horizon: extend flat
+                chain_ts = np.append(chain_ts, horizon)
+                chain_mean = np.append(chain_mean, chain_mean[-1])
+                chain_cond = np.append(chain_cond, chain_cond[-1])
+            out.append((chain_ts, chain_mean, chain_cond))
+        return out
 
 
 def _holder_curves_exact(
-    n: int, beta: float, p: float, q: float, horizon: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate the Kolmogorov equations of the birth chain (RK2 midpoint).
+    n: int, betas: Sequence[float], p: float, q: float, horizon: float
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Integrate the Kolmogorov equations of birth chains (RK2 midpoint).
 
-    Returns ``(ts, mean, cond)`` with ``ts[0] == 0`` and
+    The chains share ``(n, p, q, horizon)``, one per meeting rate in
+    ``betas``; one chain is a batch of one. Returns one
+    ``(ts, mean, cond)`` per rate, with ``ts[0] == 0`` and
     ``ts[-1] == horizon``; ``mean`` is E[I(t)] and ``cond`` is
     E[I(t) | destination still susceptible].
 
-    Every ``stride``-th step is recorded, the stride sized so that the
-    chain's expected absorption window 4·Σ1/λ_i holds about
-    :data:`_CURVE_POINTS` records. The loop itself runs on until
-    absorption, the horizon or :data:`_MAX_STEPS`, so a curve can hold
-    more points than that (about 2.9k for a 36-node pure chain).
+    Each chain keeps its own step ``dt`` and records every ``stride``-th
+    step, the stride sized so that the chain's expected absorption window
+    4·Σ1/λ_i holds about :data:`_CURVE_POINTS` records. A chain steps on
+    until absorption, the horizon or :data:`_MAX_STEPS`, so a curve can
+    hold more points than that (about 2.9k for a 36-node pure chain).
 
-    The step works in preallocated buffers; it makes the same floating-
-    point operations in the same order as a loop that allocates every
-    intermediate (``tests/oracles/holder_chain.py``), so its curves are
-    bit-identical to that loop's.
+    The chains step together as the rows of one 2-D array, and a row
+    leaves the array when its chain stops, so the array stays
+    C-contiguous. Per row the step makes the same floating-point
+    operations in the same order as a one-chain loop that allocates every
+    intermediate (``tests/oracles/holder_chain.py``), and each row sum is
+    that loop's vector sum, so every chain's curves are bit-identical to
+    that loop's.
     """
-    rates = _birth_rates(n, beta, p, q)
-    if rates[0] <= 0.0:  # the lone source never transmits
-        return _flat_curves(horizon)
-    max_rate = float(rates.max())
-    dt = 0.05 / max_rate
-    # Bound the interesting window by the chain's expected absorption
-    # time when every transient state drains; a stuck chain (some λ_i = 0
-    # before N) keeps evolving below the block forever, so integrate the
-    # whole horizon.
-    transient = rates[:-1]
-    if np.all(transient > 0.0):
-        t_interest = min(horizon, 4.0 * float((1.0 / transient).sum()))
-    else:
-        t_interest = horizon
-    est_steps = max(1, int(math.ceil(t_interest / dt)))
-    if est_steps > _MAX_STEPS:
-        dt = t_interest / _MAX_STEPS
-        est_steps = _MAX_STEPS
-    stride = max(1, est_steps // _CURVE_POINTS)
+    out: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    live: list[int] = []  # the chains that spread, by position in betas
+    rate_rows: list[np.ndarray] = []
+    steps: list[float] = []
+    strides: list[int] = []
+    for i, beta in enumerate(betas):
+        rates = _birth_rates(n, beta, p, q)
+        if rates[0] <= 0.0:  # the lone source never transmits
+            out[i] = _flat_curves(horizon)
+            continue
+        max_rate = float(rates.max())
+        dt = 0.05 / max_rate
+        # Bound the interesting window by the chain's expected absorption
+        # time when every transient state drains; a stuck chain (some
+        # λ_i = 0 before N) keeps evolving below the block forever, so
+        # integrate the whole horizon.
+        transient = rates[:-1]
+        if np.all(transient > 0.0):
+            t_interest = min(horizon, 4.0 * float((1.0 / transient).sum()))
+        else:
+            t_interest = horizon
+        est_steps = max(1, int(math.ceil(t_interest / dt)))
+        if est_steps > _MAX_STEPS:
+            dt = t_interest / _MAX_STEPS
+            est_steps = _MAX_STEPS
+        live.append(i)
+        rate_rows.append(rates)
+        steps.append(dt)
+        strides.append(max(1, est_steps // _CURVE_POINTS))
+    if live:
+        out.update(zip(live, _integrate(n, rate_rows, steps, strides, horizon), strict=True))
+    return [out[i] for i in range(len(betas))]
 
-    prob = np.zeros(n, dtype=np.float64)
-    prob[0] = 1.0
-    flow = np.empty(n, dtype=np.float64)  # probability flux i → i + 1
-    slope = np.empty(n, dtype=np.float64)  # dP/dt: inflow − outflow
-    mid = np.empty(n, dtype=np.float64)
-    scaled = np.empty(n, dtype=np.float64)
-    inflow, slope_in = flow[:-1], slope[1:]
-    records = _CurveRecords(n)
-    t = 0.0
+
+def _integrate(
+    n: int,
+    rate_rows: list[np.ndarray],
+    steps: list[float],
+    strides: list[int],
+    horizon: float,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Step the chains of :func:`_holder_curves_exact` as rows of one array."""
+    chain = np.arange(len(rate_rows))  # row → position in rate_rows
+    rates = np.array(rate_rows)
+    dt = np.array(steps)[:, None]
+    stride = np.array(strides)
+    distinct = set(strides)  # the strides of the rows still stepping
+    prob = np.zeros_like(rates)
+    prob[:, 0] = 1.0
+    t = np.zeros_like(dt)
+    records = _CurveRecords(n, len(chain))
+    flow = np.empty(0)  # scratch rows, allocated to prob's shape
     step = 0
-    while t < horizon and prob[-1] < 1.0 - 1e-9 and step < _MAX_STEPS:
-        h = min(dt, horizon - t)
+    while True:
+        if not (
+            step < _MAX_STEPS
+            and np.maximum.reduce(t, axis=None) < horizon
+            and np.maximum.reduce(prob[:, -1]) < 1.0 - 1e-9
+        ):
+            going = (t[:, 0] < horizon) & (prob[:, -1] < 1.0 - 1e-9) & (step < _MAX_STEPS)
+            # t grows every step (dt is at least t / _MAX_STEPS), so a row's
+            # last state is unrecorded unless this step was a recorded one
+            tail = ~going & (step % stride != 0)
+            records.record(chain[tail], t[tail, 0], prob[tail])
+            chain, rates, prob, dt, stride, t = (
+                column[going] for column in (chain, rates, prob, dt, stride, t)
+            )
+            if not chain.size:
+                break
+            distinct = set(stride.tolist())
+        if flow.shape != prob.shape:
+            flow = np.empty_like(prob)  # probability flux i → i + 1
+            slope = np.empty_like(prob)  # dP/dt: inflow − outflow
+            mid = np.empty_like(prob)
+            scaled = np.empty_like(prob)
+            inflow, slope_in = flow[:, :-1], slope[:, 1:]
+        h = np.minimum(dt, horizon - t)
         np.multiply(rates, prob, out=flow)
         np.negative(flow, out=slope)
         np.add(slope_in, inflow, out=slope_in)
@@ -278,38 +369,41 @@ def _holder_curves_exact(
         np.multiply(h, slope, out=scaled)
         np.add(prob, scaled, out=prob)
         np.maximum(prob, 0.0, out=prob)  # what np.clip(prob, 0.0, None) calls
-        s = float(prob.sum())
-        if s > 0.0:
-            np.divide(prob, s, out=prob)
-        t += h
+        s = np.add.reduce(prob, axis=1, keepdims=True)  # prob.sum(axis=1)
+        np.divide(prob, s, out=prob, where=s > 0.0)
+        np.add(t, h, out=t)
         step += 1
-        if step % stride == 0:
-            records.record(t, prob)
-    if records.ts[-1] < t:
-        records.record(t, prob)
-    records.flush()
-    ts, mean, cond = records.ts, records.mean, records.cond
-    if ts[-1] < horizon:
-        # absorbed (or step-capped) before the horizon: extend flat
-        ts.append(horizon)
-        mean.append(mean[-1])
-        cond.append(cond[-1])
-    return np.asarray(ts), np.asarray(mean), np.asarray(cond)
+        if len(distinct) == 1:  # the rows record together
+            if step % stride[0] == 0:
+                records.record(chain, t[:, 0], prob)
+        elif any(step % k == 0 for k in distinct):
+            due = step % stride == 0
+            records.record(chain[due], t[due, 0], prob[due])
+    return records.curves(horizon)
 
 
-@functools.lru_cache(maxsize=_SOLVE_CACHE_SIZE)
+def _solve(n: int, betas: Sequence[float], p: float, q: float, horizon: float) -> None:
+    """Integrate the chains of ``betas`` in one batch and memoize their
+    curves, read-only, so no caller can corrupt a solve another cell
+    reuses."""
+    for beta, curves in zip(betas, _holder_curves_exact(n, betas, p, q, horizon), strict=True):
+        for curve in curves:
+            curve.setflags(write=False)
+        _SOLVED[(n, beta, p, q, horizon)] = curves
+        while len(_SOLVED) > _SOLVE_CACHE_SIZE:
+            _SOLVED.popitem(last=False)
+
+
 def _solve_exact(
     n: int, beta: float, p: float, q: float, horizon: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Memoized :func:`_holder_curves_exact`.
-
-    The cached arrays are read-only, so no caller can corrupt a solve
-    another cell reuses.
-    """
-    curves = _holder_curves_exact(n, beta, p, q, horizon)
-    for curve in curves:
-        curve.setflags(write=False)
-    return curves
+    """The memoized curves of one exact-regime chain, solved as a batch of
+    one when no earlier solve left them in the memo."""
+    key = (n, beta, p, q, horizon)
+    if key not in _SOLVED:
+        _solve(n, [beta], p, q, horizon)
+    _SOLVED.move_to_end(key)
+    return _SOLVED[key]
 
 
 def _holder_curves_fluid(
@@ -370,6 +464,15 @@ def holder_curves(
     ``(n, beta, p, q, horizon)`` and memoized; every call returns fresh
     copies of the cached curves.
     """
+    _check_chain(n, beta, p, q, horizon)
+    if n <= exact_limit:
+        ts, mean, cond = _solve_exact(n, beta, p, q, horizon)
+        return ts.copy(), mean.copy(), cond.copy()
+    return _holder_curves_fluid(n, beta, p, q, horizon)
+
+
+def _check_chain(n: int, beta: float, p: float, q: float, horizon: float) -> None:
+    """Raise ``ValueError`` for a chain :func:`holder_curves` cannot model."""
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     if beta <= 0:
@@ -379,10 +482,47 @@ def holder_curves(
     for label, v in (("p", p), ("q", q)):
         if not (0.0 <= v <= 1.0):
             raise ValueError(f"{label} must be a probability, got {v}")
-    if n <= exact_limit:
-        ts, mean, cond = _solve_exact(n, beta, p, q, horizon)
-        return ts.copy(), mean.copy(), cond.copy()
-    return _holder_curves_fluid(n, beta, p, q, horizon)
+
+
+def solve_exact_chains(
+    cells: Iterable[tuple[ContactTrace, ProtocolConfig, SimulationConfig]],
+) -> None:
+    """Solve the exact-regime chains that these surrogate cells will read.
+
+    Each ``(trace, protocol, config)`` cell's chain is keyed as
+    :func:`surrogate_run` keys it. The first :data:`_SOLVE_CACHE_SIZE`
+    distinct chains, in first-use order, end up most recently used in the
+    memo, so none is evicted before its cell reads it: the ones missing
+    are integrated in one batch per ``(n, p, q, horizon)``. A cell the
+    surrogate cannot model is skipped: it raises its own error when it
+    runs.
+    """
+    needed: dict[tuple[int, float, float, float, float], None] = {}
+    for trace, protocol, config in cells:
+        if trace.num_nodes > EXACT_LIMIT:
+            continue
+        try:
+            p, q = transmission_coins(protocol)
+            key = (
+                trace.num_nodes,
+                resolve_meeting_rate(trace, config),
+                p,
+                q,
+                float(trace.horizon),
+            )
+            _check_chain(*key)
+        except ValueError:
+            continue
+        needed[key] = None
+    batches: dict[tuple[int, float, float, float], list[float]] = {}
+    for key in list(needed)[:_SOLVE_CACHE_SIZE]:
+        if key in _SOLVED:
+            _SOLVED.move_to_end(key)
+        else:
+            n, beta, p, q, horizon = key
+            batches.setdefault((n, p, q, horizon), []).append(beta)
+    for (n, p, q, horizon), betas in batches.items():
+        _solve(n, betas, p, q, horizon)
 
 
 # ----------------------------------------------------------- run mapping

@@ -366,28 +366,26 @@ class ContactTrace:
         )
 
     def coalesced(self) -> ContactTrace:
-        """Merge overlapping/adjacent contacts of the same pair into one.
+        """Merge overlapping/touching contacts of the same pair into one.
 
         Mobility generators can emit back-to-back encounters for a pair (e.g.
         a node pausing twice at the same subscriber point); the simulator
         treats a contact as one uninterrupted exchange opportunity, so
-        adjacent windows are fused.
+        adjacent windows are fused. The trace's columns go through the
+        array fold of contact extraction at a zero gap
+        (:func:`~repro.mobility.fastcontact._fold_windows`), and the result
+        is a columnar trace over the same population, horizon and name.
         """
-        by_pair: dict[tuple[int, int], list[Contact]] = {}
-        for c in self.contacts:
-            by_pair.setdefault(c.pair, []).append(c)
-        fused: list[Contact] = []
-        for pair, cs in by_pair.items():
-            cs.sort()
-            cur_s, cur_e = cs[0].start, cs[0].end
-            for c in cs[1:]:
-                if c.start <= cur_e:  # overlapping or touching
-                    cur_e = max(cur_e, c.end)
-                else:
-                    fused.append(Contact(cur_s, cur_e, *pair))
-                    cur_s, cur_e = c.start, c.end
-            fused.append(Contact(cur_s, cur_e, *pair))
-        return ContactTrace(fused, self.num_nodes, horizon=self.horizon, name=self.name)
+        from repro.mobility.fastcontact import _fold_windows
+
+        assert self.horizon is not None
+        starts, ends, a, b = _fold_windows(
+            *self.contact_arrays(), contact_cap=None, min_duration=0.0, gap=0.0
+        )
+        return ContactTrace.from_arrays(
+            starts, ends, a, b, num_nodes=self.num_nodes, horizon=self.horizon,
+            name=self.name,
+        )
 
     def validate_disjoint_pairs(self) -> None:
         """Raise if any node pair has overlapping contact windows."""

@@ -312,23 +312,26 @@ def _fold_windows(
     *,
     contact_cap: float | None,
     min_duration: float,
+    gap: float = 1e-9,
 ) -> tuple[_Floats, _Floats, _Ints, _Ints]:
     """Merge each pair's windows into contacts, as ``(start, end, a, b)`` columns.
 
     The array form of the scalar fold: windows sorted by
-    ``(a, b, start, end)``, fused while ``start <= cur_e + 1e-9`` (the gap
-    of :func:`~repro.mobility.trajectory._merge_windows`), then each
-    contact's end capped at ``start + contact_cap`` and contacts shorter
-    than ``min_duration`` dropped.
+    ``(a, b, start, end)``, fused while ``start <= cur_e + gap`` (the
+    ``gap`` of :func:`~repro.mobility.trajectory._merge_windows`, 1e-9 s
+    for extracted contacts; :meth:`ContactTrace.coalesced
+    <repro.mobility.contact.ContactTrace.coalesced>` fuses at 0), then
+    each contact's end capped at ``start + contact_cap`` and contacts
+    shorter than ``min_duration`` dropped.
 
     The scalar fold's ``cur_e`` — the largest end of the contact being
     built — equals the running maximum end over *all* earlier windows of
-    the pair: every earlier contact of the pair ended more than 1e-9
+    the pair: every earlier contact of the pair ended more than ``gap``
     before the current one's first start. So a window starts a new
-    contact exactly when ``start > running_max + 1e-9``. The running max
+    contact exactly when ``start > running_max + gap``. The running max
     is exact: the ends are ranked densely and offset by pair, so one
     ``maximum.accumulate`` never crosses a pair boundary and compares
-    only ranks. Every float operation (``+ 1e-9``, the cap's addition,
+    only ranks. Every float operation (``+ gap``, the cap's addition,
     the duration's subtraction) is the scalar fold's, so the columns are
     bit-identical to it. Returned in ``(start, end, a, b)`` order.
     """
@@ -343,7 +346,7 @@ def _fold_windows(
     offset = (np.cumsum(pair_start) - 1) * end_values.size
     running_max = end_values[np.maximum.accumulate(offset + end_rank) - offset]
     contact_start = pair_start.copy()
-    contact_start[1:] |= ws[1:] > running_max[:-1] + 1e-9
+    contact_start[1:] |= ws[1:] > running_max[:-1] + gap
     first = np.flatnonzero(contact_start)
     cs, ca, cb = ws[first], wa[first], wb[first]
     ce: _Floats = np.maximum.reduceat(we, first)

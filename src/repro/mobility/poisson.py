@@ -8,6 +8,13 @@ reproducing the paper but muddies surrogate validation: any disagreement
 mixes genuine model error with mobility-assumption mismatch. This generator
 produces the assumption itself, so the cross-validation gate
 (:mod:`repro.analytic.calibration`) measures pure surrogate error.
+
+The trace is built as columns: every pair's meeting instants come from one
+block-drawn stream of exponential gaps, and the pairs' windows are fused by
+the array fold of contact extraction, so no
+:class:`~repro.mobility.contact.Contact` object exists until something
+reads the contact list. ``tests/oracles/poisson_trace.py`` keeps the scalar
+loop this reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mobility.contact import Contact, ContactTrace
+from repro.mobility.contact import ContactTrace
+from repro.mobility.fastcontact import _fold_windows
 from repro.validation import require_int, require_real
 
 
@@ -61,29 +69,64 @@ def generate_poisson_trace(
 
     Every unordered pair receives Poisson(β) meeting instants over
     ``[0, horizon)``; each meeting becomes a ``duration``-second contact,
-    clipped at the horizon. Overlapping windows of the same pair (rare
-    when ``duration ≪ 1/β``) are fused by
-    :meth:`~repro.mobility.contact.ContactTrace.coalesced`, so per-pair
-    windows are always disjoint, as the simulator expects.
+    clipped at the horizon. Overlapping or touching windows of the same
+    pair (rare when ``duration ≪ 1/β``) are fused, as
+    :meth:`~repro.mobility.contact.ContactTrace.coalesced` fuses them, so
+    per-pair windows are always disjoint, as the simulator expects.
+
+    Pairs ``(a, b)``, ``a < b``, take their exponential gaps from one
+    stream in ``(a, b)`` order: a pair's meetings are the running sums of
+    its gaps below the horizon, and the first sum at or past it ends the
+    pair, its gap consumed. The stream is drawn in blocks and each pair's
+    sums are one ``np.cumsum``, which adds in the order of a scalar
+    ``t += gap`` loop, so the columns are bit-identical to that loop's.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence([seed & 0xFFFFFFFF, 0x9015507])
     )
     n = config.num_nodes
     mean_gap = 1.0 / config.beta
-    contacts: list[Contact] = []
-    for a in range(n - 1):
-        for b in range(a + 1, n):
-            t = float(rng.exponential(mean_gap))
-            while t < config.horizon:
-                end = min(t + config.duration, config.horizon)
-                if end > t:
-                    contacts.append(Contact(t, end, a, b))
-                t += float(rng.exponential(mean_gap))
-    trace = ContactTrace(
-        contacts,
-        n,
-        horizon=config.horizon,
+    horizon = config.horizon
+    pair_a, pair_b = np.triu_indices(n, 1)
+    # a pair consumes about beta * horizon + 1 gaps: its meetings plus the
+    # one that overshoots the horizon
+    per_pair = config.beta * horizon + 1.0
+    gaps = rng.exponential(mean_gap, size=int(pair_a.size * per_pair) + 64)
+    window = 2 * int(per_pair) + 16
+    pos = 0
+    meetings: list[np.ndarray] = []
+    counts: list[int] = []
+    for _ in range(pair_a.size):
+        while True:
+            times = np.cumsum(gaps[pos : pos + window])
+            k = int(np.searchsorted(times, horizon))  # first sum >= horizon
+            if k < times.size:
+                break
+            if pos + window > gaps.size:  # the block is spent: draw on
+                gaps = np.concatenate(
+                    (gaps[pos:], rng.exponential(mean_gap, size=gaps.size))
+                )
+                pos = 0
+            else:
+                window *= 2
+        meetings.append(times[:k])
+        counts.append(k)
+        pos += k + 1
+    starts = np.concatenate(meetings)
+    ends = np.minimum(starts + config.duration, horizon)
+    keep = ends > starts
+    cols = _fold_windows(
+        starts[keep],
+        ends[keep],
+        np.repeat(pair_a, counts)[keep],
+        np.repeat(pair_b, counts)[keep],
+        contact_cap=None,
+        min_duration=0.0,
+        gap=0.0,
+    )
+    return ContactTrace.from_arrays(
+        *cols,
+        num_nodes=n,
+        horizon=horizon,
         name=f"poisson(n={n}, beta={config.beta:g})",
     )
-    return trace.coalesced()

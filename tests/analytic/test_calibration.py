@@ -4,10 +4,12 @@ import dataclasses
 import hashlib
 import json
 import math
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
+from repro.analytic import surrogate
 from repro.analytic.calibration import (
     CrossValidationReport,
     IncompleteReferenceGridError,
@@ -17,6 +19,7 @@ from repro.analytic.calibration import (
     cross_validate_scenario,
     pool_sweeps,
 )
+from repro.core.executors import CellExecutionError
 from repro.core.results import RunResult, SweepResult
 from repro.scenarios import MobilitySpec, ProtocolSpec, ScenarioSpec, WorkloadSpec
 
@@ -236,6 +239,58 @@ class TestGateTraces:
         )
         assert len(calls) == builds
         assert sorted(calls) == list(range(builds))
+
+
+class TestGateSolves:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """A fresh memo, and the batch size of every integrator call."""
+        monkeypatch.setattr(surrogate, "_SOLVED", OrderedDict())
+        calls = []
+        real = surrogate._holder_curves_exact
+
+        def counting(n, betas, p, q, horizon):
+            calls.append(len(betas))
+            return real(n, betas, p, q, horizon)
+
+        monkeypatch.setattr(surrogate, "_holder_curves_exact", counting)
+        return calls
+
+    def test_reference_chains_are_solved_in_one_batch(self, solves):
+        """Pure and P-Q(1, 1) read the same chain of each reference trace:
+        three chains, integrated together before the surrogate pass."""
+        spec = gate_spec(
+            protocols=(ProtocolSpec("pure"), ProtocolSpec("pq", {"p": 1.0, "q": 1.0})),
+            shared_trace=False,
+        )
+        cross_validate_scenario(spec, loads=(2, 4), replications=3)
+        assert solves == [3]
+
+    def test_chains_beyond_the_memo_are_solved_by_their_cells(self, solves, monkeypatch):
+        spec = gate_spec(shared_trace=False)
+        want = cross_validate_scenario(spec, loads=(2, 4), replications=3)
+        surrogate._SOLVED.clear()
+        solves.clear()
+        monkeypatch.setattr(surrogate, "_SOLVE_CACHE_SIZE", 2)
+        got = cross_validate_scenario(spec, loads=(2, 4), replications=3)
+        assert got.to_dict() == want.to_dict()
+        # the batch fills the memo; the cells then take turns evicting
+        assert solves[0] == 2 and set(solves[1:]) == {1}
+
+    @pytest.mark.parametrize(
+        "on_error,error", [("abort", CellExecutionError), ("keep-going", IncompleteReferenceGridError)]
+    )
+    def test_unsupported_protocol_names_its_cell(self, on_error, error):
+        spec = gate_spec(
+            protocols=(ProtocolSpec("pure"), ProtocolSpec("ttl", {"ttl": 300.0})),
+            on_error=on_error,
+        )
+        named = (
+            r"\(protocol='ttl', load=2, rep=0\).*"
+            r"UnsupportedProtocolError: no mean-field model for protocol 'ttl'"
+        )
+        with pytest.raises(error, match=named):
+            cross_validate_scenario(spec, loads=(2,), replications=2)
 
 
 class TestIncompleteReferenceGrid:
