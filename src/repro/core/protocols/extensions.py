@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.bundle import StoredBundle
 from repro.core.protocols.base import ControlMessage, Protocol
+from repro.validation import require_int, require_real
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -91,8 +92,7 @@ class SprayAndWaitConfig:
     protocol_name = "spray_wait"
 
     def __post_init__(self) -> None:
-        if self.initial_tokens < 1:
-            raise ValueError("initial_tokens must be >= 1")
+        require_int("initial_tokens", self.initial_tokens, 1)
 
     @property
     def label(self) -> str:
@@ -205,10 +205,12 @@ class ProphetConfig:
 
     def __post_init__(self) -> None:
         for label, v in (("p_init", self.p_init), ("gamma", self.gamma), ("beta", self.beta)):
+            require_real(label, v)
             if not (0.0 < v <= 1.0):
                 raise ValueError(f"{label} must be in (0, 1], got {v}")
-        if self.age_unit <= 0:
-            raise ValueError("age_unit must be positive")
+        require_real("age_unit", self.age_unit)
+        if not self.age_unit > 0:  # also rejects NaN
+            raise ValueError(f"age_unit must be positive, got {self.age_unit!r}")
 
     @property
     def label(self) -> str:

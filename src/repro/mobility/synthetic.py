@@ -45,6 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mobility.contact import Contact, ContactTrace
+from repro.validation import (
+    require_bool,
+    require_int,
+    require_nonneg,
+    require_prob,
+    require_real,
+)
 
 #: The last timestamp of the paper's campus trace (Section IV).
 CAMPUS_HORIZON_S = 524_162.0
@@ -122,12 +129,40 @@ class CampusTraceConfig:
     burst_max_duration: float = 480.0
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 2:
-            raise ValueError("num_nodes must be >= 2")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.mean_intercontact <= 0:
-            raise ValueError("mean_intercontact must be positive")
+        require_int("num_nodes", self.num_nodes, 2)
+        for name in (
+            "horizon",
+            "mean_intercontact",
+            "pair_activity",
+            "background_activity",
+            "duration_median",
+            "min_duration",
+            "max_duration",
+            "night_activity",
+            "day_start",
+            "day_end",
+            "day_phase",
+            "burst_min_duration",
+            "burst_max_duration",
+        ):
+            require_real(name, getattr(self, name))
+        for name in ("intercontact_sigma", "heterogeneity_sigma", "duration_sigma"):
+            require_nonneg(name, getattr(self, name))
+        require_bool("diurnal", self.diurnal)
+        require_bool("handout_burst", self.handout_burst)
+        require_nonneg("burst_window", self.burst_window)
+        require_prob("burst_pair_prob", self.burst_pair_prob)
+        # written as not (valid) so NaN fails too
+        if not self.horizon > 0:
+            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
+        if not self.mean_intercontact > 0:
+            raise ValueError(
+                f"mean_intercontact must be positive, got {self.mean_intercontact!r}"
+            )
+        if not math.isfinite(self.day_phase):
+            raise ValueError(f"day_phase must be finite, got {self.day_phase!r}")
+        if not (0 < self.burst_min_duration <= self.burst_max_duration):
+            raise ValueError("need 0 < burst_min_duration <= burst_max_duration")
         if not (0 < self.min_duration <= self.duration_median <= self.max_duration):
             raise ValueError(
                 "need 0 < min_duration <= duration_median <= max_duration"

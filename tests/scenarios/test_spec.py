@@ -500,6 +500,12 @@ class TestFaultSpecKeys:
 NAN = math.nan
 _POISSON = {"kind": "poisson", "params": {"num_nodes": 6, "horizon": 5_000.0}}
 _INTERVAL = tiny_scenario().mobility.to_dict()
+_CAMPUS = {"kind": "campus", "params": {"num_nodes": 8, "horizon": 90_000.0}}
+
+
+def _campus(**params):
+    return {"mobility": {**_CAMPUS, "params": {**_CAMPUS["params"], **params}}}
+
 
 #: case → (the field its error must name, top-level scenario-JSON keys that
 #: plant a hostile value in it): NaNs, which JSON accepts as a literal, and
@@ -594,6 +600,35 @@ HOSTILE_VALUES = {
     "downtime_time_string": (
         "downtime_schedule down_at",
         {"faults": {"downtime_schedule": [[1, "5", "300"]]}},
+    ),
+    # a truthy string switched the handout burst on (more contacts), and
+    # "no" loaded as a diurnal switch
+    "handout_burst_string": ("handout_burst must be", _campus(handout_burst="false")),
+    "diurnal_string": ("diurnal must be", _campus(diurnal="no")),
+    # NaN failed converting to an int, a string at a comparison, neither
+    # naming the field
+    "campus_horizon_nan": ("horizon must be", _campus(horizon=NAN)),
+    "campus_horizon_string": ("horizon must be", _campus(horizon="90000")),
+    # a NaN phase made every contact a night contact, and a NaN burst
+    # probability gave every pair a burst contact
+    "day_phase_nan": ("day_phase must be", _campus(day_phase=NAN)),
+    "burst_pair_prob_nan": (
+        "burst_pair_prob must be",
+        _campus(handout_burst=True, burst_pair_prob=NAN),
+    ),
+    # these ran, labelled "L=2.5" and "L=True"
+    "initial_tokens_fraction": (
+        "initial_tokens must be",
+        {"protocols": [{"name": "spray_wait", "params": {"initial_tokens": 2.5}}]},
+    ),
+    "initial_tokens_bool": (
+        "initial_tokens must be",
+        {"protocols": [{"name": "spray_wait", "params": {"initial_tokens": True}}]},
+    ),
+    # age_unit <= 0 let NaN through, and the run aged nothing
+    "age_unit_nan": (
+        "age_unit must be",
+        {"protocols": [{"name": "prophet", "params": {"age_unit": NAN}}]},
     ),
 }
 
