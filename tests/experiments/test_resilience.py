@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.analysis.tables import build_resilience_table, render_resilience_table
@@ -35,9 +37,52 @@ SMALL = ResilienceConfig(
 )
 
 
+#: ``render_resilience_table`` of :data:`SMALL`, serial and parallel alike
+TABLE_PIN = """\
+Resilience Table — delivery under churn rate x state-loss mode \
+(delivery%, sweep means; r= mean re-infections after wipe)
+
+Protocol: Pure epidemic
+churn rate |       none |        all
+------------------------------------
+0          |      100.0 |      100.0
+0.0002     |       90.6 |       62.5
+
+Protocol: P-Q epidemic (P=1, Q=1, anti-packets)
+churn rate |       none |        all
+------------------------------------
+0          |      100.0 |      100.0
+0.0002     |       90.6 | 65.6 r=1.0
+
+Protocol: Epidemic with immunity
+churn rate |       none |        all
+------------------------------------
+0          |      100.0 |      100.0
+0.0002     |       90.6 | 65.6 r=1.0"""
+
+#: The serial run's progress lines of :data:`SMALL` (parallel lines arrive
+#: in completion order): the first, the last, and sha256 of all 48 joined
+#: by newlines
+PROGRESS_FIRST = "[1/48] Pure epidemic: churn=0 state_loss=none load=4 rep=0 done"
+PROGRESS_LAST = "[48/48] Epidemic with immunity: churn=0.0002 state_loss=all load=8 rep=1 done"
+PROGRESS_DIGEST = "324139528c961c1cd1b05343350c4d77d6d343e2ed19703bfff7b17e1cc51a65"
+
+
 @pytest.fixture(scope="module")
 def study() -> ResilienceStudy:
     return run_resilience_study(SMALL)
+
+
+@pytest.fixture(scope="module")
+def parallel_study() -> ResilienceStudy:
+    return run_resilience_study(SMALL, executor=ParallelExecutor(jobs=2))
+
+
+@pytest.fixture(scope="module")
+def progress_lines() -> list[str]:
+    lines: list[str] = []
+    run_resilience_study(SMALL, progress=lines.append)
+    return lines
 
 
 class TestStudy:
@@ -83,17 +128,20 @@ class TestStudy:
             assert all(r.churn for r in faulted)
             assert any(r.churn["crashes"] > 0 for r in faulted)
 
-    def test_parallel_execution_is_identical(self, study):
-        parallel = run_resilience_study(SMALL, executor=ParallelExecutor(jobs=2))
+    def test_parallel_execution_is_identical(self, study, parallel_study):
         for key, sweep in study.grid.items():
-            assert parallel.grid[key].runs == sweep.runs
+            assert parallel_study.grid[key].runs == sweep.runs
 
-    def test_progress_reports_every_cell(self):
-        lines = []
-        run_resilience_study(SMALL, progress=lines.append)
+    def test_progress_reports_every_cell(self, progress_lines):
         total = len(SMALL.churn_rates) * len(SMALL.state_loss_modes) * 12
-        assert len(lines) == total
-        assert "churn=" in lines[0] and "state_loss=" in lines[0]
+        assert len(progress_lines) == total
+        assert "churn=" in progress_lines[0] and "state_loss=" in progress_lines[0]
+
+    def test_progress_lines_are_pinned(self, progress_lines):
+        assert progress_lines[0] == PROGRESS_FIRST
+        assert progress_lines[-1] == PROGRESS_LAST
+        joined = "\n".join(progress_lines).encode()
+        assert hashlib.sha256(joined).hexdigest() == PROGRESS_DIGEST
 
 
 class TestTable:
@@ -109,6 +157,12 @@ class TestTable:
         assert "0.0002" in text
         assert "Pure epidemic" in text
         assert "Epidemic with immunity" in text
+
+    def test_serial_table_is_pinned(self, study):
+        assert render_resilience_table(study) == TABLE_PIN
+
+    def test_parallel_table_is_pinned(self, parallel_study):
+        assert render_resilience_table(parallel_study) == TABLE_PIN
 
 
 class TestRegistry:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.analysis.tables import build_tradeoff_table, render_tradeoff_table
@@ -30,9 +32,51 @@ SMALL = TradeoffConfig(
 )
 
 
+#: ``render_tradeoff_table`` of :data:`SMALL`, serial and parallel alike
+TABLE_PIN = """\
+Tradeoff Table — occupancy vs delivery under capacity x drop policy \
+(delivery% / occupancy% / peak%, sweep means)
+
+Protocol: Pure epidemic
+capacity                  |                reject |           drop-oldest |           drop-random
+-------------------------------------------------------------------------------------------------
+2                         |        62.5/44.5/70.3 | 68.8/44.2/68.8 d=19.2 | 68.8/44.3/68.8 d=19.0
+4                         |        75.0/34.3/56.2 | 81.2/34.3/56.2 d=15.2 | 78.1/33.9/56.2 d=13.2
+per-node[2,2,2,2,6,6,6,6] |        78.1/26.8/49.2 | 84.4/27.9/50.8 d=19.2 | 84.4/28.2/50.8 d=18.5
+
+Protocol: Epidemic with TTL=400
+capacity                  |                reject |           drop-oldest |           drop-random
+-------------------------------------------------------------------------------------------------
+2                         |         53.1/7.5/25.0 |   62.5/9.3/26.6 d=3.5 |   62.5/9.2/26.6 d=3.5
+4                         |         62.5/5.0/13.3 |         62.5/5.0/13.3 |         62.5/5.0/13.3
+per-node[2,2,2,2,6,6,6,6] |         56.2/3.9/13.3 |   62.5/4.7/13.3 d=2.8 |   62.5/4.7/13.3 d=2.8"""
+
+#: The serial run's progress lines of :data:`SMALL` (parallel lines arrive
+#: in completion order): the first, the last, and sha256 of all 72 joined
+#: by newlines
+PROGRESS_FIRST = "[1/72] Pure epidemic: capacity=2 policy=reject load=4 rep=0 done"
+PROGRESS_LAST = (
+    "[72/72] Epidemic with TTL=400: capacity=per-node[2,2,2,2,6,6,6,6] "
+    "policy=drop-random load=8 rep=1 done"
+)
+PROGRESS_DIGEST = "e8cf606e5fe2b921cbd1138734f90b74e3304906fcd10f69a471387fc4904869"
+
+
 @pytest.fixture(scope="module")
 def study() -> TradeoffStudy:
     return run_tradeoff_study(SMALL)
+
+
+@pytest.fixture(scope="module")
+def parallel_study() -> TradeoffStudy:
+    return run_tradeoff_study(SMALL, executor=ParallelExecutor(jobs=2))
+
+
+@pytest.fixture(scope="module")
+def progress_lines() -> list[str]:
+    lines: list[str] = []
+    run_tradeoff_study(SMALL, progress=lines.append)
+    return lines
 
 
 class TestStudy:
@@ -77,17 +121,20 @@ class TestStudy:
         )
         assert drops > 0
 
-    def test_parallel_execution_is_identical(self, study):
-        parallel = run_tradeoff_study(SMALL, executor=ParallelExecutor(jobs=2))
+    def test_parallel_execution_is_identical(self, study, parallel_study):
         for key, sweep in study.grid.items():
-            assert parallel.grid[key].runs == sweep.runs
+            assert parallel_study.grid[key].runs == sweep.runs
 
-    def test_progress_reports_every_cell(self):
-        lines = []
-        run_tradeoff_study(SMALL, progress=lines.append)
+    def test_progress_reports_every_cell(self, progress_lines):
         total = len(SMALL.capacities) * len(SMALL.policies) * 8
-        assert len(lines) == total
-        assert "policy=" in lines[0] and "capacity=" in lines[0]
+        assert len(progress_lines) == total
+        assert "policy=" in progress_lines[0] and "capacity=" in progress_lines[0]
+
+    def test_progress_lines_are_pinned(self, progress_lines):
+        assert progress_lines[0] == PROGRESS_FIRST
+        assert progress_lines[-1] == PROGRESS_LAST
+        joined = "\n".join(progress_lines).encode()
+        assert hashlib.sha256(joined).hexdigest() == PROGRESS_DIGEST
 
     def test_cell_means_expose_tradeoff_metrics(self, study):
         means = study.cell_means(2, "drop-oldest")
@@ -112,6 +159,12 @@ class TestTable:
         assert "per-node[2,2,2,2,6,6,6,6]" in text
         assert "Pure epidemic" in text
         assert "Epidemic with TTL=400" in text
+
+    def test_serial_table_is_pinned(self, study):
+        assert render_tradeoff_table(study) == TABLE_PIN
+
+    def test_parallel_table_is_pinned(self, parallel_study):
+        assert render_tradeoff_table(parallel_study) == TABLE_PIN
 
 
 class TestRegistry:
