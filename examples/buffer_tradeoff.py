@@ -9,8 +9,10 @@ heterogeneous point — four high-capacity "ferry" nodes among constrained
 ones) and the drop policy becomes an axis (reject / drop-tail /
 drop-oldest / drop-youngest / drop-random).
 
-The whole grid is one flat cell list, so the parallel executor fans the
-entire study out at once; results are bit-identical to a serial run.
+``TradeoffConfig`` names the two axes; ``run_matrix_study`` (the runner
+the churn-resilience study shares) puts the whole grid in one flat cell
+list, so the parallel executor fans the entire study out at once; results
+are bit-identical to a serial run.
 
 Run:  python examples/buffer_tradeoff.py
 
@@ -20,11 +22,8 @@ The same study is registered as an experiment:
 
 from repro.analysis.tables import render_tradeoff_table
 from repro.core.executors import ParallelExecutor
-from repro.experiments.tradeoff import (
-    DEFAULT_PROTOCOLS,
-    TradeoffConfig,
-    run_tradeoff_study,
-)
+from repro.experiments.matrix import run_matrix_study
+from repro.experiments.tradeoff import DEFAULT_PROTOCOLS, TradeoffConfig
 from repro.scenarios import MobilitySpec
 
 
@@ -40,7 +39,7 @@ def main() -> None:
         replications=3,
         seed=7,
     )
-    study = run_tradeoff_study(config, executor=ParallelExecutor(jobs=2))
+    study = run_matrix_study(config, executor=ParallelExecutor(jobs=2))
     print(render_tradeoff_table(study))
 
     # The reject column at capacity 10 IS the paper's configuration: the

@@ -12,18 +12,21 @@
   mean/peak occupancy and drop counts per protocol (the
   occupancy/delivery tradeoff study; see
   :mod:`repro.experiments.tradeoff`).
+
+Both study tables share one matrix layout over a
+:class:`~repro.experiments.matrix.MatrixStudy`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.results import SweepResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.experiments.resilience import ResilienceStudy
-    from repro.experiments.tradeoff import TradeoffStudy
+    from repro.experiments.matrix import MatrixStudy
 
 #: Table I of the paper: parameters used in studies [10]-[13].
 TABLE1_ROWS: list[tuple[str, str]] = [
@@ -105,58 +108,41 @@ def build_table2(
     return rows
 
 
-@dataclass(frozen=True)
-class TradeoffRow:
-    """One (capacity, policy, protocol) cell of the tradeoff study."""
+def _render_matrix(
+    study: MatrixStudy,
+    title: str,
+    row_header: str,
+    cell_text: Callable[[SweepResult, str], str],
+) -> str:
+    """A two-axis study as aligned text, one block per protocol.
 
-    capacity: str  #: capacity label ("10" or "per-node[...]")
-    policy: str
-    protocol_label: str
-    delivery_ratio: float  #: sweep mean
-    buffer_occupancy: float  #: sweep mean of the time-averaged fill
-    peak_occupancy: float  #: sweep mean of the per-run peak fill
-    drops: float  #: mean buffer-pressure evictions per run
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "capacity": self.capacity,
-            "policy": self.policy,
-            "protocol": self.protocol_label,
-            "delivery_pct": 100 * self.delivery_ratio,
-            "buffer_pct": 100 * self.buffer_occupancy,
-            "peak_pct": 100 * self.peak_occupancy,
-            "drops": self.drops,
-        }
-
-
-def build_tradeoff_table(study: TradeoffStudy) -> list[TradeoffRow]:
-    """Flatten a tradeoff study into (capacity, policy, protocol) rows.
-
-    Row order is the study's grid order: capacity, then policy, then
-    protocol — the ``reject`` rows of each capacity come first when the
-    study uses the default policy order.
+    Each block is a row × column matrix of ``cell_text(sweep, protocol
+    label)``; protocols appear in their order of first appearance over
+    the grid (rows, then columns).
     """
-    rows: list[TradeoffRow] = []
-    for cap_label in study.capacity_labels:
-        for policy in study.policies:
-            sweep = study.sweep(cap_label, policy)
+    texts: dict[tuple[str, str, str], str] = {}
+    for row in study.rows:
+        for column in study.columns:
+            sweep = study.sweep(row, column)
             for label in sweep.protocols():
-                means = sweep.protocol_means(label)
-                rows.append(
-                    TradeoffRow(
-                        capacity=cap_label,
-                        policy=policy,
-                        protocol_label=label,
-                        delivery_ratio=means["delivery_ratio"],
-                        buffer_occupancy=means["buffer_occupancy"],
-                        peak_occupancy=means["peak_occupancy"],
-                        drops=means["drops"],
-                    )
-                )
-    return rows
+                texts[(row, column, label)] = cell_text(sweep, label)
+    if not texts:
+        raise ValueError("no rows to render")
+    row_w = max(len(row_header), max(len(row) for row in study.rows))
+    col_w = max(max(len(c) for c in study.columns), max(len(t) for t in texts.values()))
+    lines = [title]
+    for proto in dict.fromkeys(label for _, _, label in texts):
+        header = f"{row_header:<{row_w}} | " + " | ".join(
+            f"{c:>{col_w}}" for c in study.columns
+        )
+        lines += ["", f"Protocol: {proto}", header, "-" * len(header)]
+        for row in study.rows:
+            cells = [f"{texts[(row, c, proto)]:>{col_w}}" for c in study.columns]
+            lines.append(f"{row:<{row_w}} | " + " | ".join(cells))
+    return "\n".join(lines)
 
 
-def render_tradeoff_table(study: TradeoffStudy) -> str:
+def render_tradeoff_table(study: MatrixStudy) -> str:
     """The tradeoff study as aligned text, one block per protocol.
 
     Each block is a capacity × policy matrix of
@@ -164,150 +150,50 @@ def render_tradeoff_table(study: TradeoffStudy) -> str:
     occurred), so the occupancy cost of each delivery gain reads across
     one row.
     """
-    rows = build_tradeoff_table(study)
-    if not rows:
-        raise ValueError("no rows to render")
-    policies = study.policies
-    cap_labels = study.capacity_labels
-    by_key = {(r.capacity, r.policy, r.protocol_label): r for r in rows}
-    protocols: list[str] = []
-    for r in rows:
-        if r.protocol_label not in protocols:
-            protocols.append(r.protocol_label)
 
-    def cell_text(r: TradeoffRow) -> str:
+    def cell_text(sweep: SweepResult, label: str) -> str:
+        means = sweep.protocol_means(label)
         text = (
-            f"{100 * r.delivery_ratio:.1f}/"
-            f"{100 * r.buffer_occupancy:.1f}/"
-            f"{100 * r.peak_occupancy:.1f}"
+            f"{100 * means['delivery_ratio']:.1f}/"
+            f"{100 * means['buffer_occupancy']:.1f}/"
+            f"{100 * means['peak_occupancy']:.1f}"
         )
-        if r.drops:
-            text += f" d={r.drops:.1f}"
+        if means["drops"]:
+            text += f" d={means['drops']:.1f}"
         return text
 
-    cap_w = max(len("capacity"), max(len(c) for c in cap_labels))
-    col_w = max(
-        len(p) for p in policies
-    )
-    col_w = max(col_w, max(len(cell_text(r)) for r in rows))
-    lines = [
+    return _render_matrix(
+        study,
         "Tradeoff Table — occupancy vs delivery under capacity x drop policy "
         "(delivery% / occupancy% / peak%, sweep means)",
-    ]
-    for proto in protocols:
-        lines.append("")
-        lines.append(f"Protocol: {proto}")
-        header = f"{'capacity':<{cap_w}} | " + " | ".join(
-            f"{p:>{col_w}}" for p in policies
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for cap in cap_labels:
-            cells = [
-                f"{cell_text(by_key[(cap, pol, proto)]):>{col_w}}" for pol in policies
-            ]
-            lines.append(f"{cap:<{cap_w}} | " + " | ".join(cells))
-    return "\n".join(lines)
+        "capacity",
+        cell_text,
+    )
 
 
-@dataclass(frozen=True)
-class ResilienceRow:
-    """One (churn rate, state-loss mode, protocol) cell of the study."""
-
-    churn_rate: str  #: rate label ("0" for the fault-free baseline)
-    state_loss: str
-    protocol_label: str
-    delivery_ratio: float  #: sweep mean
-    delay: float  #: sweep mean over successful runs (NaN if none)
-    reinfections: float  #: mean post-wipe re-infections per run
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "churn_rate": self.churn_rate,
-            "state_loss": self.state_loss,
-            "protocol": self.protocol_label,
-            "delivery_pct": 100 * self.delivery_ratio,
-            "delay": self.delay,
-            "reinfections": self.reinfections,
-        }
-
-
-def build_resilience_table(study: ResilienceStudy) -> list[ResilienceRow]:
-    """Flatten a resilience study into (rate, mode, protocol) rows.
-
-    Row order is the study's grid order: churn rate, then state-loss
-    mode, then protocol — the fault-free baseline rows come first when
-    the study puts 0.0 first in its rate axis.
-    """
-    rows: list[ResilienceRow] = []
-    for rate_label in study.rate_labels:
-        for mode in study.modes:
-            sweep = study.sweep(rate_label, mode)
-            for label in sweep.protocols():
-                means = sweep.protocol_means(label)
-                runs = sweep.filter(protocol_label=label)
-                reinfections = sum(
-                    r.churn.get("reinfections", 0.0) for r in runs
-                ) / len(runs)
-                rows.append(
-                    ResilienceRow(
-                        churn_rate=rate_label,
-                        state_loss=mode,
-                        protocol_label=label,
-                        delivery_ratio=means["delivery_ratio"],
-                        delay=means["delay"],
-                        reinfections=reinfections,
-                    )
-                )
-    return rows
-
-
-def render_resilience_table(study: ResilienceStudy) -> str:
+def render_resilience_table(study: MatrixStudy) -> str:
     """The resilience study as aligned text, one block per protocol.
 
     Each block is a churn-rate × state-loss matrix of ``delivery%``
     cells (mean post-wipe re-infections appended when any occurred), so
     the cost of losing state on reboot reads across one row.
     """
-    rows = build_resilience_table(study)
-    if not rows:
-        raise ValueError("no rows to render")
-    modes = study.modes
-    rate_labels = study.rate_labels
-    by_key = {(r.churn_rate, r.state_loss, r.protocol_label): r for r in rows}
-    protocols: list[str] = []
-    for r in rows:
-        if r.protocol_label not in protocols:
-            protocols.append(r.protocol_label)
 
-    def cell_text(r: ResilienceRow) -> str:
-        text = f"{100 * r.delivery_ratio:.1f}"
-        if r.reinfections:
-            text += f" r={r.reinfections:.1f}"
+    def cell_text(sweep: SweepResult, label: str) -> str:
+        text = f"{100 * sweep.protocol_means(label)['delivery_ratio']:.1f}"
+        runs = sweep.filter(protocol_label=label)
+        reinfections = sum(r.churn.get("reinfections", 0.0) for r in runs) / len(runs)
+        if reinfections:
+            text += f" r={reinfections:.1f}"
         return text
 
-    rate_w = max(len("churn rate"), max(len(label) for label in rate_labels))
-    col_w = max(len(m) for m in modes)
-    col_w = max(col_w, max(len(cell_text(r)) for r in rows))
-    lines = [
+    return _render_matrix(
+        study,
         "Resilience Table — delivery under churn rate x state-loss mode "
         "(delivery%, sweep means; r= mean re-infections after wipe)",
-    ]
-    for proto in protocols:
-        lines.append("")
-        lines.append(f"Protocol: {proto}")
-        header = f"{'churn rate':<{rate_w}} | " + " | ".join(
-            f"{m:>{col_w}}" for m in modes
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for rate in rate_labels:
-            cells = [
-                f"{cell_text(by_key[(rate, mode, proto)]):>{col_w}}"
-                for mode in modes
-            ]
-            lines.append(f"{rate:<{rate_w}} | " + " | ".join(cells))
-    return "\n".join(lines)
+        "churn rate",
+        cell_text,
+    )
 
 
 def render_table2(rows: list[Table2Row]) -> str:

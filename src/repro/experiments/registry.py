@@ -20,6 +20,8 @@ from repro.analysis.tables import (
     render_table2,
     render_tradeoff_table,
 )
+from repro.experiments.matrix import MatrixConfig, MatrixStudy, run_matrix_study
+from repro.experiments.resilience import ResilienceConfig
 from repro.experiments.runner import (
     CUMULATIVE_LABEL,
     DYN_TTL_LABEL,
@@ -30,6 +32,7 @@ from repro.experiments.runner import (
     TTL_LABEL,
     ExperimentRunner,
 )
+from repro.experiments.tradeoff import TradeoffConfig
 
 
 @dataclass(frozen=True)
@@ -207,34 +210,22 @@ def _table1(_: ExperimentRunner) -> str:
     return render_table1()
 
 
-def _tradeoff(r: ExperimentRunner) -> str:
-    from repro.experiments.tradeoff import TradeoffConfig, run_tradeoff_study
-
-    study = run_tradeoff_study(
-        TradeoffConfig(
-            loads=tuple(r.scale.loads),
-            replications=r.scale.replications,
-            seed=r.seed,
-        ),
-        executor=r.executor,
-        progress=r.progress,
+def _run_matrix(
+    r: ExperimentRunner, config_class: Callable[..., MatrixConfig]
+) -> MatrixStudy:
+    """A two-axis study at the runner's scale and seed, on its executor."""
+    config = config_class(
+        loads=tuple(r.scale.loads), replications=r.scale.replications, seed=r.seed
     )
-    return render_tradeoff_table(study)
+    return run_matrix_study(config, executor=r.executor, progress=r.progress)
+
+
+def _tradeoff(r: ExperimentRunner) -> str:
+    return render_tradeoff_table(_run_matrix(r, TradeoffConfig))
 
 
 def _resilience(r: ExperimentRunner) -> str:
-    from repro.experiments.resilience import ResilienceConfig, run_resilience_study
-
-    study = run_resilience_study(
-        ResilienceConfig(
-            loads=tuple(r.scale.loads),
-            replications=r.scale.replications,
-            seed=r.seed,
-        ),
-        executor=r.executor,
-        progress=r.progress,
-    )
-    return render_resilience_table(study)
+    return render_resilience_table(_run_matrix(r, ResilienceConfig))
 
 
 def _table2(r: ExperimentRunner) -> str:

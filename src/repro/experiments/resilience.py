@@ -7,7 +7,11 @@ state. This study sweeps the grid
 
     churn rate × state-loss mode × protocol × load × replication
 
-on one shared mobility input. The churn-rate axis includes 0.0 — a
+on one shared mobility input (:class:`ResilienceConfig` is a
+:class:`~repro.experiments.matrix.MatrixConfig`: run it with
+:func:`~repro.experiments.matrix.run_matrix_study` and render the result
+with :func:`~repro.analysis.tables.render_resilience_table`). The
+churn-rate axis includes 0.0 — a
 fault-free baseline row that, by the trivial-spec normalisation in
 :meth:`~repro.core.simulation.SimulationConfig.active_faults`, runs the
 exact unfaulted code path — and the state-loss axis contrasts reboots
@@ -27,12 +31,9 @@ no knowledge to lose and only pays the buffer wipe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable
 
-from repro.core.executors import Cell, Executor, SerialExecutor
-from repro.core.results import SweepResult
 from repro.core.simulation import SimulationConfig
-from repro.core.sweep import SweepConfig, build_cells
+from repro.experiments.matrix import MatrixConfig
 from repro.faults import STATE_LOSS_MODES, FaultSpec
 from repro.scenarios import MobilitySpec, ProtocolSpec
 
@@ -63,8 +64,8 @@ def churn_rate_label(rate: float) -> str:
 
 
 @dataclass(frozen=True)
-class ResilienceConfig:
-    """The resilience study's grid.
+class ResilienceConfig(MatrixConfig):
+    """The resilience study's grid: churn-rate rows × state-loss columns.
 
     Attributes:
         churn_rates: Per-node crash rates to sweep; include 0.0 for the
@@ -112,96 +113,26 @@ class ResilienceConfig:
         # Validate every (rate, mode) combination up front.
         for rate in self.churn_rates:
             for mode in self.state_loss_modes:
-                self.fault_spec(rate, mode)
+                self.setting(rate, mode)
 
-    def fault_spec(self, rate: float, mode: str) -> FaultSpec:
-        """The :class:`~repro.faults.FaultSpec` of one grid cell."""
-        return FaultSpec(
-            churn_rate=rate, mean_downtime=self.mean_downtime, state_loss=mode
+    def axes(self) -> tuple[tuple[float, ...], tuple[str, ...]]:
+        return self.churn_rates, self.state_loss_modes
+
+    def row_label(self, rate: float) -> str:
+        return churn_rate_label(rate)
+
+    def setting(self, rate: float, mode: str) -> SimulationConfig:
+        # A zero rate's trivial spec is normalised away by
+        # SimulationConfig.active_faults: the baseline row runs the exact
+        # unfaulted code path.
+        return SimulationConfig(
+            faults=FaultSpec(churn_rate=rate, mean_downtime=self.mean_downtime, state_loss=mode)
         )
 
-
-@dataclass
-class ResilienceStudy:
-    """All runs of a resilience study, keyed by (rate label, mode)."""
-
-    config: ResilienceConfig
-    #: (churn-rate label, state-loss mode) → that cell's SweepResult
-    grid: dict[tuple[str, str], SweepResult] = field(default_factory=dict)
-
-    @property
-    def rate_labels(self) -> list[str]:
-        return [churn_rate_label(r) for r in self.config.churn_rates]
-
-    @property
-    def modes(self) -> list[str]:
-        return list(self.config.state_loss_modes)
-
-    def sweep(self, rate: str | float, mode: str) -> SweepResult:
-        """The SweepResult of one (churn rate, state-loss mode) cell."""
-        key = rate if isinstance(rate, str) else churn_rate_label(rate)
-        return self.grid[(key, mode)]
-
-
-def run_resilience_study(
-    config: ResilienceConfig | None = None,
-    *,
-    executor: Executor | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> ResilienceStudy:
-    """Execute the churn rate × state-loss × protocol grid.
-
-    The mobility input is built once and shared by every cell, and the
-    whole grid goes to the executor as a single flat cell list — parallel
-    backends see maximum width. Zero-rate cells carry a trivial fault
-    spec, which :attr:`SimulationConfig.active_faults` normalises away:
-    the baseline row runs the identical batched fast path as an unfaulted
-    sweep.
-    """
-    config = config or ResilienceConfig()
-    trace = config.mobility.build(seed=config.seed)
-    protocol_configs = [p.build() for p in config.protocols]
-
-    flat: list[Cell] = []
-    spans: list[tuple[str, str, int]] = []  # (rate label, mode, #cells)
-    for rate in config.churn_rates:
-        for mode in config.state_loss_modes:
-            sweep_cfg = SweepConfig(
-                loads=config.loads,
-                replications=config.replications,
-                master_seed=config.seed,
-                shared_trace=True,
-                sim=SimulationConfig(faults=config.fault_spec(rate, mode)),
-            )
-            cells = build_cells(trace, protocol_configs, sweep_cfg)
-            spans.append((churn_rate_label(rate), mode, len(cells)))
-            flat.extend(cells)
-
-    hook = None
-    if progress is not None:
-        report = progress
-
-        def hook(done: int, total: int, cell: Cell) -> None:
-            spec = cell.sweep.sim.faults
-            assert spec is not None
-            report(
-                f"[{done}/{total}] {cell.protocol.label}: "
-                f"churn={churn_rate_label(spec.churn_rate)} "
-                f"state_loss={spec.state_loss} "
-                f"load={cell.load} rep={cell.rep} done"
-            )
-
-    backend = executor or SerialExecutor()
-    results = backend.run(flat, progress=hook)
-
-    study = ResilienceStudy(config=config)
-    offset = 0
-    for rate_label, mode, count in spans:
-        sweep = SweepResult()
-        sweep.runs.extend(results[offset : offset + count])
-        study.grid[(rate_label, mode)] = sweep
-        offset += count
-    return study
+    def describe(self, sim: SimulationConfig) -> str:
+        spec = sim.faults
+        assert spec is not None
+        return f"churn={churn_rate_label(spec.churn_rate)} state_loss={spec.state_loss}"
 
 
 __all__ = [
@@ -210,7 +141,5 @@ __all__ = [
     "DEFAULT_PROTOCOLS",
     "DEFAULT_STATE_LOSS_MODES",
     "ResilienceConfig",
-    "ResilienceStudy",
     "churn_rate_label",
-    "run_resilience_study",
 ]

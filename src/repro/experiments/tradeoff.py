@@ -8,10 +8,10 @@ study sweeps the grid
     capacity × drop policy × protocol × load × replication
 
 on one shared mobility input and reports per-cell sweep means (delivery
-ratio, mean/peak occupancy, drops). All cells across the whole grid are
-flattened into one executor submission, so a
-:class:`~repro.core.executors.ParallelExecutor` fans the entire study out
-at once.
+ratio, mean/peak occupancy, drops). :class:`TradeoffConfig` is a
+:class:`~repro.experiments.matrix.MatrixConfig`: run it with
+:func:`~repro.experiments.matrix.run_matrix_study` and render the result
+with :func:`~repro.analysis.tables.render_tradeoff_table`.
 
 The ``reject`` policy column at the paper's capacity (10) is, by
 construction, the exact seed scenario: every cell's randomness derives
@@ -22,12 +22,9 @@ to the historical refuse-when-full rule — the regression tests pin this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable, Mapping
 
-from repro.core.executors import Cell, Executor, SerialExecutor
-from repro.core.results import SweepResult
 from repro.core.simulation import SimulationConfig
-from repro.core.sweep import SweepConfig, build_cells
+from repro.experiments.matrix import MatrixConfig
 from repro.scenarios import MobilitySpec, ProtocolSpec
 
 #: Capacity values swept by default: starved, the paper's 10, and roomy.
@@ -59,8 +56,8 @@ def capacity_label(capacity: int | tuple[int, ...]) -> str:
 
 
 @dataclass(frozen=True)
-class TradeoffConfig:
-    """The tradeoff study's grid.
+class TradeoffConfig(MatrixConfig):
+    """The tradeoff study's grid: capacity rows × drop-policy columns.
 
     Attributes:
         capacities: Buffer-capacity axis; each entry is a scalar or a
@@ -102,100 +99,21 @@ class TradeoffConfig:
         # fractional or bool capacity fails here with the field's name.
         for capacity in caps:
             for policy in self.policies:
-                SimulationConfig(
-                    buffer_capacity=capacity,
-                    bundle_tx_time=self.bundle_tx_time,
-                    drop_policy=policy,
-                )
+                self.setting(capacity, policy)
 
+    def axes(self) -> tuple[tuple[int | tuple[int, ...], ...], tuple[str, ...]]:
+        return self.capacities, self.policies
 
-@dataclass
-class TradeoffStudy:
-    """All runs of a tradeoff study, keyed by (capacity label, policy)."""
+    def row_label(self, capacity: int | tuple[int, ...]) -> str:
+        return capacity_label(capacity)
 
-    config: TradeoffConfig
-    #: (capacity label, policy) → that configuration's SweepResult
-    grid: dict[tuple[str, str], SweepResult] = field(default_factory=dict)
+    def setting(self, capacity: int | tuple[int, ...], policy: str) -> SimulationConfig:
+        return SimulationConfig(
+            buffer_capacity=capacity, bundle_tx_time=self.bundle_tx_time, drop_policy=policy
+        )
 
-    @property
-    def capacity_labels(self) -> list[str]:
-        return [capacity_label(c) for c in self.config.capacities]
-
-    @property
-    def policies(self) -> list[str]:
-        return list(self.config.policies)
-
-    def sweep(self, capacity: str | int | tuple[int, ...], policy: str) -> SweepResult:
-        """The SweepResult of one (capacity, policy) configuration."""
-        key = capacity if isinstance(capacity, str) else capacity_label(capacity)
-        return self.grid[(key, policy)]
-
-    def cell_means(
-        self, capacity: str | int | tuple[int, ...], policy: str
-    ) -> dict[str, Mapping[str, float]]:
-        """Per-protocol whole-sweep means of one grid cell."""
-        sweep = self.sweep(capacity, policy)
-        return {label: sweep.protocol_means(label) for label in sweep.protocols()}
-
-
-def run_tradeoff_study(
-    config: TradeoffConfig | None = None,
-    *,
-    executor: Executor | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> TradeoffStudy:
-    """Execute the capacity × policy × protocol grid.
-
-    The mobility input is built once and shared by every cell (the paper's
-    shared-trace convention), and the whole grid goes to the executor as a
-    single flat cell list — parallel backends see maximum width.
-    """
-    config = config or TradeoffConfig()
-    trace = config.mobility.build(seed=config.seed)
-    protocol_configs = [p.build() for p in config.protocols]
-
-    flat: list[Cell] = []
-    spans: list[tuple[str, str, int]] = []  # (capacity label, policy, #cells)
-    for capacity in config.capacities:
-        for policy in config.policies:
-            sweep_cfg = SweepConfig(
-                loads=config.loads,
-                replications=config.replications,
-                master_seed=config.seed,
-                shared_trace=True,
-                sim=SimulationConfig(
-                    buffer_capacity=capacity,
-                    bundle_tx_time=config.bundle_tx_time,
-                    drop_policy=policy,
-                ),
-            )
-            cells = build_cells(trace, protocol_configs, sweep_cfg)
-            spans.append((capacity_label(capacity), policy, len(cells)))
-            flat.extend(cells)
-
-    hook = None
-    if progress is not None:
-        report = progress
-
-        def hook(done: int, total: int, cell: Cell) -> None:
-            report(
-                f"[{done}/{total}] {cell.protocol.label}: "
-                f"capacity={capacity_label(cell.sweep.sim.buffer_capacity)} "
-                f"policy={cell.sweep.sim.drop_policy} "
-                f"load={cell.load} rep={cell.rep} done"
-            )
-
-    backend = executor or SerialExecutor()
-    results = backend.run(flat, progress=hook)
-
-    study = TradeoffStudy(config=config)
-    offset = 0
-    for cap_label, policy, count in spans:
-        sweep = SweepResult()
-        sweep.runs.extend(results[offset : offset + count])
-        study.grid[(cap_label, policy)] = sweep
-        offset += count
-    return study
+    def describe(self, sim: SimulationConfig) -> str:
+        return f"capacity={capacity_label(sim.buffer_capacity)} policy={sim.drop_policy}"
 
 
 __all__ = [
@@ -203,7 +121,5 @@ __all__ = [
     "DEFAULT_POLICIES",
     "DEFAULT_PROTOCOLS",
     "TradeoffConfig",
-    "TradeoffStudy",
     "capacity_label",
-    "run_tradeoff_study",
 ]

@@ -6,17 +6,13 @@ import hashlib
 
 import pytest
 
-from repro.analysis.tables import build_resilience_table, render_resilience_table
+from repro.analysis.tables import render_resilience_table
 from repro.core.executors import ParallelExecutor
 from repro.core.simulation import SimulationConfig
 from repro.core.sweep import SweepConfig, run_sweep
 from repro.experiments import get_experiment
-from repro.experiments.resilience import (
-    ResilienceConfig,
-    ResilienceStudy,
-    churn_rate_label,
-    run_resilience_study,
-)
+from repro.experiments.matrix import MatrixStudy, run_matrix_study
+from repro.experiments.resilience import ResilienceConfig, churn_rate_label
 from repro.scenarios import MobilitySpec, ProtocolSpec
 
 SMALL = ResilienceConfig(
@@ -69,19 +65,19 @@ PROGRESS_DIGEST = "324139528c961c1cd1b05343350c4d77d6d343e2ed19703bfff7b17e1cc51
 
 
 @pytest.fixture(scope="module")
-def study() -> ResilienceStudy:
-    return run_resilience_study(SMALL)
+def study() -> MatrixStudy:
+    return run_matrix_study(SMALL)
 
 
 @pytest.fixture(scope="module")
-def parallel_study() -> ResilienceStudy:
-    return run_resilience_study(SMALL, executor=ParallelExecutor(jobs=2))
+def parallel_study() -> MatrixStudy:
+    return run_matrix_study(SMALL, executor=ParallelExecutor(jobs=2))
 
 
 @pytest.fixture(scope="module")
 def progress_lines() -> list[str]:
     lines: list[str] = []
-    run_resilience_study(SMALL, progress=lines.append)
+    run_matrix_study(SMALL, progress=lines.append)
     return lines
 
 
@@ -146,9 +142,15 @@ class TestStudy:
 
 class TestTable:
     def test_rows_cover_grid(self, study):
-        rows = build_resilience_table(study)
-        assert len(rows) == len(SMALL.churn_rates) * len(SMALL.state_loss_modes) * 3
-        assert rows[0].churn_rate == "0" and rows[0].state_loss == "none"
+        # (rate, mode, protocol) → that cell's sweep means, in grid order
+        cells = {
+            (rate, mode, label): study.sweep(rate, mode).protocol_means(label)
+            for rate in study.rows
+            for mode in study.columns
+            for label in study.sweep(rate, mode).protocols()
+        }
+        assert len(cells) == len(SMALL.churn_rates) * len(SMALL.state_loss_modes) * 3
+        assert next(iter(cells))[:2] == ("0", "none")
 
     def test_render_contains_all_axes(self, study):
         text = render_resilience_table(study)

@@ -6,17 +6,13 @@ import hashlib
 
 import pytest
 
-from repro.analysis.tables import build_tradeoff_table, render_tradeoff_table
+from repro.analysis.tables import render_tradeoff_table
 from repro.core.executors import ParallelExecutor
 from repro.core.simulation import SimulationConfig
 from repro.core.sweep import SweepConfig, run_sweep
 from repro.experiments import get_experiment
-from repro.experiments.tradeoff import (
-    TradeoffConfig,
-    TradeoffStudy,
-    capacity_label,
-    run_tradeoff_study,
-)
+from repro.experiments.matrix import MatrixStudy, run_matrix_study
+from repro.experiments.tradeoff import TradeoffConfig, capacity_label
 from repro.scenarios import MobilitySpec, ProtocolSpec
 
 SMALL = TradeoffConfig(
@@ -63,19 +59,19 @@ PROGRESS_DIGEST = "e8cf606e5fe2b921cbd1138734f90b74e3304906fcd10f69a471387fc4904
 
 
 @pytest.fixture(scope="module")
-def study() -> TradeoffStudy:
-    return run_tradeoff_study(SMALL)
+def study() -> MatrixStudy:
+    return run_matrix_study(SMALL)
 
 
 @pytest.fixture(scope="module")
-def parallel_study() -> TradeoffStudy:
-    return run_tradeoff_study(SMALL, executor=ParallelExecutor(jobs=2))
+def parallel_study() -> MatrixStudy:
+    return run_matrix_study(SMALL, executor=ParallelExecutor(jobs=2))
 
 
 @pytest.fixture(scope="module")
 def progress_lines() -> list[str]:
     lines: list[str] = []
-    run_tradeoff_study(SMALL, progress=lines.append)
+    run_matrix_study(SMALL, progress=lines.append)
     return lines
 
 
@@ -137,19 +133,25 @@ class TestStudy:
         assert hashlib.sha256(joined).hexdigest() == PROGRESS_DIGEST
 
     def test_cell_means_expose_tradeoff_metrics(self, study):
-        means = study.cell_means(2, "drop-oldest")
-        for metrics in means.values():
+        sweep = study.sweep(2, "drop-oldest")
+        for label in sweep.protocols():
             assert {"delivery_ratio", "buffer_occupancy", "peak_occupancy", "drops"} <= set(
-                metrics
+                sweep.protocol_means(label)
             )
 
 
 class TestTable:
     def test_rows_cover_grid(self, study):
-        rows = build_tradeoff_table(study)
-        assert len(rows) == len(SMALL.capacities) * len(SMALL.policies) * 2
-        assert rows[0].capacity == "2" and rows[0].policy == "reject"
-        het = [r for r in rows if r.capacity.startswith("per-node[")]
+        # (capacity, policy, protocol) → that cell's sweep means, in grid order
+        cells = {
+            (cap, policy, label): study.sweep(cap, policy).protocol_means(label)
+            for cap in study.rows
+            for policy in study.columns
+            for label in study.sweep(cap, policy).protocols()
+        }
+        assert len(cells) == len(SMALL.capacities) * len(SMALL.policies) * 2
+        assert next(iter(cells))[:2] == ("2", "reject")
+        het = [key for key in cells if key[0].startswith("per-node[")]
         assert het  # heterogeneous capacities are first-class rows
 
     def test_render_contains_all_axes(self, study):
