@@ -64,22 +64,6 @@ class FigureData:
             f"no series {label!r} in {self.figure_id}; have {[s.label for s in self.series]}"
         )
 
-    def as_rows(self) -> list[dict[str, object]]:
-        """Long-format rows (figure, series, load, value) for CSV export."""
-        rows: list[dict[str, object]] = []
-        for s in self.series:
-            for p in s.points:
-                rows.append(
-                    {
-                        "figure": self.figure_id,
-                        "series": s.label,
-                        "load": p.load,
-                        "value": p.value,
-                        "n": p.n,
-                    }
-                )
-        return rows
-
 
 def build_figure(
     figure_id: str,

@@ -102,9 +102,3 @@ def write_series_json(
         ],
     }
     atomic_write(path, lambda fh: json.dump(doc, fh, indent=2))
-
-
-def summarize_runs(sweep: SweepResult) -> dict[str, dict[str, float]]:
-    """Per-protocol whole-sweep means (convenience for reports)."""
-    return {label: sweep.protocol_means(label) for label in sweep.protocols()}
-

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from collections.abc import Callable
 
 from repro.core.executors import Executor
-from repro.core.protocols.registry import ProtocolConfig
 from repro.core.results import SweepResult
 from repro.core.sweep import run_sweep
 from repro.core.workload import PAPER_LOADS, PAPER_REPLICATIONS
@@ -92,26 +91,6 @@ SWEEP_FAMILIES: dict[str, tuple[str, str]] = {
     "ttl_interval400": ("interval400", "ttl"),
     "ttl_interval2000": ("interval2000", "ttl"),
 }
-
-
-def _family_configs(family: str) -> list[ProtocolConfig]:
-    return [spec.build() for spec in PROTOCOL_FAMILIES[family]]
-
-
-def baseline_protocols() -> list[ProtocolConfig]:
-    """The four baselines, parameterised as the paper's figures use them
-    (P=Q=1 best-delay setting, TTL=300 s)."""
-    return _family_configs("baselines")
-
-
-def enhanced_protocols() -> list[ProtocolConfig]:
-    """Enhancements and their unmodified counterparts (Figs 15-20)."""
-    return _family_configs("enhanced")
-
-
-def ttl_family() -> list[ProtocolConfig]:
-    """Constant vs dynamic TTL (the interval-scenario curves)."""
-    return _family_configs("ttl")
 
 
 class ExperimentRunner:

@@ -53,14 +53,3 @@ class TestBuildFigure:
         assert fig.series_by_label("alpha").values == [100.0, 200.0]
         with pytest.raises(KeyError):
             fig.series_by_label("nope")
-
-    def test_as_rows_long_format(self, sweep):
-        rows = build_figure("fig99", "t", "delay", sweep).as_rows()
-        assert len(rows) == 4
-        assert rows[0] == {
-            "figure": "fig99",
-            "series": "alpha",
-            "load": 5,
-            "value": 100.0,
-            "n": 1,
-        }

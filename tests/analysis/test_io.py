@@ -8,7 +8,6 @@ import pytest
 
 from repro.analysis.io import (
     read_series_csv,
-    summarize_runs,
     write_runs_csv,
     write_series_csv,
     write_series_json,
@@ -80,12 +79,3 @@ class TestSeriesJson:
         assert doc["meta"]["figure"] == "fig09"
         assert doc["series"][0]["label"] == "a"
         assert doc["series"][0]["points"][1]["value"] is None  # NaN -> null
-
-
-class TestSummaries:
-    def test_summarize_runs(self):
-        sweep = SweepResult()
-        sweep.runs = [_run("a", 5), _run("a", 10)]
-        summary = summarize_runs(sweep)
-        assert "a" in summary
-        assert summary["a"]["runs"] == 2.0

@@ -9,9 +9,6 @@ from repro.experiments.runner import (
     SWEEP_FAMILIES,
     ExperimentRunner,
     Scale,
-    baseline_protocols,
-    enhanced_protocols,
-    ttl_family,
 )
 from repro.scenarios import MobilitySpec, ScenarioSpec, register_mobility
 
@@ -24,21 +21,25 @@ class TestScales:
         assert SCALES["smoke"].replications == 1
 
 
+def _labels(family: str) -> list[str]:
+    return [spec.build().label for spec in PROTOCOL_FAMILIES[family]]
+
+
 class TestProtocolFamilies:
     def test_baselines_match_paper_parameterisation(self):
-        labels = [p.label for p in baseline_protocols()]
+        labels = _labels("baselines")
         assert "P-Q epidemic (P=1, Q=1)" in labels
         assert "Epidemic with TTL=300" in labels
         assert len(labels) == 4
 
     def test_enhanced_pairs(self):
-        labels = [p.label for p in enhanced_protocols()]
+        labels = _labels("enhanced")
         assert len(labels) == 6
         assert any("dynamic TTL" in label for label in labels)
         assert any("cumulative" in label for label in labels)
 
     def test_ttl_family(self):
-        assert len(ttl_family()) == 2
+        assert len(_labels("ttl")) == 2
 
 
 class TestRunner:
