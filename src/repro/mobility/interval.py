@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mobility.contact import Contact, ContactTrace
-from repro.validation import require_int, require_real
+from repro.validation import require_finite, require_int
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class IntervalScenarioConfig:
         require_int("num_nodes", self.num_nodes, 2)
         require_int("max_encounters_per_node", self.max_encounters_per_node, 1)
         for name in ("min_interval", "max_interval", "min_duration", "max_duration"):
-            require_real(name, getattr(self, name))
+            require_finite(name, getattr(self, name))
         if not (0 <= self.min_interval <= self.max_interval):
             raise ValueError("need 0 <= min_interval <= max_interval")
         if not (0 < self.min_duration <= self.max_duration):

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.mobility.contact import ContactTrace
 from repro.mobility.fastcontact import _fold_windows
-from repro.validation import require_int, require_real
+from repro.validation import require_finite, require_int
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class PoissonContactConfig:
     def __post_init__(self) -> None:
         require_int("num_nodes", self.num_nodes, 2)
         for name in ("beta", "horizon", "duration"):
-            require_real(name, getattr(self, name))
+            require_finite(name, getattr(self, name))
         # written as not (valid) so NaN fails too
         if not self.beta > 0:
             raise ValueError(f"beta (meeting rate) must be positive, got {self.beta}")

@@ -33,7 +33,7 @@ from repro.mobility.trajectory import (
     Trajectory,
     contacts_from_trajectories,
 )
-from repro.validation import require_int, require_real
+from repro.validation import require_finite, require_int
 
 
 def _check_shared(config: RWPConfig | ClassicRWPConfig) -> None:
@@ -50,9 +50,9 @@ def _check_shared(config: RWPConfig | ClassicRWPConfig) -> None:
         )
     require_int("num_nodes", c.num_nodes, 2)
     for name in ("horizon", "area_side", "comm_range", "max_pause"):
-        require_real(name, getattr(c, name))
+        require_finite(name, getattr(c, name))
     if c.contact_cap is not None:
-        require_real("contact_cap", c.contact_cap)
+        require_finite("contact_cap", c.contact_cap)
     if not c.horizon > 0:
         raise ValueError(f"horizon must be positive, got {c.horizon}")
     if not c.area_side > 0:
@@ -109,7 +109,7 @@ class RWPConfig:
         _check_shared(self)
         require_int("num_subscriber_points", self.num_subscriber_points, 2)
         for name in ("min_travel_time", "max_travel_time", "max_speed", "max_hop_distance"):
-            require_real(name, getattr(self, name))
+            require_finite(name, getattr(self, name))
         if not (2 <= self.num_subscriber_points <= 100):
             raise ValueError(
                 "num_subscriber_points must be in [2, 100] per km², "
@@ -256,8 +256,8 @@ class ClassicRWPConfig:
 
     def __post_init__(self) -> None:
         _check_shared(self)
-        require_real("min_speed", self.min_speed)
-        require_real("max_speed", self.max_speed)
+        require_finite("min_speed", self.min_speed)
+        require_finite("max_speed", self.max_speed)
         if not self.min_speed > 0:
             # min_speed == 0 reproduces the Resta & Santi decay pathology the
             # paper warns about; forbid it instead of silently degrading.

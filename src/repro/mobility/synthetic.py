@@ -47,10 +47,10 @@ import numpy as np
 from repro.mobility.contact import Contact, ContactTrace
 from repro.validation import (
     require_bool,
+    require_finite,
     require_int,
     require_nonneg,
     require_prob,
-    require_real,
 )
 
 #: The last timestamp of the paper's campus trace (Section IV).
@@ -144,8 +144,12 @@ class CampusTraceConfig:
             "day_phase",
             "burst_min_duration",
             "burst_max_duration",
+            "intercontact_sigma",
+            "heterogeneity_sigma",
+            "duration_sigma",
+            "burst_window",
         ):
-            require_real(name, getattr(self, name))
+            require_finite(name, getattr(self, name))
         for name in ("intercontact_sigma", "heterogeneity_sigma", "duration_sigma"):
             require_nonneg(name, getattr(self, name))
         require_bool("diurnal", self.diurnal)
@@ -159,8 +163,6 @@ class CampusTraceConfig:
             raise ValueError(
                 f"mean_intercontact must be positive, got {self.mean_intercontact!r}"
             )
-        if not math.isfinite(self.day_phase):
-            raise ValueError(f"day_phase must be finite, got {self.day_phase!r}")
         if not (0 < self.burst_min_duration <= self.burst_max_duration):
             raise ValueError("need 0 < burst_min_duration <= burst_max_duration")
         if not (0 < self.min_duration <= self.duration_median <= self.max_duration):

@@ -8,6 +8,7 @@ instead of coercing into a plausible run.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -15,6 +16,13 @@ def require_real(name: str, value: object) -> None:
     """``value`` must be a real number: not a bool, not a string."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def require_finite(name: str, value: object) -> None:
+    """``value`` must be a real number that is neither NaN nor ±inf."""
+    require_real(name, value)
+    if isinstance(value, numbers.Real) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def require_prob(name: str, value: float) -> None:

@@ -498,13 +498,20 @@ class TestFaultSpecKeys:
 
 
 NAN = math.nan
+INF = math.inf
 _POISSON = {"kind": "poisson", "params": {"num_nodes": 6, "horizon": 5_000.0}}
 _INTERVAL = tiny_scenario().mobility.to_dict()
 _CAMPUS = {"kind": "campus", "params": {"num_nodes": 8, "horizon": 90_000.0}}
+_RWP = {"kind": "rwp", "params": {"num_nodes": 8, "horizon": 2_000.0}}
+_CLASSIC_RWP = {"kind": "classic_rwp", "params": {"num_nodes": 8, "horizon": 2_000.0}}
+
+
+def _mobility(base, **params):
+    return {"mobility": {**base, "params": {**base["params"], **params}}}
 
 
 def _campus(**params):
-    return {"mobility": {**_CAMPUS, "params": {**_CAMPUS["params"], **params}}}
+    return _mobility(_CAMPUS, **params)
 
 
 #: case → (the field its error must name, top-level scenario-JSON keys that
@@ -629,6 +636,32 @@ HOSTILE_VALUES = {
     "age_unit_nan": (
         "age_unit must be",
         {"protocols": [{"name": "prophet", "params": {"age_unit": NAN}}]},
+    ),
+    # an infinity passed the > 0 guards: both RWP models never returned
+    "rwp_horizon_inf": ("horizon must be", _mobility(_RWP, horizon=INF)),
+    "classic_rwp_horizon_inf": ("horizon must be", _mobility(_CLASSIC_RWP, horizon=INF)),
+    # these overflowed converting to an int, naming no field
+    "poisson_horizon_inf": ("horizon must be", _mobility(_POISSON, horizon=INF)),
+    "poisson_beta_inf": ("beta must be", _mobility(_POISSON, beta=INF)),
+    "campus_horizon_inf": ("horizon must be", _campus(horizon=INF)),
+    "interval_max_duration_inf": (
+        "max_duration must be",
+        _mobility(_INTERVAL, max_duration=INF),
+    ),
+    "rwp_area_side_inf": ("area_side must be", _mobility(_RWP, area_side=INF)),
+    "rwp_max_pause_inf": ("max_pause must be", _mobility(_RWP, max_pause=INF)),
+    "rwp_max_travel_time_inf": (
+        "max_travel_time must be",
+        _mobility(_RWP, max_travel_time=INF),
+    ),
+    "classic_rwp_max_pause_inf": (
+        "max_pause must be",
+        _mobility(_CLASSIC_RWP, max_pause=INF),
+    ),
+    # this failed building a contact at [inf, inf)
+    "interval_max_interval_inf": (
+        "max_interval must be",
+        _mobility(_INTERVAL, max_interval=INF),
     ),
 }
 
