@@ -403,6 +403,9 @@ def cross_validate_scenario(
         surrogate_check=False,
         record_occupancy=False,
     )
+    # Built first, so a protocol the surrogate cannot run is refused
+    # before the DES pass.
+    ode_base = dataclasses.replace(base, engine="ode")
     # Each reference trace is built once: the emptiness probe and both
     # engines' passes share it.
     reference_trace = functools.cache(base.build_trace)
@@ -417,9 +420,7 @@ def cross_validate_scenario(
     des_result = _run_reference_grid(base, reference_trace, progress)
     if progress is not None:
         progress("cross-validation: surrogate on the same grid")
-    ode_result = _run_reference_grid(
-        dataclasses.replace(base, engine="ode"), reference_trace, progress
-    )
+    ode_result = _run_reference_grid(ode_base, reference_trace, progress)
     return CrossValidationReport(
         residuals=compare_sweeps(des_result, ode_result),
         pooled=pool_sweeps(des_result, ode_result),

@@ -153,8 +153,8 @@ def transmission_coins(protocol: ProtocolConfig) -> tuple[float, float]:
     if name == "pq":
         if getattr(protocol, "anti_packets", False):
             raise UnsupportedProtocolError(
-                "the surrogate models coins-only P-Q; anti-packet purging "
-                "has no mean-field model here"
+                f"no mean-field model for protocol {name!r} with anti-packets: "
+                "the surrogate models coins-only P-Q"
             )
         return float(getattr(protocol, "p")), float(getattr(protocol, "q"))
     raise UnsupportedProtocolError(

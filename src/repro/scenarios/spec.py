@@ -472,6 +472,13 @@ class ScenarioSpec:
                 "node identity to crash or link to sever — run faulted "
                 'cells with engine="des", or clear the fault spec'
             )
+        if self.engine == "ode":
+            from repro.analytic.surrogate import transmission_coins
+
+            # each ODE cell would refuse these; refuse them before the
+            # gate's DES reference grid runs
+            for protocol in self.build_protocols():
+                transmission_coins(protocol)
         require_real("surrogate_tolerance", self.surrogate_tolerance)
         if not (0.0 < self.surrogate_tolerance <= 1.0):
             raise ValueError(

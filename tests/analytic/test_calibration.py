@@ -19,7 +19,6 @@ from repro.analytic.calibration import (
     cross_validate_scenario,
     pool_sweeps,
 )
-from repro.core.executors import CellExecutionError
 from repro.core.results import RunResult, SweepResult
 from repro.scenarios import MobilitySpec, ProtocolSpec, ScenarioSpec, WorkloadSpec
 
@@ -277,20 +276,24 @@ class TestGateSolves:
         # the batch fills the memo; the cells then take turns evicting
         assert solves[0] == 2 and set(solves[1:]) == {1}
 
-    @pytest.mark.parametrize(
-        "on_error,error", [("abort", CellExecutionError), ("keep-going", IncompleteReferenceGridError)]
-    )
-    def test_unsupported_protocol_names_its_cell(self, on_error, error):
-        spec = gate_spec(
-            protocols=(ProtocolSpec("pure"), ProtocolSpec("ttl", {"ttl": 300.0})),
-            on_error=on_error,
-        )
-        named = (
-            r"\(protocol='ttl', load=2, rep=0\).*"
-            r"UnsupportedProtocolError: no mean-field model for protocol 'ttl'"
-        )
-        with pytest.raises(error, match=named):
+    @pytest.mark.parametrize("on_error", ["abort", "keep-going"])
+    def test_unsupported_protocol_names_its_cell(self, on_error, monkeypatch):
+        """The scenario refuses the protocol when it loads, naming it,
+        before any reference cell of either engine runs."""
+        import repro.core.sweep as sweep_module
+
+        ran = []
+        monkeypatch.setattr(sweep_module, "run_single", lambda *cell: ran.append(cell))
+        protocols = (ProtocolSpec("pure"), ProtocolSpec("ttl", {"ttl": 300.0}))
+        with pytest.raises(
+            surrogate.UnsupportedProtocolError, match="no mean-field model for protocol 'ttl'"
+        ):
+            gate_spec(protocols=protocols, on_error=on_error)
+        # a DES scenario loads, but the gate refuses it before its DES pass
+        spec = gate_spec(protocols=protocols, on_error=on_error, engine="des")
+        with pytest.raises(surrogate.UnsupportedProtocolError, match="protocol 'ttl'"):
             cross_validate_scenario(spec, loads=(2,), replications=2)
+        assert ran == []
 
 
 class TestIncompleteReferenceGrid:

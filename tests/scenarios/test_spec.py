@@ -485,7 +485,10 @@ class TestFaultSpecKeys:
         from repro.faults import FaultSpec
 
         spec = tiny_scenario(
-            engine="ode", surrogate_check=False, faults=FaultSpec()
+            engine="ode",
+            surrogate_check=False,
+            faults=FaultSpec(),
+            protocols=(ProtocolSpec("pure"),),  # the surrogate refuses ttl at load
         )
         assert spec.faults == FaultSpec()
 
