@@ -51,6 +51,7 @@ from repro.core.results import RunResult
 from repro.core.simulation import SimulationConfig
 from repro.core.workload import Flow
 from repro.mobility.contact import ContactTrace
+from repro.validation import require_finite
 
 #: Population size up to which the exact Markov chain is integrated;
 #: larger populations use the closed-form fluid limit.
@@ -127,6 +128,8 @@ def make_analytic_model(
     *, num_nodes: int, beta: float, horizon: float, name: str = ""
 ) -> AnalyticContactModel:
     """Build an :class:`AnalyticContactModel` (the ``analytic`` mobility kind)."""
+    require_finite("beta", beta)
+    require_finite("horizon", horizon)
     return AnalyticContactModel(
         [],
         num_nodes,

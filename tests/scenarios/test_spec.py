@@ -507,6 +507,7 @@ _INTERVAL = tiny_scenario().mobility.to_dict()
 _CAMPUS = {"kind": "campus", "params": {"num_nodes": 8, "horizon": 90_000.0}}
 _RWP = {"kind": "rwp", "params": {"num_nodes": 8, "horizon": 2_000.0}}
 _CLASSIC_RWP = {"kind": "classic_rwp", "params": {"num_nodes": 8, "horizon": 2_000.0}}
+_ANALYTIC = {"kind": "analytic", "params": {"num_nodes": 8, "beta": 1e-4, "horizon": 2_000.0}}
 
 
 def _mobility(base, **params):
@@ -666,6 +667,9 @@ HOSTILE_VALUES = {
         "max_interval must be",
         _mobility(_INTERVAL, max_interval=INF),
     ),
+    # the analytic model stored a NaN rate or an infinite horizon
+    "analytic_beta_nan": ("beta must be", _mobility(_ANALYTIC, beta=NAN)),
+    "analytic_horizon_inf": ("horizon must be", _mobility(_ANALYTIC, horizon=INF)),
 }
 
 
