@@ -120,24 +120,23 @@ def _render_matrix(
     label)``; protocols appear in their order of first appearance over
     the grid (rows, then columns).
     """
+    rows, columns = study.rows, study.columns
     texts: dict[tuple[str, str, str], str] = {}
-    for row in study.rows:
-        for column in study.columns:
+    for row in rows:
+        for column in columns:
             sweep = study.sweep(row, column)
             for label in sweep.protocols():
                 texts[(row, column, label)] = cell_text(sweep, label)
     if not texts:
         raise ValueError("no rows to render")
-    row_w = max(len(row_header), max(len(row) for row in study.rows))
-    col_w = max(max(len(c) for c in study.columns), max(len(t) for t in texts.values()))
+    row_w = max(len(row_header), max(len(row) for row in rows))
+    col_w = max(max(len(c) for c in columns), max(len(t) for t in texts.values()))
+    header = f"{row_header:<{row_w}} | " + " | ".join(f"{c:>{col_w}}" for c in columns)
     lines = [title]
     for proto in dict.fromkeys(label for _, _, label in texts):
-        header = f"{row_header:<{row_w}} | " + " | ".join(
-            f"{c:>{col_w}}" for c in study.columns
-        )
         lines += ["", f"Protocol: {proto}", header, "-" * len(header)]
-        for row in study.rows:
-            cells = [f"{texts[(row, c, proto)]:>{col_w}}" for c in study.columns]
+        for row in rows:
+            cells = [f"{texts[(row, c, proto)]:>{col_w}}" for c in columns]
             lines.append(f"{row:<{row_w}} | " + " | ".join(cells))
     return "\n".join(lines)
 
