@@ -7,23 +7,29 @@ This module is the scalable engine behind its default ``engine="fast"`` path.
 It works on :class:`~repro.mobility.trajectory.SegmentColumns` (every segment
 of every node as flat NumPy columns) from start to finish:
 
-1. **Broad phase** — segments are split into *pieces* of bounded
-   displacement and hashed into a uniform spatial grid keyed on the
-   piece's midpoint. Pieces of one cell are joined by a time-interval
-   sweep, and pieces of two adjacent cells by a bipartite ``searchsorted``
-   join that emits only cross-cell pairs, so far-apart or
-   non-contemporaneous nodes never reach the quadratic solver. The join is
-   conservative: two nodes within ``comm_range`` at time *t* always occupy
-   pieces in cells at most one apart whose (quantized) time intervals
-   overlap (see :func:`_candidate_segment_pairs`), so no contact can be
-   lost.
-2. **Narrow phase** — the below-range quadratic is evaluated for all
-   surviving segment pairs in batched NumPy, replicating the scalar
+1. **Broad phase, one block at a time** — segments are split into
+   *pieces* of bounded displacement, hashed into a uniform spatial grid
+   keyed on the piece's midpoint, and sorted by (cell, quantized start).
+   Pieces of one cell are joined by a time-interval sweep, and pieces of
+   two adjacent cells by a bipartite ``searchsorted`` join that emits
+   only cross-cell pairs, so far-apart or non-contemporaneous nodes never
+   reach the quadratic solver. The join is conservative: two nodes within
+   ``comm_range`` at time *t* always occupy pieces in cells at most one
+   apart whose (quantized) time intervals overlap (see
+   :func:`_candidate_segment_pairs`), so no contact can be lost. The
+   sorted order is cut into blocks of :data:`_BLOCK_ROWS` pieces, and each
+   block's piece pairs are reduced to distinct cross-node segment pairs
+   and handed on before the next block is joined, so memory holds one
+   block's candidates at a time, never the whole population's.
+2. **Narrow phase** — each block's segment pairs go through the
+   below-range quadratic in batched NumPy, replicating the scalar
    arithmetic of :func:`~repro.mobility.trajectory._window_below_range`
    operation-for-operation. Because IEEE-754 addition, multiplication,
    division and square root are correctly rounded in both scalar Python
    and NumPy float64, the produced windows are *bit-identical* to the
-   ``engine="exact"`` reference, not merely close.
+   ``engine="exact"`` reference, not merely close. Only the windows
+   outlive a block. A segment pair met in two blocks gives the same
+   window twice, and the fold absorbs the copy.
 3. **Fold** — each pair's windows are merged, capped and filtered by an
    array fold (:func:`_fold_windows`) that makes the same comparisons and
    float operations as the scalar
@@ -44,7 +50,7 @@ from repro.mobility.contact import ContactTrace
 from repro.mobility.trajectory import SegmentColumns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from collections.abc import Sequence
+    from collections.abc import Iterator, Sequence
     from typing import Any
 
     from numpy.typing import NDArray
@@ -63,6 +69,14 @@ _TIME_QUANTS = np.int64(1) << 31
 #: Forward half-neighbourhood of a grid cell: joining every cell group with
 #: itself and these four offsets visits each adjacent cell pair exactly once.
 _FORWARD_OFFSETS = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+#: Rows of the sorted piece order whose candidate pairs are emitted,
+#: de-duplicated and narrowed together. Only one block's candidates are in
+#: memory at a time; smaller blocks narrow more segment pairs twice (at 200
+#: nodes, 30% more pairs at 4,096 rows and 8% at 16,384). 4,096 rows was
+#: the fastest or tied among 1,024–16,384 at 200 nodes and 2,048–8,192 at
+#: 800 nodes, on a shared 2-vCPU VM.
+_BLOCK_ROWS = 4096
 
 
 def _segmented_arange(counts: _Ints) -> _Ints:
@@ -85,37 +99,20 @@ def _range_pairs(rows: _Ints, lo: _Ints, hi: _Ints) -> tuple[_Ints, _Ints]:
     return firsts, seconds
 
 
-def _candidate_segment_pairs(
-    segments: SegmentColumns, comm_range: float, *, cell_size: float | None = None
-) -> tuple[_Ints, _Ints]:
-    """Broad phase: segment index pairs that *might* come within range.
+def _sorted_pieces(
+    segments: SegmentColumns, comm_range: float, cell_size: float | None
+) -> tuple[_Ints, _Ints, _Ints, _Ints]:
+    """Pieces sorted by ``(cell, qlo)``, and the cells each cell joins.
 
-    Conservative by construction. Every piece has displacement at most
-    ``L`` (the piece cap), so any of its points lies within ``L/2`` of its
-    midpoint. If nodes A and B are within ``comm_range`` at time ``t``,
-    the pieces containing ``t`` have midpoints at most
-    ``L/2 + comm_range + L/2 = L + comm_range`` apart — which is the grid
-    pitch — so their anchor cells differ by at most one per axis, and
-    their time intervals share ``t`` (floor quantization preserves
-    interval overlap).
-
-    Pieces are sorted by ``(cell, qlo)``, so one ``searchsorted`` key
-    ``group * 2³¹ + qlo`` locates every time-overlapping partner. Within a
-    cell, the partners of piece ``i`` are the run after it that starts no
-    later than ``qhi[i]``. Across a cell ``g`` and its forward neighbour
-    ``h``, overlapping pairs split into two disjoint cases, each one run
-    of the other cell: ``qlo_j`` in ``[qlo_i, qhi_i]`` for ``i`` in ``g``,
-    and ``qlo_i`` in ``(qlo_j, qhi_j]`` for ``j`` in ``h``. Together they
-    are exactly the time-overlapping cross pairs, each emitted once, so no
-    in-range pair is ever pruned and no same-cell pair is swept only to be
-    discarded.
+    Returns ``(key, qhi, piece_seg, partners)`` in sorted order. ``key``
+    is ``group * 2³¹ + qlo``, where ``group`` ranks the piece's cell.
+    ``partners[s, g]`` is the group that slot ``s`` of group ``g`` joins,
+    or -1: slot 0 is the cell itself, slots 1–4 its forward neighbours,
+    and slots 5–8 the cells whose forward neighbour it is. The per-piece
+    geometry is freed on return.
     """
-    node, t0, t1, x0, y0, x1, y1 = segments
+    _, t0, t1, x0, y0, x1, y1 = segments
     nseg = t0.size
-    if nseg < 2:
-        none = np.empty(0, dtype=np.int64)
-        return none, none
-
     tmin = float(t0.min())
     tmax = float(t1.max())
     span = max(tmax - tmin, 1e-9)
@@ -159,145 +156,163 @@ def _candidate_segment_pairs(
 
     order = np.lexsort((qlo, cellkey))
     ck = cellkey[order]
-    ql = qlo[order]
-    qh = qhi[order]
-    pseg = piece_seg[order]
 
     new_group = np.empty(ck.size, dtype=np.bool_)
     new_group[0] = True
     np.not_equal(ck[1:], ck[:-1], out=new_group[1:])
-    group = np.cumsum(new_group) - 1
     cells = ck[new_group]
-    key = group * _TIME_QUANTS + ql  # sorted: the join's search key
+    key = (np.cumsum(new_group) - 1) * _TIME_QUANTS + qlo[order]  # sorted
 
-    # within a cell: the run after each piece starting by its qhi
-    pos = np.arange(ck.size, dtype=np.int64)
-    parts = [
-        _range_pairs(pos, pos + 1, np.searchsorted(key, key - ql + qh, side="right"))
-    ]
-    # across a cell and its forward neighbour: the two disjoint cases
-    for ox, oy in _FORWARD_OFFSETS:
+    partners = np.full((9, cells.size), -1, dtype=np.int64)
+    partners[0] = np.arange(cells.size)
+    for slot, (ox, oy) in enumerate(_FORWARD_OFFSETS, start=1):
         target = cells + (ox * nyp + oy)
         nbr = np.minimum(np.searchsorted(cells, target), cells.size - 1)
         has = cells[nbr] == target
-        if not has.any():
-            continue
-        forward = np.full(cells.size, -1, dtype=np.int64)
-        forward[has] = nbr[has]
-        backward = np.full(cells.size, -1, dtype=np.int64)
-        backward[nbr[has]] = np.flatnonzero(has)
-        # qlo_j in [qlo_i, qhi_i]: i in this cell, j in the forward one
-        rows = np.flatnonzero(forward[group] >= 0)
-        base = forward[group[rows]] * _TIME_QUANTS
-        lo = np.searchsorted(key, base + ql[rows], side="left")
-        hi = np.searchsorted(key, base + qh[rows], side="right")
-        parts.append(_range_pairs(rows, lo, hi))
-        # qlo_i in (qlo_j, qhi_j]: j in this cell, i in the backward one
-        rows = np.flatnonzero(backward[group] >= 0)
-        base = backward[group[rows]] * _TIME_QUANTS
-        lo = np.searchsorted(key, base + ql[rows], side="right")
-        hi = np.searchsorted(key, base + qh[rows], side="right")
-        parts.append(_range_pairs(rows, lo, hi))
+        partners[slot, has] = nbr[has]
+        partners[slot + 4, nbr[has]] = np.flatnonzero(has)
+    return key, qhi[order], piece_seg[order], partners
 
-    a_seg = pseg[np.concatenate([first for first, _ in parts])]
-    b_seg = pseg[np.concatenate([second for _, second in parts])]
 
-    # Drop same-node pairs, canonicalise, and de-duplicate across cells.
+def _candidate_segment_pairs(
+    segments: SegmentColumns, comm_range: float, *, cell_size: float | None = None
+) -> Iterator[tuple[_Ints, _Ints]]:
+    """Broad phase: segment index pairs that *might* come within range,
+    one block of pieces at a time.
+
+    Conservative by construction. Every piece has displacement at most
+    ``L`` (the piece cap), so any of its points lies within ``L/2`` of its
+    midpoint. If nodes A and B are within ``comm_range`` at time ``t``,
+    the pieces containing ``t`` have midpoints at most
+    ``L/2 + comm_range + L/2 = L + comm_range`` apart — which is the grid
+    pitch — so their anchor cells differ by at most one per axis, and
+    their time intervals share ``t`` (floor quantization preserves
+    interval overlap).
+
+    Pieces are sorted by ``(cell, qlo)``, so one ``searchsorted`` key
+    ``group * 2³¹ + qlo`` locates every time-overlapping partner. Within a
+    cell, the partners of piece ``i`` are the run after it that starts no
+    later than ``qhi[i]``. Across a cell ``g`` and its forward neighbour
+    ``h``, overlapping pairs split into two disjoint cases, each one run
+    of the other cell: ``qlo_j`` in ``[qlo_i, qhi_i]`` for ``i`` in ``g``,
+    and ``qlo_i`` in ``(qlo_j, qhi_j]`` for ``j`` in ``h``. Together they
+    are exactly the time-overlapping cross pairs, each emitted once, so no
+    in-range pair is ever pruned and no same-cell pair is swept only to be
+    discarded.
+
+    Every piece pair is emitted from one of its two pieces, its *row*:
+    ``i`` in the first two cases, ``j`` in the third. Cutting the sorted
+    order into blocks of :data:`_BLOCK_ROWS` rows therefore shares the
+    pairs out among the blocks and loses none. Each yield is one block's
+    distinct cross-node segment pairs. A segment pair whose piece pairs
+    have rows in two blocks is yielded by both; its windows come out
+    identical, and :func:`_fold_windows` merges a window that repeats one
+    it has already taken.
+    """
+    if segments.t0.size < 2:
+        return
+    key, qh, piece_seg, partners = _sorted_pieces(segments, comm_range, cell_size)
+    for first_row in range(0, key.size, _BLOCK_ROWS):
+        yield _block_pairs(segments.node, key, qh, piece_seg, partners, first_row)
+
+
+def _block_pairs(
+    node: _Ints, key: _Ints, qh: _Ints, piece_seg: _Ints, partners: _Ints, first_row: int
+) -> tuple[_Ints, _Ints]:
+    """The distinct cross-node segment pairs of one block of rows,
+    canonical (``a < b``) and sorted."""
+    block = key[first_row : first_row + _BLOCK_ROWS]
+    group = block // _TIME_QUANTS
+    cand = partners[:, group]
+    slot, row = np.nonzero(cand >= 0)
+    partner = cand[slot, row]
+    base = partner * _TIME_QUANTS
+    # a forward neighbour's run starts at qlo_i, a backward one's after it:
+    # on integer keys, searchsorted(v, "right") is searchsorted(v + 1, "left")
+    lo = np.searchsorted(key, base + (block[row] - group[row] * _TIME_QUANTS) + (slot > 4))
+    row += first_row
+    hi = np.searchsorted(key, base + qh[row], side="right")
+    own = slot == 0
+    lo[own] = row[own] + 1
+    first, second = _range_pairs(row, lo, hi)
+    a_seg, b_seg = piece_seg[first], piece_seg[second]
+
+    # Drop same-node pairs, canonicalise, and de-duplicate within the block.
     keep = node[a_seg] != node[b_seg]
     a_seg, b_seg = a_seg[keep], b_seg[keep]
-    pair_code = np.minimum(a_seg, b_seg) * np.int64(nseg) + np.maximum(a_seg, b_seg)
+    nseg = np.int64(node.size)
+    pair_code = np.minimum(a_seg, b_seg) * nseg + np.maximum(a_seg, b_seg)
     pair_code.sort()
     if pair_code.size:
         first_seen = np.empty(pair_code.size, dtype=np.bool_)
         first_seen[0] = True
         np.not_equal(pair_code[1:], pair_code[:-1], out=first_seen[1:])
         pair_code = pair_code[first_seen]
-    seg_a: _Ints = pair_code // nseg
-    seg_b: _Ints = pair_code % nseg
-    return seg_a, seg_b
+    return pair_code // nseg, pair_code % nseg
+
+
+def _segment_motion(segments: SegmentColumns) -> tuple[_Floats, ...]:
+    """Per-segment ``(duration, dx, dy, vx, vy)``, computed as
+    :class:`~repro.mobility.trajectory.Segment` computes them. Done once
+    per extraction, so a segment's many candidate pairs only gather them."""
+    _, t0, t1, x0, y0, x1, y1 = segments
+    duration, dx, dy = t1 - t0, x1 - x0, y1 - y0
+    return duration, dx, dy, dx / duration, dy / duration
 
 
 def _batched_windows(
-    A: _Ints, B: _Ints, segments: SegmentColumns, range_sq: float
+    A: _Ints,
+    B: _Ints,
+    segments: SegmentColumns,
+    motion: tuple[_Floats, ...],
+    range_sq: float,
 ) -> tuple[_Floats, _Floats, _Ints, _Ints]:
     """Narrow phase: below-range windows for candidate segment pairs.
 
     Replicates :func:`repro.mobility.trajectory._window_below_range`
     operation-for-operation in float64 so results are bit-identical to the
-    scalar reference. Returns ``(start, end, node_a, node_b)`` arrays with
+    scalar reference. ``motion`` is :func:`_segment_motion` of
+    ``segments``. Returns ``(start, end, node_a, node_b)`` arrays with
     ``node_a < node_b``.
     """
-    node, t0, t1, x0, y0, x1, y1 = segments
-    empty = (
-        np.empty(0, dtype=np.float64),
-        np.empty(0, dtype=np.float64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-    )
+    node, t0, t1, x0, y0, _, _ = segments
+    duration, seg_dx, seg_dy, vx, vy = motion
     ov0 = np.maximum(t0[A], t0[B])
     ov1 = np.minimum(t1[A], t1[B])
     m = ov1 > ov0
     A, B, ov0, ov1 = A[m], B[m], ov0[m], ov1[m]
-    if A.size == 0:
-        return empty
 
     # positions at the overlap start (Segment.position arithmetic)
-    sa = (ov0 - t0[A]) / (t1[A] - t0[A])
-    ax = x0[A] + sa * (x1[A] - x0[A])
-    ay = y0[A] + sa * (y1[A] - y0[A])
-    sb = (ov0 - t0[B]) / (t1[B] - t0[B])
-    bx = x0[B] + sb * (x1[B] - x0[B])
-    by = y0[B] + sb * (y1[B] - y0[B])
+    sa = (ov0 - t0[A]) / duration[A]
+    ax = x0[A] + sa * seg_dx[A]
+    ay = y0[A] + sa * seg_dy[A]
+    sb = (ov0 - t0[B]) / duration[B]
+    bx = x0[B] + sb * seg_dx[B]
+    by = y0[B] + sb * seg_dy[B]
     # relative velocity (Segment.vx / .vy arithmetic)
-    dvx = (x1[A] - x0[A]) / (t1[A] - t0[A]) - (x1[B] - x0[B]) / (t1[B] - t0[B])
-    dvy = (y1[A] - y0[A]) / (t1[A] - t0[A]) - (y1[B] - y0[B]) / (t1[B] - t0[B])
+    dvx = vx[A] - vx[B]
+    dvy = vy[A] - vy[B]
     dx = ax - bx
     dy = ay - by
 
     a = dvx * dvx + dvy * dvy
     b = 2.0 * (dx * dvx + dy * dvy)
     c = dx * dx + dy * dy - range_sq
-    span = ov1 - ov0
+    disc = b * b - 4.0 * a * c  # read only where a >= 1e-15
 
     const = a < 1e-15  # no relative motion: distance constant
-    starts_parts: list[_Floats] = []
-    ends_parts: list[_Floats] = []
-    na_parts: list[_Ints] = []
-    nb_parts: list[_Ints] = []
-
-    mc = const & (c <= 0.0)
-    if mc.any():
-        starts_parts.append(ov0[mc])
-        ends_parts.append(ov1[mc])
-        na_parts.append(node[A[mc]])
-        nb_parts.append(node[B[mc]])
-
-    mq = ~const
-    if mq.any():
-        aq, bq, cq = a[mq], b[mq], c[mq]
-        disc = bq * bq - 4.0 * aq * cq
-        pos = disc >= 0.0
-        if pos.any():
-            aq, bq = aq[pos], bq[pos]
-            sqrt_disc = np.sqrt(disc[pos])
-            s_lo = (-bq - sqrt_disc) / (2.0 * aq)
-            s_hi = (-bq + sqrt_disc) / (2.0 * aq)
-            lo = np.maximum(s_lo, 0.0)
-            hi = np.minimum(s_hi, span[mq][pos])
-            ok = hi > lo
-            if ok.any():
-                base = ov0[mq][pos][ok]
-                starts_parts.append(base + lo[ok])
-                ends_parts.append(base + hi[ok])
-                na_parts.append(node[A[mq][pos][ok]])
-                nb_parts.append(node[B[mq][pos][ok]])
-
-    if not starts_parts:
-        return empty
-    starts = np.concatenate(starts_parts)
-    ends = np.concatenate(ends_parts)
-    na = np.concatenate(na_parts)
-    nb = np.concatenate(nb_parts)
+    flat = np.flatnonzero(const & (c <= 0.0))
+    quad = np.flatnonzero(~const & (disc >= 0.0))
+    aq, bq = a[quad], b[quad]
+    sqrt_disc = np.sqrt(disc[quad])
+    lo = np.maximum((-bq - sqrt_disc) / (2.0 * aq), 0.0)
+    hi = np.minimum((-bq + sqrt_disc) / (2.0 * aq), ov1[quad] - ov0[quad])
+    ok = hi > lo
+    quad, base = quad[ok], ov0[quad[ok]]
+    starts = np.concatenate((ov0[flat], base + lo[ok]))
+    ends = np.concatenate((ov1[flat], base + hi[ok]))
+    rows = np.concatenate((flat, quad))
+    na, nb = node[A[rows]], node[B[rows]]
     swap = na > nb
     lo_node: _Ints = np.where(swap, nb, na)
     hi_node: _Ints = np.where(swap, na, nb)
@@ -333,7 +348,9 @@ def _fold_windows(
     ``maximum.accumulate`` never crosses a pair boundary and compares
     only ranks. Every float operation (``+ gap``, the cap's addition,
     the duration's subtraction) is the scalar fold's, so the columns are
-    bit-identical to it. Returned in ``(start, end, a, b)`` order.
+    bit-identical to it. A window that repeats an earlier one of its pair
+    starts no later than the running maximum end, so it joins that
+    contact and changes nothing. Returned in ``(start, end, a, b)`` order.
     """
     if starts.size == 0:
         return starts, ends, na, nb
@@ -356,6 +373,22 @@ def _fold_windows(
     cs, ce, ca, cb = cs[keep], ce[keep], ca[keep], cb[keep]
     final = np.lexsort((cb, ca, ce, cs))
     return cs[final], ce[final], ca[final], cb[final]
+
+
+def _blockwise_windows(
+    segments: SegmentColumns, comm_range: float, cell_size: float | None
+) -> tuple[_Floats, _Floats, _Ints, _Ints]:
+    """Every below-range window, as ``(start, end, a, b)`` columns: the
+    narrow phase runs on each block of candidates as the broad phase
+    yields it, so only the windows outlive a block."""
+    motion = _segment_motion(segments)
+    range_sq = comm_range * comm_range
+    none = np.empty(0, dtype=np.int64)  # typed empty columns when no block runs
+    found = [_batched_windows(none, none, segments, motion, range_sq)]
+    for seg_a, seg_b in _candidate_segment_pairs(segments, comm_range, cell_size=cell_size):
+        found.append(_batched_windows(seg_a, seg_b, segments, motion, range_sq))
+    starts, ends, na, nb = (np.concatenate(column) for column in zip(*found, strict=True))
+    return starts, ends, na, nb
 
 
 def extract_contacts_fast(
@@ -390,9 +423,8 @@ def extract_contacts_fast(
     """
     if not isinstance(segments, SegmentColumns):
         segments = SegmentColumns.from_trajectories(segments)
-    seg_a, seg_b = _candidate_segment_pairs(segments, comm_range, cell_size=cell_size)
     starts, ends, na, nb = _fold_windows(
-        *_batched_windows(seg_a, seg_b, segments, comm_range * comm_range),
+        *_blockwise_windows(segments, comm_range, cell_size),
         contact_cap=contact_cap,
         min_duration=min_duration,
     )

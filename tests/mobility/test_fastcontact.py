@@ -1,6 +1,8 @@
 """Vectorized contact extraction: equivalence with the exact scalar engine."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core.protocols.registry import make_protocol_config
 from repro.core.simulation import Simulation
 from repro.core.workload import Flow
-from repro.mobility.fastcontact import _fold_windows, extract_contacts_fast
+from repro.mobility import fastcontact
+from repro.mobility.fastcontact import (
+    _candidate_segment_pairs,
+    _fold_windows,
+    extract_contacts_fast,
+)
 from repro.mobility.rwp import (
     ClassicRWP,
     ClassicRWPConfig,
@@ -218,6 +225,35 @@ def test_property_identical_downstream_run_results(trajectories):
 # ---------------------------------------------------------------------------
 # seeded RWP scenarios end-to-end
 
+#: Block sizes the gate-scale identity runs at: the module's own, one row, a
+#: small prime, and more rows than any of its populations has pieces (35,619
+#: at 80 nodes).
+BLOCK_ROWS = [
+    pytest.param(None, id="default-blocks"),
+    pytest.param(1, id="1-row-blocks"),
+    pytest.param(7, id="7-row-blocks"),
+    pytest.param(1 << 40, id="one-block"),
+]
+
+
+def gate_scale_config(num_nodes):
+    return RWPConfig(num_nodes=num_nodes, horizon=40_000.0)
+
+
+@functools.cache
+def gate_scale_exact(num_nodes):
+    """The exact engine's trace of a gate-scale population (seed 7); it
+    does not depend on the fast engine's block size, so it is built once."""
+    cfg = gate_scale_config(num_nodes)
+    return contacts_from_trajectories(
+        SubscriberPointRWP(cfg, seed=7).generate_trajectories(),
+        cfg.comm_range,
+        engine="exact",
+        contact_cap=cfg.contact_cap,
+        horizon=cfg.horizon,
+    )
+
+
 class TestSeededRWPScenarios:
     def test_subscriber_rwp_trace_equivalence(self):
         base = dict(num_nodes=10, horizon=60_000.0)
@@ -254,20 +290,45 @@ class TestSeededRWPScenarios:
             ).run()
         assert results["fast"] == results["exact"]
 
+    @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
     @pytest.mark.parametrize("num_nodes", [12, 40, 80])
-    def test_gate_scale_engines_and_cold_build_agree(self, num_nodes):
+    def test_gate_scale_engines_and_cold_build_agree(self, num_nodes, block_rows, monkeypatch):
         """Over 40,000 s, the fast extractor, the exact engine and the whole
-        cold build (``generate()``) emit the same columns, bit for bit."""
-        cfg = RWPConfig(num_nodes=num_nodes, horizon=40_000.0)
+        cold build (``generate()``) emit the same columns, bit for bit, at
+        the module's block size and with blocks of one row, of a small
+        prime number of rows, and of more rows than the population has
+        pieces (one block)."""
+        if block_rows is not None:
+            monkeypatch.setattr(fastcontact, "_BLOCK_ROWS", block_rows)
+        cfg = gate_scale_config(num_nodes)
         generator = SubscriberPointRWP(cfg, seed=7)
-        exact, fast = both_engines(
+        fast = contacts_from_trajectories(
             generator.generate_trajectories(),
             cfg.comm_range,
+            engine="fast",
             contact_cap=cfg.contact_cap,
             horizon=cfg.horizon,
         )
+        exact = gate_scale_exact(num_nodes)
         assert_same_columns(exact, fast)
         assert_same_columns(exact, generator.generate())
+
+    def test_small_blocks_meet_segment_pairs_twice(self, monkeypatch):
+        """The block-boundary runs above do exercise repeated windows: with
+        seven-row blocks some segment pair is yielded by two blocks, and
+        with one block none is."""
+
+        def yielded(block_rows):
+            monkeypatch.setattr(fastcontact, "_BLOCK_ROWS", block_rows)
+            cfg = gate_scale_config(12)
+            segments = SubscriberPointRWP(cfg, seed=7).generate_segments()
+            pairs = _candidate_segment_pairs(segments, cfg.comm_range)
+            return np.concatenate([a * segments.t0.size + b for a, b in pairs])
+
+        one_block = yielded(1 << 40)
+        assert np.unique(one_block).size == one_block.size
+        small = yielded(7)
+        assert np.unique(small).size == one_block.size < small.size
 
     def test_engine_threads_through_mobility_spec(self):
         params = dict(num_nodes=8, horizon=30_000.0)
@@ -361,6 +422,31 @@ class TestWindowFold:
         kwargs = dict(contact_cap=contact_cap, min_duration=min_duration)
         assert array_fold(windows, **kwargs) == scalar_fold(windows, **kwargs)
 
+    @given(
+        window_lists(),
+        st.data(),
+        st.sampled_from([None, 1.0, 500.0]),
+        st.sampled_from([0.0, 1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_repeated_windows_change_nothing(self, windows, data, contact_cap, min_duration):
+        """A segment pair met in two blocks gives its windows twice: folding
+        a list with copies of any of its windows gives the list's own
+        contacts, on the array fold as on the scalar fold."""
+        copies = data.draw(st.lists(st.sampled_from(windows), max_size=6)) if windows else []
+        kwargs = dict(contact_cap=contact_cap, min_duration=min_duration)
+        expected = scalar_fold(windows, **kwargs)
+        assert scalar_fold(windows + copies, **kwargs) == expected
+        assert array_fold(windows + copies, **kwargs) == expected
+
+    def test_duplicate_window_is_absorbed(self):
+        window = (20.0, 30.0, 0, 1)
+        windows = [(0.0, 10.0, 0, 1), window, (0.0, 10.0, 0, 1), window]
+        kwargs = dict(contact_cap=None, min_duration=0.0)
+        expected = [(0.0, 10.0, 0, 1), window]
+        assert array_fold(windows, **kwargs) == expected
+        assert scalar_fold(windows, **kwargs) == expected
+
     def test_touching_windows_merge_and_beyond_splits(self):
         e = 10.0
         touch = e + 1e-9
@@ -384,3 +470,36 @@ class TestWindowFold:
 
     def test_empty(self):
         assert array_fold([], contact_cap=500.0, min_duration=1.0) == []
+
+
+# ---------------------------------------------------------------------------
+# memory: one block of candidates at a time
+
+
+class TestExtractionMemory:
+    #: Traced bytes one extraction may allocate at its peak. Extracting the
+    #: population below all at once (every candidate pair of every piece in
+    #: one array) peaked at about 41 MB; block by block it peaks at about
+    #: 9 MB, measured with NumPy 2.4.
+    PEAK_BOUND = 20_000_000
+
+    def test_200_node_extraction_peak_is_bounded(self):
+        """``tracemalloc`` peak of one ``extract_contacts_fast`` call on a
+        200-node, 20,000 s subscriber-RWP population (seed 7)."""
+        cfg = RWPConfig(num_nodes=200, horizon=20_000.0)
+        segments = SubscriberPointRWP(cfg, seed=7).generate_segments()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            trace = extract_contacts_fast(
+                segments, cfg.comm_range, contact_cap=cfg.contact_cap, horizon=cfg.horizon
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert trace.contact_arrays()[0].size == 24_990
+        assert peak - before < self.PEAK_BOUND
