@@ -57,6 +57,21 @@ class MatrixConfig:
         """Progress text naming the setting whose configuration is ``sim``."""
         raise NotImplementedError
 
+    def require_distinct_labels(self, row_field: str, column_field: str) -> None:
+        """Refuse an axis that repeats a label, naming the axis's field.
+
+        The grid keys each setting by its (row label, column label), so a
+        repeated label would run its cells twice and keep one sweep.
+        """
+        rows, columns = self.axes()
+        for name, labels in (
+            (row_field, [self.row_label(row) for row in rows]),
+            (column_field, list(columns)),
+        ):
+            repeated = sorted({label for label in labels if labels.count(label) > 1})
+            if repeated:
+                raise ValueError(f"{name} repeats {', '.join(map(repr, repeated))}")
+
 
 @dataclass
 class MatrixStudy:

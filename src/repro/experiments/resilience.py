@@ -106,6 +106,7 @@ class ResilienceConfig(MatrixConfig):
                     f"unknown state-loss mode {mode!r}; "
                     f"known: {', '.join(STATE_LOSS_MODES)}"
                 )
+        self.require_distinct_labels("churn_rates", "state_loss_modes")
         if not self.protocols:
             raise ValueError("protocols must be non-empty")
         if self.mean_downtime <= 0 and any(r > 0 for r in self.churn_rates):

@@ -95,6 +95,7 @@ class TradeoffConfig(MatrixConfig):
             tuple(c) if isinstance(c, (list, tuple)) else c for c in self.capacities
         )
         object.__setattr__(self, "capacities", caps)
+        self.require_distinct_labels("capacities", "policies")
         # Validate every (capacity, policy) combination up front; a
         # fractional or bool capacity fails here with the field's name.
         for capacity in caps:

@@ -182,3 +182,17 @@ class TestRegistry:
             ResilienceConfig(mean_downtime=0.0)
         with pytest.raises(ValueError):
             ResilienceConfig(churn_rates=(-1e-4,))
+
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            {"churn_rates": (0.0, 1e-4, 0.0)},
+            # distinct values, one label: the grid would key both as "0.0001"
+            {"churn_rates": (1e-4, 1.00000001e-4)},
+            {"state_loss_modes": ("none", "buffer", "none")},
+        ],
+    )
+    def test_repeated_axis_label_refused(self, axis):
+        (name,) = axis
+        with pytest.raises(ValueError, match=f"{name} repeats"):
+            ResilienceConfig(**axis)

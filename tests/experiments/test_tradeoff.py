@@ -186,3 +186,18 @@ class TestRegistry:
         for capacity in (2.5, True):
             with pytest.raises(ValueError, match="buffer_capacity"):
                 TradeoffConfig(capacities=(capacity,))
+
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            {"capacities": (2, 5, 2)},
+            {"capacities": ((1, 2), [1, 2])},
+            {"policies": ("reject", "drop-oldest", "reject")},
+        ],
+    )
+    def test_repeated_axis_label_refused(self, axis):
+        # one label keys one setting: a repeat ran its cells twice, kept
+        # one sweep and printed its table row twice
+        (name,) = axis
+        with pytest.raises(ValueError, match=f"{name} repeats"):
+            TradeoffConfig(**axis)
