@@ -51,7 +51,7 @@ from repro.core.results import RunResult
 from repro.core.simulation import SimulationConfig
 from repro.core.workload import Flow
 from repro.mobility.contact import ContactTrace
-from repro.validation import require_finite
+from repro.validation import require_finite, require_int
 
 #: Population size up to which the exact Markov chain is integrated;
 #: larger populations use the closed-form fluid limit.
@@ -128,6 +128,7 @@ def make_analytic_model(
     *, num_nodes: int, beta: float, horizon: float, name: str = ""
 ) -> AnalyticContactModel:
     """Build an :class:`AnalyticContactModel` (the ``analytic`` mobility kind)."""
+    require_int("num_nodes", num_nodes, 2)
     require_finite("beta", beta)
     require_finite("horizon", horizon)
     return AnalyticContactModel(

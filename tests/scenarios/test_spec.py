@@ -670,6 +670,11 @@ HOSTILE_VALUES = {
     # the analytic model stored a NaN rate or an infinite horizon
     "analytic_beta_nan": ("beta must be", _mobility(_ANALYTIC, beta=NAN)),
     "analytic_horizon_inf": ("horizon must be", _mobility(_ANALYTIC, horizon=INF)),
+    # a fraction built "analytic(n=2.5, ...)", and a string failed at a
+    # comparison naming no field
+    "analytic_num_nodes_fraction": ("num_nodes must be", _mobility(_ANALYTIC, num_nodes=2.5)),
+    "analytic_num_nodes_string": ("num_nodes must be", _mobility(_ANALYTIC, num_nodes="100")),
+    "analytic_num_nodes_bool": ("num_nodes must be", _mobility(_ANALYTIC, num_nodes=True)),
 }
 
 
