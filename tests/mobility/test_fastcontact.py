@@ -439,14 +439,6 @@ class TestWindowFold:
         assert scalar_fold(windows + copies, **kwargs) == expected
         assert array_fold(windows + copies, **kwargs) == expected
 
-    def test_duplicate_window_is_absorbed(self):
-        window = (20.0, 30.0, 0, 1)
-        windows = [(0.0, 10.0, 0, 1), window, (0.0, 10.0, 0, 1), window]
-        kwargs = dict(contact_cap=None, min_duration=0.0)
-        expected = [(0.0, 10.0, 0, 1), window]
-        assert array_fold(windows, **kwargs) == expected
-        assert scalar_fold(windows, **kwargs) == expected
-
     def test_touching_windows_merge_and_beyond_splits(self):
         e = 10.0
         touch = e + 1e-9
