@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -198,12 +199,18 @@ def trajectory_sets(draw):
     return trajectories
 
 
-@given(trajectory_sets(), st.sampled_from([5.0, 25.0, 80.0]))
+@given(
+    trajectory_sets(),
+    st.sampled_from([5.0, 25.0, 80.0]),
+    st.sampled_from([1, 2, 3, fastcontact._BLOCK_ROWS]),
+)
 @settings(max_examples=80, deadline=None)
-def test_property_engines_produce_identical_traces(trajectories, comm_range):
-    exact, fast = both_engines(
-        trajectories, comm_range, contact_cap=500.0, min_duration=1.0
-    )
+def test_property_engines_produce_identical_traces(trajectories, comm_range, block_rows):
+    # at most about 1,300 pieces: small blocks split them, the default never does
+    with mock.patch.object(fastcontact, "_BLOCK_ROWS", block_rows):
+        exact, fast = both_engines(
+            trajectories, comm_range, contact_cap=500.0, min_duration=1.0
+        )
     assert_equivalent(exact, fast, tolerance=1e-6)
     # the implementations promise more than the 1e-6 contract: bit-identity
     assert rows(exact) == rows(fast)
