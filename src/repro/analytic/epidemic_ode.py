@@ -110,14 +110,3 @@ def direct_mean_delay(beta: float) -> float:
     if beta <= 0:
         raise ValueError(f"meeting rate must be positive, got {beta}")
     return 1.0 / beta
-
-
-def epidemic_speedup(n: int) -> float:
-    """Theoretical delay ratio direct/epidemic = (N−1)/ln N.
-
-    The headline reason the paper studies epidemic protocols at all: for
-    12 nodes, relaying is ~4.4× faster than waiting for the destination.
-    """
-    if n < 2:
-        raise ValueError(f"need at least 2 nodes, got {n}")
-    return (n - 1) / math.log(n)

@@ -40,7 +40,6 @@ from repro.experiments.runner import SCALES, ExperimentRunner
 from repro.faults import STATE_LOSS_MODES, FaultSpec
 from repro.mobility.rwp import ClassicRWP, ClassicRWPConfig, RWPConfig, SubscriberPointRWP
 from repro.mobility.stats import compute_trace_stats
-from repro.mobility.trajectory import CONTACT_ENGINES
 from repro.mobility.synthetic import CampusTraceConfig, CampusTraceGenerator
 from repro.mobility.trace_file import read_contact_trace, write_contact_trace
 from repro.scenarios import ScenarioSpec
@@ -289,25 +288,13 @@ def _cmd_run_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    engine = args.engine or "fast"
     if args.kind == "campus":
-        if args.engine is not None:
-            print(
-                "error: --engine applies to the trajectory-based kinds only "
-                "(campus draws contacts directly)",
-                file=sys.stderr,
-            )
-            return 2
         cfg = CampusTraceConfig(num_nodes=args.nodes)
         trace = CampusTraceGenerator(cfg, seed=args.seed).generate()
     elif args.kind == "rwp":
-        trace = SubscriberPointRWP(
-            RWPConfig(num_nodes=args.nodes, engine=engine), seed=args.seed
-        ).generate()
+        trace = SubscriberPointRWP(RWPConfig(num_nodes=args.nodes), seed=args.seed).generate()
     elif args.kind == "classic-rwp":
-        trace = ClassicRWP(
-            ClassicRWPConfig(num_nodes=args.nodes, engine=engine), seed=args.seed
-        ).generate()
+        trace = ClassicRWP(ClassicRWPConfig(num_nodes=args.nodes), seed=args.seed).generate()
     else:  # pragma: no cover - argparse choices guard this
         raise AssertionError(args.kind)
     write_contact_trace(trace, args.out)
@@ -593,14 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=12,
         help="population size (default: paper's 12)",
-    )
-    p_trace.add_argument(
-        "--engine",
-        choices=sorted(CONTACT_ENGINES),
-        default=None,
-        help="contact-extraction engine for rwp/classic-rwp "
-        "(fast = vectorized default, exact = scalar reference; "
-        "identical output)",
     )
     p_trace.add_argument("--out", required=True, help="output path")
     p_trace.set_defaults(func=_cmd_trace)

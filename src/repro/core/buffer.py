@@ -55,18 +55,8 @@ class RelayStore:
         return iter(list(self._entries.values()))
 
     @property
-    def free_slots(self) -> int:
-        """Remaining capacity."""
-        return self.capacity - len(self._entries)
-
-    @property
     def is_full(self) -> bool:
         return len(self._entries) >= self.capacity
-
-    @property
-    def fill_fraction(self) -> float:
-        """Occupied fraction in [0, 1] — the paper's buffer occupancy level."""
-        return len(self._entries) / self.capacity
 
     def get(self, bid: BundleId) -> StoredBundle | None:
         """The stored copy for ``bid``, or None."""

@@ -172,10 +172,6 @@ class StoredBundle:
         """True if the copy's TTL has run out at time ``now``."""
         return now >= self.expiry
 
-    def remaining_ttl(self, now: float) -> float:
-        """Seconds of TTL left (inf when no TTL is set)."""
-        return self.expiry - now
-
     def __repr__(self) -> str:
         origin = ", origin" if self.is_origin else ""
         return (

@@ -106,11 +106,6 @@ class SignalingCounters:
         else:
             raise ValueError(f"unknown signaling kind {kind!r}")
 
-    @property
-    def protocol_specific(self) -> int:
-        """Anti-packets + immunity tables (the paper's overhead metric)."""
-        return self.anti_packet + self.immunity_table
-
 
 @dataclass
 class RemovalCounters:
@@ -314,10 +309,6 @@ class MetricsCollector:
             self._occupancy.mean(now) + self._control_storage.mean(now)
         ) / self.total_capacity
 
-    def mean_control_storage(self, now: float) -> float:
-        """Time-averaged table-storage fraction alone (diagnostics)."""
-        return self._control_storage.mean(now) / self.total_capacity
-
     # ---------------------------------------------------------- duplication
 
     def on_bundle_born(self, bid: BundleId, now: float) -> None:
@@ -338,11 +329,6 @@ class MetricsCollector:
         track.count += delta
         if track.count < 0:
             raise ValueError(f"negative copy count for {bid}")
-
-    def copy_count(self, bid: BundleId) -> int:
-        """Current number of nodes holding ``bid``."""
-        track = self._copies.get(bid)
-        return track.count if track is not None else 0
 
     def _alive_mean(self, bid: BundleId, now: float) -> float:
         """Time-averaged copies/N over the bundle's alive window so far."""

@@ -100,10 +100,6 @@ class Node:
         yield from self.origin.values()
         yield from self.relay.entries_view().values()
 
-    def live_copy_count(self) -> int:
-        """Number of live copies held (origin + relay)."""
-        return len(self.origin) + len(self.relay)
-
     @property
     def store_epoch(self) -> int:
         """Monotonic counter bumped by every origin/relay store mutation.

@@ -37,15 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.session import ContactSession
 
 
-def candidate_key(sb: StoredBundle, receiver_id: int) -> tuple[int, float, object]:
-    """Candidate order: peer-destined first, then oldest stored, then id."""
-    return (
-        0 if sb.bundle.destination == receiver_id else 1,
-        sb.stored_at,
-        sb.bid,
-    )
-
-
 class IncrementalPlanner:
     """Epoch-invalidated cached candidate order + lazy predicates."""
 
@@ -88,7 +79,7 @@ class IncrementalPlanner:
             order = [*origin.values(), *relay.values()]
         if len(order) > 1:
             rid = receiver.id
-            # candidate_key, inlined (one call per element saved)
+            # candidate order: peer-destined first, then oldest stored, then id
             order.sort(
                 key=lambda sb: (
                     0 if sb.bundle.destination == rid else 1,

@@ -50,11 +50,6 @@ class AntiPacketProtocol(Protocol):
 
     # ------------------------------------------------------------- knowledge
 
-    @property
-    def known_delivered(self) -> frozenset[BundleId]:
-        """This node's current i-list (a frozen snapshot)."""
-        return self.knowledge.snapshot
-
     def knows_delivered(self, bid: BundleId) -> bool:
         return bid in self.knowledge
 

@@ -112,16 +112,14 @@ class Engine:
         self,
         until: float = math.inf,
         times: Sequence[float] = (),
-        action: Callable[[Any], object] | None = None,
-        args: Sequence[Any] | None = None,
+        action: Callable[[int], object] | None = None,
     ) -> None:
         """Fire heap entries, merged with an optional stream, in order.
 
         The stream is ``times`` (sorted ascending) with one ``action``:
-        item ``k`` fires ``action(args[k])``, or ``action(k)`` when
-        ``args`` is None, at ``times[k]`` — ordered against the heap by
-        the stream rule in the module docstring. Each stream item counts
-        as one fired event.
+        item ``k`` fires ``action(k)`` at ``times[k]`` — ordered against
+        the heap by the stream rule in the module docstring. Each stream
+        item counts as one fired event.
 
         Args:
             until: Inclusive time horizon. Entries and items after it do
@@ -135,8 +133,6 @@ class Engine:
         heap = self.heap
         heappop = heapq.heappop
         n = len(times)
-        if args is None:
-            args = range(n)
         base = self.seq
         self.seq = base + n
         k = 0
@@ -170,7 +166,7 @@ class Engine:
                 )
             self.now = t
             self.events_fired += 1
-            action(args[k])  # type: ignore[misc]
+            action(k)  # type: ignore[misc]
             k += 1
             if k < n:
                 t = times[k]

@@ -18,11 +18,10 @@ Producers:
 * :mod:`~repro.mobility.trace_file` — parsers/writers for on-disk traces,
   including a CRAWDAD-Haggle-style adapter so the genuine dataset drops in.
 
-Trajectory-based producers accept an ``engine`` knob: ``"fast"`` (default)
-routes contact extraction through the vectorized broad/narrow-phase
-detector in :mod:`~repro.mobility.fastcontact`, ``"exact"`` through the
-scalar reference sweep in :mod:`~repro.mobility.trajectory`; both yield
-bit-identical traces.
+The two RWP models write their trajectories as
+:class:`~repro.mobility.trajectory.SegmentColumns`, and
+:func:`~repro.mobility.fastcontact.contacts_from_trajectories` extracts
+the contacts from them with a vectorized broad/narrow-phase detector.
 
 Analysis:
 
@@ -31,7 +30,7 @@ Analysis:
 """
 
 from repro.mobility.contact import Contact, ContactTrace
-from repro.mobility.fastcontact import extract_contacts_fast
+from repro.mobility.fastcontact import contacts_from_trajectories
 from repro.mobility.interval import IntervalScenarioConfig, generate_interval_scenario
 from repro.mobility.rwp import ClassicRWP, RWPConfig, SubscriberPointRWP
 from repro.mobility.stats import TraceStats, compute_trace_stats
@@ -42,23 +41,13 @@ from repro.mobility.trace_file import (
     read_haggle_trace,
     write_contact_trace,
 )
-from repro.mobility.trajectory import (
-    CONTACT_ENGINES,
-    Segment,
-    SegmentColumns,
-    Trajectory,
-    contacts_from_trajectories,
-)
+from repro.mobility.trajectory import SegmentColumns
 
 __all__ = [
     "Contact",
     "ContactTrace",
-    "CONTACT_ENGINES",
-    "Segment",
     "SegmentColumns",
-    "Trajectory",
     "contacts_from_trajectories",
-    "extract_contacts_fast",
     "CampusTraceConfig",
     "CampusTraceGenerator",
     "ClassicRWP",

@@ -9,6 +9,7 @@ simulation core consumes one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING, Any, TypeVar
@@ -27,7 +28,8 @@ class Contact:
 
     Attributes:
         start: Encounter begin time (inclusive), seconds.
-        end: Encounter end time (exclusive), seconds; must exceed ``start``.
+        end: Encounter end time (exclusive), seconds; finite and greater
+            than ``start``.
         a: Lower node id.
         b: Higher node id.
     """
@@ -45,9 +47,9 @@ class Contact:
             lo, hi = self.b, self.a
             object.__setattr__(self, "a", lo)
             object.__setattr__(self, "b", hi)
-        if not (self.end > self.start >= 0.0):
+        if not (math.inf > self.end > self.start >= 0.0):
             raise ValueError(
-                f"contact requires 0 <= start < end, got [{self.start}, {self.end})"
+                f"contact requires finite 0 <= start < end, got [{self.start}, {self.end})"
             )
 
     @property
@@ -60,26 +62,6 @@ class Contact:
         """Normalised ``(a, b)`` node pair."""
         return (self.a, self.b)
 
-    def involves(self, node: int) -> bool:
-        """True if ``node`` participates in this contact."""
-        return node == self.a or node == self.b
-
-    def peer_of(self, node: int) -> int:
-        """Return the other participant.
-
-        Raises:
-            ValueError: if ``node`` is not a participant.
-        """
-        if node == self.a:
-            return self.b
-        if node == self.b:
-            return self.a
-        raise ValueError(f"node {node} is not part of contact {self}")
-
-    def overlaps(self, other: Contact) -> bool:
-        """True if the two contacts' time windows intersect."""
-        return self.start < other.end and other.start < self.end
-
 
 @dataclass
 class ContactTrace:
@@ -88,9 +70,9 @@ class ContactTrace:
     Args:
         contacts: Encounters; sorted on construction.
         num_nodes: Population size. Node ids must lie in ``[0, num_nodes)``.
-        horizon: End of observation. Defaults to the last contact end. A
-            simulation run that exceeds the horizon is marked *failed* (the
-            paper's rule for its 524,162 s campus trace).
+        horizon: End of observation, finite. Defaults to the last contact
+            end. A simulation run that exceeds the horizon is marked
+            *failed* (the paper's rule for its 524,162 s campus trace).
         name: Optional label used in reports.
 
     A trace assembled by :meth:`from_arrays` holds only its columns until
@@ -102,12 +84,6 @@ class ContactTrace:
     num_nodes: int
     horizon: float | None = None
     name: str = ""
-    _by_node: dict[int, list[Contact]] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    _by_pair: dict[tuple[int, int], list[Contact]] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
     _arrays: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -124,6 +100,8 @@ class ContactTrace:
         last_end = max((c.end for c in self.contacts), default=0.0)
         if self.horizon is None:
             self.horizon = last_end
+        elif not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon}")
         elif self.horizon < last_end:
             raise ValueError(
                 f"horizon {self.horizon} precedes last contact end {last_end}"
@@ -158,50 +136,6 @@ class ContactTrace:
 
     # -------------------------------------------------------------- queries
 
-    def nodes(self) -> list[int]:
-        """All node ids in the population (0..num_nodes-1)."""
-        return list(range(self.num_nodes))
-
-    def active_nodes(self) -> set[int]:
-        """Node ids that appear in at least one contact."""
-        out: set[int] = set()
-        for c in self.contacts:
-            out.add(c.a)
-            out.add(c.b)
-        return out
-
-    def _node_index(self) -> dict[int, list[Contact]]:
-        """Per-node contact lists, built lazily on first query."""
-        if self._by_node is None:
-            idx: dict[int, list[Contact]] = {}
-            for c in self.contacts:  # self.contacts is time-sorted
-                idx.setdefault(c.a, []).append(c)
-                idx.setdefault(c.b, []).append(c)
-            self._by_node = idx
-        return self._by_node
-
-    def _pair_index(self) -> dict[tuple[int, int], list[Contact]]:
-        """Per-pair contact lists, built lazily on first query."""
-        if self._by_pair is None:
-            idx: dict[tuple[int, int], list[Contact]] = {}
-            for c in self.contacts:
-                idx.setdefault(c.pair, []).append(c)
-            self._by_pair = idx
-        return self._by_pair
-
-    def contacts_of(self, node: int) -> list[Contact]:
-        """All contacts involving ``node``, in time order.
-
-        O(k) per call after a one-off lazy index build (the contact list
-        is immutable once the trace is constructed).
-        """
-        return list(self._node_index().get(node, ()))
-
-    def contacts_between(self, a: int, b: int) -> list[Contact]:
-        """All contacts between the (unordered) pair ``{a, b}``, in time
-        order. O(k) per call after a one-off lazy index build."""
-        return list(self._pair_index().get(pair_key(a, b), ()))
-
     def contact_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The trace as columnar NumPy arrays ``(starts, ends, a, b)``.
 
@@ -231,49 +165,6 @@ class ContactTrace:
                 b[i] = c.b
             self._arrays = _frozen((starts, ends, a, b))
         return self._arrays
-
-    def first_contact_at_or_after(self, t: float) -> Contact | None:
-        """Earliest contact with ``start >= t``, or None."""
-        import numpy as np
-
-        i = int(np.searchsorted(self.contact_arrays()[0], t, side="left"))
-        return self.contacts[i] if i < len(self) else None
-
-    def window(self, t0: float, t1: float, *, clip: bool = False) -> ContactTrace:
-        """Sub-trace over ``[t0, t1)``, re-based to start at 0.
-
-        Args:
-            t0: Window start (inclusive).
-            t1: Window end (exclusive); must exceed ``t0``.
-            clip: How to treat contacts that straddle a window edge.
-                False (default): drop them — only contacts fully contained
-                in the window survive, so a long encounter spanning the cut
-                vanishes entirely. True: truncate them to the overlapping
-                portion instead, which conserves in-window contact time
-                (the windows of a partition sum to the original trace's
-                total contact time).
-        """
-        if not t1 > t0:
-            raise ValueError("window requires t1 > t0")
-        if clip:
-            sub = [
-                Contact(max(c.start, t0) - t0, min(c.end, t1) - t0, c.a, c.b)
-                for c in self.contacts
-                if min(c.end, t1) > max(c.start, t0)
-            ]
-        else:
-            sub = [
-                Contact(c.start - t0, c.end - t0, c.a, c.b)
-                for c in self.contacts
-                if c.start >= t0 and c.end <= t1
-            ]
-        return ContactTrace(
-            sub, self.num_nodes, horizon=t1 - t0, name=f"{self.name}[{t0},{t1})"
-        )
-
-    def total_contact_time(self) -> float:
-        """Sum of all encounter durations."""
-        return sum(c.duration for c in self.contacts)
 
     # ------------------------------------------------------------- assembly
 
@@ -310,9 +201,9 @@ class ContactTrace:
 
         The columns are copied into the trace's :meth:`contact_arrays`
         cache and checked vectorially for what ``__post_init__`` checks
-        per contact: ``0 <= start < end``, ``a < b`` with both ids in
-        ``[0, num_nodes)``, ``(start, end, a, b)`` order, and a horizon
-        that does not precede the last contact end. :class:`Contact`
+        per contact: finite ``0 <= start < end``, ``a < b`` with both ids
+        in ``[0, num_nodes)``, ``(start, end, a, b)`` order, and a finite
+        horizon that does not precede the last contact end. :class:`Contact`
         objects are created only when something first reads
         :attr:`contacts`, iterates or indexes the trace.
 
@@ -330,8 +221,8 @@ class ContactTrace:
         s, e, lo, hi = cols
         if any(c.ndim != 1 or len(c) != len(s) for c in cols):
             raise ValueError("contact columns must be 1-D and of equal length")
-        if not np.all((s >= 0.0) & (e > s)):
-            raise ValueError("every contact requires 0 <= start < end")
+        if not np.all((s >= 0.0) & (e > s) & (e < math.inf)):
+            raise ValueError("every contact requires finite 0 <= start < end")
         if not np.all(lo < hi):
             raise ValueError("node columns must satisfy a < b")
         if len(s) and (lo.min() < 0 or hi.max() >= num_nodes):
@@ -352,18 +243,6 @@ class ContactTrace:
         del trace.contacts  # rebuilt from the columns on first read
         trace._arrays = _frozen(cols)
         return trace
-
-    def merged_with(self, other: ContactTrace) -> ContactTrace:
-        """Union of two traces over the same population."""
-        if other.num_nodes != self.num_nodes:
-            raise ValueError("cannot merge traces with different populations")
-        assert self.horizon is not None and other.horizon is not None
-        return ContactTrace(
-            self.contacts + other.contacts,
-            self.num_nodes,
-            horizon=max(self.horizon, other.horizon),
-            name=self.name or other.name,
-        )
 
     def coalesced(self) -> ContactTrace:
         """Merge overlapping/touching contacts of the same pair into one.
@@ -444,18 +323,3 @@ def zero_transfer_mask(
         per_node = np.asarray(bundle_tx_time, dtype=np.float64)
         tx = np.maximum(per_node[a], per_node[b])
     return (ends - starts) / tx < 1.0
-
-
-def pair_key(a: int, b: int) -> tuple[int, int]:
-    """Normalised unordered pair key."""
-    return (a, b) if a < b else (b, a)
-
-
-def all_pairs(num_nodes: int) -> list[tuple[int, int]]:
-    """All unordered node pairs of a population."""
-    return [(i, j) for i in range(num_nodes) for j in range(i + 1, num_nodes)]
-
-
-def contacts_sorted(contacts: Sequence[Contact]) -> bool:
-    """True if ``contacts`` is sorted by (start, end, a, b)."""
-    return all(x <= y for x, y in zip(contacts, contacts[1:], strict=False))

@@ -1,11 +1,9 @@
-"""Vectorized large-population contact extraction.
+"""Contact extraction: segment columns in, a columnar contact trace out.
 
-:func:`repro.mobility.trajectory.contacts_from_trajectories` historically
-solved the below-range quadratic once per overlapping segment pair in pure
-Python — an O(n²·segments) sweep that caps populations at a few dozen nodes.
-This module is the scalable engine behind its default ``engine="fast"`` path.
-It works on :class:`~repro.mobility.trajectory.SegmentColumns` (every segment
-of every node as flat NumPy columns) from start to finish:
+:func:`contacts_from_trajectories` finds every maximal window in which two
+nodes are within radio range. It works on
+:class:`~repro.mobility.trajectory.SegmentColumns` (every segment of every
+node as flat NumPy columns) from start to finish:
 
 1. **Broad phase, one block at a time** — segments are split into
    *pieces* of bounded displacement, hashed into a uniform spatial grid
@@ -21,20 +19,20 @@ of every node as flat NumPy columns) from start to finish:
    block's piece pairs are reduced to distinct cross-node segment pairs
    and handed on before the next block is joined, so memory holds one
    block's candidates at a time, never the whole population's.
-2. **Narrow phase** — each block's segment pairs go through the
-   below-range quadratic in batched NumPy, replicating the scalar
-   arithmetic of :func:`~repro.mobility.trajectory._window_below_range`
-   operation-for-operation. Because IEEE-754 addition, multiplication,
-   division and square root are correctly rounded in both scalar Python
-   and NumPy float64, the produced windows are *bit-identical* to the
-   ``engine="exact"`` reference, not merely close. Only the windows
-   outlive a block. A segment pair met in two blocks gives the same
-   window twice, and the fold absorbs the copy.
+2. **Narrow phase** — on each overlapping segment pair the squared
+   distance is a quadratic in time, and the below-range window comes from
+   its roots, solved for a block's pairs in batched NumPy. The arithmetic
+   is that of the scalar per-pair extractor kept as the tests' oracle
+   (``window_below_range`` in ``tests/oracles/scalar_contacts.py``),
+   operation for operation. IEEE-754 addition, multiplication, division
+   and square root are correctly rounded in both scalar Python and NumPy
+   float64, so the windows are *bit-identical* to the oracle's, not merely
+   close. Only the windows outlive a block. A segment pair met in two
+   blocks gives the same window twice, and the fold absorbs the copy.
 3. **Fold** — each pair's windows are merged, capped and filtered by an
    array fold (:func:`_fold_windows`) that makes the same comparisons and
-   float operations as the scalar
-   :func:`~repro.mobility.trajectory._merge_windows` path, and the columns
-   go straight into :meth:`ContactTrace.from_arrays
+   float operations as the oracle's ``merge_windows``, and the columns go
+   straight into :meth:`ContactTrace.from_arrays
    <repro.mobility.contact.ContactTrace.from_arrays>`. No
    :class:`~repro.mobility.contact.Contact` object is created until
    something reads the trace's contact list.
@@ -50,12 +48,10 @@ from repro.mobility.contact import ContactTrace
 from repro.mobility.trajectory import SegmentColumns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from collections.abc import Iterator, Sequence
+    from collections.abc import Iterator
     from typing import Any
 
     from numpy.typing import NDArray
-
-    from repro.mobility.trajectory import Trajectory
 
     _Ints = NDArray[np.signedinteger[Any]]
     _Floats = NDArray[np.float64]
@@ -121,8 +117,9 @@ def _sorted_pieces(
         float(max(y0.max(), y1.max()) - min(y0.min(), y1.min())),
         1e-9,
     )
-    # Piece displacement cap L; grid pitch L + comm_range (any positive L is
-    # correct — the knob trades pieces against candidate count).
+    # Piece displacement cap L; grid pitch L + comm_range. Any positive L is
+    # correct and only trades pieces against candidate count; a cell_size
+    # overrides the default (the tests show the contacts do not change).
     L = cell_size if cell_size is not None else max(2.0 * comm_range, extent / 256.0)
     cell = L + comm_range
 
@@ -252,9 +249,9 @@ def _block_pairs(
 
 
 def _segment_motion(segments: SegmentColumns) -> tuple[_Floats, ...]:
-    """Per-segment ``(duration, dx, dy, vx, vy)``, computed as
-    :class:`~repro.mobility.trajectory.Segment` computes them. Done once
-    per extraction, so a segment's many candidate pairs only gather them."""
+    """Per-segment ``(duration, dx, dy, vx, vy)``, computed as the
+    oracle's ``Segment`` computes them. Done once per extraction, so a
+    segment's many candidate pairs only gather them."""
     _, t0, t1, x0, y0, x1, y1 = segments
     duration, dx, dy = t1 - t0, x1 - x0, y1 - y0
     return duration, dx, dy, dx / duration, dy / duration
@@ -269,11 +266,10 @@ def _batched_windows(
 ) -> tuple[_Floats, _Floats, _Ints, _Ints]:
     """Narrow phase: below-range windows for candidate segment pairs.
 
-    Replicates :func:`repro.mobility.trajectory._window_below_range`
-    operation-for-operation in float64 so results are bit-identical to the
-    scalar reference. ``motion`` is :func:`_segment_motion` of
-    ``segments``. Returns ``(start, end, node_a, node_b)`` arrays with
-    ``node_a < node_b``.
+    Replicates the oracle's ``window_below_range`` operation for
+    operation in float64, so the windows are bit-identical to it.
+    ``motion`` is :func:`_segment_motion` of ``segments``. Returns
+    ``(start, end, node_a, node_b)`` arrays with ``node_a < node_b``.
     """
     node, t0, t1, x0, y0, _, _ = segments
     duration, seg_dx, seg_dy, vx, vy = motion
@@ -333,7 +329,7 @@ def _fold_windows(
 
     The array form of the scalar fold: windows sorted by
     ``(a, b, start, end)``, fused while ``start <= cur_e + gap`` (the
-    ``gap`` of :func:`~repro.mobility.trajectory._merge_windows`, 1e-9 s
+    ``gap`` of the oracle's ``merge_windows``, 1e-9 s
     for extracted contacts; :meth:`ContactTrace.coalesced
     <repro.mobility.contact.ContactTrace.coalesced>` fuses at 0), then
     each contact's end capped at ``start + contact_cap`` and contacts
@@ -391,52 +387,49 @@ def _blockwise_windows(
     return starts, ends, na, nb
 
 
-def extract_contacts_fast(
-    segments: SegmentColumns | Sequence[Trajectory],
+def contacts_from_trajectories(
+    columns: SegmentColumns,
     comm_range: float,
     *,
     contact_cap: float | None = 500.0,
     min_duration: float = 1.0,
     horizon: float | None = None,
     name: str = "",
-    cell_size: float | None = None,
 ) -> ContactTrace:
-    """Vectorized equivalent of the scalar ``engine="exact"`` extraction.
-
-    Prefer calling
-    :func:`repro.mobility.trajectory.contacts_from_trajectories` (which
-    validates inputs and dispatches here by default); this entry point
-    exposes the broad-phase tuning knob for benchmarks. The trace is
-    built from columns (:meth:`ContactTrace.from_arrays
-    <repro.mobility.contact.ContactTrace.from_arrays>`), so its
-    :class:`~repro.mobility.contact.Contact` objects exist only once
-    something reads them.
+    """Extract the full contact trace of a population.
 
     Args:
-        segments: The population as segment columns, or one trajectory
-            per node.
-        cell_size: Override the broad-phase piece displacement cap in
-            metres (grid pitch is ``cell_size + comm_range``; default
-            ``max(2 * comm_range, extent / 256)``). Any positive value
-            yields the same contacts — the knob trades hash table size
-            against candidate pair count, never correctness.
+        columns: Every node's segments, checked by
+            :meth:`SegmentColumns.validated
+            <repro.mobility.trajectory.SegmentColumns.validated>`.
+        comm_range: Radio range in metres.
+        contact_cap: Truncate each encounter to at most this many seconds
+            (the paper caps encounters at 500 s); None disables.
+        min_duration: Discard encounters shorter than this.
+        horizon: Trace horizon; defaults to the latest trajectory end.
+
+    Returns:
+        A :class:`~repro.mobility.contact.ContactTrace` over the
+        population, built from columns
+        (:meth:`~repro.mobility.contact.ContactTrace.from_arrays`).
     """
-    if not isinstance(segments, SegmentColumns):
-        segments = SegmentColumns.from_trajectories(segments)
+    if not comm_range > 0:
+        raise ValueError("comm_range must be positive")
+    columns = columns.validated()
     starts, ends, na, nb = _fold_windows(
-        *_blockwise_windows(segments, comm_range, cell_size),
+        *_blockwise_windows(columns, comm_range, None),
         contact_cap=contact_cap,
         min_duration=min_duration,
     )
     if horizon is None:
-        horizon = segments.end_time
+        horizon = columns.end_time
     horizon = max(horizon, float(ends.max()) if ends.size else 0.0)
     return ContactTrace.from_arrays(
         starts,
         ends,
         na,
         nb,
-        num_nodes=segments.num_nodes,
+        num_nodes=columns.num_nodes,
         horizon=horizon,
         name=name,
     )

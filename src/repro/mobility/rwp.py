@@ -1,11 +1,10 @@
 """Random-Way-Point mobility models.
 
-Two variants are provided, both emitting a
-:class:`~repro.mobility.contact.ContactTrace` through the geometric
-contact detector — the vectorized engine in
-:mod:`repro.mobility.fastcontact` by default, or the scalar reference in
-:mod:`repro.mobility.trajectory` via ``engine="exact"`` (identical
-output):
+Two variants are provided. Each writes its nodes' trajectories as
+:class:`~repro.mobility.trajectory.SegmentColumns`, one row per pause or
+move, and turns them into a
+:class:`~repro.mobility.contact.ContactTrace` with
+:func:`~repro.mobility.fastcontact.contacts_from_trajectories`:
 
 * :class:`SubscriberPointRWP` — the paper's modified RWP (Section IV). Nodes
   hop between at most 100 fixed *subscriber points* inside a 1 km² area,
@@ -26,13 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mobility.contact import ContactTrace
-from repro.mobility.trajectory import (
-    CONTACT_ENGINES,
-    Segment,
-    SegmentColumns,
-    Trajectory,
-    contacts_from_trajectories,
-)
+from repro.mobility.fastcontact import contacts_from_trajectories
+from repro.mobility.trajectory import SegmentColumns
 from repro.validation import require_finite, require_int
 
 
@@ -43,11 +37,6 @@ def _check_shared(config: RWPConfig | ClassicRWPConfig) -> None:
     ranges are written as ``not (valid)`` so NaN fails every check.
     """
     c = config
-    if c.engine not in CONTACT_ENGINES:
-        raise ValueError(
-            f"unknown contact engine {c.engine!r}; "
-            f"available: {', '.join(CONTACT_ENGINES)}"
-        )
     require_int("num_nodes", c.num_nodes, 2)
     for name in ("horizon", "area_side", "comm_range", "max_pause"):
         require_finite(name, getattr(c, name))
@@ -87,9 +76,6 @@ class RWPConfig:
         max_speed: Speed ceiling in m/s (paper: 10 m/s).
         max_hop_distance: Subscriber points further apart than this are not
             chosen as consecutive waypoints (paper: < 1000 m).
-        engine: Contact-extraction engine — ``"fast"`` (vectorized,
-            default) or ``"exact"`` (scalar reference); both produce
-            identical traces (see :mod:`repro.mobility.fastcontact`).
     """
 
     num_nodes: int = 12
@@ -103,7 +89,6 @@ class RWPConfig:
     max_travel_time: float = 900.0
     max_speed: float = 10.0
     max_hop_distance: float = 1_000.0
-    engine: str = "fast"
 
     def __post_init__(self) -> None:
         _check_shared(self)
@@ -163,8 +148,7 @@ class SubscriberPointRWP:
         Per node: a random start point, then alternately a pause there and
         a move to a random neighbouring point, until the horizon clips the
         last segment. Each pause or move is appended as one row of
-        ``t0, t1, x0, y0, x1, y1`` — no :class:`Segment` or
-        :class:`Trajectory` is built. The draws and their order are those
+        ``t0, t1, x0, y0, x1, y1``. The draws and their order are those
         of the per-object reference loop in
         ``tests/oracles/rwp_trajectory.py`` (``nbrs[rng.integers(len(nbrs))]``
         is the draw ``rng.choice(nbrs)`` makes, and each move's length is
@@ -215,9 +199,7 @@ class SubscriberPointRWP:
             if len(rows) == first:  # degenerate horizon: stand still
                 rows += (0.0, horizon, px[here], py[here], px[here], py[here])
             counts.append((len(rows) - first) // 6)
-        table = np.array(rows, dtype=np.float64).reshape(-1, 6).T
-        node = np.repeat(np.arange(c.num_nodes, dtype=np.int64), counts)
-        return SegmentColumns(node, *np.ascontiguousarray(table))
+        return _segment_columns(rows, counts)
 
     def generate(self) -> ContactTrace:
         """Produce the full contact trace for this configuration."""
@@ -228,21 +210,12 @@ class SubscriberPointRWP:
             contact_cap=c.contact_cap,
             horizon=c.horizon,
             name=f"rwp-subscriber(seed={self.seed})",
-            engine=c.engine,
         )
-
-    def generate_trajectories(self) -> list[Trajectory]:
-        """Expose raw trajectories (used by tests and visual inspection)."""
-        return self.generate_segments().to_trajectories()
 
 
 @dataclass(frozen=True)
 class ClassicRWPConfig:
-    """Parameters for the textbook RWP model.
-
-    ``engine`` selects the contact-extraction path exactly as in
-    :class:`RWPConfig`.
-    """
+    """Parameters for the textbook RWP model."""
 
     num_nodes: int = 12
     horizon: float = 600_000.0
@@ -252,7 +225,6 @@ class ClassicRWPConfig:
     min_speed: float = 0.5
     max_speed: float = 10.0
     max_pause: float = 120.0
-    engine: str = "fast"
 
     def __post_init__(self) -> None:
         _check_shared(self)
@@ -273,50 +245,71 @@ class ClassicRWP:
         self.config = config or ClassicRWPConfig()
         self.seed = seed
 
-    def _node_trajectory(self, node: int, rng: np.random.Generator) -> Trajectory:
-        c = self.config
-        segments: list[Segment] = []
-        t = 0.0
-        x, y = rng.uniform(0.0, c.area_side, size=2)
-        while t < c.horizon:
-            tx, ty = rng.uniform(0.0, c.area_side, size=2)
-            speed = float(rng.uniform(c.min_speed, c.max_speed))
-            dist = math.hypot(tx - x, ty - y)
-            travel = dist / speed if dist > 0 else 0.0
-            if travel > 0:
-                end = min(t + travel, c.horizon)
-                fx, fy = tx, ty
-                if end < t + travel:
-                    frac = (end - t) / travel
-                    fx = x + frac * (tx - x)
-                    fy = y + frac * (ty - y)
-                segments.append(Segment(t, end, float(x), float(y), float(fx), float(fy)))
-                t = end
-                x, y = fx, fy
-                if t >= c.horizon:
-                    break
-            pause = float(rng.uniform(0.0, c.max_pause))
-            if pause > 0:
-                end = min(t + pause, c.horizon)
-                if end > t:
-                    segments.append(Segment(t, end, float(x), float(y), float(x), float(y)))
-                    t = end
-        if not segments:
-            segments.append(Segment(0.0, c.horizon, float(x), float(y), float(x), float(y)))
-        return Trajectory(node, segments)
+    def generate_segments(self) -> SegmentColumns:
+        """Every node's trajectory as segment columns, built in one loop.
 
-    def generate(self) -> ContactTrace:
-        """Produce the contact trace."""
+        Per node: a random start, then alternately a move to a uniform
+        waypoint at a uniform speed and a pause there, until the horizon
+        clips the last segment. Each move or pause is one row of
+        ``t0, t1, x0, y0, x1, y1``; the rows equal the segments of the
+        per-object reference loop in ``tests/oracles/rwp_trajectory.py``
+        bit for bit.
+        """
         c = self.config
         rng = np.random.default_rng(
             np.random.SeedSequence([self.seed & 0xFFFFFFFF, 0xC1A5])
         )
-        trajectories = [self._node_trajectory(i, rng) for i in range(c.num_nodes)]
+        horizon, area_side, max_pause = c.horizon, c.area_side, c.max_pause
+        uniform = rng.uniform
+        rows: list[float] = []  # t0, t1, x0, y0, x1, y1 per segment
+        counts: list[int] = []
+        for _ in range(c.num_nodes):
+            first = len(rows)
+            t = 0.0
+            x, y = uniform(0.0, area_side, size=2).tolist()
+            while t < horizon:
+                tx, ty = uniform(0.0, area_side, size=2).tolist()
+                speed = float(uniform(c.min_speed, c.max_speed))
+                dist = math.hypot(tx - x, ty - y)
+                travel = dist / speed if dist > 0 else 0.0
+                if travel > 0:
+                    end = min(t + travel, horizon)
+                    fx, fy = tx, ty
+                    if end < t + travel:  # clipped at horizon: interpolate endpoint
+                        frac = (end - t) / travel
+                        fx = x + frac * (tx - x)
+                        fy = y + frac * (ty - y)
+                    rows += (t, end, x, y, fx, fy)
+                    t = end
+                    x, y = fx, fy
+                    if t >= horizon:
+                        break
+                pause = float(uniform(0.0, max_pause))
+                if pause > 0:
+                    end = min(t + pause, horizon)
+                    if end > t:
+                        rows += (t, end, x, y, x, y)
+                        t = end
+            if len(rows) == first:  # degenerate horizon: stand still
+                rows += (0.0, horizon, x, y, x, y)
+            counts.append((len(rows) - first) // 6)
+        return _segment_columns(rows, counts)
+
+    def generate(self) -> ContactTrace:
+        """Produce the contact trace."""
+        c = self.config
         return contacts_from_trajectories(
-            trajectories,
+            self.generate_segments(),
             c.comm_range,
             contact_cap=c.contact_cap,
             horizon=c.horizon,
             name=f"rwp-classic(seed={self.seed})",
-            engine=c.engine,
         )
+
+
+def _segment_columns(rows: list[float], counts: list[int]) -> SegmentColumns:
+    """Segment columns from flat ``t0, t1, x0, y0, x1, y1`` rows, node
+    ``k`` owning the next ``counts[k]`` of them."""
+    table = np.array(rows, dtype=np.float64).reshape(-1, 6).T
+    node = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    return SegmentColumns(node, *np.ascontiguousarray(table))

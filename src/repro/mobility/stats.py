@@ -144,19 +144,3 @@ def compute_trace_stats(trace: ContactTrace) -> TraceStats:
         pair_coverage=len(pairs) / total_pairs if total_pairs else 0.0,
         contact_time_fraction=contact_time_fraction,
     )
-
-
-def heavy_tail_index(values: list[float]) -> float:
-    """Crude tail-weight indicator: p90 / median.
-
-    Exponential samples give ≈ 3.3; heavy-tailed (log-normal σ≳1) samples
-    give substantially more. Used by calibration tests, not by the
-    simulation itself.
-    """
-    if not values:
-        return math.nan
-    arr = np.asarray(values, dtype=float)
-    med = float(np.median(arr))
-    if med <= 0:
-        return math.inf
-    return float(np.percentile(arr, 90)) / med

@@ -20,7 +20,6 @@ Two formats are supported:
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import TextIO
 
@@ -84,6 +83,7 @@ def read_contact_trace(source: str | Path | TextIO) -> ContactTrace:
         horizon: float | None = None
         name = ""
         contacts: list[Contact] = []
+        seen: dict[str, int] = {}  # directive -> its line
         first = stream.readline()
         if first.strip() != _MAGIC:
             raise TraceFormatError(
@@ -98,21 +98,27 @@ def read_contact_trace(source: str | Path | TextIO) -> ContactTrace:
                     name = line[len("# name:") :].strip()
                 continue
             fields = line.split()
-            if fields[0] == "nodes":
+            if fields[0] in ("nodes", "horizon"):
+                directive = fields[0]
                 if len(fields) != 2:
-                    raise TraceFormatError("nodes directive takes one value", line_no=line_no)
+                    raise TraceFormatError(
+                        f"{directive} directive takes one value", line_no=line_no
+                    )
+                if directive in seen:
+                    raise TraceFormatError(
+                        f"repeated {directive} directive (first on line {seen[directive]})",
+                        line_no=line_no,
+                    )
+                seen[directive] = line_no
                 try:
-                    num_nodes = int(fields[1])
+                    if directive == "nodes":
+                        num_nodes = int(fields[1])
+                    else:
+                        horizon = float(fields[1])
                 except ValueError as exc:
-                    raise TraceFormatError(f"bad node count {fields[1]!r}", line_no=line_no) from exc
-                continue
-            if fields[0] == "horizon":
-                if len(fields) != 2:
-                    raise TraceFormatError("horizon directive takes one value", line_no=line_no)
-                try:
-                    horizon = float(fields[1])
-                except ValueError as exc:
-                    raise TraceFormatError(f"bad horizon {fields[1]!r}", line_no=line_no) from exc
+                    raise TraceFormatError(
+                        f"bad {directive} value {fields[1]!r}", line_no=line_no
+                    ) from exc
                 continue
             if len(fields) != 4:
                 raise TraceFormatError(
@@ -161,7 +167,7 @@ def read_haggle_trace(
     """
     stream, close = _open_text(source)
     try:
-        rows: list[tuple[int, int, float, float]] = []
+        contacts: list[Contact] = []
         for line_no, raw in enumerate(stream, start=1):
             line = raw.strip()
             if not line or line.startswith(("#", "%", "//")):
@@ -185,16 +191,18 @@ def read_haggle_trace(
                 # Haggle listings occasionally contain zero-length sightings;
                 # they carry no exchange opportunity, so drop them.
                 continue
-            rows.append((a, b, start, end))
-        if not rows:
+            try:
+                contacts.append(Contact(start=start, end=end, a=a, b=b))
+            except ValueError as exc:
+                raise TraceFormatError(str(exc), line_no=line_no) from exc
+        if not contacts:
             raise TraceFormatError("trace contains no usable contacts")
-        inferred = max(max(a, b) for a, b, _, _ in rows) + 1
+        inferred = max(c.b for c in contacts) + 1
         n = num_nodes if num_nodes is not None else inferred
         if n < inferred:
             raise TraceFormatError(
                 f"num_nodes={n} but records reference node {inferred - 1}"
             )
-        contacts = [Contact(start=s, end=e, a=a, b=b) for a, b, s, e in rows]
         try:
             return ContactTrace(contacts, n, horizon=horizon, name=name)
         except ValueError as exc:
@@ -202,18 +210,6 @@ def read_haggle_trace(
     finally:
         if close:
             stream.close()
-
-
-def trace_to_string(trace: ContactTrace) -> str:
-    """Serialise a trace to a canonical-format string."""
-    buf = io.StringIO()
-    write_contact_trace(trace, buf)
-    return buf.getvalue()
-
-
-def trace_from_string(text: str) -> ContactTrace:
-    """Parse a canonical-format string."""
-    return read_contact_trace(io.StringIO(text))
 
 
 def write_haggle_trace(

@@ -8,7 +8,6 @@ import pytest
 from repro.analytic.epidemic_ode import (
     delivery_cdf,
     direct_mean_delay,
-    epidemic_speedup,
     infected_count_markov,
     infected_fraction,
     mean_delivery_delay,
@@ -91,7 +90,9 @@ class TestDeliveryDelay:
 
     def test_direct_delay_and_speedup(self):
         assert direct_mean_delay(1e-5) == pytest.approx(1e5)
-        assert epidemic_speedup(12) == pytest.approx(11 / math.log(12))
+        # the speedup of relaying over waiting is (N − 1) / ln N
+        speedup = direct_mean_delay(1e-5) / mean_delivery_delay(12, 1e-5)
+        assert speedup == pytest.approx(11 / math.log(12))
         # epidemic relaying is faster than direct transmission
         assert mean_delivery_delay(12, 1e-5) < direct_mean_delay(1e-5)
 
@@ -100,5 +101,3 @@ class TestDeliveryDelay:
             mean_delivery_delay(1, 1e-5)
         with pytest.raises(ValueError):
             direct_mean_delay(0.0)
-        with pytest.raises(ValueError):
-            epidemic_speedup(1)

@@ -17,7 +17,7 @@ class TestCapacity:
         store.add(stored(1))
         store.add(stored(2))
         assert store.is_full
-        assert store.free_slots == 0
+        assert len(store) == store.capacity
         with pytest.raises(BufferFullError):
             store.add(stored(3))
 
@@ -27,17 +27,12 @@ class TestCapacity:
         with pytest.raises(ValueError):
             store.add(stored(1))
 
-    def test_fill_fraction(self):
-        store = RelayStore(4)
-        store.add(stored(1))
-        assert store.fill_fraction == 0.25
-
     def test_remove_frees_slot(self):
         store = RelayStore(1)
         sb = stored(1)
         store.add(sb)
         assert store.remove(sb.bid) is sb
-        assert store.free_slots == 1
+        assert len(store) == 0 and not store.is_full
         with pytest.raises(KeyError):
             store.remove(sb.bid)
 

@@ -40,13 +40,13 @@ class TestStoredBundle:
     def test_no_expiry_by_default(self):
         sb = self._sb()
         assert not sb.is_expired(1e12)
-        assert sb.remaining_ttl(0.0) == math.inf
+        assert sb.expiry == math.inf
 
     def test_expiry_boundary_inclusive(self):
         sb = self._sb(expiry=100.0)
         assert not sb.is_expired(99.9)
         assert sb.is_expired(100.0)
-        assert sb.remaining_ttl(40.0) == 60.0
+        assert sb.expiry == 100.0
 
     def test_bid_shortcut(self):
         assert self._sb().bid == BundleId(0, 1)

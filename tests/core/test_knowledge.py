@@ -217,7 +217,7 @@ class TestProtocolDelegation:
         node, _ = make_node(1, protocol="immunity")
         assert isinstance(node.protocol.knowledge, KnowledgeStore)
         node.protocol.learn_delivered({bid(1), bid(2)}, now=0.0)
-        assert node.protocol.known_delivered == frozenset({bid(1), bid(2)})
+        assert node.protocol.knowledge.snapshot == frozenset({bid(1), bid(2)})
         assert node.protocol.knows_delivered(bid(1))
         assert node.protocol.knowledge.epoch == 1
 

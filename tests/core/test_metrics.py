@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.bundle import BundleId
 from repro.core.metrics import MetricsCollector, TimeWeightedAccumulator
+from tests.helpers import copy_count
 
 
 class TestTimeWeightedAccumulator:
@@ -61,7 +62,6 @@ class TestOccupancyMetric:
         m = MetricsCollector(num_nodes=2, buffer_capacity=10)
         m.on_control_storage_delta(+5.0, 0.0)
         assert m.mean_buffer_occupancy(10.0) == pytest.approx(5 / 20)
-        assert m.mean_control_storage(10.0) == pytest.approx(5 / 20)
 
 
 class TestDuplicationMetric:
@@ -112,9 +112,9 @@ class TestDuplicationMetric:
 
     def test_copy_count_query(self):
         m = MetricsCollector(2, 10)
-        assert m.copy_count(self._bid()) == 0
+        assert copy_count(m, self._bid()) == 0
         m.on_bundle_born(self._bid(), 0.0)
-        assert m.copy_count(self._bid()) == 1
+        assert copy_count(m, self._bid()) == 1
 
     def test_empty_collector_zero(self):
         assert MetricsCollector(2, 10).mean_duplication_rate(10.0) == 0.0
@@ -150,7 +150,8 @@ class TestDeliveryAndCounters:
         m.on_control_units("anti_packet", 3)
         m.on_control_units("immunity_table", 5)
         m.on_control_units("summary_vector", 1)
-        assert m.signaling.protocol_specific == 8
+        assert (m.signaling.anti_packet, m.signaling.immunity_table) == (3, 5)
+        assert m.signaling.summary_vector == 1
         with pytest.raises(ValueError):
             m.on_control_units("bogus", 1)
 

@@ -53,7 +53,7 @@ class TestNodeStores:
         assert sb.is_origin
         assert node.has_copy(b.bid)
         assert node.get_copy(b.bid) is sb
-        assert node.live_copy_count() == 1
+        assert node.sendable() == [sb]
 
     def test_add_origin_validates_source(self):
         node = Node(0, buffer_capacity=4)

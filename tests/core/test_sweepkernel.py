@@ -32,7 +32,7 @@ from repro.des.rng import derive_seed
 from repro.faults import FaultSpec
 from repro.mobility.contact import Contact, ContactTrace
 from repro.mobility.rwp import RWPConfig, SubscriberPointRWP
-from repro.mobility.trajectory import contacts_from_trajectories
+from repro.mobility.fastcontact import contacts_from_trajectories
 from repro.scenarios.spec import MobilitySpec, ProtocolSpec, ScenarioSpec
 
 #: Every encounter-inert protocol the kernel accepts, with constructor
@@ -65,9 +65,8 @@ REACTIVE_PROTOCOLS = [
 def _rwp(num_nodes: int, seed: int) -> ContactTrace:
     """A subscriber-point RWP trace over 20,000 s."""
     cfg = RWPConfig(num_nodes=num_nodes, horizon=20_000.0)
-    trajectories = SubscriberPointRWP(cfg, seed=seed).generate_trajectories()
     return contacts_from_trajectories(
-        trajectories,
+        SubscriberPointRWP(cfg, seed=seed).generate_segments(),
         cfg.comm_range,
         contact_cap=cfg.contact_cap,
         horizon=cfg.horizon,

@@ -1,5 +1,7 @@
 """Campaign trace store: columnar traces, loads instead of rebuilds, loud failures."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,10 @@ class TestFromArrays:
             ([(1.0, 2.0, 1, 2), (1.0, 2.0, 0, 2)], 3, 10.0, "order"),
             ([(1.0, 2.0, 0, 2), (1.0, 2.0, 0, 1)], 3, 10.0, "order"),
             ([(1.0, 20.0, 0, 1)], 3, 10.0, "horizon"),
+            ([(1.0, math.inf, 0, 1)], 3, 10.0, "start < end"),
+            ([(math.nan, 2.0, 0, 1)], 3, 10.0, "start < end"),
+            ([(1.0, 2.0, 0, 1)], 3, math.nan, "horizon must be finite"),
+            ([(1.0, 2.0, 0, 1)], 3, math.inf, "horizon must be finite"),
         ],
     )
     def test_broken_invariant_rejected(self, rows, num_nodes, horizon, match):

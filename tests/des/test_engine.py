@@ -110,8 +110,8 @@ class TestStreamRule:
         eng = Engine()
         log = []
         eng.at(5.0, log.append, "pre-run")
-        eng.run(times=[5.0], action=log.append, args=["item"])
-        assert log == ["pre-run", "item"]
+        eng.run(times=[5.0], action=log.append)
+        assert log == ["pre-run", 0]
 
     def test_event_pushed_during_the_run_fires_after_a_stream_item(self):
         # a transfer completion landing exactly on the next contact start

@@ -72,8 +72,8 @@ class TestCancellation:
         eng = _logged()
         dead = eng.at(1.0, eng.log.append, "dead")
         eng.cancel(dead)
-        eng.run(times=[1.0], action=eng.log.append, args=["item"])
-        assert eng.log == ["item"]
+        eng.run(times=[1.0], action=eng.log.append)
+        assert eng.log == [0]
         assert eng.dead == 0 and eng.heap == []
 
     def test_compaction_keeps_live_events(self):
@@ -190,7 +190,8 @@ class TestScheduleSorted:
         eng = _logged()
         eng.at(2.5, eng.log.append, 2.5)
         eng.at(0.5, eng.log.append, 0.5)
-        eng.run(times=[1.0, 2.0, 3.0], action=eng.log.append, args=[1.0, 2.0, 3.0])
+        times = [1.0, 2.0, 3.0]
+        eng.run(times=times, action=lambda k: eng.log.append(times[k]))
         assert eng.log == [0.5, 1.0, 2.0, 2.5, 3.0]
 
     def test_equal_times_keep_insertion_order(self):
@@ -210,9 +211,10 @@ class TestScheduleSorted:
             Engine().run(times=[float("nan")], action=lambda k: None)
 
     def test_bulk_events_carry_args(self):
+        # each stream item's action receives the item's index
         eng = _logged()
-        eng.run(times=[0.0, 1.0], action=eng.log.append, args=["x", "y"])
-        assert eng.log == ["x", "y"]
+        eng.run(times=[0.0, 1.0, 1.0], action=eng.log.append)
+        assert eng.log == [0, 1, 2]
 
     def test_empty_iterable_is_noop(self):
         eng = Engine()

@@ -8,11 +8,13 @@ tests that need to poke a hook in isolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.bundle import NO_EXPIRY, Bundle, BundleId, StoredBundle
+from repro.core.metrics import MetricsCollector
 from repro.core.node import Node
 from repro.core.policies import make_drop_policy
 from repro.core.protocols.registry import ProtocolConfig, make_protocol_config
@@ -155,6 +157,27 @@ def stored(
         ec=ec,
         is_origin=is_origin,
     )
+
+
+def copy_count(metrics: MetricsCollector, bid: BundleId) -> int:
+    """The number of nodes the duplication metric counts as holding ``bid``."""
+    track = metrics._copies.get(bid)
+    return track.count if track is not None else 0
+
+
+def heavy_tail_index(values: list[float]) -> float:
+    """Crude tail-weight indicator: p90 / median.
+
+    Exponential samples give ≈ 3.3; heavy-tailed (log-normal σ≳1) samples
+    give substantially more.
+    """
+    if not values:
+        return math.nan
+    arr = np.asarray(values, dtype=float)
+    med = float(np.median(arr))
+    if med <= 0:
+        return math.inf
+    return float(np.percentile(arr, 90)) / med
 
 
 #: A simple 4-node relay chain: 0 meets 1, then 1 meets 2, then 2 meets 3.

@@ -1,4 +1,5 @@
-"""Vectorized contact extraction: equivalence with the exact scalar engine."""
+"""Vectorized contact extraction: bit-identity with the scalar oracle
+(``tests/oracles/scalar_contacts.py``)."""
 
 import functools
 import math
@@ -14,9 +15,10 @@ from repro.core.simulation import Simulation
 from repro.core.workload import Flow
 from repro.mobility import fastcontact
 from repro.mobility.fastcontact import (
+    _blockwise_windows,
     _candidate_segment_pairs,
     _fold_windows,
-    extract_contacts_fast,
+    contacts_from_trajectories,
 )
 from repro.mobility.rwp import (
     ClassicRWP,
@@ -24,14 +26,14 @@ from repro.mobility.rwp import (
     RWPConfig,
     SubscriberPointRWP,
 )
-from repro.mobility.trajectory import (
-    CONTACT_ENGINES,
+from tests.oracles.rwp_trajectory import ReferenceClassicRWP, ReferenceSubscriberPointRWP
+from tests.oracles.scalar_contacts import (
     Segment,
     Trajectory,
-    _merge_windows,
-    contacts_from_trajectories,
+    columns_from_trajectories,
+    exact_contacts,
+    merge_windows,
 )
-from repro.scenarios import MobilitySpec
 
 
 def _pause(t0, t1, x, y):
@@ -42,12 +44,29 @@ def rows(trace):
     return [(c.start, c.end, c.a, c.b) for c in trace]
 
 
-def both_engines(trajectories, comm_range, **kwargs):
-    exact = contacts_from_trajectories(
-        trajectories, comm_range, engine="exact", **kwargs
+def fast_contacts(trajectories, comm_range, **kwargs):
+    """The vectorized extractor on the trajectories' segment columns."""
+    return contacts_from_trajectories(
+        columns_from_trajectories(trajectories), comm_range, **kwargs
     )
-    fast = contacts_from_trajectories(trajectories, comm_range, engine="fast", **kwargs)
-    return exact, fast
+
+
+def both_engines(trajectories, comm_range, **kwargs):
+    """The scalar oracle's trace and the vectorized extractor's."""
+    exact = exact_contacts(trajectories, comm_range, **kwargs)
+    return exact, fast_contacts(trajectories, comm_range, **kwargs)
+
+
+def oracle_trace(reference, config, name=""):
+    """The scalar oracle's trace of a reference generator's trajectories,
+    with the arguments the production ``generate()`` passes."""
+    return exact_contacts(
+        reference.generate_trajectories(),
+        config.comm_range,
+        contact_cap=config.contact_cap,
+        horizon=config.horizon,
+        name=name,
+    )
 
 
 def assert_equivalent(exact, fast, *, tolerance=1e-6):
@@ -68,25 +87,19 @@ def assert_same_columns(a, b):
 
 
 class TestEngineDispatch:
-    def test_unknown_engine_rejected(self):
-        t = [Trajectory(0, [_pause(0, 10, 0, 0)]), Trajectory(1, [_pause(0, 10, 1, 0)])]
-        with pytest.raises(ValueError, match="unknown contact engine"):
-            contacts_from_trajectories(t, 5.0, engine="sampling")
-
-    def test_engines_tuple_stable(self):
-        assert CONTACT_ENGINES == ("fast", "exact")
+    """The vectorized extractor and the oracle refuse the same inputs."""
 
     def test_bad_comm_range_rejected_by_both(self):
         t = [Trajectory(0, [_pause(0, 10, 0, 0)]), Trajectory(1, [_pause(0, 10, 1, 0)])]
-        for engine in CONTACT_ENGINES:
+        for extract in (exact_contacts, fast_contacts):
             with pytest.raises(ValueError, match="comm_range"):
-                contacts_from_trajectories(t, 0.0, engine=engine)
+                extract(t, 0.0)
 
     def test_bad_node_ids_rejected_by_both(self):
         t = [Trajectory(0, [_pause(0, 10, 0, 0)]), Trajectory(5, [_pause(0, 10, 1, 0)])]
-        for engine in CONTACT_ENGINES:
+        for extract in (exact_contacts, fast_contacts):
             with pytest.raises(ValueError, match="node ids"):
-                contacts_from_trajectories(t, 5.0, engine=engine)
+                extract(t, 5.0)
 
 
 class TestHandcraftedEquivalence:
@@ -159,14 +172,20 @@ class TestHandcraftedEquivalence:
         assert exact.horizon == fast.horizon == 5_000.0
 
     def test_cell_size_knob_does_not_change_results(self):
+        """Any positive piece displacement cap (the broad phase's private
+        ``cell_size``) yields the same contacts."""
         cfg = RWPConfig(num_nodes=8, horizon=20_000.0)
-        trajs = SubscriberPointRWP(cfg, seed=11).generate_trajectories()
-        base = extract_contacts_fast(trajs, cfg.comm_range, horizon=cfg.horizon)
+        segments = SubscriberPointRWP(cfg, seed=11).generate_segments()
+
+        def contacts(cell_size):
+            windows = _blockwise_windows(segments, cfg.comm_range, cell_size)
+            cols = _fold_windows(*windows, contact_cap=cfg.contact_cap, min_duration=1.0)
+            return [col.tolist() for col in cols]
+
+        base = contacts(None)
+        assert len(base[0]) > 0
         for cell in (7.5, 40.0, 400.0):
-            alt = extract_contacts_fast(
-                trajs, cfg.comm_range, horizon=cfg.horizon, cell_size=cell
-            )
-            assert rows(alt) == rows(base)
+            assert contacts(cell) == base
 
 
 # ---------------------------------------------------------------------------
@@ -249,76 +268,71 @@ def gate_scale_config(num_nodes):
 
 @functools.cache
 def gate_scale_exact(num_nodes):
-    """The exact engine's trace of a gate-scale population (seed 7); it
-    does not depend on the fast engine's block size, so it is built once."""
+    """The scalar oracle's trace of a gate-scale population (seed 7); it
+    does not depend on the extractor's block size, so it is built once."""
     cfg = gate_scale_config(num_nodes)
-    return contacts_from_trajectories(
-        SubscriberPointRWP(cfg, seed=7).generate_trajectories(),
+    return exact_contacts(
+        SubscriberPointRWP(cfg, seed=7).generate_segments(),
         cfg.comm_range,
-        engine="exact",
         contact_cap=cfg.contact_cap,
         horizon=cfg.horizon,
     )
 
 
 class TestSeededRWPScenarios:
+    """Each model's ``generate()`` against the scalar oracle run on the
+    reference trajectory loop's objects (``tests/oracles/``)."""
+
     def test_subscriber_rwp_trace_equivalence(self):
-        base = dict(num_nodes=10, horizon=60_000.0)
-        exact = SubscriberPointRWP(RWPConfig(engine="exact", **base), seed=7).generate()
-        fast = SubscriberPointRWP(RWPConfig(engine="fast", **base), seed=7).generate()
+        cfg = RWPConfig(num_nodes=10, horizon=60_000.0)
+        exact = oracle_trace(ReferenceSubscriberPointRWP(cfg, seed=7), cfg)
+        fast = SubscriberPointRWP(cfg, seed=7).generate()
         assert_equivalent(exact, fast)
         assert rows(exact) == rows(fast)
 
     def test_subscriber_rwp_full_horizon_equivalence(self):
         # the paper's full 600,000 s horizon — long spans stress the
         # broad phase's time quantization
-        base = dict(num_nodes=5, horizon=600_000.0)
-        exact = SubscriberPointRWP(RWPConfig(engine="exact", **base), seed=2).generate()
-        fast = SubscriberPointRWP(RWPConfig(engine="fast", **base), seed=2).generate()
+        cfg = RWPConfig(num_nodes=5, horizon=600_000.0)
+        exact = oracle_trace(ReferenceSubscriberPointRWP(cfg, seed=2), cfg)
+        fast = SubscriberPointRWP(cfg, seed=2).generate()
         assert rows(exact) == rows(fast)
 
     def test_classic_rwp_trace_equivalence(self):
-        base = dict(num_nodes=8, horizon=30_000.0)
-        exact = ClassicRWP(ClassicRWPConfig(engine="exact", **base), seed=9).generate()
-        fast = ClassicRWP(ClassicRWPConfig(engine="fast", **base), seed=9).generate()
-        assert_equivalent(exact, fast)
-        assert rows(exact) == rows(fast)
+        # a 1 s horizon leaves one clipped move or pause per node
+        for seed, num_nodes, horizon in [(9, 8, 30_000.0), (3, 5, 1.0)]:
+            cfg = ClassicRWPConfig(num_nodes=num_nodes, horizon=horizon)
+            exact = oracle_trace(ReferenceClassicRWP(cfg, seed=seed), cfg)
+            fast = ClassicRWP(cfg, seed=seed).generate()
+            assert_equivalent(exact, fast)
+            assert_same_columns(exact, fast)
 
     def test_run_results_identical_across_engines(self):
-        base = dict(num_nodes=10, horizon=60_000.0)
-        results = {}
-        for engine in CONTACT_ENGINES:
-            trace = SubscriberPointRWP(
-                RWPConfig(engine=engine, **base), seed=7
-            ).generate()
-            flows = [Flow(flow_id=0, source=0, destination=9, num_bundles=5)]
-            results[engine] = Simulation(
-                trace, make_protocol_config("pq"), flows, seed=11
-            ).run()
-        assert results["fast"] == results["exact"]
+        cfg = RWPConfig(num_nodes=10, horizon=60_000.0)
+        flows = [Flow(flow_id=0, source=0, destination=9, num_bundles=5)]
+        results = [
+            Simulation(trace, make_protocol_config("pq"), flows, seed=11).run()
+            for trace in (
+                SubscriberPointRWP(cfg, seed=7).generate(),
+                oracle_trace(
+                    ReferenceSubscriberPointRWP(cfg, seed=7), cfg, "rwp-subscriber(seed=7)"
+                ),
+            )
+        ]
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
     @pytest.mark.parametrize("num_nodes", [12, 40, 80])
     def test_gate_scale_engines_and_cold_build_agree(self, num_nodes, block_rows, monkeypatch):
-        """Over 40,000 s, the fast extractor, the exact engine and the whole
-        cold build (``generate()``) emit the same columns, bit for bit, at
-        the module's block size and with blocks of one row, of a small
+        """Over 40,000 s, the scalar oracle and the whole cold build
+        (``generate()``) emit the same columns, bit for bit, at the
+        extractor's block size and with blocks of one row, of a small
         prime number of rows, and of more rows than the population has
         pieces (one block)."""
         if block_rows is not None:
             monkeypatch.setattr(fastcontact, "_BLOCK_ROWS", block_rows)
-        cfg = gate_scale_config(num_nodes)
-        generator = SubscriberPointRWP(cfg, seed=7)
-        fast = contacts_from_trajectories(
-            generator.generate_trajectories(),
-            cfg.comm_range,
-            engine="fast",
-            contact_cap=cfg.contact_cap,
-            horizon=cfg.horizon,
-        )
-        exact = gate_scale_exact(num_nodes)
-        assert_same_columns(exact, fast)
-        assert_same_columns(exact, generator.generate())
+        generator = SubscriberPointRWP(gate_scale_config(num_nodes), seed=7)
+        assert_same_columns(gate_scale_exact(num_nodes), generator.generate())
 
     def test_small_blocks_meet_segment_pairs_twice(self, monkeypatch):
         """The block-boundary runs above do exercise repeated windows: with
@@ -337,32 +351,20 @@ class TestSeededRWPScenarios:
         small = yielded(7)
         assert np.unique(small).size == one_block.size < small.size
 
-    def test_engine_threads_through_mobility_spec(self):
-        params = dict(num_nodes=8, horizon=30_000.0)
-        fast = MobilitySpec("rwp", {**params, "engine": "fast"}).build(seed=5)
-        exact = MobilitySpec("rwp", {**params, "engine": "exact"}).build(seed=5)
-        assert rows(fast) == rows(exact)
-
-    def test_bad_engine_rejected_in_config(self):
-        with pytest.raises(ValueError, match="unknown contact engine"):
-            RWPConfig(engine="sampled")
-        with pytest.raises(ValueError, match="unknown contact engine"):
-            ClassicRWPConfig(engine="nope")
-
 
 # ---------------------------------------------------------------------------
 # the array window fold against the scalar merge + cap + min-duration path
 
 
 def scalar_fold(windows, *, contact_cap, min_duration):
-    """Per pair: ``_merge_windows``, then the cap and the minimum duration
-    exactly as the ``engine="exact"`` path applies them; sorted rows."""
+    """Per pair: ``merge_windows``, then the cap and the minimum duration
+    exactly as the scalar oracle applies them; sorted rows."""
     by_pair = {}
     for s, e, a, b in windows:
         by_pair.setdefault((a, b), []).append((s, e))
     rows = []
     for (a, b), spans in by_pair.items():
-        for s, e in _merge_windows(spans):
+        for s, e in merge_windows(spans):
             if contact_cap is not None:
                 e = min(e, s + contact_cap)
             if e - s >= min_duration:
@@ -483,7 +485,7 @@ class TestExtractionMemory:
     PEAK_BOUND = 20_000_000
 
     def test_200_node_extraction_peak_is_bounded(self):
-        """``tracemalloc`` peak of one ``extract_contacts_fast`` call on a
+        """``tracemalloc`` peak of one ``contacts_from_trajectories`` call on a
         200-node, 20,000 s subscriber-RWP population (seed 7)."""
         cfg = RWPConfig(num_nodes=200, horizon=20_000.0)
         segments = SubscriberPointRWP(cfg, seed=7).generate_segments()
@@ -493,7 +495,7 @@ class TestExtractionMemory:
         try:
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            trace = extract_contacts_fast(
+            trace = contacts_from_trajectories(
                 segments, cfg.comm_range, contact_cap=cfg.contact_cap, horizon=cfg.horizon
             )
             _, peak = tracemalloc.get_traced_memory()

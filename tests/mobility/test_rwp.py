@@ -9,7 +9,8 @@ from repro.mobility.contact import Contact
 from repro.mobility.rwp import ClassicRWP, ClassicRWPConfig, RWPConfig, SubscriberPointRWP
 from repro.mobility.trajectory import SegmentColumns
 from repro.scenarios.spec import MobilitySpec, ProtocolSpec, ScenarioSpec, WorkloadSpec
-from tests.oracles.rwp_trajectory import ReferenceSubscriberPointRWP
+from tests.oracles.rwp_trajectory import ReferenceClassicRWP, ReferenceSubscriberPointRWP
+from tests.oracles.scalar_contacts import columns_from_trajectories, trajectories_from_columns
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +49,6 @@ class TestRWPConfigValidation:
             {"horizon": math.nan},
             {"max_pause": math.nan},
             {"max_hop_distance": math.nan},
-            {"engine": "sampled"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -89,7 +89,8 @@ class TestSubscriberPointRWP:
         assert len(quick_trace) > 0
 
     def test_trajectories_respect_speed_and_area(self, quick_cfg):
-        trajs = SubscriberPointRWP(quick_cfg, seed=3).generate_trajectories()
+        segments = SubscriberPointRWP(quick_cfg, seed=3).generate_segments()
+        trajs = trajectories_from_columns(segments)
         assert len(trajs) == quick_cfg.num_nodes
         for t in trajs:
             assert t.max_speed() <= quick_cfg.max_speed + 1e-9
@@ -101,7 +102,7 @@ class TestSubscriberPointRWP:
                     assert -1e-6 <= y <= quick_cfg.area_side + 1e-6
 
     def test_pauses_bounded(self, quick_cfg):
-        trajs = SubscriberPointRWP(quick_cfg, seed=3).generate_trajectories()
+        trajs = trajectories_from_columns(SubscriberPointRWP(quick_cfg, seed=3).generate_segments())
         for t in trajs:
             for seg in t.segments:
                 if seg.x0 == seg.x1 and seg.y0 == seg.y1:  # pause
@@ -168,7 +169,7 @@ class TestOracleIdentity:
         cfg = RWPConfig(num_nodes=num_nodes, horizon=horizon)
         got = SubscriberPointRWP(cfg, seed=seed).generate_segments()
         ref = ReferenceSubscriberPointRWP(cfg, seed=seed).generate_trajectories()
-        assert segment_bytes(got) == segment_bytes(SegmentColumns.from_trajectories(ref))
+        assert segment_bytes(got) == segment_bytes(columns_from_trajectories(ref))
 
     @pytest.mark.parametrize("max_hop_distance", [1.0, 80.0, 150.0])
     @pytest.mark.parametrize("seed", [3, 4])
@@ -182,7 +183,7 @@ class TestOracleIdentity:
         # the fallback branch is exercised: some point reaches every other
         assert any(len(c) == cfg.num_subscriber_points - 1 for c in lists)
         got = SubscriberPointRWP(cfg, seed=seed).generate_segments()
-        ref = SegmentColumns.from_trajectories(oracle.generate_trajectories())
+        ref = columns_from_trajectories(oracle.generate_trajectories())
         assert segment_bytes(got) == segment_bytes(ref)
 
     @pytest.mark.parametrize("max_speed", [0.5, 0.8])
@@ -194,7 +195,7 @@ class TestOracleIdentity:
         moves = (got.x0 != got.x1) | (got.y0 != got.y1)
         assert np.any(got.t1[moves] - got.t0[moves] > cfg.max_travel_time)
         ref = ReferenceSubscriberPointRWP(cfg, seed=6).generate_trajectories()
-        assert segment_bytes(got) == segment_bytes(SegmentColumns.from_trajectories(ref))
+        assert segment_bytes(got) == segment_bytes(columns_from_trajectories(ref))
 
     def test_short_horizon_is_one_pause_per_node(self):
         cfg = RWPConfig(num_nodes=12, horizon=0.5)
@@ -227,15 +228,29 @@ class TestOracleIdentity:
             assert int(a.choice(nbrs)) == nbrs.tolist()[b.integers(size)]
         assert a.bit_generator.state == b.bit_generator.state
 
-    def test_generate_trajectories_wraps_the_columns(self):
-        cfg = RWPConfig(num_nodes=12, horizon=20_000.0)
-        got = SubscriberPointRWP(cfg, seed=2).generate_trajectories()
-        ref = ReferenceSubscriberPointRWP(cfg, seed=2).generate_trajectories()
-        assert [t.node for t in got] == [t.node for t in ref]
-        for tg, tr in zip(got, ref, strict=True):
-            assert [
-                (s.t0, s.t1, s.x0, s.y0, s.x1, s.y1) for s in tg.segments
-            ] == [(s.t0, s.t1, s.x0, s.y0, s.x1, s.y1) for s in tr.segments]
+
+
+class TestClassicOracleIdentity:
+    """The columnar textbook-RWP generator against its per-object reference
+    loop (``tests/oracles/rwp_trajectory.py``): same random stream, same
+    segments bit for bit."""
+
+    @pytest.mark.parametrize(
+        ("seed", "num_nodes", "horizon"),
+        [
+            (9, 8, 30_000.0),
+            (1, 12, 600_000.0),  # the paper's full horizon
+            (3, 5, 1.0),  # shorter than (almost) every first move
+            (4, 20, 5_000.0),
+        ],
+    )
+    def test_segment_columns_match_oracle(self, seed, num_nodes, horizon):
+        cfg = ClassicRWPConfig(num_nodes=num_nodes, horizon=horizon)
+        got = ClassicRWP(cfg, seed=seed).generate_segments()
+        ref = ReferenceClassicRWP(cfg, seed=seed).generate_trajectories()
+        assert segment_bytes(got) == segment_bytes(columns_from_trajectories(ref))
+        assert got.num_nodes == num_nodes
+        assert got.end_time == horizon
 
 
 class TestColdPathBuildsNoContacts:

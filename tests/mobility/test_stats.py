@@ -8,10 +8,10 @@ from repro.mobility.contact import ContactTrace
 from repro.mobility.stats import (
     SeriesSummary,
     compute_trace_stats,
-    heavy_tail_index,
     per_node_gaps,
     per_pair_gaps,
 )
+from tests.helpers import heavy_tail_index
 
 
 @pytest.fixture

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.mobility.stats import compute_trace_stats, heavy_tail_index, per_pair_gaps
+from repro.mobility.stats import compute_trace_stats, per_pair_gaps
+from tests.helpers import heavy_tail_index
 from repro.mobility.synthetic import CAMPUS_HORIZON_S, CampusTraceConfig, CampusTraceGenerator
 
 

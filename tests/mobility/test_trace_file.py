@@ -9,11 +9,18 @@ from repro.mobility.trace_file import (
     TraceFormatError,
     read_contact_trace,
     read_haggle_trace,
-    trace_from_string,
-    trace_to_string,
     write_contact_trace,
     write_haggle_trace,
 )
+
+
+def trace_from_string(text):
+    """Parse a canonical-format string."""
+    return read_contact_trace(io.StringIO(text))
+
+
+#: A header with three nodes, for the record-level error cases.
+HEADER = "# repro contact trace v1\nnodes 3\n"
 
 
 @pytest.fixture
@@ -39,7 +46,9 @@ class TestCanonicalRoundTrip:
         ]
 
     def test_string_round_trip(self, trace):
-        back = trace_from_string(trace_to_string(trace))
+        buf = io.StringIO()
+        write_contact_trace(trace, buf)
+        back = trace_from_string(buf.getvalue())
         assert len(back) == 2
         assert back[0].start == 10.5  # floats preserved exactly via repr
 
@@ -64,8 +73,16 @@ class TestCanonicalErrors:
             trace_from_string("# repro contact trace v1\nnodes three\n")
 
     def test_bad_horizon(self):
-        with pytest.raises(TraceFormatError, match="horizon"):
-            trace_from_string("# repro contact trace v1\nnodes 3\nhorizon x\n")
+        for value in ["x", "nan", "inf", "-inf"]:
+            with pytest.raises(TraceFormatError, match="horizon"):
+                trace_from_string(f"{HEADER}horizon {value}\n")
+            with pytest.raises(TraceFormatError, match="horizon"):
+                trace_from_string(f"{HEADER}horizon {value}\n0 1 0.0 1.0\n")
+
+    @pytest.mark.parametrize("directive", ["nodes 3", "horizon 100"])
+    def test_repeated_directive(self, directive):
+        with pytest.raises(TraceFormatError, match=f"line 4: repeated {directive.split()[0]}"):
+            trace_from_string(f"# repro contact trace v1\nnodes 3\nhorizon 50\n{directive}\n")
 
     def test_wrong_field_count(self):
         with pytest.raises(TraceFormatError, match="4 fields|expected"):
@@ -76,8 +93,9 @@ class TestCanonicalErrors:
             trace_from_string("# repro contact trace v1\nnodes 3\n0 1 zero 1.0\n")
 
     def test_invalid_contact_window(self):
-        with pytest.raises(TraceFormatError, match="start < end"):
-            trace_from_string("# repro contact trace v1\nnodes 3\n0 1 5.0 5.0\n")
+        for record in ["0 1 5.0 5.0", "0 1 0.0 inf", "0 1 nan 5.0", "0 1 inf inf", "0 1 0.0 nan"]:
+            with pytest.raises(TraceFormatError, match="line 3: contact requires"):
+                trace_from_string(f"{HEADER}{record}\n")
 
     def test_node_out_of_range(self):
         with pytest.raises(TraceFormatError):
@@ -132,6 +150,18 @@ class TestHaggleAdapter:
     def test_negative_ids_rejected(self):
         with pytest.raises(TraceFormatError, match="negative"):
             read_haggle_trace(io.StringIO("0 2 0 10\n"))  # 1-based: 0 -> -1
+
+    @pytest.mark.parametrize(
+        ("record", "match"),
+        [
+            ("1 2 nan 5", "line 2: contact requires finite"),
+            ("1 2 0 inf", "line 2: contact requires finite"),
+            ("1 1 0 5", "line 2: self-contact for node 0"),
+        ],
+    )
+    def test_invalid_record_names_its_line(self, record, match):
+        with pytest.raises(TraceFormatError, match=match):
+            read_haggle_trace(io.StringIO(f"1 2 0 10\n{record}\n"))
 
     def test_comment_styles_skipped(self):
         src = io.StringIO("# hash\n% percent\n// slashes\n1 2 0 10\n")

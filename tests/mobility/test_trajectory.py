@@ -1,4 +1,5 @@
-"""Trajectories and exact geometric contact extraction."""
+"""Segment columns, contact extraction from them, and the scalar oracle's
+trajectory objects and per-pair windows (``tests/oracles/scalar_contacts.py``)."""
 
 import math
 
@@ -6,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mobility.trajectory import (
-    CONTACT_ENGINES,
+from repro.mobility.fastcontact import contacts_from_trajectories
+from repro.mobility.trajectory import SegmentColumns
+from tests.oracles.scalar_contacts import (
     Segment,
-    SegmentColumns,
     Trajectory,
-    contacts_from_trajectories,
+    columns_from_trajectories,
+    exact_contacts,
     pair_contact_windows,
+    trajectories_from_columns,
 )
 
 
@@ -144,6 +147,12 @@ class TestPairContactWindows:
                 assert not inside, f"t={t}: dist {dist} > {rng} but in {windows}"
 
 
+def _extract(trajectories, comm_range, **kwargs):
+    return contacts_from_trajectories(
+        columns_from_trajectories(trajectories), comm_range, **kwargs
+    )
+
+
 class TestContactsFromTrajectories:
     def _three(self):
         return [
@@ -153,31 +162,29 @@ class TestContactsFromTrajectories:
         ]
 
     def test_extracts_pairwise_contacts(self):
-        trace = contacts_from_trajectories(self._three(), comm_range=20.0, contact_cap=None)
+        trace = _extract(self._three(), comm_range=20.0, contact_cap=None)
         assert len(trace) == 1
         assert trace[0].pair == (0, 1)
         assert trace[0].duration == 1000.0
 
     def test_contact_cap_truncates(self):
-        trace = contacts_from_trajectories(self._three(), comm_range=20.0, contact_cap=500.0)
+        trace = _extract(self._three(), comm_range=20.0, contact_cap=500.0)
         assert trace[0].duration == 500.0
 
     def test_min_duration_filters(self):
         a = Trajectory(0, [_pause(0.0, 100.0, 0.0, 0.0)])
         b = Trajectory(1, [Segment(0.0, 100.0, -50.0, 0.0, 50.0, 0.0)])
-        trace = contacts_from_trajectories([a, b], comm_range=1.0, min_duration=5.0)
+        trace = _extract([a, b], comm_range=1.0, min_duration=5.0)
         assert len(trace) == 0
 
     def test_requires_dense_node_ids(self):
         a = Trajectory(0, [_pause(0.0, 1.0, 0.0, 0.0)])
         c = Trajectory(2, [_pause(0.0, 1.0, 0.0, 0.0)])
         with pytest.raises(ValueError, match="node ids"):
-            contacts_from_trajectories([a, c], comm_range=1.0)
+            _extract([a, c], comm_range=1.0)
 
     def test_horizon_override(self):
-        trace = contacts_from_trajectories(
-            self._three(), comm_range=20.0, contact_cap=None, horizon=5000.0
-        )
+        trace = _extract(self._three(), comm_range=20.0, contact_cap=None, horizon=5000.0)
         assert trace.horizon == 5000.0
 
 
@@ -201,25 +208,29 @@ TWO_NODES = [
 class TestSegmentColumns:
     def test_round_trip_through_trajectories(self):
         cols = _columns(TWO_NODES)
-        trajectories = cols.to_trajectories()
+        trajectories = trajectories_from_columns(cols)
         assert [t.node for t in trajectories] == [0, 1]
-        back = SegmentColumns.from_trajectories(trajectories)
+        back = columns_from_trajectories(trajectories)
         assert all(np.array_equal(a, b) for a, b in zip(cols, back, strict=True))
         assert cols.num_nodes == 2
         assert cols.end_time == 250.0
 
     def test_from_trajectories_orders_nodes_in_blocks(self):
-        trajectories = _columns(TWO_NODES).to_trajectories()
-        back = SegmentColumns.from_trajectories(trajectories[::-1])
+        trajectories = trajectories_from_columns(_columns(TWO_NODES))
+        back = columns_from_trajectories(trajectories[::-1])
         assert back.node.tolist() == [0, 0, 1, 1]
         assert back.validated().node.tolist() == [0, 0, 1, 1]
 
-    @pytest.mark.parametrize("engine", CONTACT_ENGINES)
-    def test_columns_extract_like_trajectories(self, engine):
+    @pytest.mark.parametrize(
+        "extract", [contacts_from_trajectories, exact_contacts], ids=["fast", "exact"]
+    )
+    def test_columns_extract_like_trajectories(self, extract):
+        """Columns, and columns rebuilt from the oracle's objects, give
+        the same trace."""
         cols = _columns(TWO_NODES)
-        from_cols = contacts_from_trajectories(cols, 10.0, min_duration=0.0, engine=engine)
-        from_objs = contacts_from_trajectories(
-            cols.to_trajectories(), 10.0, min_duration=0.0, engine=engine
+        from_cols = extract(cols, 10.0, min_duration=0.0)
+        from_objs = extract(
+            columns_from_trajectories(trajectories_from_columns(cols)), 10.0, min_duration=0.0
         )
         assert len(from_cols) > 0
         assert from_cols.contact_arrays()[0].tolist() == from_objs.contact_arrays()[0].tolist()
@@ -253,7 +264,7 @@ class TestSegmentColumns:
         rows = list(TWO_NODES)
         rows[1] = (0, 100.0 + 5e-10, 250.0, 100.0 + 5e-7, 0.0, 100.0, 0.0)
         _columns(rows).validated()
-        _columns(rows).to_trajectories()
+        trajectories_from_columns(_columns(rows))
 
     def test_rejects_malformed_columns(self):
         cols = _columns(TWO_NODES)

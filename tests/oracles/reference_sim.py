@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.planner import IncrementalPlanner, candidate_key
+from repro.core.planner import IncrementalPlanner
 from repro.core.session import ContactSession, contact_bookkeeping
 from repro.core.simulation import Simulation
 
@@ -28,6 +28,15 @@ if TYPE_CHECKING:
     from repro.core.bundle import StoredBundle
     from repro.core.node import Node
     from repro.core.results import RunResult
+
+
+def candidate_key(sb: StoredBundle, receiver_id: int) -> tuple[int, float, object]:
+    """Candidate order: peer-destined first, then oldest stored, then id."""
+    return (
+        0 if sb.bundle.destination == receiver_id else 1,
+        sb.stored_at,
+        sb.bid,
+    )
 
 
 class ReferencePlanner:

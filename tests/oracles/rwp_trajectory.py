@@ -1,20 +1,23 @@
-"""Reference trajectory loop for the subscriber-point RWP model.
+"""Reference trajectory loops for the two RWP models.
 
-:class:`ReferenceSubscriberPointRWP` is the original per-object generator
-of ``repro.mobility.rwp.SubscriberPointRWP``: one :class:`Segment` per
-pause or move, one :class:`Trajectory` per node, the next waypoint drawn
-with ``rng.choice`` and each move's length from a scalar ``np.hypot``.
-The production generator writes segment columns in one loop instead; it
-must draw the same random stream and produce the same segments bit for
-bit, which ``tests/mobility/test_rwp.py::TestOracleIdentity`` asserts.
+:class:`ReferenceSubscriberPointRWP` and :class:`ReferenceClassicRWP` are
+the original per-object generators of ``repro.mobility.rwp``'s
+``SubscriberPointRWP`` and ``ClassicRWP``: one :class:`Segment` per pause
+or move and one :class:`Trajectory` per node. The subscriber-point loop
+draws the next waypoint with ``rng.choice`` and each move's length from a
+scalar ``np.hypot``. The production generators write segment columns in
+one loop instead; each must draw the same random stream and produce the
+same segments bit for bit, which ``tests/mobility/test_rwp.py`` asserts.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.mobility.rwp import RWPConfig
-from repro.mobility.trajectory import Segment, Trajectory
+from repro.mobility.rwp import ClassicRWPConfig, RWPConfig
+from tests.oracles.scalar_contacts import Segment, Trajectory
 
 
 class ReferenceSubscriberPointRWP:
@@ -98,3 +101,51 @@ class ReferenceSubscriberPointRWP:
             self._node_trajectory(i, points, neighbours, rng)
             for i in range(c.num_nodes)
         ]
+
+
+class ReferenceClassicRWP:
+    """The per-object textbook RWP trajectory generator."""
+
+    def __init__(self, config: ClassicRWPConfig | None = None, *, seed: int = 0) -> None:
+        self.config = config or ClassicRWPConfig()
+        self.seed = seed
+
+    def _node_trajectory(self, node: int, rng: np.random.Generator) -> Trajectory:
+        c = self.config
+        segments: list[Segment] = []
+        t = 0.0
+        x, y = rng.uniform(0.0, c.area_side, size=2)
+        while t < c.horizon:
+            tx, ty = rng.uniform(0.0, c.area_side, size=2)
+            speed = float(rng.uniform(c.min_speed, c.max_speed))
+            dist = math.hypot(tx - x, ty - y)
+            travel = dist / speed if dist > 0 else 0.0
+            if travel > 0:
+                end = min(t + travel, c.horizon)
+                fx, fy = tx, ty
+                if end < t + travel:
+                    frac = (end - t) / travel
+                    fx = x + frac * (tx - x)
+                    fy = y + frac * (ty - y)
+                segments.append(Segment(t, end, float(x), float(y), float(fx), float(fy)))
+                t = end
+                x, y = fx, fy
+                if t >= c.horizon:
+                    break
+            pause = float(rng.uniform(0.0, c.max_pause))
+            if pause > 0:
+                end = min(t + pause, c.horizon)
+                if end > t:
+                    segments.append(Segment(t, end, float(x), float(y), float(x), float(y)))
+                    t = end
+        if not segments:
+            segments.append(Segment(0.0, c.horizon, float(x), float(y), float(x), float(y)))
+        return Trajectory(node, segments)
+
+    def generate_trajectories(self) -> list[Trajectory]:
+        """One trajectory per node, drawn from one stream in node order."""
+        c = self.config
+        rng = np.random.default_rng(
+            np.random.SeedSequence([self.seed & 0xFFFFFFFF, 0xC1A5])
+        )
+        return [self._node_trajectory(i, rng) for i in range(c.num_nodes)]

@@ -675,6 +675,13 @@ HOSTILE_VALUES = {
     "analytic_num_nodes_fraction": ("num_nodes must be", _mobility(_ANALYTIC, num_nodes=2.5)),
     "analytic_num_nodes_string": ("num_nodes must be", _mobility(_ANALYTIC, num_nodes="100")),
     "analytic_num_nodes_bool": ("num_nodes must be", _mobility(_ANALYTIC, num_nodes=True)),
+    # an RWP "engine" key selected the scalar contact extractor, which is
+    # gone: a spec that still sets it fails instead of loading
+    "rwp_engine": ("unknown RWPConfig parameter\\(s\\): engine", _mobility(_RWP, engine="exact")),
+    "classic_rwp_engine": (
+        "ClassicRWPConfig parameter\\(s\\): engine",
+        _mobility(_CLASSIC_RWP, engine="fast"),
+    ),
 }
 
 

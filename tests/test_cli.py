@@ -5,6 +5,10 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.mobility.rwp import ClassicRWPConfig
+from repro.mobility.trace_file import write_contact_trace
+from tests.oracles.rwp_trajectory import ReferenceClassicRWP
+from tests.oracles.scalar_contacts import exact_contacts
 
 TINY_SCENARIO = {
     "name": "tiny",
@@ -41,15 +45,10 @@ class TestParser:
         assert build_parser().parse_args(["run", "fig13", "--jobs", "4"]).jobs == 4
         assert build_parser().parse_args(["run-scenario", "s.json", "--jobs", "2"]).jobs == 2
 
-    def test_trace_engine_knob(self):
-        args = build_parser().parse_args(["trace", "rwp", "--out", "x"])
-        assert args.engine is None and args.nodes == 12  # None -> fast
-        args = build_parser().parse_args(
-            ["trace", "rwp", "--engine", "exact", "--nodes", "30", "--out", "x"]
-        )
-        assert args.engine == "exact" and args.nodes == 30
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["trace", "rwp", "--engine", "bogus", "--out", "x"])
+    def test_trace_nodes_option(self):
+        assert build_parser().parse_args(["trace", "rwp", "--out", "x"]).nodes == 12
+        args = build_parser().parse_args(["trace", "rwp", "--nodes", "30", "--out", "x"])
+        assert args.nodes == 30
 
 
 class TestCommands:
@@ -90,22 +89,31 @@ class TestCommands:
         assert "intercontact_pair_median" in out
 
     def test_trace_engines_write_identical_files(self, tmp_path, capsys):
+        """``repro trace classic-rwp`` writes the file of the scalar oracle's
+        trace of the reference trajectory loop (``tests/oracles/``)."""
         fast_path = tmp_path / "fast.trace"
         exact_path = tmp_path / "exact.trace"
-        common = ["trace", "classic-rwp", "--seed", "4", "--nodes", "6"]
-        assert main(common + ["--engine", "fast", "--out", str(fast_path)]) == 0
-        assert main(common + ["--engine", "exact", "--out", str(exact_path)]) == 0
+        argv = ["trace", "classic-rwp", "--seed", "4", "--nodes", "6"]
+        assert main(argv + ["--out", str(fast_path)]) == 0
         capsys.readouterr()
+        cfg = ClassicRWPConfig(num_nodes=6)
+        exact = exact_contacts(
+            ReferenceClassicRWP(cfg, seed=4).generate_trajectories(),
+            cfg.comm_range,
+            contact_cap=cfg.contact_cap,
+            horizon=cfg.horizon,
+            name="rwp-classic(seed=4)",
+        )
+        write_contact_trace(exact, exact_path)
         assert fast_path.read_text() == exact_path.read_text()
 
     def test_trace_campus_honours_nodes_and_rejects_engine(self, tmp_path, capsys):
         path = tmp_path / "campus.trace"
         assert main(["trace", "campus", "--nodes", "6", "--out", str(path)]) == 0
         assert "6 nodes" in capsys.readouterr().out
-        code = main(
-            ["trace", "campus", "--engine", "fast", "--out", str(tmp_path / "x")]
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "campus", "--engine", "fast", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
         assert "--engine" in capsys.readouterr().err
 
     def test_unknown_experiment_raises(self):

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.bundle import BundleId
 from repro.faults import FaultSpec
+from tests.helpers import copy_count
 from tests.strategies import cells, fault_specs, serial_traces
 
 SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -45,7 +46,7 @@ def assert_invariants(cell, sim, result) -> None:
         for seq in range(1, flow.num_bundles + 1):
             bid = BundleId(flow.flow_id, seq)
             live = sum(1 for n in sim.nodes if n.get_copy(bid) is not None)
-            assert sim.metrics.copy_count(bid) == live + (bid in dest.delivered)
+            assert copy_count(sim.metrics, bid) == live + (bid in dest.delivered)
             assert dest.get_copy(bid) is None or bid not in dest.delivered
     # metric ranges
     assert 0.0 <= result.buffer_occupancy <= 1.0 + 1e-9

@@ -1,0 +1,149 @@
+"""No test-only code in ``src/``: every public function, method and
+property of ``src/repro`` has a user outside the test suite.
+
+The scan parses ``src/repro`` with :mod:`ast` and collects each public
+(not ``_``-prefixed) module-level function, and each public method and
+property of a class. A name counts as used when it occurs outside its own
+definition anywhere in ``src/``, ``tools/``, ``bench/``, ``examples/`` or
+``benchmarks/``: as a name, an attribute, an imported name, or a string
+constant that spells it (``__all__`` entries, ``getattr`` and
+monkeypatch targets). Names are matched by spelling, not resolved, so a
+method is used when any ``.name`` occurs; the check is a ratchet against
+names that nothing but a test calls, not a call graph.
+
+A name that only tests use belongs in ``tests/helpers.py`` or
+``tests/oracles/``, or goes. A name kept on purpose goes on
+:data:`ALLOWLIST` with its reason.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections.abc import Iterator
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Trees whose references count as uses.
+USER_DIRS = ("src", "tools", "bench", "examples", "benchmarks")
+
+#: Public names with no user in the program, kept on purpose: qualified
+#: name -> why it stays.
+ALLOWLIST = {
+    "SimulationServices.count_control_units": (
+        "the protocol-facing service a custom protocol calls to charge "
+        "control-plane units; the stock protocols account theirs in bulk"
+    ),
+    "Simulation.count_control_units": (
+        "the simulation's implementation of that service"
+    ),
+}
+
+
+def public_definitions(tree: ast.Module) -> Iterator[tuple[str, str, int, int]]:
+    """``(qualified name, name, first line, last line)`` of each public
+    module-level function and each public method or property of a class
+    (nested classes included; functions nested in functions are not API)."""
+
+    def visit(node: ast.AST, owner: str) -> Iterator[tuple[str, str, int, int]]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not child.name.startswith("_"):
+                    qualname = f"{owner}.{child.name}" if owner else child.name
+                    yield qualname, child.name, child.lineno, child.end_lineno or child.lineno
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child, f"{owner}.{child.name}" if owner else child.name)
+            elif isinstance(child, (ast.If, ast.Try)):
+                yield from visit(child, owner)
+
+    yield from visit(tree, "")
+
+
+def referenced_names(tree: ast.Module) -> Iterator[tuple[str, int]]:
+    """``(name, line)`` of every identifier the module refers to."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value, node.lineno
+
+
+def unused_public_names(root: Path) -> list[str]:
+    """``path:line qualified.name`` of each public definition under
+    ``root/src/repro`` that nothing under the user trees references
+    outside the definition itself."""
+    uses: dict[str, list[tuple[Path, int]]] = {}
+    for directory in USER_DIRS:
+        for path in sorted((root / directory).rglob("*.py")):
+            for name, line in referenced_names(ast.parse(path.read_text(), str(path))):
+                uses.setdefault(name, []).append((path, line))
+    unused = []
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for qualname, name, first, last in public_definitions(tree):
+            if all(p == path and first <= line <= last for p, line in uses.get(name, ())):
+                unused.append(f"{path.relative_to(root)}:{first} {qualname}")
+    return unused
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    unused = [
+        entry for entry in unused_public_names(ROOT) if entry.split()[-1] not in ALLOWLIST
+    ]
+    assert not unused, (
+        "public names that only tests use; move them to tests/helpers.py or "
+        "tests/oracles/, delete them, or allowlist them with a reason:\n  "
+        + "\n  ".join(unused)
+    )
+
+
+def test_allowlist_entries_are_still_unused():
+    """An entry whose name gained a user, or was deleted, must leave the list."""
+    unused = {entry.split()[-1] for entry in unused_public_names(ROOT)}
+    assert sorted(set(ALLOWLIST) - unused) == []
+    assert all(reason.strip() for reason in ALLOWLIST.values())
+
+
+def test_a_planted_test_only_method_is_caught(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "store.py").write_text(
+        "class Store:\n"
+        "    def put(self, item):\n"
+        "        self.items.append(item)\n"
+        "\n"
+        "    def count(self):\n"
+        "        return len(self.count_items())\n"
+        "\n"
+        "    def count_items(self):\n"
+        "        return self.items\n"
+        "\n"
+        "    def _private(self):\n"
+        "        return None\n"
+        "\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return len(self.items)\n"
+        "\n"
+        "\n"
+        "def helper():\n"
+        "    return helper\n"
+    )
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "use.py").write_text(
+        "from repro.store import Store\n\nStore().put(1)\nprint(Store().size)\n"
+    )
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_store.py").write_text("def test_count():\n    assert Store().count()\n")
+    # count is called only by a test, and helper only by itself
+    assert unused_public_names(tmp_path) == [
+        "src/repro/store.py:5 Store.count",
+        "src/repro/store.py:19 helper",
+    ]
