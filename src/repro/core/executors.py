@@ -43,8 +43,9 @@ backends now accept a :class:`FailurePolicy` controlling
 from __future__ import annotations
 
 import os
+import queue
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
@@ -412,6 +413,10 @@ class ParallelExecutor:
         pool: ProcessPoolExecutor | None = None
         futures: dict = {}
         started: dict = {}
+        # every future reports here when it finishes, so each wake-up costs
+        # O(finished) — waiting on the whole pending set each time would
+        # cost O(pending), quadratic over a grid
+        finished: queue.SimpleQueue[Future] = queue.SimpleQueue()
 
         def finish(i: int, outcome: CellOutcome) -> None:
             nonlocal done_count
@@ -443,21 +448,30 @@ class ParallelExecutor:
                         pool.submit(_execute_ref, refs[i]): i
                         for i in sorted(remaining)
                     }
+                    for fut in futures:
+                        fut.add_done_callback(finished.put)
                     started = {}
                 tick = None if policy.cell_timeout is None else _TICK
-                done, not_done = wait(
-                    set(futures), timeout=tick, return_when=FIRST_COMPLETED
-                )
+                done: list[Future] = []
+                try:
+                    done.append(finished.get(timeout=tick))
+                    while True:
+                        done.append(finished.get_nowait())
+                except queue.Empty:
+                    pass
                 now = time.monotonic()
                 if policy.cell_timeout is not None:
                     # a cell's clock starts when its task starts *running*,
                     # not when it was queued behind other cells
-                    for fut in not_done:
+                    for fut in futures:
                         if fut not in started and fut.running():
                             started[fut] = now
                 pool_broken = False
                 for fut in done:
-                    i = futures.pop(fut)
+                    i = futures.pop(fut, None)
+                    if i is None:
+                        # a future of a pool already discarded
+                        continue
                     started.pop(fut, None)
                     try:
                         result = fut.result()

@@ -13,6 +13,7 @@ duplication still count).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -77,14 +78,15 @@ class SimulationConfig:
         kernel: Which DES execution kernel carries the run: ``"event"``
             (the event heap, always available), ``"soa"`` (the
             array-resident contact-sweep kernel,
-            :mod:`repro.core.sweepkernel` — unfaulted populations of an
+            :mod:`repro.core.sweepkernel` — populations of an
             encounter-inert protocol or of a stock knowledge-store one:
-            anti-packet P-Q, immunity, cumulative immunity;
-            byte-identical results), or
+            anti-packet P-Q, immunity, cumulative immunity; faulted or
+            not; byte-identical results), or
             ``"auto"`` (default: the kernel when eligible, the event loop
-            otherwise). ``"soa"`` fails fast — at config construction for
-            statically-known conflicts (ODE engine, active faults), at
-            :meth:`Simulation.run` for population-dependent ones.
+            otherwise). ``"soa"`` fails fast — at config construction
+            under the ODE engine, at :meth:`Simulation.run` for
+            population-dependent conflicts (dynamic TTL, PRoPHET, mixed
+            or custom protocols).
         faults: Optional disruption model (:class:`repro.faults.FaultSpec`):
             node churn with reboot state loss, lossy links, and per-bundle
             transfer failure. ``None`` (or a trivial, all-defaults spec)
@@ -144,20 +146,12 @@ class SimulationConfig:
             raise ValueError(
                 f"faults must be a FaultSpec or None, got {type(self.faults).__name__}"
             )
-        if self.kernel == "soa":
-            if self.engine != "des":
-                raise ValueError(
-                    "kernel='soa' selects a DES execution tier; it cannot be "
-                    f"combined with engine={self.engine!r} — use kernel='auto' "
-                    "or engine='des'"
-                )
-            if self.active_faults is not None:
-                raise ValueError(
-                    "kernel='soa' cannot run under fault injection: the sweep "
-                    "kernel has no crash/recovery or link-severance machinery "
-                    "— run faulted cells with kernel='auto' or 'event', or "
-                    "clear the fault spec"
-                )
+        if self.kernel == "soa" and self.engine != "des":
+            raise ValueError(
+                "kernel='soa' selects a DES execution tier; it cannot be "
+                f"combined with engine={self.engine!r} — use kernel='auto' "
+                "or engine='des'"
+            )
 
     @property
     def active_faults(self) -> FaultSpec | None:
@@ -210,6 +204,115 @@ class SimulationConfig:
     def pair_tx_time(self, a: int, b: int) -> float:
         """Per-bundle transfer time of the (a, b) link: the slower radio."""
         return max(self.tx_time_for(a), self.tx_time_for(b))
+
+
+def churn_intervals(
+    rngs: list[np.random.Generator],
+    mean_uptime: float,
+    mean_downtime: float,
+    horizon: float,
+) -> list[tuple[int, float, float]]:
+    """Every node's sampled outages that start before ``horizon``.
+
+    Node ``i``'s process draws from ``rngs[i]``: exponential up-times and
+    down-times alternate from ``t = 0`` until an up-time reaches the
+    horizon. Returns ``(node, down_at, up_at)`` in node, then time order.
+
+    The draws come in batches, one row per node: ``standard_exponential(k)``
+    times the alternating scales gives the scalar ``rng.exponential(scale)``
+    stream bit for bit, and ``np.add.accumulate`` along a row seeded with
+    the node's running time adds one draw at a time, in the scalar loop's
+    order (never a chunk's sum). A batch may draw past a node's stopping
+    point; its churn stream has no other reader.
+    """
+    # about one batch for the expected cycle count, a bounded one at most
+    pairs = min(int(horizon / (mean_uptime + mean_downtime)) + 4, 4096)
+    scales = np.tile((mean_uptime, mean_downtime), pairs)
+    rows = np.arange(len(rngs))
+    clock = np.zeros((len(rngs), 1))
+    found = []
+    while len(rows):
+        gaps = np.stack([rngs[i].standard_exponential(2 * pairs) for i in rows.tolist()])
+        gaps *= scales
+        times = np.add.accumulate(np.concatenate((clock, gaps), axis=1), axis=1)
+        downs = times[:, 1::2]
+        # a row's down times ascend, so the ones before the horizon lead it
+        before = downs < horizon
+        found.append(
+            (np.broadcast_to(rows[:, None], before.shape)[before], downs[before],
+             times[:, 2::2][before])
+        )
+        # a row whose every up-time fell short draws another batch
+        more = before[:, -1]
+        rows = rows[more]
+        clock = times[more, -1:]
+    nodes, downs, ups = (np.concatenate(cols) for cols in zip(*found))
+    order = np.argsort(nodes, kind="stable")
+    return list(zip(nodes[order].tolist(), downs[order].tolist(), ups[order].tolist()))
+
+
+@functools.lru_cache(maxsize=256)
+def outage_schedule(
+    fault_seed: int,
+    churn_rate: float,
+    mean_downtime: float,
+    downtime_schedule: tuple[tuple[int, float, float], ...],
+    num_nodes: int,
+    horizon: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The outages one fault environment schedules before ``horizon``.
+
+    Per node, the sampled exponential up/down process
+    (:func:`churn_intervals`, node ``i`` on the fault seed's ``("churn",
+    i)`` stream) and the explicit ``downtime_schedule`` entries are merged
+    into a union of down intervals, touching ones included. Returns the
+    read-only ``(nodes, down_at, up_at)`` columns of the ones that start
+    before the horizon, ``up_at`` inf when the recovery would not fire
+    before it; None when there are none.
+
+    Memoised: the schedule is a pure function of these arguments, and
+    every protocol and state-loss mode at the same grid coordinates (one
+    fault seed) faces the same one, so a process draws it once.
+    """
+    intervals: dict[int, list[list[float]]] = {}
+    for node_id, down_at, up_at in downtime_schedule:
+        if node_id >= num_nodes:
+            raise ValueError(
+                f"downtime_schedule references node {node_id} in a "
+                f"{num_nodes}-node population"
+            )
+        intervals.setdefault(node_id, []).append([down_at, up_at])
+    if churn_rate > 0.0:
+        hub = RngHub(fault_seed)
+        rngs = [hub.stream("churn", i) for i in range(num_nodes)]
+        for node_id, down_at, up_at in churn_intervals(
+            rngs, 1.0 / churn_rate, mean_downtime, horizon
+        ):
+            intervals.setdefault(node_id, []).append([down_at, up_at])
+    nodes: list[int] = []
+    downs: list[float] = []
+    ups: list[float] = []
+    for node_id in sorted(intervals):
+        spans = sorted(intervals[node_id])
+        merged = [spans[0]]
+        for span in spans[1:]:
+            if span[0] <= merged[-1][1]:
+                if span[1] > merged[-1][1]:
+                    merged[-1][1] = span[1]
+            else:
+                merged.append(span)
+        for down_at, up_at in merged:
+            if down_at < horizon:
+                nodes.append(node_id)
+                downs.append(down_at)
+                # a recovery at or past the horizon never fires
+                ups.append(up_at if up_at < horizon else math.inf)
+    if not nodes:
+        return None
+    columns = (np.array(nodes), np.array(downs), np.array(ups))
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 class Simulation:
@@ -312,8 +415,17 @@ class Simulation:
                 if self.faults.transfer_failure_prob > 0.0
                 else None
             )
+            #: what a crash wipes, read once per crash
+            self._wipes_buffer = self.faults.wipes_buffer
+            self._wipes_knowledge = self.faults.wipes_knowledge
             self._contact_dropped = None
             self._contact_severed_at = None
+            #: the scheduled outages as ``(nodes, down_at, up_at)`` columns,
+            #: in node then time order, ``up_at`` inf when no recovery
+            #: fires before the horizon: a node is down at ``t`` iff one of
+            #: its spans has ``down_at <= t < up_at`` (set by
+            #: _schedule_faults; None without churn)
+            self._down_spans: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ---------------------------------------------------------------- services
     # (the SimulationServices surface protocols and sessions rely on)
@@ -492,48 +604,30 @@ class Simulation:
     def _schedule_faults(self, horizon: float) -> None:
         """Turn the churn model into crash/recover events on the engine.
 
-        Per node, the sampled exponential up/down process and the explicit
-        ``downtime_schedule`` entries are merged into a union of down
-        intervals, then scheduled as first-class events. Scheduling happens
-        *before* the run, so by the engine's stream rule a crash fires
+        The outages (:func:`outage_schedule`) are scheduled as first-class
+        events and kept as :attr:`_down_spans`. Scheduling happens *before*
+        the run, so by the engine's stream rule a crash or a recovery fires
         before a contact at the same timestamp — deterministically.
         """
         spec = self.faults
-        intervals: dict[int, list[list[float]]] = {}
-        for node_id, down_at, up_at in spec.downtime_schedule:
-            if node_id >= self.trace.num_nodes:
-                raise ValueError(
-                    f"downtime_schedule references node {node_id} in a "
-                    f"{self.trace.num_nodes}-node population"
-                )
-            intervals.setdefault(node_id, []).append([down_at, up_at])
-        if spec.churn_rate > 0.0:
-            mean_uptime = 1.0 / spec.churn_rate
-            for i in range(self.trace.num_nodes):
-                rng = self._fault_hub.stream("churn", i)
-                t = 0.0
-                while True:
-                    t += rng.exponential(mean_uptime)
-                    if t >= horizon:
-                        break
-                    down_at = t
-                    t += rng.exponential(spec.mean_downtime)
-                    intervals.setdefault(i, []).append([down_at, t])
-        for node_id in sorted(intervals):
-            spans = sorted(intervals[node_id])
-            merged = [spans[0]]
-            for span in spans[1:]:
-                if span[0] <= merged[-1][1]:
-                    if span[1] > merged[-1][1]:
-                        merged[-1][1] = span[1]
-                else:
-                    merged.append(span)
-            for down_at, up_at in merged:
-                if down_at >= horizon:
-                    continue
-                self.engine.at(down_at, self._on_crash, node_id)
-                if up_at < horizon:
-                    self.engine.at(up_at, self._on_recover, node_id)
+        spans = outage_schedule(
+            self._fault_hub.master_seed,
+            spec.churn_rate,
+            spec.mean_downtime,
+            spec.downtime_schedule,
+            self.trace.num_nodes,
+            horizon,
+        )
+        if spans is None:
+            return
+        self._down_spans = spans
+        nodes, downs, ups = spans
+        at = self.engine.at
+        on_crash, on_recover = self._on_crash, self._on_recover
+        for node_id, down_at, up_at in zip(nodes.tolist(), downs.tolist(), ups.tolist()):
+            at(down_at, on_crash, node_id)
+            if up_at != math.inf:
+                at(up_at, on_recover, node_id)
 
     def _draw_link_faults(self, arrays) -> None:
         """Pre-draw per-contact link faults in trace order (one pass each).
@@ -561,21 +655,23 @@ class Simulation:
             return
         self._node_down[node_id] = True
         self._crash_count[node_id] += 1
-        now = self.now
+        now = self.engine.now
         self.metrics.on_node_down(now)
-        spec = self.faults
         node = self.nodes[node_id]
-        if spec.wipes_buffer:
+        if self._wipes_buffer:
             # All live copies (origin and relay) die at the crash instant;
             # per-copy removals at one timestamp coalesce into a single
             # occupancy-series step, so integrals stay exact. The delivered
             # log is not a buffer and survives: delivered stays delivered.
             for sb in node.sendable():
                 self.remove_copy(node, sb.bid, reason="crashed")
-        if spec.wipes_knowledge:
+        if self._wipes_knowledge:
             forgotten = node.protocol.on_knowledge_wiped(now)
             if forgotten:
                 self._wiped_known.setdefault(node_id, set()).update(forgotten)
+            observer = self._state_observer
+            if observer is not None:
+                observer.knowledge_wiped(node)
 
     def _on_recover(self, node_id: int) -> None:
         if not self._node_down[node_id]:

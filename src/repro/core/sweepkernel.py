@@ -29,14 +29,27 @@ zero-transfer ones included, because each one carries the stores. A
 contact is futile when the two planes are equal (the swap is a no-op)
 and no copy can cross it; a contact whose planes differ runs
 :func:`~repro.core.knowledge.exchange_control` and ends its contact
-block. Knowledge only grows on this tier, so a futile contact's control
-units (the store size, each way) settle in bulk from a per-node log of
-store sizes.
+block. A futile contact's control units (the store size, each way)
+settle in bulk from a per-node log of store sizes: knowledge grows at
+exchanges and deliveries, and shrinks only at a crash's knowledge wipe,
+each logged from the first swept contact that sees it.
 
 Masks change only inside calendar events and knowledge-changing
 contacts, and each of those ends the contact block, so the masks are
 constant across the span being classified — no invalidation machinery,
 no rescans.
+
+Under fault injection the contacts a fault removes are array facts fixed
+before the run (:meth:`SweepKernel._lost_contacts`): the drop coins are
+pre-drawn per contact, and every crash and recovery is pushed before the
+run, so a node is down at ``t`` iff one of its scheduled outages has
+``down_at <= t < up_at``. Lost contacts leave the swept columns and settle
+their counters and fired events in bulk. Crashes and recoveries stay
+calendar events through the service layer; a knowledge wipe reaches the
+kernel through :meth:`SweepKernel.knowledge_wiped`, so a plane can
+shrink. A swept session carries the pair's crash epochs and its
+pre-drawn severance event, and its completions pass the link gate and
+the transfer-failure coin first (:meth:`SweepKernel._complete_faulted`).
 
 Exactness contract: a kernel run produces a byte-identical
 :class:`~repro.core.results.RunResult` to the event engine. The sweep
@@ -56,11 +69,12 @@ in the same order with the same arguments. The golden pins
 (``tests/core/test_sweepkernel.py``) and the differential ladder
 (``tests/test_ladder.py``) enforce the contract.
 
-Eligibility (:func:`kernel_unsupported_reason`): a homogeneous population
-without active fault injection whose class is either encounter-inert
-with the base (constant-false) ``knows_delivered``, or one of the stock
-knowledge-store classes (:data:`_KNOWLEDGE_HOOKS`) with every knowledge
-hook, ``on_encounter_started`` and ``epoch_gated_control`` as stock.
+Eligibility (:func:`kernel_unsupported_reason`): a homogeneous
+population, faulted or not, under every ``state_loss`` mode, whose class
+is either encounter-inert with the base (constant-false)
+``knows_delivered``, or one of the stock knowledge-store classes
+(:data:`_KNOWLEDGE_HOOKS`) with every knowledge hook,
+``on_encounter_started`` and ``epoch_gated_control`` as stock.
 ``kernel="auto"`` silently falls back to the event engine otherwise;
 ``kernel="soa"`` fails fast with the reason.
 """
@@ -133,12 +147,10 @@ def kernel_unsupported_reason(sim: Simulation) -> str | None:
     ``kernel="auto"`` routes a run to the event engine when this returns a
     reason; ``kernel="soa"`` surfaces it in a ``ValueError`` instead. The
     conditions mirror what the kernel structurally elides: control
-    exchange other than a stock knowledge store's, delivery-knowledge
-    probes outside such a store (``knows_delivered`` overrides), and the
-    disruption machinery.
+    exchange other than a stock knowledge store's, and delivery-knowledge
+    probes outside such a store (``knows_delivered`` overrides). Fault
+    injection is no condition: the kernel runs the disruption model.
     """
-    if sim.faults is not None:
-        return "fault injection is active (the kernel has no crash/link machinery)"
     if sim.config.engine != "des":
         return f"engine={sim.config.engine!r} does not execute discrete events"
     if not sim.nodes:
@@ -176,9 +188,19 @@ def kernel_unsupported_reason(sim: Simulation) -> str | None:
 
 
 class _Session:
-    """One live contact's exchange state (the SoA ContactSession twin)."""
+    """One live contact's exchange state (the SoA ContactSession twin).
 
-    __slots__ = ("node_a", "node_b", "end", "tx_time", "budget", "t_cursor", "coin_rejected")
+    Under faults :meth:`SweepKernel._arm_faults` also stamps the pair's
+    crash epochs (``epoch_a``, ``epoch_b``), the ``severed`` flag its
+    pre-drawn severance sets, the contact's swept index ``ci``, and
+    ``last``, the time of the session's latest completion (None before
+    the first); unfaulted sessions leave those slots unset.
+    """
+
+    __slots__ = (
+        "node_a", "node_b", "end", "tx_time", "budget", "t_cursor", "coin_rejected",
+        "epoch_a", "epoch_b", "severed", "ci", "last",
+    )
 
     def __init__(
         self, node_a: Node, node_b: Node, start: float, end: float, tx_time: float, budget: int
@@ -190,6 +212,10 @@ class _Session:
         self.budget = budget
         self.t_cursor = start
         self.coin_rejected: set[tuple[int, BundleId]] | None = None
+
+    def _on_severed(self) -> None:
+        """Pre-drawn mid-contact link interruption: the radios lose sync."""
+        self.severed = True
 
 
 class SweepKernel:
@@ -206,7 +232,8 @@ class SweepKernel:
         "_trivial_store", "_pure_offer", "_rentries", "_rcaps", "_relays",
         "_origins", "_live_starts", "_live_a", "_live_b", "_knowledge",
         "_know_bits", "_know", "_know_size", "_size_keys", "_size_vals",
-        "_stride", "_know_units", "_carry",
+        "_stride", "_know_units", "_carry", "_on_complete", "_lost", "_sev",
+        "_halt_rank",
     )
 
     def __init__(self, sim: Simulation) -> None:
@@ -260,14 +287,18 @@ class SweepKernel:
         # whole-chain gate for the inlined relay-store path in _complete:
         # no protocol hook anywhere between transmission and candidate
         # registration (base on_transmitted / accept / on_copy_received by
-        # method identity) and no fault machinery that store_received_copy
-        # would have to consult — pure epidemic and coin-flip P-Q qualify
+        # method identity), and no re-infection that store_received_copy
+        # would have to count: the base on_knowledge_wiped forgets nothing
+        # — pure epidemic and coin-flip P-Q qualify, faulted or not
         self._trivial_store = (
-            sim.faults is None
-            and self._trivial_confirm
+            self._trivial_confirm
             and proto_cls.on_transmitted is Protocol.on_transmitted
             and proto_cls.accept is Protocol.accept
             and proto_cls.on_copy_received is Protocol.on_copy_received
+            and (
+                sim.faults is None
+                or proto_cls.on_knowledge_wiped is Protocol.on_knowledge_wiped
+            )
         )
         # fully-trivial substrate (pure epidemic): every planner predicate
         # except the want filter and the capacity probe is vacuous, so
@@ -286,6 +317,17 @@ class SweepKernel:
         self._origins: list[dict[BundleId, StoredBundle]] = [
             node.origin for node in nodes
         ]
+        # the completion action the calendar runs: the fault gates wrap
+        # _complete only when the run injects faults (chosen once per run)
+        self._on_complete = self._complete if sim.faults is None else self._complete_faulted
+        #: per trace contact: dropped, or an endpoint down at its start
+        #: (set by _drive under faults; such a contact never happens)
+        self._lost: NDArray[np.bool_] | None = None
+        #: per swept contact: when its session's pre-drawn severance fires,
+        #: inf when it has none (set by _drive under interruptions)
+        self._sev: NDArray[np.float64] | None = None
+        #: swept contacts that ran before the halting completion was pushed
+        self._halt_rank = 0
         # swept-contact columns (filled by _drive)
         self._live_starts: NDArray[np.float64] = np.empty(0, dtype=np.float64)
         self._live_a: NDArray[np.intp] = np.empty(0, dtype=np.intp)
@@ -358,18 +400,51 @@ class SweepKernel:
         self._snd_bits[nid] &= ~bit
         self._has_bits[nid] &= ~bit
         self._masks_dirty = True
-        keys = self._cand_keys[nid]
-        key = (sb.stored_at, bid)
-        i = bisect_left(keys, key)
-        if i < len(keys) and keys[i] == key and self._cand_sbs[nid][i] is sb:
-            del keys[i]
-            del self._cand_sbs[nid][i]
-            del self._cand_bits[nid][i]
-            self._dest_counts[nid][sb.bundle.destination] -= 1
+        sbs = self._cand_sbs[nid]
+        try:
+            # StoredBundle compares by identity: a C-level scan, no key
+            # comparisons
+            i = sbs.index(sb)
+        except ValueError:
+            # never registered: copy_added saw it already gone
+            return
+        del sbs[i]
+        del self._cand_keys[nid][i]
+        del self._cand_bits[nid][i]
+        self._dest_counts[nid][sb.bundle.destination] -= 1
 
     def delivered(self, node: Node, bid: BundleId) -> None:
         self._has_bits[node.id] |= 1 << self._col[bid]
         self._masks_dirty = True
+
+    def knowledge_wiped(self, node: Node) -> None:
+        """A crash wiped ``node``'s knowledge store: its plane shrinks.
+
+        The plane, the has mask (held copies, deliveries here, and the
+        plane) and the store-size log are rebuilt from the node's state. A
+        crash is pushed before the run, so its seq lies below the swept
+        block: contacts starting at its instant already see the new size.
+        """
+        nid = node.id
+        if not self._knowledge or (
+            not self._know_bits[nid] and not len(node.protocol.knowledge)
+        ):
+            # nothing known before, nothing now: the masks stand
+            return
+        plane = self._plane_of(node)
+        self._know_bits[nid] = plane
+        col = self._col
+        has = self._snd_bits[nid] | plane
+        for bid in node.delivered:
+            has |= 1 << col[bid]
+        self._has_bits[nid] = has
+        self._masks_dirty = True
+        size = len(node.protocol.knowledge)
+        if size != self._know_size[nid]:
+            self._know_size[nid] = size
+            pos = int(np.searchsorted(self._live_starts, self._engine.now, side="left"))
+            self._size_keys.append(nid * self._stride + pos)
+            self._size_vals.append(size)
 
     # ---------------------------------------------------- knowledge plane
 
@@ -575,7 +650,7 @@ class SweepKernel:
         # always ahead of the clock)
         engine = self._engine
         entry: list[Any] = [
-            slot_end, engine.seq, self._complete, (rec, sender, receiver, sb), True
+            slot_end, engine.seq, self._on_complete, (rec, sender, receiver, sb), True
         ]
         engine.seq += 1
         heapq.heappush(engine.heap, entry)
@@ -673,6 +748,113 @@ class SweepKernel:
                 metrics.on_wasted_slot()
         self._schedule_next(rec, now)
 
+    def _complete_faulted(
+        self, rec: _Session, sender: Node, receiver: Node, sb: StoredBundle
+    ) -> None:
+        """A completion under faults: the link gate, the failure coin, then
+        :meth:`_complete`.
+
+        Nothing inside one completion crashes a node or severs a link, so
+        the link checked alive here stays alive for every reschedule the
+        completion makes. The transfer-failure coin is drawn per completed
+        slot on a live link, in calendar order, as the event tier draws it.
+        """
+        sim = self.sim
+        engine = self._engine
+        now = engine.now
+        pushed = rec.last
+        rec.last = now
+        crashes = sim._crash_count
+        if (
+            rec.severed
+            or crashes[rec.node_a.id] != rec.epoch_a
+            or crashes[rec.node_b.id] != rec.epoch_b
+        ):
+            # the link died while the bits were in flight: the slot is
+            # spent, nothing arrives, and the session is over
+            rec.budget -= 1
+            sim.metrics.churn.interrupted_transfers += 1
+            return
+        if sim._transfer_failed():
+            # the slot is charged, the link survives, the planner may retry
+            rec.budget -= 1
+            sim.metrics.churn.failed_transfers += 1
+            self._schedule_next(rec, now)
+            return
+        self._complete(rec, sender, receiver, sb)
+        if engine.halted:
+            # the swept contacts that ran before this completion was pushed:
+            # those before its contact, or every one that started by the
+            # completion that pushed it (a completion's seq lies above the
+            # swept block)
+            self._halt_rank = (
+                rec.ci
+                if pushed is None
+                else int(np.searchsorted(self._live_starts, pushed, side="right"))
+            )
+
+    def _arm_faults(self, rec: _Session, ci: int) -> None:
+        """Stamp a new session with the pair's crash epochs and push its
+        pre-drawn severance, before the first slot is planned."""
+        crashes = self.sim._crash_count
+        rec.epoch_a = crashes[rec.node_a.id]
+        rec.epoch_b = crashes[rec.node_b.id]
+        rec.severed = False
+        rec.ci = ci
+        rec.last = None
+        sev = self._sev
+        if sev is not None:
+            t = float(sev[ci])
+            if t != math.inf:
+                self._engine.at(t, rec._on_severed)
+
+    def _lost_contacts(self, arrays: _Columns) -> NDArray[np.bool_]:
+        """Per trace contact: dropped, or an endpoint down at its start.
+
+        Both are fixed before the run: the drop coins are pre-drawn per
+        contact, and every crash and recovery is pushed before the run, so
+        it fires before a contact at its instant — a node is down at ``t``
+        iff one of its scheduled spans has ``down_at <= t < up_at``.
+        """
+        sim = self.sim
+        starts, _ends, a_ids, b_ids = arrays
+        dropped = sim._contact_dropped
+        lost = np.zeros(len(starts), dtype=np.bool_) if dropped is None else dropped.copy()
+        if sim._down_spans is None:
+            return lost
+        span_nodes, downs, ups = sim._down_spans
+        # exact ranks of every instant, so (node, time) compares as one key
+        _, rank = np.unique(np.concatenate((downs, ups, starts)), return_inverse=True)
+        width = len(rank) + 1
+        k = len(downs)
+        down_keys = span_nodes * width + rank[:k]
+        up_keys = span_nodes * width + rank[k : 2 * k]
+        start_rank = rank[2 * k :]
+        # one (endpoint, start) key per contact end, a's then b's
+        keys = np.concatenate((a_ids, b_ids)) * width + np.tile(start_rank, 2)
+        # the endpoint's last span down by the start: a span of a lower
+        # node has an up key below every key of this node
+        last = np.searchsorted(down_keys, keys, side="right") - 1
+        down = (last >= 0) & (keys < up_keys[last])
+        n = len(starts)
+        lost |= down[:n] | down[n:]
+        return lost
+
+    def _settle_lost(self, arrays: _Columns, end_time: float) -> None:
+        """Count the lost contacts that started by ``end_time``: each is an
+        event that fired, dropped when its coin says so, else missed."""
+        assert self._lost is not None
+        fired = int(np.searchsorted(arrays[0], end_time, side="right"))
+        n_lost = int(self._lost[:fired].sum())
+        if not n_lost:
+            return
+        dropped = self.sim._contact_dropped
+        n_dropped = 0 if dropped is None else int(dropped[:fired].sum())
+        churn = self.sim.metrics.churn
+        churn.dropped_contacts += n_dropped
+        churn.missed_contacts += n_lost - n_dropped
+        self._engine.events_fired += n_lost
+
     # ------------------------------------------------------------- skip scan
 
     def _scan_chunks(self, lo: int, hi: int) -> int:
@@ -736,7 +918,9 @@ class SweepKernel:
             setattr(self, name, rows.view(np.bool_))
         self._masks_dirty = False
 
-    def _settle_futile(self, ci: int, fired_idx: list[int]) -> None:
+    def _settle_futile(
+        self, ci: int, fired_idx: list[int], end_time: float, halted: bool
+    ) -> None:
         """One-shot accounting for every futile contact in ``[0, ci)``.
 
         The sweep loop only records which contacts it ran (``fired_idx``);
@@ -746,7 +930,10 @@ class SweepKernel:
         sums, exactly as the per-event path tallies them one encounter at
         a time. With a knowledge plane each futile contact also carried
         both (equal) stores: ``len(store)`` units each way, at the size
-        that contact saw.
+        that contact saw. Under interruptions a futile carrying contact's
+        idle session still had its severance pushed, a no-op event that
+        fired if it came before the run's end: before ``end_time``, or at
+        it when pushed before the halting completion.
         """
         n_sessions = len(fired_idx)
         futile = ci - n_sessions
@@ -770,6 +957,13 @@ class SweepKernel:
             units += np.bincount(live_b, weights=sizes, minlength=minlength).astype(np.int64)
             self._know_units += 2 * int(sizes.sum())
         self._ctrl_np += units
+        if self._sev is not None:
+            sev = self._sev[:ci].copy()
+            sev[fi] = math.inf
+            ties = sev == end_time
+            if halted:
+                ties[self._halt_rank :] = False
+            self._engine.events_fired += int(np.count_nonzero((sev < end_time) | ties))
 
     # ------------------------------------------------------------------ run
 
@@ -802,10 +996,14 @@ class SweepKernel:
         for node, units in zip(self._nodes, self._ctrl_np.tolist(), strict=True):
             if units:
                 node.counters.control_units_sent += units
+        lost = self._lost
+        if lost is not None:
+            self._settle_lost(arrays, end_time)
         if not self._knowledge:
             # an inert sweep left the zero-transfer contacts out; a
-            # knowledge sweep left none out
-            self._flush_deferred_bookkeeping(zero_mask, end_time, arrays)
+            # knowledge sweep left none out; a lost contact owes nothing
+            left_out = zero_mask if lost is None else zero_mask & ~lost
+            self._flush_deferred_bookkeeping(left_out, end_time, arrays)
         return sim._build_result()
 
     def _flush_deferred_bookkeeping(
@@ -858,6 +1056,20 @@ class SweepKernel:
             else:
                 engine.at(flow.created_at, sim._inject_flow, flow)
         starts, ends, a_ids, b_ids = arrays
+        # the swept contacts: an inert sweep leaves the zero-transfer ones
+        # out (the flush settles them), a faulted one the lost ones
+        keep = None if self._knowledge else ~zero_mask
+        if sim.faults is not None:
+            # the event tier's pre-run order: crash and recovery events
+            # after the flows, then the per-contact link-fault draws
+            sim._schedule_faults(horizon)
+            sim._draw_link_faults(arrays)
+            self._lost = self._lost_contacts(arrays)
+            keep = ~self._lost if keep is None else keep & ~self._lost
+        if keep is not None:
+            live = np.flatnonzero(keep)
+            starts, ends, a_ids, b_ids = starts[live], ends[live], a_ids[live], b_ids[live]
+            zero_mask = zero_mask[live]
         if self._knowledge:
             # every contact carries the stores; a copy crosses only the
             # ones whose link carries a bundle
@@ -872,9 +1084,14 @@ class SweepKernel:
         else:
             # inert: a zero-transfer contact changes nothing, so only the
             # contacts that can carry a bundle are swept
-            live = np.flatnonzero(~zero_mask)
-            starts, ends, a_ids, b_ids = starts[live], ends[live], a_ids[live], b_ids[live]
-            carry_l = [True] * len(live)
+            carry_l = [True] * len(starts)
+        severed_at = sim._contact_severed_at if sim.faults is not None else None
+        if severed_at is not None:
+            if keep is not None:
+                severed_at = severed_at[live]
+            # a severance is pushed for a session (a carrying contact) and
+            # only when it falls before the contact's end
+            self._sev = np.where((severed_at < ends) & ~zero_mask, severed_at, math.inf)
         self._live_starts = starts
         self._live_a = a_ids
         self._live_b = b_ids
@@ -930,6 +1147,8 @@ class SweepKernel:
         knowledge = self._knowledge
         know = self._know_bits
         know_size = self._know_size
+        faulted = sim.faults is not None
+        arm_faults = self._arm_faults
         heap = engine.heap
         heappop = heapq.heappop
         inf = math.inf
@@ -1009,6 +1228,8 @@ class SweepKernel:
                     rec = _Session(
                         node_a, node_b, t, end, tx_time, int((end - t) / tx_time)
                     )
+                    if faulted:
+                        arm_faults(rec, ci)
                     schedule_next(rec, t)
                 fired_append(ci)
                 ci += 1
@@ -1017,7 +1238,7 @@ class SweepKernel:
             if progressed:
                 continue
             if h_time > horizon:
-                self._settle_futile(ci, fired_idx)
+                self._settle_futile(ci, fired_idx, horizon, False)
                 return False
             entry = heappop(heap)
             entry[4] = False
@@ -1025,5 +1246,5 @@ class SweepKernel:
             engine.events_fired += 1
             entry[2](*entry[3])
             if engine.halted:
-                self._settle_futile(ci, fired_idx)
+                self._settle_futile(ci, fired_idx, h_time, True)
                 return True

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.protocols import make_protocol_config
 from repro.core.simulation import Simulation, SimulationConfig
@@ -18,7 +20,9 @@ from repro.core.workload import Flow
 from repro.faults import STATE_LOSS_MODES, FaultSpec
 from repro.mobility.contact import ContactTrace
 
+from repro.core.simulation import churn_intervals
 from tests.helpers import micro_trace
+from tests.oracles.churn_schedule import scheduled_outages
 
 
 def run_faulted(
@@ -454,3 +458,77 @@ class TestZeroFaultIdentity:
         assert results[0].churn == {}
         assert "crashed" not in results[0].removals
         assert "churn" not in results[0].to_dict()
+
+
+class TestChurnSchedule:
+    """The batched churn draw schedules the scalar loop's outages bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        churn_rate=st.sampled_from((0.0, 1e-5, 2e-4)) | st.floats(1e-6, 0.5),
+        mean_downtime=st.floats(1e-3, 5_000.0),
+        schedule=st.lists(
+            st.tuples(st.integers(0, 5), st.floats(0.0, 9e4), st.floats(1e-3, 2e4)),
+            max_size=4,
+        ),
+        num_nodes=st.integers(2, 6),
+        fault_seed=st.integers(0, 2**32),
+        horizon=st.floats(1.0, 1e5),
+    )
+    # thousands of cycles per node: several batches, each capped
+    @example(
+        churn_rate=0.5,
+        mean_downtime=0.1,
+        schedule=[],
+        num_nodes=2,
+        fault_seed=3,
+        horizon=30_000.0,
+    )
+    def test_matches_the_scalar_loop(
+        self, churn_rate, mean_downtime, schedule, num_nodes, fault_seed, horizon
+    ):
+        spec = FaultSpec(
+            churn_rate=churn_rate,
+            mean_downtime=mean_downtime if churn_rate else 0.0,
+            downtime_schedule=tuple(
+                (node % num_nodes, down, down + length) for node, down, length in schedule
+            ),
+            state_loss="all",
+        )
+        if spec.is_trivial:
+            return
+        trace = micro_trace([(0.0, 1.0, 0, 1)], num_nodes, horizon=horizon)
+        sim = Simulation(
+            trace,
+            make_protocol_config("pure"),
+            [Flow(flow_id=0, source=0, destination=1, num_bundles=1)],
+            config=SimulationConfig(faults=spec),
+            fault_seed=fault_seed,
+        )
+        sim._schedule_faults(horizon)
+        outages = scheduled_outages(spec, num_nodes, fault_seed, horizon)
+        spans = [] if sim._down_spans is None else sim._down_spans
+        assert list(zip(*(col.tolist() for col in spans))) == outages
+        # and the calendar holds exactly their crashes and recoveries
+        pushed = sorted(
+            (entry[0], entry[2].__name__, entry[3][0]) for entry in sim.engine.heap
+        )
+        expected = sorted(
+            [(down, "_on_crash", node) for node, down, _ in outages]
+            + [(up, "_on_recover", node) for node, _, up in outages if up != float("inf")]
+        )
+        assert pushed == expected
+
+    def test_one_node_draws_the_scalar_stream(self):
+        for seed in range(20):
+            scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+            spans: list[list[float]] = []
+            t = 0.0
+            while True:
+                t += scalar.exponential(50.0)
+                if t >= 1e4:
+                    break
+                down_at = t
+                t += scalar.exponential(7.5)
+                spans.append([down_at, t])
+            assert churn_intervals([batched], 50.0, 7.5, 1e4) == [(0, *span) for span in spans]

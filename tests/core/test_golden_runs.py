@@ -307,7 +307,7 @@ FAULTED_CELLS: tuple[tuple[str, str, int, int], ...] = (
 )
 
 #: The DES tiers the faulted pins run on.
-FAULTED_TIERS: tuple[str, ...] = ("event",)
+FAULTED_TIERS: tuple[str, ...] = ("event", "soa")
 
 #: cell → (delivered, transmissions, end_time, (crashes, missed contacts,
 #: dropped contacts, interrupted transfers, failed transfers,

@@ -7,15 +7,18 @@ planner and batching refactors were pinned: ``repr`` equality over the
 golden-pin protocol set on campus and RWP traces, plus the structural edge
 cases the kernel handles specially (heterogeneous radios, buffer-pressure
 drops under every policy, early halt at the delivery boundary), the
-knowledge-store protocols ``kernel="auto"`` runs on the kernel, and the
-fail-fast rejection surface (faults, encounter-reactive protocols,
-subclasses that override a stock knowledge hook, the ODE engine).
+knowledge-store protocols ``kernel="auto"`` runs on the kernel, faulted
+cells of every accepted protocol (churn under each ``state_loss`` mode,
+lossy links, transfer failures), and the fail-fast rejection surface
+(encounter-reactive protocols, subclasses that override a stock
+knowledge hook, the ODE engine).
 Randomized scenarios climb both kernels on the differential ladder
 (``tests/test_ladder.py``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +36,7 @@ from repro.faults import FaultSpec
 from repro.mobility.contact import Contact, ContactTrace
 from repro.mobility.rwp import RWPConfig, SubscriberPointRWP
 from repro.mobility.fastcontact import contacts_from_trajectories
-from repro.scenarios.spec import MobilitySpec, ProtocolSpec, ScenarioSpec
+from repro.scenarios.spec import MobilitySpec, ProtocolSpec, ScenarioSpec, WorkloadSpec
 
 #: Every encounter-inert protocol the kernel accepts, with constructor
 #: kwargs covering the state each one adds (TTL deadlines, EC counters,
@@ -53,6 +56,24 @@ KNOWLEDGE_PROTOCOLS = {
     "pq_antipacket": ("pq", {"p": 0.8, "q": 0.4, "anti_packets": True}),
     "immunity": ("immunity", {}),
     "cumulative_immunity": ("cumulative_immunity", {}),
+}
+
+#: Fault environments of the faulted kernel-vs-event cells: churn under
+#: each ``state_loss`` mode, and lossy links with transfer failures.
+FAULTS = {
+    **{
+        f"churn-{mode}": FaultSpec(churn_rate=3e-4, mean_downtime=1_500.0, state_loss=mode)
+        for mode in ("none", "buffer", "knowledge", "all")
+    },
+    "links": FaultSpec(contact_drop_prob=0.1, interrupt_prob=0.3, transfer_failure_prob=0.1),
+    "everything": FaultSpec(
+        churn_rate=2e-4,
+        mean_downtime=1_000.0,
+        state_loss="all",
+        contact_drop_prob=0.05,
+        interrupt_prob=0.2,
+        transfer_failure_prob=0.05,
+    ),
 }
 
 #: Encounter-reactive configurations the kernel must refuse.
@@ -158,6 +179,28 @@ def test_kernel_matches_event_on_rwp(request, cell):
     assert_identical(request.getfixturevalue(trace_name), name, kwargs, load=load)
 
 
+#: Every protocol the kernel accepts: the inert ones and the knowledge stores.
+ACCEPTED_PROTOCOLS = {
+    **{name: (name, kwargs) for name, kwargs in INERT_PROTOCOLS},
+    **KNOWLEDGE_PROTOCOLS,
+}
+
+
+@pytest.mark.parametrize("faults", sorted(FAULTS))
+@pytest.mark.parametrize("protocol", sorted(ACCEPTED_PROTOCOLS))
+def test_kernel_matches_event_under_faults(campus_trace, protocol, faults):
+    name, kwargs = ACCEPTED_PROTOCOLS[protocol]
+    assert_identical(campus_trace, name, kwargs, load=30, faults=FAULTS[faults])
+
+
+@pytest.mark.parametrize("faults", ["churn-all", "everything"])
+@pytest.mark.parametrize("protocol", ["pure", "ttl", "immunity", "cumulative_immunity"])
+def test_kernel_matches_event_under_faults_on_rwp(rwp_trace, protocol, faults):
+    """Heavier traffic: overlapping contacts and many skipped sessions."""
+    name, kwargs = ACCEPTED_PROTOCOLS[protocol]
+    assert_identical(rwp_trace, name, kwargs, load=10, faults=FAULTS[faults])
+
+
 def test_kernel_matches_event_heterogeneous_radios(campus_trace):
     """Per-node tx times change the link budget of every session."""
     tx = tuple(60.0 + 15.0 * (i % 7) for i in range(campus_trace.num_nodes))
@@ -216,36 +259,33 @@ def test_config_rejects_unknown_kernel():
     assert KERNELS == ("auto", "event", "soa")
 
 
-def test_config_rejects_soa_under_faults():
-    with pytest.raises(ValueError, match="fault injection"):
-        SimulationConfig(
-            kernel="soa", faults=FaultSpec(churn_rate=0.001, mean_downtime=50.0)
-        )
-    # a trivial (all-defaults) fault spec injects nothing → allowed
-    SimulationConfig(kernel="soa", faults=FaultSpec())
+def test_config_accepts_soa_under_faults(campus_trace):
+    faults = FaultSpec(churn_rate=0.001, mean_downtime=50.0)
+    config = SimulationConfig(kernel="soa", faults=faults)
+    assert config.active_faults == faults
+    for name, kwargs in (("pure", {}), ("immunity", {})):
+        sim, _ = run_cell(campus_trace, name, kwargs, "soa", faults=faults)
+        assert kernel_unsupported_reason(sim) is None
+    assert_identical(campus_trace, "pure", {}, faults=faults)
 
 
-def test_scenario_spec_rejects_soa_under_faults_at_load_time():
-    """The refusal must happen when the spec is built, not mid-campaign."""
-    spec_kwargs = dict(
-        mobility=MobilitySpec(kind="campus", params={}),
-        protocols=(ProtocolSpec(name="pure"),),
+def test_scenario_spec_accepts_soa_under_faults_at_load_time():
+    """A faulted scenario pinned to the kernel loads, from the dataclass
+    and from its JSON dict, and its sweep equals the event tier's."""
+    spec = ScenarioSpec(
+        mobility=MobilitySpec("interval", {"num_nodes": 8, "max_encounters_per_node": 12}),
+        protocols=(ProtocolSpec(name="pure"), ProtocolSpec(name="immunity")),
+        workload=WorkloadSpec(loads=(3,), replications=2),
         kernel="soa",
-        faults=FaultSpec(contact_drop_prob=0.1),
+        faults=FaultSpec(
+            churn_rate=5e-4, mean_downtime=800.0, state_loss="all", contact_drop_prob=0.1
+        ),
     )
-    with pytest.raises(ValueError, match="fault injection"):
-        ScenarioSpec(**spec_kwargs)
-    # the identical dict round-trips through from_dict to the same error
-    good = ScenarioSpec(
-        mobility=MobilitySpec(kind="campus", params={}),
-        protocols=(ProtocolSpec(name="pure"),),
-        kernel="soa",
-    )
-    data = good.to_dict()
-    assert data["kernel"] == "soa"
-    data["faults"] = {"contact_drop_prob": 0.1}
-    with pytest.raises(ValueError, match="fault injection"):
-        ScenarioSpec.from_dict(data)
+    assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+    runs = spec.run().runs
+    assert all(r.churn for r in runs)
+    event = dataclasses.replace(spec, kernel="event").run().runs
+    assert [repr(r) for r in runs] == [repr(r) for r in event]
 
 
 @pytest.mark.parametrize(

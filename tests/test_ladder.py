@@ -12,7 +12,9 @@ One scenario generator (:mod:`tests.strategies`) drives every rung:
   the reference's event count; the event tier must also plan the
   reference's transfers in the reference's order.
 * **grid rung**, per drawn small sweep: serial ≡ ``ParallelExecutor(2)`` ≡
-  a checkpointed campaign resumed from a truncated journal.
+  a checkpointed campaign resumed from a truncated journal, faulted
+  sweeps included (and their runs really carry the churn block); and a
+  trivial fault spec ≡ no fault spec, byte for byte.
 * **metamorphic rung**: every enhancement at its degenerate parameters is
   the protocol it enhances (the paper's "parameterised epidemic").
 """
@@ -38,6 +40,12 @@ from tests.oracles.reference_sim import RecordingSimulation, ReferenceSimulation
 from tests.strategies import PROTOCOLS, Cell, cells, grids
 
 SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+#: The churn-resilience example scenario: churn with full state loss,
+#: contact drops, interruptions and transfer failures on a real grid.
+CHURN_SCENARIO = (
+    Path(__file__).resolve().parent.parent / "examples" / "scenarios" / "churn_resilience.json"
+)
 
 
 def node_state(sim) -> list[tuple]:
@@ -78,13 +86,15 @@ def climb(cell: Cell) -> tuple[int, bool]:
     assert event.picks == ref.picks
 
     soa_ran = False
-    if cell.config.active_faults is None:
-        soa = cell.simulation(kernel="soa")
-        if kernel_unsupported_reason(soa) is None:
-            assert repr(soa.run()) == expected
-            assert node_state(soa) == state
-            assert soa.engine.events_fired + soa.batched_encounters == events
-            soa_ran = True
+    soa = cell.simulation(kernel="soa")
+    if kernel_unsupported_reason(soa) is None:
+        assert repr(soa.run()) == expected
+        assert node_state(soa) == state
+        # a skipped contact is a batched encounter or a fired event of
+        # the sweep, and so is a lost one or a skipped session's no-op
+        # severance
+        assert soa.engine.events_fired + soa.batched_encounters == events
+        soa_ran = True
     return ref.planner_calls, soa_ran
 
 
@@ -185,8 +195,19 @@ def test_cell_ladder(protocol):
     keep=3,
     torn=True,
 )
+@example(spec=ScenarioSpec.load(CHURN_SCENARIO), keep=7, torn=False)
 def test_grid_ladder(spec, keep, torn):
-    serial = [repr(r) for r in spec.run().runs]
+    runs = spec.run().runs
+    serial = [repr(r) for r in runs]
+    if spec.faults is not None:
+        # the fault spec reached every run
+        assert all(r.churn for r in runs)
+    # a trivial fault spec injects nothing: the grid of no fault spec
+    plain, trivial = (
+        [repr(r) for r in dataclasses.replace(spec, faults=faults).run().runs]
+        for faults in (None, FaultSpec())
+    )
+    assert trivial == plain
     assert [repr(r) for r in spec.run(executor=ParallelExecutor(2)).runs] == serial
     with tempfile.TemporaryDirectory() as tmp:
         campaign = Path(tmp)
