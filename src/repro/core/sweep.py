@@ -11,6 +11,7 @@ paper gets implicitly by replaying the same trace.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 
@@ -66,6 +67,17 @@ class SweepConfig:
             raise ValueError("replications must be >= 1")
 
 
+def _is_analytic_model(trace: object) -> bool:
+    """True for an analytic contact model, without importing the analytic tier.
+
+    Only :mod:`repro.analytic.surrogate` builds such a model, so while that
+    module is not loaded no trace can be one: DES sweeps never pay its
+    import.
+    """
+    surrogate = sys.modules.get("repro.analytic.surrogate")
+    return surrogate is not None and isinstance(trace, surrogate.AnalyticContactModel)
+
+
 def constant_trace(trace: ContactTrace) -> TraceFactory:
     """Trace factory that always returns the same trace (paper's setup)."""
     return lambda rep: trace
@@ -97,13 +109,13 @@ def run_single(
             sweep.master_seed, "run", protocol.protocol_name, load, rep
         ).generate_state(1)[0]
     )
-    # Lazy import: repro.analytic.surrogate imports this module's siblings;
-    # a function-level import keeps the module graph acyclic.
-    from repro.analytic.surrogate import AnalyticContactModel, surrogate_run
-
     if sweep.sim.engine == "ode":
+        # Lazy import: repro.analytic.surrogate imports this module's
+        # siblings, and only ODE cells need it.
+        from repro.analytic.surrogate import surrogate_run
+
         return surrogate_run(trace, protocol, flows, config=sweep.sim, seed=run_seed)
-    if isinstance(trace, AnalyticContactModel):
+    if _is_analytic_model(trace):
         raise ValueError(
             "an analytic contact model has no contacts for the event-driven "
             "engine; run this cell with engine='ode'"
@@ -205,9 +217,7 @@ def _trace_fingerprint(trace: ContactTrace) -> dict[str, object]:
     int64, int64. An analytic contact model has no contacts to digest and
     keeps a name-only entry.
     """
-    from repro.analytic.surrogate import AnalyticContactModel
-
-    if isinstance(trace, AnalyticContactModel):
+    if _is_analytic_model(trace):
         return {"name": trace.name}
     digest = hashlib.sha256()
     for (_, dtype), column in zip(TRACE_COLUMNS, trace.contact_arrays(), strict=True):

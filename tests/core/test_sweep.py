@@ -112,3 +112,40 @@ class TestRunSingle:
         factory = constant_trace(trace)
         assert factory(0) is trace
         assert factory(99) is trace
+
+
+_DES_CAMPAIGN = """
+import sys
+
+from repro.scenarios.spec import MobilitySpec, ProtocolSpec, ScenarioSpec, WorkloadSpec
+
+spec = ScenarioSpec(
+    mobility=MobilitySpec("interval", {"num_nodes": 6, "max_encounters_per_node": 6}),
+    protocols=(ProtocolSpec("pure"), ProtocolSpec("immunity")),
+    workload=WorkloadSpec(loads=(2,), replications=2),
+)
+spec.run(checkpoint=sys.argv[1])
+spec.run(checkpoint=sys.argv[1], resume=True)
+print(sorted(name for name in sys.modules if name.startswith("repro.analytic")))
+"""
+
+
+def test_des_campaigns_never_import_the_analytic_tier(tmp_path):
+    """A DES sweep and its resume (cells, trace fingerprints, journal)
+    never load ``repro.analytic``: its import costs a fresh process about
+    20 ms, and only ODE cells need it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", _DES_CAMPAIGN, str(tmp_path / "campaign")],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
