@@ -20,6 +20,7 @@ Two formats are supported:
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import TextIO
 
@@ -75,7 +76,8 @@ def read_contact_trace(source: str | Path | TextIO) -> ContactTrace:
     """Parse a canonical-format trace.
 
     Raises:
-        TraceFormatError: on any malformed header or record.
+        TraceFormatError: on any malformed header or record, naming the
+            line of the record or directive at fault.
     """
     stream, close = _open_text(source)
     try:
@@ -83,6 +85,7 @@ def read_contact_trace(source: str | Path | TextIO) -> ContactTrace:
         horizon: float | None = None
         name = ""
         contacts: list[Contact] = []
+        record_lines: list[int] = []  # the line of each contact
         seen: dict[str, int] = {}  # directive -> its line
         first = stream.readline()
         if first.strip() != _MAGIC:
@@ -119,6 +122,14 @@ def read_contact_trace(source: str | Path | TextIO) -> ContactTrace:
                     raise TraceFormatError(
                         f"bad {directive} value {fields[1]!r}", line_no=line_no
                     ) from exc
+                if num_nodes is not None and num_nodes < 2:
+                    raise TraceFormatError(
+                        f"need at least 2 nodes, got {num_nodes}", line_no=line_no
+                    )
+                if horizon is not None and not math.isfinite(horizon):
+                    raise TraceFormatError(
+                        f"horizon must be finite, got {horizon}", line_no=line_no
+                    )
                 continue
             if len(fields) != 4:
                 raise TraceFormatError(
@@ -133,8 +144,23 @@ def read_contact_trace(source: str | Path | TextIO) -> ContactTrace:
                 contacts.append(Contact(start=start, end=end, a=a, b=b))
             except ValueError as exc:
                 raise TraceFormatError(str(exc), line_no=line_no) from exc
+            record_lines.append(line_no)
         if num_nodes is None:
             raise TraceFormatError("missing 'nodes' directive")
+        for contact, line_no in zip(contacts, record_lines, strict=True):
+            if not (0 <= contact.a < num_nodes and 0 <= contact.b < num_nodes):
+                raise TraceFormatError(
+                    f"contact {contact} references nodes outside [0, {num_nodes})",
+                    line_no=line_no,
+                )
+        if horizon is not None and contacts:
+            last = max(range(len(contacts)), key=lambda i: contacts[i].end)
+            if horizon < contacts[last].end:
+                raise TraceFormatError(
+                    f"horizon {horizon} precedes the end {contacts[last].end} of the "
+                    f"contact on line {record_lines[last]}",
+                    line_no=seen["horizon"],
+                )
         try:
             return ContactTrace(contacts, num_nodes, horizon=horizon, name=name)
         except ValueError as exc:

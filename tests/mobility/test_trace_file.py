@@ -101,6 +101,35 @@ class TestCanonicalErrors:
         with pytest.raises(TraceFormatError):
             trace_from_string("# repro contact trace v1\nnodes 2\n0 5 0.0 1.0\n")
 
+
+class TestErrorsNameTheirLine:
+    """Hostile values caught after parsing still name the line at fault."""
+
+    @pytest.mark.parametrize("record", ["0 5 0.0 1.0", "-1 1 0.0 1.0"])
+    def test_node_outside_the_population_names_its_record(self, record):
+        with pytest.raises(TraceFormatError, match=r"line 4: contact .* outside \[0, 2\)"):
+            trace_from_string(f"# repro contact trace v1\nnodes 2\n0 1 0.0 1.0\n{record}\n")
+
+    def test_record_before_the_nodes_directive_names_its_record(self):
+        with pytest.raises(TraceFormatError, match=r"line 2: contact .* outside \[0, 2\)"):
+            trace_from_string("# repro contact trace v1\n0 5 0.0 1.0\nnodes 2\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_horizon_names_the_directive(self, value):
+        with pytest.raises(TraceFormatError, match="line 3: horizon must be finite"):
+            trace_from_string(f"{HEADER}horizon {value}\n0 1 0.0 1.0\n")
+
+    def test_horizon_before_the_last_end_names_the_directive(self):
+        with pytest.raises(
+            TraceFormatError, match="line 3: horizon 5.0 precedes the end 10.0 .* line 5"
+        ):
+            trace_from_string(f"{HEADER}horizon 5\n0 1 0.0 2.0\n1 2 1.0 10.0\n0 2 3.0 4.0\n")
+
+    @pytest.mark.parametrize("count", ["1", "0", "-3"])
+    def test_population_below_two_names_the_directive(self, count):
+        with pytest.raises(TraceFormatError, match="line 2: need at least 2 nodes"):
+            trace_from_string(f"# repro contact trace v1\nnodes {count}\n0 1 0.0 1.0\n")
+
     def test_comments_and_blank_lines_ignored(self):
         text = (
             "# repro contact trace v1\n"
