@@ -840,12 +840,13 @@ class SweepKernel:
         lost |= down[:n] | down[n:]
         return lost
 
-    def _settle_lost(self, arrays: _Columns, end_time: float) -> None:
-        """Count the lost contacts that started by ``end_time``: each is an
-        event that fired, dropped when its coin says so, else missed."""
-        assert self._lost is not None
+    def _settle_lost(
+        self, lost: NDArray[np.bool_], arrays: _Columns, end_time: float
+    ) -> None:
+        """Count the ``lost`` contacts that started by ``end_time``: each is
+        an event that fired, dropped when its coin says so, else missed."""
         fired = int(np.searchsorted(arrays[0], end_time, side="right"))
-        n_lost = int(self._lost[:fired].sum())
+        n_lost = int(lost[:fired].sum())
         if not n_lost:
             return
         dropped = self.sim._contact_dropped
@@ -998,7 +999,7 @@ class SweepKernel:
                 node.counters.control_units_sent += units
         lost = self._lost
         if lost is not None:
-            self._settle_lost(arrays, end_time)
+            self._settle_lost(lost, arrays, end_time)
         if not self._knowledge:
             # an inert sweep left the zero-transfer contacts out; a
             # knowledge sweep left none out; a lost contact owes nothing
