@@ -14,6 +14,7 @@ duplication still count).
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import numbers
 from dataclasses import dataclass
@@ -622,12 +623,22 @@ class Simulation:
             return
         self._down_spans = spans
         nodes, downs, ups = spans
-        at = self.engine.at
+        # Engine.at per crash and recovery, in bulk: entries take
+        # consecutive seqs in scheduling order, and (time, seq) keys are
+        # unique, so the rebuilt heap pops them exactly as pushed ones
+        engine = self.engine
+        seq = engine.seq
+        entries = []
         on_crash, on_recover = self._on_crash, self._on_recover
         for node_id, down_at, up_at in zip(nodes.tolist(), downs.tolist(), ups.tolist()):
-            at(down_at, on_crash, node_id)
+            entries.append([down_at, seq, on_crash, (node_id,), True])
+            seq += 1
             if up_at != math.inf:
-                at(up_at, on_recover, node_id)
+                entries.append([up_at, seq, on_recover, (node_id,), True])
+                seq += 1
+        engine.seq = seq
+        engine.heap.extend(entries)
+        heapq.heapify(engine.heap)
 
     def _draw_link_faults(self, arrays) -> None:
         """Pre-draw per-contact link faults in trace order (one pass each).

@@ -425,13 +425,14 @@ class SweepKernel:
         crash is pushed before the run, so its seq lies below the swept
         block: contacts starting at its instant already see the new size.
         """
+        if not self._knowledge:
+            return
         nid = node.id
-        if not self._knowledge or (
-            not self._know_bits[nid] and not len(node.protocol.knowledge)
-        ):
+        size = len(node.protocol.knowledge)
+        if not size and not self._know_bits[nid]:
             # nothing known before, nothing now: the masks stand
             return
-        plane = self._plane_of(node)
+        plane = self._plane_of(node) if size else 0
         self._know_bits[nid] = plane
         col = self._col
         has = self._snd_bits[nid] | plane
@@ -439,7 +440,6 @@ class SweepKernel:
             has |= 1 << col[bid]
         self._has_bits[nid] = has
         self._masks_dirty = True
-        size = len(node.protocol.knowledge)
         if size != self._know_size[nid]:
             self._know_size[nid] = size
             pos = int(np.searchsorted(self._live_starts, self._engine.now, side="left"))
