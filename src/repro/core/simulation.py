@@ -416,7 +416,7 @@ class Simulation:
                 if self.faults.transfer_failure_prob > 0.0
                 else None
             )
-            #: what a crash wipes, read once per crash
+            #: what a crash wipes, looked up once per run
             self._wipes_buffer = self.faults.wipes_buffer
             self._wipes_knowledge = self.faults.wipes_knowledge
             self._contact_dropped = None

@@ -101,9 +101,22 @@ class TestCanonicalErrors:
         with pytest.raises(TraceFormatError):
             trace_from_string("# repro contact trace v1\nnodes 2\n0 5 0.0 1.0\n")
 
+    def test_comments_and_blank_lines_ignored(self):
+        text = (
+            "# repro contact trace v1\n"
+            "# name: demo\n"
+            "nodes 3\n"
+            "\n"
+            "# a comment\n"
+            "0 1 0.0 1.0\n"
+        )
+        t = trace_from_string(text)
+        assert t.name == "demo"
+        assert len(t) == 1
+
 
 class TestErrorsNameTheirLine:
-    """Hostile values caught after parsing still name the line at fault."""
+    """Errors `ContactTrace` used to raise without a line name the line at fault."""
 
     @pytest.mark.parametrize("record", ["0 5 0.0 1.0", "-1 1 0.0 1.0"])
     def test_node_outside_the_population_names_its_record(self, record):
@@ -129,19 +142,6 @@ class TestErrorsNameTheirLine:
     def test_population_below_two_names_the_directive(self, count):
         with pytest.raises(TraceFormatError, match="line 2: need at least 2 nodes"):
             trace_from_string(f"# repro contact trace v1\nnodes {count}\n0 1 0.0 1.0\n")
-
-    def test_comments_and_blank_lines_ignored(self):
-        text = (
-            "# repro contact trace v1\n"
-            "# name: demo\n"
-            "nodes 3\n"
-            "\n"
-            "# a comment\n"
-            "0 1 0.0 1.0\n"
-        )
-        t = trace_from_string(text)
-        assert t.name == "demo"
-        assert len(t) == 1
 
 
 class TestHaggleAdapter:

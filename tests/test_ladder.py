@@ -152,7 +152,7 @@ SENDER_LEARNS = (
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_cell_ladder(protocol):
-    calls = soa_rungs = 0
+    calls = soa_rungs = faulted_soa_rungs = 0
     flows = (Flow(0, 0, 3, 2), Flow(1, 0, 1, 1))
     boundary = Cell(BOUNDARY_TRACE, PROTOCOLS[protocol], flows, SimulationConfig(), 0, 0)
     # node 3 is down when its 300 s contact with node 1 starts
@@ -170,17 +170,20 @@ def test_cell_ladder(protocol):
     @example(cell=completion_tie)
     @example(cell=sender_learns)
     def climb_drawn(cell):
-        nonlocal calls, soa_rungs
+        nonlocal calls, soa_rungs, faulted_soa_rungs
         planned, soa_ran = climb(cell)
         calls += planned
         soa_rungs += soa_ran
+        faulted_soa_rungs += soa_ran and cell.config.active_faults is not None
 
     climb_drawn()
     # the reference planner really planned this protocol's sessions
     assert calls > 0
-    # and a protocol the kernel accepts really climbed the SoA rung
+    # and a protocol the kernel accepts really climbed the SoA rung,
+    # faulted draws included
     if kernel_unsupported_reason(boundary.simulation()) is None:
         assert soa_rungs > 0
+        assert faulted_soa_rungs > 0
 
 
 @settings(max_examples=5, **SETTINGS)
