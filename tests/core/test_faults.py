@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,7 +19,6 @@ from repro.core.workload import Flow
 from repro.faults import STATE_LOSS_MODES, FaultSpec
 from repro.mobility.contact import ContactTrace
 
-from repro.core.simulation import churn_intervals
 from tests.helpers import micro_trace
 from tests.oracles.churn_schedule import scheduled_outages
 
@@ -518,17 +516,3 @@ class TestChurnSchedule:
             + [(up, "_on_recover", node) for node, _, up in outages if up != float("inf")]
         )
         assert pushed == expected
-
-    def test_one_node_draws_the_scalar_stream(self):
-        for seed in range(20):
-            scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
-            spans: list[list[float]] = []
-            t = 0.0
-            while True:
-                t += scalar.exponential(50.0)
-                if t >= 1e4:
-                    break
-                down_at = t
-                t += scalar.exponential(7.5)
-                spans.append([down_at, t])
-            assert churn_intervals([batched], 50.0, 7.5, 1e4) == [(0, *span) for span in spans]
