@@ -201,6 +201,11 @@ class _Session:
         "node_a", "node_b", "end", "tx_time", "budget", "t_cursor", "coin_rejected",
         "epoch_a", "epoch_b", "severed", "ci", "last",
     )
+    epoch_a: int
+    epoch_b: int
+    severed: bool
+    ci: int
+    last: float | None
 
     def __init__(
         self, node_a: Node, node_b: Node, start: float, end: float, tx_time: float, budget: int
@@ -1065,8 +1070,8 @@ class SweepKernel:
             # after the flows, then the per-contact link-fault draws
             sim._schedule_faults(horizon)
             sim._draw_link_faults(arrays)
-            self._lost = self._lost_contacts(arrays)
-            keep = ~self._lost if keep is None else keep & ~self._lost
+            lost = self._lost = self._lost_contacts(arrays)
+            keep = ~lost if keep is None else keep & ~lost
         if keep is not None:
             live = np.flatnonzero(keep)
             starts, ends, a_ids, b_ids = starts[live], ends[live], a_ids[live], b_ids[live]
