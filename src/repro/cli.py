@@ -130,7 +130,6 @@ def _gate_lines(report: dict[str, object]) -> list[str]:
 
 
 def _cmd_run_scenario(args: argparse.Namespace) -> int:
-    from repro.analytic.calibration import SurrogateAccuracyError
     from repro.core.checkpoint import CheckpointError
     from repro.core.executors import CellExecutionError
 
@@ -180,6 +179,13 @@ def _cmd_run_scenario(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     label = spec.name or Path(args.file).stem
+    # only ODE scenarios run the gate that raises this; DES ones never
+    # load the analytic tier
+    surrogate_errors: tuple[type[Exception], ...] = ()
+    if spec.engine == "ode":
+        from repro.analytic.calibration import SurrogateAccuracyError
+
+        surrogate_errors = (SurrogateAccuracyError,)
     t0 = time.perf_counter()
     try:
         result = spec.run(
@@ -188,7 +194,7 @@ def _cmd_run_scenario(args: argparse.Namespace) -> int:
             checkpoint=args.checkpoint,
             resume=args.resume,
         )
-    except SurrogateAccuracyError as exc:
+    except surrogate_errors as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(
             "hint: the surrogate is not trustworthy on this scenario's "

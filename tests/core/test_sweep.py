@@ -131,9 +131,10 @@ print(sorted(name for name in sys.modules if name.startswith("repro.analytic")))
 
 
 def test_des_campaigns_never_import_the_analytic_tier(tmp_path):
-    """A DES sweep and its resume (cells, trace fingerprints, journal)
-    never load ``repro.analytic``: its import costs a fresh process about
-    20 ms, and only ODE cells need it."""
+    """A DES sweep and its resume (cells, trace fingerprints, journal),
+    and ``repro run-scenario`` on a DES scenario, never load
+    ``repro.analytic``: its import costs a fresh process about 20 ms, and
+    only ODE cells need it."""
     import os
     import subprocess
     import sys
@@ -149,3 +150,18 @@ def test_des_campaigns_never_import_the_analytic_tier(tmp_path):
         check=True,
     )
     assert done.stdout.strip() == "[]"
+    # and neither does the CLI's run-scenario on a DES scenario
+    scenario = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
+    cli = subprocess.run(
+        [
+            sys.executable, "-X", "importtime", "-m", "repro", "run-scenario",
+            str(scenario / "churn_resilience.json"), "--out", str(tmp_path / "out"),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    imported = [line for line in cli.stderr.splitlines() if line.startswith("import time:")]
+    assert imported
+    assert not [line for line in imported if "repro.analytic" in line]
