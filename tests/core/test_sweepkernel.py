@@ -402,3 +402,52 @@ def test_auto_uses_kernel_for_inert_population(campus_trace):
 def test_soa_rejects_ode_engine():
     with pytest.raises(ValueError, match="engine"):
         SimulationConfig(engine="ode", kernel="soa")
+
+
+def _fixed_severance(severed_at: dict[tuple[float, float, int, int], float]) -> type:
+    """A Simulation whose contacts sever at the given times (inf: never)."""
+
+    class FixedSeverance(Simulation):
+        def _draw_link_faults(self, arrays):
+            self._contact_severed_at = np.array(
+                [severed_at.get((c.start, c.end, c.a, c.b), np.inf) for c in self.trace]
+            )
+
+    return FixedSeverance
+
+
+@pytest.mark.parametrize("bundles", [1, 2])
+def test_skipped_severance_at_the_halting_instant(bundles):
+    """A futile carrying contact's idle session had its severance pushed;
+    at the instant the run halts, that no-op event fired only if it was
+    pushed before the halting completion. With one bundle the halt comes
+    from the first completion (pushed by its contact at t=0), with two
+    from the second (pushed by the completion at t=100)."""
+    halt = 100.0 * bundles
+    contacts = [
+        (0.0, 120.0 * bundles, 3, 4),  # swept before the carrying contact
+        (0.0, 250.0, 0, 2),  # delivers the flow, one bundle per 100 s
+        (0.0, 300.0, 4, 5),  # swept after it, at the same start
+        (50.0, 400.0, 3, 5),  # starts before the completion at 100
+        (150.0, 400.0, 1, 3),  # starts after it
+    ]
+    simulation = _fixed_severance(
+        {c: halt for c in contacts if c[2] != 0 and c[0] <= halt < c[1]}
+    )
+    trace = ContactTrace.from_tuples(contacts, 6, horizon=1_000.0)
+    flows = [Flow(flow_id=0, source=0, destination=2, num_bundles=bundles)]
+    sims = {
+        kernel: simulation(
+            trace,
+            make_protocol_config("pure"),
+            flows,
+            config=SimulationConfig(kernel=kernel, faults=FaultSpec(interrupt_prob=0.5)),
+            seed=1,
+        )
+        for kernel in ("event", "soa")
+    }
+    results = {kernel: sim.run() for kernel, sim in sims.items()}
+    assert repr(results["soa"]) == repr(results["event"])
+    assert results["event"].end_time == halt
+    event, soa = sims["event"], sims["soa"]
+    assert event.engine.events_fired == soa.engine.events_fired + soa.batched_encounters
