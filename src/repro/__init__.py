@@ -106,7 +106,6 @@ from repro.scenarios import (
     build_mobility,
     mobility_names,
     register_mobility,
-    run_scenario,
 )
 
 __version__ = "1.1.0"
@@ -147,7 +146,6 @@ __all__ = [
     "register_mobility",
     "build_mobility",
     "mobility_names",
-    "run_scenario",
     # protocols
     "default_baseline_configs",
     "default_enhanced_configs",

@@ -455,8 +455,6 @@ def holder_curves(
     p: float,
     q: float,
     horizon: float,
-    *,
-    exact_limit: int = EXACT_LIMIT,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Holder-count curves ``(ts, mean, cond)`` over ``[0, horizon]``.
 
@@ -469,7 +467,7 @@ def holder_curves(
     copies of the cached curves.
     """
     _check_chain(n, beta, p, q, horizon)
-    if n <= exact_limit:
+    if n <= EXACT_LIMIT:
         ts, mean, cond = _solve_exact(n, beta, p, q, horizon)
         return ts.copy(), mean.copy(), cond.copy()
     return _holder_curves_fluid(n, beta, p, q, horizon)

@@ -6,9 +6,9 @@ Subcommands:
 * ``run <exp_id ...>`` — reproduce figures/tables at a chosen scale; prints
   an ASCII plot + value table per figure, optionally exports CSV/JSON.
 * ``run-scenario <file.json>`` — execute a declarative scenario file
-  (see :mod:`repro.scenarios`) and print its metric tables; ``--engine
-  ode`` runs it on the analytic surrogate behind the cross-validation
-  gate.
+  (see :mod:`repro.scenarios`) and print its metric tables; ``--set
+  KEY=VALUE`` overrides any scenario key (``--set engine=ode`` runs it
+  on the analytic surrogate behind the cross-validation gate).
 * ``trace <kind>`` — generate a mobility trace file (canonical format).
 * ``stats <file>`` — contact statistics of a trace file.
 * ``docs protocols`` — regenerate (or ``--check``) the generated protocol
@@ -32,12 +32,9 @@ from pathlib import Path
 from repro.analysis.ascii_plot import render_plot, render_series_table
 from repro.analysis.figures import FigureData
 from repro.analysis.io import write_runs_csv, write_series_csv, write_series_json
-from repro.core.executors import ON_ERROR_MODES, make_executor
-from repro.core.policies import drop_policy_names
-from repro.core.simulation import ENGINES, KERNELS
+from repro.core.executors import make_executor
 from repro.experiments.registry import get_experiment, iter_experiments
 from repro.experiments.runner import SCALES, ExperimentRunner
-from repro.faults import STATE_LOSS_MODES, FaultSpec
 from repro.mobility.rwp import ClassicRWP, ClassicRWPConfig, RWPConfig, SubscriberPointRWP
 from repro.mobility.stats import compute_trace_stats
 from repro.mobility.synthetic import CampusTraceConfig, CampusTraceGenerator
@@ -137,44 +134,17 @@ def _cmd_run_scenario(args: argparse.Namespace) -> int:
         print("error: --resume requires --checkpoint DIR", file=sys.stderr)
         return 2
     spec = ScenarioSpec.load(args.file)
-    overrides: dict[str, object] = {}
-    if args.drop_policy is not None:
-        overrides["drop_policy"] = args.drop_policy
-    if args.buffer_capacity is not None:
-        overrides["buffer_capacity"] = args.buffer_capacity
-    if args.record_occupancy:
-        overrides["record_occupancy"] = True
-    if args.engine is not None:
-        overrides["engine"] = args.engine
-    if args.kernel is not None:
-        overrides["kernel"] = args.kernel
-    if args.no_surrogate_check:
-        overrides["surrogate_check"] = False
-    if args.retries is not None:
-        overrides["retries"] = args.retries
-    if args.cell_timeout is not None:
-        overrides["cell_timeout"] = args.cell_timeout
-    if args.on_error is not None:
-        overrides["on_error"] = args.on_error
-    fault_overrides: dict[str, object] = {}
-    if args.churn_rate is not None:
-        fault_overrides["churn_rate"] = args.churn_rate
-    if args.mean_downtime is not None:
-        fault_overrides["mean_downtime"] = args.mean_downtime
-    if args.link_loss is not None:
-        fault_overrides["contact_drop_prob"] = args.link_loss
-    if args.state_loss is not None:
-        fault_overrides["state_loss"] = args.state_loss
-    if fault_overrides:
-        base_faults = spec.faults or FaultSpec()
+    if args.set:
+        data = spec.to_dict()
         try:
-            overrides["faults"] = dataclasses.replace(base_faults, **fault_overrides)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if overrides:
-        try:
-            spec = dataclasses.replace(spec, **overrides)
+            for keys, value in args.set:
+                block = data
+                for depth, key in enumerate(keys[:-1], 1):
+                    block = block.setdefault(key, {})
+                    if not isinstance(block, dict):
+                        raise ValueError(f"{'.'.join(keys[:depth])} is not a mapping")
+                block[keys[-1]] = value
+            spec = ScenarioSpec.from_dict(data)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -198,9 +168,9 @@ def _cmd_run_scenario(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(
             "hint: the surrogate is not trustworthy on this scenario's "
-            "reference grid; run it with the event engine (--engine des), "
+            "reference grid; run it with the event engine (--set engine=des), "
             "raise replications to shrink the DES noise floor, or — to "
-            "proceed unanchored — pass --no-surrogate-check",
+            "proceed unanchored — pass --set surrogate_check=false",
             file=sys.stderr,
         )
         return 1
@@ -211,8 +181,8 @@ def _cmd_run_scenario(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(
             "hint: completed cells are preserved when --checkpoint DIR is "
-            "set — re-run with --resume to continue; add --retries N for "
-            "transient worker deaths, or --on-error keep-going to record "
+            "set — re-run with --resume to continue; add --set retries=N for "
+            "transient worker deaths, or --set on_error=keep-going to record "
             "failures and finish the rest of the grid",
             file=sys.stderr,
         )
@@ -373,45 +343,17 @@ def _jobs_count(text: str) -> int:
     return value
 
 
-def _retries_count(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _timeout_seconds(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
-
-
-def _rate_arg(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _probability_arg(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError("must be a probability in [0, 1]")
-    return value
-
-
-def _capacity_arg(text: str) -> int | tuple[int, ...]:
-    """Parse ``--buffer-capacity``: one int, or a per-node comma list."""
+def _override(text: str) -> tuple[list[str], object]:
+    """Parse ``--set KEY=VALUE``: the dotted key's parts, and the value as
+    JSON, else as the plain string."""
+    key, sep, raw = text.partition("=")
+    if not sep or not all(key.split(".")):
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
     try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or comma-separated integers, got {text!r}"
-        ) from None
-    if any(p < 1 for p in parts):
-        raise argparse.ArgumentTypeError("capacities must be >= 1")
-    return parts[0] if len(parts) == 1 else parts
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    return key.split("."), value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,47 +407,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_scenario.add_argument("--out", default=None, help="directory for CSV/JSON exports")
     p_scenario.add_argument("--verbose", action="store_true", help="progress on stderr")
     p_scenario.add_argument(
-        "--drop-policy",
-        choices=drop_policy_names(),
-        default=None,
-        help="override the scenario's buffer drop policy",
-    )
-    p_scenario.add_argument(
-        "--buffer-capacity",
-        type=_capacity_arg,
-        default=None,
-        metavar="N[,N...]",
-        help="override relay capacity: one value, or a per-node comma list",
-    )
-    p_scenario.add_argument(
-        "--record-occupancy",
-        action="store_true",
-        help="record the per-change (time, fill) occupancy series in every "
-        "run result (exported as <name>_occupancy.json with --out)",
-    )
-    p_scenario.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="override the scenario's engine: des = event simulator, "
-        "ode = analytic mean-field surrogate (cross-validated against a "
-        "small DES reference grid before running)",
-    )
-    p_scenario.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=None,
-        help="override the DES execution kernel: auto = array-resident "
-        "contact-sweep kernel when the cell qualifies (event fallback "
-        "otherwise), event = classic per-event path, soa = force the sweep "
-        "kernel and fail fast when a cell cannot run on it; results are "
-        "byte-identical either way",
-    )
-    p_scenario.add_argument(
-        "--no-surrogate-check",
-        action="store_true",
-        help="skip the surrogate cross-validation gate (engine=ode runs "
-        "unanchored; the report is omitted)",
+        "--set",
+        type=_override,
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override a scenario key (repeatable): a dotted key descends "
+        "into the spec's blocks (faults.churn_rate, mobility.params.num_nodes) "
+        "and merges onto them; the value is parsed as JSON, else taken as a "
+        "string (e.g. --set engine=ode --set 'buffer_capacity=[4,4,20]')",
     )
     p_scenario.add_argument(
         "--checkpoint",
@@ -521,60 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue the campaign journaled in --checkpoint DIR: "
         "journaled cells are restored bit-identically from disk and only "
         "the missing cells execute",
-    )
-    p_scenario.add_argument(
-        "--retries",
-        type=_retries_count,
-        default=None,
-        metavar="N",
-        help="override the scenario's retry budget for cells interrupted "
-        "by a transient worker-process death",
-    )
-    p_scenario.add_argument(
-        "--cell-timeout",
-        type=_timeout_seconds,
-        default=None,
-        metavar="SECONDS",
-        help="override the scenario's per-cell wall-clock budget; a hung "
-        "cell is declared failed and its worker reclaimed (parallel only)",
-    )
-    p_scenario.add_argument(
-        "--on-error",
-        choices=ON_ERROR_MODES,
-        default=None,
-        help="override the scenario's failure mode: abort = stop at the "
-        "first permanently failed cell; keep-going = record it and finish "
-        "the rest of the grid",
-    )
-    p_scenario.add_argument(
-        "--churn-rate",
-        type=_rate_arg,
-        default=None,
-        metavar="RATE",
-        help="override the fault model's node crash intensity (crashes per "
-        "node per second of up-time; requires a positive mean downtime)",
-    )
-    p_scenario.add_argument(
-        "--mean-downtime",
-        type=_rate_arg,
-        default=None,
-        metavar="SECONDS",
-        help="override the fault model's mean repair time after a crash",
-    )
-    p_scenario.add_argument(
-        "--link-loss",
-        type=_probability_arg,
-        default=None,
-        metavar="PROB",
-        help="override the fault model's per-contact drop probability",
-    )
-    p_scenario.add_argument(
-        "--state-loss",
-        choices=STATE_LOSS_MODES,
-        default=None,
-        help="override what a rebooting node forgets: none = full state "
-        "survives, buffer = stored copies are lost, knowledge = delivery "
-        "knowledge (i-lists / anti-packet tables) is lost, all = both",
     )
     p_scenario.set_defaults(func=_cmd_run_scenario)
 

@@ -56,7 +56,7 @@ class RunResult:
     churn: dict[str, float] = field(default_factory=dict)
     #: opt-in ``(time, fill fraction)`` occupancy trace — piecewise
     #: constant between entries; None unless the run recorded it
-    #: (``SimulationConfig.record_occupancy`` / ``--record-occupancy``)
+    #: (``SimulationConfig.record_occupancy``; ``--set record_occupancy=true``)
     occupancy_series: tuple[tuple[float, float], ...] | None = None
 
     @property

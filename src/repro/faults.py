@@ -20,14 +20,15 @@ All randomness is drawn from seeded streams derived from the fault seed
 (see :class:`repro.des.rng.RngHub`), so faulted runs stay bit-identical
 between serial and parallel executors and across checkpoint resume. The
 spec itself is a frozen, hashable value object with an exact JSON
-round-trip, carried on ``SimulationConfig``/``ScenarioSpec``.
+round-trip (:mod:`repro.codec`), carried on
+``SimulationConfig``/``ScenarioSpec``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any
+from dataclasses import dataclass
 
+from repro.codec import Encodable
 from repro.validation import require_int, require_nonneg, require_prob, require_real
 
 #: Accepted ``state_loss`` modes, in increasing order of amnesia.
@@ -35,7 +36,7 @@ STATE_LOSS_MODES = ("none", "buffer", "knowledge", "all")
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Encodable):
     """Declarative description of one fault environment.
 
     An all-defaults spec is *trivial*: it injects nothing and a run
@@ -124,31 +125,3 @@ class FaultSpec:
     @property
     def wipes_knowledge(self) -> bool:
         return self.has_churn and self.state_loss in ("knowledge", "all")
-
-    # ------------------------------------------------------------- round-trip
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "churn_rate": self.churn_rate,
-            "mean_downtime": self.mean_downtime,
-            "state_loss": self.state_loss,
-            "downtime_schedule": [list(entry) for entry in self.downtime_schedule],
-            "contact_drop_prob": self.contact_drop_prob,
-            "interrupt_prob": self.interrupt_prob,
-            "transfer_failure_prob": self.transfer_failure_prob,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> FaultSpec:
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"FaultSpec: unknown key(s) {sorted(unknown)}; known: {sorted(known)}"
-            )
-        kwargs = dict(data)
-        if "downtime_schedule" in kwargs:
-            kwargs["downtime_schedule"] = tuple(
-                tuple(entry) for entry in kwargs["downtime_schedule"]
-            )
-        return cls(**kwargs)

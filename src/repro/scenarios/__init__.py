@@ -3,8 +3,7 @@
 This package is the configuration layer of the library. A
 :class:`ScenarioSpec` captures one full experiment — mobility input,
 protocol set, sweep grid, seeds, mechanism constants — as a plain,
-JSON-round-trippable value; :func:`run_scenario` (or
-:meth:`ScenarioSpec.run`) executes it on any
+JSON-round-trippable value; :meth:`ScenarioSpec.run` executes it on any
 :class:`~repro.core.executors.Executor` backend, serially or across worker
 processes, with bit-identical results either way.
 
@@ -35,7 +34,6 @@ from repro.scenarios.spec import (
     build_mobility,
     mobility_names,
     register_mobility,
-    run_scenario,
 )
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "register_mobility",
     "build_mobility",
     "mobility_names",
-    "run_scenario",
     "Cell",
     "Executor",
     "SerialExecutor",

@@ -29,9 +29,10 @@ import json
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from typing import Any, TextIO
 
+from repro.codec import Encodable
 from repro.core.checkpoint import CheckpointJournal
 from repro.core.executors import Executor, FailurePolicy
 from repro.core.protocols.registry import ProtocolConfig, make_protocol_config
@@ -42,7 +43,7 @@ from repro.core.workload import PAPER_LOADS, PAPER_REPLICATIONS
 from repro.des.rng import derive_seed
 from repro.faults import FaultSpec
 from repro.mobility.contact import ContactTrace
-from repro.validation import require_bool, require_int, require_real
+from repro.validation import require_bool, require_int, require_nonneg, require_real
 
 # --------------------------------------------------------------------------
 # mobility registry
@@ -84,6 +85,15 @@ def mobility_names() -> list[str]:
     return sorted(_MOBILITY_REGISTRY)
 
 
+def _mobility_builder(kind: str) -> MobilityBuilder:
+    try:
+        return _MOBILITY_REGISTRY[kind]
+    except KeyError:
+        raise KeyError(
+            f"unknown mobility kind {kind!r}; available: {', '.join(mobility_names())}"
+        ) from None
+
+
 def build_mobility(kind: str, *, seed: int = 0, **params: Any) -> ContactTrace:
     """Build a trace from a registered mobility kind.
 
@@ -91,12 +101,7 @@ def build_mobility(kind: str, *, seed: int = 0, **params: Any) -> ContactTrace:
         KeyError: for an unknown kind (message lists what is available).
         ValueError: for parameters the kind does not accept.
     """
-    try:
-        builder = _MOBILITY_REGISTRY[kind]
-    except KeyError:
-        raise KeyError(
-            f"unknown mobility kind {kind!r}; available: {', '.join(mobility_names())}"
-        ) from None
+    builder = _mobility_builder(kind)
     try:
         return builder(seed=seed, **params)
     except TypeError as exc:
@@ -205,17 +210,6 @@ UNSTORED_MOBILITY_KINDS = frozenset({"trace_file", "analytic"})
 # --------------------------------------------------------------------------
 # spec dataclasses
 
-def _check_keys(cls_name: str, data: Mapping[str, Any], known: Sequence[str]) -> None:
-    if not isinstance(data, Mapping):
-        raise ValueError(f"{cls_name} spec must be a mapping, got {type(data).__name__}")
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ValueError(
-            f"unknown {cls_name} key(s): {', '.join(unknown)}; "
-            f"known: {', '.join(known)}"
-        )
-
-
 def _check_params(cls_name: str, params: Any) -> dict[str, Any]:
     if not isinstance(params, Mapping):
         raise ValueError(f"{cls_name}.params must be a mapping")
@@ -226,18 +220,18 @@ def _check_params(cls_name: str, params: Any) -> dict[str, Any]:
 
 
 @dataclass(frozen=True)
-class MobilitySpec:
+class MobilitySpec(Encodable):
     """A mobility input, by registry kind + parameters.
 
     Attributes:
         kind: Registered mobility kind (``campus``, ``rwp``,
             ``classic_rwp``, ``interval``, ``trace_file``, or any kind added
-            via :func:`register_mobility`).
+            via :func:`register_mobility`); an unknown kind fails at
+            construction.
         params: Keyword parameters for the kind's builder (e.g. the fields
-            of :class:`~repro.mobility.rwp.RWPConfig` for ``rwp``; that
-            includes the contact-extraction ``engine`` knob — fast or
-            exact — for the trajectory-based kinds, so scenario files can
-            pin the reference detector).
+            of :class:`~repro.mobility.rwp.RWPConfig` for ``rwp``). The
+            builder checks them when it builds the first trace, before
+            any cell runs.
         seed: Fixed generation seed; ``None`` (default) inherits the seed
             the caller builds with (for a scenario: the scenario seed).
     """
@@ -247,8 +241,7 @@ class MobilitySpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.kind:
-            raise ValueError("mobility kind must be non-empty")
+        _mobility_builder(self.kind)
         object.__setattr__(self, "params", _check_params("MobilitySpec", self.params))
         if self.seed is not None:
             require_int("MobilitySpec.seed", self.seed, 0)
@@ -258,33 +251,21 @@ class MobilitySpec:
         effective = self.seed if self.seed is not None else seed
         return build_mobility(self.kind, seed=effective, **self.params)
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"kind": self.kind}
-        if self.params:
-            out["params"] = dict(self.params)
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> MobilitySpec:
-        _check_keys("MobilitySpec", data, ["kind", "params", "seed"])
-        if "kind" not in data:
-            raise ValueError("MobilitySpec requires a 'kind' key")
-        return cls(kind=data["kind"], params=data.get("params", {}), seed=data.get("seed"))
-
 
 @dataclass(frozen=True)
-class ProtocolSpec:
-    """A protocol under test, by registry name + parameter overrides."""
+class ProtocolSpec(Encodable):
+    """A protocol under test, by registry name + parameter overrides.
+
+    Construction builds the configuration once, so an unknown name or a
+    bad parameter fails when the spec is made, not when a cell runs.
+    """
 
     name: str
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("protocol name must be non-empty")
         object.__setattr__(self, "params", _check_params("ProtocolSpec", self.params))
+        self.build()
 
     def build(self) -> ProtocolConfig:
         """Instantiate the protocol configuration from the registry."""
@@ -295,22 +276,9 @@ class ProtocolSpec:
                 f"bad parameters for protocol {self.name!r}: {exc}"
             ) from exc
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"name": self.name}
-        if self.params:
-            out["params"] = dict(self.params)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> ProtocolSpec:
-        _check_keys("ProtocolSpec", data, ["name", "params"])
-        if "name" not in data:
-            raise ValueError("ProtocolSpec requires a 'name' key")
-        return cls(name=data["name"], params=data.get("params", {}))
-
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Encodable):
     """The sweep grid: offered loads × replications (paper defaults)."""
 
     loads: tuple[int, ...] = PAPER_LOADS
@@ -332,25 +300,9 @@ class WorkloadSpec:
             raise ValueError("loads must be >= 1")
         require_int("replications", self.replications, 1)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"loads": list(self.loads), "replications": self.replications}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> WorkloadSpec:
-        _check_keys("WorkloadSpec", data, ["loads", "replications"])
-        kwargs: dict[str, Any] = {}
-        if "loads" in data:
-            loads = data["loads"]
-            if isinstance(loads, (str, bytes)) or not isinstance(loads, Sequence):
-                raise ValueError("WorkloadSpec.loads must be a list of integers")
-            kwargs["loads"] = tuple(loads)
-        if "replications" in data:
-            kwargs["replications"] = data["replications"]
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Encodable):
     """A complete, serialisable experiment scenario.
 
     Attributes:
@@ -363,8 +315,11 @@ class ScenarioSpec:
             False = a fresh trace per replication index, each generated
             with a seed derived from ``(base, "mobility", rep)`` where
             ``base`` is the mobility's pinned seed or, by default, ``seed``.
-        buffer_capacity / bundle_tx_time: Mechanism constants, forwarded
-            into :class:`~repro.core.simulation.SimulationConfig`. Each
+        buffer_capacity / bundle_tx_time: Mechanism constants. These and
+            ``drop_policy``, ``record_occupancy``, ``engine``, ``kernel``
+            and ``faults`` are the fields of
+            :class:`~repro.core.simulation.SimulationConfig`, which the
+            spec builds from that class's own field list. Each
             accepts one scalar (homogeneous population) or a JSON list with
             one entry per node (heterogeneous devices).
         drop_policy: Buffer drop policy consulted on buffer pressure
@@ -385,10 +340,11 @@ class ScenarioSpec:
             (:mod:`repro.core.sweepkernel`) whenever the cell qualifies
             and falls back to the event engine otherwise; ``"event"``
             forces the classic per-event path; ``"soa"`` forces the
-            sweep kernel and fails fast (at spec load for faulted
-            scenarios, at run start otherwise) when a cell cannot run on
-            it. Both kernels produce byte-identical results, so this is
-            purely a speed dial. Ignored by the ``ode`` engine.
+            sweep kernel and fails fast when a cell cannot run on it (at
+            run start: dynamic TTL, PRoPHET, mixed or custom protocols;
+            at spec load when combined with the ``ode`` engine). Both
+            kernels produce byte-identical results, so this is purely a
+            speed dial.
         surrogate_check: When the engine is ``"ode"``, run the
             cross-validation gate (:mod:`repro.analytic.calibration`)
             before the sweep: both engines execute a small reference grid
@@ -443,6 +399,7 @@ class ScenarioSpec:
     cell_timeout: float | None = None
     on_error: str = "abort"
     faults: FaultSpec | None = None
+    _sim: SimulationConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         protocols = tuple(self.protocols)
@@ -455,14 +412,9 @@ class ScenarioSpec:
         # Fail fast on bad mechanism constants; SimulationConfig also
         # normalises per-node lists, so adopt its tuple forms.
         sim = SimulationConfig(
-            buffer_capacity=self.buffer_capacity,
-            bundle_tx_time=self.bundle_tx_time,
-            drop_policy=self.drop_policy,
-            record_occupancy=self.record_occupancy,
-            engine=self.engine,
-            kernel=self.kernel,
-            faults=self.faults,
+            **{f.name: getattr(self, f.name) for f in dataclasses.fields(SimulationConfig)}
         )
+        object.__setattr__(self, "_sim", sim)
         object.__setattr__(self, "buffer_capacity", sim.buffer_capacity)
         object.__setattr__(self, "bundle_tx_time", sim.bundle_tx_time)
         if self.engine == "ode" and sim.active_faults is not None:
@@ -489,7 +441,9 @@ class ScenarioSpec:
         ):
             raise ValueError("surrogate_reference must be a MobilitySpec or None")
         # Fail fast on a bad failure policy (FailurePolicy validates
-        # retries >= 0, backoff >= 0, positive timeout, on_error mode).
+        # retries >= 0, backoff >= 0, positive timeout, on_error mode);
+        # the backoff first, so its error names this spec's key.
+        require_nonneg("retry_backoff", self.retry_backoff)
         self.failure_policy()
 
     # ------------------------------------------------------------- building
@@ -513,15 +467,11 @@ class ScenarioSpec:
             self.mobility.kind, seed=self.trace_seed(rep), **self.mobility.params
         )
 
-    def trace_factory(self) -> TraceFactory:
-        """Replication-index → trace callable for :func:`run_sweep`."""
-        return self.build_trace
-
     def _stored_trace_factory(self, journal: CheckpointJournal) -> TraceFactory:
         """:meth:`build_trace` through the campaign's trace store, except
         for the :data:`UNSTORED_MOBILITY_KINDS`."""
         if self.mobility.kind in UNSTORED_MOBILITY_KINDS:
-            return self.trace_factory()
+            return self.build_trace
 
         def stored(rep: int) -> ContactTrace:
             recipe = {"mobility": self.mobility.to_dict(), "seed": self.trace_seed(rep)}
@@ -540,15 +490,7 @@ class ScenarioSpec:
             replications=self.workload.replications,
             master_seed=self.seed,
             shared_trace=self.shared_trace,
-            sim=SimulationConfig(
-                buffer_capacity=self.buffer_capacity,
-                bundle_tx_time=self.bundle_tx_time,
-                drop_policy=self.drop_policy,
-                record_occupancy=self.record_occupancy,
-                engine=self.engine,
-                kernel=self.kernel,
-                faults=self.faults,
-            ),
+            sim=self._sim,
         )
 
     def failure_policy(self) -> FailurePolicy:
@@ -621,7 +563,7 @@ class ScenarioSpec:
             report.ensure(self.surrogate_tolerance)
             report_data = report.to_dict()
         journal = None
-        factory = self.trace_factory()
+        factory: TraceFactory = self.build_trace
         if checkpoint is not None:
             journal = CheckpointJournal(checkpoint, resume=resume)
             factory = self._stored_trace_factory(journal)
@@ -638,110 +580,6 @@ class ScenarioSpec:
         return result
 
     # -------------------------------------------------------- serialisation
-
-    def to_dict(self) -> dict[str, Any]:
-        def plain(value: Any) -> Any:
-            return list(value) if isinstance(value, tuple) else value
-
-        out = {
-            "name": self.name,
-            "seed": self.seed,
-            "mobility": self.mobility.to_dict(),
-            "protocols": [p.to_dict() for p in self.protocols],
-            "workload": self.workload.to_dict(),
-            "shared_trace": self.shared_trace,
-            "buffer_capacity": plain(self.buffer_capacity),
-            "bundle_tx_time": plain(self.bundle_tx_time),
-            "drop_policy": self.drop_policy,
-            "record_occupancy": self.record_occupancy,
-            "engine": self.engine,
-            "kernel": self.kernel,
-            "surrogate_check": self.surrogate_check,
-            "surrogate_tolerance": self.surrogate_tolerance,
-            "retries": self.retries,
-            "retry_backoff": self.retry_backoff,
-            "cell_timeout": self.cell_timeout,
-            "on_error": self.on_error,
-        }
-        if self.surrogate_reference is not None:
-            out["surrogate_reference"] = self.surrogate_reference.to_dict()
-        if self.faults is not None:
-            out["faults"] = self.faults.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> ScenarioSpec:
-        _check_keys(
-            "ScenarioSpec",
-            data,
-            [
-                "name",
-                "seed",
-                "mobility",
-                "protocols",
-                "workload",
-                "shared_trace",
-                "buffer_capacity",
-                "bundle_tx_time",
-                "drop_policy",
-                "record_occupancy",
-                "engine",
-                "kernel",
-                "surrogate_check",
-                "surrogate_tolerance",
-                "surrogate_reference",
-                "retries",
-                "retry_backoff",
-                "cell_timeout",
-                "on_error",
-                "faults",
-            ],
-        )
-        if "mobility" not in data:
-            raise ValueError("ScenarioSpec requires a 'mobility' key")
-        if "protocols" not in data:
-            raise ValueError("ScenarioSpec requires a 'protocols' key")
-        protocols = data["protocols"]
-        if isinstance(protocols, Mapping) or not isinstance(protocols, Sequence):
-            raise ValueError("ScenarioSpec.protocols must be a list of protocol specs")
-        kwargs: dict[str, Any] = {
-            "mobility": MobilitySpec.from_dict(data["mobility"]),
-            "protocols": tuple(ProtocolSpec.from_dict(p) for p in protocols),
-        }
-        if "workload" in data:
-            kwargs["workload"] = WorkloadSpec.from_dict(data["workload"])
-        if data.get("surrogate_reference") is not None:
-            kwargs["surrogate_reference"] = MobilitySpec.from_dict(
-                data["surrogate_reference"]
-            )
-        if data.get("faults") is not None:
-            faults = data["faults"]
-            if not isinstance(faults, Mapping):
-                raise ValueError("ScenarioSpec.faults must be a mapping")
-            kwargs["faults"] = FaultSpec.from_dict(dict(faults))
-        for key in (
-            "name",
-            "seed",
-            "shared_trace",
-            "buffer_capacity",
-            "bundle_tx_time",
-            "drop_policy",
-            "record_occupancy",
-            "engine",
-            "kernel",
-            "surrogate_check",
-            "surrogate_tolerance",
-            "retries",
-            "retry_backoff",
-            "cell_timeout",
-            "on_error",
-        ):
-            if key in data:
-                value = data[key]
-                if key in ("buffer_capacity", "bundle_tx_time") and isinstance(value, list):
-                    value = tuple(value)
-                kwargs[key] = value
-        return cls(**kwargs)
 
     def to_json(self, *, indent: int = 2) -> str:
         """The scenario as a JSON document."""
@@ -779,21 +617,3 @@ class ScenarioSpec:
             text = source.read()
         return cls.from_json(text)
 
-
-def run_scenario(
-    spec: ScenarioSpec,
-    *,
-    executor: Executor | None = None,
-    jobs: int | None = None,
-    progress: Callable[[str], None] | None = None,
-    checkpoint: str | Path | None = None,
-    resume: bool = False,
-) -> SweepResult:
-    """Functional alias for :meth:`ScenarioSpec.run`."""
-    return spec.run(
-        executor=executor,
-        jobs=jobs,
-        progress=progress,
-        checkpoint=checkpoint,
-        resume=resume,
-    )

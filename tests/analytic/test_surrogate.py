@@ -8,10 +8,10 @@ import pytest
 
 from repro import SimulationConfig, SweepConfig, make_protocol_config, run_sweep
 from repro.analytic.surrogate import (
-    EXACT_LIMIT,
     AnalyticContactModel,
     UnsupportedProtocolError,
     _birth_rates,
+    _holder_curves_fluid,
     _rank_time_averages,
     holder_curves,
     make_analytic_model,
@@ -122,7 +122,7 @@ class TestHolderCurves:
         """
         n, beta, horizon = 400, 2e-5, 3_000_000.0
         ts_e, mean_e, _ = holder_curves(n, beta, 1.0, 1.0, horizon)
-        ts_f, mean_f, _ = holder_curves(n, beta, 1.0, 1.0, horizon, exact_limit=0)
+        ts_f, mean_f, _ = _holder_curves_fluid(n, beta, 1.0, 1.0, horizon)
         for frac in (0.5, 0.75, 0.95):
             level = 1 + frac * (n - 1)
             t_exact = ts_e[int(np.searchsorted(mean_e, level))]

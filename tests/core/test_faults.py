@@ -94,7 +94,7 @@ class TestFaultSpec:
         assert spec.downtime_schedule == ((0, 5.0, 7.5), (3, 10.0, 20.0))
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown key"):
+        with pytest.raises(ValueError, match="unknown FaultSpec key"):
             FaultSpec.from_dict({"churn_rate": 0.0, "crash_rate": 1.0})
 
     @pytest.mark.parametrize(

@@ -121,7 +121,7 @@ def test_cli_error_violation_exits_nonzero(tmp_path, capsys):
 def test_cli_list_rules_names_every_rule(capsys):
     assert run_cli(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rid in ("DET001", "DET002", "DET003", "HOT001", "HOT002", "SPEC001", "API001"):
+    for rid in ("DET001", "DET002", "DET003", "HOT001", "HOT002", "HOT003", "API001"):
         assert rid in out
 
 

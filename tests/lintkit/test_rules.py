@@ -21,7 +21,6 @@ SCOPED_PATH = {
     "HOT001": "src/repro/des/engine.py",
     "HOT002": "src/repro/core/simulation.py",
     "HOT003": "src/repro/core/sweepkernel.py",
-    "SPEC001": "src/repro/scenarios/spec.py",
     "API001": "src/repro/core/policies.py",
 }
 
@@ -433,84 +432,6 @@ class TestKernelContactLoop:
             "    keep = ce - cs >= 1.0\n",
             path=FOLD_PATH,
         )
-
-
-# ------------------------------------------------------------------ SPEC001
-
-
-SPEC_OK = """
-from dataclasses import dataclass
-from typing import Any
-
-@dataclass(frozen=True)
-class ThingSpec:
-    '''doc'''
-    alpha: int = 1
-    beta: str = "x"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"alpha": self.alpha, "beta": self.beta}
-
-    @classmethod
-    def from_dict(cls, data) -> "ThingSpec":
-        return cls(alpha=data.get("alpha", 1), beta=data.get("beta", "x"))
-"""
-
-SPEC_MISSING = SPEC_OK.replace('"beta": self.beta', '"bet_a": self.beta')
-
-
-class TestSpecRoundTrip:
-    def test_fires_on_field_missing_from_to_dict(self):
-        out = assert_fires("SPEC001", SPEC_MISSING)
-        assert "beta" in out[0].message
-
-    def test_passes_on_complete_round_trip(self):
-        assert_clean("SPEC001", SPEC_OK)
-
-    def test_dataclass_without_round_trip_ignored(self):
-        assert_clean(
-            "SPEC001",
-            "from dataclasses import dataclass\n"
-            "@dataclass\n"
-            "class Plain:\n"
-            "    '''doc'''\n"
-            "    x: int = 0\n",
-        )
-
-    def test_cross_file_mirror_fires_on_unmirrored_config_knob(self):
-        config = (
-            "from dataclasses import dataclass\n"
-            "@dataclass\n"
-            "class SimulationConfig:\n"
-            "    '''doc'''\n"
-            "    buffer_capacity: int = 10\n"
-            "    new_knob: float = 0.5\n"
-        )
-        spec = (
-            "from dataclasses import dataclass\n"
-            "@dataclass(frozen=True)\n"
-            "class ScenarioSpec:\n"
-            "    '''doc'''\n"
-            "    buffer_capacity: int = 10\n"
-        )
-        rules = [r for r in default_rules() if r.rule_id == "SPEC001"]
-        out = lint_sources(
-            [
-                ("src/repro/core/simulation.py", config),
-                ("src/repro/scenarios/spec.py", spec),
-            ],
-            rules,
-        )
-        assert out, "unmirrored SimulationConfig knob must fire"
-        assert any("new_knob" in v.message for v in out)
-        assert not any("buffer_capacity" in v.message for v in out)
-
-    def test_pragma_suppresses(self):
-        pragma_src = SPEC_MISSING.replace(
-            "    def to_dict(self) -> dict[str, Any]:",
-            "    def to_dict(self) -> dict[str, Any]:  # lint: disable=SPEC001",
-        )
-        assert_clean("SPEC001", pragma_src)
 
 
 # ------------------------------------------------------------------ API001

@@ -1,9 +1,15 @@
 """Scenario specs: JSON round-trips, validation, mobility registry."""
 
+import copy
+import dataclasses
+import functools
 import json
 import math
+import operator
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.mobility.contact import ContactTrace
 from repro.scenarios import (
@@ -464,7 +470,7 @@ class TestFaultSpecKeys:
     def test_unknown_fault_key_rejected(self):
         data = tiny_scenario(faults=self._faults()).to_dict()
         data["faults"]["blast_radius"] = 3
-        with pytest.raises(ValueError, match="unknown key"):
+        with pytest.raises(ValueError, match="unknown FaultSpec key"):
             ScenarioSpec.from_dict(data)
 
     def test_bad_fault_values_rejected(self):
@@ -706,3 +712,155 @@ def test_nan_parameter_is_refused_before_any_cell_runs(case, monkeypatch):
             spec.build_trace()
             spec.run()
     assert ran == []
+
+
+#: case → (pattern the load error must match, top-level keys that plant
+#: the hostile value): each of these once loaded, or failed with an error
+#: that named no key, and now fails at load naming its dotted key
+HOSTILE_AT_LOAD = {
+    # iterated as a schedule: a bare TypeError, 'int' object is not iterable
+    "downtime_schedule_int": (
+        r"faults\.downtime_schedule must be a list, got int",
+        {"faults": {"downtime_schedule": 5}},
+    ),
+    # iterated as a string: "ProtocolSpec spec must be a mapping, got str"
+    "protocols_string": (r"^protocols must be a list, got str", {"protocols": "pure"}),
+    # refused under FailurePolicy's field name, "backoff must be a number"
+    "retry_backoff_string": (r"^retry_backoff must be a number", {"retry_backoff": "x"}),
+    # these four loaded and failed only once run() started
+    "unknown_protocol": (
+        r"^protocols\[0\]: unknown protocol 'nonexistent'",
+        {"protocols": [{"name": "nonexistent"}]},
+    ),
+    "bad_protocol_params": (
+        r"^protocols\[0\]: ttl must be",
+        {"protocols": [{"name": "ttl", "params": {"ttl": "x"}}]},
+    ),
+    "unknown_mobility_kind": (
+        r"^mobility: unknown mobility kind 'warp'",
+        {"mobility": {"kind": "warp"}},
+    ),
+    "unknown_surrogate_reference_kind": (
+        r"^surrogate_reference: unknown mobility kind 'warp'",
+        {"surrogate_reference": {"kind": "warp"}},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_AT_LOAD))
+def test_hostile_spec_fails_at_load_naming_its_key(case):
+    pattern, planted = HOSTILE_AT_LOAD[case]
+    text = json.dumps({**tiny_scenario().to_dict(), **planted})
+    with pytest.raises(ValueError, match=pattern):
+        ScenarioSpec.from_json(text)
+
+
+def test_codec_omits_none_and_empty_mappings_only():
+    from repro.faults import FaultSpec
+
+    data = tiny_scenario(faults=FaultSpec()).to_dict()
+    for key in ("cell_timeout", "surrogate_reference"):
+        assert key not in data
+    assert "params" not in data["protocols"][0]
+    # an empty tuple is not a mapping: the fault encoding keeps its key
+    assert data["faults"]["downtime_schedule"] == []
+
+
+def test_codec_writes_every_field():
+    """Each field of every spec reaches the encoding, in declaration
+    order, so a codec that skipped one would lose a knob from scenario
+    files."""
+    from repro.faults import FaultSpec
+
+    faults = FaultSpec(
+        churn_rate=1e-4,
+        mean_downtime=50.0,
+        downtime_schedule=((1, 5.0, 9.0),),
+        contact_drop_prob=0.1,
+        interrupt_prob=0.2,
+        transfer_failure_prob=0.3,
+        state_loss="all",
+    )
+    spec = tiny_scenario(
+        mobility=MobilitySpec("interval", {"num_nodes": 8}, seed=4),
+        cell_timeout=9.0,
+        surrogate_reference=MobilitySpec("poisson", {"num_nodes": 6}),
+        faults=faults,
+    )
+    data = spec.to_dict()
+    for block, value in (
+        (data, spec),
+        (data["mobility"], spec.mobility),
+        (data["protocols"][1], spec.protocols[1]),
+        (data["workload"], spec.workload),
+        (data["faults"], faults),
+    ):
+        assert list(block) == [f.name for f in dataclasses.fields(value) if f.init]
+    assert ScenarioSpec.from_json(spec.to_json()) == spec
+
+
+def test_simulation_config_fields_are_scenario_fields():
+    """The spec builds its SimulationConfig from the config's own field
+    list, so a config knob with no spec field breaks every spec."""
+    from repro.core.simulation import SimulationConfig
+
+    spec_fields = {f.name for f in dataclasses.fields(ScenarioSpec) if f.init}
+    assert {f.name for f in dataclasses.fields(SimulationConfig)} <= spec_fields
+    spec = tiny_scenario(drop_policy="drop-oldest", record_occupancy=True, kernel="event")
+    assert spec.sweep_config().sim == SimulationConfig(
+        **{f.name: getattr(spec, f.name) for f in dataclasses.fields(SimulationConfig)}
+    )
+
+
+# ------------------------------------------------------------------ fuzzing
+
+_ROOT = Path(__file__).resolve().parents[2]
+#: the example and bench scenario documents the fuzzer mutates
+SPEC_DOCUMENTS = [
+    json.loads(path.read_text())
+    for pattern in ("examples/scenarios/*.json", "bench/workloads/*.json")
+    for path in sorted(_ROOT.glob(pattern))
+]
+FUZZ_VALUES = [None, "", "x", -1, 2.5, NAN, INF, [], {}, [1], True, {"k": 1}]
+
+
+def _node_paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield from _node_paths(child, (*path, key))
+
+
+@st.composite
+def mutated_documents(draw):
+    """An example or bench spec with one to three mutations at any depth:
+    a value replaced by a hostile one, a key deleted, an unknown key added."""
+    doc = copy.deepcopy(draw(st.sampled_from(SPEC_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_node_paths(doc))))
+        node = functools.reduce(operator.getitem, path, doc)
+        parent = functools.reduce(operator.getitem, path[:-1], doc) if path else None
+        op = draw(st.sampled_from(("replace", "delete", "add")))
+        if op == "replace" and path:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+        elif op == "delete" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif op == "add" and isinstance(node, dict):
+            node["unknown_key"] = 1
+    return doc
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_documents())
+def test_fuzzed_spec_is_refused_by_name_or_round_trips(doc):
+    """A mutated spec fails with a ValueError or KeyError — never a
+    TypeError, AttributeError or IndexError — or it loads, and its
+    encoding is a fixed point of load + re-encode."""
+    try:
+        spec = ScenarioSpec.from_dict(doc)
+    except (ValueError, KeyError):
+        return
+    text = spec.to_json()
+    assert ScenarioSpec.from_json(text).to_json() == text

@@ -190,25 +190,18 @@ class TestBufferContentionCli:
 
     def test_parser_accepts_policy_and_capacity_flags(self):
         args = build_parser().parse_args(
-            ["run-scenario", "s.json", "--drop-policy", "drop-oldest",
-             "--buffer-capacity", "4"]
+            ["run-scenario", "s.json", "--set", "drop_policy=drop-oldest",
+             "--set", "buffer_capacity=4"]
         )
-        assert args.drop_policy == "drop-oldest"
-        assert args.buffer_capacity == 4
+        # a value is JSON when it parses as JSON, else the plain string
+        assert args.set == [(["drop_policy"], "drop-oldest"), (["buffer_capacity"], 4)]
         args = build_parser().parse_args(
-            ["run-scenario", "s.json", "--buffer-capacity", "1,2,3"]
+            ["run-scenario", "s.json", "--set", "buffer_capacity=[1,2,3]"]
         )
-        assert args.buffer_capacity == (1, 2, 3)
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run-scenario", "s.json", "--drop-policy", "fifo"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run-scenario", "s.json", "--buffer-capacity", "x"]
-            )
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run-scenario", "s.json", "--buffer-capacity", "0"]
-            )
+        assert args.set == [(["buffer_capacity"], [1, 2, 3])]
+        for bad in ("drop_policy", "=4", "faults..churn_rate=1e-4"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run-scenario", "s.json", "--set", bad])
 
     def test_runs_heterogeneous_scenario_file(self, het_file, capsys):
         assert main(["run-scenario", str(het_file)]) == 0
@@ -220,10 +213,41 @@ class TestBufferContentionCli:
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(TINY_SCENARIO))
         assert main(
-            ["run-scenario", str(path), "--drop-policy", "drop-random",
-             "--buffer-capacity", "1,1,1,1,2,2,2,2"]
+            ["run-scenario", str(path), "--set", "drop_policy=drop-random",
+             "--set", "buffer_capacity=[1,1,1,1,2,2,2,2]"]
         ) == 0
-        assert "8 runs" in capsys.readouterr().out
+        overridden = capsys.readouterr().out
+        assert "8 runs" in overridden
+        # the overrides reach the run: the same tables as a file that sets them
+        baked = tmp_path / "baked.json"
+        baked.write_text(json.dumps({
+            **TINY_SCENARIO,
+            "drop_policy": "drop-random",
+            "buffer_capacity": [1, 1, 1, 1, 2, 2, 2, 2],
+        }))
+        assert main(["run-scenario", str(baked)]) == 0
+        assert capsys.readouterr().out.split("====")[-1] == overridden.split("====")[-1]
+        # a bad value exits 2 with the spec's message, which names the key
+        for bad, key in (
+            ("drop_policy=fifo", "drop policy"),
+            ("buffer_capacity=x", "buffer_capacity"),
+            ("buffer_capacity=0", "buffer_capacity"),
+        ):
+            assert main(["run-scenario", str(path), "--set", bad]) == 2
+            assert key in capsys.readouterr().err
+
+    def test_record_occupancy_override_exports_series(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(TINY_SCENARIO))
+        assert main(["run-scenario", str(path), "--out", str(tmp_path / "plain")]) == 0
+        assert not (tmp_path / "plain" / "tiny_occupancy.json").exists()
+        out_dir = tmp_path / "occ"
+        assert main(
+            ["run-scenario", str(path), "--set", "record_occupancy=true",
+             "--out", str(out_dir)]
+        ) == 0
+        runs = json.loads((out_dir / "tiny_occupancy.json").read_text())
+        assert len(runs) == 8 and all(run["occupancy_series"] for run in runs)
 
     def test_repo_example_scenario_loads(self):
         from pathlib import Path
@@ -269,15 +293,15 @@ class TestHybridEngineCli:
         path.write_text(json.dumps(ODE_SCENARIO))
         return path
 
-    def test_parser_accepts_engine_flags(self):
-        args = build_parser().parse_args(["run-scenario", "s.json", "--engine", "ode"])
-        assert args.engine == "ode"
+    def test_parser_accepts_engine_flags(self, ode_file, capsys):
+        args = build_parser().parse_args(["run-scenario", "s.json", "--set", "engine=ode"])
+        assert args.set == [(["engine"], "ode")]
         args = build_parser().parse_args(
-            ["run-scenario", "s.json", "--no-surrogate-check"]
+            ["run-scenario", "s.json", "--set", "surrogate_check=false"]
         )
-        assert args.no_surrogate_check
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run-scenario", "s.json", "--engine", "warp"])
+        assert args.set == [(["surrogate_check"], False)]
+        assert main(["run-scenario", str(ode_file), "--set", "engine=warp"]) == 2
+        assert "unknown engine 'warp'" in capsys.readouterr().err
 
     def test_runs_ode_scenario_with_gate(self, ode_file, capsys):
         assert main(["run-scenario", str(ode_file)]) == 0
@@ -288,13 +312,15 @@ class TestHybridEngineCli:
         assert "Delivery ratio" in out
 
     def test_no_surrogate_check_skips_gate(self, ode_file, capsys):
-        assert main(["run-scenario", str(ode_file), "--no-surrogate-check"]) == 0
+        assert main(
+            ["run-scenario", str(ode_file), "--set", "surrogate_check=false"]
+        ) == 0
         out = capsys.readouterr().out
         assert "4 runs" in out
         assert "surrogate gate" not in out
 
     def test_engine_override_forces_des(self, ode_file, capsys):
-        assert main(["run-scenario", str(ode_file), "--engine", "des"]) == 0
+        assert main(["run-scenario", str(ode_file), "--set", "engine=des"]) == 0
         out = capsys.readouterr().out
         assert "4 runs" in out
         assert "surrogate gate" not in out  # the gate only guards ode runs
@@ -330,7 +356,7 @@ class TestHybridEngineCli:
         assert main(["run-scenario", str(ode_file)]) == 1
         err = capsys.readouterr().err
         assert "refusing to extrapolate" in err
-        assert "--engine des" in err
+        assert "--set engine=des" in err
 
     def test_repo_surrogate_smoke_scenario_loads(self):
         from pathlib import Path
@@ -381,29 +407,30 @@ class TestFaultToleranceCli:
     def test_parser_accepts_fault_flags(self):
         args = build_parser().parse_args(
             ["run-scenario", "s.json", "--checkpoint", "camp", "--resume",
-             "--retries", "2", "--cell-timeout", "30", "--on-error", "keep-going"]
+             "--set", "retries=2", "--set", "cell_timeout=30",
+             "--set", "on_error=keep-going"]
         )
         assert args.checkpoint == "camp"
         assert args.resume is True
-        assert args.retries == 2
-        assert args.cell_timeout == 30.0
-        assert args.on_error == "keep-going"
+        assert args.set == [
+            (["retries"], 2), (["cell_timeout"], 30), (["on_error"], "keep-going")
+        ]
         defaults = build_parser().parse_args(["run-scenario", "s.json"])
         assert defaults.checkpoint is None and defaults.resume is False
-        assert defaults.retries is None and defaults.cell_timeout is None
-        assert defaults.on_error is None
+        assert defaults.set == []
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["run-scenario", "s.json", "--retries", "-1"],
-            ["run-scenario", "s.json", "--cell-timeout", "0"],
-            ["run-scenario", "s.json", "--on-error", "shrug"],
+            ["--set", "retries=-1"],
+            ["--set", "cell_timeout=0"],
+            ["--set", "on_error=shrug"],
         ],
     )
-    def test_bad_fault_flags_rejected(self, argv):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(argv)
+    def test_bad_fault_flags_rejected(self, argv, scenario_file, capsys):
+        assert main(["run-scenario", str(scenario_file), *argv]) == 2
+        key = argv[1].split("=")[0]
+        assert key in capsys.readouterr().err
 
     def test_resume_requires_checkpoint(self, scenario_file, capsys):
         assert main(["run-scenario", str(scenario_file), "--resume"]) == 2
@@ -454,8 +481,8 @@ class TestFaultToleranceCli:
     def test_policy_overrides_round_trip_into_spec(self, scenario_file, capsys):
         # keep-going + retries are accepted end-to-end on a healthy scenario
         assert main(
-            ["run-scenario", str(scenario_file), "--retries", "1",
-             "--on-error", "keep-going"]
+            ["run-scenario", str(scenario_file), "--set", "retries=1",
+             "--set", "on_error=keep-going"]
         ) == 0
         assert "scenario tiny: 8 runs" in capsys.readouterr().out
 
@@ -471,30 +498,32 @@ class TestDisruptionCli:
 
     def test_parser_accepts_disruption_flags(self):
         args = build_parser().parse_args(
-            ["run-scenario", "s.json", "--churn-rate", "2e-4",
-             "--mean-downtime", "500", "--link-loss", "0.1",
-             "--state-loss", "all"]
+            ["run-scenario", "s.json", "--set", "faults.churn_rate=2e-4",
+             "--set", "faults.mean_downtime=500",
+             "--set", "faults.contact_drop_prob=0.1",
+             "--set", "faults.state_loss=all"]
         )
-        assert args.churn_rate == 2e-4
-        assert args.mean_downtime == 500.0
-        assert args.link_loss == 0.1
-        assert args.state_loss == "all"
-        defaults = build_parser().parse_args(["run-scenario", "s.json"])
-        assert defaults.churn_rate is None and defaults.mean_downtime is None
-        assert defaults.link_loss is None and defaults.state_loss is None
+        assert args.set == [
+            (["faults", "churn_rate"], 2e-4),
+            (["faults", "mean_downtime"], 500),
+            (["faults", "contact_drop_prob"], 0.1),
+            (["faults", "state_loss"], "all"),
+        ]
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["run-scenario", "s.json", "--churn-rate", "-1e-4"],
-            ["run-scenario", "s.json", "--mean-downtime", "-5"],
-            ["run-scenario", "s.json", "--link-loss", "1.5"],
-            ["run-scenario", "s.json", "--state-loss", "vaporise"],
+            ["--set", "faults.churn_rate=-1e-4"],
+            ["--set", "faults.mean_downtime=-5"],
+            ["--set", "faults.contact_drop_prob=1.5"],
+            ["--set", "faults.state_loss=vaporise"],
         ],
     )
-    def test_bad_disruption_flags_rejected(self, argv):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(argv)
+    def test_bad_disruption_flags_rejected(self, argv, scenario_file, capsys):
+        assert main(["run-scenario", str(scenario_file), *argv]) == 2
+        err = capsys.readouterr().err
+        key = argv[1].split("=")[0].removeprefix("faults.")
+        assert "faults: " in err and key in err
 
     def test_inconsistent_override_rejected_with_message(
         self, scenario_file, capsys
@@ -502,7 +531,7 @@ class TestDisruptionCli:
         # churn without a repair time is a FaultSpec invariant violation —
         # surfaced as exit code 2, not a traceback
         assert main(
-            ["run-scenario", str(scenario_file), "--churn-rate", "1e-4"]
+            ["run-scenario", str(scenario_file), "--set", "faults.churn_rate=1e-4"]
         ) == 2
         assert "mean_downtime" in capsys.readouterr().err
 
@@ -511,8 +540,8 @@ class TestDisruptionCli:
     ):
         out_dir = tmp_path / "out"
         assert main(
-            ["run-scenario", str(scenario_file), "--churn-rate", "2e-4",
-             "--mean-downtime", "500", "--state-loss", "all",
+            ["run-scenario", str(scenario_file), "--set", "faults.churn_rate=2e-4",
+             "--set", "faults.mean_downtime=500", "--set", "faults.state_loss=all",
              "--out", str(out_dir)]
         ) == 0
         assert "scenario tiny: 8 runs" in capsys.readouterr().out
@@ -520,7 +549,7 @@ class TestDisruptionCli:
         assert "churn_crashes" in header and "churn_downtime" in header
 
     def test_override_merges_onto_scenario_fault_spec(self, tmp_path, capsys):
-        # --state-loss must extend the file's fault block, not replace it
+        # a faults.* override extends the file's fault block, not replace it
         path = tmp_path / "faulty.json"
         path.write_text(json.dumps({
             **TINY_SCENARIO,
@@ -529,8 +558,16 @@ class TestDisruptionCli:
         }))
         out_dir = tmp_path / "out"
         assert main(
-            ["run-scenario", str(path), "--state-loss", "buffer",
+            ["run-scenario", str(path), "--set", "faults.state_loss=buffer",
              "--out", str(out_dir)]
         ) == 0
-        header = (out_dir / "faulty_runs.csv").read_text().splitlines()[0]
-        assert "churn_crashes" in header  # churn kept from the file
+        runs = (out_dir / "faulty_runs.csv").read_text()
+        assert "churn_crashes" in runs.splitlines()[0]  # churn kept from the file
+        baked = tmp_path / "baked.json"
+        baked.write_text(json.dumps({
+            **TINY_SCENARIO,
+            "name": "faulty",
+            "faults": {"churn_rate": 2e-4, "mean_downtime": 500.0, "state_loss": "buffer"},
+        }))
+        assert main(["run-scenario", str(baked), "--out", str(tmp_path / "baked")]) == 0
+        assert (tmp_path / "baked" / "faulty_runs.csv").read_text() == runs

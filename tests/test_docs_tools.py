@@ -1,7 +1,12 @@
-"""The documentation toolchain: protocol-docs generator + link checker."""
+"""The documentation toolchain: protocol-docs generator, link checker,
+and the CLI commands the docs show."""
+
+import shlex
+from pathlib import Path
 
 import pytest
 
+from repro.cli import build_parser
 from tools.check_docs import check_file, github_slug, heading_slugs, main as check_main
 from tools.gen_protocol_docs import (
     SURROGATE_SUPPORTED,
@@ -110,3 +115,62 @@ class TestLinkChecker:
     def test_repo_docs_all_resolve(self):
         """The same invariant the CI docs job enforces on the real suite."""
         assert check_main([]) == 0
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SHELL_FENCES = ("sh", "bash", "shell", "console")
+
+
+def repro_commands(text: str) -> list[list[str]]:
+    """The arguments of every ``python -m repro …`` command in the fenced
+    shell blocks of a markdown text: ``\\`` continuations joined, comments
+    stripped, and the command cut at a pipe, list operator or redirect."""
+    lines: list[str] = []
+    fence = None
+    for line in text.splitlines():
+        stripped = line.strip()
+        if stripped.startswith("```"):
+            fence = stripped[3:].strip() if fence is None else None
+        elif fence in SHELL_FENCES:
+            lines.append(stripped)
+    commands = []
+    for line in "\n".join(lines).replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        starts = [i + 2 for i in range(len(argv) - 1) if argv[i : i + 2] == ["-m", "repro"]]
+        if starts:
+            command = argv[starts[0] :]
+            ends = [i for i, tok in enumerate(command) if tok in ("|", "||", "&&", ";", ">")]
+            commands.append(command[: ends[0]] if ends else command)
+    return commands
+
+
+class TestDocumentedCommands:
+    def test_extraction_joins_continuations_and_strips_comments(self):
+        text = (
+            "```sh\n"
+            "PYTHONPATH=src python -m repro run fig14 \\\n"
+            "    --scale smoke   # a figure\n"
+            "python -m repro list | head\n"
+            "```\n"
+            "```python\n"
+            "python -m repro never-parsed\n"
+            "```\n"
+        )
+        assert repro_commands(text) == [["run", "fig14", "--scale", "smoke"], ["list"]]
+        assert ["list"] in repro_commands((ROOT / "README.md").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize(
+        "doc",
+        ["README.md", *sorted(p.relative_to(ROOT).as_posix() for p in ROOT.glob("docs/*.md"))],
+    )
+    def test_every_documented_command_parses(self, doc):
+        """A flag deleted from the CLI but left in the docs fails here;
+        nothing is run."""
+        parser = build_parser()
+        bad = []
+        for argv in repro_commands((ROOT / doc).read_text(encoding="utf-8")):
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                bad.append(shlex.join(argv))
+        assert bad == [], f"{doc}: commands the CLI refuses: {bad}"

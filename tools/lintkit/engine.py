@@ -20,10 +20,8 @@ engine is deliberately small:
   for the whole file. ``ALL`` is accepted as a wildcard. Suppressions
   are for *reviewed* sites — the pragma is grep-able on purpose.
 
-Rules subclass :class:`Rule`, yield :class:`Violation` objects from
-:meth:`Rule.check`, and may emit cross-file violations from
-:meth:`Rule.finish` after every file was visited (used by SPEC001's
-config-mirror check).
+Rules subclass :class:`Rule` and yield :class:`Violation` objects from
+:meth:`Rule.check`, one source file at a time.
 """
 
 from __future__ import annotations
@@ -114,9 +112,7 @@ class SourceFile:
 class Rule:
     """Base class for reprolint rules.
 
-    Subclasses set the class attributes and implement :meth:`check`;
-    project-level rules may also override :meth:`finish` to emit
-    violations after the whole file set was visited.
+    Subclasses set the class attributes and implement :meth:`check`.
     """
 
     #: Stable identifier used in reports and pragmas (e.g. ``DET001``).
@@ -141,10 +137,6 @@ class Rule:
     def check(self, src: SourceFile) -> Iterable[Violation]:
         """Yield this rule's violations for one source file."""
         raise NotImplementedError
-
-    def finish(self) -> Iterable[Violation]:
-        """Cross-file violations, emitted after every file was checked."""
-        return ()
 
     def violation(
         self, src: SourceFile, node: ast.AST, message: str
@@ -200,22 +192,14 @@ def lint_sources(
         SyntaxError: if a source does not parse.
     """
     out: list[Violation] = []
-    checked: list[SourceFile] = []
     for rel_path, text in sources:
         src = SourceFile(rel_path, text)
-        checked.append(src)
         for rule in rules:
             if not rule.applies_to(rel_path):
                 continue
             for v in rule.check(src):
                 if not src.suppressed(v.rule_id, v.line):
                     out.append(v)
-    by_path = {src.rel_path: src for src in checked}
-    for rule in rules:
-        for v in rule.finish():
-            src = by_path.get(v.path)
-            if src is None or not src.suppressed(v.rule_id, v.line):
-                out.append(v)
     out.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
     return out
 

@@ -31,10 +31,6 @@ HOT003    no Python-level per-contact ``for`` loops (incl.
           fold — contact streams are swept with ``while`` + vectorized
           chunk scans and windows are folded by array operations,
           never element-wise Python iteration
-SPEC001   every serialisable spec/config dataclass field must appear
-          in its JSON round-trip (``to_dict`` *and* ``from_dict``),
-          and every ``SimulationConfig`` knob must be mirrored by
-          ``ScenarioSpec``
 API001    public registry-facing classes/functions must carry a
           docstring
 ========  ========================================================
@@ -43,7 +39,7 @@ API001    public registry-facing classes/functions must carry a
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from tools.lintkit.engine import (
     SEVERITY_ERROR,
@@ -618,119 +614,6 @@ class KernelContactLoopRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# SPEC001 — spec/config JSON round-trip completeness
-
-
-class SpecRoundTripRule(Rule):
-    """A knob that is not serialised is a knob the sweep silently drops.
-
-    PR 3 and PR 5 both grew ``SimulationConfig`` knobs that initially
-    missed the ScenarioSpec JSON round-trip ("added but not serialized"):
-    a scenario file pinning the knob would parse, run, and quietly use
-    the default. This rule checks, per serialisable dataclass, that every
-    field name appears as a string literal in both ``to_dict`` and
-    ``from_dict``; and cross-file, that every ``SimulationConfig`` field
-    is mirrored as a ``ScenarioSpec`` field.
-    """
-
-    rule_id = "SPEC001"
-    severity = SEVERITY_ERROR
-    description = (
-        "spec/config dataclass field missing from its JSON round-trip "
-        "(to_dict/from_dict) or not mirrored by ScenarioSpec"
-    )
-    paths = ("src/repro/core/simulation.py", "src/repro/scenarios/spec.py")
-
-    #: config class -> the spec class that must mirror its fields
-    _MIRRORS = {"SimulationConfig": "ScenarioSpec"}
-
-    def __init__(self) -> None:
-        #: class name -> (path, line, field names) for cross-file checks
-        self._classes: dict[str, tuple[str, int, list[str]]] = {}
-
-    def check(self, src: SourceFile) -> Iterator[Violation]:
-        for node in ast.walk(src.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not any(_decorator_name(d) == "dataclass" for d in node.decorator_list):
-                continue
-            fields = self._dataclass_fields(node)
-            if not fields:
-                continue
-            self._classes[node.name] = (src.rel_path, node.lineno, fields)
-            methods = {
-                stmt.name: stmt
-                for stmt in node.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            to_dict = methods.get("to_dict")
-            from_dict = methods.get("from_dict")
-            if to_dict is None or from_dict is None:
-                continue
-            for label, method in (("to_dict", to_dict), ("from_dict", from_dict)):
-                keys = self._string_constants(method)
-                for field in fields:
-                    if field not in keys:
-                        yield self.violation(
-                            src,
-                            method,
-                            f"{node.name}.{field} does not appear in "
-                            f"{label}(): the knob would silently vanish "
-                            "from scenario JSON round-trips",
-                        )
-
-    def finish(self) -> Iterable[Violation]:
-        out: list[Violation] = []
-        for config_name, spec_name in self._MIRRORS.items():
-            config = self._classes.get(config_name)
-            spec = self._classes.get(spec_name)
-            if config is None or spec is None:
-                continue
-            path, line, config_fields = config
-            spec_fields = set(spec[2])
-            for field in config_fields:
-                if field not in spec_fields:
-                    out.append(
-                        Violation(
-                            rule_id=self.rule_id,
-                            path=path,
-                            line=line,
-                            col=1,
-                            message=(
-                                f"{config_name}.{field} has no mirroring "
-                                f"{spec_name} field: scenario files cannot "
-                                "set it (the PR 3/PR 5 'knob added but not "
-                                "serialized' bug class)"
-                            ),
-                            severity=self.severity,
-                        )
-                    )
-        return out
-
-    @staticmethod
-    def _dataclass_fields(node: ast.ClassDef) -> list[str]:
-        fields: list[str] = []
-        for stmt in node.body:
-            if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
-                continue
-            name = stmt.target.id
-            if name.startswith("_"):
-                continue
-            if _base_name(stmt.annotation) == "ClassVar":
-                continue
-            fields.append(name)
-        return fields
-
-    @staticmethod
-    def _string_constants(node: ast.AST) -> set[str]:
-        return {
-            n.value
-            for n in ast.walk(node)
-            if isinstance(n, ast.Constant) and isinstance(n.value, str)
-        }
-
-
-# ---------------------------------------------------------------------------
 # API001 — registry-facing API docstrings
 
 
@@ -783,6 +666,5 @@ def default_rules() -> list[Rule]:
         SlotsRule(),
         ScheduleClosureRule(),
         KernelContactLoopRule(),
-        SpecRoundTripRule(),
         RegistryDocstringRule(),
     ]
