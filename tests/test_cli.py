@@ -285,7 +285,7 @@ ODE_SCENARIO = {
 
 
 class TestHybridEngineCli:
-    """Acceptance: run-scenario --engine ode with the cross-validation gate."""
+    """Acceptance: run-scenario with engine="ode" behind the cross-validation gate."""
 
     @pytest.fixture
     def ode_file(self, tmp_path):
@@ -396,7 +396,7 @@ class TestDocsCli:
 
 
 class TestFaultToleranceCli:
-    """Acceptance: run-scenario grows checkpoint/resume and policy flags."""
+    """Acceptance: run-scenario checkpoint/resume and failure-policy overrides."""
 
     @pytest.fixture
     def scenario_file(self, tmp_path):
@@ -488,7 +488,7 @@ class TestFaultToleranceCli:
 
 
 class TestDisruptionCli:
-    """Acceptance: run-scenario grows fault-model override flags."""
+    """Acceptance: run-scenario fault-model overrides (``--set faults.*``)."""
 
     @pytest.fixture
     def scenario_file(self, tmp_path):
