@@ -24,7 +24,7 @@ constructed with its own ``capacity``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, KeysView
+from collections.abc import Iterator
 
 from repro.core.bundle import BundleId, StoredBundle
 
@@ -91,10 +91,6 @@ class RelayStore:
     def ids(self) -> set[BundleId]:
         """Ids of all stored copies."""
         return set(self._entries.keys())
-
-    def id_view(self) -> KeysView[BundleId]:
-        """Allocation-free live view of the stored ids (read-only)."""
-        return self._entries.keys()
 
     def values(self) -> list[StoredBundle]:
         """Stored copies in insertion order."""

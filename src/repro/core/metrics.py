@@ -204,7 +204,6 @@ class MetricsCollector:
         record_occupancy: bool = False,
     ) -> None:
         self.num_nodes = num_nodes
-        self.buffer_capacity = buffer_capacity
         if isinstance(buffer_capacity, int):
             self.total_capacity = num_nodes * buffer_capacity
         else:
@@ -245,8 +244,6 @@ class MetricsCollector:
         self.bundle_transmissions = 0
         self.wasted_slots = 0
         self.deliveries: dict[BundleId, float] = {}
-        #: node that handed each bundle to its destination (path analysis)
-        self.delivered_by: dict[BundleId, int] = {}
 
     # ----------------------------------------------------------- occupancy
 
@@ -351,13 +348,11 @@ class MetricsCollector:
 
     # ------------------------------------------------------------- delivery
 
-    def on_delivered(self, bid: BundleId, now: float, via: int | None = None) -> None:
-        """``bid`` reached its destination at ``now`` (handed over by ``via``)."""
+    def on_delivered(self, bid: BundleId, now: float) -> None:
+        """``bid`` reached its destination at ``now``."""
         if bid in self.deliveries:
             raise ValueError(f"bundle {bid} delivered twice")
         self.deliveries[bid] = now
-        if via is not None:
-            self.delivered_by[bid] = via
         # Freeze the duplication measure at the end of the alive window
         # (the destination's brand-new copy carries zero dt-weight here).
         self._copies[bid].frozen_mean = self._alive_mean(bid, now)
@@ -376,12 +371,12 @@ class MetricsCollector:
 
     # ----------------------------------------------------------------- churn
 
-    def on_node_down(self, now: float) -> None:
+    def on_crash(self, now: float) -> None:
         """A node crashed at ``now``."""
         self.churn.crashes += 1
         self._down_nodes.add(1.0, now)
 
-    def on_node_up(self, now: float) -> None:
+    def on_recovery(self, now: float) -> None:
         """A node recovered at ``now``."""
         self.churn.recoveries += 1
         self._down_nodes.add(-1.0, now)

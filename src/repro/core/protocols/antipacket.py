@@ -12,11 +12,10 @@ trace study. They differ in the signaling they charge for (P-Q's
 anti-packets vs immunity's per-bundle tables; both proportional to load) and
 in P-Q's transmission coin.
 
-The i-list itself lives in a :class:`~repro.core.knowledge.KnowledgeStore`:
-the store owns the mutable set, its frozen snapshot, the **knowledge
-epoch**, and the cached control payload reused verbatim while the epoch is
-unchanged. This protocol layer supplies policy only — what to purge when
-knowledge arrives, and what the dissemination costs.
+The i-list itself lives in a :class:`~repro.core.knowledge.KnowledgeStore`,
+which owns the mutable set and its frozen snapshot. This protocol layer
+supplies policy only — what to purge when knowledge arrives, and what the
+dissemination costs.
 """
 
 from __future__ import annotations
@@ -31,9 +30,6 @@ class AntiPacketProtocol(Protocol):
 
     #: Counter kind used for signaling accounting; subclasses override.
     control_kind = "anti_packet"
-    #: receive_control consumes delivered_ids only — fully covered by the
-    #: knowledge epoch, so unchanged-epoch exchanges may be elided.
-    epoch_gated_control = True
     #: Buffer slots one stored table/anti-packet consumes. Tables share the
     #: node's storage in the paper's model (its immunity occupancy analysis);
     #: 0.1 ≈ a table an order of magnitude smaller than a bundle.
@@ -69,11 +65,7 @@ class AntiPacketProtocol(Protocol):
         return len(fresh)
 
     def on_knowledge_wiped(self, now: float) -> frozenset[BundleId]:
-        """Reboot amnesia: drop the i-list (and its stored-table footprint).
-
-        The store's reset bumps the knowledge epoch, so cached payloads and
-        per-pair exchange memos built pre-wipe cannot be replayed.
-        """
+        """Reboot amnesia: drop the i-list (and its stored-table footprint)."""
         forgotten = self.knowledge.snapshot
         self.knowledge.reset()
         self._sync_table_storage()
@@ -82,20 +74,7 @@ class AntiPacketProtocol(Protocol):
     # ---------------------------------------------------------- control plane
 
     def control_payload(self, now: float) -> ControlMessage:
-        store = self.knowledge
-        msg = store.message
-        if msg is None:
-            msg = store.message = ControlMessage(
-                sender=self.node.id,
-                summary=self._summary,
-                delivered_ids=store.snapshot,
-            )
-        else:
-            # Re-arm the lazy summary: buffer contents move without
-            # bumping the knowledge epoch, so a cached message must not
-            # serve a summary frozen at an earlier contact.
-            msg._summary = self._summary
-        return msg
+        return ControlMessage(sender=self.node.id, delivered_ids=self.knowledge.snapshot)
 
     def receive_control(self, msg: ControlMessage, now: float) -> None:
         self.learn_delivered(msg.delivered_ids, now)

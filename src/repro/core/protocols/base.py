@@ -28,8 +28,6 @@ executable.
 
 from __future__ import annotations
 
-from itertools import chain
-from collections.abc import Callable
 from typing import TYPE_CHECKING, Protocol as TypingProtocol
 
 from repro.core.buffer import BufferFullError
@@ -67,19 +65,12 @@ class SimulationServices(TypingProtocol):
 class ControlMessage:
     """Control-plane payload exchanged at contact start.
 
+    The anti-entropy session's summary vector is not carried: the session
+    reads both buffers directly, so only its cost is modelled, two units
+    per contact (:func:`~repro.core.session.contact_bookkeeping`).
+
     Attributes:
         sender: Originating node id.
-        summary: Ids of bundles the sender holds or has consumed (the
-            summary vector of the anti-entropy session). May be passed as
-            a zero-argument callable: it is then built **lazily** on first
-            access — in-simulation anti-entropy never reads the vector (the
-            session probes node state directly), so normal runs never pay
-            for its construction. Caveat: a lazy summary reflects the
-            sender's state *at access time*, not at contact start — a
-            protocol whose ``receive_control`` actually reads the peer's
-            summary must build it eagerly in ``control_payload``
-            (pass ``self._summary()``, not ``self._summary``) to get
-            pre-exchange snapshot semantics.
         delivered_ids: Per-bundle delivery knowledge (anti-packets for P-Q,
             the i-list for immunity).
         cumulative: Per-flow cumulative immunity tables:
@@ -88,35 +79,23 @@ class ControlMessage:
             PRoPHET delivery-predictability vectors).
     """
 
-    __slots__ = ("sender", "_summary", "delivered_ids", "cumulative", "extras")
+    __slots__ = ("sender", "delivered_ids", "cumulative", "extras")
 
     def __init__(
         self,
         sender: int,
-        summary: frozenset[BundleId] | Callable[[], frozenset[BundleId]] = frozenset(),
         delivered_ids: frozenset[BundleId] = frozenset(),
         cumulative: dict[int, int] | None = None,
         extras: dict[str, object] | None = None,
     ) -> None:
         self.sender = sender
-        self._summary = summary
         self.delivered_ids = delivered_ids
         self.cumulative = {} if cumulative is None else cumulative
         self.extras = {} if extras is None else extras
 
-    @property
-    def summary(self) -> frozenset[BundleId]:
-        """The summary vector; built (and cached) on first access if lazy."""
-        s = self._summary
-        if callable(s):
-            s = s()
-            self._summary = s
-        return s
-
     def __repr__(self) -> str:
-        summary = "<lazy>" if callable(self._summary) else f"{len(self._summary)} ids"
         return (
-            f"ControlMessage(sender={self.sender}, summary={summary}, "
+            f"ControlMessage(sender={self.sender}, "
             f"delivered_ids={len(self.delivered_ids)}, "
             f"cumulative={self.cumulative!r})"
         )
@@ -143,16 +122,6 @@ class Protocol:
     #: (see :mod:`repro.core.sweepkernel`): no protocol code sees those
     #: contacts. Maintained automatically by ``__init_subclass__``.
     encounter_inert = True
-    #: True when ``receive_control`` consumes *only* state covered by the
-    #: protocol's :attr:`knowledge` store epoch, so an exchange between
-    #: two peers whose epochs are unchanged since their last meeting is
-    #: provably a no-op and can be elided (accounting still runs; see
-    #: :func:`repro.core.knowledge.exchange_control`). Classes built on a
-    #: knowledge store declare this explicitly; ``__init_subclass__``
-    #: withdraws it from any subclass that overrides a control hook
-    #: without re-declaring it — extra control state the epoch does not
-    #: cover must never be skipped.
-    epoch_gated_control = False
     #: The protocol's delivery-knowledge store
     #: (:class:`~repro.core.knowledge.KnowledgeStore` or
     #: :class:`~repro.core.knowledge.CumulativeKnowledgeStore`), or None
@@ -170,19 +139,6 @@ class Protocol:
             cls.on_encounter_started is Protocol.on_encounter_started
             and not cls.exchanges_control
         )
-        # learn_delivered is included because the substrate's
-        # receive_control delegates to it — overriding either one means
-        # the exchange may do more than the epoch covers
-        if "epoch_gated_control" not in cls.__dict__ and any(
-            hook in cls.__dict__
-            for hook in (
-                "control_payload",
-                "receive_control",
-                "control_units",
-                "learn_delivered",
-            )
-        ):
-            cls.epoch_gated_control = False
 
     def __init__(self, node: Node, sim: SimulationServices, rng: np.random.Generator) -> None:
         self.node = node
@@ -208,14 +164,8 @@ class Protocol:
     # ---------------------------------------------------------- control plane
 
     def control_payload(self, now: float) -> ControlMessage:
-        """Control message sent to the peer at contact start.
-
-        The summary vector is passed lazily (as the bound ``_summary``
-        method): it is a *capability* of the anti-entropy session rather
-        than a structure the simulation consumes, so it is only built when
-        a protocol or test actually reads ``msg.summary``.
-        """
-        return ControlMessage(sender=self.node.id, summary=self._summary)
+        """Control message sent to the peer at contact start."""
+        return ControlMessage(sender=self.node.id)
 
     def receive_control(self, msg: ControlMessage, now: float) -> None:
         """Process the peer's control message (purge, merge lists, ...)."""
@@ -227,13 +177,6 @@ class Protocol:
         protocol-specific state (anti-packets, immunity tables) counts.
         """
         return 0
-
-    def _summary(self) -> frozenset[BundleId]:
-        """Summary vector: everything held or already consumed here."""
-        node = self.node
-        return frozenset(
-            chain(node.relay.id_view(), node.origin, node.delivered)
-        )
 
     # ------------------------------------------------------- delivery knowledge
 
@@ -250,7 +193,7 @@ class Protocol:
         those bundles re-accepted after the reboot). Protocols without
         control-plane state have nothing to forget. Not a control hook:
         overriding it does not affect ``exchanges_control`` /
-        ``encounter_inert`` / ``epoch_gated_control``.
+        ``encounter_inert``.
         """
         return frozenset()
 

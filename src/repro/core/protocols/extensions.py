@@ -155,11 +155,7 @@ class Prophet(Protocol):
 
     def control_payload(self, now: float) -> ControlMessage:
         self._age(now)
-        return ControlMessage(
-            sender=self.node.id,
-            summary=self._summary(),
-            extras={"prophet_p": dict(self._p)},
-        )
+        return ControlMessage(sender=self.node.id, extras={"prophet_p": dict(self._p)})
 
     def receive_control(self, msg: ControlMessage, now: float) -> None:
         peer_p = msg.extras.get("prophet_p", {})

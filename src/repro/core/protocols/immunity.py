@@ -64,9 +64,6 @@ class CumulativeImmunityEpidemic(Protocol):
 
     name = "cumulative_immunity"
     control_kind = "immunity_table"
-    #: receive_control consumes the cumulative tables only — fully covered
-    #: by the knowledge epoch, so unchanged-epoch exchanges may be elided.
-    epoch_gated_control = True
     #: One table per flow, same per-table size as per-bundle immunity —
     #: the storage saving is keeping 1 table instead of one per bundle.
     table_slot_fraction = 0.1
@@ -122,18 +119,7 @@ class CumulativeImmunityEpidemic(Protocol):
     # ---------------------------------------------------------- control plane
 
     def control_payload(self, now: float) -> ControlMessage:
-        store = self.knowledge
-        msg = store.message
-        if msg is None:
-            msg = store.message = ControlMessage(
-                sender=self.node.id,
-                summary=self._summary,
-                cumulative=dict(store.tables),
-            )
-        else:
-            # Re-arm the lazy summary (see AntiPacketProtocol.control_payload).
-            msg._summary = self._summary
-        return msg
+        return ControlMessage(sender=self.node.id, cumulative=dict(self.knowledge.tables))
 
     def receive_control(self, msg: ControlMessage, now: float) -> None:
         for flow, seq in msg.cumulative.items():

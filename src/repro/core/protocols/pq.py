@@ -16,11 +16,10 @@ default ``anti_packets=False`` to reproduce the figures, and keep the flag
 for the protocol as originally published (:class:`PQAntiPacketEpidemic`).
 
 The two variants sit on opposite sides of the knowledge layer:
-coins-only P-Q is *encounter-inert* (no control state, so the simulation
-batches its zero-transfer contacts at the trace layer), while the
-anti-packet variant inherits the epoch-versioned
-:class:`~repro.core.knowledge.KnowledgeStore` from the substrate and with
-it the cached control payload and unchanged-epoch exchange elision.
+coins-only P-Q is *encounter-inert* (no control state, so the SoA kernel
+settles its zero-transfer contacts in bulk), while the anti-packet
+variant inherits the :class:`~repro.core.knowledge.KnowledgeStore` of the
+substrate and swaps it at every contact.
 """
 
 from __future__ import annotations

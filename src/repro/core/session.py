@@ -102,7 +102,6 @@ class ContactSession:
         self.tx_time = tx_time
         self.budget = budget
         self.t_cursor = contact.start
-        self.idle = False
         #: disruption model active (see :mod:`repro.faults`) — gates every
         #: per-slot liveness check so unfaulted runs pay one attribute load
         self.faulted = sim.faults is not None
@@ -115,7 +114,6 @@ class ContactSession:
         #: (sender_id, bid) pairs whose P-Q coin failed this contact;
         #: allocated by the planner on the first failed flip
         self._coin_rejected: set[tuple[int, BundleId]] | None = None
-        self.transfers_completed = 0
         #: created on first use — sub-``tx_time`` contacts (budget 0)
         #: never plan, and at scale they are the majority of encounters
         self.planner = None
@@ -127,18 +125,17 @@ class ContactSession:
         self.severed = True
 
     def _link_alive(self) -> bool:
-        """Both endpoints up, link unsevered, and no crash since start."""
+        """Link unsevered, and no endpoint crash since the session began.
+
+        Both endpoints were up when it began (a contact with a down
+        endpoint never starts), so an unchanged crash epoch means both are
+        still up.
+        """
         if self.severed:
             return False
-        sim = self.sim
+        crashes = self.sim._crash_count
         contact = self.contact
-        if sim._node_down[contact.a] or sim._node_down[contact.b]:
-            return False
-        epoch = self.crash_epoch
-        return epoch is None or epoch == (
-            sim._crash_count[contact.a],
-            sim._crash_count[contact.b],
-        )
+        return self.crash_epoch == (crashes[contact.a], crashes[contact.b])
 
     # --------------------------------------------------------------- planning
 
@@ -155,7 +152,6 @@ class ContactSession:
             planner = self.planner = self.sim._planner_class(self)
         pick = planner.plan(now)
         if pick is None:
-            self.idle = True
             return
         sender, receiver, sb = pick
         self.t_cursor = slot_end
@@ -215,9 +211,8 @@ class ContactSession:
             ec_for_receiver = sb.ec + 1
         sender.counters.bundles_sent += 1
         self.sim.metrics.on_transmission()
-        self.transfers_completed += 1
         if sb.bundle.destination == receiver.id:
-            self.sim.deliver(receiver, sb.bundle, now, via=sender.id)
+            self.sim.deliver(receiver, sb.bundle, now)
         else:
             stored = self.sim.store_received_copy(
                 receiver, sb.bundle, ec_for_receiver, now, sender_copy=sb

@@ -33,7 +33,7 @@ from repro.core.workload import Flow, total_offered
 from repro.des.engine import Engine
 from repro.des.rng import RngHub
 from repro.faults import FaultSpec
-from repro.mobility.contact import ContactTrace, zero_transfer_mask
+from repro.mobility.contact import Contact, ContactTrace, zero_transfer_mask
 from repro.validation import require_bool, require_int
 
 #: Sweep-cell execution engines: the event simulator and the mean-field
@@ -363,17 +363,15 @@ class Simulation:
             self.config.capacities(trace.num_nodes),
             record_occupancy=self.config.record_occupancy,
         )
-        #: per-pair ``(epoch_a, epoch_b)`` memo of the knowledge layer —
-        #: the epochs at the end of each pair's last control swap (see
-        #: :func:`repro.core.knowledge.exchange_control`)
-        self.pair_knowledge: dict[tuple[int, int], tuple[int, int]] = {}
         #: zero-transfer contacts an SoA kernel run left out of its sweep
         #: and settled in its end-of-run flush (always 0 on the event
         #: tier, which fires every contact);
         #: ``engine.events_fired + batched_encounters`` equals the event
         #: count of a one-event-per-contact schedule
         self.batched_encounters = 0
-        #: per-contact "the link carries zero bundles" flags, set by run()
+        #: the event tier's streamed contacts (those no fault removed) and
+        #: each one's zero-transfer flag; set by run()
+        self._stream: list[Contact] = []
         self._zero_transfer: list[bool] = []
         hub = RngHub(seed)
         self.nodes: list[Node] = []
@@ -404,7 +402,6 @@ class Simulation:
             #: layers can hold the fault environment fixed (common random
             #: numbers) while the protocol/run seed varies
             self._fault_hub = RngHub(seed if fault_seed is None else fault_seed)
-            self._node_down = [False] * trace.num_nodes
             #: lifetime crash count per node — sessions capture the pair's
             #: epochs at contact start and tear down on any change
             self._crash_count = [0] * trace.num_nodes
@@ -419,14 +416,11 @@ class Simulation:
             #: what a crash wipes, looked up once per run
             self._wipes_buffer = self.faults.wipes_buffer
             self._wipes_knowledge = self.faults.wipes_knowledge
-            self._contact_dropped = None
-            self._contact_severed_at = None
-            #: the scheduled outages as ``(nodes, down_at, up_at)`` columns,
-            #: in node then time order, ``up_at`` inf when no recovery
-            #: fires before the horizon: a node is down at ``t`` iff one of
-            #: its spans has ``down_at <= t < up_at`` (set by
-            #: _schedule_faults; None without churn)
-            self._down_spans: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+            #: per trace contact, dropped and severed when; and per streamed
+            #: contact, severed when (None without that fault)
+            self._contact_dropped: np.ndarray | None = None
+            self._contact_severed_at: np.ndarray | None = None
+            self._severed_at: list[float] | None = None
 
     # ---------------------------------------------------------------- services
     # (the SimulationServices surface protocols and sessions rely on)
@@ -495,16 +489,14 @@ class Simulation:
             node.control_storage = slots
             self.metrics.on_control_storage_delta(delta, self.now)
 
-    def deliver(
-        self, receiver: Node, bundle: Bundle, now: float, via: int | None = None
-    ) -> None:
-        """Final delivery at the destination (``via`` = handing-over node)."""
+    def deliver(self, receiver: Node, bundle: Bundle, now: float) -> None:
+        """Final delivery at the destination."""
         receiver.mark_delivered(bundle.bid, now)
         observer = self._state_observer
         if observer is not None:
             observer.delivered(receiver, bundle.bid)
         receiver.counters.bundles_delivered += 1
-        self.metrics.on_delivered(bundle.bid, now, via=via)
+        self.metrics.on_delivered(bundle.bid, now)
         self.metrics.on_copy_delta(bundle.bid, +1, now)
         self._delivered_total += 1
         receiver.protocol.on_delivered(bundle, now)
@@ -558,36 +550,33 @@ class Simulation:
             return
         self.remove_copy(node, sb.bid, reason="expired")
 
-    def _on_contact(self, idx: int) -> None:
-        """One contact start, for every protocol, faulted or not.
+    def _on_contact(self, k: int) -> None:
+        """The start of streamed contact ``k``, for every protocol.
 
-        The fault gates come first: a dropped contact or a down endpoint
-        means the radios never met. Then the encounter/knowledge
-        bookkeeping (:func:`contact_bookkeeping`), and a
-        :class:`ContactSession` — the slot state machine — only when the
-        run's zero-transfer mask says the link can carry at least one
-        bundle. Under faults the session also carries the pair's crash
-        epochs and its pre-drawn mid-contact severance event.
+        The encounter/knowledge bookkeeping (:func:`contact_bookkeeping`)
+        runs first, then a :class:`ContactSession` — the slot state
+        machine — only when the run's zero-transfer mask says the link can
+        carry at least one bundle. Under faults the session also carries
+        the pair's crash epochs and its pre-drawn mid-contact severance
+        event. A contact a fault removed is never streamed
+        (:meth:`_prepare_faults`).
         """
-        contact = self.trace.contacts[idx]
-        faulted = self.faults is not None
-        if faulted and self._contact_lost(idx, contact):
-            return
+        contact = self._stream[k]
         now = contact.start
         nodes = self.nodes
         contact_bookkeeping(self, nodes[contact.a], nodes[contact.b], now)
-        if self._zero_transfer[idx]:
+        if self._zero_transfer[k]:
             return
         tx_time, budget = ContactSession.link_budget(self, contact)
         session = ContactSession(self, contact, tx_time, budget)
-        if faulted:
+        if self.faults is not None:
             session.crash_epoch = (
                 self._crash_count[contact.a],
                 self._crash_count[contact.b],
             )
-            severed_at = self._contact_severed_at
+            severed_at = self._severed_at
             if severed_at is not None:
-                t = float(severed_at[idx])
+                t = severed_at[k]
                 if t < contact.end:
                     # Scheduled before the first transfer completion, so at
                     # an equal timestamp the severance wins deterministically.
@@ -602,13 +591,28 @@ class Simulation:
         rng = self._transfer_fault_rng
         return rng is not None and rng.random() < self.faults.transfer_failure_prob
 
-    def _schedule_faults(self, horizon: float) -> None:
+    def _prepare_faults(self, horizon: float, arrays) -> np.ndarray:
+        """Fix the run's fault environment before its first contact.
+
+        Pushes the crashes and recoveries, draws the link faults, and
+        returns the lost-contact mask (:meth:`_lost_contacts`). Both DES
+        tiers call this after the flows are scheduled; neither runs a lost
+        contact, and both count them with :meth:`_settle_lost`.
+        """
+        spans = self._schedule_faults(horizon)
+        self._draw_link_faults(arrays)
+        return self._lost_contacts(arrays, spans)
+
+    def _schedule_faults(
+        self, horizon: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Turn the churn model into crash/recover events on the engine.
 
         The outages (:func:`outage_schedule`) are scheduled as first-class
-        events and kept as :attr:`_down_spans`. Scheduling happens *before*
-        the run, so by the engine's stream rule a crash or a recovery fires
-        before a contact at the same timestamp — deterministically.
+        events and returned as ``(nodes, down_at, up_at)`` columns (None
+        when there are none). Scheduling happens *before* the run, so by
+        the engine's stream rule a crash or a recovery fires before a
+        contact at the same timestamp — deterministically.
         """
         spec = self.faults
         spans = outage_schedule(
@@ -620,8 +624,7 @@ class Simulation:
             horizon,
         )
         if spans is None:
-            return
-        self._down_spans = spans
+            return None
         nodes, downs, ups = spans
         # Engine.at per crash and recovery, in bulk: entries take
         # consecutive seqs in scheduling order, and (time, seq) keys are
@@ -639,6 +642,7 @@ class Simulation:
         engine.seq = seq
         engine.heap.extend(entries)
         heapq.heapify(engine.heap)
+        return spans
 
     def _draw_link_faults(self, arrays) -> None:
         """Pre-draw per-contact link faults in trace order (one pass each).
@@ -661,13 +665,13 @@ class Simulation:
                 flags, starts + fracs * (ends - starts), np.inf
             )
 
+    # A node's merged outages are disjoint, so its crashes and recoveries
+    # alternate: a crash finds the node up and a recovery finds it down.
+
     def _on_crash(self, node_id: int) -> None:
-        if self._node_down[node_id]:
-            return
-        self._node_down[node_id] = True
         self._crash_count[node_id] += 1
         now = self.engine.now
-        self.metrics.on_node_down(now)
+        self.metrics.on_crash(now)
         node = self.nodes[node_id]
         if self._wipes_buffer:
             # All live copies (origin and relay) die at the crash instant;
@@ -685,25 +689,58 @@ class Simulation:
                 observer.knowledge_wiped(node)
 
     def _on_recover(self, node_id: int) -> None:
-        if not self._node_down[node_id]:
-            return
-        self._node_down[node_id] = False
-        self.metrics.on_node_up(self.now)
+        self.metrics.on_recovery(self.now)
 
-    def _contact_lost(self, idx: int, contact) -> bool:
-        """The disruption model's contact-start gates.
+    def _lost_contacts(self, arrays, spans) -> np.ndarray:
+        """Per trace contact: dropped, or an endpoint down at its start.
 
-        The drop coin erases the contact outright; a down endpoint misses
-        it (no bookkeeping — the radios never met).
+        The radios never meet at a lost contact: no bookkeeping, no
+        session. The drop coins are pre-drawn per contact, and every crash
+        and recovery in ``spans`` (:meth:`_schedule_faults`) is pushed
+        before the run, so it fires before a contact at its instant: a
+        node is down at ``t`` iff one of its spans has
+        ``down_at <= t < up_at``.
         """
+        starts, _ends, a_ids, b_ids = arrays
         dropped = self._contact_dropped
-        if dropped is not None and dropped[idx]:
-            self.metrics.churn.dropped_contacts += 1
-            return True
-        if self._node_down[contact.a] or self._node_down[contact.b]:
-            self.metrics.churn.missed_contacts += 1
-            return True
-        return False
+        lost = np.zeros(len(starts), dtype=np.bool_) if dropped is None else dropped.copy()
+        if spans is None:
+            return lost
+        span_nodes, downs, ups = spans
+        # exact ranks of every instant, so (node, time) compares as one key
+        _, rank = np.unique(np.concatenate((downs, ups, starts)), return_inverse=True)
+        width = len(rank) + 1
+        k = len(downs)
+        down_keys = span_nodes * width + rank[:k]
+        up_keys = span_nodes * width + rank[k : 2 * k]
+        start_rank = rank[2 * k :]
+        # one (endpoint, start) key per contact end, a's then b's
+        keys = np.concatenate((a_ids, b_ids)) * width + np.tile(start_rank, 2)
+        # the endpoint's last span down by the start: a span of a lower
+        # node has an up key below every key of this node
+        last = np.searchsorted(down_keys, keys, side="right") - 1
+        down = (last >= 0) & (keys < up_keys[last])
+        n = len(starts)
+        lost |= down[:n] | down[n:]
+        return lost
+
+    def _settle_lost(self, lost: np.ndarray, starts: np.ndarray, end_time: float) -> None:
+        """Count the ``lost`` contacts that started by ``end_time``: each is
+        an event that fired, dropped when its coin says so, else missed.
+
+        A run halts in a transfer completion, which fires after every
+        contact of its instant, so exactly those contacts started.
+        """
+        fired = int(np.searchsorted(starts, end_time, side="right"))
+        n_lost = int(lost[:fired].sum())
+        if not n_lost:
+            return
+        dropped = self._contact_dropped
+        n_dropped = 0 if dropped is None else int(dropped[:fired].sum())
+        churn = self.metrics.churn
+        churn.dropped_contacts += n_dropped
+        churn.missed_contacts += n_lost - n_dropped
+        self.engine.events_fired += n_lost
 
     def _inject_flow(self, flow: Flow) -> None:
         now = self.engine.now
@@ -769,25 +806,34 @@ class Simulation:
             else:
                 self.engine.at(flow.created_at, self._inject_flow, flow)
         # One columnar materialization per run, shared by the zero-transfer
-        # classification, the link-fault draw and the contact stream.
+        # classification, the fault facts and the contact stream.
         # Degenerate encounters — contacts whose duration admits zero
         # transfers, the majority in dense traces — are classified in one
         # vectorized pass: the contact handler skips the session machinery
         # for them.
         arrays = self.trace.contact_arrays()
+        starts = arrays[0]
         zero_mask = zero_transfer_mask(self.trace, self.config.bundle_tx_time, arrays=arrays)
-        self._zero_transfer = zero_mask.tolist()
+        contacts = self.trace.contacts
+        lost = None
         if self.faults is not None:
-            # Crash/recover events are pushed before the run, so a crash at
-            # a contact's start fires before the contact (the stream rule
-            # in repro.des.engine); link faults are pre-drawn per contact.
-            self._schedule_faults(horizon)
-            self._draw_link_faults(arrays)
+            # only the contacts no fault removed are streamed; the lost
+            # ones settle in bulk once the run ends, as on the SoA kernel
+            lost = self._prepare_faults(horizon, arrays)
+            live = np.flatnonzero(~lost)
+            contacts = [contacts[i] for i in live.tolist()]
+            starts, zero_mask = starts[live], zero_mask[live]
+            if self._contact_severed_at is not None:
+                self._severed_at = self._contact_severed_at[live].tolist()
+        self._stream = contacts
+        self._zero_transfer = zero_mask.tolist()
         # The trace is time-sorted (ContactTrace sorts on construction), so
         # its contact starts stream through the engine without a heap push
         # each; sessions are built when their contact begins, so a run that
         # delivers early never pays for the contacts behind the stop point.
-        self.engine.run(horizon, arrays[0].tolist(), self._on_contact)
+        self.engine.run(horizon, starts.tolist(), self._on_contact)
+        if lost is not None:
+            self._settle_lost(lost, arrays[0], self.engine.now)
         return self._build_result()
 
     def _build_result(self) -> RunResult:

@@ -40,16 +40,15 @@ constant across the span being classified — no invalidation machinery,
 no rescans.
 
 Under fault injection the contacts a fault removes are array facts fixed
-before the run (:meth:`SweepKernel._lost_contacts`): the drop coins are
-pre-drawn per contact, and every crash and recovery is pushed before the
-run, so a node is down at ``t`` iff one of its scheduled outages has
-``down_at <= t < up_at``. Lost contacts leave the swept columns and settle
-their counters and fired events in bulk. Crashes and recoveries stay
-calendar events through the service layer; a knowledge wipe reaches the
-kernel through :meth:`SweepKernel.knowledge_wiped`, so a plane can
-shrink. A swept session carries the pair's crash epochs and its
-pre-drawn severance event, and its completions pass the link gate and
-the transfer-failure coin first (:meth:`SweepKernel._complete_faulted`).
+before the run, the same ones the event tier leaves out of its contact
+stream (:meth:`~repro.core.simulation.Simulation._prepare_faults`): they
+leave the swept columns and settle their counters and fired events in
+bulk. Crashes and recoveries stay calendar events through the service
+layer; a knowledge wipe reaches the kernel through
+:meth:`SweepKernel.knowledge_wiped`, so a plane can shrink. A swept
+session carries the pair's crash epochs and its pre-drawn severance
+event, and its completions pass the link gate and the transfer-failure
+coin first (:meth:`SweepKernel._complete_faulted`).
 
 Exactness contract: a kernel run produces a byte-identical
 :class:`~repro.core.results.RunResult` to the event engine. The sweep
@@ -73,8 +72,8 @@ Eligibility (:func:`kernel_unsupported_reason`): a homogeneous
 population, faulted or not, under every ``state_loss`` mode, whose class
 is either encounter-inert with the base (constant-false)
 ``knows_delivered``, or one of the stock knowledge-store classes
-(:data:`_KNOWLEDGE_HOOKS`) with every knowledge hook,
-``on_encounter_started`` and ``epoch_gated_control`` as stock.
+(:data:`_KNOWLEDGE_HOOKS`) with every knowledge hook and
+``on_encounter_started`` stock, checked by method identity.
 ``kernel="auto"`` silently falls back to the event engine otherwise;
 ``kernel="soa"`` fails fast with the reason.
 """
@@ -179,11 +178,6 @@ def kernel_unsupported_reason(sim: Simulation) -> str | None:
                 f"protocol {cls.name!r} overrides {hook}; the kernel mirrors "
                 f"the stock {stock.__name__} knowledge hooks"
             )
-    if not cls.epoch_gated_control:
-        return (
-            f"protocol {cls.name!r} withdraws epoch_gated_control; the kernel "
-            "needs a swap that equal stores make a no-op"
-        )
     return None
 
 
@@ -735,7 +729,7 @@ class SweepKernel:
         sender.counters.bundles_sent += 1
         metrics.on_transmission()
         if sb.bundle.destination == receiver.id:
-            sim.deliver(receiver, sb.bundle, now, via=sender.id)
+            sim.deliver(receiver, sb.bundle, now)
             if self._knowledge:
                 # the destination's store took the delivery (a cumulative
                 # table only over its contiguous prefix). A completion's
@@ -812,54 +806,6 @@ class SweepKernel:
             t = float(sev[ci])
             if t != math.inf:
                 self._engine.at(t, rec._on_severed)
-
-    def _lost_contacts(self, arrays: _Columns) -> NDArray[np.bool_]:
-        """Per trace contact: dropped, or an endpoint down at its start.
-
-        Both are fixed before the run: the drop coins are pre-drawn per
-        contact, and every crash and recovery is pushed before the run, so
-        it fires before a contact at its instant — a node is down at ``t``
-        iff one of its scheduled spans has ``down_at <= t < up_at``.
-        """
-        sim = self.sim
-        starts, _ends, a_ids, b_ids = arrays
-        dropped = sim._contact_dropped
-        lost = np.zeros(len(starts), dtype=np.bool_) if dropped is None else dropped.copy()
-        if sim._down_spans is None:
-            return lost
-        span_nodes, downs, ups = sim._down_spans
-        # exact ranks of every instant, so (node, time) compares as one key
-        _, rank = np.unique(np.concatenate((downs, ups, starts)), return_inverse=True)
-        width = len(rank) + 1
-        k = len(downs)
-        down_keys = span_nodes * width + rank[:k]
-        up_keys = span_nodes * width + rank[k : 2 * k]
-        start_rank = rank[2 * k :]
-        # one (endpoint, start) key per contact end, a's then b's
-        keys = np.concatenate((a_ids, b_ids)) * width + np.tile(start_rank, 2)
-        # the endpoint's last span down by the start: a span of a lower
-        # node has an up key below every key of this node
-        last = np.searchsorted(down_keys, keys, side="right") - 1
-        down = (last >= 0) & (keys < up_keys[last])
-        n = len(starts)
-        lost |= down[:n] | down[n:]
-        return lost
-
-    def _settle_lost(
-        self, lost: NDArray[np.bool_], arrays: _Columns, end_time: float
-    ) -> None:
-        """Count the ``lost`` contacts that started by ``end_time``: each is
-        an event that fired, dropped when its coin says so, else missed."""
-        fired = int(np.searchsorted(arrays[0], end_time, side="right"))
-        n_lost = int(lost[:fired].sum())
-        if not n_lost:
-            return
-        dropped = self.sim._contact_dropped
-        n_dropped = 0 if dropped is None else int(dropped[:fired].sum())
-        churn = self.sim.metrics.churn
-        churn.dropped_contacts += n_dropped
-        churn.missed_contacts += n_lost - n_dropped
-        self._engine.events_fired += n_lost
 
     # ------------------------------------------------------------- skip scan
 
@@ -1004,7 +950,7 @@ class SweepKernel:
                 node.counters.control_units_sent += units
         lost = self._lost
         if lost is not None:
-            self._settle_lost(lost, arrays, end_time)
+            sim._settle_lost(lost, arrays[0], end_time)
         if not self._knowledge:
             # an inert sweep left the zero-transfer contacts out; a
             # knowledge sweep left none out; a lost contact owes nothing
@@ -1066,11 +1012,8 @@ class SweepKernel:
         # out (the flush settles them), a faulted one the lost ones
         keep = None if self._knowledge else ~zero_mask
         if sim.faults is not None:
-            # the event tier's pre-run order: crash and recovery events
-            # after the flows, then the per-contact link-fault draws
-            sim._schedule_faults(horizon)
-            sim._draw_link_faults(arrays)
-            lost = self._lost = self._lost_contacts(arrays)
+            # after the flows, as on the event tier
+            lost = self._lost = sim._prepare_faults(horizon, arrays)
             keep = ~lost if keep is None else keep & ~lost
         if keep is not None:
             live = np.flatnonzero(keep)

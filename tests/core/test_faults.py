@@ -35,12 +35,13 @@ def run_faulted(
     fault_seed=None,
     record_occupancy=False,
     protocol_kwargs=None,
+    kernel="auto",
 ):
     """One faulted run on a hand-built trace; returns (sim, result)."""
     if isinstance(protocol, str):
         protocol = make_protocol_config(protocol, **(protocol_kwargs or {}))
     trace = micro_trace(rows, num_nodes, horizon=horizon)
-    cfg = SimulationConfig(faults=faults, record_occupancy=record_occupancy)
+    cfg = SimulationConfig(faults=faults, record_occupancy=record_occupancy, kernel=kernel)
     sim = Simulation(
         trace, protocol, flows, config=cfg, seed=seed, fault_seed=fault_seed
     )
@@ -175,6 +176,27 @@ class TestChurn:
         assert res.delivered == 0
         assert res.churn["missed_contacts"] == 1
 
+    @pytest.mark.parametrize("kernel", ["event", "soa"])
+    def test_outage_edges_at_contact_starts(self, kernel):
+        # node 1 recovers at 200, exactly as its contact with the source
+        # starts: the contact happens and 1 takes the bundle at 300. Node 2
+        # crashes at 500, exactly as its contact with 1 starts: that contact
+        # is missed (it would have delivered at 600). Node 2 is back at 900
+        # and the last contact delivers at 1,100.
+        sim, res = run_faulted(
+            "pure",
+            [(200.0, 350.0, 0, 1), (500.0, 650.0, 1, 2), (1_000.0, 1_150.0, 1, 2)],
+            3,
+            [Flow(flow_id=0, source=0, destination=2, num_bundles=1)],
+            faults=FaultSpec(downtime_schedule=((1, 50.0, 200.0), (2, 500.0, 900.0))),
+            kernel=kernel,
+        )
+        assert res.churn["missed_contacts"] == 1
+        assert res.churn["dropped_contacts"] == 0
+        assert res.churn["crashes"] == 2 and res.churn["recoveries"] == 2
+        assert res.transmissions == 2
+        assert res.delivered == 1 and res.delay == 1_100.0
+
     def test_buffer_wipe_loses_undelivered_copies(self):
         # relay 1 gets the copy at t=110, crashes at 300 with buffer loss,
         # and has nothing left to hand the destination at 500
@@ -262,20 +284,6 @@ class TestChurn:
         # which purges its own stale copy instead of re-transmitting
         assert res.churn["reinfections"] == 0
         assert res.transmissions == 2
-
-    def test_knowledge_wipe_bumps_epoch(self):
-        sim, _ = run_faulted(
-            "pq",
-            REINFECTION_ROWS,
-            4,
-            REINFECTION_FLOWS,
-            faults=FaultSpec(
-                downtime_schedule=((1, 600.0, 700.0),), state_loss="knowledge"
-            ),
-            protocol_kwargs={"p": 1.0, "q": 1.0, "anti_packets": True},
-        )
-        # reset bumps the epoch so stale pair-elision memos cannot replay
-        assert sim.nodes[1].protocol.knowledge.epoch >= 2
 
     def test_fault_environment_is_protocol_independent(self):
         # identical fault_seed → identical crash/outage schedule for every
@@ -503,9 +511,9 @@ class TestChurnSchedule:
             config=SimulationConfig(faults=spec),
             fault_seed=fault_seed,
         )
-        sim._schedule_faults(horizon)
+        spans = sim._schedule_faults(horizon)
         outages = scheduled_outages(spec, num_nodes, fault_seed, horizon)
-        spans = [] if sim._down_spans is None else sim._down_spans
+        spans = [] if spans is None else spans
         assert list(zip(*(col.tolist() for col in spans))) == outages
         # and the calendar holds exactly their crashes and recoveries
         pushed = sorted(

@@ -139,12 +139,6 @@ class TestDeliveryAndCounters:
         with pytest.raises(ValueError):
             m.on_delivered(BundleId(0, 1), 6.0)
 
-    def test_delivered_by_recorded(self):
-        m = MetricsCollector(3, 10)
-        m.on_bundle_born(BundleId(0, 1), 0.0)
-        m.on_delivered(BundleId(0, 1), 5.0, via=2)
-        assert m.delivered_by[BundleId(0, 1)] == 2
-
     def test_signaling_counters(self):
         m = MetricsCollector(3, 10)
         m.on_control_units("anti_packet", 3)

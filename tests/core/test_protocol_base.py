@@ -11,23 +11,13 @@ from repro.core.protocols import (
 from tests.helpers import bundle, make_node, stored
 
 
-class TestSummaryVector:
-    def test_covers_all_stores(self):
-        node, _ = make_node(0, protocol="pure")
-        origin = node.add_origin(bundle(1, source=0), now=0.0)
-        node.relay.add(stored(2))
-        node.mark_delivered(bundle(3).bid, now=1.0)
-        summary = node.protocol._summary()
-        assert {b.seq for b in summary} == {1, 2, 3}
-        assert origin.bid in summary
-
-    def test_control_payload_has_summary_only(self):
+class TestControlPayload:
+    def test_base_payload_carries_no_control_state(self):
         node, _ = make_node(0, protocol="pure")
         node.relay.add(stored(1))
         msg = node.protocol.control_payload(now=0.0)
         assert isinstance(msg, ControlMessage)
         assert msg.sender == 0
-        assert len(msg.summary) == 1
         assert msg.delivered_ids == frozenset()
         assert node.protocol.control_units(msg) == 0
 

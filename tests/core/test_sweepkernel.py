@@ -352,7 +352,7 @@ _STOCK_CLASSES = {
 
 def _overrides(stock: type) -> list[str]:
     base = next(b for b in _KNOWLEDGE_HOOKS if issubclass(stock, b))
-    return [*_KNOWLEDGE_HOOKS[base], "on_encounter_started", "epoch_gated_control"]
+    return [*_KNOWLEDGE_HOOKS[base], "on_encounter_started"]
 
 
 @pytest.mark.parametrize(
@@ -364,12 +364,10 @@ def test_soa_refuses_subclass_overriding_a_knowledge_hook(campus_trace, protocol
     knowledge plane mirrors, so the kernel refuses them by name, and auto
     falls back to the event tier with the stock result."""
     stock, kwargs = _STOCK_CLASSES[protocol]
-    if hook == "epoch_gated_control":
-        body = {hook: False}
-    else:
-        stock_hook = getattr(stock, hook)
-        body = {hook: lambda self, *args: stock_hook(self, *args)}
-    custom = type(f"Custom{stock.__name__}", (stock,), body)
+    stock_hook = getattr(stock, hook)
+    custom = type(
+        f"Custom{stock.__name__}", (stock,), {hook: lambda self, *args: stock_hook(self, *args)}
+    )
     flows = [Flow(flow_id=0, source=0, destination=5, num_bundles=3)]
 
     def simulation(cls, kernel):

@@ -4,7 +4,8 @@
 ``repro.core.simulation.Simulation``: one contact-start heap event per
 contact (never the engine's contact stream), no zero-transfer shortcut,
 never the SoA kernel, and — under faults — the original faults-only
-contact handler.
+contact handler, which gates every contact live on down flags of its own
+instead of the lost-contact mask both production tiers share.
 Its sessions plan with :class:`ReferencePlanner`, the rebuild-filter-sort
 specification of the candidate rule. Production must reproduce this
 schedule's :class:`~repro.core.results.RunResult`, node state, event count
@@ -122,6 +123,21 @@ class ReferenceSimulation(RecordingSimulation):
 
     _planner_class = recording(ReferencePlanner)
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: per node: down right now (kept by the crash and recovery events)
+        self._down = [False] * self.trace.num_nodes
+
+    def _on_crash(self, node_id: int) -> None:
+        if not self._down[node_id]:
+            self._down[node_id] = True
+            super()._on_crash(node_id)
+
+    def _on_recover(self, node_id: int) -> None:
+        if self._down[node_id]:
+            self._down[node_id] = False
+            super()._on_recover(node_id)
+
     def run(self) -> RunResult:
         if self._ran:
             raise RuntimeError("Simulation objects are single-use; build a new one")
@@ -170,7 +186,7 @@ class ReferenceSimulation(RecordingSimulation):
         if dropped is not None and dropped[idx]:
             self.metrics.churn.dropped_contacts += 1
             return
-        if self._node_down[contact.a] or self._node_down[contact.b]:
+        if self._down[contact.a] or self._down[contact.b]:
             self.metrics.churn.missed_contacts += 1
             return
         now = contact.start

@@ -13,7 +13,8 @@ cover every axis a tier or executor could get wrong:
 * every drop policy, scalar and per-node buffers and radios, with and
   without the occupancy series;
 * no fault spec, a trivial one, or an active one: churn under each
-  ``state_loss`` mode, an explicit outage, contact drops, interruptions,
+  ``state_loss`` mode, an explicit outage (some crash or recover a node
+  exactly as one of its contacts starts), contact drops, interruptions,
   transfer failures;
 * loads and flow start times that let many runs deliver early and halt.
 """
@@ -202,6 +203,28 @@ def fault_specs(*, trivial: bool = True) -> st.SearchStrategy[FaultSpec]:
 
 
 @st.composite
+def tied_outages(draw, trace: ContactTrace) -> FaultSpec:
+    """Outages that crash or recover a node exactly as one of its contacts
+    starts: a crash there misses the contact, a recovery makes it.
+
+    The other end of each outage lies a whole number of 50 s steps away
+    (or at 0), so on a grid trace every instant stays on its 50 s grid.
+    """
+    schedule = []
+    for _ in range(draw(st.integers(1, 3))):
+        contact = draw(st.sampled_from(trace.contacts))
+        node = draw(st.sampled_from((contact.a, contact.b)))
+        length = 50.0 * draw(st.integers(1, 20))
+        if contact.start > 0.0 and draw(st.booleans()):
+            schedule.append((node, max(contact.start - length, 0.0), contact.start))
+        else:
+            schedule.append((node, contact.start, contact.start + length))
+    return FaultSpec(
+        downtime_schedule=tuple(schedule), state_loss=draw(st.sampled_from(STATE_LOSS_MODES))
+    )
+
+
+@st.composite
 def cells(
     draw,
     protocols: tuple[str, ...] = tuple(PROTOCOLS),
@@ -243,7 +266,7 @@ def cells(
         st.just(100.0) | st.lists(st.sampled_from(TX_TIMES), min_size=n, max_size=n).map(tuple)
     )
     if faults is None:
-        faults = st.none() | fault_specs()
+        faults = st.none() | fault_specs() | tied_outages(trace)
     config = SimulationConfig(
         buffer_capacity=capacity,
         bundle_tx_time=tx_time,

@@ -54,7 +54,7 @@ def node_state(sim) -> list[tuple]:
             dataclasses.astuple(n.counters),
             encounter_history(n.protocol),
             n.control_storage,
-            sorted(n.relay.id_view()),
+            sorted(n.relay.ids()),
             sorted(n.delivered),
         )
         for n in sim.nodes
