@@ -533,6 +533,11 @@ class ParallelExecutor:
                         finally:
                             _discard_pool(pool, terminate=True)
                             pool, futures, started = None, {}, {}
+            if pool is not None:
+                # every cell finished, so nothing is queued: this only
+                # stops the idle workers and the pool's manager thread
+                pool.shutdown(wait=True)
+                pool = None
         finally:
             if pool is not None:
                 # first-failure abort: cancel queued cells, do NOT wait

@@ -27,6 +27,13 @@ from repro.mobility.contact import ContactTrace
 from repro.mobility.fastcontact import _fold_windows
 from repro.validation import require_finite, require_int
 
+#: Most expected meetings ``n(n-1)/2 * beta * horizon`` a config may ask
+#: for. Each costs about 40 bytes before any Contact object exists (an
+#: 8-byte gap draw and four 8-byte contact columns), so the cap is about
+#: 400 MB; the repo's largest Poisson trace, the ODE gate's reference,
+#: expects about 5,250.
+MAX_EXPECTED_MEETINGS = 10_000_000
+
 
 @dataclass(frozen=True)
 class PoissonContactConfig:
@@ -60,6 +67,13 @@ class PoissonContactConfig:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if not self.duration > 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
+        meetings = self.num_nodes * (self.num_nodes - 1) / 2 * self.beta * self.horizon
+        if meetings > MAX_EXPECTED_MEETINGS:
+            raise ValueError(
+                f"num_nodes={self.num_nodes}, beta={self.beta:g} and "
+                f"horizon={self.horizon:g} expect {meetings:,.0f} meetings, more than "
+                f"the {MAX_EXPECTED_MEETINGS:,} a Poisson trace may hold"
+            )
 
 
 def generate_poisson_trace(

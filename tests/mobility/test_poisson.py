@@ -22,6 +22,9 @@ class TestConfigValidation:
             {"beta": -1e-4},
             {"horizon": 0.0},
             {"duration": 0.0},
+            # the ODE gate's 36-node, 50,000 s reference at a mistyped
+            # rate: about 78.75 million expected meetings
+            {"num_nodes": 36, "beta": 2.5, "horizon": 50_000.0},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):

@@ -1,5 +1,7 @@
 """Execution backends: ordering, progress accounting, parallel determinism."""
 
+import multiprocessing
+
 import pytest
 
 from repro.core.executors import (
@@ -88,6 +90,14 @@ class TestParallelExecutor:
         assert len(seen) == 8
         assert [d for d, _ in seen] == list(range(1, 9))
         assert all(t == 8 for _, t in seen)
+
+    def test_normal_run_joins_its_workers(self, cells):
+        """Once every cell finished, the pool is shut down and joined: no
+        worker outlives the run (a worker still alive at interpreter exit
+        can race the pool's teardown)."""
+        before = set(multiprocessing.active_children())
+        ParallelExecutor(jobs=2).run(cells)
+        assert set(multiprocessing.active_children()) - before == set()
 
 
 def _micro_sweep():
