@@ -1,5 +1,6 @@
 """No test-only code in ``src/``: every public function, method and
-property of ``src/repro`` has a user outside the test suite.
+property of ``src/repro`` has a user outside the test suite, and every
+instance attribute a class of ``src/repro`` writes is read there too.
 
 The scan parses ``src/repro`` with :mod:`ast` and collects each public
 (not ``_``-prefixed) module-level function, and each public method and
@@ -14,6 +15,12 @@ names that nothing but a test calls, not a call graph.
 A name that only tests use belongs in ``tests/helpers.py`` or
 ``tests/oracles/``, or goes. A name kept on purpose goes on
 :data:`ALLOWLIST` with its reason.
+
+The attribute scan collects each attribute a method assigns through
+``self`` (plainly, augmented, or as a subscript target) and asks the same
+question of it: is it read anywhere in those trees? An assignment to an
+attribute is no read, nor is its entry in a ``__slots__`` declaration.
+State that only tests read is write-only in the program, and goes.
 """
 
 from __future__ import annotations
@@ -59,9 +66,44 @@ def public_definitions(tree: ast.Module) -> Iterator[tuple[str, str, int, int]]:
     yield from visit(tree, "")
 
 
-def referenced_names(tree: ast.Module) -> Iterator[tuple[str, int]]:
-    """``(name, line)`` of every identifier the module refers to."""
+def assigned_attributes(tree: ast.AST) -> Iterator[ast.Attribute]:
+    """Each attribute node written by an assignment under ``tree``: a
+    plain, augmented or annotated target, unpacked or under subscripts."""
     for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets.extend(target.elts)
+            elif isinstance(target, (ast.Starred, ast.Subscript)):
+                targets.append(target.value)
+            elif isinstance(target, ast.Attribute):
+                yield target
+
+
+def referenced_names(tree: ast.Module, *, reads: bool = False) -> Iterator[tuple[str, int]]:
+    """``(name, line)`` of every identifier the module refers to.
+
+    With ``reads``, an attribute is counted only where it is read: its
+    assignments and the string entries of ``__slots__`` are left out.
+    """
+    skip: set[int] = set()
+    if reads:
+        skip = {id(node) for node in assigned_attributes(tree)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__slots__"
+                for target in node.targets
+            ):
+                skip.update(id(entry) for entry in ast.walk(node.value))
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
@@ -92,6 +134,45 @@ def unused_public_names(root: Path) -> list[str]:
     return unused
 
 
+def self_attributes(tree: ast.Module) -> Iterator[tuple[str, str, int]]:
+    """``(qualified name, name, line)`` of each assignment to an attribute
+    of ``self`` in a method of a class (nested classes included)."""
+
+    def visit(node: ast.AST, owner: str) -> Iterator[tuple[str, str, int]]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, f"{owner}.{child.name}" if owner else child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner:
+                for target in assigned_attributes(child):
+                    if isinstance(target.value, ast.Name) and target.value.id == "self":
+                        yield f"{owner}.{target.attr}", target.attr, target.lineno
+            elif isinstance(child, (ast.If, ast.Try)):
+                yield from visit(child, owner)
+
+    yield from visit(tree, "")
+
+
+def write_only_attributes(root: Path) -> list[str]:
+    """``path:line qualified.name`` of each attribute of ``self`` under
+    ``root/src/repro`` that nothing under the user trees reads, at its
+    first assignment."""
+    read: set[str] = set()
+    for directory in USER_DIRS:
+        for path in sorted((root / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            read.update(name for name, _ in referenced_names(tree, reads=True))
+    found: dict[str, tuple[Path, int]] = {}
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for qualname, name, line in self_attributes(tree):
+            if name not in read:
+                found[qualname] = min(found.get(qualname, (path, line)), (path, line))
+    return [
+        f"{path.relative_to(root)}:{line} {qualname}"
+        for qualname, (path, line) in sorted(found.items(), key=lambda item: item[1])
+    ]
+
+
 def test_every_public_name_has_a_user_outside_the_tests():
     unused = [
         entry for entry in unused_public_names(ROOT) if entry.split()[-1] not in ALLOWLIST
@@ -100,6 +181,14 @@ def test_every_public_name_has_a_user_outside_the_tests():
         "public names that only tests use; move them to tests/helpers.py or "
         "tests/oracles/, delete them, or allowlist them with a reason:\n  "
         + "\n  ".join(unused)
+    )
+
+
+def test_every_assigned_attribute_is_read_outside_the_tests():
+    write_only = write_only_attributes(ROOT)
+    assert not write_only, (
+        "attributes that src/ assigns and nothing outside the tests reads; "
+        "delete them:\n  " + "\n  ".join(write_only)
     )
 
 
@@ -146,4 +235,34 @@ def test_a_planted_test_only_method_is_caught(tmp_path):
     assert unused_public_names(tmp_path) == [
         "src/repro/store.py:5 Store.count",
         "src/repro/store.py:19 helper",
+    ]
+
+
+def test_a_planted_write_only_attribute_is_caught(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "session.py").write_text(
+        "class Session:\n"
+        "    __slots__ = ('idle', 'count', 'log', 'budget')\n"
+        "\n"
+        "    def __init__(self):\n"
+        "        self.idle = False\n"
+        "        self.count = 0\n"
+        "        self.log = {}\n"
+        "        self.budget = 3\n"
+        "\n"
+        "    def step(self, key):\n"
+        "        self.count += 1\n"
+        "        self.log[key] = self.budget\n"
+        "        self.idle, self.budget = True, self.budget - 1\n"
+    )
+    (tmp_path / "tools").mkdir()
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_session.py").write_text("def test_idle(s):\n    assert s.idle and s.log\n")
+    # budget is read in step; idle, count and log are only ever written
+    assert write_only_attributes(tmp_path) == [
+        "src/repro/session.py:5 Session.idle",
+        "src/repro/session.py:6 Session.count",
+        "src/repro/session.py:7 Session.log",
     ]
