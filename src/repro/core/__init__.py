@@ -9,8 +9,8 @@ paper's four metrics lives here:
 * policy plane: :mod:`~repro.core.protocols` (the 5 baselines and 3
   enhancements)
 * mechanism: :mod:`~repro.core.session` (encounter semantics),
-  :mod:`~repro.core.planner` (transfer selection),
-  :mod:`~repro.core.simulation` (the DES driver)
+  :mod:`~repro.core.sweepkernel` (the contact sweep: sessions and transfer
+  selection), :mod:`~repro.core.simulation` (the DES driver)
 * measurement: :mod:`~repro.core.metrics` (exact time-weighted integrals),
   :mod:`~repro.core.results`
 * experiment engine: :mod:`~repro.core.workload`, :mod:`~repro.core.sweep`,
@@ -45,10 +45,8 @@ from repro.core.policies import (
     make_drop_policy,
     register_drop_policy,
 )
-from repro.core.planner import IncrementalPlanner
 from repro.core.protocols.ttl import EncounterHistory
 from repro.core.results import RunResult, Series, SeriesPoint, SweepResult
-from repro.core.session import ContactSession
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.core.sweep import (
     SweepConfig,
@@ -83,11 +81,9 @@ __all__ = [
     "EncounterHistory",
     "MetricsCollector",
     "TimeWeightedAccumulator",
-    "ContactSession",
     "KnowledgeStore",
     "CumulativeKnowledgeStore",
     "exchange_control",
-    "IncrementalPlanner",
     "Simulation",
     "SimulationConfig",
     "RunResult",

@@ -41,9 +41,6 @@ class RelayStore:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: dict[BundleId, StoredBundle] = {}
-        #: monotonic mutation counter (every add/remove bumps it); feeds
-        #: :attr:`repro.core.node.Node.store_epoch` cache invalidation
-        self.version = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -76,7 +73,6 @@ class RelayStore:
                 f"store full ({self.capacity} slots), cannot add {sb.bid}"
             )
         self._entries[sb.bid] = sb
-        self.version += 1
 
     def remove(self, bid: BundleId) -> StoredBundle:
         """Remove and return the copy for ``bid``.
@@ -84,9 +80,7 @@ class RelayStore:
         Raises:
             KeyError: if not present.
         """
-        sb = self._entries.pop(bid)
-        self.version += 1
-        return sb
+        return self._entries.pop(bid)
 
     def ids(self) -> set[BundleId]:
         """Ids of all stored copies."""
@@ -99,10 +93,8 @@ class RelayStore:
     def entries_view(self) -> dict[BundleId, StoredBundle]:
         """The live id → copy mapping — read-only by convention.
 
-        Hot paths (the session planner's membership probes and candidate
-        rebuilds) use this to skip method-call and copy overhead; all
-        mutation must still go through :meth:`add`/:meth:`remove` so
-        :attr:`version` stays honest.
+        Hot paths (the contact sweep's membership probes and its inlined
+        relay store) use this to skip method-call and copy overhead.
         """
         return self._entries
 

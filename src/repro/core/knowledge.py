@@ -2,7 +2,7 @@
 
 The framework's contact-start processing is layered::
 
-    trace  →  encounter  →  knowledge  →  transfer planner
+    trace  →  encounter  →  knowledge  →  transfer selection
     (who meets whom)  (protocol hook)  (what is already delivered)  (what moves)
 
 This module owns the *knowledge* layer. Every protocol that tracks
@@ -11,10 +11,10 @@ immunity tables) keeps it in a store here, and :func:`exchange_control`
 runs the swap at contact start and charges for it: the paper's overhead
 metric bills the full table at every encounter, novel or not.
 
-Which contacts need the swap at all is the SoA kernel's business: it
-keeps each node's knowledge as a bit plane and calls
-:func:`exchange_control` only where the two stores differ
-(:mod:`repro.core.sweepkernel`). The event tier swaps at every contact.
+Which contacts need the swap at all is the contact sweep's business
+(:mod:`repro.core.sweepkernel`): its skip path keeps each node's
+knowledge as a bit plane and calls :func:`exchange_control` only where
+the two stores differ; its sweep-all path swaps at every contact.
 """
 
 from __future__ import annotations

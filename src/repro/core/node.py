@@ -48,9 +48,6 @@ class Node:
     ) -> None:
         self.id = node_id
         self.relay = RelayStore(buffer_capacity)
-        #: mutations of the origin store (the relay store keeps its own
-        #: counter); see :attr:`store_epoch`
-        self._origin_epoch = 0
         #: buffer drop policy consulted by the protocol when the relay
         #: store is full (``reject`` = historical refuse-incoming default)
         self.drop_policy: DropPolicy = drop_policy or RejectPolicy()
@@ -100,16 +97,6 @@ class Node:
         yield from self.origin.values()
         yield from self.relay.entries_view().values()
 
-    @property
-    def store_epoch(self) -> int:
-        """Monotonic counter bumped by every origin/relay store mutation.
-
-        The incremental session planner caches candidate order per
-        (sender, receiver) direction and rebuilds it when this changes —
-        cheap O(1) invalidation instead of per-slot rebuilds.
-        """
-        return self._origin_epoch + self.relay.version
-
     # -------------------------------------------------------------- mutation
 
     def add_origin(self, bundle: Bundle, now: float) -> StoredBundle:
@@ -122,7 +109,6 @@ class Node:
             raise ValueError(f"bundle {bundle.bid} already present at node {self.id}")
         sb = StoredBundle(bundle=bundle, stored_at=now, is_origin=True)
         self.origin[bundle.bid] = sb
-        self._origin_epoch += 1
         return sb
 
     def remove_copy(self, bid: BundleId) -> StoredBundle:
@@ -132,7 +118,6 @@ class Node:
             KeyError: if no live copy exists.
         """
         if bid in self.origin:
-            self._origin_epoch += 1
             return self.origin.pop(bid)
         return self.relay.remove(bid)
 

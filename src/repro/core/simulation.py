@@ -1,14 +1,16 @@
 """The simulation driver: one run = one protocol × one trace × one workload.
 
-Wiring: the trace's contact starts stream through the DES engine's run loop
-(:mod:`repro.des.engine`); each contact that can carry a bundle spawns a
-:class:`~repro.core.session.ContactSession` which schedules per-bundle
-transfer completions. TTL expiries are first-class events so occupancy and
-duplication integrals change at the *right* instant even when a node sits
-idle. The run ends when every offered bundle is delivered (success — the
-delay metric is that instant) or when the trace horizon is reached first
-(failure — the paper records no delay, but delivery ratio, occupancy and
-duplication still count).
+Wiring: :meth:`Simulation.run` hands the run to the contact sweep
+(:mod:`repro.core.sweepkernel`), which merges the trace's time-sorted
+contacts with the DES engine's event calendar (:mod:`repro.des.engine`);
+each contact that can carry a bundle opens a session which schedules
+per-bundle transfer completions. TTL expiries are first-class events so
+occupancy and duplication integrals change at the *right* instant even
+when a node sits idle. The run ends when every offered bundle is delivered
+(success — the delay metric is that instant) or when the trace horizon is
+reached first (failure — the paper records no delay, but delivery ratio,
+occupancy and duplication still count). This class holds the run's state
+and the services protocols and the sweep call.
 """
 
 from __future__ import annotations
@@ -21,28 +23,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import sweepkernel
 from repro.core.bundle import NO_EXPIRY, Bundle, BundleId, StoredBundle
 from repro.core.metrics import MetricsCollector
 from repro.core.node import Node
-from repro.core.planner import IncrementalPlanner
 from repro.core.policies import make_drop_policy
 from repro.core.protocols.registry import ProtocolConfig
 from repro.core.results import RunResult
-from repro.core.session import ContactSession, contact_bookkeeping
 from repro.core.workload import Flow, total_offered
 from repro.des.engine import Engine
 from repro.des.rng import RngHub
 from repro.faults import FaultSpec
-from repro.mobility.contact import Contact, ContactTrace, zero_transfer_mask
+from repro.mobility.contact import ContactTrace
 from repro.validation import require_bool, require_int
 
 #: Sweep-cell execution engines: the event simulator and the mean-field
 #: surrogate (:mod:`repro.analytic.surrogate`).
 ENGINES: tuple[str, ...] = ("des", "ode")
 
-#: DES execution kernels: ``auto`` picks the SoA sweep kernel
-#: (:mod:`repro.core.sweepkernel`) when the run is eligible and falls back
-#: to the event loop otherwise; ``event``/``soa`` pin one tier.
+#: DES execution kernels: the contact sweep's paths
+#: (:mod:`repro.core.sweepkernel`). ``event`` sweeps every contact through
+#: the protocol hooks, ``soa`` takes the skip path, and ``auto`` takes the
+#: skip path when the run is eligible and sweeps every contact otherwise.
 KERNELS: tuple[str, ...] = ("auto", "event", "soa")
 
 
@@ -76,18 +78,18 @@ class SimulationConfig:
             :func:`repro.analytic.surrogate.surrogate_run`). The sweep
             layer dispatches on this; :class:`Simulation` itself always
             runs event-driven.
-        kernel: Which DES execution kernel carries the run: ``"event"``
-            (the event heap, always available), ``"soa"`` (the
-            array-resident contact-sweep kernel,
-            :mod:`repro.core.sweepkernel` — populations of an
-            encounter-inert protocol or of a stock knowledge-store one:
-            anti-packet P-Q, immunity, cumulative immunity; faulted or
-            not; byte-identical results), or
-            ``"auto"`` (default: the kernel when eligible, the event loop
-            otherwise). ``"soa"`` fails fast — at config construction
-            under the ODE engine, at :meth:`Simulation.run` for
-            population-dependent conflicts (dynamic TTL, PRoPHET, mixed
-            or custom protocols).
+        kernel: Which path of the contact sweep
+            (:mod:`repro.core.sweepkernel`) carries the run: ``"event"``
+            (every contact through the protocol hooks, always available),
+            ``"soa"`` (the skip path, which retires futile contacts in
+            bulk — populations of an encounter-inert protocol or of a
+            stock knowledge-store one: anti-packet P-Q, immunity,
+            cumulative immunity; faulted or not; byte-identical results),
+            or ``"auto"`` (default: the skip path when eligible, every
+            contact otherwise). ``"soa"`` fails fast — at config
+            construction under the ODE engine, at :meth:`Simulation.run`
+            for population-dependent conflicts (dynamic TTL, PRoPHET,
+            mixed or custom protocols).
         faults: Optional disruption model (:class:`repro.faults.FaultSpec`):
             node churn with reboot state loss, lossy links, and per-bundle
             transfer failure. ``None`` (or a trivial, all-defaults spec)
@@ -319,10 +321,10 @@ def outage_schedule(
 class Simulation:
     """A single, deterministic simulation run."""
 
-    #: the class each contact session plans its transfers with — a test
-    #: seam: the differential oracle in the test suite subclasses
-    #: Simulation and swaps in its reference planner here
-    _planner_class = IncrementalPlanner
+    #: the contact sweep that executes the run — a test seam: the
+    #: differential ladder in the test suite subclasses Simulation and
+    #: swaps in a sweep that logs its transfer picks here
+    _kernel_class = sweepkernel.SweepKernel
 
     def __init__(
         self,
@@ -346,10 +348,9 @@ class Simulation:
         self.config.validate_population(trace.num_nodes)
         self.seed = seed
         self.engine = Engine()
-        #: copy-population observer installed by the SoA sweep kernel for
-        #: the duration of a kernel run (``copy_added``/``copy_removed``/
-        #: ``delivered`` hooks); None on the event path, costing one
-        #: is-None test per state change
+        #: copy-population observer installed by the contact sweep for
+        #: the duration of its run (``copy_added``/``copy_removed``/
+        #: ``delivered``/``knowledge_wiped`` hooks); None outside it
         self._state_observer = None
         #: :meth:`link_tx_time` fast path: the constant per-link transfer
         #: time when the population is homogeneous, else None
@@ -363,16 +364,12 @@ class Simulation:
             self.config.capacities(trace.num_nodes),
             record_occupancy=self.config.record_occupancy,
         )
-        #: zero-transfer contacts an SoA kernel run left out of its sweep
-        #: and settled in its end-of-run flush (always 0 on the event
-        #: tier, which fires every contact);
+        #: zero-transfer contacts a skip-path run left out of its sweep
+        #: and settled in its end-of-run flush (always 0 on the sweep-all
+        #: path, which fires every contact);
         #: ``engine.events_fired + batched_encounters`` equals the event
         #: count of a one-event-per-contact schedule
         self.batched_encounters = 0
-        #: the event tier's streamed contacts (those no fault removed) and
-        #: each one's zero-transfer flag; set by run()
-        self._stream: list[Contact] = []
-        self._zero_transfer: list[bool] = []
         hub = RngHub(seed)
         self.nodes: list[Node] = []
         for i in range(trace.num_nodes):
@@ -416,11 +413,10 @@ class Simulation:
             #: what a crash wipes, looked up once per run
             self._wipes_buffer = self.faults.wipes_buffer
             self._wipes_knowledge = self.faults.wipes_knowledge
-            #: per trace contact, dropped and severed when; and per streamed
-            #: contact, severed when (None without that fault)
+            #: per trace contact, dropped and severed when (None without
+            #: that fault)
             self._contact_dropped: np.ndarray | None = None
             self._contact_severed_at: np.ndarray | None = None
-            self._severed_at: list[float] | None = None
 
     # ---------------------------------------------------------------- services
     # (the SimulationServices surface protocols and sessions rely on)
@@ -550,39 +546,6 @@ class Simulation:
             return
         self.remove_copy(node, sb.bid, reason="expired")
 
-    def _on_contact(self, k: int) -> None:
-        """The start of streamed contact ``k``, for every protocol.
-
-        The encounter/knowledge bookkeeping (:func:`contact_bookkeeping`)
-        runs first, then a :class:`ContactSession` — the slot state
-        machine — only when the run's zero-transfer mask says the link can
-        carry at least one bundle. Under faults the session also carries
-        the pair's crash epochs and its pre-drawn mid-contact severance
-        event. A contact a fault removed is never streamed
-        (:meth:`_prepare_faults`).
-        """
-        contact = self._stream[k]
-        now = contact.start
-        nodes = self.nodes
-        contact_bookkeeping(self, nodes[contact.a], nodes[contact.b], now)
-        if self._zero_transfer[k]:
-            return
-        tx_time, budget = ContactSession.link_budget(self, contact)
-        session = ContactSession(self, contact, tx_time, budget)
-        if self.faults is not None:
-            session.crash_epoch = (
-                self._crash_count[contact.a],
-                self._crash_count[contact.b],
-            )
-            severed_at = self._severed_at
-            if severed_at is not None:
-                t = severed_at[k]
-                if t < contact.end:
-                    # Scheduled before the first transfer completion, so at
-                    # an equal timestamp the severance wins deterministically.
-                    self.engine.at(t, session._on_severed)
-        session._schedule_next(now)
-
     # ----------------------------------------------------------------- faults
     # (active only when self.faults is not None; see repro.faults)
 
@@ -595,9 +558,9 @@ class Simulation:
         """Fix the run's fault environment before its first contact.
 
         Pushes the crashes and recoveries, draws the link faults, and
-        returns the lost-contact mask (:meth:`_lost_contacts`). Both DES
-        tiers call this after the flows are scheduled; neither runs a lost
-        contact, and both count them with :meth:`_settle_lost`.
+        returns the lost-contact mask (:meth:`_lost_contacts`). The sweep
+        calls this after the flows are scheduled; it runs no lost contact,
+        and counts them with :meth:`_settle_lost`.
         """
         spans = self._schedule_faults(horizon)
         self._draw_link_faults(arrays)
@@ -610,9 +573,10 @@ class Simulation:
 
         The outages (:func:`outage_schedule`) are scheduled as first-class
         events and returned as ``(nodes, down_at, up_at)`` columns (None
-        when there are none). Scheduling happens *before* the run, so by
-        the engine's stream rule a crash or a recovery fires before a
-        contact at the same timestamp — deterministically.
+        when there are none). Scheduling happens *before* the sweep, so by
+        its stream rule (:mod:`repro.core.sweepkernel`) a crash or a
+        recovery fires before a contact at the same timestamp —
+        deterministically.
         """
         spec = self.faults
         spans = outage_schedule(
@@ -652,7 +616,7 @@ class Simulation:
         protocol at the same fault seed faces the identical environment.
         """
         spec = self.faults
-        n = len(self.trace.contacts)
+        n = len(arrays[0])
         if spec.contact_drop_prob > 0.0:
             rng = self._fault_hub.stream("link-drop")
             self._contact_dropped = rng.random(n) < spec.contact_drop_prob
@@ -786,55 +750,18 @@ class Simulation:
                     "never be offered yet still count against the delivery "
                     "ratio — extend the trace or move the flow earlier"
                 )
-        if self.config.kernel != "event":
-            from repro.core.sweepkernel import SweepKernel, kernel_unsupported_reason
-
-            reason = kernel_unsupported_reason(self)
-            if reason is None:
-                # The SoA tier owns the whole run (including flow
-                # injection — seq ordering must be established under its
-                # calendar) and produces a byte-identical RunResult.
-                return SweepKernel(self).run(horizon)
-            if self.config.kernel == "soa":
+        sweep_all = self.config.kernel == "event"
+        if not sweep_all:
+            reason = sweepkernel.kernel_unsupported_reason(self)
+            if reason is not None and self.config.kernel == "soa":
                 raise ValueError(
                     f"kernel='soa' cannot execute this run: {reason}; use "
                     "kernel='auto' (event fallback) or kernel='event'"
                 )
-        for flow in self.flows:
-            if flow.created_at == 0.0:
-                self._inject_flow(flow)
-            else:
-                self.engine.at(flow.created_at, self._inject_flow, flow)
-        # One columnar materialization per run, shared by the zero-transfer
-        # classification, the fault facts and the contact stream.
-        # Degenerate encounters — contacts whose duration admits zero
-        # transfers, the majority in dense traces — are classified in one
-        # vectorized pass: the contact handler skips the session machinery
-        # for them.
-        arrays = self.trace.contact_arrays()
-        starts = arrays[0]
-        zero_mask = zero_transfer_mask(self.trace, self.config.bundle_tx_time, arrays=arrays)
-        contacts = self.trace.contacts
-        lost = None
-        if self.faults is not None:
-            # only the contacts no fault removed are streamed; the lost
-            # ones settle in bulk once the run ends, as on the SoA kernel
-            lost = self._prepare_faults(horizon, arrays)
-            live = np.flatnonzero(~lost)
-            contacts = [contacts[i] for i in live.tolist()]
-            starts, zero_mask = starts[live], zero_mask[live]
-            if self._contact_severed_at is not None:
-                self._severed_at = self._contact_severed_at[live].tolist()
-        self._stream = contacts
-        self._zero_transfer = zero_mask.tolist()
-        # The trace is time-sorted (ContactTrace sorts on construction), so
-        # its contact starts stream through the engine without a heap push
-        # each; sessions are built when their contact begins, so a run that
-        # delivers early never pays for the contacts behind the stop point.
-        self.engine.run(horizon, starts.tolist(), self._on_contact)
-        if lost is not None:
-            self._settle_lost(lost, arrays[0], self.engine.now)
-        return self._build_result()
+            sweep_all = reason is not None
+        # The sweep owns the whole run, flow injection included: seq
+        # ordering must be established under its calendar.
+        return self._kernel_class(self, sweep_all).run(horizon)
 
     def _build_result(self) -> RunResult:
         end_time = self.engine.now

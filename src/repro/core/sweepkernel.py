@@ -1,32 +1,45 @@
-"""Heap-free Structure-of-Arrays contact-sweep execution (``kernel="soa"``).
+"""The DES execution tier: one contact sweep against the event calendar.
 
-The third execution tier between the event DES and the ODE surrogate: for
-*encounter-inert* protocol populations (pure/ttl/ec/ec_ttl, coins-only
-P-Q, spray) a contact can only matter when one side holds a copy the
-other side lacks. The kernel therefore consumes the trace's columnar
-:meth:`~repro.mobility.contact.ContactTrace.contact_arrays` form directly
-and sweeps the time-sorted contact stream against per-node copy masks —
-one bundle-bit per offered bundle, held both as Python integers (O(1)
+Every discrete-event run executes here: :meth:`Simulation.run
+<repro.core.simulation.Simulation.run>` builds a :class:`SweepKernel`,
+which sweeps the trace's columnar
+:meth:`~repro.mobility.contact.ContactTrace.contact_arrays` form, time
+sorted, against the simulation's own event calendar
+(:class:`~repro.des.engine.Engine`). The calendar's heap carries only
+dynamic events: transfer completions, TTL expiries, link severances,
+crashes and recoveries, deferred flow injections. Per-node copy masks —
+one bundle bit per offered bundle, held both as Python integers (O(1)
 single-contact probes: ``sendable[a] & ~has[b]``) and as NumPy boolean
-rows (vectorized classification of long futile spans, one row test per
-:data:`_SKIP_CHUNK` contacts). Futile spans are retired in bulk —
-per-contact signaling in one counter update, per-node control units in
-one ``bincount`` — while the rare *possible* contacts run the exact
-per-slot exchange machinery (same predicates, same RNG draws, same
-service-layer calls) against the simulation's own event calendar
-(:class:`~repro.des.engine.Engine`), whose heap then carries only dynamic
-events: transfer completions, TTL expiries, deferred flow injections. An
-inert population's zero-transfer contacts never enter the sweep: they run
-no hook and move nothing, so an end-of-run flush settles their accounting
-in one pass.
+rows — and per-node candidate lists drive transfer selection on both of
+the kernel's paths, chosen once per run:
 
-Populations that keep delivery knowledge in a stock store (anti-packet
-P-Q, immunity, cumulative immunity) add a per-node **knowledge plane**:
-the bundle bits the node's store covers (the i-list's ids, or each
-cumulative table's prefix). The plane joins the has mask — it is the
-planner's knows-delivered veto — and every contact enters the sweep,
-zero-transfer ones included, because each one carries the stores. A
-contact is futile when the two planes are equal (the swap is a no-op)
+* The **sweep-all path** (``kernel="event"``, and ``kernel="auto"`` on a
+  run :func:`kernel_unsupported_reason` refuses) runs every live contact
+  through the protocol hooks: both encounter hooks, the control-plane
+  swap and the summary vector
+  (:func:`~repro.core.session.contact_bookkeeping`), then a session when
+  the link carries a bundle. Transfer selection and completion probe
+  ``knows_delivered`` on both sides, and every offer, accept, confirm and
+  store hook runs. Any population runs here: dynamic TTL, PRoPHET, custom
+  and mixed protocol classes.
+* The **skip path** (``kernel="soa"``, and ``kernel="auto"`` on an
+  eligible run) elides what the population's one class provably leaves
+  untouched. For an *encounter-inert* class (pure/ttl/ec/ec_ttl,
+  coins-only P-Q, spray) a contact can only matter when one side holds a
+  copy the other side lacks, so futile spans are retired in bulk —
+  per-contact signaling in one counter update, per-node control units in
+  one ``bincount`` — with a vectorized row test per :data:`_SKIP_CHUNK`
+  contacts once a span outlives the :data:`_PROBE` integer probes. Its
+  zero-transfer contacts never enter the sweep: they run no hook and move
+  nothing, so an end-of-run flush settles their accounting in one pass.
+
+On the skip path, populations that keep delivery knowledge in a stock
+store (anti-packet P-Q, immunity, cumulative immunity) add a per-node
+**knowledge plane**: the bundle bits the node's store covers (the
+i-list's ids, or each cumulative table's prefix). The plane joins the has
+mask — it is the knows-delivered veto — and every contact enters the
+sweep, zero-transfer ones included, because each one carries the stores.
+A contact is futile when the two planes are equal (the swap is a no-op)
 and no copy can cross it; a contact whose planes differ runs
 :func:`~repro.core.knowledge.exchange_control` and ends its contact
 block. A futile contact's control units (the store size, each way)
@@ -40,42 +53,52 @@ constant across the span being classified — no invalidation machinery,
 no rescans.
 
 Under fault injection the contacts a fault removes are array facts fixed
-before the run, the same ones the event tier leaves out of its contact
-stream (:meth:`~repro.core.simulation.Simulation._prepare_faults`): they
-leave the swept columns and settle their counters and fired events in
-bulk. Crashes and recoveries stay calendar events through the service
+before the run (:meth:`~repro.core.simulation.Simulation._prepare_faults`):
+they leave the swept columns and settle their counters and fired events
+in bulk. Crashes and recoveries stay calendar events through the service
 layer; a knowledge wipe reaches the kernel through
 :meth:`SweepKernel.knowledge_wiped`, so a plane can shrink. A swept
 session carries the pair's crash epochs and its pre-drawn severance
 event, and its completions pass the link gate and the transfer-failure
 coin first (:meth:`SweepKernel._complete_faulted`).
 
-Exactness contract: a kernel run produces a byte-identical
-:class:`~repro.core.results.RunResult` to the event engine. The sweep
-loop merges the swept contacts with the calendar by the engine's stream
-rule (stated in :mod:`repro.des.engine`): the swept contacts take the
-contiguous seq block the engine's run would have reserved for them, so
-every equal-timestamp ordering the event tier guarantees (origin expiry
-before contact, contact before completion) is preserved — and the span
-skip test is *conservative*: a skipped contact
-is one whose session would provably plan nothing, mutate nothing, and
-draw no randomness (every candidate exits the planner's predicate chain
-at the expiry, receiver-has-copy or receiver-knows-delivered check, all
-of which precede the P-Q coin). Everything else — metrics, counters, protocol hooks, buffer
-policies — is the same service-layer code the event engine runs, invoked
+**The stream rule.** The swept contacts merge with the heap without being
+pushed on it. The sweep reserves one seq per swept contact: contact ``k``
+takes seq ``base + k``, where ``base`` is the engine's seq counter when
+the sweep starts, so every entry pushed during the sweep gets a seq after
+every contact. A contact fires before the heap's head exactly when
+``(start_k, base + k) < (head_time, head_seq)``. At one instant, then:
+
+* an entry pushed *before* the sweep (a flow created at t > 0, a crash
+  or recovery, an origin copy's expiry) fires before the contact;
+* an entry pushed *during* the sweep (a transfer completion, a link
+  severance, an expiry re-arm) fires after it.
+
+That is the order pushing every contact with
+:meth:`~repro.des.engine.Engine.at`, in trace order, just before the run
+would produce; the reference schedule in the test suite does exactly that.
+
+Exactness contract: both paths produce a byte-identical
+:class:`~repro.core.results.RunResult` to that reference schedule, and
+the skip test is *conservative*: a skipped contact is one whose session
+would provably plan nothing, mutate nothing, and draw no randomness
+(every candidate exits the predicate chain at the expiry,
+receiver-has-copy or receiver-knows-delivered check, all of which precede
+the P-Q coin). Everything else — metrics, counters, protocol hooks,
+buffer policies — is the same service-layer code on both paths, invoked
 in the same order with the same arguments. The golden pins
-(``tests/core/test_golden_runs.py``), the kernel-vs-event cases
+(``tests/core/test_golden_runs.py``), the skip-vs-sweep-all cases
 (``tests/core/test_sweepkernel.py``) and the differential ladder
 (``tests/test_ladder.py``) enforce the contract.
 
-Eligibility (:func:`kernel_unsupported_reason`): a homogeneous
-population, faulted or not, under every ``state_loss`` mode, whose class
-is either encounter-inert with the base (constant-false)
+Eligibility for the skip path (:func:`kernel_unsupported_reason`): a
+homogeneous population, faulted or not, under every ``state_loss`` mode,
+whose class is either encounter-inert with the base (constant-false)
 ``knows_delivered``, or one of the stock knowledge-store classes
 (:data:`_KNOWLEDGE_HOOKS`) with every knowledge hook and
 ``on_encounter_started`` stock, checked by method identity.
-``kernel="auto"`` silently falls back to the event engine otherwise;
-``kernel="soa"`` fails fast with the reason.
+``kernel="auto"`` sweeps every contact otherwise; ``kernel="soa"`` fails
+fast with the reason.
 """
 
 from __future__ import annotations
@@ -92,6 +115,7 @@ from repro.core.knowledge import CumulativeKnowledgeStore, exchange_control
 from repro.core.protocols.antipacket import AntiPacketProtocol
 from repro.core.protocols.base import Protocol
 from repro.core.protocols.immunity import CumulativeImmunityEpidemic
+from repro.core.session import contact_bookkeeping
 from repro.mobility.contact import zero_transfer_mask
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -141,14 +165,14 @@ _KNOWLEDGE_HOOKS: dict[type[Protocol], tuple[str, ...]] = {
 
 
 def kernel_unsupported_reason(sim: Simulation) -> str | None:
-    """Why the SoA kernel cannot execute ``sim``, or None when it can.
+    """Why the skip path cannot execute ``sim``, or None when it can.
 
-    ``kernel="auto"`` routes a run to the event engine when this returns a
-    reason; ``kernel="soa"`` surfaces it in a ``ValueError`` instead. The
-    conditions mirror what the kernel structurally elides: control
+    ``kernel="auto"`` sweeps every contact when this returns a reason;
+    ``kernel="soa"`` surfaces it in a ``ValueError`` instead. The
+    conditions mirror what the skip path structurally elides: control
     exchange other than a stock knowledge store's, and delivery-knowledge
     probes outside such a store (``knows_delivered`` overrides). Fault
-    injection is no condition: the kernel runs the disruption model.
+    injection is no condition: both paths run the disruption model.
     """
     if sim.config.engine != "des":
         return f"engine={sim.config.engine!r} does not execute discrete events"
@@ -182,7 +206,8 @@ def kernel_unsupported_reason(sim: Simulation) -> str | None:
 
 
 class _Session:
-    """One live contact's exchange state (the SoA ContactSession twin).
+    """One live contact's exchange state: the slot clock and budget, and
+    the (sender, bundle) pairs whose P-Q coin failed this contact.
 
     Under faults :meth:`SweepKernel._arm_faults` also stamps the pair's
     crash epochs (``epoch_a``, ``epoch_b``), the ``severed`` flag its
@@ -218,7 +243,11 @@ class _Session:
 
 
 class SweepKernel:
-    """One run's array-resident sweep state; single-use like Simulation."""
+    """One run's array-resident sweep state; single-use like Simulation.
+
+    ``sweep_all`` picks the path: every contact through the protocol hooks
+    (True), or the skip path for an eligible population (False).
+    """
 
     # Slots keep every ``self._x`` load on the hot paths a fixed-offset
     # read: past 30 attributes CPython stops sharing instance-dict keys,
@@ -228,15 +257,16 @@ class SweepKernel:
         "_b", "_mask_bytes", "_sendable", "_has", "_masks_dirty",
         "_cand_keys", "_cand_sbs", "_cand_bits", "_dest_counts", "_ctrl_np",
         "_skipped", "_trivial_offer", "_trivial_confirm", "_trivial_accept",
-        "_trivial_store", "_pure_offer", "_rentries", "_rcaps", "_relays",
+        "_trivial_store", "_pure_offer", "_rentries", "_rcaps", "_sweep_all",
         "_origins", "_live_starts", "_live_a", "_live_b", "_knowledge",
         "_know_bits", "_know", "_know_size", "_size_keys", "_size_vals",
         "_stride", "_know_units", "_carry", "_on_complete", "_lost", "_sev",
         "_halt_rank",
     )
 
-    def __init__(self, sim: Simulation) -> None:
+    def __init__(self, sim: Simulation, sweep_all: bool = False) -> None:
         self.sim = sim
+        self._sweep_all = sweep_all
         self._engine = sim.engine
         nodes = sim.nodes
         self._nodes = nodes
@@ -252,11 +282,11 @@ class SweepKernel:
         # Twin mask representations, mutated together on every copy event:
         # Python ints for O(1) scalar probes, bool rows for chunked scans.
         #: node holds a live (origin or relay) copy — possibly expired at
-        #: the current instant, which the planner's own predicate rejects
+        #: the current instant, which the candidate rule's expiry test rejects
         self._snd_bits: list[int] = [0] * n
         #: node holds a copy, is the (delivered-to) destination, or knows
-        #: the bundle was delivered (its knowledge plane) — the planner's
-        #: receiver-has-it and receiver-knows-delivered vetoes
+        #: the bundle was delivered (its knowledge plane) — the candidate
+        #: rule's receiver-has-it and receiver-knows-delivered vetoes
         self._has_bits: list[int] = [0] * n
         self._b = b
         self._mask_bytes = max(1, (b + 7) >> 3)
@@ -267,7 +297,7 @@ class SweepKernel:
         # array write per mutation; the scan rebuilds from the int masks
         self._masks_dirty = False
         # per-node candidate order: (stored_at, bid) keys + parallel copies
-        # and bundle bits (the planner's total order, maintained
+        # and bundle bits (the candidate rule's total order, maintained
         # incrementally), plus a per-destination tally so the
         # peer-destined-first pass can skip scanning when the sender holds
         # nothing addressed to this receiver
@@ -279,27 +309,38 @@ class SweepKernel:
         # vectorized at end of run — an order-independent sum
         self._ctrl_np: NDArray[np.int64] = np.zeros(n, dtype=np.int64)
         self._skipped = 0
-        proto_cls = type(nodes[0].protocol)
-        self._trivial_offer = proto_cls.should_offer is Protocol.should_offer
-        self._trivial_confirm = proto_cls.confirm_transfer is Protocol.confirm_transfer
-        self._trivial_accept = proto_cls.can_accept is Protocol.can_accept
-        # whole-chain gate for the inlined relay-store path in _complete:
-        # no protocol hook anywhere between transmission and candidate
-        # registration (base on_transmitted / accept / on_copy_received by
-        # method identity), and no re-infection that store_received_copy
-        # would have to count: the base on_knowledge_wiped forgets nothing
-        # — pure epidemic and coin-flip P-Q qualify, faulted or not
-        self._trivial_store = (
-            self._trivial_confirm
-            and proto_cls.on_transmitted is Protocol.on_transmitted
-            and proto_cls.accept is Protocol.accept
-            and proto_cls.on_copy_received is Protocol.on_copy_received
-            and (
-                sim.faults is None
-                or proto_cls.on_knowledge_wiped is Protocol.on_knowledge_wiped
+        if sweep_all:
+            # every hook runs, for any mix of classes
+            self._trivial_offer = self._trivial_confirm = self._trivial_accept = False
+            self._trivial_store = self._knowledge = False
+        else:
+            # the skip path's shortcuts, by method identity on the
+            # population's one class
+            proto_cls = type(nodes[0].protocol)
+            self._trivial_offer = proto_cls.should_offer is Protocol.should_offer
+            self._trivial_confirm = proto_cls.confirm_transfer is Protocol.confirm_transfer
+            self._trivial_accept = proto_cls.can_accept is Protocol.can_accept
+            # whole-chain gate for the inlined relay-store path in
+            # _complete: no protocol hook anywhere between transmission and
+            # candidate registration (base on_transmitted / accept /
+            # on_copy_received), and no re-infection that
+            # store_received_copy would have to count: the base
+            # on_knowledge_wiped forgets nothing — pure epidemic and
+            # coin-flip P-Q qualify, faulted or not
+            self._trivial_store = (
+                self._trivial_confirm
+                and proto_cls.on_transmitted is Protocol.on_transmitted
+                and proto_cls.accept is Protocol.accept
+                and proto_cls.on_copy_received is Protocol.on_copy_received
+                and (
+                    sim.faults is None
+                    or proto_cls.on_knowledge_wiped is Protocol.on_knowledge_wiped
+                )
             )
-        )
-        # fully-trivial substrate (pure epidemic): every planner predicate
+            #: the population keeps delivery knowledge in a stock store
+            #: (eligibility admits no other non-inert class)
+            self._knowledge = not proto_cls.encounter_inert
+        # fully-trivial substrate (pure epidemic): every candidate predicate
         # except the want filter and the capacity probe is vacuous, so
         # _schedule_next can use the specialized candidate scan
         self._pure_offer = (
@@ -312,7 +353,6 @@ class SweepKernel:
             node.relay.entries_view() for node in nodes
         ]
         self._rcaps: list[int] = [node.relay.capacity for node in nodes]
-        self._relays = [node.relay for node in nodes]
         self._origins: list[dict[BundleId, StoredBundle]] = [
             node.origin for node in nodes
         ]
@@ -333,9 +373,6 @@ class SweepKernel:
         self._live_b: NDArray[np.intp] = np.empty(0, dtype=np.intp)
         # ---- the delivery-knowledge plane: all zero for an inert
         # population, whose sweep then reduces to the copy-mask test
-        #: the population keeps delivery knowledge in a stock store
-        #: (eligibility admits no other non-inert class)
-        self._knowledge = not proto_cls.encounter_inert
         #: per-node bundle bits the node's knowledge store covers
         self._know_bits: list[int] = [0] * n
         #: per-node len(store) — one contact's control units each way
@@ -487,21 +524,30 @@ class SweepKernel:
         return np.asarray(self._size_vals, dtype=np.float64)[order[at]]
 
     # -------------------------------------------------------------- planning
-    # (op-for-op mirrors of IncrementalPlanner / ContactSession — see
-    # repro.core.planner and repro.core.session for the semantics prose)
+    # The candidate rule (repro.core.session has the encounter semantics):
+    # node a, the lower id, sends first; within a sender, bundles destined
+    # for the peer first, then oldest stored, ties broken by bundle id. A
+    # bundle is a candidate only if it is unexpired, its P-Q coin has not
+    # failed this contact, the receiver lacks it, neither side knows it was
+    # delivered, and the receiver can take it. None of those predicates
+    # draws randomness, so visiting them lazily, interleaved with
+    # ``should_offer``, calls the coin on the same bundles in the same order
+    # as filtering everything first.
 
     def _first_offer(
         self, rec: _Session, sender: Node, receiver: Node, now: float, want: int
     ) -> StoredBundle | None:
         # ``want`` = sender's sendable bits the receiver lacks — candidates
-        # outside it exit the reference predicate chain at the receiver-
-        # has-copy or receiver-knows-delivered check (no side effects, no
-        # RNG), so filtering by bit
-        # visits exactly the candidates the planner would inspect further,
-        # in the planner's exact (tier, stored_at, bid) order.
+        # outside it exit the predicate chain at the receiver-has-copy (or,
+        # with a knowledge plane, receiver-knows-delivered) check, so
+        # filtering by bit visits the candidates the rule inspects further,
+        # in its exact (tier, stored_at, bid) order.
         sender_id = sender.id
         rid = receiver.id
         coin_rejected: Container[tuple[int, BundleId]] = rec.coin_rejected or ()
+        # the sweep-all path probes delivery knowledge; the skip path's
+        # knowledge plane is in the has mask
+        probe_known = self._sweep_all
         sender_protocol = sender.protocol
         receiver_protocol = receiver.protocol
         sbs = self._cand_sbs[sender_id]
@@ -526,12 +572,17 @@ class SweepKernel:
                 bid = sb.bundle.bid
                 if (sender_id, bid) in coin_rejected:
                     continue
-                # both knows_delivered probes are elided: the receiver's
-                # knowledge plane is in its has mask, so ``want`` already
-                # excludes it, and a sender never holds a copy it knows
-                # was delivered (learning purges it); base can_accept is
-                # constant-true here (candidate is destined for the
-                # receiver)
+                # on the skip path both knows_delivered probes are elided:
+                # the receiver's knowledge plane is in its has mask, so
+                # ``want`` already excludes it, and a sender never holds a
+                # copy it knows was delivered (learning purges it)
+                if probe_known and (
+                    receiver_protocol.knows_delivered(bid)
+                    or sender_protocol.knows_delivered(bid)
+                ):
+                    continue
+                # base can_accept is constant-true here (the candidate is
+                # destined for the receiver)
                 if not trivial_accept and not receiver_protocol.can_accept(
                     sb.bundle, now
                 ):
@@ -544,7 +595,7 @@ class SweepKernel:
                 rejected.add((sender_id, bid))
                 coin_rejected = rejected
         # pass 2: the rest, same order — together the two passes visit
-        # candidates in the planner's exact two-tier order
+        # candidates in the candidate rule's exact two-tier order
         for i, bit in enumerate(bits):
             if not (bit & want):
                 continue
@@ -555,6 +606,10 @@ class SweepKernel:
                 continue
             bid = sb.bundle.bid
             if (sender_id, bid) in coin_rejected:
+                continue
+            if probe_known and (
+                receiver_protocol.knows_delivered(bid) or sender_protocol.knows_delivered(bid)
+            ):
                 continue
             if trivial_accept:
                 if (
@@ -663,8 +718,13 @@ class SweepKernel:
         rid = receiver.id
         bit = 1 << self._col[bid]
         # receiver.has_copy probe via the exact mask mirror (relay ∪ origin
-        # ∪ delivered), sender.get_copy via the cached store views
-        if self._has_bits[rid] & bit:
+        # ∪ delivered, and the knowledge plane), sender.get_copy via the
+        # cached store views. The receiver may have obtained the bundle, or
+        # either side learned it was delivered, mid-flight: a sender that
+        # knows it arrived aborts the now pointless transmission.
+        if self._has_bits[rid] & bit or self._sweep_all and (
+            receiver.protocol.knows_delivered(bid) or sender.protocol.knows_delivered(bid)
+        ):
             metrics.on_wasted_slot()
             self._schedule_next(rec, now)
             return
@@ -689,7 +749,6 @@ class SweepKernel:
             # relay.add, inlined: the duplicate and capacity guards are
             # discharged by the has-bit probe and the gate above
             self._rentries[rid][bid] = stored
-            self._relays[rid].version += 1
             receiver.counters.bundles_received += 1
             metrics.on_relay_copy_stored(bid, now)
             self._snd_bits[rid] |= bit
@@ -715,12 +774,16 @@ class SweepKernel:
             self._schedule_next(rec, now)
             return
         if still_held:
+            # sender-side bookkeeping first: EC increments before the
+            # receiver's copy inherits the value (the paper's EC example)
             sender.protocol.on_transmitted(sb, receiver, now)
             ec_for_receiver = sb.ec
         else:
-            # a sender that learned mid-flight that the bundle arrived
-            # aborts the transmission; learning purged its copy, so only a
-            # vanished copy can hide that knowledge
+            # the copy vanished mid-flight, but its bits are on the air:
+            # the receiver's copy still carries the incremented count. On
+            # the skip path a sender that learned the bundle arrived aborts
+            # here: learning purged its copy, so only a vanished copy can
+            # hide that knowledge
             if self._know_bits[sender.id] & bit:
                 metrics.on_wasted_slot()
                 self._schedule_next(rec, now)
@@ -756,7 +819,7 @@ class SweepKernel:
         Nothing inside one completion crashes a node or severs a link, so
         the link checked alive here stays alive for every reschedule the
         completion makes. The transfer-failure coin is drawn per completed
-        slot on a live link, in calendar order, as the event tier draws it.
+        slot on a live link, in calendar order.
         """
         sim = self.sim
         engine = self._engine
@@ -775,7 +838,7 @@ class SweepKernel:
             sim.metrics.churn.interrupted_transfers += 1
             return
         if sim._transfer_failed():
-            # the slot is charged, the link survives, the planner may retry
+            # the slot is charged, the link survives, the session may retry
             rec.budget -= 1
             sim.metrics.churn.failed_transfers += 1
             self._schedule_next(rec, now)
@@ -851,7 +914,7 @@ class SweepKernel:
         hi = int(np.searchsorted(starts, h_time, side="left"))
         if hi > n_fire:
             hi = n_fire
-        # the engine's stream rule: a tie goes to the lower seq
+        # the stream rule: a tie goes to the lower seq
         while hi < n_fire and starts[hi] == h_time and contact_base + hi < h_seq:
             hi += 1
         return hi
@@ -879,7 +942,7 @@ class SweepKernel:
         everything else it advanced past is futile, so the skip count and
         per-endpoint control units settle here as two whole-prefix
         bincounts minus the run contacts' contribution — order-independent
-        sums, exactly as the per-event path tallies them one encounter at
+        sums, exactly as the sweep-all path tallies them one encounter at
         a time. With a knowledge plane each futile contact also carried
         both (equal) stores: ``len(store)`` units each way, at the size
         that contact saw. Under interruptions a futile carrying contact's
@@ -925,9 +988,9 @@ class SweepKernel:
         Every service-layer ``engine.at``/``cancel``/``halt``/``now``
         lands on the simulation's engine, which the sweep loop drives
         directly. Afterwards the skipped contacts count as fired events,
-        the clock moves to the end time, and for an inert population the
-        end-of-run flush settles the contacts the sweep left out — so
-        result construction is the exact code path of an event run.
+        the clock moves to the end time, and for an inert population on
+        the skip path the end-of-run flush settles the contacts the sweep
+        left out — so both paths build the result from the same state.
         """
         sim = self.sim
         engine = self._engine
@@ -951,9 +1014,9 @@ class SweepKernel:
         lost = self._lost
         if lost is not None:
             sim._settle_lost(lost, arrays[0], end_time)
-        if not self._knowledge:
-            # an inert sweep left the zero-transfer contacts out; a
-            # knowledge sweep left none out; a lost contact owes nothing
+        if not (self._knowledge or self._sweep_all):
+            # an inert skip-path sweep left the zero-transfer contacts out;
+            # the other sweeps left none out; a lost contact owes nothing
             left_out = zero_mask if lost is None else zero_mask & ~lost
             self._flush_deferred_bookkeeping(left_out, end_time, arrays)
         return sim._build_result()
@@ -964,15 +1027,15 @@ class SweepKernel:
         """Settle the accounting of the contacts an inert sweep left out.
 
         ``left_out`` flags the zero-transfer contacts, which an inert sweep
-        never visits. Each one that started by ``end_time`` owes what the
-        event tier's contact handler charges it: the summary vector each
-        way and one control unit per endpoint. They count as batched
-        encounters, which with the fired events make the event tier's
-        event count. Contacts past ``end_time`` are excluded exactly as
-        the event loop would have left them unfired: an early-delivery
-        halt happens in a transfer-completion event, which by the
-        engine's stream rule fires *after* every contact of the same
-        timestamp.
+        never visits. Each one that started by ``end_time`` owes what
+        :func:`~repro.core.session.contact_bookkeeping` charges an inert
+        pair: the summary vector each way and one control unit per
+        endpoint. They count as batched encounters, which with the fired
+        events make the sweep-all path's event count. Contacts past
+        ``end_time`` are excluded exactly as the sweep would have left
+        them unfired: an early-delivery halt happens in a
+        transfer-completion event, which by the stream rule fires *after*
+        every contact of the same timestamp.
         """
         sim = self.sim
         starts, _ends, a_ids, b_ids = arrays
@@ -999,54 +1062,50 @@ class SweepKernel:
         """
         sim = self.sim
         engine = self._engine
-        # flow injection, in the event tier's pre-run order: t=0 flows run
-        # now (their expiry pushes take the first seqs), later flows park
-        # on the calendar — seq assignment matches the event tier's exactly
+        # flow injection before the sweep: t=0 flows run now (their expiry
+        # pushes take the first seqs), later flows park on the calendar
         for flow in sim.flows:
             if flow.created_at == 0.0:
                 sim._inject_flow(flow)
             else:
                 engine.at(flow.created_at, sim._inject_flow, flow)
         starts, ends, a_ids, b_ids = arrays
-        # the swept contacts: an inert sweep leaves the zero-transfer ones
-        # out (the flush settles them), a faulted one the lost ones
-        keep = None if self._knowledge else ~zero_mask
+        # the swept contacts: an inert skip-path sweep leaves the
+        # zero-transfer ones out (the flush settles them), a faulted one
+        # the lost ones
+        keep = None if self._knowledge or self._sweep_all else ~zero_mask
         if sim.faults is not None:
-            # after the flows, as on the event tier
+            # after the flows: crashes and recoveries take the next seqs
             lost = self._lost = sim._prepare_faults(horizon, arrays)
             keep = ~lost if keep is None else keep & ~lost
         if keep is not None:
             live = np.flatnonzero(keep)
             starts, ends, a_ids, b_ids = starts[live], ends[live], a_ids[live], b_ids[live]
             zero_mask = zero_mask[live]
+        # a session opens, and a copy crosses, only where the link carries
+        # a bundle: every swept contact of an inert skip-path sweep
+        carry = ~zero_mask
         if self._knowledge:
-            # every contact carries the stores; a copy crosses only the
-            # ones whose link carries a bundle
-            self._carry = ~zero_mask
+            # every contact carries the stores
+            self._carry = carry
             self._stride = stride = len(starts) + 1
             self._size_keys = [nid * stride for nid in range(self._n)]
             self._size_vals = list(self._know_size)
             for nid, plane in enumerate(self._know_bits):
                 self._has_bits[nid] |= plane
             self._masks_dirty = True
-            carry_l: list[bool] = self._carry.tolist()
-        else:
-            # inert: a zero-transfer contact changes nothing, so only the
-            # contacts that can carry a bundle are swept
-            carry_l = [True] * len(starts)
         severed_at = sim._contact_severed_at if sim.faults is not None else None
         if severed_at is not None:
             if keep is not None:
                 severed_at = severed_at[live]
             # a severance is pushed for a session (a carrying contact) and
             # only when it falls before the contact's end
-            self._sev = np.where((severed_at < ends) & ~zero_mask, severed_at, math.inf)
+            self._sev = np.where((severed_at < ends) & carry, severed_at, math.inf)
         self._live_starts = starts
         self._live_a = a_ids
         self._live_b = b_ids
-        # the swept contacts' seq block, reserved as Engine.run reserves a
-        # stream's: the tie-break in the sweep loop is the engine's stream
-        # rule
+        # the swept contacts' seq block: the tie-break in the sweep loop is
+        # the stream rule (module docstring)
         contact_base = engine.seq
         engine.seq = contact_base + len(starts)
         n_fire = int(np.searchsorted(starts, horizon, side="right"))
@@ -1058,7 +1117,7 @@ class SweepKernel:
             ends.tolist(),
             a_ids.tolist(),
             b_ids.tolist(),
-            carry_l,
+            carry.tolist(),
         )
 
     def _sweep(
@@ -1074,13 +1133,15 @@ class SweepKernel:
     ) -> bool:
         """The sweep loop; True when the run halted early.
 
-        A contact is futile when its two knowledge planes are equal and no
+        On the sweep-all path no contact is futile: each one runs
+        :func:`~repro.core.session.contact_bookkeeping`. On the skip path
+        a contact is futile when its two knowledge planes are equal and no
         copy can cross it. A contact whose planes differ runs the stock
         swap (:func:`~repro.core.knowledge.exchange_control`); both
         endpoints then know the union, and the contact block ends. A
         contact with equal planes that a copy can cross owes the swap's
-        accounting only. Either opens a session when its link carries a
-        bundle. An inert population's planes are all zero and every
+        accounting only. Any of them opens a session when its link carries
+        a bundle. An inert population's planes are all zero and every
         contact it sweeps carries, so only the copy-mask test is live.
         """
         sim = self.sim
@@ -1097,6 +1158,7 @@ class SweepKernel:
         know = self._know_bits
         know_size = self._know_size
         faulted = sim.faults is not None
+        sweep_all = self._sweep_all
         arm_faults = self._arm_faults
         heap = engine.heap
         heappop = heapq.heappop
@@ -1125,17 +1187,19 @@ class SweepKernel:
             probe = _PROBE
             while ci < n_fire:
                 t = starts_l[ci]
-                # the engine's stream rule: contact ci is seq contact_base + ci
+                # the stream rule: contact ci is seq contact_base + ci
                 if t > h_time or (t == h_time and contact_base + ci >= h_seq):
                     break
                 a = a_l[ci]
                 b = b_l[ci]
-                # the copy test first, and the plane test behind the run's
-                # flag: an inert sweep (planes all zero, every contact
-                # carrying) then pays one local test per futile contact
+                # the copy test first, and the plane test and the path test
+                # behind the run's flags: an inert sweep (planes all zero,
+                # every contact carrying) then pays two local tests per
+                # futile contact
                 if not (
                     ((snd[a] & ~hasb[b]) or (snd[b] & ~hasb[a])) and carry_l[ci]
                     or knowledge and know[a] != know[b]
+                    or sweep_all
                 ):
                     # futile: retire inline (accounting settles on return)
                     ci += 1
@@ -1152,23 +1216,27 @@ class SweepKernel:
                 engine.events_fired += 1
                 node_a = nodes[a]
                 node_b = nodes[b]
-                if knowledge:
-                    plane_a = know[a]
-                    plane_b = know[b]
-                    if plane_a != plane_b:
-                        exchange_control(sim, node_a, node_b, t)
-                        union = plane_a | plane_b
-                        learned(a, union, ci + 1)
-                        learned(b, union, ci + 1)
-                    elif know_size[a]:
-                        # equal stores: the swap is a no-op, its bill is not
-                        units = know_size[a]
-                        self._know_units += 2 * units
-                        node_a.counters.control_units_sent += units
-                        node_b.counters.control_units_sent += units
-                signaling.summary_vector += 2
-                node_a.counters.control_units_sent += 1
-                node_b.counters.control_units_sent += 1
+                if sweep_all:
+                    contact_bookkeeping(sim, node_a, node_b, t)
+                else:
+                    if knowledge:
+                        plane_a = know[a]
+                        plane_b = know[b]
+                        if plane_a != plane_b:
+                            exchange_control(sim, node_a, node_b, t)
+                            union = plane_a | plane_b
+                            learned(a, union, ci + 1)
+                            learned(b, union, ci + 1)
+                        elif know_size[a]:
+                            # equal stores: the swap is a no-op, its bill
+                            # is not
+                            units = know_size[a]
+                            self._know_units += 2 * units
+                            node_a.counters.control_units_sent += units
+                            node_b.counters.control_units_sent += units
+                    signaling.summary_vector += 2
+                    node_a.counters.control_units_sent += 1
+                    node_b.counters.control_units_sent += 1
                 if carry_l[ci]:
                     tx_time = (
                         uniform_tx if uniform_tx is not None else link_tx_time(a, b)

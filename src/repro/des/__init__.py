@@ -5,11 +5,9 @@ in :mod:`repro` is built on:
 
 * :class:`~repro.des.engine.Engine` — the one event calendar: a clock and a
   binary heap of ``[time, seq, action, args, alive]`` entries with lazy
-  cancellation, whose run loop merges a time-sorted stream (the contact
-  starts) with the heap by the stream rule stated in
-  :mod:`repro.des.engine`. Both DES tiers drive it: the event tier through
-  :meth:`~repro.des.engine.Engine.run`, the SoA sweep kernel through its own
-  loop over the same heap.
+  cancellation. The contact sweep (:mod:`repro.core.sweepkernel`) drives it
+  with its own loop, merging the trace's contacts with the heap by the
+  stream rule stated there.
 * :mod:`~repro.des.rng` — reproducible, independently-seeded random streams
   derived from a single master seed via ``numpy.random.SeedSequence``.
 

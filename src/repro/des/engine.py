@@ -1,4 +1,4 @@
-"""The discrete-event calendar: one clock, one heap, one merge rule.
+"""The discrete-event calendar: one clock, one heap.
 
 An :class:`Engine` owns the clock and a binary heap of
 ``[time, seq, action, args, alive]`` entries. :meth:`Engine.at` pushes
@@ -16,30 +16,16 @@ Dead entries are compacted away whenever they exceed half the heap; the
 heap list is rewritten in place, never rebound, because the run loops
 hold a reference to it across events.
 
-**The stream rule.** :meth:`Engine.run` optionally merges a time-sorted
-*stream* of occurrences (the simulation's contact starts) with the heap,
-without pushing them. Stream item ``k`` takes seq ``base + k``, where
-``base`` is the seq counter when the run starts; the run reserves that
-block, so entries pushed during the run get seqs after every stream item.
-An item fires before the heap's head exactly when
-``(time_k, base + k) < (head_time, head_seq)``. At one instant, then:
-
-* an entry pushed *before* the run (a flow created at t > 0, a crash or
-  recovery, an origin copy's expiry) fires before the stream item;
-* an entry pushed *during* the run (a transfer completion, a link
-  severance, an expiry re-arm) fires after it.
-
-That is the order pushing every item with :meth:`Engine.at`, in stream
-order, just before the run would produce. The SoA sweep kernel
-(:mod:`repro.core.sweepkernel`) drives this same heap with its own loop
-and applies the same rule to its live contacts.
+:meth:`Engine.run` fires the heap alone. The simulation's contact sweep
+(:mod:`repro.core.sweepkernel`) drives this same heap with its own loop,
+merging the trace's contacts with it by the stream rule stated there.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import Any
 
 #: A calendar entry: ``[time, seq, action, args, alive]``.
@@ -51,7 +37,8 @@ class Engine:
 
     Attributes:
         now: Current simulation time.
-        events_fired: Heap entries and stream items executed so far.
+        events_fired: Entries executed so far (the contact sweep adds its
+            contacts).
         halted: True once :meth:`halt` stopped the current (or last) run.
         heap: The pending entries, a binary heap ordered by ``(time, seq)``.
         seq: The seq the next pushed entry receives.
@@ -108,68 +95,31 @@ class Engine:
         """Stop the run loop after the current event."""
         self.halted = True
 
-    def run(
-        self,
-        until: float = math.inf,
-        times: Sequence[float] = (),
-        action: Callable[[int], object] | None = None,
-    ) -> None:
-        """Fire heap entries, merged with an optional stream, in order.
-
-        The stream is ``times`` (sorted ascending) with one ``action``:
-        item ``k`` fires ``action(k)`` at ``times[k]`` — ordered against
-        the heap by the stream rule in the module docstring. Each stream
-        item counts as one fired event.
+    def run(self, until: float = math.inf) -> None:
+        """Fire heap entries in ``(time, seq)`` order.
 
         Args:
-            until: Inclusive time horizon. Entries and items after it do
-                not fire; the clock ends at ``until`` when it is finite,
-                or at the halting event's time after :meth:`halt`.
-
-        Raises:
-            ValueError: if the stream's times are NaN or go backwards.
+            until: Inclusive time horizon. Entries after it do not fire;
+                the clock ends at ``until`` when it is finite, or at the
+                halting event's time after :meth:`halt`.
         """
         self.halted = False
         heap = self.heap
         heappop = heapq.heappop
-        n = len(times)
-        base = self.seq
-        self.seq = base + n
-        k = 0
-        t = times[0] if n else math.inf
-        while True:
-            if heap:
-                head = heap[0]
-                if not head[4]:
-                    heappop(heap)
-                    self.dead -= 1
-                    continue
-                h_time = head[0]
-                if k == n or h_time < t or (h_time == t and head[1] < base + k):
-                    if h_time > until:
-                        break
-                    heappop(heap)
-                    head[4] = False
-                    self.now = h_time
-                    self.events_fired += 1
-                    head[2](*head[3])
-                    if self.halted:
-                        return
-                    continue
-            elif k == n:
+        while heap:
+            head = heap[0]
+            if not head[4]:
+                heappop(heap)
+                self.dead -= 1
+                continue
+            h_time = head[0]
+            if h_time > until:
                 break
-            if t > until:
-                break
-            if not (t >= self.now):
-                raise ValueError(
-                    f"stream item {k} at t={t!r} is out of order (clock t={self.now})"
-                )
-            self.now = t
+            heappop(heap)
+            head[4] = False
+            self.now = h_time
             self.events_fired += 1
-            action(k)  # type: ignore[misc]
-            k += 1
-            if k < n:
-                t = times[k]
+            head[2](*head[3])
             if self.halted:
                 return
         if until > self.now and until != math.inf:

@@ -441,6 +441,31 @@ class TestLinkFaults:
         # the link had time for
         assert res.transmissions + res.churn["interrupted_transfers"] <= 10
 
+    @pytest.mark.parametrize("kernel", ["auto", "event"])
+    @pytest.mark.parametrize("protocol", ["pure", "dynamic_ttl", "immunity"])
+    def test_faulted_run_builds_no_contact_objects(self, protocol, kernel):
+        """A columnar trace keeps only its columns through a faulted run:
+        the link-fault draws count contacts off the columns, and neither
+        path of the sweep reads the contact list."""
+        starts, ends, a, b = zip(*self.ROWS)
+        trace = ContactTrace.from_arrays(starts, ends, a, b, num_nodes=3, horizon=1_000.0)
+        faults = FaultSpec(
+            churn_rate=1e-3,
+            mean_downtime=100.0,
+            contact_drop_prob=0.3,
+            interrupt_prob=0.5,
+            transfer_failure_prob=0.1,
+        )
+        sim = Simulation(
+            trace,
+            make_protocol_config(protocol),
+            self.FLOWS,
+            config=SimulationConfig(kernel=kernel, faults=faults),
+            seed=2,
+        )
+        assert sim.run().churn
+        assert "contacts" not in trace.__dict__
+
 
 # ------------------------------------------------------- zero-cost-when-off
 

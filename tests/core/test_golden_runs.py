@@ -1,16 +1,16 @@
-"""Golden regression pins for the seed scenario, on every DES tier that runs it.
+"""Golden regression pins for the seed scenario, on every DES path that runs it.
 
 These values were produced by the seed configuration (campus trace,
 ``seed=7``, 10-slot buffers, ``reject`` drop policy) and verified
 bit-identical before and after the buffer-policy refactor. A kernel change
 that shifts any simulation path — event ordering, RNG stream derivation,
 metric integration, buffer admission — shows up here immediately. Each
-case runs on the tiers :data:`GOLDEN_TIERS` lists for its protocol: the
-event engine (``kernel="event"``) always, and the SoA sweep kernel
-(``kernel="soa"``) for every protocol the kernel accepts. Each run must
-match the pins, and the two tiers' results must be byte-identical
-(``repr``). ``dynamic_ttl`` runs on the event engine only; its cases
-assert that the kernel still refuses it.
+case runs on the paths of the contact sweep :data:`GOLDEN_TIERS` lists
+for its protocol: the sweep-all path (``kernel="event"``) always, and the
+skip path (``kernel="soa"``) for every protocol it accepts. Each run must
+match the pins, and the two paths' results must be byte-identical
+(``repr``). ``dynamic_ttl`` runs on the sweep-all path only; its cases
+assert that the skip path still refuses it.
 
 The faulted pins (:data:`GOLDEN_FAULTED`) run the same scenario under the
 disruption model (:mod:`repro.faults`): churn under each ``state_loss``
@@ -268,11 +268,12 @@ def test_seed_scenario_metrics_pinned(campus_trace, key):
         ), kernel
         results[kernel] = result
     if "soa" in results:
-        # the SoA tier is a speed tier: byte-identical to the event engine
+        # the skip path is a speed path: byte-identical to the sweep-all one
         assert repr(results["soa"]) == repr(results["event"])
     else:
-        # an event-only pin: the kernel must still refuse the protocol, so
-        # a kernel that starts running it has to add its tier above
+        # a sweep-all-only pin: the skip path must still refuse the
+        # protocol, so a skip path that starts running it has to add its
+        # tier above
         with pytest.raises(ValueError, match="kernel='soa' cannot execute"):
             run("soa")
 

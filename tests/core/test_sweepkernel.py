@@ -1,8 +1,9 @@
-"""Kernel-vs-event equivalence gate for the SoA contact-sweep kernel.
+"""Skip-path-vs-sweep-all equivalence gate for the contact sweep.
 
-The sweep kernel (:mod:`repro.core.sweepkernel`) promises *byte-identical*
-``RunResult``s to the event engine for every run it accepts — it is a
-speed tier, not an approximation. These tests pin that promise the way the
+The contact sweep (:mod:`repro.core.sweepkernel`) promises that its skip
+path (``kernel="soa"``) returns *byte-identical* ``RunResult``s to its
+sweep-all path (``kernel="event"``) for every run it accepts — it is a
+speed path, not an approximation. These tests pin that promise the way the
 planner and batching refactors were pinned: ``repr`` equality over the
 golden-pin protocol set on campus and RWP traces, plus the structural edge
 cases the kernel handles specially (heterogeneous radios, buffer-pressure
@@ -12,7 +13,7 @@ cells of every accepted protocol (churn under each ``state_loss`` mode,
 lossy links, transfer failures), and the fail-fast rejection surface
 (encounter-reactive protocols, subclasses that override a stock
 knowledge hook, the ODE engine).
-Randomized scenarios climb both kernels on the differential ladder
+Randomized scenarios climb both paths on the differential ladder
 (``tests/test_ladder.py``).
 """
 
@@ -155,8 +156,8 @@ def assert_identical(trace, name, kwargs, **config_kwargs) -> None:
     soa_sim, soa_result = run_cell(trace, name, kwargs, "soa", **config_kwargs)
     assert repr(ev_result) == repr(soa_result)
     assert ev_result == soa_result
-    # the kernel's event accounting must mirror the event tier's, which
-    # fires every contact
+    # the skip path's event accounting must mirror the sweep-all path's,
+    # which fires every contact
     assert ev_sim.batched_encounters == 0
     assert ev_sim.engine.events_fired == (
         soa_sim.engine.events_fired + soa_sim.batched_encounters
@@ -271,7 +272,7 @@ def test_config_accepts_soa_under_faults(campus_trace):
 
 def test_scenario_spec_accepts_soa_under_faults_at_load_time():
     """A faulted scenario pinned to the kernel loads, from the dataclass
-    and from its JSON dict, and its sweep equals the event tier's."""
+    and from its JSON dict, and its sweep equals the sweep-all path's."""
     spec = ScenarioSpec(
         mobility=MobilitySpec("interval", {"num_nodes": 8, "max_encounters_per_node": 12}),
         protocols=(ProtocolSpec(name="pure"), ProtocolSpec(name="immunity")),
@@ -308,22 +309,22 @@ def test_auto_falls_back_to_event_identically(campus_trace, name, kwargs):
 @pytest.mark.parametrize("trace_name", ["campus", "rwp"])
 @pytest.mark.parametrize("protocol", sorted(KNOWLEDGE_PROTOCOLS))
 def test_auto_runs_knowledge_protocols_on_kernel(request, monkeypatch, protocol, trace_name):
-    """auto takes the SoA tier for every stock knowledge-store protocol and
-    matches the forced-event run byte for byte, event count included."""
+    """auto takes the skip path for every stock knowledge-store protocol,
+    event the sweep-all path, and the two match byte for byte, event count
+    included."""
     trace = request.getfixturevalue(f"{trace_name}_trace")
     name, kwargs = KNOWLEDGE_PROTOCOLS[protocol]
-    kernel_runs = []
+    sweeps_all = []
     run = SweepKernel.run
 
     def counted(kernel, horizon):
-        kernel_runs.append(horizon)
+        sweeps_all.append(kernel._sweep_all)
         return run(kernel, horizon)
 
     monkeypatch.setattr(SweepKernel, "run", counted)
     auto_sim, auto_result = run_cell(trace, name, kwargs, "auto", load=30)
-    assert len(kernel_runs) == 1
     ev_sim, ev_result = run_cell(trace, name, kwargs, "event", load=30)
-    assert len(kernel_runs) == 1
+    assert sweeps_all == [False, True]
     assert repr(auto_result) == repr(ev_result)
     # every contact carries the stores, so none is batched on either tier
     assert auto_sim.batched_encounters == ev_sim.batched_encounters == 0
@@ -362,7 +363,7 @@ def _overrides(stock: type) -> list[str]:
 def test_soa_refuses_subclass_overriding_a_knowledge_hook(campus_trace, protocol, hook):
     """Behaviour-preserving overrides still leave the stock hooks the
     knowledge plane mirrors, so the kernel refuses them by name, and auto
-    falls back to the event tier with the stock result."""
+    falls back to the sweep-all path with the stock result."""
     stock, kwargs = _STOCK_CLASSES[protocol]
     stock_hook = getattr(stock, hook)
     custom = type(
@@ -388,7 +389,7 @@ def test_soa_refuses_subclass_overriding_a_knowledge_hook(campus_trace, protocol
 
 
 def test_auto_uses_kernel_for_inert_population(campus_trace):
-    """auto on an eligible run takes the SoA tier (no heap churn), and the
+    """auto on an eligible run takes the skip path (no heap churn), and the
     result still matches the forced-event run byte for byte."""
     auto_sim, auto_result = run_cell(campus_trace, "pure", {}, "auto")
     _, ev_result = run_cell(campus_trace, "pure", {}, "event")

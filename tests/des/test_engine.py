@@ -1,4 +1,4 @@
-"""Engine: scheduling, clock, horizon, halt, and the stream rule."""
+"""Engine: scheduling, clock, horizon and halt."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -44,8 +44,9 @@ class TestScheduling:
         eng = Engine()
         for t in range(5):
             eng.at(float(t), lambda: None)
-        eng.run(times=[0.5, 1.5], action=lambda k: None)
-        assert eng.events_fired == 7  # heap entries and stream items alike
+        eng.cancel(eng.at(0.5, lambda: None))
+        eng.run()
+        assert eng.events_fired == 5  # a cancelled entry never fires
 
 
 class TestStopConditions:
@@ -85,9 +86,10 @@ class TestStopConditions:
     def test_event_at_horizon_boundary_fires(self):
         eng = Engine()
         log = []
-        eng.at(50.0, lambda: log.append("edge"))
-        eng.run(until=50.0, times=[50.0, 50.5], action=log.append)
-        assert log == ["edge", 0]
+        eng.at(50.0, log.append, "edge")
+        eng.at(50.5, log.append, "past")
+        eng.run(until=50.0)
+        assert log == ["edge"]
         assert eng.now == 50.0
 
 
@@ -103,98 +105,6 @@ class TestCancellationAndStep:
         assert eng.events_fired == 0
 
 
-class TestStreamRule:
-    """Stream item ``k`` takes seq ``base + k`` (see ``repro.des.engine``)."""
-
-    def test_pre_run_event_fires_before_a_stream_item_at_its_instant(self):
-        eng = Engine()
-        log = []
-        eng.at(5.0, log.append, "pre-run")
-        eng.run(times=[5.0], action=log.append)
-        assert log == ["pre-run", 0]
-
-    def test_event_pushed_during_the_run_fires_after_a_stream_item(self):
-        # a transfer completion landing exactly on the next contact start
-        eng = Engine()
-        log = []
-
-        def item(k):
-            log.append(k)
-            if k == 0:
-                eng.at(5.0, log.append, "pushed")
-
-        eng.run(times=[1.0, 5.0, 5.0], action=item)
-        assert log == [0, 1, 2, "pushed"]
-
-    def test_stream_reserves_its_seq_block(self):
-        eng = Engine()
-        eng.at(1.0, lambda: None)
-        seqs = []
-        eng.run(
-            times=[2.0, 3.0, 4.0],
-            action=lambda k: seqs.append(eng.at(9.0, lambda: None)[1]),
-        )
-        # base 1, items 1..3, so pushes during the run start at 4
-        assert seqs == [4, 5, 6]
-        assert eng.seq == 7
-
-    def test_items_after_until_do_not_fire(self):
-        eng = Engine()
-        log = []
-        eng.run(until=2.0, times=[1.0, 2.0, 2.5], action=log.append)
-        assert log == [0, 1]
-        assert eng.events_fired == 2
-        assert eng.now == 2.0
-
-    def test_halt_from_a_stream_item(self):
-        eng = Engine()
-        log = []
-
-        def item(k):
-            log.append(k)
-            if k == 1:
-                eng.halt()
-
-        eng.at(3.0, log.append, "later")
-        eng.run(until=10.0, times=[1.0, 2.0, 2.0], action=item)
-        assert log == [0, 1]
-        assert eng.halted and eng.now == 2.0
-
-
-#: per occurrence: fire time and child-push delays (0.0 lands on the
-#: same instant, the hardest tie)
-_occurrences = st.lists(
-    st.tuples(
-        st.sampled_from([0.0, 1.0, 2.0, 3.0]),
-        st.lists(st.sampled_from([0.0, 1.0, 2.5]), max_size=2),
-    ),
-    max_size=12,
-)
-
-
-def _log_run(pre_run, stream, as_heap):
-    """Fire ``pre_run`` heap events and the ``stream``; log labels in order."""
-    eng = Engine()
-    log = []
-
-    def fire(label, delays):
-        log.append(label)
-        for j, delay in enumerate(delays):
-            eng.at(eng.now + delay, fire, (label, j), ())
-
-    for i, (t, delays) in enumerate(pre_run):
-        eng.at(t, fire, ("pre", i), delays)
-    stream = sorted(stream, key=lambda item: item[0])
-    times = [t for t, _ in stream]
-    if as_heap:
-        for k, (t, delays) in enumerate(stream):
-            eng.at(t, fire, ("item", k), delays)
-        eng.run(until=3.0)
-    else:
-        eng.run(3.0, times, lambda k: fire(("item", k), stream[k][1]))
-    return log, eng.events_fired, eng.now
-
-
 class TestEngineProperties:
     @given(st.lists(st.floats(min_value=0, max_value=1e5, allow_nan=False), max_size=100))
     def test_fires_in_nondecreasing_time(self, times):
@@ -205,9 +115,3 @@ class TestEngineProperties:
         eng.run()
         assert seen == sorted(seen)
         assert len(seen) == len(times)
-
-    @given(pre_run=_occurrences, stream=_occurrences)
-    def test_stream_merge_equals_one_heap_event_per_item(self, pre_run, stream):
-        assert _log_run(pre_run, stream, as_heap=False) == _log_run(
-            pre_run, stream, as_heap=True
-        )

@@ -67,13 +67,14 @@ class TestCancellation:
         assert eng.dead == 0
 
     def test_cancelled_event_skipped_on_peek(self):
-        # a cancelled pre-run head at the stream item's instant is skimmed,
-        # not fired, and does not hold the item back
+        # a cancelled head at the horizon is skimmed, not fired, and does
+        # not hold back the live entry behind it at that instant
         eng = _logged()
         dead = eng.at(1.0, eng.log.append, "dead")
+        eng.at(1.0, eng.log.append, "live")
         eng.cancel(dead)
-        eng.run(times=[1.0], action=eng.log.append)
-        assert eng.log == [0]
+        eng.run(until=1.0)
+        assert eng.log == ["live"]
         assert eng.dead == 0 and eng.heap == []
 
     def test_compaction_keeps_live_events(self):
@@ -173,50 +174,3 @@ class TestQueueInvariants:
         eng.run()
         assert eng.log == [2.0]
         assert eng.dead == 0
-
-
-class TestScheduleSorted:
-    """The stream: a sorted run of occurrences merged without heap pushes."""
-
-    def test_bulk_load_empty_queue_pops_in_order(self):
-        eng = _logged()
-        times = [float(i) for i in range(50)]
-        eng.run(times=times, action=eng.log.append)
-        assert eng.log == list(range(50))
-        assert eng.events_fired == 50
-        assert eng.heap == []
-
-    def test_bulk_load_merges_with_existing_events(self):
-        eng = _logged()
-        eng.at(2.5, eng.log.append, 2.5)
-        eng.at(0.5, eng.log.append, 0.5)
-        times = [1.0, 2.0, 3.0]
-        eng.run(times=times, action=lambda k: eng.log.append(times[k]))
-        assert eng.log == [0.5, 1.0, 2.0, 2.5, 3.0]
-
-    def test_equal_times_keep_insertion_order(self):
-        eng = _logged()
-        eng.run(times=[1.0] * 5, action=eng.log.append)
-        assert eng.log == [0, 1, 2, 3, 4]
-
-    def test_rejects_decreasing_times(self):
-        eng = Engine()
-        with pytest.raises(ValueError, match="out of order"):
-            eng.run(times=[2.0, 1.0], action=lambda k: None)
-
-    def test_rejects_negative_and_nan_times(self):
-        with pytest.raises(ValueError, match="out of order"):
-            Engine().run(times=[-1.0], action=lambda k: None)
-        with pytest.raises(ValueError, match="out of order"):
-            Engine().run(times=[float("nan")], action=lambda k: None)
-
-    def test_bulk_events_carry_args(self):
-        # each stream item's action receives the item's index
-        eng = _logged()
-        eng.run(times=[0.0, 1.0, 1.0], action=eng.log.append)
-        assert eng.log == [0, 1, 2]
-
-    def test_empty_iterable_is_noop(self):
-        eng = Engine()
-        eng.run(times=[], action=lambda k: None)
-        assert eng.events_fired == 0 and eng.seq == 0

@@ -9,7 +9,8 @@ cover every axis a tier or executor could get wrong:
   exactly on TTL expiries and on each other) or with float times,
   overlapping contacts, horizons flush with the last contact end; or a
   registered mobility kind (``interval``, ``poisson``);
-* every registry protocol, P-Q with and without anti-packets;
+* every registry protocol, P-Q with and without anti-packets, and
+  populations that mix protocol classes (:class:`MixedConfig`);
 * every drop policy, scalar and per-node buffers and radios, with and
   without the occupancy series;
 * no fault spec, a trivial one, or an active one: churn under each
@@ -63,11 +64,29 @@ TX_TIMES = (60.0, 100.0, 150.0)
 
 
 @dataclasses.dataclass(frozen=True)
+class MixedConfig:
+    """A population that mixes protocol classes: node ``i`` runs
+    ``members[i % len(members)]``, each a registry ``(name, kwargs)`` pair."""
+
+    members: tuple[tuple[str, dict], ...]
+    protocol_name = "mixed"
+    label = "mixed"
+
+    def build(self, node, sim, rng):
+        name, kwargs = self.members[node.id % len(self.members)]
+        return make_protocol_config(name, **kwargs).build(node, sim, rng)
+
+
+@dataclasses.dataclass(frozen=True)
 class Cell:
-    """One simulation run's complete input."""
+    """One simulation run's complete input.
+
+    ``protocol`` is a registry ``(name, kwargs)`` pair, or a
+    :class:`MixedConfig`.
+    """
 
     trace: ContactTrace
-    protocol: tuple[str, dict]
+    protocol: tuple[str, dict] | MixedConfig
     flows: tuple[Flow, ...]
     config: SimulationConfig
     seed: int
@@ -75,10 +94,13 @@ class Cell:
 
     def simulation(self, cls: type[Simulation] = Simulation, **config) -> Simulation:
         """A fresh ``cls`` run of this cell; ``config`` overrides fields."""
-        name, kwargs = self.protocol
+        protocol = self.protocol
+        if not isinstance(protocol, MixedConfig):
+            name, kwargs = protocol
+            protocol = make_protocol_config(name, **kwargs)
         return cls(
             self.trace,
-            make_protocol_config(name, **kwargs),
+            protocol,
             list(self.flows),
             config=dataclasses.replace(self.config, **config),
             seed=self.seed,
@@ -246,7 +268,7 @@ def cells(
     flows = []
     for flow_id in range(draw(st.integers(1, 3))):
         # later flows may enter mid-run; distinct destinations make the
-        # planner's peer-destined-first tier matter
+        # candidate rule's peer-destined-first tier matter
         source = draw(st.integers(0, n - 1))
         flows.append(
             Flow(

@@ -4,13 +4,15 @@ One scenario generator (:mod:`tests.strategies`) drives every rung:
 
 * **cell rung**, per drawn run: the reference schedule
   (:class:`~tests.oracles.reference_sim.ReferenceSimulation` — one event
-  per contact, the rebuild-filter-sort planner, the original faults-only
-  contact handler) ≡ ``kernel="event"`` ≡ ``kernel="soa"`` when the run is
-  eligible. The tiers must agree on the ``RunResult`` repr, on every
-  node's counters, control storage, relay ids and delivered set, on the
-  encounter history of a protocol that keeps one (dynamic TTL), and on
-  the reference's event count; the event tier must also plan the
-  reference's transfers in the reference's order.
+  per contact, the original session and the rebuild-filter-sort planner,
+  the original faults-only contact handler) ≡ ``kernel="event"`` (the
+  sweep's sweep-all path) ≡ ``kernel="soa"`` (its skip path) when the run
+  is eligible, else ``kernel="auto"``, which then sweeps every contact.
+  Mixed populations climb it too. The paths must agree on the
+  ``RunResult`` repr, on every node's counters, control storage, relay
+  ids and delivered set, on the encounter history of a protocol that
+  keeps one (dynamic TTL), and on the reference's event count; both must
+  also plan the reference's transfers in the reference's order.
 * **grid rung**, per drawn small sweep: serial ≡ ``ParallelExecutor(2)`` ≡
   a checkpointed campaign resumed from a truncated journal, faulted
   sweeps included (and their runs really carry the churn block); and a
@@ -37,7 +39,7 @@ from repro.faults import FaultSpec
 from repro.mobility.contact import ContactTrace
 from repro.scenarios.spec import MobilitySpec, ProtocolSpec, ScenarioSpec, WorkloadSpec
 from tests.oracles.reference_sim import RecordingSimulation, ReferenceSimulation
-from tests.strategies import PROTOCOLS, Cell, cells, grids
+from tests.strategies import PROTOCOLS, Cell, MixedConfig, cells, fault_specs, grids
 
 SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -68,7 +70,7 @@ def encounter_history(protocol) -> tuple | None:
 
 
 def climb(cell: Cell) -> tuple[int, bool]:
-    """Run ``cell`` on every eligible tier.
+    """Run ``cell`` on the reference and on both paths of the sweep.
 
     Returns the reference's planner calls and whether the SoA rung ran.
     """
@@ -80,21 +82,21 @@ def climb(cell: Cell) -> tuple[int, bool]:
     event = cell.simulation(RecordingSimulation, kernel="event")
     assert repr(event.run()) == expected
     assert node_state(event) == state
-    # the event tier fires every contact: nothing is batched
+    # the sweep-all path fires every contact: nothing is batched
     assert event.batched_encounters == 0
     assert event.engine.events_fired == events
     assert event.picks == ref.picks
 
-    soa_ran = False
-    soa = cell.simulation(kernel="soa")
-    if kernel_unsupported_reason(soa) is None:
-        assert repr(soa.run()) == expected
-        assert node_state(soa) == state
-        # a skipped contact is a batched encounter or a fired event of
-        # the sweep, and so is a lost one or a skipped session's no-op
-        # severance
-        assert soa.engine.events_fired + soa.batched_encounters == events
-        soa_ran = True
+    # the SoA rung when the skip path accepts the run, else auto's
+    # fallback to the sweep-all path
+    soa_ran = kernel_unsupported_reason(cell.simulation()) is None
+    tier = cell.simulation(RecordingSimulation, kernel="soa" if soa_ran else "auto")
+    assert repr(tier.run()) == expected
+    assert node_state(tier) == state
+    # a skipped contact is a batched encounter or a fired event of the
+    # sweep, and so is a lost one or a skipped session's no-op severance
+    assert tier.engine.events_fired + tier.batched_encounters == events
+    assert tier.picks == ref.picks
     return ref.planner_calls, soa_ran
 
 
@@ -184,6 +186,28 @@ def test_cell_ladder(protocol):
     if kernel_unsupported_reason(boundary.simulation()) is None:
         assert soa_rungs > 0
         assert faulted_soa_rungs > 0
+
+
+#: Populations that mix protocol classes, which the skip path refuses:
+#: PRoPHET beside anti-packet P-Q, and pure beside dynamic TTL and
+#: immunity (node ``i`` runs member ``i`` mod the member count).
+MIXED = {
+    "prophet+pq_antipacket": ("prophet", "pq_antipacket"),
+    "pure+dynamic_ttl+immunity": ("pure", "dynamic_ttl", "immunity"),
+}
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["unfaulted", "faulted"])
+@pytest.mark.parametrize("mix", sorted(MIXED))
+@settings(max_examples=15, **SETTINGS)
+@given(data=st.data())
+def test_mixed_population_ladder(mix, faulted, data):
+    cell = data.draw(cells(faults=fault_specs(trivial=False) if faulted else st.none()))
+    mixed = dataclasses.replace(
+        cell, protocol=MixedConfig(tuple(PROTOCOLS[name] for name in MIXED[mix]))
+    )
+    _, soa_ran = climb(mixed)
+    assert not soa_ran
 
 
 @settings(max_examples=5, **SETTINGS)

@@ -82,8 +82,8 @@ class TestSystemInvariants:
         """Purging only removes copies of *delivered* bundles, so immunity
         delivers at least as much as pure epidemic on identical inputs —
         provided every buffer holds all offered bundles and no node is in
-        two contacts at once. Checked on the event tier and on the tier
-        ``auto`` picks (the SoA kernel).
+        two contacts at once. Checked on the sweep-all path and on the path
+        ``auto`` picks (the skip path).
 
         Neither precondition can go. The ROADMAP's 5-node counterexample
         (a ``poisson`` trace: beta 2e-4, 15,000 s, overlapping 250 s

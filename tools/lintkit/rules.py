@@ -225,7 +225,6 @@ class UnorderedIterationRule(Rule):
     paths = (
         "src/repro/des/*",
         "src/repro/core/simulation.py",
-        "src/repro/core/planner.py",
         "src/repro/core/session.py",
         "src/repro/core/knowledge.py",
         "src/repro/core/sweepkernel.py",
@@ -508,6 +507,7 @@ class ScheduleClosureRule(Rule):
         "src/repro/des/*",
         "src/repro/core/simulation.py",
         "src/repro/core/session.py",
+        "src/repro/core/sweepkernel.py",
     )
 
     _SCHEDULERS = ("at", "after", "push", "schedule", "schedule_sorted")
