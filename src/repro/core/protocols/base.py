@@ -158,7 +158,7 @@ class Protocol:
         as dynamic TTL does with its
         :class:`~repro.core.protocols.ttl.EncounterHistory`. Overriding
         the hook makes the class non-inert, so ``kernel="auto"`` runs it
-        on the event tier.
+        on the sweep-all path, which calls the hook at every contact.
         """
 
     # ---------------------------------------------------------- control plane

@@ -24,7 +24,7 @@ under pressure, producing the high occupancy and long delays of Figs 7–12.
 
 Both EC variants are policy over the *buffer*, not the control plane: they
 keep no delivery knowledge, so they are *encounter-inert*
-(``Protocol.encounter_inert``) and the SoA kernel settles their
+(``Protocol.encounter_inert``) and the sweep's skip path settles their
 zero-transfer contacts in one batched pass at end of run instead of
 sweeping them one by one (see :mod:`repro.core.sweepkernel`).
 """

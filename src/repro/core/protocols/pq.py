@@ -16,8 +16,8 @@ default ``anti_packets=False`` to reproduce the figures, and keep the flag
 for the protocol as originally published (:class:`PQAntiPacketEpidemic`).
 
 The two variants sit on opposite sides of the knowledge layer:
-coins-only P-Q is *encounter-inert* (no control state, so the SoA kernel
-settles its zero-transfer contacts in bulk), while the anti-packet
+coins-only P-Q is *encounter-inert* (no control state, so the sweep's
+skip path settles its zero-transfer contacts in bulk), while the anti-packet
 variant inherits the :class:`~repro.core.knowledge.KnowledgeStore` of the
 substrate and swaps it at every contact.
 """

@@ -183,8 +183,8 @@ def campaign_fingerprint(
     trace loaded from the campaign's trace store provably the one the
     journaled cells ran on.
 
-    The execution ``kernel`` is deliberately **excluded**: the sweep
-    kernel is byte-identical to the event engine, so a campaign may be
+    The execution ``kernel`` is deliberately **excluded**: the contact
+    sweep's two paths are byte-identical, so a campaign may be
     resumed under a different kernel setting without changing a single
     result — the fingerprint identifies *what* is computed, not how
     fast.

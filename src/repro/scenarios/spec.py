@@ -335,16 +335,16 @@ class ScenarioSpec(Encodable):
             simulator; ``"ode"`` runs them on the mean-field surrogate
             (:mod:`repro.analytic.surrogate`), which is what lets a
             scenario sweep 10^5–10^6-node populations in seconds.
-        kernel: Execution kernel for DES cells — ``"auto"`` (default)
-            runs each cell on the array-resident contact-sweep kernel
-            (:mod:`repro.core.sweepkernel`) whenever the cell qualifies
-            and falls back to the event engine otherwise; ``"event"``
-            forces the classic per-event path; ``"soa"`` forces the
-            sweep kernel and fails fast when a cell cannot run on it (at
-            run start: dynamic TTL, PRoPHET, mixed or custom protocols;
-            at spec load when combined with the ``ode`` engine). Both
-            kernels produce byte-identical results, so this is purely a
-            speed dial.
+        kernel: Path of the contact sweep
+            (:mod:`repro.core.sweepkernel`) for DES cells — ``"auto"``
+            (default) runs each cell on the skip path whenever the cell
+            qualifies and sweeps every contact through the protocol hooks
+            otherwise; ``"event"`` forces the sweep-all path; ``"soa"``
+            forces the skip path and fails fast when a cell cannot run on
+            it (at run start: dynamic TTL, PRoPHET, mixed or custom
+            protocols; at spec load when combined with the ``ode``
+            engine). Both paths produce byte-identical results, so this
+            is purely a speed dial.
         surrogate_check: When the engine is ``"ode"``, run the
             cross-validation gate (:mod:`repro.analytic.calibration`)
             before the sweep: both engines execute a small reference grid
