@@ -19,7 +19,9 @@ from collections.abc import Iterable
 from functools import lru_cache
 from typing import Any
 
-import numpy as np
+# numpy 2 loads numpy.random on first use; importing it with this module
+# keeps that load (nine extension modules) out of the first seed derivation.
+from numpy.random import Generator, SeedSequence, default_rng
 
 
 @lru_cache(maxsize=256)
@@ -35,7 +37,7 @@ def _key_to_ints(key: str) -> tuple[int, ...]:
     return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
 
 
-def derive_seed(master_seed: int, *keys: str | int) -> np.random.SeedSequence:
+def derive_seed(master_seed: int, *keys: str | int) -> SeedSequence:
     """Derive a child :class:`numpy.random.SeedSequence` from a master seed.
 
     Args:
@@ -52,14 +54,12 @@ def derive_seed(master_seed: int, *keys: str | int) -> np.random.SeedSequence:
             words.extend((key & 0xFFFFFFFF, (key >> 32) & 0xFFFFFFFF))
         else:
             words.extend(_key_to_ints(str(key)))
-    return np.random.SeedSequence(words)
+    return SeedSequence(words)
 
 
-def spawn_streams(master_seed: int, names: Iterable[str]) -> dict[str, np.random.Generator]:
+def spawn_streams(master_seed: int, names: Iterable[str]) -> dict[str, Generator]:
     """Create one independent generator per name from a master seed."""
-    return {
-        name: np.random.default_rng(derive_seed(master_seed, name)) for name in names
-    }
+    return {name: default_rng(derive_seed(master_seed, name)) for name in names}
 
 
 class RngHub:
@@ -77,23 +77,21 @@ class RngHub:
 
     def __init__(self, master_seed: int) -> None:
         self.master_seed = int(master_seed)
-        self._streams: dict[tuple[str | int, ...], np.random.Generator] = {}
+        self._streams: dict[tuple[str | int, ...], Generator] = {}
 
-    def stream(self, *keys: str | int) -> np.random.Generator:
+    def stream(self, *keys: str | int) -> Generator:
         """Return (and cache) the generator identified by ``keys``."""
         if not keys:
             raise ValueError("at least one key is required")
         if keys not in self._streams:
-            self._streams[keys] = np.random.default_rng(
-                derive_seed(self.master_seed, *keys)
-            )
+            self._streams[keys] = default_rng(derive_seed(self.master_seed, *keys))
         return self._streams[keys]
 
-    def fresh(self, *keys: str | int) -> np.random.Generator:
+    def fresh(self, *keys: str | int) -> Generator:
         """Return a *non-cached* generator (always restarts the stream)."""
         if not keys:
             raise ValueError("at least one key is required")
-        return np.random.default_rng(derive_seed(self.master_seed, *keys))
+        return default_rng(derive_seed(self.master_seed, *keys))
 
     def lazy_stream(self, *keys: str | int) -> LazyStream:
         """A deferred :meth:`stream`: the generator is built on first draw.
@@ -117,10 +115,10 @@ class LazyStream:
     def __init__(self, hub: RngHub, keys: tuple[str | int, ...]) -> None:
         self._hub = hub
         self._keys = keys
-        self._rng: np.random.Generator | None = None
+        self._rng: Generator | None = None
 
     @property
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         """The underlying generator (materialising it if needed)."""
         rng = self._rng
         if rng is None:

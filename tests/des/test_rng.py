@@ -35,6 +35,30 @@ class TestDeriveSeed:
         # guards against accidental use of salted hash()
         assert derive_seed(0, "stable").entropy == derive_seed(0, "stable").entropy
 
+    def test_first_derivation_imports_nothing(self):
+        """``numpy.random`` loads with this module. numpy 2 imports it on
+        first use, so without the module-level import a process's first
+        ``derive_seed`` (in a resumed campaign, the trace store's first
+        lookup) would load nine extension modules."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import sys; import repro.des.rng as rng; before = set(sys.modules); "
+            "rng.derive_seed(1, 'x'); print(sorted(set(sys.modules) - before))"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
+
 
 class TestSpawnStreams:
     def test_one_stream_per_name(self):
