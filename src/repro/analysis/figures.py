@@ -47,10 +47,6 @@ class FigureData:
     def y_label(self) -> str:
         return METRIC_AXIS_LABELS[self.metric]
 
-    @property
-    def x_label(self) -> str:
-        return "Load"
-
     def series_by_label(self, label: str) -> Series:
         """Find a curve by its legend label.
 

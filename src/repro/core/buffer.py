@@ -82,10 +82,6 @@ class RelayStore:
         """
         return self._entries.pop(bid)
 
-    def ids(self) -> set[BundleId]:
-        """Ids of all stored copies."""
-        return set(self._entries.keys())
-
     def values(self) -> list[StoredBundle]:
         """Stored copies in insertion order."""
         return list(self._entries.values())
@@ -97,10 +93,6 @@ class RelayStore:
         relay store) use this to skip method-call and copy overhead.
         """
         return self._entries
-
-    def expired(self, now: float) -> list[StoredBundle]:
-        """Copies whose TTL has run out at ``now``."""
-        return [sb for sb in self._entries.values() if sb.is_expired(now)]
 
     def max_ec_entry(
         self, *, min_ec: int = 0, exclude: BundleId | None = None

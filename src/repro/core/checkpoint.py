@@ -395,7 +395,3 @@ class CheckpointJournal:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def keys(self) -> list[CellKey]:
-        """Journaled cell keys, in journal (completion) order."""
-        return list(self._records)

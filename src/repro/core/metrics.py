@@ -125,17 +125,6 @@ class RemovalCounters:
         else:
             self.other += 1
 
-    @property
-    def total(self) -> int:
-        return (
-            self.evicted
-            + self.expired
-            + self.immunized
-            + self.ec_aged_out
-            + self.crashed
-            + self.other
-        )
-
 
 @dataclass
 class ChurnCounters:
@@ -398,7 +387,7 @@ class MetricsCollector:
         """Account the per-contact signaling of ``contacts`` bulk-processed
         encounters: two summary vectors (one each way) per contact.
 
-        The SoA sweep kernel ingests whole skipped spans, and the
+        The sweep kernel's skip path settles its futile contacts, and the
         zero-transfer contacts its end-of-run flush settles, through this
         instead of one :meth:`on_control_units` call per contact; the resulting
         counter is identical because the summary-vector count is a plain

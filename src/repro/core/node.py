@@ -11,7 +11,6 @@ metrics stay exact; the node itself is bookkeeping only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from repro.core.buffer import RelayStore
@@ -87,15 +86,6 @@ class Node:
         destination-priority on top of this ordering.
         """
         return list(self.origin.values()) + self.relay.values()
-
-    def iter_sendable(self) -> Iterator[StoredBundle]:
-        """Allocation-light :meth:`sendable`: iterate, don't materialise.
-
-        Callers must not mutate either store while iterating; collect ids
-        first (or use :meth:`sendable`) when removals follow.
-        """
-        yield from self.origin.values()
-        yield from self.relay.entries_view().values()
 
     # -------------------------------------------------------------- mutation
 

@@ -96,7 +96,7 @@ class CumulativeImmunityEpidemic(Protocol):
         )
         covered = [
             sb.bid
-            for sb in self.node.iter_sendable()  # fully consumed before removals
+            for sb in self.node.sendable()
             if sb.bid.flow == flow and sb.bid.seq <= seq
         ]
         for bid in covered:

@@ -190,11 +190,6 @@ class SweepResult:
     def extend(self, more: Iterable[RunResult]) -> None:
         self.runs.extend(more)
 
-    @property
-    def complete(self) -> bool:
-        """True when no grid cell failed."""
-        return not self.failures
-
     def protocols(self) -> list[str]:
         """Protocol labels present, in first-appearance order."""
         seen: dict[str, None] = {}

@@ -756,7 +756,7 @@ class Simulation:
             if reason is not None and self.config.kernel == "soa":
                 raise ValueError(
                     f"kernel='soa' cannot execute this run: {reason}; use "
-                    "kernel='auto' (event fallback) or kernel='event'"
+                    "kernel='auto' or kernel='event' (the sweep-all path)"
                 )
             sweep_all = reason is not None
         # The sweep owns the whole run, flow injection included: seq

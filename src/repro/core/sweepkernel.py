@@ -8,10 +8,10 @@ sorted, against the simulation's own event calendar
 (:class:`~repro.des.engine.Engine`). The calendar's heap carries only
 dynamic events: transfer completions, TTL expiries, link severances,
 crashes and recoveries, deferred flow injections. Per-node copy masks —
-one bundle bit per offered bundle, held both as Python integers (O(1)
-single-contact probes: ``sendable[a] & ~has[b]``) and as NumPy boolean
-rows — and per-node candidate lists drive transfer selection on both of
-the kernel's paths, chosen once per run:
+one bundle bit per offered bundle, held as Python integers, so one
+contact's test is ``sendable[a] & ~has[b]`` — and per-node candidate
+lists drive transfer selection on both of the kernel's paths, chosen
+once per run:
 
 * The **sweep-all path** (``kernel="event"``, and ``kernel="auto"`` on a
   run :func:`kernel_unsupported_reason` refuses) runs every live contact
@@ -26,12 +26,12 @@ the kernel's paths, chosen once per run:
   eligible run) elides what the population's one class provably leaves
   untouched. For an *encounter-inert* class (pure/ttl/ec/ec_ttl,
   coins-only P-Q, spray) a contact can only matter when one side holds a
-  copy the other side lacks, so futile spans are retired in bulk —
-  per-contact signaling in one counter update, per-node control units in
-  one ``bincount`` — with a vectorized row test per :data:`_SKIP_CHUNK`
-  contacts once a span outlives the :data:`_PROBE` integer probes. Its
-  zero-transfer contacts never enter the sweep: they run no hook and move
-  nothing, so an end-of-run flush settles their accounting in one pass.
+  copy the other side lacks. The sweep loop's mask test retires each
+  futile contact in place, and their accounting settles in bulk on
+  return: per-contact signaling in one counter update, per-node control
+  units in one ``bincount``. Its zero-transfer contacts never enter the
+  sweep: they run no hook and move nothing, so an end-of-run flush
+  settles their accounting in one pass.
 
 On the skip path, populations that keep delivery knowledge in a stock
 store (anti-packet P-Q, immunity, cumulative immunity) add a per-node
@@ -47,10 +47,9 @@ settle in bulk from a per-node log of store sizes: knowledge grows at
 exchanges and deliveries, and shrinks only at a crash's knowledge wipe,
 each logged from the first swept contact that sees it.
 
-Masks change only inside calendar events and knowledge-changing
-contacts, and each of those ends the contact block, so the masks are
-constant across the span being classified — no invalidation machinery,
-no rescans.
+The sweep loop tests each contact against the masks as they stand when
+it reaches that contact: every copy event, delivery and knowledge change
+updates them in place before the next contact is tested.
 
 Under fault injection the contacts a fault removes are array facts fixed
 before the run (:meth:`~repro.core.simulation.Simulation._prepare_faults`):
@@ -132,15 +131,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         NDArray[np.float64], NDArray[np.float64], NDArray[np.intp], NDArray[np.intp]
     ]
 
-#: Contacts classified per vectorized row test once a futile span outlives
-#: the integer-probe budget (:data:`_PROBE`).
-_SKIP_CHUNK = 2048
-
-#: Single-contact integer probes spent on a span before switching to the
-#: chunked NumPy scan — short spans (the common case between two transfer
-#: completions) never pay array-call overhead.
-_PROBE = 48
-
 #: The stock delivery-knowledge classes the kernel runs with a knowledge
 #: plane, each with the hooks whose stock behaviour the plane mirrors: the
 #: store's swap, its purge-on-learn and its size as the signaling bill.
@@ -176,8 +166,6 @@ def kernel_unsupported_reason(sim: Simulation) -> str | None:
     """
     if sim.config.engine != "des":
         return f"engine={sim.config.engine!r} does not execute discrete events"
-    if not sim.nodes:
-        return "empty population"
     cls = type(sim.nodes[0].protocol)
     for node in sim.nodes:
         if type(node.protocol) is not cls:
@@ -254,14 +242,12 @@ class SweepKernel:
     # and the specialized attribute loads fall back to a slower path.
     __slots__ = (
         "sim", "_engine", "_nodes", "_n", "_col", "_snd_bits", "_has_bits",
-        "_b", "_mask_bytes", "_sendable", "_has", "_masks_dirty",
         "_cand_keys", "_cand_sbs", "_cand_bits", "_dest_counts", "_ctrl_np",
         "_skipped", "_trivial_offer", "_trivial_confirm", "_trivial_accept",
         "_trivial_store", "_pure_offer", "_rentries", "_rcaps", "_sweep_all",
         "_origins", "_live_starts", "_live_a", "_live_b", "_knowledge",
-        "_know_bits", "_know", "_know_size", "_size_keys", "_size_vals",
-        "_stride", "_know_units", "_carry", "_on_complete", "_lost", "_sev",
-        "_halt_rank",
+        "_know_bits", "_know_size", "_size_keys", "_size_vals", "_stride",
+        "_know_units", "_on_complete", "_lost", "_sev", "_halt_rank",
     )
 
     def __init__(self, sim: Simulation, sweep_all: bool = False) -> None:
@@ -278,9 +264,7 @@ class SweepKernel:
             for seq in range(1, flow.num_bundles + 1):
                 col[BundleId(flow=flow_id, seq=seq)] = len(col)
         self._col = col
-        n, b = self._n, len(col)
-        # Twin mask representations, mutated together on every copy event:
-        # Python ints for O(1) scalar probes, bool rows for chunked scans.
+        n = self._n
         #: node holds a live (origin or relay) copy — possibly expired at
         #: the current instant, which the candidate rule's expiry test rejects
         self._snd_bits: list[int] = [0] * n
@@ -288,14 +272,6 @@ class SweepKernel:
         #: the bundle was delivered (its knowledge plane) — the candidate
         #: rule's receiver-has-it and receiver-knows-delivered vetoes
         self._has_bits: list[int] = [0] * n
-        self._b = b
-        self._mask_bytes = max(1, (b + 7) >> 3)
-        self._sendable: NDArray[np.bool_] = np.zeros((n, b), dtype=np.bool_)
-        self._has: NDArray[np.bool_] = np.zeros((n, b), dtype=np.bool_)
-        # the NumPy mirrors are consulted only by the (rare) chunked scan,
-        # so copy events just mark them stale instead of paying a scalar
-        # array write per mutation; the scan rebuilds from the int masks
-        self._masks_dirty = False
         # per-node candidate order: (stored_at, bid) keys + parallel copies
         # and bundle bits (the candidate rule's total order, maintained
         # incrementally), plus a per-destination tally so the
@@ -326,7 +302,9 @@ class SweepKernel:
             # on_copy_received), and no re-infection that
             # store_received_copy would have to count: the base
             # on_knowledge_wiped forgets nothing — pure epidemic and
-            # coin-flip P-Q qualify, faulted or not
+            # coin-flip P-Q qualify, faulted or not. Kept as measured: with
+            # it off, bench/run.py's 60 rwp200_soa_cold cells took 1.62 s
+            # in place of 1.26 s (one run, shared 2-vCPU VM)
             self._trivial_store = (
                 self._trivial_confirm
                 and proto_cls.on_transmitted is Protocol.on_transmitted
@@ -372,7 +350,12 @@ class SweepKernel:
         self._live_a: NDArray[np.intp] = np.empty(0, dtype=np.intp)
         self._live_b: NDArray[np.intp] = np.empty(0, dtype=np.intp)
         # ---- the delivery-knowledge plane: all zero for an inert
-        # population, whose sweep then reduces to the copy-mask test
+        # population, whose sweep then reduces to the copy-mask test.
+        # Kept as measured on a shared 2-vCPU VM: with the plane off (the
+        # sweep-all path) the rwp200_event_antipacket cells took 1.46 s in
+        # place of 0.69 s (one run), and billing futile knowledge contacts
+        # inline in place of the store-size log was slower there in 6 of 8
+        # alternating pairs
         #: per-node bundle bits the node's knowledge store covers
         self._know_bits: list[int] = [0] * n
         #: per-node len(store) — one contact's control units each way
@@ -383,24 +366,16 @@ class SweepKernel:
         if self._knowledge:
             self._know_bits = [self._plane_of(node) for node in nodes]
             self._know_size = [len(node.protocol.knowledge) for node in nodes]
-            #: NumPy mirror of the planes, for the chunked scan
-            self._know: NDArray[np.bool_] = np.zeros((n, b), dtype=np.bool_)
             #: store-size log: key ``node * stride + pos`` says the node's
             #: size is the parallel value from swept contact ``pos`` on
             #: (_drive seeds it once the contact count is known)
             self._size_keys: list[int] = []
             self._size_vals: list[int] = []
             self._stride = 1
-            #: per swept contact: the link carries at least one bundle
-            #: (the chunked scan's copy-test gate; set by _drive)
-            self._carry: NDArray[np.bool_] = np.empty(0, dtype=np.bool_)
 
     # ----------------------------------------------------- state observation
     # (Simulation calls these on every copy-population change; they keep the
-    # masks and candidate orders exact without polling node buffers. Every
-    # call site sits inside a calendar event or a knowledge-changing
-    # contact, each of which ends the contact block, so masks never change
-    # while a contact span is being classified.)
+    # masks and candidate orders exact without polling node buffers.)
 
     def copy_added(self, node: Node, sb: StoredBundle) -> None:
         bid = sb.bundle.bid
@@ -417,7 +392,6 @@ class SweepKernel:
         bit = 1 << c
         self._snd_bits[nid] |= bit
         self._has_bits[nid] |= bit
-        self._masks_dirty = True
         key = (sb.stored_at, bid)
         keys = self._cand_keys[nid]
         i = bisect_left(keys, key)
@@ -435,7 +409,6 @@ class SweepKernel:
         bit = 1 << c
         self._snd_bits[nid] &= ~bit
         self._has_bits[nid] &= ~bit
-        self._masks_dirty = True
         sbs = self._cand_sbs[nid]
         try:
             # StoredBundle compares by identity: a C-level scan, no key
@@ -451,7 +424,6 @@ class SweepKernel:
 
     def delivered(self, node: Node, bid: BundleId) -> None:
         self._has_bits[node.id] |= 1 << self._col[bid]
-        self._masks_dirty = True
 
     def knowledge_wiped(self, node: Node) -> None:
         """A crash wiped ``node``'s knowledge store: its plane shrinks.
@@ -475,7 +447,6 @@ class SweepKernel:
         for bid in node.delivered:
             has |= 1 << col[bid]
         self._has_bits[nid] = has
-        self._masks_dirty = True
         if size != self._know_size[nid]:
             self._know_size[nid] = size
             pos = int(np.searchsorted(self._live_starts, self._engine.now, side="left"))
@@ -507,7 +478,6 @@ class SweepKernel:
         # the plane is the receiver-has veto; a purge that taught it just
         # cleared its copy's has bit, so OR the whole plane back in
         self._has_bits[nid] |= plane
-        self._masks_dirty = True
         size = len(self._nodes[nid].protocol.knowledge)
         if size != self._know_size[nid]:
             self._know_size[nid] = size
@@ -638,6 +608,9 @@ class SweepKernel:
         # offer/accept/store hooks, so no protocol ever assigns an expiry
         # or records a coin veto): the same two-tier visit order with the
         # want filter and the capacity probe as the only live predicates.
+        # Kept as measured on a shared 2-vCPU VM: forcing _first_offer on
+        # pure cells took serial `run tradeoff --scale paper` from a median
+        # 36.9 s to 41.1 s of CPU, slower in 3 of 4 alternating pairs.
         sbs = self._cand_sbs[sender_id]
         bits = self._cand_bits[sender_id]
         rid = receiver.id
@@ -717,7 +690,7 @@ class SweepKernel:
         bid = sb.bundle.bid
         rid = receiver.id
         bit = 1 << self._col[bid]
-        # receiver.has_copy probe via the exact mask mirror (relay ∪ origin
+        # receiver.has_copy probe via the exact has mask (relay ∪ origin
         # ∪ delivered, and the knowledge plane), sender.get_copy via the
         # cached store views. The receiver may have obtained the bundle, or
         # either side learned it was delivered, mid-flight: a sender that
@@ -753,7 +726,6 @@ class SweepKernel:
             metrics.on_relay_copy_stored(bid, now)
             self._snd_bits[rid] |= bit
             self._has_bits[rid] |= bit
-            self._masks_dirty = True
             key = (now, bid)
             keys = self._cand_keys[rid]
             i = bisect_left(keys, key)
@@ -870,68 +842,7 @@ class SweepKernel:
             if t != math.inf:
                 self._engine.at(t, rec._on_severed)
 
-    # ------------------------------------------------------------- skip scan
-
-    def _scan_chunks(self, lo: int, hi: int) -> int:
-        """First contact index in ``[lo, hi)`` whose skip test fails, or ``hi``.
-
-        The vectorized arm of the skip test: classifies
-        :data:`_SKIP_CHUNK` contacts per row operation against the NumPy
-        mask mirrors. Called only after the integer probe has burned its
-        budget on an unbroken futile run — i.e. for the long spans where
-        array overhead amortizes. With a knowledge plane a contact is also
-        possible when its two planes differ, and a copy can cross it only
-        when its link carries a bundle.
-        """
-        if self._masks_dirty:
-            self._rebuild_masks()
-        sendable = self._sendable
-        has = self._has
-        live_a = self._live_a
-        live_b = self._live_b
-        knowledge = self._knowledge
-        while lo < hi:
-            nhi = lo + _SKIP_CHUNK
-            if nhi > hi:
-                nhi = hi
-            a = live_a[lo:nhi]
-            b = live_b[lo:nhi]
-            possible = (sendable[a] & ~has[b]).any(axis=1)
-            possible |= (sendable[b] & ~has[a]).any(axis=1)
-            if knowledge:
-                possible &= self._carry[lo:nhi]
-                possible |= (self._know[a] != self._know[b]).any(axis=1)
-            if possible.any():
-                return lo + int(possible.argmax())
-            lo = nhi
-        return hi
-
-    def _block_end(self, n_fire: int, h_time: float, h_seq: int, contact_base: int) -> int:
-        """One past the last swept contact that precedes the calendar head."""
-        if h_time == math.inf:
-            return n_fire
-        starts = self._live_starts
-        hi = int(np.searchsorted(starts, h_time, side="left"))
-        if hi > n_fire:
-            hi = n_fire
-        # the stream rule: a tie goes to the lower seq
-        while hi < n_fire and starts[hi] == h_time and contact_base + hi < h_seq:
-            hi += 1
-        return hi
-
-    def _rebuild_masks(self) -> None:
-        """Refresh the NumPy mask mirrors from the integer bitmasks."""
-        nbytes = self._mask_bytes
-        b = self._b
-        mirrors = [("_sendable", self._snd_bits), ("_has", self._has_bits)]
-        if self._knowledge:
-            mirrors.append(("_know", self._know_bits))
-        for name, bits_list in mirrors:
-            raw = b"".join(bits.to_bytes(nbytes, "little") for bits in bits_list)
-            packed = np.frombuffer(raw, dtype=np.uint8).reshape(self._n, nbytes)
-            rows = np.unpackbits(packed, axis=1, bitorder="little")[:, :b]
-            setattr(self, name, rows.view(np.bool_))
-        self._masks_dirty = False
+    # -------------------------------------------------------- futile contacts
 
     def _settle_futile(
         self, ci: int, fired_idx: list[int], end_time: float, halted: bool
@@ -1086,14 +997,12 @@ class SweepKernel:
         # a bundle: every swept contact of an inert skip-path sweep
         carry = ~zero_mask
         if self._knowledge:
-            # every contact carries the stores
-            self._carry = carry
+            # every contact carries the stores, so the size log spans them all
             self._stride = stride = len(starts) + 1
             self._size_keys = [nid * stride for nid in range(self._n)]
             self._size_vals = list(self._know_size)
             for nid, plane in enumerate(self._know_bits):
                 self._has_bits[nid] |= plane
-            self._masks_dirty = True
         severed_at = sim._contact_severed_at if sim.faults is not None else None
         if severed_at is not None:
             if keep is not None:
@@ -1181,10 +1090,9 @@ class SweepKernel:
                 h_time = inf
                 h_seq = 0
             # ---- contact block: every contact strictly before the next
-            # dynamic event in (time, seq) order. Masks change in here only
-            # at a knowledge-changing contact, which ends the block.
+            # dynamic event in (time, seq) order. The first contact that is
+            # not futile runs and ends the block.
             progressed = False
-            probe = _PROBE
             while ci < n_fire:
                 t = starts_l[ci]
                 # the stream rule: contact ci is seq contact_base + ci
@@ -1203,14 +1111,6 @@ class SweepKernel:
                 ):
                     # futile: retire inline (accounting settles on return)
                     ci += 1
-                    probe -= 1
-                    if probe == 0:
-                        # unbroken futile run: hand the rest of the block
-                        # to the chunked vectorized scan
-                        ci = self._scan_chunks(
-                            ci, self._block_end(n_fire, h_time, h_seq, contact_base)
-                        )
-                        probe = _PROBE
                     continue
                 engine.now = t
                 engine.events_fired += 1

@@ -87,12 +87,6 @@ class RngHub:
             self._streams[keys] = default_rng(derive_seed(self.master_seed, *keys))
         return self._streams[keys]
 
-    def fresh(self, *keys: str | int) -> Generator:
-        """Return a *non-cached* generator (always restarts the stream)."""
-        if not keys:
-            raise ValueError("at least one key is required")
-        return default_rng(derive_seed(self.master_seed, *keys))
-
     def lazy_stream(self, *keys: str | int) -> LazyStream:
         """A deferred :meth:`stream`: the generator is built on first draw.
 

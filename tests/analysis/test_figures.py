@@ -25,7 +25,6 @@ class TestBuildFigure:
         assert [s.label for s in fig.series] == ["alpha", "beta"]
         assert fig.metric == "delay"
         assert fig.y_label == "Average delay (s)"
-        assert fig.x_label == "Load"
 
     def test_include_filters_and_orders(self, sweep):
         fig = build_figure("f", "t", "delay", sweep, include=["beta", "alpha"])

@@ -46,18 +46,9 @@ class TestQueries:
         assert a.bid in store
         assert store.get(a.bid) is a
         assert store.get(stored(9).bid) is None
-        assert store.ids() == {a.bid, b.bid}
+        assert set(store.entries_view()) == {a.bid, b.bid}
         assert store.values() == [a, b]  # insertion order
         assert list(iter(store)) == [a, b]
-
-    def test_expired_listing(self):
-        store = RelayStore(3)
-        fresh, old = stored(1), stored(2)
-        old.expiry = 50.0
-        store.add(fresh)
-        store.add(old)
-        assert store.expired(now=60.0) == [old]
-        assert store.expired(now=10.0) == []
 
 
 class TestMaxEcEntry:
@@ -118,4 +109,4 @@ class TestStoreProperties:
                     with pytest.raises(KeyError):
                         store.remove(sb.bid)
             assert len(store) == len(model) <= 5
-        assert {bid.seq for bid in store.ids()} == set(model)
+        assert {bid.seq for bid in store.entries_view()} == set(model)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.bundle import BundleId
 from repro.core.metrics import MetricsCollector, TimeWeightedAccumulator
-from tests.helpers import copy_count
+from tests.helpers import copy_count, removal_total
 
 
 class TestTimeWeightedAccumulator:
@@ -156,4 +156,4 @@ class TestDeliveryAndCounters:
         assert m.removals.evicted == 1
         assert m.removals.ec_aged_out == 1
         assert m.removals.other == 1
-        assert m.removals.total == 5
+        assert removal_total(m.removals) == 5

@@ -16,7 +16,7 @@ from repro.core.protocols import make_protocol_config
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.core.workload import Flow
 from repro.mobility.contact import Contact, ContactTrace
-from tests.helpers import copy_count
+from tests.helpers import copy_count, removal_total
 
 POLICY_STRATEGY = st.sampled_from(drop_policy_names())
 
@@ -117,7 +117,7 @@ class TestPolicyInvariants:
         # and every buffer-pressure eviction is charged to one policy
         removals = sim.metrics.removals
         assert removals.other == 0
-        assert removals.total == (
+        assert removal_total(removals) == (
             removals.evicted + removals.expired + removals.immunized + removals.ec_aged_out
         )
         assert sum(result.drops.values()) == removals.evicted
@@ -136,4 +136,4 @@ class TestPolicyInvariants:
         buffered = sum(len(n.relay) for n in sim.nodes)
         origin_removed = load - sum(len(n.origin) for n in sim.nodes)
         # removals span both stores; relay removals = total - origin removals
-        assert received == buffered + (removals.total - origin_removed)
+        assert received == buffered + (removal_total(removals) - origin_removed)

@@ -73,18 +73,10 @@ class TestRngHub:
         hub = RngHub(3)
         assert hub.stream("coins") is hub.stream("coins")
 
-    def test_fresh_restarts(self):
-        hub = RngHub(3)
-        first = hub.fresh("w").random(3)
-        again = hub.fresh("w").random(3)
-        assert np.array_equal(first, again)
-
     def test_stream_requires_keys(self):
         hub = RngHub(3)
         with pytest.raises(ValueError):
             hub.stream()
-        with pytest.raises(ValueError):
-            hub.fresh()
 
     def test_streams_independent_of_creation_order(self):
         h1 = RngHub(9)

@@ -9,12 +9,12 @@ tests that need to poke a hook in isolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from repro.core.bundle import NO_EXPIRY, Bundle, BundleId, StoredBundle
-from repro.core.metrics import MetricsCollector
+from repro.core.metrics import MetricsCollector, RemovalCounters
 from repro.core.node import Node
 from repro.core.policies import make_drop_policy
 from repro.core.protocols.registry import ProtocolConfig, make_protocol_config
@@ -163,6 +163,11 @@ def copy_count(metrics: MetricsCollector, bid: BundleId) -> int:
     """The number of nodes the duplication metric counts as holding ``bid``."""
     track = metrics._copies.get(bid)
     return track.count if track is not None else 0
+
+
+def removal_total(removals: RemovalCounters) -> int:
+    """Copies removed from buffers, whatever the reason."""
+    return sum(astuple(removals))
 
 
 def heavy_tail_index(values: list[float]) -> float:

@@ -249,7 +249,7 @@ class TestCheckpointResume:
             checkpoint=CheckpointJournal(camp, resume=True),
         )
         assert repr(resumed.runs) == repr(baseline.runs)  # bit-identical
-        assert resumed.complete
+        assert not resumed.failures
         # serial order is (load, rep): (2,0) (2,1) (3,0) crash at (3,1)
         assert [(load, rep) for _, load, rep in executed] == [(3, 1)]
         assert lines[0].startswith("resume: restored 3 journaled cell(s)")
@@ -270,7 +270,7 @@ class TestCheckpointResume:
             policy=KEEP_GOING,
             checkpoint=camp,
         )
-        assert not first.complete  # the injected cell failed, not journaled
+        assert first.failures  # the injected cell failed, not journaled
 
         resumed = run_sweep(
             trace,
@@ -278,7 +278,7 @@ class TestCheckpointResume:
             cfg,
             checkpoint=CheckpointJournal(camp, resume=True),
         )
-        assert resumed.complete
+        assert not resumed.failures
         assert repr(resumed.runs) == repr(baseline.runs)
 
     def test_parallel_death_retry_with_checkpoint(

@@ -56,7 +56,7 @@ def node_state(sim) -> list[tuple]:
             dataclasses.astuple(n.counters),
             encounter_history(n.protocol),
             n.control_storage,
-            sorted(n.relay.ids()),
+            sorted(n.relay.entries_view()),
             sorted(n.delivered),
         )
         for n in sim.nodes

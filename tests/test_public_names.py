@@ -6,11 +6,13 @@ The scan parses ``src/repro`` with :mod:`ast` and collects each public
 (not ``_``-prefixed) module-level function, and each public method and
 property of a class. A name counts as used when it occurs outside its own
 definition anywhere in ``src/``, ``tools/``, ``bench/``, ``examples/`` or
-``benchmarks/``: as a name, an attribute, an imported name, or a string
-constant that spells it (``__all__`` entries, ``getattr`` and
-monkeypatch targets). Names are matched by spelling, not resolved, so a
-method is used when any ``.name`` occurs; the check is a ratchet against
-names that nothing but a test calls, not a call graph.
+``benchmarks/``: as an attribute, an imported name, or a string constant
+that spells it (``__all__`` entries, ``getattr`` and monkeypatch
+targets), and for a module-level function also as a bare name. A bare
+name never uses a method or property: a local variable or parameter of
+the same spelling is another binding. Names are matched by spelling, not
+resolved, so a method is used when any ``.name`` occurs; the check is a
+ratchet against names that nothing but a test calls, not a call graph.
 
 A name that only tests use belongs in ``tests/helpers.py`` or
 ``tests/oracles/``, or goes. A name kept on purpose goes on
@@ -86,8 +88,12 @@ def assigned_attributes(tree: ast.AST) -> Iterator[ast.Attribute]:
                 yield target
 
 
-def referenced_names(tree: ast.Module, *, reads: bool = False) -> Iterator[tuple[str, int]]:
-    """``(name, line)`` of every identifier the module refers to.
+def referenced_names(
+    tree: ast.Module, *, reads: bool = False
+) -> Iterator[tuple[str, int, bool]]:
+    """``(name, line, bare)`` of every identifier the module refers to;
+    ``bare`` marks a plain name, as opposed to an attribute, an imported
+    name or an identifier string.
 
     With ``reads``, an attribute is counted only where it is read: its
     assignments and the string entries of ``__slots__`` are left out.
@@ -105,31 +111,37 @@ def referenced_names(tree: ast.Module, *, reads: bool = False) -> Iterator[tuple
         if id(node) in skip:
             continue
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name, node.lineno
+                yield alias.name, node.lineno, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                yield node.value, node.lineno
+                yield node.value, node.lineno, False
 
 
 def unused_public_names(root: Path) -> list[str]:
     """``path:line qualified.name`` of each public definition under
     ``root/src/repro`` that nothing under the user trees references
-    outside the definition itself."""
-    uses: dict[str, list[tuple[Path, int]]] = {}
+    outside the definition itself (a method or property not by a bare
+    name)."""
+    uses: dict[str, list[tuple[Path, int, bool]]] = {}
     for directory in USER_DIRS:
         for path in sorted((root / directory).rglob("*.py")):
-            for name, line in referenced_names(ast.parse(path.read_text(), str(path))):
-                uses.setdefault(name, []).append((path, line))
+            tree = ast.parse(path.read_text(), str(path))
+            for name, line, bare in referenced_names(tree):
+                uses.setdefault(name, []).append((path, line, bare))
     unused = []
     for path in sorted((root / "src" / "repro").rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for qualname, name, first, last in public_definitions(tree):
-            if all(p == path and first <= line <= last for p, line in uses.get(name, ())):
+            method = "." in qualname
+            if all(
+                (p == path and first <= line <= last) or (method and bare)
+                for p, line, bare in uses.get(name, ())
+            ):
                 unused.append(f"{path.relative_to(root)}:{first} {qualname}")
     return unused
 
@@ -160,7 +172,7 @@ def write_only_attributes(root: Path) -> list[str]:
     for directory in USER_DIRS:
         for path in sorted((root / directory).rglob("*.py")):
             tree = ast.parse(path.read_text(), str(path))
-            read.update(name for name, _ in referenced_names(tree, reads=True))
+            read.update(name for name, _, _ in referenced_names(tree, reads=True))
     found: dict[str, tuple[Path, int]] = {}
     for path in sorted((root / "src" / "repro").rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -236,6 +248,45 @@ def test_a_planted_test_only_method_is_caught(tmp_path):
         "src/repro/store.py:5 Store.count",
         "src/repro/store.py:19 helper",
     ]
+
+
+def test_a_same_named_local_does_not_hide_a_test_only_method(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "ledger.py").write_text(
+        "class Ledger:\n"
+        "    def __init__(self):\n"
+        "        self.rows = []\n"
+        "\n"
+        "    def total(self):\n"
+        "        return len(self.rows)\n"
+        "\n"
+        "    def flush(self):\n"
+        "        self.rows.clear()\n"
+        "\n"
+        "\n"
+        "def summarize(rows):\n"
+        "    total = len(rows)\n"
+        "    return total\n"
+        "\n"
+        "\n"
+        "def report(ledger):\n"
+        "    getattr(ledger, 'flush')()\n"
+        "    return summarize(ledger.rows)\n"
+    )
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "use.py").write_text(
+        "from repro.ledger import Ledger, report\n\nprint(report(Ledger()))\n"
+    )
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_ledger.py").write_text(
+        "def test_total(ledger):\n    assert ledger.total() == 0\n"
+    )
+    # the local total in summarize is another binding, so only the test
+    # calls Ledger.total; flush is used through its string, and summarize,
+    # a module-level function, through its bare name in report
+    assert unused_public_names(tmp_path) == ["src/repro/ledger.py:5 Ledger.total"]
 
 
 def test_a_planted_write_only_attribute_is_caught(tmp_path):

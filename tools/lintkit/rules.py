@@ -26,11 +26,12 @@ HOT002    no per-event closure allocation: lambdas /
           ``functools.partial`` must not be passed to ``schedule*`` /
           ``at`` / ``after`` / ``push``
 HOT003    no Python-level per-contact ``for`` loops (incl.
-          comprehensions) over the contact columns inside the SoA
-          sweep kernel, or over the window columns of the contact
-          fold — contact streams are swept with ``while`` + vectorized
-          chunk scans and windows are folded by array operations,
-          never element-wise Python iteration
+          comprehensions) over the contact columns inside the contact
+          sweep kernel, or over the window columns of the contact fold
+          — the sweep advances one ``while``-loop cursor that it
+          shares with the calendar merge, its bulk accounting and the
+          fold use array operations, never element-wise Python
+          iteration
 API001    public registry-facing classes/functions must carry a
           docstring
 ========  ========================================================
@@ -552,10 +553,15 @@ class ScheduleClosureRule(Rule):
 class KernelContactLoopRule(Rule):
     """The sweep kernel and the contact fold never iterate columns element-wise.
 
-    ``repro.core.sweepkernel`` exists to replace per-contact Python work
-    with integer-mask probes and chunked NumPy scans; its hot loops are
-    deliberately ``while``-based so the skip scan can jump the cursor in
-    bulk. ``repro.mobility.fastcontact`` folds tens of thousands of
+    ``repro.core.sweepkernel`` replaces per-contact protocol work with one
+    integer-mask test per contact. Its contact loop is a ``while`` loop
+    over one cursor that it shares with the calendar merge: each contact
+    is weighed against the heap's head before it runs, a futile one
+    retires by advancing the cursor, and the futile contacts' accounting
+    settles in bulk by array operations when the sweep returns. A ``for``
+    loop cannot stop at the heap's head and resume there, and per-contact
+    accounting in Python is what the bulk settlement replaces.
+    ``repro.mobility.fastcontact`` folds tens of thousands of
     contact windows per trace with array operations straight into a
     columnar trace. A ``for`` loop (or comprehension) whose iterable
     names one of these columns reintroduces exactly the per-element
@@ -607,9 +613,11 @@ class KernelContactLoopRule(Rule):
                         src,
                         it,
                         f"per-contact Python iteration over {hits[0]!r}: the "
-                        "kernel sweeps contact columns with while-loops and "
-                        "chunked NumPy scans, and the fold merges windows with "
-                        "array operations, never element-wise for loops",
+                        "kernel sweeps contact columns with one while-loop "
+                        "cursor shared with the calendar merge and settles them "
+                        "in bulk with array operations, and the fold merges "
+                        "windows with array operations, never element-wise for "
+                        "loops",
                     )
 
 
