@@ -338,19 +338,14 @@ def _run_reference_grid(
         IncompleteReferenceGridError: when any cell failed — possible under
             the scenario's ``on_error="keep-going"``.
     """
-    from repro.analytic.surrogate import solve_exact_chains
-    from repro.core.sweep import build_cells, run_sweep
+    from repro.core.sweep import run_sweep
 
-    protocols = grid.build_protocols()
-    sweep = grid.sweep_config()
-    if grid.engine == "ode":
-        # the pass's exact-regime chains, one batched solve before any cell
-        cells = build_cells(traces, protocols, sweep)
-        solve_exact_chains((c.trace, c.protocol, c.sweep.sim) for c in cells)
+    # an ODE pass solves its exact-regime chains in one batch before any
+    # cell runs (run_sweep)
     result = run_sweep(
         traces,
-        protocols,
-        sweep,
+        grid.build_protocols(),
+        grid.sweep_config(),
         progress=progress,
         policy=grid.failure_policy(),
     )

@@ -13,8 +13,14 @@ metric bills the full table at every encounter, novel or not.
 
 Which contacts need the swap at all is the contact sweep's business
 (:mod:`repro.core.sweepkernel`): its skip path keeps each node's
-knowledge as a bit plane and calls :func:`exchange_control` only where
-the two stores differ; its sweep-all path swaps at every contact.
+knowledge as a bit plane and swaps only where the two stores differ; its
+sweep-all path runs :func:`exchange_control` at every contact. For the
+per-bundle :class:`KnowledgeStore` the skip path swaps on the planes
+themselves: it bills each store's size, fills each store with the ids its
+plane lacks through :meth:`KnowledgeStore.extend`, and purges the copies
+they cover in one bulk removal; no control message is built. A
+:class:`CumulativeKnowledgeStore` swaps through :func:`exchange_control`
+on both paths.
 """
 
 from __future__ import annotations
@@ -86,6 +92,16 @@ class KnowledgeStore:
             known.update(fresh)
             self._snapshot = None
         return fresh
+
+    def extend(self, fresh: list[BundleId]) -> None:
+        """Learn ids the store lacks, in the order given.
+
+        :meth:`merge` without its filter and its sort: the contact sweep's
+        plane swap already knows which ids are new and lists them sorted,
+        so the set is filled in the order :meth:`merge` would fill it.
+        """
+        self._known.update(fresh)
+        self._snapshot = None
 
     def reset(self) -> None:
         """Forget everything (reboot state loss — see :mod:`repro.faults`)."""

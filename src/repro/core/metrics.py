@@ -118,12 +118,13 @@ class RemovalCounters:
     crashed: int = 0
     other: int = 0
 
-    def add(self, reason: str) -> None:
+    def add(self, reason: str, count: int = 1) -> None:
+        counts = self.__dict__
         key = reason.replace("-", "_")
-        if hasattr(self, key):
-            setattr(self, key, getattr(self, key) + 1)
+        if key in counts:
+            counts[key] += count
         else:
-            self.other += 1
+            self.other += count
 
 
 @dataclass
@@ -237,7 +238,7 @@ class MetricsCollector:
     # ----------------------------------------------------------- occupancy
 
     def _note_fill(self, now: float) -> None:
-        fill = (self._occupancy.value + self._control_storage.value) / self.total_capacity
+        fill = (self._occupancy._value + self._control_storage._value) / self.total_capacity
         if fill > self.peak_occupancy:
             self.peak_occupancy = fill
         if not self.record_occupancy:
@@ -283,6 +284,30 @@ class MetricsCollector:
         track.integral += track.count * (now - track.since)
         track.since = now
         track.count += 1
+
+    def on_copies_removed(
+        self, bids: list[BundleId], relay_copies: int, reason: str, now: float
+    ) -> None:
+        """One bulk removal at ``now``: a copy of each of ``bids`` left its
+        node, ``relay_copies`` of them from a relay buffer, for ``reason``.
+
+        Per copy, :meth:`on_copy_delta`'s -1, with its error guards elided
+        because the caller discharges them structurally (each bundle is
+        born, since a node held a live copy, which also keeps its count
+        from going negative, and event time never runs backwards); then
+        one :meth:`on_buffer_delta` and one removal count for them all.
+        The occupancy only falls, so one delta of whole slots leaves its
+        value, integral, peak and series where the per-copy deltas would.
+        """
+        copies = self._copies
+        for bid in bids:
+            track = copies[bid]
+            track.integral += track.count * (now - track.since)
+            track.since = now
+            track.count -= 1
+        if relay_copies:
+            self.on_buffer_delta(-relay_copies, now)
+        self.removals.add(reason, len(bids))
 
     def mean_buffer_occupancy(self, now: float) -> float:
         """Time-averaged mean fill fraction across all nodes in [0, now].
@@ -387,7 +412,7 @@ class MetricsCollector:
         """Account the per-contact signaling of ``contacts`` bulk-processed
         encounters: two summary vectors (one each way) per contact.
 
-        The sweep kernel's skip path settles its futile contacts, and the
+        The sweep kernel's skip path settles its swept contacts, and the
         zero-transfer contacts its end-of-run flush settles, through this
         instead of one :meth:`on_control_units` call per contact; the resulting
         counter is identical because the summary-vector count is a plain

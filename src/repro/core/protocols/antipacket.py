@@ -58,9 +58,10 @@ class AntiPacketProtocol(Protocol):
         fresh = self.knowledge.merge(bids)
         if not fresh:
             return 0
-        for bid in fresh:
-            if self.node.get_copy(bid) is not None:
-                self.sim.remove_copy(self.node, bid, reason="immunized")
+        node = self.node
+        self.sim.remove_copies(
+            node, [bid for bid in fresh if node.get_copy(bid) is not None], "immunized"
+        )
         self._sync_table_storage()
         return len(fresh)
 

@@ -49,6 +49,9 @@ class SimulationServices(TypingProtocol):
     def remove_copy(self, node: Node, bid: BundleId, reason: str) -> None:
         """Remove a live copy (origin or relay) with metric bookkeeping."""
 
+    def remove_copies(self, node: Node, bids: list[BundleId], reason: str) -> None:
+        """Remove several live copies at the current instant, in one pass."""
+
     def evict_copy(self, node: Node, bid: BundleId, policy: str) -> None:
         """Evict a relay copy under buffer pressure, charged to ``policy``."""
 

@@ -58,6 +58,9 @@ class ECEpidemic(Protocol):
             return True
         if not self.node.relay.is_full:
             return True
+        if self.min_ec_evict <= 0:
+            # every copy's EC is >= 0, so a full buffer holds a victim
+            return True
         return self.node.relay.max_ec_entry(min_ec=self.min_ec_evict) is not None
 
     def _make_room(self, incoming: Bundle, ec: int, now: float) -> bool:

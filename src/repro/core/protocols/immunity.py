@@ -99,8 +99,7 @@ class CumulativeImmunityEpidemic(Protocol):
             for sb in self.node.sendable()
             if sb.bid.flow == flow and sb.bid.seq <= seq
         ]
-        for bid in covered:
-            self.sim.remove_copy(self.node, bid, reason="immunized")
+        self.sim.remove_copies(self.node, covered, "immunized")
         return True
 
     def on_knowledge_wiped(self, now: float) -> frozenset[BundleId]:

@@ -350,7 +350,8 @@ class Simulation:
         self.engine = Engine()
         #: copy-population observer installed by the contact sweep for
         #: the duration of its run (``copy_added``/``copy_removed``/
-        #: ``delivered``/``knowledge_wiped`` hooks); None outside it
+        #: ``copies_removed``/``delivered``/``knowledge_wiped`` hooks);
+        #: None outside it
         self._state_observer = None
         #: :meth:`link_tx_time` fast path: the constant per-link transfer
         #: time when the population is homogeneous, else None
@@ -448,6 +449,40 @@ class Simulation:
             node.counters.expiries += 1
         elif reason == "immunized":
             node.counters.immunized_purges += 1
+
+    def remove_copies(self, node: Node, bids: list[BundleId], reason: str) -> None:
+        """Remove several live copies of ``node`` at the current instant.
+
+        The bulk-removal frame: :meth:`remove_copy`'s chain for every copy
+        in one pass. It pops the copies and cancels their expiries, hands
+        them to the sweep's observer at once (mask bits and candidate
+        entries), updates each bundle's copy track, then applies the
+        occupancy delta and the removal counters once. Exact, because
+        every delta lands at one instant: the occupancy is a sum of whole
+        slots and only falls here, so its integral, peak and series end
+        where the per-copy deltas would leave them.
+        """
+        if not bids:
+            return
+        origin = node.origin
+        relay = node.relay
+        removed = []
+        relay_copies = 0
+        for bid in bids:
+            sb = origin.pop(bid, None)
+            if sb is None:
+                sb = relay.remove(bid)
+                relay_copies += 1
+            self._cancel_expiry(sb)
+            removed.append(sb)
+        observer = self._state_observer
+        if observer is not None:
+            observer.copies_removed(node, removed)
+        self.metrics.on_copies_removed(bids, relay_copies, reason, self.engine.now)
+        if reason == "expired":
+            node.counters.expiries += len(bids)
+        elif reason == "immunized":
+            node.counters.immunized_purges += len(bids)
 
     def evict_copy(self, node: Node, bid: BundleId, policy: str) -> None:
         """Evict a relay copy under buffer pressure, attributed to ``policy``.
@@ -638,12 +673,11 @@ class Simulation:
         self.metrics.on_crash(now)
         node = self.nodes[node_id]
         if self._wipes_buffer:
-            # All live copies (origin and relay) die at the crash instant;
-            # per-copy removals at one timestamp coalesce into a single
-            # occupancy-series step, so integrals stay exact. The delivered
-            # log is not a buffer and survives: delivered stays delivered.
-            for sb in node.sendable():
-                self.remove_copy(node, sb.bid, reason="crashed")
+            # All live copies (origin and relay) die at the crash instant,
+            # in one bulk removal: one occupancy-series step, so integrals
+            # stay exact. The delivered log is not a buffer and survives:
+            # delivered stays delivered.
+            self.remove_copies(node, [sb.bid for sb in node.sendable()], "crashed")
         if self._wipes_knowledge:
             forgotten = node.protocol.on_knowledge_wiped(now)
             if forgotten:

@@ -303,6 +303,14 @@ def run_sweep(
                 f"cell(s) from {journal.directory}"
             )
 
+    if sweep.sim.engine == "ode" and pending:
+        # the exact-regime chains the pending cells read, integrated in one
+        # batch before any cell runs (a forked pool's workers inherit
+        # them); a cell would otherwise solve its chain as a batch of one
+        from repro.analytic.surrogate import solve_exact_chains
+
+        solve_exact_chains((cells[i].trace, cells[i].protocol, sweep.sim) for i in pending)
+
     hook = None
     if progress is not None:
         report = progress

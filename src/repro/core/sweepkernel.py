@@ -27,25 +27,47 @@ once per run:
   untouched. For an *encounter-inert* class (pure/ttl/ec/ec_ttl,
   coins-only P-Q, spray) a contact can only matter when one side holds a
   copy the other side lacks. The sweep loop's mask test retires each
-  futile contact in place, and their accounting settles in bulk on
-  return: per-contact signaling in one counter update, per-node control
-  units in one ``bincount``. Its zero-transfer contacts never enter the
-  sweep: they run no hook and move nothing, so an end-of-run flush
-  settles their accounting in one pass.
+  futile contact in place. Every swept contact's per-contact accounting
+  (its fired event, a summary vector each way, one control unit per
+  endpoint) settles in bulk on return: one counter update each, per-node
+  control units in one ``bincount``. Its zero-transfer contacts never
+  enter the sweep: they run no hook and move nothing, so an end-of-run
+  flush settles their accounting in one pass.
 
 On the skip path, populations that keep delivery knowledge in a stock
 store (anti-packet P-Q, immunity, cumulative immunity) add a per-node
 **knowledge plane**: the bundle bits the node's store covers (the
-i-list's ids, or each cumulative table's prefix). The plane joins the has
-mask — it is the knows-delivered veto — and every contact enters the
-sweep, zero-transfer ones included, because each one carries the stores.
-A contact is futile when the two planes are equal (the swap is a no-op)
-and no copy can cross it; a contact whose planes differ runs
-:func:`~repro.core.knowledge.exchange_control` and ends its contact
-block. A futile contact's control units (the store size, each way)
-settle in bulk from a per-node log of store sizes: knowledge grows at
-exchanges and deliveries, and shrinks only at a crash's knowledge wipe,
-each logged from the first swept contact that sees it.
+i-list's ids, or each cumulative table's prefix). Bundle bits follow
+:class:`~repro.core.bundle.BundleId` order, whatever the order of the
+flows, so ascending bits are sorted ids. The plane joins the has mask —
+it is the knows-delivered veto — and every contact enters the sweep,
+zero-transfer ones included, because each one carries the stores. A
+contact is futile when the two planes are equal (the swap is a no-op)
+and no copy can cross it; a contact whose planes differ swaps the stores
+and ends its contact block. A per-bundle store (anti-packet P-Q,
+immunity) is swapped on the planes (:meth:`SweepKernel._swap_planes`):
+each side is billed its store's size, then b learns ``plane_a &
+~plane_b`` and a learns ``plane_b & ~plane_a``, the order of
+:func:`~repro.core.knowledge.exchange_control`. A learning side's store
+takes the new ids through
+:meth:`~repro.core.knowledge.KnowledgeStore.extend`, the copies it holds
+of them leave in one bulk removal
+(:meth:`~repro.core.simulation.Simulation.remove_copies`), and its
+stored-table footprint follows, from the store sizes the kernel keeps.
+No control message is built. A cumulative store runs
+:func:`~repro.core.knowledge.exchange_control`, since its purge follows
+``node.sendable()`` order. A futile contact's control units (the store
+size, each way) settle in bulk from a per-node log of store sizes:
+knowledge grows at exchanges and deliveries, and shrinks only at a
+crash's knowledge wipe, each logged from the first swept contact that
+sees it.
+
+An unfaulted run filters nothing per run, so its swept columns (the
+list forms the loop reads and the carry flags: the link carries a
+bundle) are built once per trace, bundle transfer time and path in a
+process and shared by every run on them; a faulted run filters its lost
+contacts and builds its own. The loop tests the carry flag before the
+copy masks.
 
 The sweep loop tests each contact against the masks as they stand when
 it reaches that contact: every copy event, delivery and knowledge change
@@ -104,6 +126,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Any
 
@@ -125,6 +148,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.node import Node
     from repro.core.results import RunResult
     from repro.core.simulation import Simulation
+    from repro.mobility.contact import ContactTrace
 
     #: A trace's contact columns: starts, ends, endpoint a, endpoint b.
     _Columns = tuple[
@@ -140,6 +164,7 @@ _KNOWLEDGE_HOOKS: dict[type[Protocol], tuple[str, ...]] = {
         "receive_control",
         "control_units",
         "learn_delivered",
+        "_sync_table_storage",
         "knows_delivered",
         "on_delivered",
     ),
@@ -230,6 +255,81 @@ class _Session:
         self.severed = True
 
 
+class _Swept:
+    """The contacts one sweep visits, in trace order: the NumPy columns the
+    bulk settlements read, and the list columns and carry flags (the link
+    carries a bundle) the sweep loop reads."""
+
+    __slots__ = ("starts", "a", "b", "starts_l", "ends_l", "a_l", "b_l", "carry_l")
+
+    def __init__(
+        self,
+        starts: NDArray[np.float64],
+        ends: NDArray[np.float64],
+        a: NDArray[np.intp],
+        b: NDArray[np.intp],
+        carry: NDArray[np.bool_],
+    ) -> None:
+        self.starts = starts
+        self.a = a
+        self.b = b
+        self.starts_l: list[float] = starts.tolist()
+        self.ends_l: list[float] = ends.tolist()
+        self.a_l: list[int] = a.tolist()
+        self.b_l: list[int] = b.tolist()
+        self.carry_l: list[bool] = carry.tolist()
+
+
+#: The swept columns of the last unfaulted run in this process, for the
+#: runs that follow it on the same trace: (a weak reference to the trace,
+#: its bundle transfer time, the path's ``inert`` flag, the trace's
+#: zero-transfer mask, the columns). They are a pure function of those
+#: keys, so no run sees another trace's columns. One entry, not one per
+#: live trace: a sweep on a shared trace runs its cells on it one after
+#: another, and an entry per trace raised ``ode_gate_250k``'s peak RSS by
+#: 13.5%, because its gate keeps its 12 reference traces alive.
+_last_swept: (
+    tuple[
+        weakref.ReferenceType[ContactTrace],
+        float | tuple[float, ...],
+        bool,
+        NDArray[np.bool_],
+        _Swept,
+    ]
+    | None
+) = None
+
+
+def _shared_swept(
+    trace: ContactTrace,
+    tx_time: float | tuple[float, ...],
+    inert: bool,
+    arrays: _Columns,
+) -> tuple[NDArray[np.bool_], _Swept]:
+    """The zero-transfer mask and the swept columns of an unfaulted run on
+    ``trace``: every contact, or for an inert skip-path sweep (``inert``)
+    the ones that carry a bundle. Shared, read-only, with the next run on
+    the same trace, transfer time and path."""
+    global _last_swept
+    last = _last_swept
+    if last is not None and last[0]() is trace and last[1] == tx_time and last[2] is inert:
+        return last[3], last[4]
+    zero_mask = zero_transfer_mask(trace, tx_time, arrays=arrays)
+    if inert:
+        live = np.flatnonzero(~zero_mask)
+        starts, ends, a_ids, b_ids = (column[live] for column in arrays)
+        swept = _Swept(starts, ends, a_ids, b_ids, np.ones(len(live), dtype=np.bool_))
+    else:
+        swept = _Swept(*arrays, ~zero_mask)
+    # shared by the runs that read them, like the trace's columns
+    zero_mask.flags.writeable = False
+    swept.starts.flags.writeable = False
+    swept.a.flags.writeable = False
+    swept.b.flags.writeable = False
+    _last_swept = (weakref.ref(trace), tx_time, inert, zero_mask, swept)
+    return zero_mask, swept
+
+
 class SweepKernel:
     """One run's array-resident sweep state; single-use like Simulation.
 
@@ -243,11 +343,12 @@ class SweepKernel:
     __slots__ = (
         "sim", "_engine", "_nodes", "_n", "_col", "_snd_bits", "_has_bits",
         "_cand_keys", "_cand_sbs", "_cand_bits", "_dest_counts", "_ctrl_np",
-        "_skipped", "_trivial_offer", "_trivial_confirm", "_trivial_accept",
+        "_trivial_offer", "_trivial_confirm", "_trivial_accept",
         "_trivial_store", "_pure_offer", "_rentries", "_rcaps", "_sweep_all",
         "_origins", "_live_starts", "_live_a", "_live_b", "_knowledge",
         "_know_bits", "_know_size", "_size_keys", "_size_vals", "_stride",
-        "_know_units", "_on_complete", "_lost", "_sev", "_halt_rank",
+        "_know_units", "_on_complete", "_lost", "_sev", "_halt_rank", "_bids",
+        "_plane_swap",
     )
 
     def __init__(self, sim: Simulation, sweep_all: bool = False) -> None:
@@ -257,13 +358,17 @@ class SweepKernel:
         nodes = sim.nodes
         self._nodes = nodes
         self._n = len(nodes)
-        # bundle-id → mask bit position over the full offered population
+        # bundle-id → mask bit position over the full offered population,
+        # in BundleId order whatever the order of the flows: ascending
+        # bits are sorted ids, the order KnowledgeStore.merge learns them
         col: dict[BundleId, int] = {}
-        for flow in sim.flows:
+        for flow in sorted(sim.flows, key=lambda flow: flow.flow_id):
             flow_id = flow.flow_id
             for seq in range(1, flow.num_bundles + 1):
                 col[BundleId(flow=flow_id, seq=seq)] = len(col)
         self._col = col
+        #: mask bit position → bundle id
+        self._bids: list[BundleId] = list(col)
         n = self._n
         #: node holds a live (origin or relay) copy — possibly expired at
         #: the current instant, which the candidate rule's expiry test rejects
@@ -281,14 +386,13 @@ class SweepKernel:
         self._cand_sbs: list[list[StoredBundle]] = [[] for _ in range(n)]
         self._cand_bits: list[list[int]] = [[] for _ in range(n)]
         self._dest_counts: list[dict[int, int]] = [{} for _ in range(n)]
-        # bulk-retired per-contact control units (futile contacts), settled
+        # per-contact control units of the swept contacts, settled
         # vectorized at end of run — an order-independent sum
         self._ctrl_np: NDArray[np.int64] = np.zeros(n, dtype=np.int64)
-        self._skipped = 0
         if sweep_all:
             # every hook runs, for any mix of classes
             self._trivial_offer = self._trivial_confirm = self._trivial_accept = False
-            self._trivial_store = self._knowledge = False
+            self._trivial_store = self._knowledge = self._plane_swap = False
         else:
             # the skip path's shortcuts, by method identity on the
             # population's one class
@@ -318,6 +422,10 @@ class SweepKernel:
             #: the population keeps delivery knowledge in a stock store
             #: (eligibility admits no other non-inert class)
             self._knowledge = not proto_cls.encounter_inert
+            #: ... a per-bundle one, which the sweep swaps on the planes
+            #: (_swap_planes); a cumulative store keeps exchange_control,
+            #: whose purge follows node.sendable() order
+            self._plane_swap = issubclass(proto_cls, AntiPacketProtocol)
         # fully-trivial substrate (pure epidemic): every candidate predicate
         # except the want filter and the capacity probe is vacuous, so
         # _schedule_next can use the specialized candidate scan
@@ -422,6 +530,28 @@ class SweepKernel:
         del self._cand_bits[nid][i]
         self._dest_counts[nid][sb.bundle.destination] -= 1
 
+    def copies_removed(self, node: Node, removed: list[StoredBundle]) -> None:
+        """:meth:`copy_removed` for a bulk removal: the mask bits of every
+        copy cleared at once. Every copy is registered, since a copy
+        :meth:`copy_added` saw already gone is no live copy to remove."""
+        nid = node.id
+        col = self._col
+        keys = self._cand_keys[nid]
+        sbs = self._cand_sbs[nid]
+        bits = self._cand_bits[nid]
+        counts = self._dest_counts[nid]
+        gone = 0
+        for sb in removed:
+            bundle = sb.bundle
+            gone |= 1 << col[bundle.bid]
+            i = sbs.index(sb)
+            del sbs[i]
+            del keys[i]
+            del bits[i]
+            counts[bundle.destination] -= 1
+        self._snd_bits[nid] &= ~gone
+        self._has_bits[nid] &= ~gone
+
     def delivered(self, node: Node, bid: BundleId) -> None:
         self._has_bits[node.id] |= 1 << self._col[bid]
 
@@ -484,14 +614,80 @@ class SweepKernel:
             self._size_keys.append(nid * self._stride + pos)
             self._size_vals.append(size)
 
+    def _swap_planes(self, a: int, b: int, plane_a: int, plane_b: int, pos: int) -> None:
+        """The stock per-bundle swap of
+        :func:`~repro.core.knowledge.exchange_control`, worked on the planes
+        of ``a`` and ``b``; swept contact ``pos`` on sees both know the
+        union.
+
+        Each side is billed its store's size, a's first. Then b learns
+        ``plane_a & ~plane_b`` and a learns ``plane_b & ~plane_a``, in that
+        order, since each side's control-storage delta is a fractional
+        float add: its store takes the new ids in ascending (BundleId)
+        order, the copies it holds of them go in one bulk removal, and its
+        stored-table footprint follows. A side that learns nothing is left
+        alone, as ``learn_delivered`` leaves it.
+        """
+        size = self._know_size
+        nodes = self._nodes
+        node_a = nodes[a]
+        node_b = nodes[b]
+        units_a = size[a]
+        units_b = size[b]
+        self._know_units += units_a + units_b
+        node_a.counters.control_units_sent += units_a
+        node_b.counters.control_units_sent += units_b
+        union = plane_a | plane_b
+        sim = self.sim
+        bids = self._bids
+        snd = self._snd_bits
+        hasb = self._has_bits
+        know = self._know_bits
+        sides = ((b, node_b, plane_a & ~plane_b), (a, node_a, plane_b & ~plane_a))
+        for nid, node, fresh in sides:
+            know[nid] = union
+            if not fresh:
+                continue
+            held = snd[nid] & fresh
+            grown = size[nid] + fresh.bit_count()
+            size[nid] = grown
+            self._size_keys.append(nid * self._stride + pos)
+            self._size_vals.append(grown)
+            fresh_ids = []
+            purged = []
+            while fresh:
+                low = fresh & -fresh
+                bid = bids[low.bit_length() - 1]
+                fresh_ids.append(bid)
+                if low & held:
+                    purged.append(bid)
+                fresh ^= low
+            protocol = node.protocol
+            protocol.knowledge.extend(fresh_ids)
+            if purged:
+                sim.remove_copies(node, purged, "immunized")
+            # the plane is the receiver-has veto; the purge just cleared
+            # the has bits of the copies it took, so OR the plane back in
+            hasb[nid] |= union
+            # _sync_table_storage, with the store's size kept here
+            sim.set_control_storage(node, grown * protocol.table_slot_fraction)
+
     def _sizes_at(self, ids: NDArray[np.intp]) -> NDArray[np.float64]:
         """Store size of node ``ids[j]`` as swept contact ``j`` saw it."""
         keys = np.asarray(self._size_keys, dtype=np.int64)
         # appended in sweep order; a stable sort groups them per node
         order = np.argsort(keys, kind="stable")
-        queries = ids.astype(np.int64) * self._stride + np.arange(len(ids))
+        # the contacts grouped per node too (a radix sort on 16-bit ids),
+        # so the queries ascend and each binary search starts where the
+        # last one ended: about half the time of unsorted queries
+        by_node = np.argsort(
+            ids.astype(np.uint16) if self._n <= 1 << 16 else ids, kind="stable"
+        )
+        queries = ids[by_node].astype(np.int64) * self._stride + by_node
         at = np.searchsorted(keys[order], queries, side="right") - 1
-        return np.asarray(self._size_vals, dtype=np.float64)[order[at]]
+        sizes = np.empty(len(ids), dtype=np.float64)
+        sizes[by_node] = np.asarray(self._size_vals, dtype=np.float64)[order[at]]
+        return sizes
 
     # -------------------------------------------------------------- planning
     # The candidate rule (repro.core.session has the encounter semantics):
@@ -701,10 +897,9 @@ class SweepKernel:
             metrics.on_wasted_slot()
             self._schedule_next(rec, now)
             return
-        held = self._origins[sender.id].get(bid)
-        if held is None:
-            held = self._rentries[sender.id].get(bid)
-        still_held = held is sb
+        # sender.get_copy(bid) is sb, probing only the store sb lives in
+        store = self._origins if sb.is_origin else self._rentries
+        still_held = store[sender.id].get(bid) is sb
         if (
             self._trivial_store
             and still_held
@@ -718,7 +913,7 @@ class SweepKernel:
             sb.ec += 1
             sender.counters.bundles_sent += 1
             metrics.bundle_transmissions += 1
-            stored = StoredBundle(bundle=sb.bundle, stored_at=now, ec=sb.ec)
+            stored = StoredBundle(sb.bundle, now, False, sb.ec)
             # relay.add, inlined: the duplicate and capacity guards are
             # discharged by the has-bit probe and the gate above
             self._rentries[rid][bid] = stored
@@ -842,39 +1037,38 @@ class SweepKernel:
             if t != math.inf:
                 self._engine.at(t, rec._on_severed)
 
-    # -------------------------------------------------------- futile contacts
+    # -------------------------------------------------------- swept contacts
 
-    def _settle_futile(
+    def _settle_swept(
         self, ci: int, fired_idx: list[int], end_time: float, halted: bool
     ) -> None:
-        """One-shot accounting for every futile contact in ``[0, ci)``.
+        """One-shot accounting for the swept contacts ``[0, ci)``.
 
-        The sweep loop only records which contacts it ran (``fired_idx``);
-        everything else it advanced past is futile, so the skip count and
-        per-endpoint control units settle here as two whole-prefix
-        bincounts minus the run contacts' contribution — order-independent
-        sums, exactly as the sweep-all path tallies them one encounter at
-        a time. With a knowledge plane each futile contact also carried
-        both (equal) stores: ``len(store)`` units each way, at the size
-        that contact saw. Under interruptions a futile carrying contact's
-        idle session still had its severance pushed, a no-op event that
-        fired if it came before the run's end: before ``end_time``, or at
-        it when pushed before the halting completion.
+        Each swept contact is a fired event. On the skip path each one also
+        owes what :func:`~repro.core.session.contact_bookkeeping` charges
+        every pair: a summary vector each way and one control unit per
+        endpoint. They settle here as whole-prefix bincounts —
+        order-independent sums, exactly as the sweep-all path tallies them
+        one encounter at a time. The sweep loop records which contacts it
+        ran (``fired_idx``); everything else it advanced past is futile.
+        With a knowledge plane each futile contact also carried both
+        (equal) stores: ``len(store)`` units each way, at the size that
+        contact saw. Under interruptions a futile carrying contact's idle
+        session still had its severance pushed, a no-op event that fired
+        if it came before the run's end: before ``end_time``, or at it
+        when pushed before the halting completion.
         """
-        n_sessions = len(fired_idx)
-        futile = ci - n_sessions
-        if not futile:
+        self._engine.events_fired += ci
+        if self._sweep_all or not ci:
+            # every contact ran contact_bookkeeping
             return
-        self._skipped += futile
+        self.sim.metrics.on_batched_contacts(ci)
         minlength = self._n
         live_a = self._live_a[:ci]
         live_b = self._live_b[:ci]
         units = np.bincount(live_a, minlength=minlength)
         units += np.bincount(live_b, minlength=minlength)
         fi = np.asarray(fired_idx, dtype=np.intp)
-        if n_sessions:
-            units -= np.bincount(self._live_a[fi], minlength=minlength)
-            units -= np.bincount(self._live_b[fi], minlength=minlength)
         if self._knowledge:
             # equal planes are equal stores, so endpoint a's size is both's
             sizes = self._sizes_at(live_a)
@@ -906,17 +1100,25 @@ class SweepKernel:
         sim = self.sim
         engine = self._engine
         arrays = sim.trace.contact_arrays()
-        zero_mask = zero_transfer_mask(sim.trace, sim.config.bundle_tx_time, arrays=arrays)
+        # an inert skip-path sweep leaves the zero-transfer contacts out
+        # (the flush settles them); the other sweeps visit every contact
+        inert = not (self._knowledge or self._sweep_all)
+        swept: _Swept | None = None
+        if sim.faults is None:
+            # nothing is filtered per run: every unfaulted run on this
+            # trace at this bundle_tx_time sweeps the same columns
+            zero_mask, swept = _shared_swept(
+                sim.trace, sim.config.bundle_tx_time, inert, arrays
+            )
+        else:
+            zero_mask = zero_transfer_mask(sim.trace, sim.config.bundle_tx_time, arrays=arrays)
         sim._state_observer = self
         try:
-            halted = self._drive(horizon, arrays, zero_mask)
+            halted = self._drive(horizon, arrays, zero_mask, inert, swept)
         finally:
             sim._state_observer = None
         end_time = engine.now if halted else horizon
-        engine.events_fired += self._skipped
         engine.now = end_time
-        if self._skipped:
-            sim.metrics.on_batched_contacts(self._skipped)
         if self._know_units:
             sim.metrics.signaling.add(self._nodes[0].protocol.control_kind, self._know_units)
         for node, units in zip(self._nodes, self._ctrl_np.tolist(), strict=True):
@@ -925,7 +1127,7 @@ class SweepKernel:
         lost = self._lost
         if lost is not None:
             sim._settle_lost(lost, arrays[0], end_time)
-        if not (self._knowledge or self._sweep_all):
+        if inert:
             # an inert skip-path sweep left the zero-transfer contacts out;
             # the other sweeps left none out; a lost contact owes nothing
             left_out = zero_mask if lost is None else zero_mask & ~lost
@@ -965,11 +1167,17 @@ class SweepKernel:
                 node.counters.control_units_sent += encounters
 
     def _drive(
-        self, horizon: float, arrays: _Columns, zero_mask: NDArray[np.bool_]
+        self,
+        horizon: float,
+        arrays: _Columns,
+        zero_mask: NDArray[np.bool_],
+        inert: bool,
+        swept: _Swept | None,
     ) -> bool:
         """Set up the swept columns and run the sweep loop.
 
-        Returns True when the run halted early.
+        ``swept`` is the unfaulted run's shared columns; a faulted run
+        (None) filters its own. Returns True when the run halted early.
         """
         sim = self.sim
         engine = self._engine
@@ -980,22 +1188,28 @@ class SweepKernel:
                 sim._inject_flow(flow)
             else:
                 engine.at(flow.created_at, sim._inject_flow, flow)
-        starts, ends, a_ids, b_ids = arrays
-        # the swept contacts: an inert skip-path sweep leaves the
-        # zero-transfer ones out (the flush settles them), a faulted one
-        # the lost ones
-        keep = None if self._knowledge or self._sweep_all else ~zero_mask
-        if sim.faults is not None:
-            # after the flows: crashes and recoveries take the next seqs
+        if swept is None:
+            # the swept contacts of a faulted run: not the lost ones, and
+            # for an inert skip-path sweep not the zero-transfer ones.
+            # After the flows: crashes and recoveries take the next seqs
             lost = self._lost = sim._prepare_faults(horizon, arrays)
-            keep = ~lost if keep is None else keep & ~lost
-        if keep is not None:
+            keep = ~zero_mask & ~lost if inert else ~lost
             live = np.flatnonzero(keep)
-            starts, ends, a_ids, b_ids = starts[live], ends[live], a_ids[live], b_ids[live]
-            zero_mask = zero_mask[live]
-        # a session opens, and a copy crosses, only where the link carries
-        # a bundle: every swept contact of an inert skip-path sweep
-        carry = ~zero_mask
+            starts, ends, a_ids, b_ids = (column[live] for column in arrays)
+            # a session opens, and a copy crosses, only where the link
+            # carries a bundle
+            carry = ~zero_mask[live]
+            severed_at = sim._contact_severed_at
+            if severed_at is not None:
+                # a severance is pushed for a session (a carrying contact)
+                # and only when it falls before the contact's end
+                severed_at = severed_at[live]
+                self._sev = np.where((severed_at < ends) & carry, severed_at, math.inf)
+            swept = _Swept(starts, ends, a_ids, b_ids, carry)
+        starts = swept.starts
+        self._live_starts = starts
+        self._live_a = swept.a
+        self._live_b = swept.b
         if self._knowledge:
             # every contact carries the stores, so the size log spans them all
             self._stride = stride = len(starts) + 1
@@ -1003,16 +1217,6 @@ class SweepKernel:
             self._size_vals = list(self._know_size)
             for nid, plane in enumerate(self._know_bits):
                 self._has_bits[nid] |= plane
-        severed_at = sim._contact_severed_at if sim.faults is not None else None
-        if severed_at is not None:
-            if keep is not None:
-                severed_at = severed_at[live]
-            # a severance is pushed for a session (a carrying contact) and
-            # only when it falls before the contact's end
-            self._sev = np.where((severed_at < ends) & carry, severed_at, math.inf)
-        self._live_starts = starts
-        self._live_a = a_ids
-        self._live_b = b_ids
         # the swept contacts' seq block: the tie-break in the sweep loop is
         # the stream rule (module docstring)
         contact_base = engine.seq
@@ -1022,11 +1226,11 @@ class SweepKernel:
             horizon,
             contact_base,
             n_fire,
-            starts.tolist(),
-            ends.tolist(),
-            a_ids.tolist(),
-            b_ids.tolist(),
-            carry.tolist(),
+            swept.starts_l,
+            swept.ends_l,
+            swept.a_l,
+            swept.b_l,
+            swept.carry_l,
         )
 
     def _sweep(
@@ -1046,21 +1250,25 @@ class SweepKernel:
         :func:`~repro.core.session.contact_bookkeeping`. On the skip path
         a contact is futile when its two knowledge planes are equal and no
         copy can cross it. A contact whose planes differ runs the stock
-        swap (:func:`~repro.core.knowledge.exchange_control`); both
-        endpoints then know the union, and the contact block ends. A
-        contact with equal planes that a copy can cross owes the swap's
-        accounting only. Any of them opens a session when its link carries
-        a bundle. An inert population's planes are all zero and every
-        contact it sweeps carries, so only the copy-mask test is live.
+        swap (:meth:`_swap_planes` for a per-bundle store,
+        :func:`~repro.core.knowledge.exchange_control` for a cumulative
+        one); both endpoints then know the union, and the contact block
+        ends. A contact with equal planes that a copy can cross owes the
+        swap's bill only. Any of them opens a session when its link
+        carries a bundle. An inert population's planes are all zero and
+        every contact it sweeps carries, so only the copy-mask test is
+        live. The per-contact accounting settles on return
+        (:meth:`_settle_swept`).
         """
         sim = self.sim
         engine = self._engine
         nodes = self._nodes
-        signaling = sim.metrics.signaling
         link_tx_time = sim.link_tx_time
         uniform_tx = sim._uniform_tx_time
         schedule_next = self._schedule_next
         learned = self._learned
+        swap_planes = self._swap_planes
+        plane_swap = self._plane_swap
         snd = self._snd_bits
         hasb = self._has_bits
         knowledge = self._knowledge
@@ -1074,8 +1282,9 @@ class SweepKernel:
         inf = math.inf
         ci = 0
         # indexes of contacts that fired; every other contact in [0, ci) is
-        # futile, and all futile accounting (skip counts + control units)
-        # settles in one vectorized pass on return
+        # futile. The per-contact accounting of every swept contact (event
+        # count, summary vectors, control units) and the store bills of the
+        # futile ones settle in one vectorized pass on return
         fired_idx: list[int] = []
         fired_append = fired_idx.append
         while True:
@@ -1100,12 +1309,13 @@ class SweepKernel:
                     break
                 a = a_l[ci]
                 b = b_l[ci]
-                # the copy test first, and the plane test and the path test
-                # behind the run's flags: an inert sweep (planes all zero,
-                # every contact carrying) then pays two local tests per
-                # futile contact
+                # the carry and copy tests first, and the plane test and the
+                # path test behind the run's flags: an inert sweep (planes
+                # all zero, every contact carrying) then pays three local
+                # tests per futile contact, and a knowledge sweep no mask
+                # work at a contact that cannot carry a bundle
                 if not (
-                    ((snd[a] & ~hasb[b]) or (snd[b] & ~hasb[a])) and carry_l[ci]
+                    carry_l[ci] and ((snd[a] & ~hasb[b]) or (snd[b] & ~hasb[a]))
                     or knowledge and know[a] != know[b]
                     or sweep_all
                 ):
@@ -1113,30 +1323,27 @@ class SweepKernel:
                     ci += 1
                     continue
                 engine.now = t
-                engine.events_fired += 1
                 node_a = nodes[a]
                 node_b = nodes[b]
                 if sweep_all:
                     contact_bookkeeping(sim, node_a, node_b, t)
-                else:
-                    if knowledge:
-                        plane_a = know[a]
-                        plane_b = know[b]
-                        if plane_a != plane_b:
+                elif knowledge:
+                    plane_a = know[a]
+                    plane_b = know[b]
+                    if plane_a != plane_b:
+                        if plane_swap:
+                            swap_planes(a, b, plane_a, plane_b, ci + 1)
+                        else:
                             exchange_control(sim, node_a, node_b, t)
                             union = plane_a | plane_b
                             learned(a, union, ci + 1)
                             learned(b, union, ci + 1)
-                        elif know_size[a]:
-                            # equal stores: the swap is a no-op, its bill
-                            # is not
-                            units = know_size[a]
-                            self._know_units += 2 * units
-                            node_a.counters.control_units_sent += units
-                            node_b.counters.control_units_sent += units
-                    signaling.summary_vector += 2
-                    node_a.counters.control_units_sent += 1
-                    node_b.counters.control_units_sent += 1
+                    elif know_size[a]:
+                        # equal stores: the swap is a no-op, its bill is not
+                        units = know_size[a]
+                        self._know_units += 2 * units
+                        node_a.counters.control_units_sent += units
+                        node_b.counters.control_units_sent += units
                 if carry_l[ci]:
                     tx_time = (
                         uniform_tx if uniform_tx is not None else link_tx_time(a, b)
@@ -1155,7 +1362,7 @@ class SweepKernel:
             if progressed:
                 continue
             if h_time > horizon:
-                self._settle_futile(ci, fired_idx, horizon, False)
+                self._settle_swept(ci, fired_idx, horizon, False)
                 return False
             entry = heappop(heap)
             entry[4] = False
@@ -1163,5 +1370,5 @@ class SweepKernel:
             engine.events_fired += 1
             entry[2](*entry[3])
             if engine.halted:
-                self._settle_futile(ci, fired_idx, h_time, True)
+                self._settle_swept(ci, fired_idx, h_time, True)
                 return True

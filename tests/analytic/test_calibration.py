@@ -265,6 +265,36 @@ class TestGateSolves:
         cross_validate_scenario(spec, loads=(2, 4), replications=3)
         assert solves == [3]
 
+    def test_an_ungated_sweep_solves_its_chains_in_one_batch(self, solves):
+        """Without a gate, run_sweep solves the exact-regime chains of an
+        ODE sweep before its cells: one integration for the 36-node chains
+        of three fresh traces, and the cells the chains of a per-cell solve
+        would give."""
+        spec = gate_spec(
+            mobility=MobilitySpec(
+                "poisson",
+                {"num_nodes": 36, "beta": 1.0 / 6000.0, "horizon": 50_000.0, "duration": 40.0},
+            ),
+            workload=WorkloadSpec(loads=(5, 10), replications=3),
+            shared_trace=False,
+            surrogate_check=False,
+        )
+        runs = [repr(r) for r in spec.run().runs]
+        assert solves == [3]
+        # each chain alone, as a cell solves it when nothing solved it first
+        surrogate._SOLVED.clear()
+        for rep in range(3):
+            trace = spec.build_trace(rep)
+            surrogate._solve_exact(
+                36,
+                surrogate.resolve_meeting_rate(trace, spec.sweep_config().sim),
+                1.0,
+                1.0,
+                50_000.0,
+            )
+        assert solves == [3, 1, 1, 1]
+        assert [repr(r) for r in spec.run().runs] == runs
+
     def test_chains_beyond_the_memo_are_solved_by_their_cells(self, solves, monkeypatch):
         spec = gate_spec(shared_trace=False)
         want = cross_validate_scenario(spec, loads=(2, 4), replications=3)

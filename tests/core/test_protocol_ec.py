@@ -28,6 +28,25 @@ class TestECEviction:
         assert sb is not None and sb.ec == 7
         assert node.relay.get(stored(6).bid) is None
 
+    def test_full_buffer_accepts_without_a_scan(self, monkeypatch):
+        """Every copy's EC is >= 0, so with min_ec_evict 0 a full buffer
+        always holds a victim and can_accept answers without scanning it;
+        EC+TTL's minimum of 1 still scans, and refuses protected copies."""
+        for protocol, expected, scanned in (("ec", True, []), ("ec_ttl", False, [1])):
+            node, _ = make_node(1, capacity=2, protocol=protocol)
+            node.relay.add(stored(1, ec=0))
+            node.relay.add(stored(2, ec=0))
+            scans = []
+            real_scan = node.relay.max_ec_entry
+
+            def scan(*, min_ec, scans=scans, real_scan=real_scan):
+                scans.append(min_ec)
+                return real_scan(min_ec=min_ec)
+
+            monkeypatch.setattr(node.relay, "max_ec_entry", scan)
+            assert node.protocol.can_accept(bundle(3, destination=9), now=0.0) is expected
+            assert scans == scanned
+
     def test_no_eviction_while_room(self):
         node, sim = make_node(1, capacity=2, protocol="ec")
         node.relay.add(stored(1, ec=9))

@@ -38,6 +38,7 @@ from repro.mobility.contact import Contact, ContactTrace
 from repro.mobility.rwp import RWPConfig, SubscriberPointRWP
 from repro.mobility.fastcontact import contacts_from_trajectories
 from repro.scenarios.spec import MobilitySpec, ProtocolSpec, ScenarioSpec, WorkloadSpec
+from tests.oracles.reference_sim import ReferenceSimulation
 
 #: Every encounter-inert protocol the kernel accepts, with constructor
 #: kwargs covering the state each one adds (TTL deadlines, EC counters,
@@ -450,3 +451,96 @@ def test_skipped_severance_at_the_halting_instant(bundles):
     assert results["event"].end_time == halt
     event, soa = sims["event"], sims["soa"]
     assert event.engine.events_fired == soa.engine.events_fired + soa.batched_encounters
+
+
+# ------------------------------------------------ plane swap and bulk removal
+
+#: Three flows listed, and created, out of flow-id order, so a bundle's
+#: position in the flow list is not its rank among the ids: the plane swap
+#: teaches a store several flows' ids at once, in BundleId order.
+MULTI_FLOWS = [
+    Flow(flow_id=2, source=3, destination=17, num_bundles=4),
+    Flow(flow_id=0, source=8, destination=21, num_bundles=3, created_at=2_000.0),
+    Flow(flow_id=1, source=11, destination=5, num_bundles=5, created_at=500.0),
+]
+
+#: Mid-run crashes that wipe buffers and knowledge: a source while it holds
+#: its origin copies, and a relay after the first deliveries.
+WIPES = FaultSpec(
+    downtime_schedule=((3, 1_000.0, 1_800.0), (8, 6_000.0, 6_500.0), (14, 9_000.0, 9_400.0)),
+    churn_rate=3e-5,
+    mean_downtime=800.0,
+    state_loss="all",
+)
+
+
+def node_state(sim: Simulation) -> list[tuple]:
+    return [
+        (
+            dataclasses.astuple(n.counters),
+            n.control_storage,
+            sorted(n.relay.entries_view()),
+            sorted(n.delivered),
+        )
+        for n in sim.nodes
+    ]
+
+
+def three_ways(trace, name, kwargs, flows, **config_kwargs):
+    """The reference schedule (one remove_copy per purged or wiped copy),
+    the sweep-all path and the skip path on one run: results with their
+    occupancy series, node state, event counts and the sequence of
+    control-storage deltas (a float sum, so their order counts) must
+    agree. Returns the skip path's result."""
+    protocol = make_protocol_config(name, **kwargs)
+    runs = []
+    rungs = ((ReferenceSimulation, "event"), (Simulation, "event"), (Simulation, "soa"))
+    for cls, kernel in rungs:
+        sim = cls(
+            trace,
+            protocol,
+            flows,
+            config=SimulationConfig(kernel=kernel, record_occupancy=True, **config_kwargs),
+            seed=9,
+            fault_seed=4,
+        )
+        deltas = []
+        storage_delta = sim.metrics.on_control_storage_delta
+
+        def logged(delta, now, deltas=deltas, storage_delta=storage_delta):
+            deltas.append((now, delta))
+            storage_delta(delta, now)
+
+        sim.metrics.on_control_storage_delta = logged
+        result = sim.run()
+        runs.append(
+            (
+                repr(result),
+                node_state(sim),
+                sim.engine.events_fired + sim.batched_encounters,
+                deltas,
+            )
+        )
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+    assert kernel_unsupported_reason(sim) is None
+    return result
+
+
+@pytest.mark.parametrize("protocol", sorted(KNOWLEDGE_PROTOCOLS))
+def test_plane_swap_on_out_of_order_flows(rwp200_trace, protocol):
+    name, kwargs = KNOWLEDGE_PROTOCOLS[protocol]
+    result = three_ways(rwp200_trace, name, kwargs, MULTI_FLOWS)
+    # knowledge of every flow spread and purged copies
+    assert result.delivered == 12
+    assert result.removals["immunized"] > 0
+
+
+@pytest.mark.parametrize("protocol", ["ttl", *sorted(KNOWLEDGE_PROTOCOLS)])
+def test_bulk_crash_wipe(rwp200_trace, protocol):
+    """A crash wipes a node's buffer in one bulk removal (expiries of a TTL
+    protocol cancelled with it) and its knowledge plane."""
+    name, kwargs = ACCEPTED_PROTOCOLS[protocol]
+    result = three_ways(rwp200_trace, name, kwargs, MULTI_FLOWS, faults=WIPES)
+    assert result.churn["crashes"] >= 3
+    assert result.removals["crashed"] > 1

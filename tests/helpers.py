@@ -88,6 +88,10 @@ class FakeSim:
         node.remove_copy(bid)
         self.removals.append(RemovalRecord(node.id, bid, reason, self._now))
 
+    def remove_copies(self, node: Node, bids: list[BundleId], reason: str) -> None:
+        for bid in bids:
+            self.remove_copy(node, bid, reason)
+
     def evict_copy(self, node: Node, bid: BundleId, policy: str) -> None:
         node.counters.evictions += 1
         self.evictions.append((node.id, bid, policy))

@@ -2,10 +2,11 @@
 
 :class:`ReferenceSimulation` runs the original per-event schedule of
 ``repro.core.simulation.Simulation``: one contact-start heap event per
-contact (never the contact sweep), no zero-transfer shortcut, and — under
-faults — the original faults-only contact handler, which gates every
-contact live on down flags of its own instead of the lost-contact mask
-the sweep uses. Each contact that carries a bundle opens a
+contact (never the contact sweep), no zero-transfer shortcut, one
+``remove_copy`` per purged or crash-wiped copy (never the bulk-removal
+frame), and — under faults — the original faults-only contact handler,
+which gates every contact live on down flags of its own instead of the
+lost-contact mask the sweep uses. Each contact that carries a bundle opens a
 :class:`ContactSession`, the original slot state machine, which plans with
 :class:`ReferencePlanner`, the rebuild-filter-sort specification of the
 candidate rule. Production must reproduce this schedule's
@@ -273,6 +274,12 @@ class ReferenceSimulation(Simulation):
         self.planner_calls = 0
         #: per node: down right now (kept by the crash and recovery events)
         self._down = [False] * self.trace.num_nodes
+
+    def remove_copies(self, node: Node, bids: list[BundleId], reason: str) -> None:
+        """The per-copy chain that production's bulk-removal frame
+        replaces: purges and crash wipes run remove_copy once per copy."""
+        for bid in bids:
+            self.remove_copy(node, bid, reason)
 
     def _on_crash(self, node_id: int) -> None:
         if not self._down[node_id]:
